@@ -257,14 +257,15 @@ def _run_train_dru(config: ExperimentConfig) -> int:
         z_score=config.z_score,
     )
     theta = result.state.theta
+    median_conf = _median_confidence(theta, unlabeled.features)
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
         "eps": float(eps),
         "status": result.status,
         "objective": float(result.objective),
-        "median_confidence": _median_confidence(theta, unlabeled.features),
-        **bound_report_row(eps, bound, _median_confidence(theta, unlabeled.features)),
+        "median_confidence": median_conf,
+        **bound_report_row(eps, bound, median_conf),
         **_theta_columns(theta),
     }
     fieldnames = (

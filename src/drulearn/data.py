@@ -14,8 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .model import LabeledDataset, UnlabeledDataset, make_rng
-from .oracle import DiscreteDistribution
+from .model import DiscreteDistribution, LabeledDataset, UnlabeledDataset, make_rng
 
 INTERCEPT_NAME = "intercept"
 

@@ -30,10 +30,10 @@ from .model import (
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
-    feature_distances,
     logistic_loss,
     loss_grad_theta,
     make_rng,
+    pair_costs,
 )
 
 CONVERGED = "converged"
@@ -217,19 +217,6 @@ class SolveResult:
     trace: list = field(default_factory=list)
 
 
-def _pair_costs(data: LabeledDataset, features, cost: TransportCost):
-    """Transport cost from every (feature row, candidate label) to every atom.
-
-    Returns an (n, n_labeled, 2) tensor: Euclidean feature distance plus the
-    flip cost whenever the candidate label differs from the atom's label.
-    """
-    dist = feature_distances(features, data.features)
-    flip = cost.label_flip_cost * (
-        np.arange(N_CLASSES)[None, :] != data.labels[:, None]
-    )
-    return dist[:, :, None] + flip[None, :, :]
-
-
 def _loss_table(theta, features, payoff):
     """Per-point, per-candidate-label payoffs: logistic losses unless overridden."""
     if payoff is not None:
@@ -283,7 +270,7 @@ def max_cell(x, state: DualState, data: LabeledDataset, cost: TransportCost):
     pair, atom-major, so repeated runs pick the same cell.
     """
     x = np.asarray(x, dtype=float)
-    pair = _pair_costs(data, x[None, :], cost)
+    pair = pair_costs(x[None, :], data, cost)
     table = _loss_table(state.theta, x[None, :], None)
     cells = _cell_tensor(
         table,
@@ -339,7 +326,7 @@ def _linear_part(alpha, potentials, upper_mult, lower_mult, prior, eps):
 def max_cell_values(state: DualState, data: LabeledDataset, features, cost: TransportCost):
     """Per-point inner maxima over all cells, for a block of feature rows."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    pair = _pair_costs(data, features, cost)
+    pair = pair_costs(features, data, cost)
     table = _loss_table(state.theta, features, None)
     cells = _cell_tensor(
         table,
@@ -436,7 +423,7 @@ def sgd_solve(
             raise ValueError("payoff table must be (n_unlabeled, n_classes)")
         update_theta = False
 
-    pair = _pair_costs(data, unlabeled.features, cost)
+    pair = pair_costs(unlabeled.features, data, cost)
     n_params = dim + 1 + n_l + 2 * N_CLASSES
     params = np.zeros(n_params)
     if theta0 is not None:
@@ -510,7 +497,8 @@ def sgd_solve(
             tail_count = 1
 
         if (step + 1) % config.convergence_window == 0:
-            window_mean = float(np.mean(estimates[-config.convergence_window :]))
+            window_mean = float(np.mean(estimates))
+            estimates.clear()
             if (
                 prev_window_mean is not None
                 and abs(window_mean - prev_window_mean) < config.convergence_tol

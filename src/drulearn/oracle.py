@@ -1,11 +1,14 @@
 """Exact small-scale ground truth for the worst-case risk machinery.
 
 Solves the worst-case expected-loss linear program over a finite support,
-computes exact transport distances between finitely supported distributions,
-finds the smallest transport radius with a nonempty decision set, and
-certifies that the stochastic dual solver attains the primal LP value.
-Everything here is deterministic and exact up to simplex tolerances, which
-is what makes it usable as the reference side of two-route checks.
+either over the decision set (given a label prior) or over the plain
+transport ball (`prior=None`), computes exact transport distances between
+finitely supported distributions, finds the smallest transport radius with a
+nonempty decision set, and certifies that the stochastic dual solver attains
+the primal LP value.  Every LP is assembled from sparse constraint blocks
+and solved by the HiGHS dual simplex (see `simplex`), so everything here is
+deterministic and exact up to its 1e-10 feasibility tolerances, which is
+what makes it usable as the reference side of two-route checks.
 """
 
 from __future__ import annotations
@@ -13,15 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .model import (
     N_CLASSES,
+    DiscreteDistribution,
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
-    feature_distances,
     make_rng,
+    pair_costs,
 )
 from .dual import LabelPrior, SolverConfig, sgd_solve
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp, solve_transportation
@@ -29,47 +34,6 @@ from .simplex import INFEASIBLE, OPTIMAL, solve_lp, solve_transportation
 # slack added to the transport-budget right-hand side so feasibility does not
 # flap at the boundary radius
 BUDGET_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finitely supported distribution over labeled points."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        labels = np.asarray(self.labels, dtype=int)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        n = features.shape[0]
-        if labels.shape != (n,) or weights.shape != (n,):
-            raise ValueError("labels and weights must match the number of atoms")
-        if n == 0:
-            raise ValueError("distribution needs at least one atom")
-        if not np.all(np.isin(labels, (0, 1))):
-            raise ValueError("labels must be 0 or 1")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    @property
-    def n(self):
-        return self.features.shape[0]
-
-    @staticmethod
-    def from_dataset(data: LabeledDataset) -> "DiscreteDistribution":
-        """Uniform empirical distribution of a labeled dataset."""
-        return DiscreteDistribution(
-            features=data.features,
-            labels=data.labels,
-            weights=np.full(data.n, 1.0 / data.n),
-        )
 
 
 @dataclass(frozen=True)
@@ -99,13 +63,6 @@ class WorstCaseLpResult:
     status: str
 
 
-def _labeled_pair_cost(features_a, labels_a, features_b, labels_b, cost: TransportCost):
-    """Pairwise transport costs between two labeled atom lists."""
-    dist = feature_distances(features_a, features_b)
-    flip = cost.label_flip_cost * (labels_a[:, None] != labels_b[None, :])
-    return dist + flip
-
-
 def discrete_wasserstein(
     mu: DiscreteDistribution, nu: DiscreteDistribution, cost: TransportCost
 ):
@@ -114,73 +71,50 @@ def discrete_wasserstein(
     Returns the optimal value and an optimal coupling whose marginals
     reproduce the two weight vectors.
     """
-    pair = _labeled_pair_cost(mu.features, mu.labels, nu.features, nu.labels, cost)
+    pair = pair_costs(mu.features, nu, cost)[np.arange(mu.n), :, mu.labels]
     value, plan = solve_transportation(pair, mu.weights, nu.weights)
     return value, CouplingPlan.from_matrix(plan)
 
 
-def _move_costs(support, data: LabeledDataset, cost: TransportCost):
-    """Cost tensor (support point j, candidate label k, labeled atom i)."""
-    support = np.atleast_2d(np.asarray(support, dtype=float))
-    dist = feature_distances(support, data.features)
-    flip = cost.label_flip_cost * (
-        np.arange(N_CLASSES)[:, None] != data.labels[None, :]
-    )
-    return support, dist[:, None, :] + flip[None, :, :]
-
-
 def _atom_marginal_rows(m, n_l):
     """Equality rows fixing the labeled-atom marginal of the (j,k,i) mass."""
-    rows = np.zeros((n_l, m, N_CLASSES, n_l))
-    for i in range(n_l):
-        rows[i, :, :, i] = 1.0
-    return rows.reshape(n_l, -1)
+    return sparse.kron(np.ones((1, m * N_CLASSES)), sparse.eye(n_l))
 
 
 def _support_marginal_rows(m, n_l):
     """Equality rows fixing the feature marginal over the support points."""
-    rows = np.zeros((m, m, N_CLASSES, n_l))
-    for j in range(m):
-        rows[j, j, :, :] = 1.0
-    return rows.reshape(m, -1)
+    return sparse.kron(sparse.eye(m), np.ones((1, N_CLASSES * n_l)))
 
 
 def _label_mass_rows(m, n_l):
     """Total-mass-per-label rows, one per class."""
-    rows = np.zeros((N_CLASSES, m, N_CLASSES, n_l))
-    for k in range(N_CLASSES):
-        rows[k, :, k, :] = 1.0
-    return rows.reshape(N_CLASSES, -1)
+    per_label = sparse.kron(sparse.eye(N_CLASSES), np.ones((1, n_l)))
+    return sparse.kron(np.ones((1, m)), per_label)
 
 
 def _solve_mass_lp(
-    objective,
-    move,
-    data: LabeledDataset,
-    prior: LabelPrior | None,
-    eps: float | None,
-    with_support_marginal: bool,
-    maximize: bool,
+    objective, move, prior: LabelPrior | None, eps: float | None, maximize: bool
 ):
     """Shared LP over the joint mass variables pi[j, k, i].
 
-    Always pins the labeled-atom marginal to uniform; optionally pins the
-    support marginal to uniform, bounds per-label mass by the prior box, and
-    caps the total transport cost by eps.  Returns the simplex result with
-    the (sign-corrected) objective value left to the caller.
+    Always pins the labeled-atom marginal to uniform.  With a prior it also
+    pins the support marginal to uniform and bounds per-label mass by the
+    prior box (the decision set); with `prior=None` the mass ranges over the
+    plain transport ball.  A given `eps` caps the total transport cost.
+    Returns the simplex result with the (sign-corrected) objective value
+    left to the caller.
     """
     m, _, n_l = move.shape
     a_eq = [_atom_marginal_rows(m, n_l)]
     b_eq = [np.full(n_l, 1.0 / n_l)]
-    if with_support_marginal:
-        a_eq.append(_support_marginal_rows(m, n_l))
-        b_eq.append(np.full(m, 1.0 / m))
     a_ub = []
     b_ub = []
     if eps is not None:
-        a_ub.append(move.reshape(1, -1))
+        a_ub.append(sparse.csr_array(move.reshape(1, -1)))
         b_ub.append(np.array([eps + BUDGET_SLACK]))
     if prior is not None:
+        a_eq.append(_support_marginal_rows(m, n_l))
+        b_eq.append(np.full(m, 1.0 / m))
         label_rows = _label_mass_rows(m, n_l)
         a_ub.append(label_rows)
         b_ub.append(prior.upper)
@@ -189,9 +123,9 @@ def _solve_mass_lp(
     sign = -1.0 if maximize else 1.0
     return solve_lp(
         sign * objective.ravel(),
-        a_eq=np.vstack(a_eq),
+        a_eq=sparse.vstack(a_eq),
         b_eq=np.concatenate(b_eq),
-        a_ub=np.vstack(a_ub) if a_ub else None,
+        a_ub=sparse.vstack(a_ub) if a_ub else None,
         b_ub=np.concatenate(b_ub) if b_ub else None,
     )
 
@@ -205,50 +139,25 @@ def solve_worst_case_lp(
     theta,
     support,
     data: LabeledDataset,
-    prior: LabelPrior,
+    prior: LabelPrior | None,
     eps: float,
     cost: TransportCost,
 ) -> WorstCaseLpResult:
-    """Exact worst-case expected logistic loss over the full decision set.
+    """Exact worst-case expected logistic loss over the decision set or the ball.
 
     The adversary places mass on (support point, candidate label) pairs,
-    subject to: total transport cost to the labeled atoms at most `eps`,
-    labeled-atom marginal uniform, support marginal uniform, and per-label
-    mass inside the prior box.
+    subject to: total transport cost to the labeled atoms at most `eps` and
+    labeled-atom marginal uniform.  With a `prior`, the support marginal is
+    also uniform and the per-label mass stays inside the prior box: the full
+    decision set.  With `prior=None` only the budget and the atom marginal
+    remain: the transport ball within the given support, which lower-bounds
+    the unconstrained-domain ball worst case.
     """
-    theta = np.asarray(theta, dtype=float)
-    support, move = _move_costs(support, data, cost)
+    support = np.atleast_2d(np.asarray(support, dtype=float))
+    move = pair_costs(support, data, cost).transpose(0, 2, 1)
     losses = both_class_losses(theta, support)
     objective = np.broadcast_to(losses[:, :, None], move.shape)
-    result = _solve_mass_lp(objective, move, data, prior, eps, True, maximize=True)
-    if result.status != OPTIMAL:
-        return WorstCaseLpResult(value=None, plan=None, status=result.status)
-    value = float(objective.ravel() @ result.x)
-    return WorstCaseLpResult(
-        value=value, plan=_plan_from_solution(result.x, support.shape[0], data.n),
-        status=OPTIMAL,
-    )
-
-
-def ball_worst_case_lp(
-    theta,
-    support,
-    data: LabeledDataset,
-    eps: float,
-    cost: TransportCost,
-) -> WorstCaseLpResult:
-    """Worst-case expected loss over the transport ball alone.
-
-    Same LP as `solve_worst_case_lp` but with only the budget and the
-    labeled-atom marginal — no support-marginal or label-mass constraints —
-    so it lower-bounds the unconstrained-domain ball worst case from within
-    the given support.
-    """
-    theta = np.asarray(theta, dtype=float)
-    support, move = _move_costs(support, data, cost)
-    losses = both_class_losses(theta, support)
-    objective = np.broadcast_to(losses[:, :, None], move.shape)
-    result = _solve_mass_lp(objective, move, data, None, eps, False, maximize=True)
+    result = _solve_mass_lp(objective, move, prior, eps, maximize=True)
     if result.status != OPTIMAL:
         return WorstCaseLpResult(value=None, plan=None, status=result.status)
     value = float(objective.ravel() @ result.x)
@@ -270,8 +179,8 @@ def min_feasible_radius(
     the marginal and label constraints; the optimum is the radius below
     which the constrained ball is empty.
     """
-    support, move = _move_costs(support, data, cost)
-    result = _solve_mass_lp(move, move, data, prior, None, True, maximize=False)
+    move = pair_costs(support, data, cost).transpose(0, 2, 1)
+    result = _solve_mass_lp(move, move, prior, None, maximize=False)
     if result.status != OPTIMAL:
         raise ValueError("marginal and label constraints are mutually unsatisfiable")
     return max(float(move.ravel() @ result.x), 0.0)
@@ -375,14 +284,15 @@ def feasible_distributions(
     of the solution is a feasible distribution (a vertex of the decision
     set).  Returns `count` such distributions; raises if the set is empty.
     """
-    support, move = _move_costs(support, data, cost)
+    support = np.atleast_2d(np.asarray(support, dtype=float))
+    move = pair_costs(support, data, cost).transpose(0, 2, 1)
     m, n_l = support.shape[0], data.n
     rng = make_rng(seed)
     out = []
     for _ in range(count):
         direction = rng.normal(size=(m, N_CLASSES))
         objective = np.broadcast_to(direction[:, :, None], move.shape)
-        result = _solve_mass_lp(objective, move, data, prior, eps, True, maximize=True)
+        result = _solve_mass_lp(objective, move, prior, eps, maximize=True)
         if result.status == INFEASIBLE:
             raise ValueError("decision set is empty at this radius")
         mass = result.x.reshape(m, N_CLASSES, n_l).sum(axis=2)

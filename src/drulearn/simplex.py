@@ -1,13 +1,14 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling pivot rule.
+"""Linear programs for the exact oracles, solved by the HiGHS dual simplex.
 
-Self-contained, deterministic linear programming for the exact oracles:
+Every LP in the package has the form
 
-    minimize c @ x   subject to   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
+    minimize c @ x   subject to   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
 
-Instances in this package are small (tens to a few thousand variables), so a
-dense tableau with Bland's rule is preferred: it terminates on degenerate
-problems, tolerates redundant equality rows (common in transportation
-constraints), and is bit-reproducible.
+and goes through one call of `scipy.optimize.linprog(method="highs-ds")`
+(Huangfu & Hall, "Parallelizing the dual revised simplex method", Math. Prog.
+Comp. 2018).  Constraint matrices may be dense arrays or `scipy.sparse`
+matrices.  The serial dual simplex is deterministic, so repeated solves of
+the same LP return the same vertex bit for bit.
 """
 
 from __future__ import annotations
@@ -15,10 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# HiGHS status codes that carry a verdict; any other code is a solver failure
+_STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+# primal and dual feasibility tolerances; HiGHS's default of 1e-7 leaves the
+# worst case over a singleton decision set 8e-10 off its exact loss
+FEASIBILITY_TOL = 1e-10
 
 
 @dataclass
@@ -33,142 +43,41 @@ class LpResult:
 
 
 class PivotLimitError(RuntimeError):
-    """Raised when the pivot count exceeds the safety cap (indicates a bug)."""
+    """Raised when HiGHS stops without a verdict (iteration limit, numerical trouble)."""
 
 
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-
-
-def _bland_iterate(tableau, basis, obj, n_cols, tol, max_iter):
-    """Run Bland-rule pivots until optimal or unbounded.
-
-    tableau: (m, n_cols+1) constraint rows, rhs in the last column.
-    obj: reduced-cost row (its last entry holds minus the objective value).
-    Entering variable: smallest column index with a negative reduced cost.
-    Leaving variable: minimum-ratio row, ties broken by smallest basis index.
-    """
-    for _ in range(max_iter):
-        negative = np.flatnonzero(obj[:n_cols] < -tol)
-        if negative.size == 0:
-            return OPTIMAL
-        entering = int(negative[0])
-        col = tableau[:, entering]
-        positive = col > tol
-        if not positive.any():
-            return UNBOUNDED
-        ratios = np.full(col.shape, np.inf)
-        ratios[positive] = np.maximum(tableau[positive, -1], 0.0) / col[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios == best)
-        leaving = int(ties[np.argmin(basis[ties])])
-        _pivot(tableau, basis, leaving, entering)
-        obj -= obj[entering] * tableau[leaving]
-        obj[entering] = 0.0
-    raise PivotLimitError("simplex pivot limit exceeded")
-
-
-def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, tol=1e-9, max_iter=None):
+def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
     """Solve min c@x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
     Returns an LpResult with status 'optimal' (x and value set), 'infeasible',
-    or 'unbounded'.  Redundant equality rows are detected in phase one and
-    dropped.  `tol` is the absolute feasibility/pivot tolerance.
+    or 'unbounded'.  The optimal x is clipped at zero, so it is exactly
+    nonnegative, and the value is c @ x at the clipped point.
     """
     c = np.asarray(c, dtype=float).ravel()
-    n = c.size
-    blocks = []
-    rhs_parts = []
-    n_eq = 0
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        if a_eq.size:
-            n_eq = a_eq.shape[0]
-            blocks.append(a_eq)
-            rhs_parts.append(np.asarray(b_eq, dtype=float).ravel())
-    n_ub = 0
-    if a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        if a_ub.size:
-            n_ub = a_ub.shape[0]
-            blocks.append(a_ub)
-            rhs_parts.append(np.asarray(b_ub, dtype=float).ravel())
-    if not blocks:
-        if np.any(c < -tol):
-            return LpResult(UNBOUNDED, None, None)
-        return LpResult(OPTIMAL, np.zeros(n), 0.0)
-
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs_parts)
-    m = a.shape[0]
-    slack = np.zeros((m, n_ub))
-    for r in range(n_ub):
-        slack[n_eq + r, r] = 1.0
-    full = np.hstack([a, slack])
-    # Normalize to b >= 0 so the all-artificial basis is feasible.
-    neg = b < 0
-    full[neg] *= -1.0
-    b = np.where(neg, -b, b)
-    n_work = n + n_ub
-
-    tableau = np.hstack([full, np.eye(m), b[:, None]])
-    basis = np.arange(n_work, n_work + m)
-    if max_iter is None:
-        max_iter = 2000 + 200 * (m + n_work)
-
-    # Phase one: minimize the sum of the artificial variables.
-    obj = np.zeros(n_work + m + 1)
-    obj[n_work:-1] = 1.0
-    obj -= tableau.sum(axis=0)
-    status = _bland_iterate(tableau, basis, obj, n_work + m, tol, max_iter)
-    if status != OPTIMAL:  # phase one is bounded below by zero
-        raise PivotLimitError("phase one terminated abnormally")
-    if -obj[-1] > tol:
-        return LpResult(INFEASIBLE, None, None)
-
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n_work:
-            nonzero = np.flatnonzero(np.abs(tableau[i, :n_work]) > tol)
-            if nonzero.size:
-                _pivot(tableau, basis, i, int(nonzero[0]))
-            else:
-                keep[i] = False
-    cols = np.r_[np.arange(n_work), n_work + m]
-    tableau = tableau[keep][:, cols]
-    basis = basis[keep]
-
-    # Phase two on the real objective.
-    c_ext = np.zeros(n_work + 1)
-    c_ext[:n] = c
-    obj = c_ext - c_ext[basis] @ tableau
-    status = _bland_iterate(tableau, basis, obj, n_work, tol, max_iter)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
-
-    x = np.zeros(n_work)
-    x[basis] = np.maximum(tableau[:, -1], 0.0)
-    x = x[:n]
+    result = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs-ds",
+        options={
+            "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": FEASIBILITY_TOL,
+        },
+    )
+    status = _STATUSES.get(result.status)
+    if status is None:
+        raise PivotLimitError(f"HiGHS stopped without a verdict: {result.message}")
+    if status != OPTIMAL:
+        return LpResult(status, None, None)
+    x = np.maximum(result.x, 0.0)
     return LpResult(OPTIMAL, x, float(c @ x))
 
 
-def solve_transportation(cost, supply, demand, tol=1e-10, max_iter=None):
+def solve_transportation(cost, supply, demand):
     """Exact minimum-cost transport plan between two finite distributions.
-
-    Specializes the simplex method to the transportation polytope: a basis
-    is a spanning tree of the bipartite supply/demand graph, so each pivot
-    shifts flow around the single cycle the entering cell closes.  Entering
-    cells are priced by the most negative reduced cost with ties broken
-    toward the lowest index; after a sustained run of degenerate pivots the
-    pricing permanently switches to Bland's smallest-index rule, which
-    cannot cycle, so the method is deterministic and always terminates.
 
     Parameters
     ----------
@@ -197,126 +106,22 @@ def solve_transportation(cost, supply, demand, tol=1e-10, max_iter=None):
     total = supply.sum()
     if abs(total - demand.sum()) > 1e-9 * max(1.0, abs(total)):
         raise ValueError("total supply and total demand must balance")
-    if max_iter is None:
-        max_iter = 4000 + 40 * (m + n) + 2 * m * n
 
-    # Northwest-corner initial basis: a staircase of m + n - 1 cells, which
-    # is a spanning tree even when some of its flows are zero.
-    flow = np.zeros((m, n))
-    basic = np.zeros((m, n), dtype=bool)
-    rem_s = supply.copy()
-    rem_d = demand.copy()
-    i = j = 0
-    while True:
-        t = min(rem_s[i], rem_d[j])
-        flow[i, j] = t
-        basic[i, j] = True
-        rem_s[i] -= t
-        rem_d[j] -= t
-        if i == m - 1 and j == n - 1:
-            break
-        if i < m - 1 and (rem_s[i] <= tol or j == n - 1):
-            i += 1
-        else:
-            j += 1
-
-    use_bland = False
-    stall = 0
-    for _ in range(max_iter):
-        # Adjacency of the current spanning tree.
-        cols_of = [[] for _ in range(m)]
-        rows_of = [[] for _ in range(n)]
-        bi, bj = np.nonzero(basic)
-        for r, c in zip(bi.tolist(), bj.tolist()):
-            cols_of[r].append(c)
-            rows_of[c].append(r)
-
-        # Node potentials u, v with u[0] anchoring the tree, so that
-        # u[r] + v[c] = cost[r, c] on every basic cell.
-        u = np.zeros(m)
-        v = np.zeros(n)
-        seen_row = np.zeros(m, dtype=bool)
-        seen_col = np.zeros(n, dtype=bool)
-        seen_row[0] = True
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if node < m:
-                for c in cols_of[node]:
-                    if not seen_col[c]:
-                        seen_col[c] = True
-                        v[c] = cost[node, c] - u[node]
-                        stack.append(m + c)
-            else:
-                c = node - m
-                for r in rows_of[c]:
-                    if not seen_row[r]:
-                        seen_row[r] = True
-                        u[r] = cost[r, c] - v[c]
-                        stack.append(r)
-
-        reduced = cost - u[:, None] - v[None, :]
-        reduced[basic] = 0.0
-        if use_bland:
-            neg = np.flatnonzero(reduced.ravel() < -tol)
-            if neg.size == 0:
-                break
-            enter = int(neg[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced.ravel()[enter] >= -tol:
-                break
-        ei, ej = divmod(enter, n)
-
-        # Unique tree path from row ei to column ej (columns offset by m).
-        target = m + ej
-        parent = {ei: -1}
-        stack = [ei]
-        while target not in parent:
-            node = stack.pop()
-            if node < m:
-                for c in cols_of[node]:
-                    if m + c not in parent:
-                        parent[m + c] = node
-                        stack.append(m + c)
-            else:
-                for r in rows_of[node - m]:
-                    if r not in parent:
-                        parent[r] = node
-                        stack.append(r)
-        path = [target]
-        while path[-1] != ei:
-            path.append(parent[path[-1]])
-
-        # Cells along the path alternate signs starting from the edge that
-        # shares column ej, so flow stays conserved once the entering cell
-        # closes the cycle with +theta.
-        minus_cells = []
-        plus_cells = []
-        for k in range(len(path) - 1):
-            a, b = path[k], path[k + 1]
-            r, c = (b, a - m) if a >= m else (a, b - m)
-            (minus_cells if k % 2 == 0 else plus_cells).append((r, c))
-        theta = min(flow[r, c] for r, c in minus_cells)
-        leave = min(r * n + c for r, c in minus_cells if flow[r, c] == theta)
-
-        for r, c in minus_cells:
-            flow[r, c] -= theta
-        for r, c in plus_cells:
-            flow[r, c] += theta
-        flow[ei, ej] = theta
-        lr, lc = divmod(leave, n)
-        flow[lr, lc] = 0.0
-        basic[lr, lc] = False
-        basic[ei, ej] = True
-
-        if theta <= tol:
-            stall += 1
-            if stall > m + n:
-                use_bland = True
-        else:
-            stall = 0
-    else:
-        raise PivotLimitError("transportation pivot limit exceeded")
-
-    return float((cost * flow).sum()), flow
+    # plan cell (r, c) is variable r * n + c: row sums, then column sums.  The
+    # sum of the last largest column is implied by the others and is left
+    # out, so totals that balance only to the tolerance above still give a
+    # feasible LP: that column absorbs the imbalance.
+    columns = np.arange(n) != n - 1 - np.argmax(demand[::-1])
+    marginals = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(m), np.ones((1, n))),
+            sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr")[columns]),
+        ]
+    )
+    result = solve_lp(
+        cost.ravel(), a_eq=marginals, b_eq=np.concatenate([supply, demand[columns]])
+    )
+    if not result.ok:
+        raise PivotLimitError(f"balanced transport LP reported {result.status}")
+    plan = result.x.reshape(m, n)
+    return float((cost * plan).sum()), plan

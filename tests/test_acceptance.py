@@ -48,7 +48,6 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     DiscreteDistribution,
-    ball_worst_case_lp,
     discrete_wasserstein,
     duality_gap_check,
     feasible_distributions,
@@ -393,7 +392,7 @@ def test_ball_baseline_dominates_its_grid_oracle_and_matches_at_high_price():
         closed_form = baseline_worst_case(theta, labeled, eps, COST)
         extras = np.column_stack([rng.normal(size=(3, dim)), np.ones(3)])
         grid = np.vstack([labeled.features, extras])
-        on_grid = ball_worst_case_lp(theta, grid, labeled, eps, COST).value
+        on_grid = solve_worst_case_lp(theta, grid, labeled, None, eps, COST).value
         assert closed_form >= on_grid - 1e-8
 
         price, _ = worst_case_price(theta, labeled, eps, COST)

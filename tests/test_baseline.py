@@ -25,7 +25,7 @@ from drulearn.model import (
     logistic_loss,
     make_rng,
 )
-from drulearn.oracle import ball_worst_case_lp
+from drulearn.oracle import solve_worst_case_lp
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -143,7 +143,7 @@ class TestBaselineWorstCase:
         support = np.column_stack([grid, np.ones_like(grid)])
         for eps in (0.1, 0.3, 0.6):
             closed = baseline_worst_case(theta, data, eps, COST)
-            lp = ball_worst_case_lp(theta, support, data, eps, COST)
+            lp = solve_worst_case_lp(theta, support, data, None, eps, COST)
             # the LP's sanctioned budget slack can push it a hair above
             assert closed >= lp.value - 1e-8
             assert closed == pytest.approx(lp.value, abs=2e-2)

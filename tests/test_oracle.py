@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from drulearn.bounds import make_prior
 from drulearn.dual import LabelPrior, SolverConfig
 from drulearn.model import (
     LabeledDataset,
@@ -24,7 +25,6 @@ from drulearn.oracle import (
     min_feasible_radius,
     min_feasible_radius_bisect,
     solve_worst_case_lp,
-    ball_worst_case_lp,
 )
 
 COST = TransportCost()
@@ -286,7 +286,7 @@ class TestWorstCaseLp:
         support = rng.normal(size=(4, 2))
         data = LabeledDataset(rng.normal(size=(2, 2)), np.array([0, 1]))
         theta = rng.normal(size=2)
-        result = ball_worst_case_lp(theta, support, data, 1e3, COST)
+        result = solve_worst_case_lp(theta, support, data, None, 1e3, COST)
         assert result.value == pytest.approx(
             both_class_losses(theta, support).max(), abs=1e-8
         )
@@ -300,7 +300,7 @@ class TestWorstCaseLp:
         data = LabeledDataset(rng.normal(size=(3, 2)), np.array([1, 1, 0]))
         theta = rng.normal(size=2)
         # support containing the labeled points themselves makes eps=0 feasible
-        result = ball_worst_case_lp(theta, data.features, data, 0.0, COST)
+        result = solve_worst_case_lp(theta, data.features, data, None, 0.0, COST)
         expected = np.mean(
             [logistic_loss(theta, x, y) for x, y in zip(data.features, data.labels)]
         )
@@ -334,6 +334,16 @@ class TestMinFeasibleRadius:
             exact = min_feasible_radius(data, support, prior, COST)
             bisected = min_feasible_radius_bisect(data, support, prior, COST)
             assert bisected == pytest.approx(exact, abs=1e-6)
+
+    def test_agrees_with_feasibility_bisection_at_scale(self):
+        # 100 support points x 2 labels x 20 atoms: 4000 mass variables per LP
+        rng = make_rng(13)
+        data = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 2, size=20))
+        support = rng.normal(size=(100, 2))
+        prior = make_prior(data, mode="weak")
+        exact = min_feasible_radius(data, support, prior, COST)
+        bisected = min_feasible_radius_bisect(data, support, prior, COST)
+        assert bisected == pytest.approx(exact, abs=1e-6)
 
     def test_unsatisfiable_box_raises(self):
         # both labels forced above 0.9 simultaneously cannot hold: caught by

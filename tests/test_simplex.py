@@ -1,7 +1,9 @@
-"""Tests for the dense two-phase simplex.
+"""Tests for the LP backend (`solve_lp` and `solve_transportation`).
 
-Randomized instances are cross-checked against scipy.optimize.linprog (HiGHS),
-an independent implementation; hand-built corner cases pin statuses.
+Randomized instances are cross-checked against a separately assembled call of
+scipy.optimize.linprog with its default HiGHS method, and transport against
+the general LP on its explicit equality system; hand-built corner cases pin
+statuses.
 """
 
 import numpy as np
@@ -225,6 +227,17 @@ class TestTransportation:
         with pytest.raises(ValueError):
             solve_transportation([[1.0, 2.0]], [1.0], [0.4, 0.4])
 
+    def test_accepts_totals_that_balance_within_tolerance(self):
+        # totals 5e-10 apart pass validation, so the solve must not fail,
+        # whichever side is short and wherever the demand sits
+        cost = [[1.0, 2.0], [3.0, 1.0]]
+        value, plan = solve_transportation(cost, [0.5, 0.5], [0.5, 0.5 + 5e-10])
+        assert value == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5], atol=1e-12)
+        value, plan = solve_transportation(cost, [0.5, 0.5 - 5e-10], [1.0, 0.0])
+        assert value == pytest.approx(2.0, abs=1e-8)
+        np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5 - 5e-10], atol=1e-12)
+
     def test_rejects_negative_marginals(self):
         with pytest.raises(ValueError):
             solve_transportation([[1.0], [1.0]], [1.5, -0.5], [1.0])
@@ -241,7 +254,7 @@ class TestTransportation:
 
 
 def transport_equalities(m, n, mu, nu):
-    """Equality system of the transportation polytope for the dense solvers."""
+    """Dense equality system of the transportation polytope."""
     a_eq = np.zeros((m + n, m * n))
     for i in range(m):
         a_eq[i, i * n:(i + 1) * n] = 1.0
