@@ -14,13 +14,7 @@ import math
 import numpy as np
 
 from .bounds import make_prior, prior_feasible_radius
-from .dual import (
-    InfeasibleRadiusError,
-    LabelPrior,
-    SolverConfig,
-    INFEASIBLE,
-    sgd_solve,
-)
+from .dual import InfeasibleRadiusError, LabelPrior
 from .model import (
     LabeledDataset,
     TransportCost,
@@ -30,6 +24,7 @@ from .model import (
     loss_grad_theta,
     make_rng,
 )
+from .oracle import OPTIMAL, solve_payoff_lp
 
 RANDOM = "random"
 EMC = "emc"
@@ -179,35 +174,37 @@ def impact_gradient_norm(theta, x, y) -> float:
     return float(np.linalg.norm(loss_grad_theta(theta, np.asarray(x, float), y)))
 
 
+def _posterior_scores(theta, features, kind: str, include_norm: bool = False):
+    """Posterior-based model-change scores for a block of feature rows.
+
+    ``EMC`` is the posterior-weighted mean impact ``2 |x| p (1 - p)``;
+    ``MIN_MC`` and ``MAX_MC`` are the smaller and the larger of the two class
+    posteriors, scaled by the feature norm when ``include_norm`` is set
+    (matching the gradient-norm impact instead of the bare posterior form).
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    margins = features @ np.asarray(theta, dtype=float)
+    posteriors = 1.0 / (1.0 + np.exp(np.stack([-margins, margins], axis=1)))
+    norms = np.linalg.norm(features, axis=1)
+    if kind == EMC:
+        return 2.0 * norms * posteriors[:, 0] * posteriors[:, 1]
+    scores = posteriors.min(axis=1) if kind == MIN_MC else posteriors.max(axis=1)
+    return scores * norms if include_norm else scores
+
+
 def score_emc(theta, x) -> float:
     """Expected model change: the posterior-weighted mean impact at x."""
-    x = np.asarray(x, dtype=float)
-    m = float(x @ np.asarray(theta, dtype=float))
-    return 2.0 * float(np.linalg.norm(x)) / ((1.0 + math.exp(-m)) * (1.0 + math.exp(m)))
+    return float(_posterior_scores(theta, x, EMC)[0])
 
 
 def score_min_mc(theta, x, include_norm: bool = False) -> float:
-    """Conservative model change: the smaller of the two class posteriors.
-
-    ``include_norm`` additionally scales by the feature norm, matching the
-    gradient-norm impact instead of the bare posterior form.
-    """
-    x = np.asarray(x, dtype=float)
-    m = float(x @ np.asarray(theta, dtype=float))
-    value = min(1.0 / (1.0 + math.exp(-m)), 1.0 / (1.0 + math.exp(m)))
-    if include_norm:
-        value *= float(np.linalg.norm(x))
-    return value
+    """Conservative model change: the smaller of the two class posteriors."""
+    return float(_posterior_scores(theta, x, MIN_MC, include_norm)[0])
 
 
 def score_max_mc(theta, x, include_norm: bool = False) -> float:
     """Optimistic model change: the larger of the two class posteriors."""
-    x = np.asarray(x, dtype=float)
-    m = float(x @ np.asarray(theta, dtype=float))
-    value = max(1.0 / (1.0 + math.exp(-m)), 1.0 / (1.0 + math.exp(m)))
-    if include_norm:
-        value *= float(np.linalg.norm(x))
-    return value
+    return float(_posterior_scores(theta, x, MAX_MC, include_norm)[0])
 
 
 def score_dr(
@@ -218,14 +215,15 @@ def score_dr(
     eps: float,
     cost: TransportCost,
     theta,
-    config: SolverConfig,
 ) -> float:
     """Worst-case expected impact of labeling x_star over the decision set.
 
-    Prices a payoff that rewards only mass sitting on x_star, weighted by the
-    impact its label would have, through the same dual machinery that trains
-    the robust model (weights held fixed). The result lower-bounds the
-    expected impact under every distribution the decision set allows.
+    The unlabeled marginal pins 1/n_u of the mass on x_star, so the score is
+    the minimum, over every distribution the decision set allows, of the
+    label-averaged impact at x_star.  It is the exact value of one small LP:
+    the worst-case LP oracle maximizes a payoff table that is zero except at
+    x_star, where it holds minus n_u times each label's impact.  Raises
+    `InfeasibleRadiusError` when the decision set is empty.
     """
     x_star = np.asarray(x_star, dtype=float)
     matches = np.flatnonzero((unlabeled.features == x_star).all(axis=1))
@@ -237,14 +235,12 @@ def score_dr(
         payoff[target, label] = -unlabeled.n * impact_gradient_norm(
             theta, x_star, label
         )
-    config = dataclasses.replace(config, radius_eps=float(eps))
-    result = sgd_solve(data, unlabeled, prior, cost, config, theta0=theta,
-                       payoff=payoff)
-    if result.status == INFEASIBLE:
+    result = solve_payoff_lp(payoff, unlabeled.features, data, prior, eps, cost)
+    if result.status != OPTIMAL:
         raise InfeasibleRadiusError(
             "decision set is empty at the requested radius"
         )
-    return -result.objective
+    return -result.value
 
 
 def _dr_prior_and_radius(state, strategy, pool, cost, class_share):
@@ -265,7 +261,6 @@ def select_next(
     strategy: StrategyConfig,
     rng,
     cost: TransportCost | None = None,
-    solver_config: SolverConfig | None = None,
     class_share: float | None = None,
 ) -> int:
     """Pick the pool index to label next under the given strategy.
@@ -283,29 +278,13 @@ def select_next(
     if theta is None:
         raise ValueError("state has no trained parameters to score with")
     if strategy.kind in (EMC, MIN_MC, MAX_MC):
-        if strategy.kind == EMC:
-            scores = [score_emc(theta, x) for x in state.pool_features]
-        elif strategy.kind == MIN_MC:
-            scores = [
-                score_min_mc(theta, x, strategy.mc_include_norm)
-                for x in state.pool_features
-            ]
-        else:
-            scores = [
-                score_max_mc(theta, x, strategy.mc_include_norm)
-                for x in state.pool_features
-            ]
+        scores = _posterior_scores(
+            theta, state.pool_features, strategy.kind, strategy.mc_include_norm
+        )
         return int(np.argmax(scores))
     # robust variants: subsample candidates, price each against the worst
     # label distribution, and take the best worst-case impact
     cost = cost if cost is not None else TransportCost()
-    if solver_config is None:
-        solver_config = SolverConfig(
-            radius_eps=1.0,
-            lr_decay_factor=10.0,
-            lr_decay_every=5000,
-            max_steps=10000,
-        )
     if class_share is None:
         seen = np.concatenate([state.labeled.labels, state.pool_labels])
         class_share = float(np.mean(seen))
@@ -322,7 +301,6 @@ def select_next(
             eps,
             cost,
             theta,
-            solver_config,
         )
         for j in candidates
     ]
@@ -340,7 +318,6 @@ def run_active_loop(
     eval_data: LabeledDataset,
     stop_at: int,
     cost: TransportCost | None = None,
-    solver_config: SolverConfig | None = None,
 ) -> ActiveState:
     """Acquire labels one at a time until the labeled set reaches stop_at.
 
@@ -367,8 +344,7 @@ def run_active_loop(
         if state.labeled.n >= stop_at:
             return state
         chosen = select_next(
-            state, strategy, rng, cost=cost, solver_config=solver_config,
-            class_share=class_share,
+            state, strategy, rng, cost=cost, class_share=class_share
         )
         keep = np.ones(state.pool_size, dtype=bool)
         keep[chosen] = False

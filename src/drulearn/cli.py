@@ -261,20 +261,15 @@ def _run_train_dru(config: ExperimentConfig) -> int:
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
-        "eps": float(eps),
         "status": result.status,
         "objective": float(result.objective),
-        "median_confidence": median_conf,
         **bound_report_row(eps, bound, median_conf),
         **_theta_columns(theta),
     }
     fieldnames = (
         ["seed", "n_labeled", "status", "objective"]
         + list(BOUND_REPORT_FIELDS)
-        + ["median_confidence"]
-    )
-    fieldnames = list(dict.fromkeys(fieldnames)) + sorted(
-        key for key in row if key.startswith("theta_")
+        + sorted(key for key in row if key.startswith("theta_"))
     )
     _write_csv(config.output, fieldnames, [row])
     _write_metadata(config, "train-dru", [])

@@ -217,13 +217,6 @@ class SolveResult:
     trace: list = field(default_factory=list)
 
 
-def _loss_table(theta, features, payoff):
-    """Per-point, per-candidate-label payoffs: logistic losses unless overridden."""
-    if payoff is not None:
-        return np.asarray(payoff, dtype=float)
-    return both_class_losses(theta, features)
-
-
 def _cell_tensor(loss_table, pair_costs, alpha, potentials, net_label_mult):
     """Cell values for a block of points: (n, n_labeled, 2)."""
     return (
@@ -271,7 +264,7 @@ def max_cell(x, state: DualState, data: LabeledDataset, cost: TransportCost):
     """
     x = np.asarray(x, dtype=float)
     pair = pair_costs(x[None, :], data, cost)
-    table = _loss_table(state.theta, x[None, :], None)
+    table = both_class_losses(state.theta, x[None, :])
     cells = _cell_tensor(
         table,
         pair,
@@ -327,7 +320,7 @@ def max_cell_values(state: DualState, data: LabeledDataset, features, cost: Tran
     """Per-point inner maxima over all cells, for a block of feature rows."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     pair = pair_costs(features, data, cost)
-    table = _loss_table(state.theta, features, None)
+    table = both_class_losses(state.theta, features)
     cells = _cell_tensor(
         table,
         pair,
@@ -382,9 +375,9 @@ def _state_from_params(params, dim, n_labeled):
     )
 
 
-def _objective_of_params(params, dim, data, unlabeled_features, payoff, pair, prior, eps):
+def _objective_of_params(params, dim, data, unlabeled_features, pair, prior, eps):
     theta, alpha, potentials, upper, lower = _unpack(params, dim, data.n)
-    table = _loss_table(theta, unlabeled_features, payoff)
+    table = both_class_losses(theta, unlabeled_features)
     cells = _cell_tensor(table, pair, alpha, potentials, upper - lower)
     values, _, _ = _max_cells(cells)
     return float(_linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean())
@@ -398,7 +391,6 @@ def sgd_solve(
     config: SolverConfig,
     theta0=None,
     update_theta: bool = True,
-    payoff=None,
 ):
     """Minimize the dual objective by projected stochastic subgradient steps.
 
@@ -406,9 +398,7 @@ def sgd_solve(
     forms the batch-mean subgradient (deterministic linear terms plus the
     active-cell terms), applies an Adam or plain-SGD update, and clamps the
     sign-constrained multipliers at zero.  `update_theta` toggles descent in
-    the weights; with it off the solve prices a fixed classifier.  `payoff`
-    optionally replaces the logistic-loss table with a fixed (n_unlabeled, 2)
-    payoff table, in which case the weights are never updated.
+    the weights; with it off the solve prices a fixed classifier.
 
     Returns a `SolveResult`; an unbounded-below run (objective estimate under
     `objective_floor`, or a diverging transport multiplier) yields status
@@ -417,11 +407,6 @@ def sgd_solve(
     n_l, dim = data.n, data.dim
     n_u = unlabeled.n
     eps = config.radius_eps
-    if payoff is not None:
-        payoff = np.asarray(payoff, dtype=float)
-        if payoff.shape != (n_u, N_CLASSES):
-            raise ValueError("payoff table must be (n_unlabeled, n_classes)")
-        update_theta = False
 
     pair = pair_costs(unlabeled.features, data, cost)
     n_params = dim + 1 + n_l + 2 * N_CLASSES
@@ -448,7 +433,7 @@ def sgd_solve(
         idx = rng.integers(0, n_u, size=config.batch_size)
         batch = unlabeled.features[idx]
         theta, alpha, potentials, upper, lower = _unpack(params, dim, n_l)
-        table = _loss_table(theta, batch, None if payoff is None else payoff[idx])
+        table = both_class_losses(theta, batch)
         cells = _cell_tensor(table, pair[idx], alpha, potentials, upper - lower)
         values, atom_star, label_star = _max_cells(cells)
         estimate = float(
@@ -511,13 +496,13 @@ def sgd_solve(
         result = SolveResult(INFEASIBLE, None, None, trace)
     else:
         final_value = _objective_of_params(
-            params, dim, data, unlabeled.features, payoff, pair, prior, eps
+            params, dim, data, unlabeled.features, pair, prior, eps
         )
         best_params, best_value = params, final_value
         if config.tail_average and tail_count > 0:
             averaged = tail_sum / tail_count
             averaged_value = _objective_of_params(
-                averaged, dim, data, unlabeled.features, payoff, pair, prior, eps
+                averaged, dim, data, unlabeled.features, pair, prior, eps
             )
             if averaged_value < best_value:
                 best_params, best_value = averaged, averaged_value

@@ -1,11 +1,11 @@
 """Exact small-scale ground truth for the worst-case risk machinery.
 
-Solves the worst-case expected-loss linear program over a finite support,
-either over the decision set (given a label prior) or over the plain
-transport ball (`prior=None`), computes exact transport distances between
-finitely supported distributions, finds the smallest transport radius with a
-nonempty decision set, and certifies that the stochastic dual solver attains
-the primal LP value.  Every LP is assembled from sparse constraint blocks
+Solves the worst-case expected-loss (or any expected-payoff) linear program
+over a finite support, either over the decision set (given a label prior) or
+over the plain transport ball (`prior=None`), computes exact transport
+distances between finitely supported distributions, finds the smallest
+transport radius with a nonempty decision set, and certifies that the
+stochastic dual solver attains the primal LP value.  Every LP is assembled from sparse constraint blocks
 and solved by the HiGHS dual simplex (see `simplex`), so everything here is
 deterministic and exact up to its 1e-10 feasibility tolerances, which is
 what makes it usable as the reference side of two-route checks.
@@ -135,6 +135,39 @@ def _plan_from_solution(x, m, n_l):
     return CouplingPlan.from_matrix(x.reshape(m * N_CLASSES, n_l))
 
 
+def solve_payoff_lp(
+    payoff,
+    support,
+    data: LabeledDataset,
+    prior: LabelPrior | None,
+    eps: float,
+    cost: TransportCost,
+) -> WorstCaseLpResult:
+    """Exact maximum expected payoff over the decision set or the ball.
+
+    `payoff` is a (support point, candidate label) table.  The adversary
+    places mass on those pairs, subject to: total transport cost to the
+    labeled atoms at most `eps` and labeled-atom marginal uniform.  With a
+    `prior`, the support marginal is also uniform and the per-label mass
+    stays inside the prior box: the full decision set.  With `prior=None`
+    only the budget and the atom marginal remain: the transport ball within
+    the given support.
+    """
+    support = np.atleast_2d(np.asarray(support, dtype=float))
+    move = pair_costs(support, data, cost).transpose(0, 2, 1)
+    objective = np.broadcast_to(
+        np.asarray(payoff, dtype=float)[:, :, None], move.shape
+    )
+    result = _solve_mass_lp(objective, move, prior, eps, maximize=True)
+    if result.status != OPTIMAL:
+        return WorstCaseLpResult(value=None, plan=None, status=result.status)
+    value = float(objective.ravel() @ result.x)
+    return WorstCaseLpResult(
+        value=value, plan=_plan_from_solution(result.x, support.shape[0], data.n),
+        status=OPTIMAL,
+    )
+
+
 def solve_worst_case_lp(
     theta,
     support,
@@ -145,25 +178,13 @@ def solve_worst_case_lp(
 ) -> WorstCaseLpResult:
     """Exact worst-case expected logistic loss over the decision set or the ball.
 
-    The adversary places mass on (support point, candidate label) pairs,
-    subject to: total transport cost to the labeled atoms at most `eps` and
-    labeled-atom marginal uniform.  With a `prior`, the support marginal is
-    also uniform and the per-label mass stays inside the prior box: the full
-    decision set.  With `prior=None` only the budget and the atom marginal
-    remain: the transport ball within the given support, which lower-bounds
-    the unconstrained-domain ball worst case.
+    The payoff of each (support point, label) pair is its logistic loss (see
+    `solve_payoff_lp`).  With `prior=None` the value lower-bounds the
+    unconstrained-domain ball worst case.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
-    move = pair_costs(support, data, cost).transpose(0, 2, 1)
-    losses = both_class_losses(theta, support)
-    objective = np.broadcast_to(losses[:, :, None], move.shape)
-    result = _solve_mass_lp(objective, move, prior, eps, maximize=True)
-    if result.status != OPTIMAL:
-        return WorstCaseLpResult(value=None, plan=None, status=result.status)
-    value = float(objective.ravel() @ result.x)
-    return WorstCaseLpResult(
-        value=value, plan=_plan_from_solution(result.x, support.shape[0], data.n),
-        status=OPTIMAL,
+    return solve_payoff_lp(
+        both_class_losses(theta, support), support, data, prior, eps, cost
     )
 
 

@@ -460,14 +460,6 @@ def test_active_scores_match_their_enumerated_definitions():
     constant_curve = [(n, 0.954) for n in range(2, 11)]
     assert aulc(constant_curve) == pytest.approx(95.4, rel=1e-12)
 
-    inner = SolverConfig(
-        radius_eps=0.5,
-        step_size=0.05,
-        convergence_tol=1e-5,
-        max_steps=40000,
-        lr_decay_factor=10.0,
-        seed=0,
-    )
     rng = make_rng(81)
     for index in range(5):
         dim = 2
@@ -481,7 +473,7 @@ def test_active_scores_match_their_enumerated_definitions():
         )
         eps = 0.5 if forced_label == anchor_label else COST.label_flip_cost + 0.5
         theta = rng.normal(size=dim)
-        score = score_dr(x0, data, unlabeled, prior, eps, COST, theta, inner)
+        score = score_dr(x0, data, unlabeled, prior, eps, COST, theta)
 
         pinned = feasible_distributions(
             data, x0[None], prior, eps, COST, count=3, seed=index

@@ -31,7 +31,7 @@ from drulearn.active import (
     score_min_mc,
     select_next,
 )
-from drulearn.dual import InfeasibleRadiusError, LabelPrior, SolverConfig
+from drulearn.dual import InfeasibleRadiusError, LabelPrior
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
@@ -41,17 +41,9 @@ from drulearn.model import (
     loss_grad_theta,
     make_rng,
 )
+from drulearn.oracle import feasible_distributions, min_feasible_radius
 
 COST = TransportCost()
-
-INNER_CONFIG = SolverConfig(
-    radius_eps=0.5,
-    step_size=0.05,
-    convergence_tol=1e-5,
-    max_steps=40000,
-    lr_decay_factor=10.0,
-    lr_decay_every=5000,
-)
 
 
 def two_cluster_data(rng, n, spread=1.5, noise=0.4):
@@ -180,7 +172,7 @@ class TestScoreDr:
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([0.5, 0.3])
-        score = score_dr(x0, data, unlabeled, prior, 0.5, COST, theta, INNER_CONFIG)
+        score = score_dr(x0, data, unlabeled, prior, 0.5, COST, theta)
         assert score == pytest.approx(impact_gradient_norm(theta, x0, 1), abs=1e-3)
 
     def test_free_labels_price_at_the_pessimistic_impact(self):
@@ -195,7 +187,6 @@ class TestScoreDr:
         x_star = pool[2]
         score = score_dr(
             x_star, data, unlabeled, LabelPrior.uninformative(), 6.0, COST, theta,
-            INNER_CONFIG,
         )
         floor = min(
             impact_gradient_norm(theta, x_star, 0),
@@ -212,9 +203,45 @@ class TestScoreDr:
         theta = np.array([0.5, 0.3])
         score = score_dr(
             np.zeros(2), data, unlabeled, LabelPrior.uninformative(), 6.0, COST,
-            theta, INNER_CONFIG,
+            theta,
         )
         assert score == pytest.approx(0.0, abs=1e-2)
+
+    def test_score_is_the_exact_worst_case_over_the_decision_set(self):
+        # the decision set puts 1/n_u of its mass on the candidate, so the
+        # expected impact there under any feasible distribution is the
+        # label-averaged impact conditional on the candidate; the score is
+        # the minimum of that over the set, hence never above any vertex
+        rng = make_rng(21)
+        data = LabeledDataset(rng.normal(size=(6, 2)), np.arange(6) % 2)
+        pool = rng.normal(size=(20, 2))
+        unlabeled = UnlabeledDataset(pool)
+        theta = np.array([0.8, -0.6])
+        prior = LabelPrior(lower=[0.4, 0.4], upper=[0.6, 0.6])
+        eps = min_feasible_radius(data, pool, prior, COST) + 0.02
+        vertices = feasible_distributions(data, pool, prior, eps, COST, count=12)
+        for x_star in pool:
+            score = score_dr(x_star, data, unlabeled, prior, eps, COST, theta)
+            for dist in vertices:
+                at_star = (dist.features == x_star).all(axis=1)
+                impacts = [
+                    impact_gradient_norm(theta, x_star, y)
+                    for y in dist.labels[at_star]
+                ]
+                weights = dist.weights[at_star]
+                expected = float(weights @ impacts / weights.sum())
+                assert score <= expected + 1e-8
+            # a huge radius under the uninformative prior frees the label at
+            # the candidate, so the adversary takes the smaller impact
+            free = score_dr(
+                x_star, data, unlabeled, LabelPrior.uninformative(), 50.0, COST,
+                theta,
+            )
+            floor = min(
+                impact_gradient_norm(theta, x_star, 0),
+                impact_gradient_norm(theta, x_star, 1),
+            )
+            assert free == pytest.approx(floor, abs=1e-8)
 
     def test_candidate_must_come_from_the_pool(self):
         data = LabeledDataset(np.zeros((1, 2)), np.array([1]))
@@ -222,7 +249,7 @@ class TestScoreDr:
         with pytest.raises(ValueError):
             score_dr(
                 np.array([5.0, 5.0]), data, unlabeled, LabelPrior.uninformative(),
-                1.0, COST, np.zeros(2), INNER_CONFIG,
+                1.0, COST, np.zeros(2),
             )
 
     def test_empty_decision_set_raises(self):
@@ -232,11 +259,8 @@ class TestScoreDr:
         data = LabeledDataset(x0[None], np.array([1]))
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([1.0, 0.0])
-        config = SolverConfig(
-            radius_eps=0.01, step_size=0.5, objective_floor=-50.0, max_steps=30000
-        )
         with pytest.raises(InfeasibleRadiusError):
-            score_dr(x0, data, unlabeled, prior, 0.01, COST, np.zeros(2), config)
+            score_dr(x0, data, unlabeled, prior, 0.01, COST, np.zeros(2))
 
 
 class TestSelectNext:
@@ -256,13 +280,11 @@ class TestSelectNext:
 
     def test_singleton_pool_is_chosen_by_every_strategy(self):
         pool = np.array([[0.5, 0.5]])
-        config = SolverConfig(radius_eps=1.0, max_steps=2000)
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK, DR_STRONG):
             state = self._state(pool, pool_labels=np.array([1]), theta=np.zeros(2))
             strategy = StrategyConfig(kind=kind, candidate_subsample=3, seed=0)
             chosen = select_next(
-                state, strategy, make_rng(0), cost=COST, solver_config=config,
-                class_share=0.5,
+                state, strategy, make_rng(0), cost=COST, class_share=0.5,
             )
             assert chosen == 0
 
@@ -291,6 +313,25 @@ class TestSelectNext:
         assert score_emc(theta, pool[chosen]) == pytest.approx(
             score_emc(theta, pool[perm][chosen_perm]), rel=1e-12
         )
+
+    def test_pool_scoring_picks_the_best_per_point_score(self):
+        # the per-point loop is the reference for the vectorized pool scores
+        rng = make_rng(8)
+        scorers = {
+            EMC: lambda theta, x, norm: score_emc(theta, x),
+            MIN_MC: score_min_mc,
+            MAX_MC: score_max_mc,
+        }
+        for _ in range(30):
+            pool = rng.normal(size=(12, 2)) * rng.uniform(0.1, 3.0)
+            theta = rng.normal(size=2)
+            state = self._state(pool, theta=theta)
+            for kind, scorer in scorers.items():
+                for norm in (False, True):
+                    strategy = StrategyConfig(kind=kind, mc_include_norm=norm)
+                    chosen = select_next(state, strategy, make_rng(0))
+                    scores = [scorer(theta, x, norm) for x in pool]
+                    assert chosen == int(np.argmax(scores))
 
     def test_random_strategy_is_seed_deterministic(self):
         pool = np.arange(20, dtype=float).reshape(10, 2)
@@ -366,14 +407,9 @@ class TestRunActiveLoop:
         rng = make_rng(6)
         data = two_cluster_data(rng, 28, spread=1.2, noise=0.8)
         init = initial_state(data, 4, seed=9)
-        config = SolverConfig(
-            radius_eps=1.0, max_steps=3000, lr_decay_factor=10.0, lr_decay_every=5000
-        )
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK):
             strategy = StrategyConfig(kind=kind, candidate_subsample=4, seed=9)
-            done = run_active_loop(
-                init, strategy, data, 16, cost=COST, solver_config=config
-            )
+            done = run_active_loop(init, strategy, data, 16, cost=COST)
             assert done.history[-1][1] >= done.history[0][1] - 1e-9
 
     def test_stopping_bounds_are_validated(self):

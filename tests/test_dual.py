@@ -458,22 +458,6 @@ class TestSgdSolve:
         assert len(rows) - 1 == len(result.trace)
         assert float(rows[1][2]) == result.trace[0][2]
 
-    def test_payoff_table_replaces_the_loss(self):
-        # a constant payoff table makes the inner maximum flat: the solve
-        # should price it at exactly that constant once converged
-        rng = make_rng(12)
-        features = rng.normal(size=(3, 2))
-        data = LabeledDataset(features, np.array([0, 1, 0]))
-        unlabeled = UnlabeledDataset(features)
-        prior = LabelPrior.point([2.0 / 3.0, 1.0 / 3.0])
-        payoff = np.full((3, 2), 1.7)
-        config = SolverConfig(
-            radius_eps=0.5, batch_size=8, max_steps=40000, seed=6,
-            step_size=0.05, convergence_tol=1e-5,
-        )
-        result = sgd_solve(data, unlabeled, prior, COST, config, payoff=payoff)
-        assert result.objective == pytest.approx(1.7, abs=1e-2)
-
 
 class TestTrainDru:
     def test_likelihood_close_to_erm_when_prior_matches_labels(self):
