@@ -14,9 +14,10 @@ import math
 import numpy as np
 
 from .bounds import make_prior, prior_feasible_radius
-from .dual import InfeasibleRadiusError, LabelPrior
+from .dual import InfeasibleRadiusError
 from .model import (
     LabeledDataset,
+    LabelPrior,
     TransportCost,
     UnlabeledDataset,
     logistic_loss,

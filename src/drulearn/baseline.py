@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .dual import SolverConfig
+from .dual import SolverConfig, descent_update, learning_rate
 from .model import (
     LabeledDataset,
     TransportCost,
@@ -157,10 +157,11 @@ def baseline_train(
 ) -> BaselineResult:
     """Train the robust model by full-batch subgradient descent on (theta, alpha).
 
-    Uses the same optimizer defaults as the marginal-constrained solver; after
-    every step the pair is projected back onto the cone where the closed-form
-    objective is valid. The returned price and value are re-derived exactly
-    for the final theta by the one-dimensional minimization.
+    Uses the same learning-rate schedule and Adam update as the
+    marginal-constrained solver (`dual.learning_rate`, `dual.descent_update`);
+    after every step the pair is projected back onto the cone where the
+    closed-form objective is valid. The returned price and value are
+    re-derived exactly for the final theta by the one-dimensional minimization.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -170,8 +171,7 @@ def baseline_train(
     dim = data.dim
     theta = np.zeros(dim)
     alpha = 0.0
-    adam_m = np.zeros(dim + 1)
-    adam_v = np.zeros(dim + 1)
+    moments = (np.zeros(dim + 1), np.zeros(dim + 1))
     trace = []
     window = config.convergence_window
     previous_mean = None
@@ -190,17 +190,8 @@ def baseline_train(
         grad = np.empty(dim + 1)
         grad[:dim] = loss_grad_theta(theta, data.features, labels_used).mean(axis=0)
         grad[dim] = eps - kappa * float(flipped.mean())
-        lr = config.step_size / config.lr_decay_factor ** (
-            step // config.lr_decay_every
-        )
-        if config.use_adam:
-            adam_m = config.adam_beta1 * adam_m + (1 - config.adam_beta1) * grad
-            adam_v = config.adam_beta2 * adam_v + (1 - config.adam_beta2) * grad**2
-            m_hat = adam_m / (1 - config.adam_beta1 ** (step + 1))
-            v_hat = adam_v / (1 - config.adam_beta2 ** (step + 1))
-            update = lr * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-        else:
-            update = lr * grad
+        lr = learning_rate(config, step)
+        update, moments = descent_update(grad, moments, step, lr, config)
         theta = theta - update[:dim]
         alpha = alpha - update[dim]
         theta, alpha = _project_price_cone(theta, max(alpha, 0.0))

@@ -15,19 +15,20 @@ from scipy import stats
 
 from .dual import (
     DualState,
-    LabelPrior,
     SolverConfig,
     dual_objective,
     max_cell_values,
     train_dru,
 )
 from .model import (
+    DiscreteDistribution,
     LabeledDataset,
+    LabelPrior,
     TransportCost,
     UnlabeledDataset,
     confidence,
 )
-from .oracle import DiscreteDistribution, discrete_wasserstein, min_feasible_radius
+from .oracle import discrete_wasserstein, min_feasible_radius
 
 DEFAULT_Z_SCORE = 1.96
 VACUOUS_THRESHOLD = 0.5

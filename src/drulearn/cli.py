@@ -63,25 +63,21 @@ from .data import (
     synthetic_two_gaussians,
 )
 from .dual import (
-    INFEASIBLE,
     DualState,
     InfeasibleRadiusError,
-    LabelPrior,
+    duality_gap_check,
     sgd_solve,
 )
 from .model import (
+    DiscreteDistribution,
     LabeledDataset,
+    LabelPrior,
     TransportCost,
     UnlabeledDataset,
     confidence,
     make_rng,
 )
-from .oracle import (
-    DiscreteDistribution,
-    discrete_wasserstein,
-    duality_gap_check,
-    min_feasible_radius,
-)
+from .oracle import discrete_wasserstein, min_feasible_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -235,6 +231,7 @@ def _run_train_dru(config: ExperimentConfig) -> int:
     instance = _build_instance(config, table, config.seed)
     unlabeled = _require_unlabeled(instance)
     eps = _resolve_eps(config, instance)
+    _write_metadata(config, "train-dru", [])
     result = sgd_solve(
         instance.labeled,
         unlabeled,
@@ -242,11 +239,6 @@ def _run_train_dru(config: ExperimentConfig) -> int:
         instance.cost,
         config.solver_config(eps),
     )
-    if result.status == INFEASIBLE:
-        _write_metadata(config, "train-dru", [])
-        raise InfeasibleRadiusError(
-            "dual unbounded below: transport radius too small for the prior"
-        )
     bound = performance_bound(
         result.state,
         instance.labeled,
@@ -272,7 +264,6 @@ def _run_train_dru(config: ExperimentConfig) -> int:
         + sorted(key for key in row if key.startswith("theta_"))
     )
     _write_csv(config.output, fieldnames, [row])
-    _write_metadata(config, "train-dru", [])
     return EXIT_OK
 
 
@@ -357,18 +348,13 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     if config.force_zero_state:
         state = DualState.zeros(instance.labeled.dim, instance.labeled.n)
     else:
-        result = sgd_solve(
+        state = sgd_solve(
             instance.labeled,
             unlabeled,
             instance.prior,
             instance.cost,
             config.solver_config(eps),
-        )
-        if result.status == INFEASIBLE:
-            raise InfeasibleRadiusError(
-                "dual unbounded below: transport radius too small for the prior"
-            )
-        state = result.state
+        ).state
     bound = performance_bound(
         state,
         instance.labeled,

@@ -84,8 +84,6 @@ class ExperimentConfig:
     convergence_window: int = 1000
     lr_decay_factor: float = 8.0
     lr_decay_every: int = 10000
-    objective_floor: float = -1e6
-    alpha_ceiling: float = 1e6
     use_adam: bool = True
     tail_average: bool = True
     solver_seed: int = 0
@@ -144,8 +142,6 @@ class ExperimentConfig:
             convergence_window=self.convergence_window,
             lr_decay_factor=self.lr_decay_factor,
             lr_decay_every=self.lr_decay_every,
-            objective_floor=self.objective_floor,
-            alpha_ceiling=self.alpha_ceiling,
             use_adam=self.use_adam,
             tail_average=self.tail_average,
             seed=self.solver_seed,

@@ -14,19 +14,22 @@ Each "cell" pairs one labeled atom with one candidate label; its value is the
 logistic loss at the candidate label minus the charges the multipliers levy
 for moving mass there.  All solver state lives in `DualState`; the stochastic
 solver samples unlabeled minibatches and descends the dual with Adam (or
-plain SGD), projecting the sign-constrained multipliers back to >= 0.
+plain SGD), projecting the sign-constrained multipliers back to >= 0.  The
+dual is bounded below exactly when the decision set is nonempty, so the
+solver first checks the radius against `oracle.min_feasible_radius`.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import (
     N_CLASSES,
     LabeledDataset,
+    LabelPrior,
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
@@ -35,53 +38,16 @@ from .model import (
     make_rng,
     pair_costs,
 )
+from .oracle import BUDGET_SLACK, OPTIMAL, min_feasible_radius, solve_worst_case_lp
 
 CONVERGED = "converged"
 MAX_STEPS = "max_steps"
-INFEASIBLE = "infeasible"
 
 TRACE_FIELDS = ("step", "lr", "objective_estimate", "alpha_value", "theta_norm", "feasible")
 
 
 class InfeasibleRadiusError(RuntimeError):
     """The decision set is empty: the dual is unbounded below."""
-
-
-@dataclass(frozen=True)
-class LabelPrior:
-    """Per-class probability intervals [lower_k, upper_k] for the label marginal.
-
-    Some probability vector must fit inside the box, i.e. lower <= upper
-    elementwise, sum(lower) <= 1 <= sum(upper).
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if lower.shape != (N_CLASSES,) or upper.shape != (N_CLASSES,):
-            raise ValueError("prior bounds must have one entry per class")
-        if np.any(lower < -1e-12) or np.any(upper > 1.0 + 1e-12):
-            raise ValueError("prior bounds must lie in [0, 1]")
-        if np.any(lower > upper + 1e-12):
-            raise ValueError("lower bounds must not exceed upper bounds")
-        if lower.sum() > 1.0 + 1e-12 or upper.sum() < 1.0 - 1e-12:
-            raise ValueError("no probability vector fits the prior box")
-
-    @staticmethod
-    def point(probabilities) -> "LabelPrior":
-        """Degenerate prior pinning the label marginal to one vector."""
-        p = np.asarray(probabilities, dtype=float)
-        return LabelPrior(lower=p, upper=p)
-
-    @staticmethod
-    def uninformative() -> "LabelPrior":
-        """The vacuous prior [0, 1] for every class."""
-        return LabelPrior(lower=np.zeros(N_CLASSES), upper=np.ones(N_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -156,13 +122,10 @@ class SolverConfig:
     `step_size` and is divided by `lr_decay_factor` every `lr_decay_every`
     steps.  The run stops once consecutive non-overlapping windows of
     `convergence_window` objective estimates agree to `convergence_tol`,
-    or at `max_steps`.  An estimate falling below `objective_floor` (or the
-    transport multiplier exceeding `alpha_ceiling`) is reported as an
-    infeasible/unbounded instance.  With `tail_average` on, the returned
-    state is the better of the final iterate and the mean of the last
-    window of iterates — both are feasible dual points, so either value is
-    a valid objective.  `trace_path`, when set, receives the iteration log
-    as CSV.
+    or at `max_steps`.  With `tail_average` on, the returned state is the
+    better of the final iterate and the mean of the last window of iterates
+    — both are feasible dual points, so either value is a valid objective.
+    `trace_path`, when set, receives the iteration log as CSV.
     """
 
     radius_eps: float
@@ -179,8 +142,6 @@ class SolverConfig:
     convergence_window: int = 1000
     use_adam: bool = True
     tail_average: bool = True
-    objective_floor: float = -1e6
-    alpha_ceiling: float = 1e6
     trace_path: str | None = None
     trace_every: int = 100
 
@@ -205,15 +166,15 @@ class SolverConfig:
 class SolveResult:
     """Outcome of one stochastic dual solve.
 
-    `status` is "converged", "max_steps", or "infeasible"; `state` and
-    `objective` are None exactly when the instance was flagged infeasible.
-    `trace` rows are (step, lr, objective_estimate, alpha_value, theta_norm,
-    feasible).
+    `status` is "converged" or "max_steps".  `trace` rows are (step, lr,
+    objective_estimate, alpha_value, theta_norm, feasible), one every
+    `trace_every` steps; `feasible` is always true, since a radius below
+    the minimal feasible radius raises before the first step.
     """
 
     status: str
-    state: DualState | None
-    objective: float | None
+    state: DualState
+    objective: float
     trace: list = field(default_factory=list)
 
 
@@ -383,6 +344,27 @@ def _objective_of_params(params, dim, data, unlabeled_features, pair, prior, eps
     return float(_linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean())
 
 
+def learning_rate(config: SolverConfig, step: int) -> float:
+    """`step_size` divided by `lr_decay_factor` once per `lr_decay_every` steps."""
+    return config.step_size / config.lr_decay_factor ** (step // config.lr_decay_every)
+
+
+def descent_update(grad, moments, step: int, lr: float, config: SolverConfig):
+    """The update to subtract from the parameters at `step`, and the new
+    (first, second) Adam `moments`; without `use_adam` the update is
+    `lr * grad` and the moments pass through.
+    """
+    if not config.use_adam:
+        return lr * grad, moments
+    first, second = moments
+    first = config.adam_beta1 * first + (1.0 - config.adam_beta1) * grad
+    second = config.adam_beta2 * second + (1.0 - config.adam_beta2) * grad**2
+    corrected1 = first / (1.0 - config.adam_beta1 ** (step + 1))
+    corrected2 = second / (1.0 - config.adam_beta2 ** (step + 1))
+    update = lr * corrected1 / (np.sqrt(corrected2) + config.adam_epsilon)
+    return update, (first, second)
+
+
 def sgd_solve(
     data: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -400,13 +382,19 @@ def sgd_solve(
     sign-constrained multipliers at zero.  `update_theta` toggles descent in
     the weights; with it off the solve prices a fixed classifier.
 
-    Returns a `SolveResult`; an unbounded-below run (objective estimate under
-    `objective_floor`, or a diverging transport multiplier) yields status
-    "infeasible" with no state.
+    Raises `InfeasibleRadiusError` before the first step when the radius
+    plus the oracle's `BUDGET_SLACK` is below the minimal feasible radius:
+    the decision set is then empty and the dual unbounded below.
     """
     n_l, dim = data.n, data.dim
     n_u = unlabeled.n
     eps = config.radius_eps
+    eps_min = min_feasible_radius(data, unlabeled.features, prior, cost)
+    if eps + BUDGET_SLACK < eps_min:
+        raise InfeasibleRadiusError(
+            f"transport radius too small for the prior: {float(eps)} is below "
+            f"the minimal feasible radius {eps_min}"
+        )
 
     pair = pair_costs(unlabeled.features, data, cost)
     n_params = dim + 1 + n_l + 2 * N_CLASSES
@@ -414,8 +402,7 @@ def sgd_solve(
     if theta0 is not None:
         params[:dim] = np.asarray(theta0, dtype=float)
 
-    moment1 = np.zeros(n_params)
-    moment2 = np.zeros(n_params)
+    moments = (np.zeros(n_params), np.zeros(n_params))
     alpha_at = dim
     upper_sl = slice(dim + 1 + n_l, dim + 1 + n_l + N_CLASSES)
     lower_sl = slice(dim + 1 + n_l + N_CLASSES, n_params)
@@ -429,7 +416,7 @@ def sgd_solve(
     tail_count = 0
 
     for step in range(config.max_steps):
-        lr = config.step_size / config.lr_decay_factor ** (step // config.lr_decay_every)
+        lr = learning_rate(config, step)
         idx = rng.integers(0, n_u, size=config.batch_size)
         batch = unlabeled.features[idx]
         theta, alpha, potentials, upper, lower = _unpack(params, dim, n_l)
@@ -441,14 +428,10 @@ def sgd_solve(
         )
         estimates.append(estimate)
 
-        feasible = estimate >= config.objective_floor and alpha <= config.alpha_ceiling
-        if step % config.trace_every == 0 or not feasible:
+        if step % config.trace_every == 0:
             trace.append(
-                (step, lr, estimate, float(alpha), float(np.linalg.norm(theta)), feasible)
+                (step, lr, estimate, float(alpha), float(np.linalg.norm(theta)), True)
             )
-        if not feasible:
-            status = INFEASIBLE
-            break
 
         grad = np.zeros(n_params)
         if update_theta:
@@ -461,14 +444,8 @@ def sgd_solve(
         grad[upper_sl] = prior.upper - label_freq
         grad[lower_sl] = label_freq - prior.lower
 
-        if config.use_adam:
-            moment1 = config.adam_beta1 * moment1 + (1.0 - config.adam_beta1) * grad
-            moment2 = config.adam_beta2 * moment2 + (1.0 - config.adam_beta2) * grad**2
-            corrected1 = moment1 / (1.0 - config.adam_beta1 ** (step + 1))
-            corrected2 = moment2 / (1.0 - config.adam_beta2 ** (step + 1))
-            params = params - lr * corrected1 / (np.sqrt(corrected2) + config.adam_epsilon)
-        else:
-            params = params - lr * grad
+        update, moments = descent_update(grad, moments, step, lr, config)
+        params = params - update
         params[alpha_at] = max(params[alpha_at], 0.0)
         params[upper_sl] = np.maximum(params[upper_sl], 0.0)
         params[lower_sl] = np.maximum(params[lower_sl], 0.0)
@@ -492,23 +469,20 @@ def sgd_solve(
                 break
             prev_window_mean = window_mean
 
-    if status == INFEASIBLE:
-        result = SolveResult(INFEASIBLE, None, None, trace)
-    else:
-        final_value = _objective_of_params(
-            params, dim, data, unlabeled.features, pair, prior, eps
+    final_value = _objective_of_params(
+        params, dim, data, unlabeled.features, pair, prior, eps
+    )
+    best_params, best_value = params, final_value
+    if config.tail_average and tail_count > 0:
+        averaged = tail_sum / tail_count
+        averaged_value = _objective_of_params(
+            averaged, dim, data, unlabeled.features, pair, prior, eps
         )
-        best_params, best_value = params, final_value
-        if config.tail_average and tail_count > 0:
-            averaged = tail_sum / tail_count
-            averaged_value = _objective_of_params(
-                averaged, dim, data, unlabeled.features, pair, prior, eps
-            )
-            if averaged_value < best_value:
-                best_params, best_value = averaged, averaged_value
-        result = SolveResult(
-            status, _state_from_params(best_params, dim, n_l), best_value, trace
-        )
+        if averaged_value < best_value:
+            best_params, best_value = averaged, averaged_value
+    result = SolveResult(
+        status, _state_from_params(best_params, dim, n_l), best_value, trace
+    )
 
     if config.trace_path is not None:
         with open(config.trace_path, "w", newline="") as handle:
@@ -529,12 +503,51 @@ def train_dru(
     """Train the distributionally robust classifier: descend weights and duals jointly.
 
     Returns the trained weight vector.  Raises `InfeasibleRadiusError` when
-    the solve reports an empty decision set (radius below the minimal
-    feasible radius for the given prior).
+    the decision set is empty (radius below the minimal feasible radius for
+    the given prior).
     """
-    result = sgd_solve(data, unlabeled, prior, cost, config, theta0, update_theta=True)
-    if result.status == INFEASIBLE:
-        raise InfeasibleRadiusError(
-            "dual unbounded below: transport radius too small for the prior"
-        )
-    return result.state.theta
+    return sgd_solve(data, unlabeled, prior, cost, config, theta0).state.theta
+
+
+@dataclass(frozen=True)
+class DualityGapReport:
+    """Primal-versus-dual comparison at one fixed classifier."""
+
+    primal: float
+    dual: float
+    gap: float
+    relint_violated: bool
+
+
+def duality_gap_check(
+    theta,
+    data: LabeledDataset,
+    unlabeled: UnlabeledDataset,
+    prior: LabelPrior,
+    eps: float,
+    cost: TransportCost,
+    solver_config: SolverConfig,
+) -> DualityGapReport:
+    """Certify strong duality at a fixed classifier.
+
+    Solves the exact worst-case LP (with the unlabeled features as the
+    support) and the stochastic dual with the weights frozen, and reports
+    dual minus primal.  The gap is only guaranteed to vanish for radii
+    strictly above the minimal feasible radius; at or below it the report
+    carries `relint_violated=True`.
+    """
+    theta = np.asarray(theta, dtype=float)
+    primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
+    if primal.status != OPTIMAL:
+        raise ValueError("instance infeasible at this radius; nothing to compare")
+    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
+    config = replace(solver_config, radius_eps=eps)
+    dual = sgd_solve(
+        data, unlabeled, prior, cost, config, theta0=theta, update_theta=False
+    )
+    return DualityGapReport(
+        primal=primal.value,
+        dual=dual.objective,
+        gap=dual.objective - primal.value,
+        relint_violated=eps <= eps0 + 1e-9,
+    )

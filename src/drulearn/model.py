@@ -245,6 +245,43 @@ class DiscreteDistribution:
         )
 
 
+@dataclass(frozen=True)
+class LabelPrior:
+    """Per-class probability intervals [lower_k, upper_k] for the label marginal.
+
+    Some probability vector must fit inside the box, i.e. lower <= upper
+    elementwise, sum(lower) <= 1 <= sum(upper).
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        if lower.shape != (N_CLASSES,) or upper.shape != (N_CLASSES,):
+            raise ValueError("prior bounds must have one entry per class")
+        if np.any(lower < -1e-12) or np.any(upper > 1.0 + 1e-12):
+            raise ValueError("prior bounds must lie in [0, 1]")
+        if np.any(lower > upper + 1e-12):
+            raise ValueError("lower bounds must not exceed upper bounds")
+        if lower.sum() > 1.0 + 1e-12 or upper.sum() < 1.0 - 1e-12:
+            raise ValueError("no probability vector fits the prior box")
+
+    @staticmethod
+    def point(probabilities) -> "LabelPrior":
+        """Degenerate prior pinning the label marginal to one vector."""
+        p = np.asarray(probabilities, dtype=float)
+        return LabelPrior(lower=p, upper=p)
+
+    @staticmethod
+    def uninformative() -> "LabelPrior":
+        """The vacuous prior [0, 1] for every class."""
+        return LabelPrior(lower=np.zeros(N_CLASSES), upper=np.ones(N_CLASSES))
+
+
 def make_rng(seed):
     """Seeded counter-based generator used everywhere randomness is drawn.
 

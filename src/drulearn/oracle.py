@@ -3,17 +3,18 @@
 Solves the worst-case expected-loss (or any expected-payoff) linear program
 over a finite support, either over the decision set (given a label prior) or
 over the plain transport ball (`prior=None`), computes exact transport
-distances between finitely supported distributions, finds the smallest
-transport radius with a nonempty decision set, and certifies that the
-stochastic dual solver attains the primal LP value.  Every LP is assembled from sparse constraint blocks
-and solved by the HiGHS dual simplex (see `simplex`), so everything here is
-deterministic and exact up to its 1e-10 feasibility tolerances, which is
-what makes it usable as the reference side of two-route checks.
+distances between finitely supported distributions, and finds the smallest
+transport radius with a nonempty decision set: one transport distance plus a
+closed-form label-flip term.  Every LP is assembled from sparse constraint
+blocks and solved by the HiGHS dual simplex (see `simplex`), so everything
+here is deterministic and exact up to its 1e-10 feasibility tolerances,
+which is what makes it usable as the reference side of two-route checks
+(`dual.duality_gap_check` sets the stochastic dual solver against it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -22,13 +23,13 @@ from .model import (
     N_CLASSES,
     DiscreteDistribution,
     LabeledDataset,
+    LabelPrior,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
+    feature_distances,
     make_rng,
     pair_costs,
 )
-from .dual import LabelPrior, SolverConfig, sgd_solve
 from .simplex import INFEASIBLE, OPTIMAL, solve_lp, solve_transportation
 
 # slack added to the transport-budget right-hand side so feasibility does not
@@ -92,26 +93,21 @@ def _label_mass_rows(m, n_l):
     return sparse.kron(np.ones((1, m)), per_label)
 
 
-def _solve_mass_lp(
-    objective, move, prior: LabelPrior | None, eps: float | None, maximize: bool
-):
-    """Shared LP over the joint mass variables pi[j, k, i].
+def _solve_mass_lp(objective, move, prior: LabelPrior | None, eps: float):
+    """Maximize `objective` over the joint mass variables pi[j, k, i].
 
-    Always pins the labeled-atom marginal to uniform.  With a prior it also
-    pins the support marginal to uniform and bounds per-label mass by the
-    prior box (the decision set); with `prior=None` the mass ranges over the
-    plain transport ball.  A given `eps` caps the total transport cost.
-    Returns the simplex result with the (sign-corrected) objective value
-    left to the caller.
+    Always pins the labeled-atom marginal to uniform and caps the total
+    transport cost at `eps`.  With a prior it also pins the support marginal
+    to uniform and bounds per-label mass by the prior box (the decision
+    set); with `prior=None` the mass ranges over the plain transport ball.
+    Returns the simplex result of the negated (minimization) problem, so
+    the objective value is left to the caller.
     """
     m, _, n_l = move.shape
     a_eq = [_atom_marginal_rows(m, n_l)]
     b_eq = [np.full(n_l, 1.0 / n_l)]
-    a_ub = []
-    b_ub = []
-    if eps is not None:
-        a_ub.append(sparse.csr_array(move.reshape(1, -1)))
-        b_ub.append(np.array([eps + BUDGET_SLACK]))
+    a_ub = [sparse.csr_array(move.reshape(1, -1))]
+    b_ub = [np.array([eps + BUDGET_SLACK])]
     if prior is not None:
         a_eq.append(_support_marginal_rows(m, n_l))
         b_eq.append(np.full(m, 1.0 / m))
@@ -120,13 +116,12 @@ def _solve_mass_lp(
         b_ub.append(prior.upper)
         a_ub.append(-label_rows)
         b_ub.append(-prior.lower)
-    sign = -1.0 if maximize else 1.0
     return solve_lp(
-        sign * objective.ravel(),
+        -objective.ravel(),
         a_eq=sparse.vstack(a_eq),
         b_eq=np.concatenate(b_eq),
-        a_ub=sparse.vstack(a_ub) if a_ub else None,
-        b_ub=np.concatenate(b_ub) if b_ub else None,
+        a_ub=sparse.vstack(a_ub),
+        b_ub=np.concatenate(b_ub),
     )
 
 
@@ -158,7 +153,7 @@ def solve_payoff_lp(
     objective = np.broadcast_to(
         np.asarray(payoff, dtype=float)[:, :, None], move.shape
     )
-    result = _solve_mass_lp(objective, move, prior, eps, maximize=True)
+    result = _solve_mass_lp(objective, move, prior, eps)
     if result.status != OPTIMAL:
         return WorstCaseLpResult(value=None, plan=None, status=result.status)
     value = float(objective.ravel() @ result.x)
@@ -194,17 +189,29 @@ def min_feasible_radius(
     prior: LabelPrior,
     cost: TransportCost,
 ) -> float:
-    """Smallest transport budget for which the decision set is nonempty.
+    """Smallest transport budget for which the decision set is nonempty:
 
-    Minimizes the total transport cost over all mass assignments satisfying
-    the marginal and label constraints; the optimum is the radius below
-    which the constrained ball is empty.
+        W(uniform support, uniform labeled atoms; feature distance)
+        + label_flip_cost * max(L - p, p - U, 0),
+
+    with p the atoms' share of positive labels and [L, U] the positive mass
+    the prior box allows, L = max(lower_1, 1 - upper_0) and
+    U = min(upper_1, 1 - lower_0).  Summed over labels, a feasible mass plan
+    couples the two uniform marginals, so its feature part costs at least W;
+    the atom marginal fixes the positive mass at p before any flip, and each
+    unit moved across labels costs the flip cost.  Relabeling part of an
+    optimal coupling attains both terms at once.
     """
-    move = pair_costs(support, data, cost).transpose(0, 2, 1)
-    result = _solve_mass_lp(move, move, prior, None, maximize=False)
-    if result.status != OPTIMAL:
-        raise ValueError("marginal and label constraints are mutually unsatisfiable")
-    return max(float(move.ravel() @ result.x), 0.0)
+    distances = feature_distances(support, data.features)
+    m, n_l = distances.shape
+    distance, _ = solve_transportation(
+        distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
+    )
+    share = float(data.labels.mean())
+    low = max(prior.lower[1], 1.0 - prior.upper[0])
+    high = min(prior.upper[1], 1.0 - prior.lower[0])
+    flipped = max(low - share, share - high, 0.0)
+    return max(distance + cost.label_flip_cost * float(flipped), 0.0)
 
 
 def min_feasible_radius_bisect(
@@ -243,52 +250,6 @@ def min_feasible_radius_bisect(
     return hi
 
 
-@dataclass(frozen=True)
-class DualityGapReport:
-    """Primal-versus-dual comparison at one fixed classifier."""
-
-    primal: float
-    dual: float
-    gap: float
-    relint_violated: bool
-
-
-def duality_gap_check(
-    theta,
-    data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    prior: LabelPrior,
-    eps: float,
-    cost: TransportCost,
-    solver_config: SolverConfig,
-) -> DualityGapReport:
-    """Certify strong duality at a fixed classifier.
-
-    Solves the exact worst-case LP (with the unlabeled features as the
-    support) and the stochastic dual with the weights frozen, and reports
-    dual minus primal.  The gap is only guaranteed to vanish for radii
-    strictly above the minimal feasible radius; at or below it the report
-    carries `relint_violated=True`.
-    """
-    theta = np.asarray(theta, dtype=float)
-    primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
-    if primal.status != OPTIMAL:
-        raise ValueError("instance infeasible at this radius; nothing to compare")
-    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
-    config = replace(solver_config, radius_eps=eps)
-    dual = sgd_solve(
-        data, unlabeled, prior, cost, config, theta0=theta, update_theta=False
-    )
-    if dual.objective is None:
-        raise ValueError("dual solve reported infeasible on a primal-feasible instance")
-    return DualityGapReport(
-        primal=primal.value,
-        dual=dual.objective,
-        gap=dual.objective - primal.value,
-        relint_violated=eps <= eps0 + 1e-9,
-    )
-
-
 def feasible_distributions(
     data: LabeledDataset,
     support,
@@ -313,7 +274,7 @@ def feasible_distributions(
     for _ in range(count):
         direction = rng.normal(size=(m, N_CLASSES))
         objective = np.broadcast_to(direction[:, :, None], move.shape)
-        result = _solve_mass_lp(objective, move, prior, eps, maximize=True)
+        result = _solve_mass_lp(objective, move, prior, eps)
         if result.status == INFEASIBLE:
             raise ValueError("decision set is empty at this radius")
         mass = result.x.reshape(m, N_CLASSES, n_l).sum(axis=2)

@@ -35,6 +35,7 @@ from drulearn.dual import (
     SolverConfig,
     cell_subgradients,
     cell_value,
+    duality_gap_check,
     max_cell,
     sgd_solve,
 )
@@ -49,7 +50,6 @@ from drulearn.model import (
 from drulearn.oracle import (
     DiscreteDistribution,
     discrete_wasserstein,
-    duality_gap_check,
     feasible_distributions,
     min_feasible_radius,
     min_feasible_radius_bisect,

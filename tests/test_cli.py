@@ -152,7 +152,6 @@ class TestExitCodes:
             prior_positive_share=0.0,
             eps=0.001,
             step_size=0.5,
-            objective_floor=-50.0,
             seed=4,
             synthetic_n=30,
             n_labeled=10,
@@ -160,6 +159,30 @@ class TestExitCodes:
             batch_size=16,
         )
         assert main(["train-dru", "--config", config]) == EXIT_INFEASIBLE
+
+    def test_radius_below_the_exact_minimum_exits_two_before_training(
+        self, tmp_path, capsys
+    ):
+        # minimal feasible radius 0.7565...: every point must flip to class 0
+        out = tmp_path / "repro.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            prior_mode="strong",
+            prior_positive_share=0.0,
+            eps=0.001,
+            seed=4,
+            synthetic_n=30,
+            n_labeled=10,
+            batch_size=16,
+            max_steps=3000,
+        )
+        assert main(["train-dru", "--config", config]) == EXIT_INFEASIBLE
+        message = capsys.readouterr().err
+        assert "radius too small" in message
+        assert "0.001 " in message and "0.7565" in message
+        assert not out.exists()
+        assert read_meta(out)["command"] == "train-dru"
 
     def test_divergent_training_exits_three(self, tmp_path):
         config = write_config(
@@ -225,7 +248,6 @@ class TestSweeps:
             prior_positive_share=0.0,
             eps_grid=(0.001, 1.5),
             step_size=0.5,
-            objective_floor=-50.0,
             seed=4,
             synthetic_n=30,
             n_labeled=10,
@@ -249,7 +271,6 @@ class TestSweeps:
             prior_positive_share=0.0,
             eps_grid=(0.001,),
             step_size=0.5,
-            objective_floor=-50.0,
             seed=4,
             synthetic_n=30,
             n_labeled=10,

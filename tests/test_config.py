@@ -1,6 +1,8 @@
 """Tests for the flat key=value experiment configuration format."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -133,8 +135,6 @@ class TestDerivedObjects:
             convergence_window=50,
             lr_decay_factor=4.0,
             lr_decay_every=100,
-            objective_floor=-10.0,
-            alpha_ceiling=100.0,
             use_adam=False,
             tail_average=False,
             solver_seed=9,
@@ -148,8 +148,6 @@ class TestDerivedObjects:
         assert solver.convergence_window == 50
         assert solver.lr_decay_factor == 4.0
         assert solver.lr_decay_every == 100
-        assert solver.objective_floor == -10.0
-        assert solver.alpha_ceiling == 100.0
         assert solver.use_adam is False
         assert solver.tail_average is False
         assert solver.seed == 9
@@ -203,3 +201,14 @@ class TestRendering:
         assert render_value((0.1, 2.0)) == "0.1,2.0"
         assert render_value(0.1 + 0.2) == "0.30000000000000004"
         assert render_value("results.csv") == "results.csv"
+
+
+class TestReadme:
+    def test_config_format_section_names_exactly_the_config_fields(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("### Config format")
+        section = readme[start : readme.index("\n## ", start)]
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        documented = set(re.findall(r"`(\w+)`\s*\(", section))
+        assert documented - fields == set()
+        assert [name for name in sorted(fields) if f"`{name}`" not in section] == []

@@ -8,7 +8,6 @@ from scipy.optimize import minimize
 
 from drulearn.dual import (
     CONVERGED,
-    INFEASIBLE,
     MAX_STEPS,
     TRACE_FIELDS,
     Cell,
@@ -426,17 +425,28 @@ class TestSgdSolve:
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([1.0, 0.0])  # opposite of every label
         config = SolverConfig(
-            radius_eps=0.3, batch_size=4, max_steps=60000, seed=3,
-            objective_floor=-50.0, step_size=0.5,
+            radius_eps=0.3, batch_size=4, max_steps=60000, seed=3, step_size=0.5,
         )
-        result = sgd_solve(data, unlabeled, prior, COST, config, update_theta=False)
-        assert result.status == INFEASIBLE
-        assert result.state is None and result.objective is None
+        with pytest.raises(InfeasibleRadiusError, match="radius too small"):
+            sgd_solve(data, unlabeled, prior, COST, config, update_theta=False)
+
+    def test_raises_just_below_the_minimal_radius_and_solves_at_it(self):
+        rng = make_rng(12)
+        data, unlabeled, prior = random_instance(rng)
+        eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+        below = SolverConfig(radius_eps=eps_min - 1e-6, batch_size=8, max_steps=1000)
+        with pytest.raises(InfeasibleRadiusError, match="radius too small"):
+            sgd_solve(data, unlabeled, prior, COST, below)
+        at = SolverConfig(radius_eps=eps_min, batch_size=8, max_steps=1000)
+        result = sgd_solve(data, unlabeled, prior, COST, at)
+        assert result.status in (CONVERGED, MAX_STEPS)
+        assert np.isfinite(result.objective)
 
     def test_identical_configs_give_bitwise_identical_traces(self):
         rng = make_rng(10)
         data, unlabeled, prior = random_instance(rng)
-        config = SolverConfig(radius_eps=0.8, batch_size=8, max_steps=2000, seed=4)
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.5
+        config = SolverConfig(radius_eps=eps, batch_size=8, max_steps=2000, seed=4)
         first = sgd_solve(data, unlabeled, prior, COST, config)
         second = sgd_solve(data, unlabeled, prior, COST, config)
         assert first.trace == second.trace
@@ -447,8 +457,9 @@ class TestSgdSolve:
         rng = make_rng(11)
         data, unlabeled, prior = random_instance(rng)
         path = tmp_path / "trace.csv"
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.5
         config = SolverConfig(
-            radius_eps=0.5, batch_size=8, max_steps=1500, seed=5,
+            radius_eps=eps, batch_size=8, max_steps=1500, seed=5,
             trace_path=str(path), trace_every=100,
         )
         result = sgd_solve(data, unlabeled, prior, COST, config)
@@ -513,8 +524,7 @@ class TestTrainDru:
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([1.0, 0.0])
         config = SolverConfig(
-            radius_eps=0.3, batch_size=4, max_steps=60000, seed=10,
-            objective_floor=-50.0, step_size=0.5,
+            radius_eps=0.3, batch_size=4, max_steps=60000, seed=10, step_size=0.5,
         )
         with pytest.raises(InfeasibleRadiusError):
             train_dru(data, unlabeled, prior, COST, config)

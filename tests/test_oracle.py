@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from drulearn.bounds import make_prior
-from drulearn.dual import LabelPrior, SolverConfig
+from drulearn.dual import LabelPrior, SolverConfig, duality_gap_check
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
@@ -20,7 +20,6 @@ from drulearn.oracle import (
     CouplingPlan,
     DiscreteDistribution,
     discrete_wasserstein,
-    duality_gap_check,
     feasible_distributions,
     min_feasible_radius,
     min_feasible_radius_bisect,
@@ -325,12 +324,31 @@ class TestMinFeasibleRadius:
 
     def test_agrees_with_feasibility_bisection(self):
         rng = make_rng(11)
+        cases = []
         for _ in range(5):
             n_l = int(rng.integers(1, 4))
             m = int(rng.integers(2, 6))
             data = LabeledDataset(rng.normal(size=(n_l, 2)), rng.integers(0, 2, size=n_l))
             support = rng.normal(size=(m, 2))
-            prior = random_prior(rng)
+            cases.append((data, support, random_prior(rng)))
+        for _ in range(3):
+            # strong priors: the label marginal is pinned to one vector
+            n_l = int(rng.integers(1, 5))
+            data = LabeledDataset(rng.normal(size=(n_l, 2)), rng.integers(0, 2, size=n_l))
+            support = rng.normal(size=(int(rng.integers(2, 6)), 2))
+            share = float(rng.uniform())
+            cases.append((data, support, LabelPrior.point([1.0 - share, share])))
+        for labels, lower, upper in (
+            ([1, 1, 0], [0.8, 0.0], [1.0, 1.0]),
+            ([0, 0, 0], [0.0, 0.0], [0.5, 1.0]),
+            ([1, 1, 1], [0.0, 0.0], [1.0, 0.3]),
+        ):
+            # flip-dominated: the support sits next to the atoms, and one
+            # bound of the box keeps the positive share far from the atoms'
+            data = LabeledDataset(rng.normal(size=(3, 2)), np.array(labels))
+            support = data.features + 1e-3 * rng.normal(size=(3, 2))
+            cases.append((data, support, LabelPrior(lower=lower, upper=upper)))
+        for data, support, prior in cases:
             exact = min_feasible_radius(data, support, prior, COST)
             bisected = min_feasible_radius_bisect(data, support, prior, COST)
             assert bisected == pytest.approx(exact, abs=1e-6)
@@ -340,10 +358,10 @@ class TestMinFeasibleRadius:
         rng = make_rng(13)
         data = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 2, size=20))
         support = rng.normal(size=(100, 2))
-        prior = make_prior(data, mode="weak")
-        exact = min_feasible_radius(data, support, prior, COST)
-        bisected = min_feasible_radius_bisect(data, support, prior, COST)
-        assert bisected == pytest.approx(exact, abs=1e-6)
+        for prior in (make_prior(data, mode="weak"), LabelPrior.point([0.7, 0.3])):
+            exact = min_feasible_radius(data, support, prior, COST)
+            bisected = min_feasible_radius_bisect(data, support, prior, COST)
+            assert bisected == pytest.approx(exact, abs=1e-6)
 
     def test_unsatisfiable_box_raises(self):
         # both labels forced above 0.9 simultaneously cannot hold: caught by
