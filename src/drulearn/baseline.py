@@ -3,8 +3,10 @@
 The decision set here is a transport ball around the labeled sample with no
 unlabeled-marginal constraint, so the worst case has a closed form: a
 one-dimensional convex minimization over the transport-price multiplier.
-This module evaluates that worst case, trains against it, and sweeps how the
-worst case degrades as the ball grows beyond the training radius.
+Training against it is a small convex program in (theta, price), solved
+exactly by one SLSQP call. This module evaluates that worst case, trains
+against it, and sweeps how the worst case degrades as the ball grows beyond
+the training radius.
 """
 
 from __future__ import annotations
@@ -12,17 +14,15 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import expit
 
-from .dual import SolverConfig, descent_update, learning_rate
-from .model import (
-    LabeledDataset,
-    TransportCost,
-    both_class_losses,
-    loss_grad_theta,
-)
+from .model import LabeledDataset, TransportCost, both_class_losses
 
 ALPHA_TOL = 1e-9
-DIVERGENCE_NORM = 1e6
+# SLSQP's absolute objective tolerance; the objective lies in [0, log 2].
+FIT_TOL = 1e-9
+FIT_MAX_ITER = 1000
 
 SWEEP_REPORT_FIELDS = (
     "eps",
@@ -30,14 +30,6 @@ SWEEP_REPORT_FIELDS = (
     "worst_case_likelihood",
     "log10_worst_case_likelihood",
 )
-
-
-class DivergenceError(RuntimeError):
-    """Raised when training blows up; carries the objective trace so far."""
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = list(trace)
 
 
 def feature_norm(theta) -> float:
@@ -129,82 +121,82 @@ def baseline_worst_case(
     return worst_case_price(theta, data, eps, cost)[1]
 
 
-def _project_price_cone(theta, alpha):
-    """Project (non-intercept theta, alpha) onto ``alpha >= |theta_features|``.
-
-    Euclidean projection onto the second-order cone; the intercept coordinate
-    passes through untouched.
-    """
-    features = theta[:-1]
-    norm = float(np.linalg.norm(features))
-    if alpha >= norm:
-        return theta, alpha
-    if norm <= -alpha:
-        out = theta.copy()
-        out[:-1] = 0.0
-        return out, 0.0
-    t = 0.5 * (norm + alpha)
-    out = theta.copy()
-    out[:-1] = features * (t / norm)
-    return out, t
-
-
 def baseline_train(
-    data: LabeledDataset,
-    eps: float,
-    cost: TransportCost,
-    config: SolverConfig | None = None,
+    data: LabeledDataset, eps: float, cost: TransportCost
 ) -> BaselineResult:
-    """Train the robust model by full-batch subgradient descent on (theta, alpha).
+    """Train the robust model by one exact convex solve.
 
-    Uses the same learning-rate schedule and Adam update as the
-    marginal-constrained solver (`dual.learning_rate`, `dual.descent_update`);
-    after every step the pair is projected back onto the cone where the
-    closed-form objective is valid. The returned price and value are
-    re-derived exactly for the final theta by the one-dimensional minimization.
+    Solves the epigraph form of the ball problem over ``(theta, alpha, t)``:
+    minimize ``alpha * eps + mean(t)`` subject to ``t_i >= keep_i(theta)``,
+    ``t_i >= flip_i(theta) - alpha * kappa``, ``alpha >= 0`` and
+    ``alpha**2 >= |theta_features|**2``, with SLSQP and analytic Jacobians
+    (Shafieezadeh-Abadeh, Mohajerin Esfahani & Kuhn, NeurIPS 2015). The
+    returned price and value are re-derived exactly for the solver's theta by
+    the one-dimensional minimization, so the reported worst case is exact
+    whatever the solver did, and it is never above the no-confidence model
+    theta = 0, which prices at log 2 for every radius. Raises RuntimeError
+    if SLSQP reports failure.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if config is None:
-        config = SolverConfig(radius_eps=eps)
     kappa = cost.label_flip_cost
-    dim = data.dim
-    theta = np.zeros(dim)
-    alpha = 0.0
-    moments = (np.zeros(dim + 1), np.zeros(dim + 1))
-    trace = []
-    window = config.convergence_window
-    previous_mean = None
-    for step in range(config.max_steps):
+    n, dim = data.n, data.dim
+    # d keep_i / d theta = expit(m_i) * s_i * x_i and d flip_i / d theta =
+    # -expit(-m_i) * s_i * x_i in the signed margin m_i = s_i * <theta, x_i>,
+    # s_i = 1 - 2 y_i; unlike expit(.) - y, this keeps the small residuals
+    # exact where |m_i| is large, which separable data drives SLSQP to.
+    signed = (1.0 - 2.0 * data.labels)[:, None] * data.features
+    template = np.zeros((2 * n + 1, dim + 1 + n))
+    template[:n, dim + 1 :] = np.eye(n)
+    template[n : 2 * n, dim + 1 :] = np.eye(n)
+    template[n : 2 * n, dim] = kappa
+
+    def constraints(z):
+        theta, alpha, t = z[:dim], z[dim], z[dim + 1 :]
         keep, flip = _branch_losses(theta, data)
-        value = _price_objective(alpha, eps, keep, flip, kappa)
-        trace.append(value)
-        if np.linalg.norm(theta) > DIVERGENCE_NORM:
-            raise DivergenceError(
-                "baseline training diverged: parameter norm exceeded "
-                f"{DIVERGENCE_NORM:g}",
-                trace,
-            )
-        flipped = flip - alpha * kappa > keep
-        labels_used = np.where(flipped, 1 - data.labels, data.labels)
-        grad = np.empty(dim + 1)
-        grad[:dim] = loss_grad_theta(theta, data.features, labels_used).mean(axis=0)
-        grad[dim] = eps - kappa * float(flipped.mean())
-        lr = learning_rate(config, step)
-        update, moments = descent_update(grad, moments, step, lr, config)
-        theta = theta - update[:dim]
-        alpha = alpha - update[dim]
-        theta, alpha = _project_price_cone(theta, max(alpha, 0.0))
-        if (step + 1) % window == 0:
-            current_mean = float(np.mean(trace[-window:]))
-            if (
-                previous_mean is not None
-                and abs(current_mean - previous_mean) < config.convergence_tol
-            ):
-                break
-            previous_mean = current_mean
-    final_alpha, value = worst_case_price(theta, data, eps, cost)
-    return BaselineResult(theta=theta, alpha=final_alpha, worst_case_value=value)
+        return np.concatenate(
+            [
+                t - keep,
+                t - flip + alpha * kappa,
+                [alpha * alpha - theta[:-1] @ theta[:-1]],
+            ]
+        )
+
+    def jacobian(z):
+        theta, alpha = z[:dim], z[dim]
+        m = signed @ theta
+        jac = template.copy()
+        jac[:n, :dim] = -expit(m)[:, None] * signed
+        jac[n : 2 * n, :dim] = expit(-m)[:, None] * signed
+        jac[2 * n, : dim - 1] = -2.0 * theta[:-1]
+        jac[2 * n, dim] = 2.0 * alpha
+        return jac
+
+    gradient = np.concatenate([np.zeros(dim), [eps], np.full(n, 1.0 / n)])
+    start = np.concatenate([np.zeros(dim + 1), np.full(n, np.log(2.0))])
+    solution = minimize(
+        lambda z: gradient @ z,
+        start,
+        jac=lambda z: gradient,
+        method="SLSQP",
+        bounds=[(None, None)] * dim + [(0.0, None)] + [(None, None)] * n,
+        constraints={"type": "ineq", "fun": constraints, "jac": jacobian},
+        options={"ftol": FIT_TOL, "maxiter": FIT_MAX_ITER},
+    )
+    if not solution.success:
+        raise RuntimeError(
+            f"baseline fit failed: SLSQP status {solution.status} "
+            f"({solution.message}) after {solution.nit} iterations"
+        )
+    theta = solution.x[:dim]
+    alpha, value = worst_case_price(theta, data, eps, cost)
+    # When the optimum is the no-confidence model theta = 0, the cone
+    # constraint is degenerate there and SLSQP can stop a hair away from it;
+    # keep whichever of the two models prices lower.
+    zero_alpha, zero_value = worst_case_price(np.zeros(dim), data, eps, cost)
+    if zero_value < value:
+        theta, alpha, value = np.zeros(dim), zero_alpha, zero_value
+    return BaselineResult(theta=theta, alpha=alpha, worst_case_value=value)
 
 
 def robustness_sweep(

@@ -27,7 +27,6 @@ from .active import (
 )
 from .baseline import (
     SWEEP_REPORT_FIELDS,
-    DivergenceError,
     baseline_train,
     robustness_sweep,
     sweep_report_rows,
@@ -271,9 +270,8 @@ def _run_train_baseline(config: ExperimentConfig) -> int:
     table = _load_table(config)
     instance = _build_instance(config, table, config.seed)
     eps = _resolve_eps(config, instance)
-    result = baseline_train(
-        instance.labeled, eps, instance.cost, config.solver_config(eps)
-    )
+    _write_metadata(config, "train-baseline", [])
+    result = baseline_train(instance.labeled, eps, instance.cost)
     score_features = (
         instance.unlabeled.features
         if instance.unlabeled is not None
@@ -299,7 +297,6 @@ def _run_train_baseline(config: ExperimentConfig) -> int:
         "median_confidence",
     ] + sorted(key for key in row if key.startswith("theta_"))
     _write_csv(config.output, fieldnames, [row])
-    _write_metadata(config, "train-baseline", [])
     return EXIT_OK
 
 
@@ -443,10 +440,7 @@ def _run_robustness_sweep(config: ExperimentConfig) -> int:
             instance = _build_instance(config, table, split_seed)
             theta_by_eps = {
                 float(eps): baseline_train(
-                    instance.labeled,
-                    float(eps),
-                    instance.cost,
-                    config.solver_config(float(eps)),
+                    instance.labeled, float(eps), instance.cost
                 ).theta
                 for eps in config.eps_grid
             }
@@ -663,7 +657,7 @@ def main(argv=None) -> int:
     except InfeasibleRadiusError as error:
         print(f"infeasible instance: {error}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DivergenceError, np.linalg.LinAlgError, ArithmeticError, RuntimeError) as error:
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as error:
         print(f"numerical failure: {error}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as error:

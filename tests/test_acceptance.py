@@ -319,14 +319,6 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
     positives = np.flatnonzero(table.labels == 1)
     negatives = np.flatnonzero(table.labels == 0)
 
-    baseline_cfg = dict(
-        use_adam=False,
-        step_size=0.1,
-        lr_decay_factor=2.0,
-        lr_decay_every=10000,
-        max_steps=60000,
-        seed=0,
-    )
     contrasts = 0
     for draw in range(10):
         rng = make_rng(draw)
@@ -341,9 +333,7 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
             DiscreteDistribution.from_dataset(labeled), full, COST
         )
 
-        ball_only = baseline_train(
-            labeled, eps, COST, SolverConfig(radius_eps=eps, **baseline_cfg)
-        )
+        ball_only = baseline_train(labeled, eps, COST)
         ball_conf = float(np.median(confidence(ball_only.theta, table.features)))
         ball_likelihood = float(np.exp(-ball_only.worst_case_value))
         ball_vacuous = ball_conf <= 0.55 and ball_likelihood <= 0.5 + 1e-3

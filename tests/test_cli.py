@@ -7,7 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from drulearn import baseline
 from drulearn.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -120,6 +122,23 @@ class TestOneShotCommands:
             math.exp(-value), rel=1e-12
         )
 
+    def test_default_instance_collapses_to_the_zero_model_on_wide_balls(
+        self, tmp_path
+    ):
+        # the default robustness-sweep instance: from radius 0.5 up, the
+        # exact ball fit is the no-confidence model with worst case log 2
+        for eps in (0.5, 1.0, 2.0):
+            out = tmp_path / f"base_{eps}.csv"
+            config = write_config(tmp_path, output=str(out), eps=eps)
+            assert main(["train-baseline", "--config", config]) == EXIT_OK
+            (row,) = read_rows(out)
+            theta = [float(row[key]) for key in row if key.startswith("theta_")]
+            assert len(theta) == 3
+            assert np.linalg.norm(theta) <= 1e-6
+            assert float(row["worst_case_value"]) == pytest.approx(
+                math.log(2.0), abs=1e-9
+            )
+
     def test_wasserstein_distance_is_nonnegative(self, tmp_path):
         out = tmp_path / "w.csv"
         config = write_config(tmp_path, output=str(out), seed=5, **FAST_SOLVER)
@@ -184,16 +203,24 @@ class TestExitCodes:
         assert not out.exists()
         assert read_meta(out)["command"] == "train-dru"
 
-    def test_divergent_training_exits_three(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            output=str(tmp_path / "div.csv"),
-            eps=0.3,
-            use_adam=False,
-            step_size=1e8,
-            **FAST_SOLVER,
-        )
+    def test_failed_baseline_fit_exits_three_and_keeps_its_meta(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def failed_solve(fun, x0, **options):
+            return OptimizeResult(
+                x=np.asarray(x0), success=False, status=9, nit=1000,
+                message="Iteration limit reached",
+            )
+
+        monkeypatch.setattr(baseline, "minimize", failed_solve)
+        out = tmp_path / "fail.csv"
+        config = write_config(tmp_path, output=str(out), eps=0.3, **FAST_SOLVER)
         assert main(["train-baseline", "--config", config]) == EXIT_NUMERICAL
+        message = capsys.readouterr().err
+        assert "numerical failure" in message
+        assert "SLSQP status 9" in message
+        assert not out.exists()
+        assert read_meta(out)["command"] == "train-baseline"
 
 
 class TestBoundExperiment:
