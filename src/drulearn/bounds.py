@@ -1,8 +1,10 @@
 """Finite-sample performance guarantees and radius-selection policies.
 
-Turns a trained dual state into a certified lower bound on out-of-sample
-likelihood, builds label-probability priors from labeled counts, and picks the
-ambiguity radius according to a configurable policy.
+Turns a dual point into a certified lower bound on out-of-sample likelihood
+(`performance_bound`), certifies a trained classifier with multipliers
+searched on one half of the unlabeled sample and evaluated on the other
+(`certify`), builds label-probability priors from labeled counts, and picks
+the ambiguity radius according to a configurable policy.
 """
 
 from __future__ import annotations
@@ -12,26 +14,36 @@ import math
 
 import numpy as np
 from scipy import stats
+from scipy.optimize import minimize
 
 from .dual import (
     DualState,
-    SolverConfig,
+    cell_tensor,
+    linear_part,
     dual_objective,
     max_cell_values,
     train_dru,
 )
 from .model import (
+    N_CLASSES,
     DiscreteDistribution,
     LabeledDataset,
     LabelPrior,
     TransportCost,
     UnlabeledDataset,
+    both_class_losses,
     confidence,
+    pair_costs,
 )
 from .oracle import discrete_wasserstein, min_feasible_radius
 
 DEFAULT_Z_SCORE = 1.96
 VACUOUS_THRESHOLD = 0.5
+
+# certificate search (see `certify`): the logsumexp temperatures, coarse to
+# fine, and the L-BFGS-B settings for each
+SMOOTHING_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4)
+SEARCH_OPTIONS = {"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8}
 
 MIN_RADIUS_PLUS_DELTA = "min-radius-plus-delta"
 AS_ROBUST_AS_POSSIBLE = "as-robust-as-possible"
@@ -77,6 +89,21 @@ class PerformanceBound:
         if self.n_unlabeled < 1:
             raise ValueError("n_unlabeled must be positive")
 
+    @staticmethod
+    def from_terms(neg_log_bound, correction, n_unlabeled) -> "PerformanceBound":
+        """The bound whose likelihood is exp(-(neg_log_bound + correction))."""
+        likelihood = float(
+            np.clip(
+                math.exp(-(neg_log_bound + correction)), np.finfo(float).tiny, 1.0
+            )
+        )
+        return PerformanceBound(
+            neg_log_bound=neg_log_bound,
+            correction=correction,
+            likelihood_bound=likelihood,
+            n_unlabeled=n_unlabeled,
+        )
+
     @property
     def vacuous(self) -> bool:
         """Whether the bound says nothing beyond a coin flip per point."""
@@ -119,7 +146,10 @@ class RadiusSelection:
 
 
 def berry_esseen_correction(values, z_score: float = DEFAULT_Z_SCORE) -> float:
-    """Finite-sample correction ``z * sample_std(values) / sqrt(len(values))``.
+    """Sampling correction ``z * sample_std(values) / sqrt(len(values))``.
+
+    A normal approximation to the upper confidence limit of the mean, not a
+    Berry-Esseen finite-sample bound, whatever the name says.
 
     A ``z_score`` of zero disables the correction entirely; otherwise at least
     two values are required so the sample standard deviation is defined.
@@ -152,15 +182,150 @@ def performance_bound(
     values = max_cell_values(state, data, unlabeled.features, cost)
     neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
     correction = berry_esseen_correction(values, z_score)
-    likelihood = float(
-        np.clip(math.exp(-(neg_log + correction)), np.finfo(float).tiny, 1.0)
+    return PerformanceBound.from_terms(neg_log, correction, int(values.size))
+
+
+def _smoothed_bound(params, table, pair, data, prior, eps, z_score, tau):
+    """Dual objective plus correction with every per-point maximum replaced
+    by its tau-logsumexp, and its gradient in (alpha, potentials, upper,
+    lower) stacked in that order."""
+    n_l = data.n
+    alpha, potentials = params[0], params[1 : 1 + n_l]
+    upper, lower = params[1 + n_l : 3 + n_l], params[3 + n_l :]
+    cells = cell_tensor(table, pair, alpha, potentials, upper - lower)
+    flat = cells.reshape(cells.shape[0], -1)
+    top = flat.max(axis=1)
+    scaled = np.exp((flat - top[:, None]) / tau)
+    total = scaled.sum(axis=1)
+    values = top + tau * np.log(total)
+    n = values.size
+    weight = np.full(n, 1.0 / n)
+    value = linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean()
+    if z_score > 0.0:
+        spread = values.std(ddof=1)
+        value += z_score * spread / math.sqrt(n)
+        if spread > 0.0:
+            centered = values - values.mean()
+            weight += z_score / math.sqrt(n) * centered / ((n - 1) * spread)
+    # d value / d cell: each point's softmax weights times d value / d max
+    mass = (weight[:, None] * scaled / total[:, None]).reshape(cells.shape)
+    label_mass = mass.sum(axis=(0, 1))
+    grad = np.concatenate(
+        [
+            [eps - float((mass * pair).sum())],
+            1.0 / n_l - mass.sum(axis=(0, 2)),
+            prior.upper - label_mass,
+            label_mass - prior.lower,
+        ]
     )
-    return PerformanceBound(
-        neg_log_bound=neg_log,
-        correction=correction,
-        likelihood_bound=likelihood,
-        n_unlabeled=int(values.size),
+    return float(value), grad
+
+
+def search_multipliers(
+    state: DualState,
+    data: LabeledDataset,
+    unlabeled: UnlabeledDataset,
+    prior: LabelPrior,
+    eps: float,
+    cost: TransportCost,
+    z_score: float = DEFAULT_Z_SCORE,
+) -> DualState:
+    """The dual point at `state.theta` with the smallest certificate on
+    `unlabeled` among those the search visits.
+
+    Every dual point gives a valid certificate, dual objective plus
+    correction, so this minimizes that sum over the multipliers: L-BFGS-B
+    on its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
+    turn, starting at `state`.  `state` and the point returned at each tau
+    are evaluated exactly by `performance_bound`, and the best is returned.
+    The multipliers are fitted to `unlabeled`, so its correction there is
+    optimistic; `certify` evaluates them on other points.
+    """
+    n_l = data.n
+    theta = state.theta
+    table = both_class_losses(theta, unlabeled.features)
+    pair = pair_costs(unlabeled.features, data, cost)
+    params = np.concatenate(
+        [
+            [state.transport_mult],
+            state.atom_potentials,
+            state.label_upper_mult,
+            state.label_lower_mult,
+        ]
     )
+    limits = [(0.0, None)] + [(None, None)] * n_l + [(0.0, None)] * (2 * N_CLASSES)
+    points = [state]
+    for tau in SMOOTHING_SCHEDULE:
+        params = minimize(
+            _smoothed_bound,
+            params,
+            args=(table, pair, data, prior, eps, z_score, tau),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=limits,
+            options=SEARCH_OPTIONS,
+        ).x
+        points.append(
+            DualState(
+                theta=theta,
+                transport_mult=float(params[0]),
+                atom_potentials=params[1 : 1 + n_l],
+                label_upper_mult=params[1 + n_l : 3 + n_l],
+                label_lower_mult=params[3 + n_l :],
+            )
+        )
+    bounds = [
+        performance_bound(point, data, unlabeled, prior, eps, cost, z_score)
+        for point in points
+    ]
+    return points[int(np.argmin([b.neg_log_bound + b.correction for b in bounds]))]
+
+
+def held_out_halves(unlabeled: UnlabeledDataset):
+    """Split the unlabeled sample into alternate points: the even positions
+    (the search half) and the odd positions (the held-out half)."""
+    return (
+        UnlabeledDataset(unlabeled.features[0::2]),
+        UnlabeledDataset(unlabeled.features[1::2]),
+    )
+
+
+def certify(
+    state: DualState,
+    data: LabeledDataset,
+    unlabeled: UnlabeledDataset,
+    prior: LabelPrior,
+    eps: float,
+    cost: TransportCost,
+    z_score: float = DEFAULT_Z_SCORE,
+) -> PerformanceBound:
+    """Certificate at `state.theta` whose multipliers are chosen on one half
+    of the unlabeled sample and evaluated on the other.
+
+    `search_multipliers` picks the multipliers on the search half of
+    `held_out_halves`, starting at `state`, and `performance_bound`
+    evaluates them on the held-out half, which played no part in the
+    choice.  `neg_log_bound` is the dual objective at `state` over the
+    whole sample: the exact worst case when `state` carries the worst-case
+    LP's multipliers, as `cutset_solve` returns it.  The likelihood bound
+    is exp(-max(neg_log_bound, held-out certificate)), so it never claims
+    more than the sample's own worst case, and `correction` is the excess.
+    Needs two points in each half, one without a correction.
+    """
+    if unlabeled.n < (4 if z_score > 0.0 else 2):
+        raise ValueError(
+            "certify needs two unlabeled points per half (one at z_score 0)"
+        )
+    search, held_out = held_out_halves(unlabeled)
+    # the search half's own minimal radius can exceed eps; its decision set
+    # is then empty and its dual has no minimum, so the search runs at that
+    # minimal radius instead
+    search_eps = max(eps, min_feasible_radius(data, search.features, prior, cost))
+    point = search_multipliers(state, data, search, prior, search_eps, cost, z_score)
+    check = performance_bound(point, data, held_out, prior, eps, cost, z_score)
+    neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
+    excess = max(check.neg_log_bound + check.correction - neg_log, 0.0)
+    return PerformanceBound.from_terms(neg_log, excess, unlabeled.n)
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
@@ -244,7 +409,6 @@ def select_radius(
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
-    solver_config: SolverConfig | None = None,
     full_data: LabeledDataset | None = None,
 ) -> RadiusSelection:
     """Choose the ambiguity radius according to the selection policy.
@@ -257,10 +421,6 @@ def select_radius(
     if selection.policy == MIN_RADIUS_PLUS_DELTA:
         eps = prior_feasible_radius(data, unlabeled, prior, cost) + selection.delta_margin
     elif selection.policy == AS_ROBUST_AS_POSSIBLE:
-        if solver_config is None:
-            raise ValueError(
-                "confidence-screening policy requires a solver configuration"
-            )
         base = prior_feasible_radius(data, unlabeled, prior, cost)
         grid = np.geomspace(
             base + selection.delta_margin,
@@ -269,8 +429,7 @@ def select_radius(
         )
         eps = None
         for candidate in reversed(grid):
-            config = dataclasses.replace(solver_config, radius_eps=float(candidate))
-            theta = train_dru(data, unlabeled, prior, cost, config)
+            theta = train_dru(data, unlabeled, prior, cost, float(candidate))
             median_conf = float(np.median(confidence(theta, unlabeled.features)))
             if median_conf >= selection.confidence_threshold:
                 eps = float(candidate)

@@ -35,6 +35,7 @@ from .bounds import (
     BOUND_REPORT_FIELDS,
     PRIOR_STRONG,
     bound_report_row,
+    certify,
     make_prior,
     performance_bound,
     prior_feasible_radius,
@@ -64,8 +65,8 @@ from .data import (
 from .dual import (
     DualState,
     InfeasibleRadiusError,
+    cutset_solve,
     duality_gap_check,
-    sgd_solve,
 )
 from .model import (
     DiscreteDistribution,
@@ -162,7 +163,6 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
         unlabeled,
         instance.prior,
         instance.cost,
-        solver_config=config.solver_config(1.0),
         full_data=LabeledDataset(instance.table.features, instance.table.labels),
     )
     return selection.eps
@@ -231,14 +231,10 @@ def _run_train_dru(config: ExperimentConfig) -> int:
     unlabeled = _require_unlabeled(instance)
     eps = _resolve_eps(config, instance)
     _write_metadata(config, "train-dru", [])
-    result = sgd_solve(
-        instance.labeled,
-        unlabeled,
-        instance.prior,
-        instance.cost,
-        config.solver_config(eps),
+    result = cutset_solve(
+        instance.labeled, unlabeled, instance.prior, instance.cost, eps
     )
-    bound = performance_bound(
+    bound = certify(
         result.state,
         instance.labeled,
         unlabeled,
@@ -247,13 +243,13 @@ def _run_train_dru(config: ExperimentConfig) -> int:
         instance.cost,
         z_score=config.z_score,
     )
-    theta = result.state.theta
+    theta = result.theta
     median_conf = _median_confidence(theta, unlabeled.features)
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
         "status": result.status,
-        "objective": float(result.objective),
+        "objective": bound.neg_log_bound,
         **bound_report_row(eps, bound, median_conf),
         **_theta_columns(theta),
     }
@@ -340,19 +336,18 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
 
 
 def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
-    """Train (or take the zero model) and certify its likelihood bound."""
+    """Train and certify by the multiplier search, or certify the zero
+    model's dual point as it is."""
     unlabeled = _require_unlabeled(instance)
     if config.force_zero_state:
         state = DualState.zeros(instance.labeled.dim, instance.labeled.n)
+        certificate = performance_bound
     else:
-        state = sgd_solve(
-            instance.labeled,
-            unlabeled,
-            instance.prior,
-            instance.cost,
-            config.solver_config(eps),
+        state = cutset_solve(
+            instance.labeled, unlabeled, instance.prior, instance.cost, eps
         ).state
-    bound = performance_bound(
+        certificate = certify
+    bound = certificate(
         state,
         instance.labeled,
         unlabeled,

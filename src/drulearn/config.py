@@ -76,7 +76,8 @@ class ExperimentConfig:
     grid_points: int = 20
     grid_span: float = 10.0
 
-    # Stochastic solver.
+    # Stochastic dual solver; only oracle-check runs it, as the second route
+    # against the exact LP.
     step_size: float = 0.1
     batch_size: int = 100
     max_steps: int = 200000

@@ -6,8 +6,10 @@ over the plain transport ball (`prior=None`), computes exact transport
 distances between finitely supported distributions, and finds the smallest
 transport radius with a nonempty decision set: one transport distance plus a
 closed-form label-flip term.  Every LP is assembled from sparse constraint
-blocks and solved by the HiGHS dual simplex (see `simplex`), so everything
-here is deterministic and exact up to its 1e-10 feasibility tolerances,
+blocks and solved by the HiGHS dual simplex (see `simplex`); the worst-case
+LP goes through column generation, which returns the full LP's value and
+optimal duals while holding only some of its columns.  Everything here is
+deterministic and exact up to its 1e-10 feasibility tolerances,
 which is what makes it usable as the reference side of two-route checks
 (`dual.duality_gap_check` sets the stochastic dual solver against it).
 """
@@ -30,11 +32,18 @@ from .model import (
     make_rng,
     pair_costs,
 )
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp, solve_transportation
+from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp, solve_transportation
 
 # slack added to the transport-budget right-hand side so feasibility does not
 # flap at the boundary radius
 BUDGET_SLACK = 1e-9
+
+# column generation for the worst-case LP (see `solve_payoff_lp`): nearest
+# atoms seeded per support point, columns added per support point and round,
+# and the reduced cost above which a column enters
+SEED_ATOMS = 3
+COLUMNS_PER_POINT = 5
+PRICING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,28 @@ class CouplingPlan:
 
 
 @dataclass(frozen=True)
+class LpMultipliers:
+    """Optimal duals of a worst-case LP.
+
+    The transport price, one potential per labeled atom and the prices of
+    the upper and lower label-probability bounds, in the sign conventions of
+    `dual.DualState`; all zero on the label bounds without a prior.
+    """
+
+    transport_mult: float
+    atom_potentials: np.ndarray
+    label_upper_mult: np.ndarray
+    label_lower_mult: np.ndarray
+
+
+@dataclass(frozen=True)
 class WorstCaseLpResult:
-    """Outcome of a worst-case LP solve; value and plan exist iff optimal."""
+    """Outcome of a worst-case LP solve; value, plan and multipliers exist iff optimal."""
 
     value: float | None
     plan: CouplingPlan | None
     status: str
+    multipliers: LpMultipliers | None = None
 
 
 def discrete_wasserstein(
@@ -77,57 +102,86 @@ def discrete_wasserstein(
     return value, CouplingPlan.from_matrix(plan)
 
 
-def _atom_marginal_rows(m, n_l):
-    """Equality rows fixing the labeled-atom marginal of the (j,k,i) mass."""
-    return sparse.kron(np.ones((1, m * N_CLASSES)), sparse.eye(n_l))
+def _solve_mass_lp(gain, move, prior: LabelPrior | None, eps: float, columns):
+    """Maximize `gain` over the joint mass pi[j, k, i] on the given columns.
 
-
-def _support_marginal_rows(m, n_l):
-    """Equality rows fixing the feature marginal over the support points."""
-    return sparse.kron(sparse.eye(m), np.ones((1, N_CLASSES * n_l)))
-
-
-def _label_mass_rows(m, n_l):
-    """Total-mass-per-label rows, one per class."""
-    per_label = sparse.kron(sparse.eye(N_CLASSES), np.ones((1, n_l)))
-    return sparse.kron(np.ones((1, m)), per_label)
-
-
-def _solve_mass_lp(objective, move, prior: LabelPrior | None, eps: float):
-    """Maximize `objective` over the joint mass variables pi[j, k, i].
-
-    Always pins the labeled-atom marginal to uniform and caps the total
-    transport cost at `eps`.  With a prior it also pins the support marginal
-    to uniform and bounds per-label mass by the prior box (the decision
-    set); with `prior=None` the mass ranges over the plain transport ball.
-    Returns the simplex result of the negated (minimization) problem, so
-    the objective value is left to the caller.
+    `gain` and `move` are (support point, label, labeled atom) tensors and
+    `columns` lists flat indices into them; every other mass is held at
+    zero.  Always pins the labeled-atom marginal to uniform and caps the
+    total transport cost at `eps`.  With a prior it also pins the support
+    marginal to uniform and bounds per-label mass by the prior box (the
+    decision set); with `prior=None` the mass ranges over the plain
+    transport ball.  Returns the simplex result of the negated
+    (minimization) problem, so the objective value is left to the caller.
+    Equality rows are the n_l atoms, then (with a prior) the m support
+    points; inequality rows are the budget, then (with a prior) the two
+    upper and the two lower label bounds.
     """
     m, _, n_l = move.shape
-    a_eq = [_atom_marginal_rows(m, n_l)]
+    support, label, atom = np.unravel_index(columns, move.shape)
+    index = np.arange(columns.size)
+    ones = np.ones(columns.size)
+    eq = [(atom, ones)]
     b_eq = [np.full(n_l, 1.0 / n_l)]
-    a_ub = [sparse.csr_array(move.reshape(1, -1))]
+    ub = [(np.zeros(columns.size, dtype=int), move.ravel()[columns])]
     b_ub = [np.array([eps + BUDGET_SLACK])]
     if prior is not None:
-        a_eq.append(_support_marginal_rows(m, n_l))
+        eq.append((n_l + support, ones))
         b_eq.append(np.full(m, 1.0 / m))
-        label_rows = _label_mass_rows(m, n_l)
-        a_ub.append(label_rows)
-        b_ub.append(prior.upper)
-        a_ub.append(-label_rows)
-        b_ub.append(-prior.lower)
-    return solve_lp(
-        -objective.ravel(),
-        a_eq=sparse.vstack(a_eq),
-        b_eq=np.concatenate(b_eq),
-        a_ub=sparse.vstack(a_ub),
-        b_ub=np.concatenate(b_ub),
+        ub += [(1 + label, ones), (1 + N_CLASSES + label, -ones)]
+        b_ub += [prior.upper, -prior.lower]
+
+    def block(entries, rhs):
+        rows = np.concatenate([row for row, _ in entries])
+        values = np.concatenate([value for _, value in entries])
+        cols = np.tile(index, len(entries))
+        rhs = np.concatenate(rhs)
+        return sparse.csr_array((values, (rows, cols)), (rhs.size, columns.size)), rhs
+
+    a_eq, b_eq = block(eq, b_eq)
+    a_ub, b_ub = block(ub, b_ub)
+    return solve_lp(-gain.ravel()[columns], a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+def _feasibility_cells(distances, prior: LabelPrior | None):
+    """(support point, atom) cells that hold a plan of minimal transport cost.
+
+    With a prior: the optimal transport plan between the uniform support and
+    the uniform atoms, whose cells, with both labels, hold a point of the
+    decision set at every radius from `min_feasible_radius` up.  Without
+    one: each atom's nearest support point, the cheapest point of the ball.
+    """
+    m, n_l = distances.shape
+    if prior is None:
+        return np.argmin(distances, axis=0), np.arange(n_l)
+    _, plan = solve_transportation(
+        distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
     )
+    return np.nonzero(plan > 0.0)
 
 
-def _plan_from_solution(x, m, n_l):
-    """Reshape a mass vector into a (support x label, labeled atom) coupling."""
-    return CouplingPlan.from_matrix(x.reshape(m * N_CLASSES, n_l))
+def _multipliers(result: LpResult, m: int, n_l: int, prior: LabelPrior | None):
+    """Decision-set duals from HiGHS's marginals of the negated LP.
+
+    Returns the multipliers and the per-support-point duals (zero without a
+    prior, which leaves the support marginal free).
+    """
+    ub = -result.ub_marginals
+    eq = -result.eq_marginals
+    if prior is None:
+        upper = lower = np.zeros(N_CLASSES)
+        support_duals = np.zeros(m)
+    else:
+        upper = np.maximum(ub[1 : 1 + N_CLASSES], 0.0)
+        lower = np.maximum(ub[1 + N_CLASSES :], 0.0)
+        support_duals = eq[n_l:]
+    multipliers = LpMultipliers(
+        transport_mult=max(float(ub[0]), 0.0),
+        atom_potentials=eq[:n_l],
+        label_upper_mult=upper,
+        label_lower_mult=lower,
+    )
+    return multipliers, support_duals
 
 
 def solve_payoff_lp(
@@ -137,29 +191,77 @@ def solve_payoff_lp(
     prior: LabelPrior | None,
     eps: float,
     cost: TransportCost,
+    warm_columns=None,
 ) -> WorstCaseLpResult:
     """Exact maximum expected payoff over the decision set or the ball.
 
     `payoff` is a (support point, candidate label) table.  The adversary
-    places mass on those pairs, subject to: total transport cost to the
-    labeled atoms at most `eps` and labeled-atom marginal uniform.  With a
-    `prior`, the support marginal is also uniform and the per-label mass
-    stays inside the prior box: the full decision set.  With `prior=None`
-    only the budget and the atom marginal remain: the transport ball within
-    the given support.
+    places mass on (support point, label, labeled atom) columns, subject to:
+    total transport cost to the labeled atoms at most `eps` and labeled-atom
+    marginal uniform.  With a `prior`, the support marginal is also uniform
+    and the per-label mass stays inside the prior box: the full decision
+    set.  With `prior=None` only the budget and the atom marginal remain:
+    the transport ball within the given support.
+
+    Solved by column generation (Gilmore & Gomory, Oper. Res. 1961): a
+    restricted LP starts from each support point's `SEED_ATOMS` nearest
+    atoms with both labels, gains the cells of a minimal-cost plan only if
+    it is infeasible, and then takes, per support point and round, up to
+    `COLUMNS_PER_POINT` columns whose reduced cost under the restricted
+    LP's duals exceeds `PRICING_TOL`.  It stops when none does, so the
+    duals are feasible for the full LP and the value is the full LP's to
+    within `PRICING_TOL`.  An infeasible verdict is the full LP's too.
+
+    `warm_columns`, flat indices into the plan matrix (the positive cells
+    of an earlier solution over the same support, atoms, radius and
+    prior), join the seed; they hold a feasible point, so the plan is not
+    needed then.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
     move = pair_costs(support, data, cost).transpose(0, 2, 1)
-    objective = np.broadcast_to(
-        np.asarray(payoff, dtype=float)[:, :, None], move.shape
-    )
-    result = _solve_mass_lp(objective, move, prior, eps)
-    if result.status != OPTIMAL:
-        return WorstCaseLpResult(value=None, plan=None, status=result.status)
-    value = float(objective.ravel() @ result.x)
+    # one of the two labels matches each atom's and moves at feature cost
+    distances = move.min(axis=1)
+    gain = np.broadcast_to(np.asarray(payoff, dtype=float)[:, :, None], move.shape)
+    m, _, n_l = move.shape
+    active = np.zeros(move.shape, dtype=bool)
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :SEED_ATOMS]
+    active[np.arange(m)[:, None], :, nearest] = True
+    if warm_columns is not None:
+        active.ravel()[warm_columns] = True
+    widened = False
+    while True:
+        columns = np.flatnonzero(active)
+        result = _solve_mass_lp(gain, move, prior, eps, columns)
+        if result.status == INFEASIBLE and not widened:
+            rows, atoms = _feasibility_cells(distances, prior)
+            active[rows, :, atoms] = True
+            widened = True
+            continue
+        if result.status != OPTIMAL:
+            return WorstCaseLpResult(value=None, plan=None, status=result.status)
+        multipliers, support_duals = _multipliers(result, m, n_l, prior)
+        reduced = (
+            gain
+            - multipliers.transport_mult * move
+            - multipliers.atom_potentials[None, None, :]
+            - support_duals[:, None, None]
+            - (multipliers.label_upper_mult - multipliers.label_lower_mult)[
+                None, :, None
+            ]
+        ).reshape(m, -1)
+        reduced[active.reshape(m, -1)] = -np.inf
+        best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
+        entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
+        if not entering.any():
+            break
+        active.reshape(m, -1)[np.nonzero(entering)[0], best[entering]] = True
+    mass = np.zeros(move.size)
+    mass[columns] = result.x
     return WorstCaseLpResult(
-        value=value, plan=_plan_from_solution(result.x, support.shape[0], data.n),
+        value=float(gain.ravel()[columns] @ result.x),
+        plan=CouplingPlan.from_matrix(mass.reshape(m * N_CLASSES, n_l)),
         status=OPTIMAL,
+        multipliers=multipliers,
     )
 
 
@@ -269,12 +371,13 @@ def feasible_distributions(
     support = np.atleast_2d(np.asarray(support, dtype=float))
     move = pair_costs(support, data, cost).transpose(0, 2, 1)
     m, n_l = support.shape[0], data.n
+    every_column = np.arange(move.size)
     rng = make_rng(seed)
     out = []
     for _ in range(count):
         direction = rng.normal(size=(m, N_CLASSES))
         objective = np.broadcast_to(direction[:, :, None], move.shape)
-        result = _solve_mass_lp(objective, move, prior, eps)
+        result = _solve_mass_lp(objective, move, prior, eps, every_column)
         if result.status == INFEASIBLE:
             raise ValueError("decision set is empty at this radius")
         mass = result.x.reshape(m, N_CLASSES, n_l).sum(axis=2)

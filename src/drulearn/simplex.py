@@ -33,9 +33,18 @@ FEASIBILITY_TOL = 1e-10
 
 @dataclass
 class LpResult:
+    """Status, solution and value of one LP.
+
+    At an optimum `eq_marginals` and `ub_marginals` hold HiGHS's duals: the
+    derivative of the optimal value in each right-hand side, so the
+    `ub_marginals` are nonpositive.
+    """
+
     status: str
     x: np.ndarray | None
     value: float | None
+    eq_marginals: np.ndarray | None = None
+    ub_marginals: np.ndarray | None = None
 
     @property
     def ok(self):
@@ -49,9 +58,9 @@ class PivotLimitError(RuntimeError):
 def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
     """Solve min c@x s.t. A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
 
-    Returns an LpResult with status 'optimal' (x and value set), 'infeasible',
-    or 'unbounded'.  The optimal x is clipped at zero, so it is exactly
-    nonnegative, and the value is c @ x at the clipped point.
+    Returns an LpResult with status 'optimal' (x, value and the marginals
+    set), 'infeasible', or 'unbounded'.  The optimal x is clipped at zero, so
+    it is exactly nonnegative, and the value is c @ x at the clipped point.
     """
     c = np.asarray(c, dtype=float).ravel()
     result = linprog(
@@ -73,7 +82,9 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
     if status != OPTIMAL:
         return LpResult(status, None, None)
     x = np.maximum(result.x, 0.0)
-    return LpResult(OPTIMAL, x, float(c @ x))
+    return LpResult(
+        OPTIMAL, x, float(c @ x), result.eqlin.marginals, result.ineqlin.marginals
+    )
 
 
 def solve_transportation(cost, supply, demand):

@@ -35,9 +35,9 @@ from drulearn.dual import (
     SolverConfig,
     cell_subgradients,
     cell_value,
+    cutset_solve,
     duality_gap_check,
     max_cell,
-    sgd_solve,
 )
 from drulearn.model import (
     LabeledDataset,
@@ -258,14 +258,7 @@ def test_certificate_lower_bounds_every_feasible_distribution():
         except ValueError:
             continue
         unlabeled = UnlabeledDataset(support)
-        result = sgd_solve(
-            labeled,
-            unlabeled,
-            prior,
-            COST,
-            SolverConfig(radius_eps=eps, seed=done, **CERTIFY_SOLVER),
-            update_theta=True,
-        )
+        result = cutset_solve(labeled, unlabeled, prior, COST, eps)
         bound = performance_bound(
             result.state, labeled, unlabeled, prior, eps, COST, z_score=0.0
         )
@@ -338,15 +331,7 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
         ball_likelihood = float(np.exp(-ball_only.worst_case_value))
         ball_vacuous = ball_conf <= 0.55 and ball_likelihood <= 0.5 + 1e-3
 
-        constrained = sgd_solve(
-            labeled,
-            unlabeled,
-            class_balance,
-            COST,
-            SolverConfig(radius_eps=eps, seed=0, max_steps=60000,
-                         convergence_tol=1e-5),
-            update_theta=True,
-        )
+        constrained = cutset_solve(labeled, unlabeled, class_balance, COST, eps)
         constrained_conf = float(
             np.median(confidence(constrained.state.theta, table.features))
         )

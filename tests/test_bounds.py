@@ -5,30 +5,39 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from drulearn.bounds import (
     AS_ROBUST_AS_POSSIBLE,
     BOUND_REPORT_FIELDS,
+    DEFAULT_Z_SCORE,
     FRACTION_OF_TRUE_DISTANCE,
     MIN_RADIUS_PLUS_DELTA,
+    SMOOTHING_SCHEDULE,
     PerformanceBound,
     RadiusSelection,
     berry_esseen_correction,
     bound_report_row,
+    certify,
     clopper_pearson,
+    held_out_halves,
     make_prior,
     performance_bound,
+    search_multipliers,
     select_radius,
 )
+from drulearn.data import append_intercept, synthetic_two_gaussians
 from drulearn.dual import (
     DualState,
     LabelPrior,
     SolverConfig,
+    cutset_solve,
     dual_objective,
     max_cell_values,
     sgd_solve,
 )
 from drulearn.model import (
+    N_CLASSES,
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
@@ -286,6 +295,170 @@ def interval_by_bisection(k, n, level):
     return lower, upper
 
 
+def two_cluster_features(n, seed):
+    table = append_intercept(synthetic_two_gaussians(n, seed))
+    return table.features, table.labels
+
+
+def trained_instance(seed, n_unlabeled=120, n_labeled=12):
+    """Strong-prior two-cluster instance and its cutting-set solution."""
+    features, labels = two_cluster_features(n_unlabeled, seed)
+    rng = make_rng(seed)
+    picked = np.sort(rng.choice(n_unlabeled, n_labeled, replace=False))
+    data = LabeledDataset(features[picked], labels[picked])
+    unlabeled = UnlabeledDataset(features)
+    prior = LabelPrior.point([0.5, 0.5])
+    eps = min_feasible_radius(data, features, prior, COST) + 0.1
+    return data, unlabeled, prior, eps, cutset_solve(data, unlabeled, prior, COST, eps)
+
+
+def corrected(bound):
+    return bound.neg_log_bound + bound.correction
+
+
+def zero_start(theta, n_labeled):
+    return DualState(
+        theta, 0.0, np.zeros(n_labeled), np.zeros(N_CLASSES), np.zeros(N_CLASSES)
+    )
+
+
+def random_start(rng, theta, n_labeled):
+    return DualState(
+        theta,
+        float(rng.uniform(0.0, 3.0)),
+        rng.normal(size=n_labeled),
+        rng.uniform(0.0, 1.0, size=N_CLASSES),
+        rng.uniform(0.0, 1.0, size=N_CLASSES),
+    )
+
+
+class TestCertify:
+    def test_search_starts_agree(self):
+        # zeros, the LP multipliers and a random point lead to the same
+        # certificate on the search half, on instances whose trained
+        # classifier is not zero
+        for seed in (1, 2, 3):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            assert np.linalg.norm(result.theta) > 1e-2
+            search, _ = held_out_halves(unlabeled)
+            starts = (
+                zero_start(result.theta, data.n),
+                result.state,
+                random_start(make_rng(seed), result.theta, data.n),
+            )
+            values = [
+                corrected(
+                    performance_bound(
+                        search_multipliers(start, data, search, prior, eps, COST),
+                        data, search, prior, eps, COST,
+                    )
+                )
+                for start in starts
+            ]
+            assert max(values) - min(values) <= 1e-6
+
+    def test_far_start_stops_within_the_smoothing_floor_at_the_zero_model(self):
+        # at theta = 0 every cell ties, the best certificate is log 2 with
+        # zero spread, and the LP multipliers sit on it; a search from a
+        # random point ends within the last temperature times the log of
+        # the cell count per point, which the smoothing cannot resolve
+        data, unlabeled, prior, eps, result = trained_instance(4)
+        np.testing.assert_array_equal(result.theta, np.zeros(data.dim))
+        at_lp = certify(result.state, data, unlabeled, prior, eps, COST)
+        assert corrected(at_lp) == pytest.approx(LOG2, abs=1e-12)
+        far = search_multipliers(
+            random_start(make_rng(4), result.theta, data.n),
+            data, unlabeled, prior, eps, COST,
+        )
+        floor = SMOOTHING_SCHEDULE[-1] * math.log(N_CLASSES * data.n)
+        value = corrected(performance_bound(far, data, unlabeled, prior, eps, COST))
+        assert LOG2 - 1e-12 <= value <= LOG2 + floor
+
+    def test_search_never_raises_the_certificate_on_its_own_sample(self):
+        for seed in (1, 2, 3):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            searched = search_multipliers(
+                result.state, data, unlabeled, prior, eps, COST
+            )
+            assert corrected(
+                performance_bound(searched, data, unlabeled, prior, eps, COST)
+            ) <= corrected(
+                performance_bound(result.state, data, unlabeled, prior, eps, COST)
+            )
+            # without a correction the search cannot beat the LP's own
+            # multipliers, which attain the exact worst case
+            exact = search_multipliers(
+                result.state, data, unlabeled, prior, eps, COST, z_score=0.0
+            )
+            assert dual_objective(
+                exact, data, unlabeled, prior, eps, COST
+            ) == pytest.approx(result.upper, abs=1e-6)
+
+    def test_certificate_evaluates_the_searched_point_on_the_held_out_half(self):
+        for seed in (1, 3):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, held_out = held_out_halves(unlabeled)
+            np.testing.assert_array_equal(search.features, unlabeled.features[0::2])
+            np.testing.assert_array_equal(held_out.features, unlabeled.features[1::2])
+            point = search_multipliers(result.state, data, search, prior, eps, COST)
+            check = performance_bound(point, data, held_out, prior, eps, COST)
+            bound = certify(result.state, data, unlabeled, prior, eps, COST)
+            assert bound.neg_log_bound == dual_objective(
+                result.state, data, unlabeled, prior, eps, COST
+            )
+            assert bound.neg_log_bound == pytest.approx(result.upper, abs=1e-6)
+            assert corrected(bound) == pytest.approx(
+                max(corrected(check), bound.neg_log_bound), abs=1e-15
+            )
+            assert bound.likelihood_bound == math.exp(-corrected(bound))
+            assert bound.n_unlabeled == unlabeled.n
+
+    def test_each_half_needs_two_points_for_a_correction(self):
+        data, unlabeled, prior, eps, result = trained_instance(3)
+        for n, z_score in ((3, DEFAULT_Z_SCORE), (1, 0.0)):
+            small = UnlabeledDataset(unlabeled.features[:n])
+            with pytest.raises(ValueError):
+                certify(result.state, data, small, prior, eps, COST, z_score)
+        for n, z_score in ((4, DEFAULT_Z_SCORE), (2, 0.0)):
+            small = UnlabeledDataset(unlabeled.features[:n])
+            wider = min_feasible_radius(data, small.features, prior, COST) + 0.1
+            bound = certify(result.state, data, small, prior, wider, COST, z_score)
+            assert bound.n_unlabeled == n
+
+    def test_corrected_certificate_covers_the_population_dual(self):
+        # The correction is a normal approximation at multipliers chosen on
+        # the other half of the sample.  Redraw the unlabeled sample 40 times
+        # at one trained classifier, estimate the population dual objective
+        # at the multipliers the search picks from 1e5 fresh points, and
+        # count how often it exceeds the certificate.  The gate, fixed before
+        # the count was seen, rejects a count whose upper tail at the nominal
+        # one-sided 2.5 % rate is below 0.05: at most 3 of 40 may exceed.
+        data, _, prior, eps, result = trained_instance(3)
+        population, _ = two_cluster_features(100_000, 10_000)
+        draws = 40
+        exceedances = 0
+        for draw in range(draws):
+            features, _ = two_cluster_features(120, 100 + draw)
+            unlabeled = UnlabeledDataset(features)
+            search, _ = held_out_halves(unlabeled)
+            point = search_multipliers(result.state, data, search, prior, eps, COST)
+            population_dual = np.mean(
+                [
+                    dual_objective(
+                        point, data, UnlabeledDataset(chunk), prior, eps, COST
+                    )
+                    for chunk in np.split(population, 10)
+                ]
+            )
+            bound = certify(result.state, data, unlabeled, prior, eps, COST)
+            exceedances += population_dual > corrected(bound)
+        limit = next(
+            k for k in range(draws + 1) if stats.binom.sf(k - 1, draws, 0.025) < 0.05
+        )
+        assert limit == 4
+        assert exceedances < limit
+
+
 class TestClopperPearson:
     def test_matches_frozen_values(self):
         lower, upper = clopper_pearson(0, 20)
@@ -491,14 +664,6 @@ class TestSelectRadius:
                 prior,
                 COST,
             )
-        with pytest.raises(ValueError):
-            select_radius(
-                RadiusSelection(policy=AS_ROBUST_AS_POSSIBLE),
-                data,
-                unlabeled,
-                prior,
-                COST,
-            )
 
     def _screening_instance(self, seed, spread, noise):
         rng = make_rng(seed)
@@ -510,23 +675,20 @@ class TestSelectRadius:
         data = LabeledDataset(features, labels)
         unlabeled = UnlabeledDataset(features)
         prior = LabelPrior.point([0.5, 0.5])
-        config = SolverConfig(radius_eps=1.0, max_steps=6000, seed=5)
-        return data, unlabeled, prior, config
+        return data, unlabeled, prior
 
     def test_confidence_screening_keeps_the_largest_passing_radius(self):
         # at the widest radius of this instance the trained model falls below
         # the threshold, so the scan must settle on the middle grid point, the
         # largest one that still clears it
-        data, unlabeled, prior, config = self._screening_instance(14, 3.0, 0.2)
+        data, unlabeled, prior = self._screening_instance(14, 3.0, 0.2)
         selection = RadiusSelection(
             policy=AS_ROBUST_AS_POSSIBLE,
             confidence_threshold=0.7,
             grid_points=3,
             grid_span=0.5,
         )
-        chosen = select_radius(
-            selection, data, unlabeled, prior, COST, solver_config=config
-        )
+        chosen = select_radius(selection, data, unlabeled, prior, COST)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert chosen.eps == pytest.approx(grid[1], rel=1e-12)
@@ -535,16 +697,14 @@ class TestSelectRadius:
     def test_confidence_screening_falls_back_to_the_smallest_radius(self):
         # heavily overlapping classes keep the median confidence well under
         # 0.99 at every radius, so the policy must fall back and warn
-        data, unlabeled, prior, config = self._screening_instance(21, 1.0, 1.2)
+        data, unlabeled, prior = self._screening_instance(21, 1.0, 1.2)
         selection = RadiusSelection(
             policy=AS_ROBUST_AS_POSSIBLE,
             confidence_threshold=0.99,
             grid_points=3,
             grid_span=0.5,
         )
-        chosen = select_radius(
-            selection, data, unlabeled, prior, COST, solver_config=config
-        )
+        chosen = select_radius(selection, data, unlabeled, prior, COST)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert chosen.eps == pytest.approx(grid[0], rel=1e-12)

@@ -1,4 +1,5 @@
-"""Tests for the dual objective, its subgradients, and the stochastic solver."""
+"""Tests for the dual objective, its subgradients, the stochastic solver and
+the cutting-set trainer."""
 
 import csv
 
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from drulearn import dual
 from drulearn.dual import (
     CONVERGED,
+    CUT_GAP_TOL,
     MAX_STEPS,
+    THETA_BOX,
     TRACE_FIELDS,
     Cell,
     DualState,
@@ -17,6 +21,7 @@ from drulearn.dual import (
     SolverConfig,
     cell_subgradients,
     cell_value,
+    cutset_solve,
     dual_objective,
     max_cell,
     sgd_solve,
@@ -31,7 +36,7 @@ from drulearn.model import (
     logistic_loss,
     make_rng,
 )
-from drulearn.oracle import min_feasible_radius, solve_worst_case_lp
+from drulearn.oracle import BUDGET_SLACK, min_feasible_radius, solve_worst_case_lp
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -481,10 +486,7 @@ class TestTrainDru:
         share = labels.mean()
         prior = LabelPrior.point([1.0 - share, share])
         eps0 = min_feasible_radius(data, features, prior, COST)
-        config = SolverConfig(
-            radius_eps=eps0 + 0.01, batch_size=32, max_steps=60000, seed=7,
-        )
-        theta = train_dru(data, unlabeled, prior, COST, config)
+        theta = train_dru(data, unlabeled, prior, COST, eps0 + 0.01)
 
         def erm_objective(t):
             return np.mean(
@@ -502,8 +504,7 @@ class TestTrainDru:
         data = LabeledDataset(np.vstack([point, mirrored]), np.array([1, 0]))
         unlabeled = UnlabeledDataset(data.features)
         prior = LabelPrior.point([0.5, 0.5])
-        config = SolverConfig(radius_eps=0.2, batch_size=8, max_steps=30000, seed=8)
-        theta = train_dru(data, unlabeled, prior, COST, config)
+        theta = train_dru(data, unlabeled, prior, COST, 0.2)
         midpoint = np.array([0.0, 0.0, 1.0])
         assert confidence(theta, midpoint) == pytest.approx(0.5, abs=1e-2)
 
@@ -523,8 +524,101 @@ class TestTrainDru:
         data = LabeledDataset(x0[None], np.array([1]))
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([1.0, 0.0])
-        config = SolverConfig(
-            radius_eps=0.3, batch_size=4, max_steps=60000, seed=10, step_size=0.5,
-        )
         with pytest.raises(InfeasibleRadiusError):
-            train_dru(data, unlabeled, prior, COST, config)
+            train_dru(data, unlabeled, prior, COST, 0.3)
+
+
+class TestCutsetSolve:
+    def test_master_bound_never_exceeds_the_worst_case_on_a_grid(self):
+        # the master value is a lower bound on min F, so no theta on a grid
+        # may price below it, and the certified gap closes
+        rng = make_rng(40)
+        for _ in range(3):
+            data, unlabeled, prior = random_instance(rng, 3, 6, 2)
+            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+            result = cutset_solve(data, unlabeled, prior, COST, eps)
+            assert result.status == CONVERGED
+            assert result.gap <= CUT_GAP_TOL
+            grid = np.linspace(-4.0, 4.0, 9)
+            for theta in zip(*(axis.ravel() for axis in np.meshgrid(grid, grid))):
+                worst = solve_worst_case_lp(
+                    np.array(theta), unlabeled.features, data, prior, eps, COST
+                )
+                assert result.lower <= worst.value
+            exact = solve_worst_case_lp(
+                result.theta, unlabeled.features, data, prior, eps, COST
+            )
+            assert result.upper == exact.value
+
+    def test_state_is_a_dual_point_at_the_reported_worst_case(self):
+        rng = make_rng(41)
+        data, unlabeled, prior = random_instance(rng, 4, 12, 3)
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.1
+        result = cutset_solve(data, unlabeled, prior, COST, eps)
+        objective = dual_objective(result.state, data, unlabeled, prior, eps, COST)
+        slack = result.state.transport_mult * BUDGET_SLACK
+        assert objective == pytest.approx(result.upper - slack, abs=1e-9)
+        assert np.all(np.abs(result.theta) <= THETA_BOX)
+
+    def test_reaches_a_worst_case_no_worse_than_sgd(self):
+        rng = make_rng(42)
+        for seed in range(3):
+            data, unlabeled, prior = random_instance(rng, 3, 5, 3)
+            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.3
+            config = SolverConfig(
+                radius_eps=eps, batch_size=16, max_steps=20000, seed=seed
+            )
+            sgd_theta = sgd_solve(data, unlabeled, prior, COST, config).state.theta
+            at_sgd = solve_worst_case_lp(
+                sgd_theta, unlabeled.features, data, prior, eps, COST
+            )
+            result = cutset_solve(data, unlabeled, prior, COST, eps)
+            assert result.upper <= at_sgd.value + 1e-9
+
+    def test_solves_at_the_minimal_radius_and_raises_just_below_it(self):
+        rng = make_rng(43)
+        data, unlabeled, prior = random_instance(rng, 3, 5, 2)
+        eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+        result = cutset_solve(data, unlabeled, prior, COST, eps0)
+        assert result.gap <= CUT_GAP_TOL
+        with pytest.raises(InfeasibleRadiusError):
+            cutset_solve(data, unlabeled, prior, COST, eps0 - 1e-6)
+
+    def test_converges_on_random_instances_across_feature_scales(self):
+        # the master's SLSQP tolerance must hold up on badly scaled cuts:
+        # at 1e-12 it stopped with status 8 on the third instance here
+        rng = make_rng(2024)
+        for _ in range(12):
+            dim = int(rng.integers(1, 6))
+            n_labeled = int(rng.integers(1, 15))
+            n_unlabeled = int(rng.integers(2, 60))
+            scale = float(rng.choice([0.1, 1.0, 5.0]))
+            features = np.c_[
+                rng.normal(size=(n_labeled + n_unlabeled, dim)) * scale,
+                np.ones(n_labeled + n_unlabeled),
+            ]
+            data = LabeledDataset(
+                features[:n_labeled], rng.integers(0, 2, size=n_labeled)
+            )
+            unlabeled = UnlabeledDataset(features[n_labeled:])
+            if rng.integers(0, 2) == 0:
+                share = float(rng.uniform(0.05, 0.95))
+                prior = LabelPrior.point([1.0 - share, share])
+            else:
+                lower = rng.uniform(0.0, 0.35, size=2)
+                upper = np.minimum(1.0, lower + rng.uniform(0.55, 0.95, size=2))
+                prior = LabelPrior(lower=lower, upper=upper)
+            eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+            for delta in (0.0, 0.01, 0.3, 3.0):
+                result = cutset_solve(data, unlabeled, prior, COST, eps0 + delta)
+                assert result.status == CONVERGED
+                assert result.gap <= CUT_GAP_TOL
+
+    def test_cut_limit_reports_max_steps(self, monkeypatch):
+        monkeypatch.setattr(dual, "CUT_LIMIT", 1)
+        rng = make_rng(44)
+        data, unlabeled, prior = random_instance(rng, 3, 5, 2)
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.3
+        result = cutset_solve(data, unlabeled, prior, COST, eps)
+        assert result.status == MAX_STEPS
+        assert result.lps == 1

@@ -3,10 +3,17 @@ minimal feasible radius, and strong-duality certification."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from drulearn.bounds import make_prior
-from drulearn.dual import LabelPrior, SolverConfig, duality_gap_check
+from drulearn.dual import (
+    DualState,
+    LabelPrior,
+    SolverConfig,
+    dual_objective,
+    duality_gap_check,
+)
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
@@ -17,6 +24,7 @@ from drulearn.model import (
     transport_cost,
 )
 from drulearn.oracle import (
+    BUDGET_SLACK,
     CouplingPlan,
     DiscreteDistribution,
     discrete_wasserstein,
@@ -304,6 +312,132 @@ class TestWorstCaseLp:
             [logistic_loss(theta, x, y) for x, y in zip(data.features, data.labels)]
         )
         assert result.value == pytest.approx(expected, abs=1e-8)
+
+
+def full_lp_reference(theta, support, data, prior, eps):
+    """Independent route at scale: the worst-case LP over every (support
+    point, label, atom) column, assembled sparse for linprog at the
+    oracle's own feasibility tolerance; `prior=None` gives the ball."""
+    m, n_l = support.shape[0], data.n
+    dist = np.linalg.norm(support[:, None, :] - data.features[None, :, :], axis=-1)
+    flip = COST.label_flip_cost * (np.arange(2)[:, None] != data.labels[None, :])
+    move = (dist[:, None, :] + flip[None, :, :]).ravel()
+    j, k, i = np.unravel_index(np.arange(move.size), (m, 2, n_l))
+    cols = np.arange(move.size)
+    ones = np.ones(move.size)
+    a_eq = [sparse.csr_array((ones, (i, cols)), (n_l, move.size))]
+    b_eq = [np.full(n_l, 1.0 / n_l)]
+    a_ub = [sparse.csr_array(move[None, :])]
+    b_ub = [[eps + BUDGET_SLACK]]
+    if prior is not None:
+        a_eq.append(sparse.csr_array((ones, (j, cols)), (m, move.size)))
+        b_eq.append(np.full(m, 1.0 / m))
+        by_label = sparse.csr_array((ones, (k, cols)), (2, move.size))
+        a_ub += [by_label, -by_label]
+        b_ub += [prior.upper, -prior.lower]
+    gain = both_class_losses(theta, support)[j, k]
+    res = linprog(
+        -gain,
+        A_eq=sparse.vstack(a_eq),
+        b_eq=np.concatenate(b_eq),
+        A_ub=sparse.vstack(a_ub),
+        b_ub=np.concatenate(b_ub),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    return res.status, (-res.fun if res.status == 0 else None)
+
+
+class TestColumnGeneration:
+    def _check(self, theta, support, data, prior, eps):
+        mine = solve_worst_case_lp(theta, support, data, prior, eps, COST)
+        status, value = full_lp_reference(theta, support, data, prior, eps)
+        if status == 0:
+            assert mine.status == "optimal"
+            assert abs(mine.value - value) <= 1e-9
+        else:
+            assert status == 2
+            assert mine.status == "infeasible"
+        return mine
+
+    def test_matches_the_full_lp_from_the_minimal_radius_up(self):
+        rng = make_rng(31)
+        for _ in range(30):
+            dim = int(rng.integers(1, 4))
+            n_l = int(rng.integers(1, 12))
+            m = int(rng.integers(5, 60))
+            data = LabeledDataset(
+                rng.normal(size=(n_l, dim)), rng.integers(0, 2, size=n_l)
+            )
+            support = rng.normal(size=(m, dim))
+            if rng.integers(0, 2) == 0:
+                share = float(rng.uniform(0.2, 0.8))
+                prior = LabelPrior.point([1.0 - share, share])
+            else:
+                prior = random_prior(rng)
+            theta = rng.normal(size=dim)
+            eps_min = min_feasible_radius(data, support, prior, COST)
+            for delta in (0.0, 0.05, 0.5):
+                result = self._check(theta, support, data, prior, eps_min + delta)
+                assert result.status == "optimal"
+            if eps_min > 0.05:
+                result = self._check(theta, support, data, prior, eps_min - 0.05)
+                assert result.status == "infeasible"
+
+    def test_matches_the_full_lp_at_500_points_and_20_atoms(self):
+        rng = make_rng(32)
+        data = LabeledDataset(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20))
+        support = rng.normal(size=(500, 3))
+        prior = LabelPrior.point([0.5, 0.5])
+        eps_min = min_feasible_radius(data, support, prior, COST)
+        result = self._check(
+            np.array([0.5, 0.5, 0.0]), support, data, prior, eps_min + 0.05
+        )
+        assert result.status == "optimal"
+
+    def test_multipliers_price_the_dual_at_the_lp_value(self):
+        # the returned multipliers are a dual point whose objective is the LP
+        # value, short only by the transport price times the budget slack
+        rng = make_rng(33)
+        for _ in range(10):
+            data = LabeledDataset(rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
+            unlabeled = UnlabeledDataset(rng.normal(size=(30, 2)))
+            prior = random_prior(rng)
+            theta = rng.normal(size=2)
+            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+            result = solve_worst_case_lp(
+                theta, unlabeled.features, data, prior, eps, COST
+            )
+            multipliers = result.multipliers
+            state = DualState(
+                theta=theta,
+                transport_mult=multipliers.transport_mult,
+                atom_potentials=multipliers.atom_potentials,
+                label_upper_mult=multipliers.label_upper_mult,
+                label_lower_mult=multipliers.label_lower_mult,
+            )
+            dual = dual_objective(state, data, unlabeled, prior, eps, COST)
+            slack = multipliers.transport_mult * BUDGET_SLACK
+            assert dual == pytest.approx(result.value - slack, abs=1e-9)
+
+    def test_ball_variant_matches_the_full_lp_below_at_and_above_its_minimum(self):
+        # without a prior the cheapest point of the ball sends each atom to
+        # its nearest support point with its own label
+        rng = make_rng(34)
+        for _ in range(10):
+            data = LabeledDataset(rng.normal(size=(8, 2)), rng.integers(0, 2, size=8))
+            support = rng.normal(size=(40, 2))
+            theta = rng.normal(size=2)
+            cheapest = np.linalg.norm(
+                support[:, None, :] - data.features[None, :, :], axis=-1
+            ).min(axis=0).mean()
+            for delta, status in ((-1e-3, "infeasible"), (0.0, "optimal"), (0.3, "optimal")):
+                result = self._check(theta, support, data, None, cheapest + delta)
+                assert result.status == status
 
 
 class TestMinFeasibleRadius:
