@@ -13,8 +13,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import stats
 from scipy.optimize import minimize
+from scipy.special import betaincinv
 
 from .dual import (
     DualState,
@@ -339,8 +339,9 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95):
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     tail = (1.0 - level) / 2.0
-    lower = 0.0 if k == 0 else float(stats.beta.ppf(tail, k, n - k + 1))
-    upper = 1.0 if k == n else float(stats.beta.ppf(1.0 - tail, k + 1, n - k))
+    # beta quantiles through the inverse regularized incomplete beta function
+    lower = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
+    upper = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
     return lower, upper
 
 

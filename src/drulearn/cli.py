@@ -529,17 +529,8 @@ def _run_oracle_check(config: ExperimentConfig) -> int:
         try:
             labeled, support, prior, theta = _oracle_instance(seed)
             eps = min_feasible_radius(labeled, support, prior, cost) + 0.1
-            solver = dataclasses.replace(
-                config.solver_config(eps), seed=seed, radius_eps=eps
-            )
             report = duality_gap_check(
-                theta,
-                labeled,
-                UnlabeledDataset(support),
-                prior,
-                eps,
-                cost,
-                solver,
+                theta, labeled, UnlabeledDataset(support), prior, eps, cost
             )
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(index), error))

@@ -18,7 +18,6 @@ from .bounds import (
     RadiusSelection,
 )
 from .data import UNLABELED_FULL, UNLABELED_REMAINDER
-from .dual import SolverConfig
 
 KIND_BOUND_VS_NL = "bound-vs-nl"
 KIND_CONF_VS_NL = "conf-vs-nl"
@@ -76,20 +75,9 @@ class ExperimentConfig:
     grid_points: int = 20
     grid_span: float = 10.0
 
-    # Stochastic dual solver; only oracle-check runs it, as the second route
-    # against the exact LP.
-    step_size: float = 0.1
-    batch_size: int = 100
-    max_steps: int = 200000
-    convergence_tol: float = 1e-4
-    convergence_window: int = 1000
-    lr_decay_factor: float = 8.0
-    lr_decay_every: int = 10000
-    use_adam: bool = True
-    tail_average: bool = True
-    solver_seed: int = 0
-    # Skip training and certify the all-zeros model instead; its likelihood
-    # bound is the coin-flip floor, which makes a useful smoke check.
+    # Training, which is exact: skip it and certify the all-zeros model
+    # instead; its likelihood bound is the coin-flip floor, which makes a
+    # useful smoke check.
     force_zero_state: bool = False
 
     # Experiment orchestration.
@@ -131,22 +119,6 @@ class ExperimentConfig:
             raise ConfigError("eps must be nonnegative")
         if self.label_flip_cost <= 0:
             raise ConfigError("label_flip_cost must be positive")
-
-    def solver_config(self, eps: float) -> SolverConfig:
-        """Instantiate the stochastic solver settings at a given radius."""
-        return SolverConfig(
-            radius_eps=eps,
-            step_size=self.step_size,
-            batch_size=self.batch_size,
-            max_steps=self.max_steps,
-            convergence_tol=self.convergence_tol,
-            convergence_window=self.convergence_window,
-            lr_decay_factor=self.lr_decay_factor,
-            lr_decay_every=self.lr_decay_every,
-            use_adam=self.use_adam,
-            tail_average=self.tail_average,
-            seed=self.solver_seed,
-        )
 
     def radius_selection(self) -> RadiusSelection:
         """Instantiate the radius policy (without the chosen radius)."""

@@ -17,10 +17,11 @@ for moving mass there.  All dual points live in `DualState`.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
-LP's multipliers as its dual point.  `sgd_solve` descends the dual in weights
-and multipliers jointly from unlabeled minibatches with Adam (or plain SGD);
-it is kept as the independent route `duality_gap_check` sets against the
-exact LP.  Both first check the radius against
+LP's multipliers as its dual point.  `duality_gap_check` prices the dual
+objective at such a multiplier point against the LP value.  `sgd_solve`, which
+descends the dual in weights and multipliers jointly from unlabeled
+minibatches with Adam (or plain SGD), is on no command-line path; it is kept
+with its own tests.  Both solvers first check the radius against
 `oracle.min_feasible_radius`: the dual is bounded below exactly when the
 decision set is nonempty.
 """
@@ -28,7 +29,7 @@ decision set is nonempty.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -50,6 +51,7 @@ from .model import (
 from .oracle import (
     BUDGET_SLACK,
     OPTIMAL,
+    LpMultipliers,
     min_feasible_radius,
     solve_payoff_lp,
     solve_worst_case_lp,
@@ -109,6 +111,17 @@ class DualState:
             raise ValueError("transport_mult must be nonnegative")
         if np.any(upper < 0.0) or np.any(lower < 0.0):
             raise ValueError("label multipliers must be nonnegative")
+
+    @staticmethod
+    def from_multipliers(theta, multipliers: LpMultipliers) -> "DualState":
+        """`theta` with a worst-case LP's optimal multipliers."""
+        return DualState(
+            theta=theta,
+            transport_mult=multipliers.transport_mult,
+            atom_potentials=multipliers.atom_potentials,
+            label_upper_mult=multipliers.label_upper_mult,
+            label_lower_mult=multipliers.label_lower_mult,
+        )
 
     @staticmethod
     def zeros(dim, n_labeled) -> "DualState":
@@ -626,14 +639,7 @@ def _worst_case(theta, data, unlabeled, prior, eps, cost, warm_columns):
         keep % N_CLASSES,
         weights[keep],
     )
-    multipliers = result.multipliers
-    state = DualState(
-        theta=theta,
-        transport_mult=multipliers.transport_mult,
-        atom_potentials=multipliers.atom_potentials,
-        label_upper_mult=multipliers.label_upper_mult,
-        label_lower_mult=multipliers.label_lower_mult,
-    )
+    state = DualState.from_multipliers(theta, result.multipliers)
     return result.value, cut, state, np.flatnonzero(result.plan.matrix)
 
 
@@ -700,12 +706,17 @@ def train_dru(
 
 @dataclass(frozen=True)
 class DualityGapReport:
-    """Primal-versus-dual comparison at one fixed classifier."""
+    """Primal-versus-dual comparison at one fixed classifier.
+
+    `state` is the dual point priced: the classifier with the worst-case
+    LP's multipliers.
+    """
 
     primal: float
     dual: float
     gap: float
     relint_violated: bool
+    state: DualState
 
 
 def duality_gap_check(
@@ -715,28 +726,31 @@ def duality_gap_check(
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
-    solver_config: SolverConfig,
 ) -> DualityGapReport:
-    """Certify strong duality at a fixed classifier.
+    """Check strong duality at a fixed classifier.
 
     Solves the exact worst-case LP (with the unlabeled features as the
-    support) and the stochastic dual with the weights frozen, and reports
-    dual minus primal.  The gap is only guaranteed to vanish for radii
-    strictly above the minimal feasible radius; at or below it the report
-    carries `relint_violated=True`.
+    support) and evaluates the full dual objective at radius `eps` at the
+    LP's own multipliers, a max over every (support point, atom, label)
+    cell.  Any such point bounds the worst case at `eps` from above, so
+    `dual` is a valid upper bound whatever the LP reached.  The LP prices
+    the budget `eps + oracle.BUDGET_SLACK`, so at an exact optimum the gap,
+    dual minus primal, is minus the transport price times `BUDGET_SLACK`.
+    The gap is only guaranteed to vanish for radii strictly above the
+    minimal feasible radius; at or below it the report carries
+    `relint_violated=True`.
     """
     theta = np.asarray(theta, dtype=float)
     primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
     if primal.status != OPTIMAL:
         raise ValueError("instance infeasible at this radius; nothing to compare")
     eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
-    config = replace(solver_config, radius_eps=eps)
-    dual = sgd_solve(
-        data, unlabeled, prior, cost, config, theta0=theta, update_theta=False
-    )
+    state = DualState.from_multipliers(theta, primal.multipliers)
+    dual = dual_objective(state, data, unlabeled, prior, eps, cost)
     return DualityGapReport(
         primal=primal.value,
-        dual=dual.objective,
-        gap=dual.objective - primal.value,
+        dual=dual,
+        gap=dual - primal.value,
         relint_violated=eps <= eps0 + 1e-9,
+        state=state,
     )

@@ -11,7 +11,8 @@ LP goes through column generation, which returns the full LP's value and
 optimal duals while holding only some of its columns.  Everything here is
 deterministic and exact up to its 1e-10 feasibility tolerances,
 which is what makes it usable as the reference side of two-route checks
-(`dual.duality_gap_check` sets the stochastic dual solver against it).
+(`dual.duality_gap_check` sets the full dual objective at the worst-case
+LP's own multipliers against its value).
 """
 
 from __future__ import annotations

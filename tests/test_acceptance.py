@@ -1,8 +1,8 @@
 """End-to-end acceptance checks for the whole package.
 
 Each test certifies one externally visible guarantee of the pipeline:
-exactness of the transport and worst-case oracles, correctness of the dual
-solver's subgradients and its agreement with the primal linear programs,
+exactness of the transport and worst-case oracles, correctness of the dual's
+subgradients and its agreement with the primal linear programs,
 validity of the performance certificates, the qualitative advantage of
 constraint-aware robust training over the plain transport-ball baseline,
 fidelity of the active-learning scores, and byte-level determinism of the
@@ -32,7 +32,6 @@ from drulearn.dual import (
     Cell,
     DualState,
     LabelPrior,
-    SolverConfig,
     cell_subgradients,
     cell_value,
     cutset_solve,
@@ -48,6 +47,7 @@ from drulearn.model import (
     make_rng,
 )
 from drulearn.oracle import (
+    BUDGET_SLACK,
     DiscreteDistribution,
     discrete_wasserstein,
     feasible_distributions,
@@ -57,11 +57,6 @@ from drulearn.oracle import (
 )
 
 COST = TransportCost()
-
-# Stochastic-dual settings that reach the primal LP value to 1e-3 on
-# desk-scale instances: small batches denoise the tiny supports, and the
-# tight convergence window stops only on a genuine plateau.
-CERTIFY_SOLVER = dict(batch_size=16, max_steps=60000, convergence_tol=1e-5)
 
 
 def _random_small_instance(rng, with_theta=True):
@@ -89,29 +84,26 @@ def _random_small_instance(rng, with_theta=True):
 
 
 def test_dual_solver_reaches_the_exact_worst_case_on_random_instances():
-    # Primal/dual agreement on 25 random instances: the stochastic dual,
-    # run at a radius strictly above the minimal feasible one, must land
-    # within 1e-3 (relative to the primal scale) of the exact LP value.
+    # Primal/dual agreement on 25 random instances: the full dual objective
+    # at the worst-case LP's multipliers, at a radius strictly above the
+    # minimal feasible one, must land within 1e-3 (relative to the primal
+    # scale) of the exact LP value, and short of it by exactly the transport
+    # price times the LP's budget slack.
     start = time.monotonic()
     for index in range(25):
-        seed = 100 + index
-        rng = make_rng(seed)
+        rng = make_rng(100 + index)
         labeled, support, prior, theta = _random_small_instance(rng)
         eps = min_feasible_radius(labeled, support, prior, COST) + 0.1
         report = duality_gap_check(
-            theta,
-            labeled,
-            UnlabeledDataset(support),
-            prior,
-            eps,
-            COST,
-            SolverConfig(radius_eps=eps, seed=seed, **CERTIFY_SOLVER),
+            theta, labeled, UnlabeledDataset(support), prior, eps, COST
         )
         assert not report.relint_violated
         assert abs(report.gap) <= 1e-3 * (1.0 + abs(report.primal)), (
             f"instance {index}: primal {report.primal:.6f} "
             f"dual {report.dual:.6f}"
         )
+        slack = report.state.transport_mult * BUDGET_SLACK
+        assert abs(report.gap + slack) <= 1e-12, f"instance {index}"
     assert time.monotonic() - start < 300.0
 
 
@@ -531,8 +523,6 @@ def test_every_cli_subcommand_is_byte_deterministic(tmp_path):
         "n_labeled": "5",
         "n_initial": "3",
         "stop_at": "6",
-        "batch_size": "16",
-        "max_steps": "1500",
         "eps_grid": "0.3,0.8",
         "delta_grid": "0.0,0.3",
         "n_labeled_grid": "4,5",

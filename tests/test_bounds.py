@@ -487,6 +487,21 @@ class TestClopperPearson:
             assert got[0] == pytest.approx(want[0], abs=1e-9)
             assert got[1] == pytest.approx(want[1], abs=1e-9)
 
+    def test_is_bit_identical_to_the_beta_quantiles(self):
+        # the incomplete-beta inverse gives exactly the beta distribution's
+        # quantiles, so priors and every output built on them are unchanged
+        for level in (0.9, 0.95, 0.99):
+            tail = (1.0 - level) / 2.0
+            for n in (1, 2, 3, 5, 10, 17, 20, 40, 99, 200, 399):
+                for k in range(n + 1):
+                    lower, upper = clopper_pearson(k, n, level)
+                    if k > 0:
+                        assert lower == float(stats.beta.ppf(tail, k, n - k + 1))
+                    if k < n:
+                        assert upper == float(
+                            stats.beta.ppf(1.0 - tail, k + 1, n - k)
+                        )
+
     def test_contains_the_empirical_frequency(self):
         n = 13
         for k in range(n + 1):

@@ -15,13 +15,15 @@ from drulearn.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _oracle_instance,
     main,
 )
 from drulearn.config import render_value
+from drulearn.dual import duality_gap_check
+from drulearn.model import TransportCost, UnlabeledDataset
+from drulearn.oracle import BUDGET_SLACK, min_feasible_radius
 
-FAST_SOLVER = {
-    "batch_size": 16,
-    "max_steps": 3000,
+SMALL_DATA = {
     "synthetic_n": 24,
     "n_labeled": 6,
 }
@@ -66,7 +68,7 @@ class TestUsageErrors:
         assert main(["min-radius", "--config", str(path)]) == EXIT_USAGE
 
     def test_bad_strategy_override(self, tmp_path):
-        config = write_config(tmp_path, **FAST_SOLVER)
+        config = write_config(tmp_path, **SMALL_DATA)
         code = main(["active", "--config", config, "--strategy", "psychic"])
         assert code == EXIT_USAGE
 
@@ -75,7 +77,7 @@ class TestOneShotCommands:
     def test_min_radius_writes_row_and_metadata(self, tmp_path):
         out = tmp_path / "mr.csv"
         config = write_config(
-            tmp_path, output=str(out), seed=3, delta_margin=0.01, **FAST_SOLVER
+            tmp_path, output=str(out), seed=3, delta_margin=0.01, **SMALL_DATA
         )
         assert main(["min-radius", "--config", config]) == EXIT_OK
         (row,) = read_rows(out)
@@ -86,7 +88,7 @@ class TestOneShotCommands:
 
     def test_metadata_is_sorted_and_carries_no_timestamps(self, tmp_path):
         out = tmp_path / "mr.csv"
-        config = write_config(tmp_path, output=str(out), **FAST_SOLVER)
+        config = write_config(tmp_path, output=str(out), **SMALL_DATA)
         main(["min-radius", "--config", config])
         lines = open(str(out) + ".meta").read().splitlines()
         keys = [line.partition("=")[0] for line in lines]
@@ -97,7 +99,7 @@ class TestOneShotCommands:
     def test_train_dru_reports_bound_and_weights(self, tmp_path):
         out = tmp_path / "dru.csv"
         config = write_config(
-            tmp_path, output=str(out), eps=0.6, seed=1, **FAST_SOLVER
+            tmp_path, output=str(out), eps=0.6, seed=1, **SMALL_DATA
         )
         assert main(["train-dru", "--config", config]) == EXIT_OK
         (row,) = read_rows(out)
@@ -112,7 +114,7 @@ class TestOneShotCommands:
     def test_train_baseline_reports_price_and_value(self, tmp_path):
         out = tmp_path / "base.csv"
         config = write_config(
-            tmp_path, output=str(out), eps=0.3, seed=2, **FAST_SOLVER
+            tmp_path, output=str(out), eps=0.3, seed=2, **SMALL_DATA
         )
         assert main(["train-baseline", "--config", config]) == EXIT_OK
         (row,) = read_rows(out)
@@ -141,7 +143,7 @@ class TestOneShotCommands:
 
     def test_wasserstein_distance_is_nonnegative(self, tmp_path):
         out = tmp_path / "w.csv"
-        config = write_config(tmp_path, output=str(out), seed=5, **FAST_SOLVER)
+        config = write_config(tmp_path, output=str(out), seed=5, **SMALL_DATA)
         assert main(["wasserstein", "--config", config]) == EXIT_OK
         (row,) = read_rows(out)
         assert float(row["distance"]) >= 0.0
@@ -149,14 +151,14 @@ class TestOneShotCommands:
 
     def test_n_labeled_override_shrinks_the_sample(self, tmp_path):
         out = tmp_path / "w.csv"
-        config = write_config(tmp_path, output=str(out), seed=5, **FAST_SOLVER)
+        config = write_config(tmp_path, output=str(out), seed=5, **SMALL_DATA)
         main(["wasserstein", "--config", config, "--n-labeled", "4"])
         (row,) = read_rows(out)
         assert row["n_labeled"] == "4"
 
     def test_seed_override_is_recorded(self, tmp_path):
         out = tmp_path / "w.csv"
-        config = write_config(tmp_path, output=str(out), seed=5, **FAST_SOLVER)
+        config = write_config(tmp_path, output=str(out), seed=5, **SMALL_DATA)
         main(["wasserstein", "--config", config, "--seed", "11"])
         assert read_meta(out)["seed"] == "11"
         assert read_rows(out)[0]["seed"] == "11"
@@ -170,12 +172,9 @@ class TestExitCodes:
             prior_mode="strong",
             prior_positive_share=0.0,
             eps=0.001,
-            step_size=0.5,
             seed=4,
             synthetic_n=30,
             n_labeled=10,
-            max_steps=30000,
-            batch_size=16,
         )
         assert main(["train-dru", "--config", config]) == EXIT_INFEASIBLE
 
@@ -193,8 +192,6 @@ class TestExitCodes:
             seed=4,
             synthetic_n=30,
             n_labeled=10,
-            batch_size=16,
-            max_steps=3000,
         )
         assert main(["train-dru", "--config", config]) == EXIT_INFEASIBLE
         message = capsys.readouterr().err
@@ -214,7 +211,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(baseline, "minimize", failed_solve)
         out = tmp_path / "fail.csv"
-        config = write_config(tmp_path, output=str(out), eps=0.3, **FAST_SOLVER)
+        config = write_config(tmp_path, output=str(out), eps=0.3, **SMALL_DATA)
         assert main(["train-baseline", "--config", config]) == EXIT_NUMERICAL
         message = capsys.readouterr().err
         assert "numerical failure" in message
@@ -233,7 +230,7 @@ class TestBoundExperiment:
             eps=0.5,
             trials=2,
             n_labeled_grid=(4, 6),
-            **FAST_SOLVER,
+            **SMALL_DATA,
         )
         assert main(["bound", "--config", config]) == EXIT_OK
         rows = read_rows(out)
@@ -251,7 +248,7 @@ class TestBoundExperiment:
             kind="conf-vs-nl",
             force_zero_state=True,
             eps=0.5,
-            **FAST_SOLVER,
+            **SMALL_DATA,
         )
         assert main(["bound", "--config", config]) == EXIT_OK
         rows = read_rows(out)
@@ -260,7 +257,7 @@ class TestBoundExperiment:
 
     def test_mismatched_kind_is_a_usage_error(self, tmp_path):
         config = write_config(
-            tmp_path, output=str(tmp_path / "b.csv"), kind="active", **FAST_SOLVER
+            tmp_path, output=str(tmp_path / "b.csv"), kind="active", **SMALL_DATA
         )
         assert main(["bound", "--config", config]) == EXIT_USAGE
 
@@ -274,12 +271,9 @@ class TestSweeps:
             prior_mode="strong",
             prior_positive_share=0.0,
             eps_grid=(0.001, 1.5),
-            step_size=0.5,
             seed=4,
             synthetic_n=30,
             n_labeled=10,
-            max_steps=30000,
-            batch_size=16,
         )
         assert main(["radius-sweep", "--config", config]) == EXIT_OK
         rows = read_rows(out)
@@ -297,12 +291,9 @@ class TestSweeps:
             prior_mode="strong",
             prior_positive_share=0.0,
             eps_grid=(0.001,),
-            step_size=0.5,
             seed=4,
             synthetic_n=30,
             n_labeled=10,
-            max_steps=30000,
-            batch_size=16,
         )
         assert main(["radius-sweep", "--config", config]) == EXIT_INFEASIBLE
         assert read_rows(out) == []
@@ -317,7 +308,7 @@ class TestSweeps:
             delta_grid=(0.0, 0.2, 0.5),
             seed=1,
             trials=2,
-            **FAST_SOLVER,
+            **SMALL_DATA,
         )
         assert main(["robustness-sweep", "--config", config]) == EXIT_OK
         rows = read_rows(out)
@@ -379,15 +370,7 @@ class TestActiveExperiment:
 class TestOracleCheck:
     def test_gaps_close_at_converged_settings(self, tmp_path):
         out = tmp_path / "oc.csv"
-        config = write_config(
-            tmp_path,
-            output=str(out),
-            batch_size=16,
-            max_steps=60000,
-            convergence_tol=1e-5,
-            trials=2,
-            seed=0,
-        )
+        config = write_config(tmp_path, output=str(out), trials=2, seed=0)
         assert main(["oracle-check", "--config", config]) == EXIT_OK
         rows = read_rows(out)
         assert len(rows) == 2
@@ -395,6 +378,21 @@ class TestOracleCheck:
             primal, gap = float(row["primal"]), float(row["gap"])
             assert abs(gap) <= 1e-3 * (1.0 + abs(primal))
             assert row["within_tol"] == "1"
+
+
+    def test_default_instances_price_the_dual_at_the_lp_value(self):
+        # the eight instances of `trials = 8` from seed 0: the dual at the
+        # LP's own multipliers falls short of the LP value, which prices the
+        # budget eps + BUDGET_SLACK, by exactly the transport price's share
+        cost = TransportCost()
+        for seed in range(8):
+            labeled, support, prior, theta = _oracle_instance(seed)
+            eps = min_feasible_radius(labeled, support, prior, cost) + 0.1
+            report = duality_gap_check(
+                theta, labeled, UnlabeledDataset(support), prior, eps, cost
+            )
+            slack = report.state.transport_mult * BUDGET_SLACK
+            assert abs(report.gap + slack) <= 1e-12, f"seed {seed}"
 
 
 class TestDeterminism:
@@ -417,8 +415,6 @@ class TestDeterminism:
             n_labeled=5,
             n_initial=3,
             stop_at=6,
-            batch_size=16,
-            max_steps=1500,
             eps_grid=(0.3, 0.8),
             delta_grid=(0.0, 0.3),
             n_labeled_grid=(4, 5),
@@ -449,7 +445,7 @@ class TestDeterminism:
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
         out = tmp_path / "mr.csv"
-        config = write_config(tmp_path, output=str(out), **FAST_SOLVER)
+        config = write_config(tmp_path, output=str(out), **SMALL_DATA)
         result = subprocess.run(
             [sys.executable, "-m", "drulearn.cli", "min-radius", "--config", config],
             capture_output=True,
@@ -457,6 +453,21 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time per invocation
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, drulearn.cli; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_exit_code_constants_are_distinct():

@@ -31,10 +31,9 @@ class TestParsing:
             "\n".join(
                 [
                     "seed = 12",
-                    "step_size = 0.25",
-                    "use_adam = false",
+                    "delta_margin = 0.25",
                     "standardize = no",
-                    "tail_average = 1",
+                    "mc_include_norm = 1",
                     "eps = 0.75",
                     "dataset = data/some file.csv",
                     "eps_grid = 0.1, 0.5 ,2.0",
@@ -44,15 +43,20 @@ class TestParsing:
             )
         )
         assert config.seed == 12
-        assert config.step_size == 0.25
-        assert config.use_adam is False
+        assert config.delta_margin == 0.25
         assert config.standardize is False
-        assert config.tail_average is True
+        assert config.mc_include_norm is True
         assert config.eps == 0.75
         assert config.dataset == "data/some file.csv"
         assert config.eps_grid == (0.1, 0.5, 2.0)
         assert config.n_labeled_grid == (5, 10, 20)
         assert config.prior_positive_share is None
+
+    def test_every_boolean_spelling(self):
+        for raw in ("false", "0", "no", "off"):
+            assert parse_config_text(f"standardize = {raw}\n").standardize is False
+        for raw in ("true", "1", "yes", "on"):
+            assert parse_config_text(f"mc_include_norm = {raw}\n").mc_include_norm is True
 
     def test_empty_optional_and_empty_tuple(self):
         config = parse_config_text("eps =\nn_labeled_grid =\n")
@@ -78,10 +82,27 @@ class TestParsing:
     def test_bad_value_names_the_key(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config_text("seed = soon\n")
-        with pytest.raises(ConfigError, match="use_adam"):
-            parse_config_text("use_adam = maybe\n")
+        with pytest.raises(ConfigError, match="mc_include_norm"):
+            parse_config_text("mc_include_norm = maybe\n")
         with pytest.raises(ConfigError, match="eps_grid"):
             parse_config_text("eps_grid = 0.1,often\n")
+
+    def test_retired_solver_keys_are_unknown(self):
+        # no command runs the stochastic dual solver, so no key tunes it
+        for key in (
+            "step_size",
+            "batch_size",
+            "max_steps",
+            "convergence_tol",
+            "convergence_window",
+            "lr_decay_factor",
+            "lr_decay_every",
+            "use_adam",
+            "tail_average",
+            "solver_seed",
+        ):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config_text(f"{key} = 1\n")
 
     def test_load_config_reads_files(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -126,32 +147,6 @@ class TestValidation:
 
 
 class TestDerivedObjects:
-    def test_solver_config_carries_the_solver_keys(self):
-        config = ExperimentConfig(
-            step_size=0.05,
-            batch_size=32,
-            max_steps=777,
-            convergence_tol=1e-6,
-            convergence_window=50,
-            lr_decay_factor=4.0,
-            lr_decay_every=100,
-            use_adam=False,
-            tail_average=False,
-            solver_seed=9,
-        )
-        solver = config.solver_config(0.4)
-        assert solver.radius_eps == 0.4
-        assert solver.step_size == 0.05
-        assert solver.batch_size == 32
-        assert solver.max_steps == 777
-        assert solver.convergence_tol == 1e-6
-        assert solver.convergence_window == 50
-        assert solver.lr_decay_factor == 4.0
-        assert solver.lr_decay_every == 100
-        assert solver.use_adam is False
-        assert solver.tail_average is False
-        assert solver.seed == 9
-
     def test_radius_selection_carries_the_policy_keys(self):
         config = ExperimentConfig(
             eps_policy=AS_ROBUST_AS_POSSIBLE,
@@ -176,7 +171,7 @@ class TestRendering:
         config = ExperimentConfig(
             seed=4,
             eps=0.30000000000000004,
-            use_adam=False,
+            mc_include_norm=True,
             eps_grid=(0.1, 0.25),
             n_labeled_grid=(5, 9),
             prior_mode=PRIOR_STRONG,

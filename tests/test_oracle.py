@@ -10,7 +10,6 @@ from drulearn.bounds import make_prior
 from drulearn.dual import (
     DualState,
     LabelPrior,
-    SolverConfig,
     dual_objective,
     duality_gap_check,
 )
@@ -412,16 +411,9 @@ class TestColumnGeneration:
             result = solve_worst_case_lp(
                 theta, unlabeled.features, data, prior, eps, COST
             )
-            multipliers = result.multipliers
-            state = DualState(
-                theta=theta,
-                transport_mult=multipliers.transport_mult,
-                atom_potentials=multipliers.atom_potentials,
-                label_upper_mult=multipliers.label_upper_mult,
-                label_lower_mult=multipliers.label_lower_mult,
-            )
+            state = DualState.from_multipliers(theta, result.multipliers)
             dual = dual_objective(state, data, unlabeled, prior, eps, COST)
-            slack = multipliers.transport_mult * BUDGET_SLACK
+            slack = state.transport_mult * BUDGET_SLACK
             assert dual == pytest.approx(result.value - slack, abs=1e-9)
 
     def test_ball_variant_matches_the_full_lp_below_at_and_above_its_minimum(self):
@@ -509,7 +501,6 @@ class TestDualityGap:
         x0 = np.array([0.7, -0.3, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
         unlabeled = UnlabeledDataset(x0[None])
-        config = SolverConfig(radius_eps=0.0, batch_size=8, max_steps=30000, seed=0)
         report = duality_gap_check(
             np.array([0.5, -1.0, 0.2]),
             data,
@@ -517,13 +508,12 @@ class TestDualityGap:
             LabelPrior.point([0.0, 1.0]),
             0.0,
             COST,
-            config,
         )
         assert abs(report.gap) <= 1e-6
 
     def test_random_instances_certify_strong_duality(self):
         rng = make_rng(12)
-        for seed in range(3):
+        for _ in range(3):
             n_l = int(rng.integers(1, 4))
             m = int(rng.integers(2, 6))
             data = LabeledDataset(rng.normal(size=(n_l, 3)), rng.integers(0, 2, size=n_l))
@@ -531,15 +521,8 @@ class TestDualityGap:
             prior = random_prior(rng)
             eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
             eps = eps0 + 0.1
-            config = SolverConfig(
-                radius_eps=eps,
-                batch_size=16,
-                max_steps=60000,
-                seed=seed,
-                convergence_tol=1e-5,
-            )
             report = duality_gap_check(
-                rng.normal(size=3), data, unlabeled, prior, eps, COST, config
+                rng.normal(size=3), data, unlabeled, prior, eps, COST
             )
             assert not report.relint_violated
             assert report.gap >= -1e-6  # weak duality up to solver tolerance
@@ -549,7 +532,6 @@ class TestDualityGap:
         x0 = np.array([0.5, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
         unlabeled = UnlabeledDataset(x0[None])
-        config = SolverConfig(radius_eps=1.0, batch_size=4, max_steps=5000, seed=0)
         report = duality_gap_check(
             np.zeros(2),
             data,
@@ -557,7 +539,6 @@ class TestDualityGap:
             LabelPrior.point([1.0, 0.0]),
             1.0,  # exactly the forced-flip radius
             COST,
-            config,
         )
         assert report.relint_violated
 
@@ -565,7 +546,6 @@ class TestDualityGap:
         x0 = np.array([0.5, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
         unlabeled = UnlabeledDataset(x0[None])
-        config = SolverConfig(radius_eps=0.5, batch_size=4, max_steps=1000, seed=0)
         with pytest.raises(ValueError):
             duality_gap_check(
                 np.zeros(2),
@@ -574,8 +554,35 @@ class TestDualityGap:
                 LabelPrior.point([1.0, 0.0]),
                 0.5,
                 COST,
-                config,
             )
+
+    def test_dual_matches_the_primal_where_column_generation_prices(self):
+        # more labeled atoms than the column generation seeds per support
+        # point, so the LP's multipliers come out of pricing rounds; the
+        # full dual at the LP's budget must still reach the LP value
+        rng = make_rng(35)
+        for _ in range(30):
+            dim = int(rng.integers(1, 4))
+            n_l = int(rng.integers(5, 21))
+            m = int(rng.integers(10, 61))
+            data = LabeledDataset(
+                rng.normal(size=(n_l, dim)), rng.integers(0, 2, size=n_l)
+            )
+            unlabeled = UnlabeledDataset(rng.normal(size=(m, dim)))
+            if rng.integers(0, 2) == 0:
+                share = float(rng.uniform(0.2, 0.8))
+                prior = LabelPrior.point([1.0 - share, share])
+            else:
+                prior = random_prior(rng)
+            theta = rng.normal(size=dim)
+            eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+            for delta in (0.0, 0.05, 0.5):
+                eps = eps_min + delta
+                report = duality_gap_check(theta, data, unlabeled, prior, eps, COST)
+                at_budget = dual_objective(
+                    report.state, data, unlabeled, prior, eps + BUDGET_SLACK, COST
+                )
+                assert abs(at_budget - report.primal) <= 1e-9
 
 
 class TestFeasibleDistributions:
