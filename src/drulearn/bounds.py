@@ -22,6 +22,7 @@ from .dual import (
     linear_part,
     dual_objective,
     max_cell_values,
+    objective_of_values,
     train_dru,
 )
 from .model import (
@@ -180,7 +181,7 @@ def performance_bound(
     unlabeled sample being finite.
     """
     values = max_cell_values(state, data, unlabeled.features, cost)
-    neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
+    neg_log = objective_of_values(state, values, prior, eps)
     correction = berry_esseen_correction(values, z_score)
     return PerformanceBound.from_terms(neg_log, correction, int(values.size))
 

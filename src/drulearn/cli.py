@@ -37,12 +37,10 @@ from .bounds import (
     bound_report_row,
     certify,
     make_prior,
-    performance_bound,
     prior_feasible_radius,
     select_radius,
 )
 from .config import (
-    EXPERIMENT_KINDS,
     KIND_ACTIVE,
     KIND_BOUND_VS_NL,
     KIND_CONF_VS_NL,
@@ -63,7 +61,6 @@ from .data import (
     synthetic_two_gaussians,
 )
 from .dual import (
-    DualState,
     InfeasibleRadiusError,
     cutset_solve,
     duality_gap_check,
@@ -228,30 +225,17 @@ def _theta_columns(theta):
 def _run_train_dru(config: ExperimentConfig) -> int:
     table = _load_table(config)
     instance = _build_instance(config, table, config.seed)
-    unlabeled = _require_unlabeled(instance)
+    _require_unlabeled(instance)
     eps = _resolve_eps(config, instance)
     _write_metadata(config, "train-dru", [])
-    result = cutset_solve(
-        instance.labeled, unlabeled, instance.prior, instance.cost, eps
-    )
-    bound = certify(
-        result.state,
-        instance.labeled,
-        unlabeled,
-        instance.prior,
-        eps,
-        instance.cost,
-        z_score=config.z_score,
-    )
-    theta = result.theta
-    median_conf = _median_confidence(theta, unlabeled.features)
+    result, report = _certify_instance(config, instance, eps)
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
         "status": result.status,
-        "objective": bound.neg_log_bound,
-        **bound_report_row(eps, bound, median_conf),
-        **_theta_columns(theta),
+        "objective": report["neg_log_bound"],
+        **report,
+        **_theta_columns(result.theta),
     }
     fieldnames = (
         ["seed", "n_labeled", "status", "objective"]
@@ -336,19 +320,14 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
 
 
 def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
-    """Train and certify by the multiplier search, or certify the zero
-    model's dual point as it is."""
+    """Train at `eps` and certify the trained classifier by the multiplier
+    search; returns the `CutSetResult` and the certificate's report row."""
     unlabeled = _require_unlabeled(instance)
-    if config.force_zero_state:
-        state = DualState.zeros(instance.labeled.dim, instance.labeled.n)
-        certificate = performance_bound
-    else:
-        state = cutset_solve(
-            instance.labeled, unlabeled, instance.prior, instance.cost, eps
-        ).state
-        certificate = certify
-    bound = certificate(
-        state,
+    result = cutset_solve(
+        instance.labeled, unlabeled, instance.prior, instance.cost, eps
+    )
+    bound = certify(
+        result.state,
         instance.labeled,
         unlabeled,
         instance.prior,
@@ -356,8 +335,8 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
         instance.cost,
         z_score=config.z_score,
     )
-    median_conf = _median_confidence(state.theta, unlabeled.features)
-    return bound_report_row(eps, bound, median_conf)
+    median_conf = _median_confidence(result.theta, unlabeled.features)
+    return result, bound_report_row(eps, bound, median_conf)
 
 
 def _run_bound_experiment(config: ExperimentConfig) -> int:
@@ -378,7 +357,7 @@ def _run_bound_experiment(config: ExperimentConfig) -> int:
                     config, table, split_seed, n_labeled=int(n_labeled)
                 )
                 eps = _resolve_eps(config, instance)
-                report = _certify_instance(config, instance, eps)
+                _, report = _certify_instance(config, instance, eps)
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_n_{n_labeled}", error))
                 continue
@@ -407,7 +386,7 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
         for eps in config.eps_grid:
             try:
                 instance = _build_instance(config, table, split_seed)
-                report = _certify_instance(config, instance, float(eps))
+                _, report = _certify_instance(config, instance, float(eps))
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_eps_{render_float(eps)}", error))
                 continue
@@ -550,24 +529,6 @@ def _run_oracle_check(config: ExperimentConfig) -> int:
     _write_csv(config.output, fieldnames, rows)
     _finish(config, "oracle-check", len(rows), errors)
     return EXIT_OK
-
-
-def run_experiment(config: ExperimentConfig) -> int:
-    """Dispatch a configured experiment kind to its runner."""
-    runners = {
-        KIND_BOUND_VS_NL: _run_bound_experiment,
-        KIND_CONF_VS_NL: _run_bound_experiment,
-        KIND_RADIUS_SWEEP: _run_radius_sweep,
-        KIND_ROBUSTNESS_SWEEP: _run_robustness_sweep,
-        KIND_ACTIVE: _run_active,
-        KIND_ORACLE_CHECK: _run_oracle_check,
-    }
-    if config.kind not in runners:
-        raise ConfigError(
-            f"experiment kind must be one of {', '.join(EXPERIMENT_KINDS)}; "
-            f"got {config.kind!r}"
-        )
-    return runners[config.kind](config)
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,6 @@ class ExperimentConfig:
     grid_points: int = 20
     grid_span: float = 10.0
 
-    # Training, which is exact: skip it and certify the all-zeros model
-    # instead; its likelihood bound is the coin-flip floor, which makes a
-    # useful smoke check.
-    force_zero_state: bool = False
-
     # Experiment orchestration.
     kind: str = ""
     trials: int = 1

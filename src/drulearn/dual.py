@@ -9,11 +9,14 @@ multiplier, one potential per labeled atom, and per-class label multipliers,
     transport_mult * radius
     + mean(atom_potentials)
     + label_upper_mult @ prior.upper - label_lower_mult @ prior.lower
-    + mean over unlabeled x of  max_cell(x).
+    + mean over unlabeled x of  max over cells of cell(x).
 
-Each "cell" pairs one labeled atom with one candidate label; its value is the
-logistic loss at the candidate label minus the charges the multipliers levy
-for moving mass there.  All dual points live in `DualState`.
+Each "cell" pairs one labeled atom with one candidate label; its value at x
+is the logistic loss at the candidate label minus the charges the
+multipliers levy for moving mass there.  All dual points live in
+`DualState`.  Every evaluation is batched: `cell_tensor` holds the cells of
+a block of points and `max_cell_values` their per-point maxima, from which
+`dual_objective` prices a dual point.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
@@ -43,7 +46,6 @@ from .model import (
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
-    logistic_loss,
     loss_grad_theta,
     make_rng,
     pair_costs,
@@ -135,25 +137,6 @@ class DualState:
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One (labeled atom, candidate label) pair of the inner maximization."""
-
-    atom_index: int
-    label_index: int
-
-
-@dataclass(frozen=True)
-class DualSubgradient:
-    """Subgradient of the per-point inner maximum at one unlabeled point."""
-
-    theta: np.ndarray
-    transport_mult: float
-    atom_potentials: np.ndarray
-    label_upper_mult: np.ndarray
-    label_lower_mult: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Settings for the stochastic dual solver.
 
@@ -236,77 +219,6 @@ def _max_cells(cells):
     return values, arg // N_CLASSES, arg % N_CLASSES
 
 
-def cell_value(x, cell: Cell, state: DualState, data: LabeledDataset, cost: TransportCost):
-    """Value of one cell at one point: loss at the candidate label minus charges."""
-    i, k = cell.atom_index, cell.label_index
-    if not 0 <= i < data.n:
-        raise IndexError("atom index out of range")
-    if not 0 <= k < N_CLASSES:
-        raise IndexError("label index out of range")
-    move = float(np.linalg.norm(np.asarray(x, dtype=float) - data.features[i]))
-    if k != data.labels[i]:
-        move += cost.label_flip_cost
-    # evaluation order mirrors the vectorized cell tensor so that scalar and
-    # batched paths agree to the last bit
-    return (
-        logistic_loss(state.theta, x, k)
-        - state.transport_mult * move
-        - state.atom_potentials[i]
-        - (state.label_upper_mult[k] - state.label_lower_mult[k])
-    )
-
-
-def max_cell(x, state: DualState, data: LabeledDataset, cost: TransportCost):
-    """Maximum cell value at one point and its first maximizing cell.
-
-    Ties are broken by exact comparison toward the lowest (atom, label)
-    pair, atom-major, so repeated runs pick the same cell.
-    """
-    x = np.asarray(x, dtype=float)
-    pair = pair_costs(x[None, :], data, cost)
-    table = both_class_losses(state.theta, x[None, :])
-    cells = cell_tensor(
-        table,
-        pair,
-        state.transport_mult,
-        state.atom_potentials,
-        state.label_upper_mult - state.label_lower_mult,
-    )
-    _, atom, label = _max_cells(cells)
-    cell = Cell(int(atom[0]), int(label[0]))
-    # re-evaluate through the scalar path so the returned value equals
-    # cell_value at the returned cell exactly
-    return cell_value(x, cell, state, data, cost), cell
-
-
-def cell_subgradients(x, state: DualState, data: LabeledDataset, cost: TransportCost):
-    """Subgradient of the inner maximum at one point.
-
-    Evaluated at the maximizing cell (i*, k*): the transport-multiplier
-    component is minus the transport cost into atom i* with label k*, the
-    atom-potential component is -1 at i*, the label-multiplier components
-    are -1 (upper) and +1 (lower) at k*, and the weight component is the
-    logistic loss gradient at candidate label k*.
-    """
-    x = np.asarray(x, dtype=float)
-    _, cell = max_cell(x, state, data, cost)
-    i, k = cell.atom_index, cell.label_index
-    move = float(np.linalg.norm(x - data.features[i]))
-    if k != data.labels[i]:
-        move += cost.label_flip_cost
-    grad_potentials = np.zeros(data.n)
-    grad_potentials[i] = -1.0
-    grad_upper = np.zeros(N_CLASSES)
-    grad_upper[k] = -1.0
-    return DualSubgradient(
-        theta=loss_grad_theta(state.theta, x, k),
-        transport_mult=-move,
-        atom_potentials=grad_potentials,
-        label_upper_mult=grad_upper,
-        label_lower_mult=-grad_upper,
-    )
-
-
 def linear_part(alpha, potentials, upper_mult, lower_mult, prior, eps):
     return (
         alpha * eps
@@ -342,6 +254,11 @@ def dual_objective(
 ):
     """Full-sample dual objective: linear multiplier terms plus mean max cell."""
     values = max_cell_values(state, data, unlabeled.features, cost)
+    return objective_of_values(state, values, prior, eps)
+
+
+def objective_of_values(state: DualState, values, prior: LabelPrior, eps: float):
+    """The dual objective at `state` from its per-point maxima `values`."""
     return float(
         linear_part(
             state.transport_mult,
@@ -373,14 +290,6 @@ def _state_from_params(params, dim, n_labeled):
         label_upper_mult=upper.copy(),
         label_lower_mult=lower.copy(),
     )
-
-
-def _objective_of_params(params, dim, data, unlabeled_features, pair, prior, eps):
-    theta, alpha, potentials, upper, lower = _unpack(params, dim, data.n)
-    table = both_class_losses(theta, unlabeled_features)
-    cells = cell_tensor(table, pair, alpha, potentials, upper - lower)
-    values, _, _ = _max_cells(cells)
-    return float(linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean())
 
 
 def learning_rate(config: SolverConfig, step: int) -> float:
@@ -515,20 +424,14 @@ def sgd_solve(
                 break
             prev_window_mean = window_mean
 
-    final_value = _objective_of_params(
-        params, dim, data, unlabeled.features, pair, prior, eps
-    )
-    best_params, best_value = params, final_value
+    best = _state_from_params(params, dim, n_l)
+    best_value = dual_objective(best, data, unlabeled, prior, eps, cost)
     if config.tail_average and tail_count > 0:
-        averaged = tail_sum / tail_count
-        averaged_value = _objective_of_params(
-            averaged, dim, data, unlabeled.features, pair, prior, eps
-        )
+        averaged = _state_from_params(tail_sum / tail_count, dim, n_l)
+        averaged_value = dual_objective(averaged, data, unlabeled, prior, eps, cost)
         if averaged_value < best_value:
-            best_params, best_value = averaged, averaged_value
-    result = SolveResult(
-        status, _state_from_params(best_params, dim, n_l), best_value, trace
-    )
+            best, best_value = averaged, averaged_value
+    result = SolveResult(status, best, best_value, trace)
 
     if config.trace_path is not None:
         with open(config.trace_path, "w", newline="") as handle:

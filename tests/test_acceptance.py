@@ -1,8 +1,9 @@
 """End-to-end acceptance checks for the whole package.
 
 Each test certifies one externally visible guarantee of the pipeline:
-exactness of the transport and worst-case oracles, correctness of the dual's
-subgradients and its agreement with the primal linear programs,
+exactness of the transport and worst-case oracles, correctness of the
+gradients the exact trainer and the certificate search hand their
+optimizers, the dual's agreement with the primal linear programs,
 validity of the performance certificates, the qualitative advantage of
 constraint-aware robust training over the plain transport-ball baseline,
 fidelity of the active-learning scores, and byte-level determinism of the
@@ -16,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from drulearn.active import aulc, impact_gradient_norm, score_dr, score_emc
 from drulearn.baseline import (
@@ -25,26 +27,31 @@ from drulearn.baseline import (
     robustness_sweep,
     worst_case_price,
 )
-from drulearn.bounds import PRIOR_STRONG, make_prior, performance_bound
+from drulearn import dual
+from drulearn.bounds import (
+    PRIOR_STRONG,
+    SMOOTHING_SCHEDULE,
+    _smoothed_bound,
+    make_prior,
+    performance_bound,
+)
 from drulearn.cli import main
 from drulearn.data import append_intercept, standardize, synthetic_two_gaussians
 from drulearn.dual import (
-    Cell,
     DualState,
     LabelPrior,
-    cell_subgradients,
-    cell_value,
     cutset_solve,
     duality_gap_check,
-    max_cell,
 )
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
+    both_class_losses,
     confidence,
     logistic_loss,
     make_rng,
+    pair_costs,
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
@@ -107,105 +114,104 @@ def test_dual_solver_reaches_the_exact_worst_case_on_random_instances():
     assert time.monotonic() - start < 300.0
 
 
-def test_subgradients_match_finite_differences_and_support_the_maximum():
-    # Part one: the closed-form subgradients of the per-point inner maximum
-    # agree with central finite differences in every coordinate block on
-    # 1000 points whose argmax is stable under the probe step.
+def _central_differences(fun, point, step=1e-6):
+    """Central finite differences of `fun` at `point`, one column per axis."""
+    columns = []
+    for axis in range(point.size):
+        bump = np.zeros(point.size)
+        bump[axis] = step
+        columns.append((fun(point + bump) - fun(point - bump)) / (2 * step))
+    return np.array(columns).T
+
+
+def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypatch):
+    # Part one: the certificate search's smoothed bound hands L-BFGS-B a
+    # gradient in (alpha, potentials, upper, lower) that agrees with central
+    # finite differences in every coordinate, with and without the sampling
+    # correction, at the three coarsest temperatures of its schedule, on 100
+    # random instances.
     rng = make_rng(7)
-    step = 1e-6
-    checked = 0
-    while checked < 1000:
-        dim = int(rng.integers(1, 4))
-        n_labeled = int(rng.integers(1, 4))
-        labeled = LabeledDataset(
-            rng.normal(size=(n_labeled, dim)), rng.integers(0, 2, size=n_labeled)
+    for index in range(100):
+        labeled, support, prior = _random_small_instance(rng, with_theta=False)
+        n_l = labeled.n
+        table = both_class_losses(rng.normal(size=labeled.dim), support)
+        pair = pair_costs(support, labeled, COST)
+        params = np.concatenate(
+            [
+                [abs(rng.normal())],
+                rng.normal(size=n_l),
+                np.abs(rng.normal(size=4)),
+            ]
         )
-        state = DualState(
-            theta=rng.normal(size=dim) * 0.5,
-            transport_mult=float(abs(rng.normal())) * 0.5,
-            atom_potentials=rng.normal(size=n_labeled) * 0.5,
-            label_upper_mult=np.abs(rng.normal(size=2)) * 0.5,
-            label_lower_mult=np.abs(rng.normal(size=2)) * 0.5,
-        )
-        x = rng.normal(size=dim)
-        values = sorted(
-            cell_value(x, Cell(i, k), state, labeled, COST)
-            for i in range(n_labeled)
-            for k in range(2)
-        )
-        if len(values) > 1 and values[-1] - values[-2] < 1e-3:
-            continue
-        grad = cell_subgradients(x, state, labeled, COST)
-
-        def phi(s):
-            return max_cell(x, s, labeled, COST)[0]
-
-        def bumped(block, axis, delta):
-            parts = {
-                "theta": state.theta.copy(),
-                "transport_mult": state.transport_mult,
-                "atom_potentials": state.atom_potentials.copy(),
-                "label_upper_mult": state.label_upper_mult.copy(),
-                "label_lower_mult": state.label_lower_mult.copy(),
-            }
-            if block == "transport_mult":
-                parts[block] = parts[block] + delta
-            else:
-                parts[block][axis] += delta
-            return DualState(**parts)
-
-        for block, size in (
-            ("theta", dim),
-            ("transport_mult", 1),
-            ("atom_potentials", n_labeled),
-            ("label_upper_mult", 2),
-            ("label_lower_mult", 2),
-        ):
-            exact = getattr(grad, block)
-            for axis in range(size):
-                fd = (
-                    phi(bumped(block, axis, step)) - phi(bumped(block, axis, -step))
-                ) / (2 * step)
-                want = exact if block == "transport_mult" else exact[axis]
-                assert fd == pytest.approx(want, rel=1e-5, abs=1e-7), (
-                    f"point {checked}, block {block}[{axis}]"
+        blocks = ["alpha"] + ["potential"] * n_l + ["upper"] * 2 + ["lower"] * 2
+        eps = float(rng.uniform(0.0, 2.0))
+        for z_score in (0.0, 1.96):
+            for tau in SMOOTHING_SCHEDULE[:3]:
+                args = (table, pair, labeled, prior, eps, z_score, tau)
+                _, grad = _smoothed_bound(params, *args)
+                fd = _central_differences(
+                    lambda p: _smoothed_bound(p, *args)[0], params
                 )
-        checked += 1
+                for axis, block in enumerate(blocks):
+                    assert fd[axis] == pytest.approx(
+                        grad[axis], rel=1e-5, abs=1e-7
+                    ), f"instance {index}, z {z_score}, tau {tau}, {block}[{axis}]"
 
-    # Part two: the inner maximum is a pointwise max of functions affine in
-    # the multipliers, so any selected subgradient supports it from below
-    # across 1000 random state pairs.
-    rng = make_rng(8)
-    for _ in range(1000):
-        labeled = LabeledDataset(
-            rng.normal(size=(2, 2)), rng.integers(0, 2, size=2)
-        )
-        theta = rng.normal(size=2)
-        states = []
-        for _ in range(2):
-            states.append(
-                DualState(
-                    theta=theta,
-                    transport_mult=float(abs(rng.normal())),
-                    atom_potentials=rng.normal(size=2),
-                    label_upper_mult=np.abs(rng.normal(size=2)),
-                    label_lower_mult=np.abs(rng.normal(size=2)),
+    # Part two: the cut-set master's constraint Jacobian in (theta, t), as
+    # `_solve_master` hands it to SLSQP, agrees with central finite
+    # differences of its constraint on 100 random sets of cuts.
+    constraints = {}
+
+    def recording_minimize(fun, x0, **options):
+        constraints.update(options["constraints"])
+        return OptimizeResult(x=np.asarray(x0), success=True)
+
+    monkeypatch.setattr(dual, "minimize", recording_minimize)
+    for index in range(100):
+        dim = int(rng.integers(1, 4))
+        cuts = []
+        for _ in range(int(rng.integers(1, 5))):
+            rows = int(rng.integers(1, 6))
+            weights = rng.uniform(0.1, 1.0, size=rows)
+            cuts.append(
+                (
+                    rng.normal(size=(rows, dim)),
+                    rng.integers(0, 2, size=rows),
+                    weights / weights.sum(),
                 )
             )
-        first, second = states
-        x = rng.normal(size=2)
-        grad = cell_subgradients(x, first, labeled, COST)
-        inner = (
-            grad.transport_mult * (second.transport_mult - first.transport_mult)
-            + grad.atom_potentials @ (second.atom_potentials - first.atom_potentials)
-            + grad.label_upper_mult
-            @ (second.label_upper_mult - first.label_upper_mult)
-            + grad.label_lower_mult
-            @ (second.label_lower_mult - first.label_lower_mult)
+        dual._solve_master(cuts, rng.normal(size=dim))
+        point = rng.normal(size=dim + 1)
+        jacobian = constraints["jac"](point)
+        fd = _central_differences(constraints["fun"], point)
+        assert jacobian.shape == (len(cuts), dim + 1)
+        assert fd == pytest.approx(jacobian, rel=1e-5, abs=1e-7), f"cut set {index}"
+
+    # Part three: without the sampling correction the smoothed bound is the
+    # linear terms plus a mean of logsumexps of cells affine in the
+    # multipliers, so it is convex there and its gradient supports it from
+    # below across 1000 random pairs of multiplier points.
+    for index in range(1000):
+        labeled, support, prior = _random_small_instance(rng, with_theta=False)
+        n_l = labeled.n
+        table = both_class_losses(rng.normal(size=labeled.dim), support)
+        pair = pair_costs(support, labeled, COST)
+        first, second = (
+            np.concatenate(
+                [
+                    [abs(rng.normal())],
+                    rng.normal(size=n_l),
+                    np.abs(rng.normal(size=4)),
+                ]
+            )
+            for _ in range(2)
         )
-        lhs = max_cell(x, second, labeled, COST)[0]
-        rhs = max_cell(x, first, labeled, COST)[0] + inner
-        assert lhs >= rhs - 1e-10
+        eps = float(rng.uniform(0.0, 2.0))
+        tau = SMOOTHING_SCHEDULE[index % len(SMOOTHING_SCHEDULE)]
+        args = (table, pair, labeled, prior, eps, 0.0, tau)
+        value, grad = _smoothed_bound(first, *args)
+        lhs = _smoothed_bound(second, *args)[0]
+        assert lhs >= value + grad @ (second - first) - 1e-10, f"pair {index}"
 
 
 def test_minimal_radius_lp_agrees_with_bisection_and_prices_forced_flips():

@@ -221,39 +221,39 @@ class TestExitCodes:
 
 
 class TestBoundExperiment:
-    def test_zero_model_bound_is_exactly_one_half(self, tmp_path):
+    # at eps 0.5 trial 0 needs a larger radius at both grid sizes (minimal
+    # radii 0.5128 and 0.5599), and trial 1 does not
+    @staticmethod
+    def run_grid(tmp_path, **keys):
         out = tmp_path / "bound.csv"
         config = write_config(
             tmp_path,
             output=str(out),
-            force_zero_state=True,
             eps=0.5,
             trials=2,
             n_labeled_grid=(4, 6),
+            **keys,
             **SMALL_DATA,
         )
         assert main(["bound", "--config", config]) == EXIT_OK
         rows = read_rows(out)
-        assert len(rows) == 4
-        assert all(row["likelihood_bound"] == "0.5" for row in rows)
-        assert all(row["vacuous_flag"] == "1" for row in rows)
+        assert [(row["n_labeled"], row["trial"]) for row in rows] == [
+            ("4", "1"),
+            ("6", "1"),
+        ]
+        meta = read_meta(out)
+        errors = [key for key in meta if key.startswith("error_trial_")]
+        assert errors == ["error_trial_0_n_4", "error_trial_0_n_6"]
+        assert all("radius too small" in meta[key] for key in errors)
+        return rows
+
+    def test_grid_rows_skip_the_infeasible_trials_and_record_them(self, tmp_path):
+        rows = self.run_grid(tmp_path)
         assert all(row["kind"] == "bound-vs-nl" for row in rows)
-        assert [row["n_labeled"] for row in rows] == ["4", "4", "6", "6"]
 
     def test_confidence_kind_is_labeled_in_the_rows(self, tmp_path):
-        out = tmp_path / "conf.csv"
-        config = write_config(
-            tmp_path,
-            output=str(out),
-            kind="conf-vs-nl",
-            force_zero_state=True,
-            eps=0.5,
-            **SMALL_DATA,
-        )
-        assert main(["bound", "--config", config]) == EXIT_OK
-        rows = read_rows(out)
+        rows = self.run_grid(tmp_path, kind="conf-vs-nl")
         assert all(row["kind"] == "conf-vs-nl" for row in rows)
-        assert all(row["median_confidence"] == "0.5" for row in rows)
 
     def test_mismatched_kind_is_a_usage_error(self, tmp_path):
         config = write_config(

@@ -88,7 +88,8 @@ class TestParsing:
             parse_config_text("eps_grid = 0.1,often\n")
 
     def test_retired_solver_keys_are_unknown(self):
-        # no command runs the stochastic dual solver, so no key tunes it
+        # no command runs the stochastic dual solver, so no key tunes it,
+        # and every certificate row comes from a trained model
         for key in (
             "step_size",
             "batch_size",
@@ -100,6 +101,7 @@ class TestParsing:
             "use_adam",
             "tail_average",
             "solver_seed",
+            "force_zero_state",
         ):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 parse_config_text(f"{key} = 1\n")

@@ -1,5 +1,5 @@
-"""Tests for the dual objective, its subgradients, the stochastic solver and
-the cutting-set trainer."""
+"""Tests for the dual cells and objective, the stochastic solver and the
+cutting-set trainer."""
 
 import csv
 
@@ -14,16 +14,14 @@ from drulearn.dual import (
     MAX_STEPS,
     THETA_BOX,
     TRACE_FIELDS,
-    Cell,
     DualState,
     InfeasibleRadiusError,
     LabelPrior,
     SolverConfig,
-    cell_subgradients,
-    cell_value,
+    cell_tensor,
     cutset_solve,
     dual_objective,
-    max_cell,
+    max_cell_values,
     sgd_solve,
     train_dru,
 )
@@ -34,7 +32,10 @@ from drulearn.model import (
     both_class_losses,
     confidence,
     logistic_loss,
+    loss_grad_theta,
     make_rng,
+    pair_costs,
+    transport_cost,
 )
 from drulearn.oracle import BUDGET_SLACK, min_feasible_radius, solve_worst_case_lp
 
@@ -94,6 +95,35 @@ class TestDualState:
         assert state.transport_mult == 0.0
 
 
+def brute_force_max_cells(state, data, features):
+    """Per point, the max over atoms i and labels k of
+    loss(theta, x, k) - alpha * c((x, k), (x_i, y_i)) - psi_i - (u_k - l_k)."""
+    return [
+        max(
+            logistic_loss(state.theta, x, k)
+            - state.transport_mult
+            * float(transport_cost(x, k, data.features[i], data.labels[i], COST))
+            - state.atom_potentials[i]
+            - (state.label_upper_mult[k] - state.label_lower_mult[k])
+            for i in range(data.n)
+            for k in range(2)
+        )
+        for x in features
+    ]
+
+
+def cells_at(state, data, x):
+    """The (n_labeled, 2) cell values at one point, through `cell_tensor`."""
+    x = np.asarray(x, dtype=float)[None, :]
+    return cell_tensor(
+        both_class_losses(state.theta, x),
+        pair_costs(x, data, COST),
+        state.transport_mult,
+        state.atom_potentials,
+        state.label_upper_mult - state.label_lower_mult,
+    )[0]
+
+
 class TestCellValue:
     def test_zero_multipliers_reduce_to_the_loss(self):
         rng = make_rng(0)
@@ -101,98 +131,60 @@ class TestCellValue:
         theta = rng.normal(size=3)
         state = DualState(theta, 0.0, np.zeros(2), np.zeros(2), np.zeros(2))
         x = rng.normal(size=3)
+        cells = cells_at(state, data, x)
         for i in range(2):
             for k in range(2):
-                assert cell_value(x, Cell(i, k), state, data, COST) == pytest.approx(
+                assert cells[i, k] == pytest.approx(
                     logistic_loss(theta, x, k), abs=1e-14
                 )
+        # the maximum is then the larger of the two labels' losses
+        assert max_cell_values(state, data, x, COST)[0] == pytest.approx(
+            max(logistic_loss(theta, x, 0), logistic_loss(theta, x, 1)), abs=1e-14
+        )
 
     def test_unit_transport_mult_at_distance_five(self):
         # same candidate label as the atom, zero weights: log 2 - 5
         data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([1]))
         state = DualState(np.zeros(2), 1.0, np.zeros(1), np.zeros(2), np.zeros(2))
-        value = cell_value(np.array([3.0, 4.0]), Cell(0, 1), state, data, COST)
+        x = np.array([3.0, 4.0])
+        value = cells_at(state, data, x)[0, 1]
         assert value == pytest.approx(LOG2 - 5.0, abs=1e-12)
         assert value == pytest.approx(-4.306853, abs=1e-6)
+        # the flipped cell also pays the flip cost, so this cell is the max
+        assert max_cell_values(state, data, x, COST)[0] == value
 
     def test_atom_potential_is_a_flat_charge(self):
         data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([1]))
         state = DualState(np.zeros(2), 0.0, np.array([10.0]), np.zeros(2), np.zeros(2))
-        value = cell_value(np.array([0.0, 0.0]), Cell(0, 1), state, data, COST)
-        assert value == pytest.approx(LOG2 - 10.0, abs=1e-12)
-
-    def test_out_of_range_indices_raise(self):
-        data = LabeledDataset(np.zeros((1, 2)), np.array([1]))
-        state = DualState.zeros(2, 1)
-        with pytest.raises(IndexError):
-            cell_value(np.zeros(2), Cell(1, 0), state, data, COST)
-        with pytest.raises(IndexError):
-            cell_value(np.zeros(2), Cell(0, 2), state, data, COST)
+        cells = cells_at(state, data, np.array([0.0, 0.0]))
+        np.testing.assert_allclose(cells, [[LOG2 - 10.0, LOG2 - 10.0]], atol=1e-12)
+        assert max_cell_values(state, data, np.zeros(2), COST)[0] == pytest.approx(
+            LOG2 - 10.0, abs=1e-12
+        )
 
 
 class TestMaxCell:
-    def test_zero_state_ties_break_to_the_first_cell(self):
-        data = LabeledDataset(np.zeros((2, 2)), np.array([0, 0]))
-        state = DualState.zeros(2, 2)
-        # flip cost charges nothing at transport_mult 0, so all cells tie
-        value, cell = max_cell(np.array([1.0, -1.0]), state, data, COST)
-        assert value == pytest.approx(LOG2, abs=1e-14)
-        assert (cell.atom_index, cell.label_index) == (0, 0)
-
-    def test_heavily_charged_atom_loses_the_argmax(self):
-        features = np.array([[1.0, 0.5], [1.0, 0.5]])  # identical atoms
-        data = LabeledDataset(features, np.array([1, 1]))
-        charged = DualState(
-            np.zeros(2), 0.0, np.array([10.0, 0.0]), np.zeros(2), np.zeros(2)
-        )
-        _, cell = max_cell(np.array([0.0, 0.0]), charged, data, COST)
-        assert cell.atom_index == 1
-        favored = DualState(
-            np.zeros(2), 0.0, np.array([-10.0, 0.0]), np.zeros(2), np.zeros(2)
-        )
-        _, cell = max_cell(np.array([0.0, 0.0]), favored, data, COST)
-        assert cell.atom_index == 0
-
     def test_matches_exhaustive_enumeration(self):
         rng = make_rng(1)
         for _ in range(50):
-            data, _, _ = random_instance(rng)
+            data, unlabeled, _ = random_instance(rng)
             state = random_state(rng, 3, data.n)
-            x = rng.normal(size=3)
-            value, cell = max_cell(x, state, data, COST)
-            brute = max(
-                cell_value(x, Cell(i, k), state, data, COST)
-                for i in range(data.n)
-                for k in range(2)
-            )
+            values = max_cell_values(state, data, unlabeled.features, COST)
             # matrix/vector dot products may differ in the last ulp
-            assert value == pytest.approx(brute, rel=1e-13, abs=1e-15)
-            # but the value always reproduces cell_value at its own argmax
-            assert value == cell_value(x, cell, state, data, COST)
+            np.testing.assert_allclose(
+                values,
+                brute_force_max_cells(state, data, unlabeled.features),
+                rtol=1e-13,
+                atol=1e-15,
+            )
 
 
 class TestCellSubgradients:
-    def test_components_at_a_known_argmax(self):
-        # negative margin makes the label-1 cell the unique argmax; moving
-        # there costs the plain distance 5, no flip, so the transport
-        # component is -5
-        data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([1]))
-        theta = np.array([-1.0, 0.0])
-        state = DualState(theta, 0.0, np.zeros(1), np.zeros(2), np.zeros(2))
-        grad = cell_subgradients(np.array([3.0, 4.0]), state, data, COST)
-        assert grad.transport_mult == pytest.approx(-5.0)
-        np.testing.assert_array_equal(grad.atom_potentials, [-1.0])
-        np.testing.assert_array_equal(grad.label_upper_mult, [0.0, -1.0])
-
-    def test_lower_mult_component_mirrors_the_upper_one(self):
-        rng = make_rng(2)
-        for _ in range(20):
-            data, _, _ = random_instance(rng)
-            state = random_state(rng, 3, data.n)
-            grad = cell_subgradients(rng.normal(size=3), state, data, COST)
-            np.testing.assert_array_equal(grad.label_lower_mult, -grad.label_upper_mult)
-
     def test_matches_central_finite_differences(self):
+        # At the maximizing cell (i*, k*) the inner maximum's gradient is the
+        # loss gradient at label k* in theta and minus the transport cost
+        # into (x_i*, k*) in alpha, the terms `sgd_solve` assembles; central
+        # differences agree on 100 points whose argmax is stable.
         rng = make_rng(3)
         step = 1e-6
         checked = 0
@@ -200,93 +192,38 @@ class TestCellSubgradients:
             data, _, _ = random_instance(rng)
             state = random_state(rng, 3, data.n, scale=0.5)
             x = rng.normal(size=3)
-            cells = sorted(
-                cell_value(x, Cell(i, k), state, data, COST)
-                for i in range(data.n)
-                for k in range(2)
-            )
-            if len(cells) > 1 and cells[-1] - cells[-2] < 1e-3:
+            cells = cells_at(state, data, x)
+            ordered = np.sort(cells.ravel())
+            if ordered[-1] - ordered[-2] < 1e-3:
                 continue  # keep only argmax-stable neighborhoods
-            grad = cell_subgradients(x, state, data, COST)
+            atom, label = np.unravel_index(np.argmax(cells), cells.shape)
+            grad_theta = loss_grad_theta(state.theta, x, label)
+            grad_alpha = -pair_costs(x[None, :], data, COST)[0, atom, label]
 
-            def phi(s):
-                return max_cell(x, s, data, COST)[0]
+            def phi(theta, alpha):
+                bumped = DualState(
+                    theta,
+                    alpha,
+                    state.atom_potentials,
+                    state.label_upper_mult,
+                    state.label_lower_mult,
+                )
+                return max_cell_values(bumped, data, x, COST)[0]
 
             for axis in range(3):
                 bump = np.zeros(3)
                 bump[axis] = step
                 fd = (
-                    phi(
-                        DualState(
-                            state.theta + bump,
-                            state.transport_mult,
-                            state.atom_potentials,
-                            state.label_upper_mult,
-                            state.label_lower_mult,
-                        )
-                    )
-                    - phi(
-                        DualState(
-                            state.theta - bump,
-                            state.transport_mult,
-                            state.atom_potentials,
-                            state.label_upper_mult,
-                            state.label_lower_mult,
-                        )
-                    )
+                    phi(state.theta + bump, state.transport_mult)
+                    - phi(state.theta - bump, state.transport_mult)
                 ) / (2 * step)
-                assert fd == pytest.approx(grad.theta[axis], rel=1e-5, abs=1e-7)
+                assert fd == pytest.approx(grad_theta[axis], rel=1e-5, abs=1e-7)
             fd_alpha = (
-                phi(
-                    DualState(
-                        state.theta,
-                        state.transport_mult + step,
-                        state.atom_potentials,
-                        state.label_upper_mult,
-                        state.label_lower_mult,
-                    )
-                )
-                - phi(
-                    DualState(
-                        state.theta,
-                        state.transport_mult - step,
-                        state.atom_potentials,
-                        state.label_upper_mult,
-                        state.label_lower_mult,
-                    )
-                )
+                phi(state.theta, state.transport_mult + step)
+                - phi(state.theta, state.transport_mult - step)
             ) / (2 * step)
-            assert fd_alpha == pytest.approx(grad.transport_mult, rel=1e-5, abs=1e-7)
+            assert fd_alpha == pytest.approx(grad_alpha, rel=1e-5, abs=1e-7)
             checked += 1
-
-    def test_supporting_hyperplane_inequality(self):
-        # the inner maximum is a max of affine functions of the multipliers,
-        # so any selected subgradient supports it from below: 1000 pairs
-        rng = make_rng(4)
-        for _ in range(1000):
-            data, _, _ = random_instance(rng, n_labeled=2, n_unlabeled=1, dim=2)
-            theta = rng.normal(size=2)
-            s1 = random_state(rng, 2, 2)
-            s2 = random_state(rng, 2, 2)
-            s1 = DualState(
-                theta, s1.transport_mult, s1.atom_potentials,
-                s1.label_upper_mult, s1.label_lower_mult,
-            )
-            s2 = DualState(
-                theta, s2.transport_mult, s2.atom_potentials,
-                s2.label_upper_mult, s2.label_lower_mult,
-            )
-            x = rng.normal(size=2)
-            grad = cell_subgradients(x, s1, data, COST)
-            inner = (
-                grad.transport_mult * (s2.transport_mult - s1.transport_mult)
-                + grad.atom_potentials @ (s2.atom_potentials - s1.atom_potentials)
-                + grad.label_upper_mult @ (s2.label_upper_mult - s1.label_upper_mult)
-                + grad.label_lower_mult @ (s2.label_lower_mult - s1.label_lower_mult)
-            )
-            lhs = max_cell(x, s2, data, COST)[0]
-            rhs = max_cell(x, s1, data, COST)[0] + inner
-            assert lhs >= rhs - 1e-10
 
 
 class TestDualObjective:
