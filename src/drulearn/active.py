@@ -38,9 +38,6 @@ STRATEGY_KINDS = (RANDOM, EMC, MIN_MC, MAX_MC, DR_STRONG, DR_WEAK)
 GRADIENT_TOL = 1e-6
 NEWTON_MAX_ITER = 100
 
-CURVE_REPORT_FIELDS = ("strategy", "trial", "n_labeled", "likelihood")
-AULC_REPORT_FIELDS = ("strategy", "median_aulc")
-
 
 @dataclasses.dataclass(frozen=True)
 class StrategyConfig:
@@ -372,25 +369,3 @@ def aulc(curve) -> float:
         raise ValueError("curve points must be strictly increasing in n")
     area = float(np.trapezoid(values, counts))
     return 100.0 * area / float(counts[-1] - counts[0])
-
-
-def curve_report_rows(strategy_kind: str, trial: int, history):
-    """Rows for the per-trial likelihood curve, keyed by CURVE_REPORT_FIELDS."""
-    return [
-        {
-            "strategy": strategy_kind,
-            "trial": int(trial),
-            "n_labeled": int(n),
-            "likelihood": float(value),
-        }
-        for n, value in history
-    ]
-
-
-def aulc_report_rows(aulc_by_strategy: dict):
-    """One row per strategy with the median AULC across its trials."""
-    rows = []
-    for kind in sorted(aulc_by_strategy):
-        values = np.asarray(aulc_by_strategy[kind], dtype=float)
-        rows.append({"strategy": kind, "median_aulc": float(np.median(values))})
-    return rows

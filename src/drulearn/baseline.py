@@ -24,13 +24,6 @@ ALPHA_TOL = 1e-9
 FIT_TOL = 1e-9
 FIT_MAX_ITER = 1000
 
-SWEEP_REPORT_FIELDS = (
-    "eps",
-    "delta",
-    "worst_case_likelihood",
-    "log10_worst_case_likelihood",
-)
-
 
 def feature_norm(theta) -> float:
     """Norm of the non-intercept block of theta.
@@ -226,20 +219,3 @@ def robustness_sweep(
                 -baseline_worst_case(theta, data, eps + delta, cost)
             )
     return matrix
-
-
-def sweep_report_rows(eps_grid, delta_grid, matrix):
-    """Flatten a sweep matrix into rows keyed by ``SWEEP_REPORT_FIELDS``."""
-    rows = []
-    for i, eps in enumerate(np.asarray(eps_grid, dtype=float)):
-        for j, delta in enumerate(np.asarray(delta_grid, dtype=float)):
-            likelihood = float(matrix[i, j])
-            rows.append(
-                {
-                    "eps": float(eps),
-                    "delta": float(delta),
-                    "worst_case_likelihood": likelihood,
-                    "log10_worst_case_likelihood": float(np.log10(likelihood)),
-                }
-            )
-    return rows

@@ -58,15 +58,6 @@ RADIUS_POLICIES = (
 PRIOR_STRONG = "strong"
 PRIOR_WEAK = "weak"
 
-BOUND_REPORT_FIELDS = (
-    "eps",
-    "neg_log_bound",
-    "correction",
-    "likelihood_bound",
-    "median_confidence",
-    "vacuous_flag",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class PerformanceBound:
@@ -390,18 +381,20 @@ def prior_feasible_radius(
 ) -> float:
     """Smallest radius keeping the decision set nonempty.
 
-    For an interval prior the box is instantiated at both endpoints of the
-    positive-class probability and the larger of the two minimal radii is
-    used, so the chosen radius stays feasible whichever endpoint is true.
+    The prior is instantiated as a point at an endpoint of its interval for
+    the positive-class probability, so the radius stays feasible whichever
+    endpoint is true.  At a point prior with positive share s,
+    `min_feasible_radius` is W + label_flip_cost * |s - p| with W independent
+    of s and p the labeled atoms' positive share, so the endpoint farther
+    from p needs the larger radius and is the only one solved.
     """
-    if np.array_equal(prior.lower, prior.upper):
-        return min_feasible_radius(data, unlabeled.features, prior, cost)
-    endpoints = (float(prior.lower[1]), float(prior.upper[1]))
-    return max(
-        min_feasible_radius(
-            data, unlabeled.features, _point_prior_for_share(share), cost
-        )
-        for share in endpoints
+    share = float(data.labels.mean())
+    farther = max(
+        (float(prior.lower[1]), float(prior.upper[1])),
+        key=lambda endpoint: abs(endpoint - share),
+    )
+    return min_feasible_radius(
+        data, unlabeled.features, _point_prior_for_share(farther), cost
     )
 
 
@@ -453,15 +446,3 @@ def select_radius(
     return dataclasses.replace(
         selection, eps=float(eps), fallback_warning=warned
     )
-
-
-def bound_report_row(eps: float, bound: PerformanceBound, median_confidence: float):
-    """One row of a bound report, keyed by ``BOUND_REPORT_FIELDS``."""
-    return {
-        "eps": float(eps),
-        "neg_log_bound": bound.neg_log_bound,
-        "correction": bound.correction,
-        "likelihood_bound": bound.likelihood_bound,
-        "median_confidence": float(median_confidence),
-        "vacuous_flag": int(bound.vacuous),
-    }

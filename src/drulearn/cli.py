@@ -3,7 +3,8 @@
 Every subcommand reads a flat config file, applies the targeted overrides,
 runs deterministically from the configured seed, and writes CSV results plus
 a ``<output>.meta`` sidecar recording the resolved configuration and any
-per-trial errors. Exit codes: 0 success, 1 usage/configuration error,
+per-trial errors. The CSV layout is decided here: the library returns
+numbers, and each subcommand builds its rows next to the header it writes. Exit codes: 0 success, 1 usage/configuration error,
 2 infeasible instance, 3 numerical failure.
 """
 
@@ -17,41 +18,16 @@ import sys
 
 import numpy as np
 
-from .active import (
-    StrategyConfig,
-    aulc,
-    aulc_report_rows,
-    curve_report_rows,
-    initial_state,
-    run_active_loop,
-)
-from .baseline import (
-    SWEEP_REPORT_FIELDS,
-    baseline_train,
-    robustness_sweep,
-    sweep_report_rows,
-)
+from .active import StrategyConfig, aulc, initial_state, run_active_loop
+from .baseline import baseline_train, robustness_sweep
 from .bounds import (
-    BOUND_REPORT_FIELDS,
     PRIOR_STRONG,
-    bound_report_row,
     certify,
     make_prior,
     prior_feasible_radius,
     select_radius,
 )
-from .config import (
-    KIND_ACTIVE,
-    KIND_BOUND_VS_NL,
-    KIND_CONF_VS_NL,
-    KIND_ORACLE_CHECK,
-    KIND_RADIUS_SWEEP,
-    KIND_ROBUSTNESS_SWEEP,
-    ConfigError,
-    ExperimentConfig,
-    config_items,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, config_items, load_config
 from .data import (
     RawTable,
     append_intercept,
@@ -82,6 +58,16 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
 GAP_TOLERANCE = 1e-3
+
+# the certificate columns of every `train-dru`, `bound` and `radius-sweep` row
+BOUND_FIELDS = (
+    "eps",
+    "neg_log_bound",
+    "correction",
+    "likelihood_bound",
+    "median_confidence",
+    "vacuous_flag",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +223,7 @@ def _run_train_dru(config: ExperimentConfig) -> int:
         **report,
         **_theta_columns(result.theta),
     }
-    fieldnames = (
-        ["seed", "n_labeled", "status", "objective"]
-        + list(BOUND_REPORT_FIELDS)
-        + sorted(key for key in row if key.startswith("theta_"))
-    )
-    _write_csv(config.output, fieldnames, [row])
+    _write_csv(config.output, row, [row])
     return EXIT_OK
 
 
@@ -267,16 +248,7 @@ def _run_train_baseline(config: ExperimentConfig) -> int:
         "median_confidence": _median_confidence(result.theta, score_features),
         **_theta_columns(result.theta),
     }
-    fieldnames = [
-        "seed",
-        "n_labeled",
-        "eps",
-        "alpha",
-        "worst_case_value",
-        "worst_case_likelihood",
-        "median_confidence",
-    ] + sorted(key for key in row if key.startswith("theta_"))
-    _write_csv(config.output, fieldnames, [row])
+    _write_csv(config.output, row, [row])
     return EXIT_OK
 
 
@@ -316,12 +288,13 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Multi-trial experiment kinds
+# Multi-trial experiments
 
 
 def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     """Train at `eps` and certify the trained classifier by the multiplier
-    search; returns the `CutSetResult` and the certificate's report row."""
+    search; returns the `CutSetResult` and the certificate's `BOUND_FIELDS`
+    columns."""
     unlabeled = _require_unlabeled(instance)
     result = cutset_solve(
         instance.labeled, unlabeled, instance.prior, instance.cost, eps
@@ -335,17 +308,18 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
         instance.cost,
         z_score=config.z_score,
     )
-    median_conf = _median_confidence(result.theta, unlabeled.features)
-    return result, bound_report_row(eps, bound, median_conf)
+    report = {
+        "eps": float(eps),
+        "neg_log_bound": bound.neg_log_bound,
+        "correction": bound.correction,
+        "likelihood_bound": bound.likelihood_bound,
+        "median_confidence": _median_confidence(result.theta, unlabeled.features),
+        "vacuous_flag": int(bound.vacuous),
+    }
+    return result, report
 
 
 def _run_bound_experiment(config: ExperimentConfig) -> int:
-    kind = config.kind or KIND_BOUND_VS_NL
-    if kind not in (KIND_BOUND_VS_NL, KIND_CONF_VS_NL):
-        raise ConfigError(
-            f"the bound subcommand expects kind {KIND_BOUND_VS_NL} or "
-            f"{KIND_CONF_VS_NL}, got {kind!r}"
-        )
     table = _load_table(config)
     grid = config.n_labeled_grid or (config.n_labeled,)
     rows, errors = [], []
@@ -363,14 +337,13 @@ def _run_bound_experiment(config: ExperimentConfig) -> int:
                 continue
             rows.append(
                 {
-                    "kind": kind,
                     "n_labeled": int(n_labeled),
                     "trial": trial,
                     "seed": split_seed,
                     **report,
                 }
             )
-    fieldnames = ["kind", "n_labeled", "trial", "seed"] + list(BOUND_REPORT_FIELDS)
+    fieldnames = ["n_labeled", "trial", "seed"] + list(BOUND_FIELDS)
     _write_csv(config.output, fieldnames, rows)
     _finish(config, "bound", len(rows), errors)
     return EXIT_OK
@@ -391,7 +364,7 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
                 errors.append((f"{trial}_eps_{render_float(eps)}", error))
                 continue
             rows.append({"trial": trial, "seed": split_seed, **report})
-    fieldnames = ["trial", "seed"] + list(BOUND_REPORT_FIELDS)
+    fieldnames = ["trial", "seed"] + list(BOUND_FIELDS)
     _write_csv(config.output, fieldnames, rows)
     _finish(config, "radius-sweep", len(rows), errors)
     return EXIT_OK
@@ -428,9 +401,27 @@ def _run_robustness_sweep(config: ExperimentConfig) -> int:
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(trial), error))
             continue
-        for row in sweep_report_rows(config.eps_grid, config.delta_grid, matrix):
-            rows.append({"trial": trial, "seed": split_seed, **row})
-    fieldnames = ["trial", "seed"] + list(SWEEP_REPORT_FIELDS)
+        for i, eps in enumerate(config.eps_grid):
+            for j, delta in enumerate(config.delta_grid):
+                likelihood = float(matrix[i, j])
+                rows.append(
+                    {
+                        "trial": trial,
+                        "seed": split_seed,
+                        "eps": float(eps),
+                        "delta": float(delta),
+                        "worst_case_likelihood": likelihood,
+                        "log10_worst_case_likelihood": float(np.log10(likelihood)),
+                    }
+                )
+    fieldnames = [
+        "trial",
+        "seed",
+        "eps",
+        "delta",
+        "worst_case_likelihood",
+        "log10_worst_case_likelihood",
+    ]
     _write_csv(config.output, fieldnames, rows)
     _finish(config, "robustness-sweep", len(rows), errors)
     return EXIT_OK
@@ -464,16 +455,24 @@ def _run_active(config: ExperimentConfig) -> int:
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(trial), error))
             continue
-        for row in curve_report_rows(config.strategy, trial, state.history):
-            rows.append({"seed": trial_seed, **row})
+        rows.extend(
+            {
+                "seed": trial_seed,
+                "strategy": config.strategy,
+                "trial": trial,
+                "n_labeled": int(n),
+                "likelihood": float(value),
+            }
+            for n, value in state.history
+        )
     fieldnames = ["seed", "strategy", "trial", "n_labeled", "likelihood"]
     _write_csv(config.output, fieldnames, rows)
     if aulc_values:
-        _write_csv(
-            _aulc_output_path(config.output),
-            ["strategy", "median_aulc"],
-            aulc_report_rows({config.strategy: aulc_values}),
-        )
+        row = {
+            "strategy": config.strategy,
+            "median_aulc": float(np.median(aulc_values)),
+        }
+        _write_csv(_aulc_output_path(config.output), row, [row])
     _finish(config, "active", len(rows), errors)
     return EXIT_OK
 
@@ -546,13 +545,6 @@ _SUBCOMMANDS = {
     "oracle-check": _run_oracle_check,
 }
 
-_KIND_BY_SUBCOMMAND = {
-    "radius-sweep": KIND_RADIUS_SWEEP,
-    "robustness-sweep": KIND_ROBUSTNESS_SWEEP,
-    "active": KIND_ACTIVE,
-    "oracle-check": KIND_ORACLE_CHECK,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -586,8 +578,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["strategy"] = args.strategy
     if args.output is not None:
         updates["output"] = args.output
-    if args.command in _KIND_BY_SUBCOMMAND:
-        updates["kind"] = _KIND_BY_SUBCOMMAND[args.command]
     return dataclasses.replace(config, **updates) if updates else config
 
 

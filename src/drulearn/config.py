@@ -19,21 +19,6 @@ from .bounds import (
 )
 from .data import UNLABELED_FULL, UNLABELED_REMAINDER
 
-KIND_BOUND_VS_NL = "bound-vs-nl"
-KIND_CONF_VS_NL = "conf-vs-nl"
-KIND_RADIUS_SWEEP = "radius-sweep"
-KIND_ROBUSTNESS_SWEEP = "robustness-sweep"
-KIND_ACTIVE = "active"
-KIND_ORACLE_CHECK = "oracle-check"
-EXPERIMENT_KINDS = (
-    KIND_BOUND_VS_NL,
-    KIND_CONF_VS_NL,
-    KIND_RADIUS_SWEEP,
-    KIND_ROBUSTNESS_SWEEP,
-    KIND_ACTIVE,
-    KIND_ORACLE_CHECK,
-)
-
 
 class ConfigError(ValueError):
     """Raised when a config file cannot be parsed or validated."""
@@ -76,7 +61,6 @@ class ExperimentConfig:
     grid_span: float = 10.0
 
     # Experiment orchestration.
-    kind: str = ""
     trials: int = 1
     output: str = "results.csv"
     eps_grid: tuple = (0.1, 0.2, 0.5, 1.0, 2.0)
@@ -93,11 +77,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.kind and self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"unknown experiment kind {self.kind!r}; "
-                f"expected one of {', '.join(EXPERIMENT_KINDS)}"
-            )
         if self.prior_mode not in (PRIOR_STRONG, PRIOR_WEAK):
             raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
         if self.unlabeled_mode not in (UNLABELED_FULL, UNLABELED_REMAINDER):

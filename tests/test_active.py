@@ -7,8 +7,6 @@ import pytest
 from scipy.optimize import minimize
 
 from drulearn.active import (
-    AULC_REPORT_FIELDS,
-    CURVE_REPORT_FIELDS,
     ActiveState,
     DR_STRONG,
     DR_WEAK,
@@ -18,8 +16,6 @@ from drulearn.active import (
     RANDOM,
     StrategyConfig,
     aulc,
-    aulc_report_rows,
-    curve_report_rows,
     erm_train_l2,
     evaluation_likelihood,
     impact_gradient_norm,
@@ -453,19 +449,3 @@ class TestAulc:
             aulc([(10, 0.5), (10, 0.6)])
         with pytest.raises(ValueError):
             aulc([(10, 0.5), (9, 0.6)])
-
-
-class TestReports:
-    def test_curve_rows_flatten_the_history(self):
-        rows = curve_report_rows("emc", 3, ((20, 0.8), (21, 0.85)))
-        assert len(rows) == 2
-        assert tuple(rows[0]) == CURVE_REPORT_FIELDS
-        assert rows[1] == {
-            "strategy": "emc", "trial": 3, "n_labeled": 21, "likelihood": 0.85,
-        }
-
-    def test_aulc_rows_take_medians_in_sorted_order(self):
-        rows = aulc_report_rows({"random": [50.0, 60.0, 70.0], "emc": [80.0, 90.0]})
-        assert [tuple(r) for r in rows] == [AULC_REPORT_FIELDS] * 2
-        assert rows[0] == {"strategy": "emc", "median_aulc": 85.0}
-        assert rows[1] == {"strategy": "random", "median_aulc": 60.0}

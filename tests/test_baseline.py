@@ -8,12 +8,10 @@ from scipy.optimize import minimize
 
 from drulearn.baseline import (
     BaselineResult,
-    SWEEP_REPORT_FIELDS,
     baseline_train,
     baseline_worst_case,
     feature_norm,
     robustness_sweep,
-    sweep_report_rows,
     worst_case_price,
 )
 from drulearn.model import (
@@ -344,13 +342,3 @@ class TestRobustnessSweep:
             robustness_sweep({0.1: np.zeros(3)}, data, [], [0.0], COST)
         with pytest.raises(ValueError):
             robustness_sweep({0.1: np.zeros(3)}, data, [0.1], [], COST)
-
-    def test_report_rows_flatten_the_matrix_with_log_values(self):
-        matrix = np.array([[0.5, 0.25]])
-        rows = sweep_report_rows([0.1], [0.0, 0.2], matrix)
-        assert len(rows) == 2
-        assert tuple(rows[0]) == SWEEP_REPORT_FIELDS
-        assert rows[1]["worst_case_likelihood"] == 0.25
-        assert rows[1]["log10_worst_case_likelihood"] == pytest.approx(
-            math.log10(0.25), rel=1e-15
-        )

@@ -9,7 +9,6 @@ from scipy import stats
 
 from drulearn.bounds import (
     AS_ROBUST_AS_POSSIBLE,
-    BOUND_REPORT_FIELDS,
     DEFAULT_Z_SCORE,
     FRACTION_OF_TRUE_DISTANCE,
     MIN_RADIUS_PLUS_DELTA,
@@ -17,12 +16,12 @@ from drulearn.bounds import (
     PerformanceBound,
     RadiusSelection,
     berry_esseen_correction,
-    bound_report_row,
     certify,
     clopper_pearson,
     held_out_halves,
     make_prior,
     performance_bound,
+    prior_feasible_radius,
     search_multipliers,
     select_radius,
 )
@@ -601,6 +600,35 @@ class TestRadiusSelectionValidation:
             RadiusSelection(policy=AS_ROBUST_AS_POSSIBLE, grid_span=0.0)
 
 
+class TestPriorFeasibleRadius:
+    def test_one_solve_equals_the_larger_of_the_two_endpoint_radii(self):
+        # weak (Clopper-Pearson), strong and random-box priors: the one
+        # transport solve at the endpoint farther from the labeled share is
+        # bitwise the maximum over both endpoints
+        rng = make_rng(43)
+        for _ in range(40):
+            data, unlabeled, box = random_instance(
+                rng, n_labeled=int(rng.integers(1, 7))
+            )
+            share = float(rng.uniform())
+            for prior in (
+                box,
+                make_prior(data, mode="weak"),
+                make_prior(data, mode="strong", probabilities=(1.0 - share, share)),
+            ):
+                endpoints = max(
+                    min_feasible_radius(
+                        data,
+                        unlabeled.features,
+                        LabelPrior.point([1.0 - endpoint, endpoint]),
+                        COST,
+                    )
+                    for endpoint in (float(prior.lower[1]), float(prior.upper[1]))
+                )
+                radius = prior_feasible_radius(data, unlabeled, prior, COST)
+                assert radius == endpoints
+
+
 class TestSelectRadius:
     def test_min_radius_plus_delta_with_a_point_prior(self):
         rng = make_rng(10)
@@ -732,19 +760,3 @@ class TestSelectRadius:
             RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
         )
         assert chosen.eps >= 0.0
-
-
-class TestBoundReportRow:
-    def test_row_keys_match_the_report_header(self):
-        bound = PerformanceBound(
-            neg_log_bound=0.4, correction=0.05, likelihood_bound=math.exp(-0.45),
-            n_unlabeled=10,
-        )
-        row = bound_report_row(0.25, bound, 0.8)
-        assert tuple(row) == BOUND_REPORT_FIELDS
-        assert row["vacuous_flag"] == 0
-        assert row["eps"] == 0.25
-        vacuous = PerformanceBound(
-            neg_log_bound=LOG2, correction=0.0, likelihood_bound=0.5, n_unlabeled=10
-        )
-        assert bound_report_row(0.25, vacuous, 0.8)["vacuous_flag"] == 1

@@ -10,23 +10,38 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from drulearn import baseline
+from drulearn.active import StrategyConfig, aulc, initial_state, run_active_loop
+from drulearn.baseline import baseline_train, robustness_sweep
+from drulearn.bounds import certify
 from drulearn.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _build_instance,
+    _load_table,
     _oracle_instance,
     main,
 )
-from drulearn.config import render_value
-from drulearn.dual import duality_gap_check
-from drulearn.model import TransportCost, UnlabeledDataset
+from drulearn.config import load_config, render_value
+from drulearn.dual import cutset_solve, duality_gap_check
+from drulearn.model import (
+    LabeledDataset,
+    TransportCost,
+    UnlabeledDataset,
+    confidence,
+    make_rng,
+)
 from drulearn.oracle import BUDGET_SLACK, min_feasible_radius
 
 SMALL_DATA = {
     "synthetic_n": 24,
     "n_labeled": 6,
 }
+
+BOUND_HEADER = (
+    "eps,neg_log_bound,correction,likelihood_bound,median_confidence,vacuous_flag"
+)
 
 
 def write_config(tmp_path, name="run.cfg", **keys):
@@ -39,6 +54,46 @@ def write_config(tmp_path, name="run.cfg", **keys):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def read_header(path):
+    with open(path, newline="") as handle:
+        return handle.readline().rstrip("\n")
+
+
+def cli_instance(config_path, split_seed, n_labeled=None):
+    """The config file's instance for one split, as the CLI assembles it."""
+    config = load_config(config_path)
+    return config, _build_instance(
+        config, _load_table(config), split_seed, n_labeled
+    )
+
+
+def library_certificate(config_path, split_seed, eps, n_labeled=None):
+    """Train and certify one instance by the library calls, and return the
+    trained result with the certificate columns as the CLI renders them."""
+    config, instance = cli_instance(config_path, split_seed, n_labeled)
+    result = cutset_solve(
+        instance.labeled, instance.unlabeled, instance.prior, instance.cost, eps
+    )
+    bound = certify(
+        result.state,
+        instance.labeled,
+        instance.unlabeled,
+        instance.prior,
+        eps,
+        instance.cost,
+        z_score=config.z_score,
+    )
+    median = np.median(confidence(result.theta, instance.unlabeled.features))
+    return result, {
+        "eps": repr(float(eps)),
+        "neg_log_bound": repr(bound.neg_log_bound),
+        "correction": repr(bound.correction),
+        "likelihood_bound": repr(bound.likelihood_bound),
+        "median_confidence": repr(float(median)),
+        "vacuous_flag": str(int(bound.vacuous)),
+    }
 
 
 def read_meta(path):
@@ -123,6 +178,56 @@ class TestOneShotCommands:
         assert float(row["worst_case_likelihood"]) == pytest.approx(
             math.exp(-value), rel=1e-12
         )
+
+    def test_weight_columns_follow_the_index_order(self, tmp_path):
+        # 10 features plus the intercept: 11 weights, so a string sort of
+        # the names would put theta_10 before theta_2
+        rng = make_rng(0)
+        features = np.round(rng.normal(size=(16, 10)), 3)
+        labels = (features[:, 0] + 0.5 * rng.normal(size=16) > 0).astype(int)
+        dataset = tmp_path / "wide.csv"
+        lines = [",".join([f"x{j}" for j in range(10)] + ["label"])]
+        lines += [
+            ",".join([repr(float(value)) for value in row] + [str(label)])
+            for row, label in zip(features, labels)
+        ]
+        dataset.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "wide_out.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            dataset=str(dataset),
+            n_labeled=12,
+            prior_mode="strong",
+        )
+        thetas = ",".join(f"theta_{j}" for j in range(11))
+
+        assert main(["train-dru", "--config", config]) == EXIT_OK
+        assert read_header(out) == (
+            f"seed,n_labeled,status,objective,{BOUND_HEADER},{thetas}"
+        )
+        (row,) = read_rows(out)
+        result, certificate = library_certificate(config, 0, float(row["eps"]))
+        assert {key: row[key] for key in certificate} == certificate
+        assert row["objective"] == certificate["neg_log_bound"]
+        assert row["status"] == result.status
+        assert [row[f"theta_{j}"] for j in range(11)] == [
+            repr(float(value)) for value in result.theta
+        ]
+        # distinct nonzero weights, so a misordered column cannot match
+        assert np.all(result.theta != 0.0)
+
+        assert main(["train-baseline", "--config", config]) == EXIT_OK
+        assert read_header(out) == (
+            "seed,n_labeled,eps,alpha,worst_case_value,worst_case_likelihood,"
+            f"median_confidence,{thetas}"
+        )
+        (row,) = read_rows(out)
+        _, instance = cli_instance(config, 0)
+        fit = baseline_train(instance.labeled, float(row["eps"]), instance.cost)
+        assert [row[f"theta_{j}"] for j in range(11)] == [
+            repr(float(value)) for value in fit.theta
+        ]
 
     def test_default_instance_collapses_to_the_zero_model_on_wide_balls(
         self, tmp_path
@@ -248,14 +353,25 @@ class TestBoundExperiment:
         return rows
 
     def test_grid_rows_skip_the_infeasible_trials_and_record_them(self, tmp_path):
-        rows = self.run_grid(tmp_path)
-        assert all(row["kind"] == "bound-vs-nl" for row in rows)
+        self.run_grid(tmp_path)
 
-    def test_confidence_kind_is_labeled_in_the_rows(self, tmp_path):
-        rows = self.run_grid(tmp_path, kind="conf-vs-nl")
-        assert all(row["kind"] == "conf-vs-nl" for row in rows)
+    def test_rows_pin_the_header_and_match_the_library_certificate(
+        self, tmp_path
+    ):
+        rows = self.run_grid(tmp_path)
+        assert read_header(tmp_path / "bound.csv") == (
+            f"n_labeled,trial,seed,{BOUND_HEADER}"
+        )
+        config = str(tmp_path / "run.cfg")
+        for row in rows:
+            _, certificate = library_certificate(
+                config, int(row["seed"]), 0.5, n_labeled=int(row["n_labeled"])
+            )
+            assert {key: row[key] for key in certificate} == certificate
 
     def test_mismatched_kind_is_a_usage_error(self, tmp_path):
+        # `kind` is no longer a config key: the subcommand alone decides what
+        # a run reports, so a config that still sets it exits 1
         config = write_config(
             tmp_path, output=str(tmp_path / "b.csv"), kind="active", **SMALL_DATA
         )
@@ -298,6 +414,65 @@ class TestSweeps:
         assert main(["radius-sweep", "--config", config]) == EXIT_INFEASIBLE
         assert read_rows(out) == []
         assert "error_trial_0_eps_0.001" in read_meta(out)
+
+    def test_radius_sweep_rows_pin_the_header_and_match_the_library_certificate(
+        self, tmp_path
+    ):
+        out = tmp_path / "rs.csv"
+        config = write_config(
+            tmp_path, output=str(out), eps_grid=(0.6, 1.5), seed=1, **SMALL_DATA
+        )
+        assert main(["radius-sweep", "--config", config]) == EXIT_OK
+        assert read_header(out) == f"trial,seed,{BOUND_HEADER}"
+        rows = read_rows(out)
+        assert [row["eps"] for row in rows] == ["0.6", "1.5"]
+        for row in rows:
+            _, certificate = library_certificate(config, 1, float(row["eps"]))
+            assert {key: row[key] for key in certificate} == certificate
+
+    def test_robustness_sweep_rows_pin_the_header_and_flatten_the_matrix(
+        self, tmp_path
+    ):
+        out = tmp_path / "rob.csv"
+        eps_grid, delta_grid = (0.2, 0.6), (0.0, 0.5)
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            eps_grid=eps_grid,
+            delta_grid=delta_grid,
+            seed=1,
+            **SMALL_DATA,
+        )
+        assert main(["robustness-sweep", "--config", config]) == EXIT_OK
+        assert read_header(out) == (
+            "trial,seed,eps,delta,worst_case_likelihood,"
+            "log10_worst_case_likelihood"
+        )
+        _, instance = cli_instance(config, 1)
+        matrix = robustness_sweep(
+            {
+                eps: baseline_train(instance.labeled, eps, instance.cost).theta
+                for eps in eps_grid
+            },
+            instance.labeled,
+            eps_grid,
+            delta_grid,
+            instance.cost,
+        )
+        expected = [
+            [repr(eps), repr(delta), repr(float(matrix[i, j]))]
+            for i, eps in enumerate(eps_grid)
+            for j, delta in enumerate(delta_grid)
+        ]
+        rows = read_rows(out)
+        assert [
+            [row["eps"], row["delta"], row["worst_case_likelihood"]] for row in rows
+        ] == expected
+        for row in rows:
+            likelihood = float(row["worst_case_likelihood"])
+            assert row["log10_worst_case_likelihood"] == repr(
+                float(np.log10(likelihood))
+            )
 
     def test_robustness_sweep_is_monotone_in_the_extra_radius(self, tmp_path):
         out = tmp_path / "rob.csv"
@@ -349,6 +524,47 @@ class TestActiveExperiment:
         (aulc_row,) = read_rows(tmp_path / "act_aulc.csv")
         assert aulc_row["strategy"] == "random"
         assert 0.0 <= float(aulc_row["median_aulc"]) <= 100.0
+
+    def test_curve_and_aulc_rows_pin_the_headers_and_match_the_library(
+        self, tmp_path
+    ):
+        out = tmp_path / "act.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            synthetic_n=20,
+            n_initial=3,
+            stop_at=6,
+            trials=3,
+            strategy="emc",
+            seed=2,
+        )
+        assert main(["active", "--config", config]) == EXIT_OK
+        assert read_header(out) == "seed,strategy,trial,n_labeled,likelihood"
+        aulc_path = tmp_path / "act_aulc.csv"
+        assert read_header(aulc_path) == "strategy,median_aulc"
+        table = _load_table(load_config(config))
+        pool = LabeledDataset(table.features, table.labels)
+        expected, areas = [], []
+        for trial in range(3):
+            state = run_active_loop(
+                initial_state(pool, 3, 2 + trial),
+                StrategyConfig(kind="emc", seed=2 + trial),
+                eval_data=pool,
+                stop_at=6,
+                cost=TransportCost(),
+            )
+            expected += [
+                [str(2 + trial), "emc", str(trial), str(n), repr(float(value))]
+                for n, value in state.history
+            ]
+            areas.append(aulc(state.history))
+        assert [list(row.values()) for row in read_rows(out)] == expected
+        (aulc_row,) = read_rows(aulc_path)
+        assert aulc_row == {
+            "strategy": "emc",
+            "median_aulc": repr(float(np.median(areas))),
+        }
 
     def test_strategy_override_changes_the_curves(self, tmp_path):
         out = tmp_path / "act.csv"

@@ -8,7 +8,6 @@ import pytest
 
 from drulearn.bounds import AS_ROBUST_AS_POSSIBLE, PRIOR_STRONG
 from drulearn.config import (
-    EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     config_items,
@@ -89,7 +88,8 @@ class TestParsing:
 
     def test_retired_solver_keys_are_unknown(self):
         # no command runs the stochastic dual solver, so no key tunes it,
-        # and every certificate row comes from a trained model
+        # and every certificate row comes from a trained model; the
+        # subcommand alone names what a run reports, so `kind` is gone too
         for key in (
             "step_size",
             "batch_size",
@@ -102,6 +102,7 @@ class TestParsing:
             "tail_average",
             "solver_seed",
             "force_zero_state",
+            "kind",
         ):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 parse_config_text(f"{key} = 1\n")
@@ -117,13 +118,6 @@ class TestValidation:
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig(trials=0)
-
-    def test_kind_must_be_known_when_set(self):
-        with pytest.raises(ConfigError, match="unknown experiment kind"):
-            ExperimentConfig(kind="fig-6")
-        for kind in EXPERIMENT_KINDS:
-            assert ExperimentConfig(kind=kind).kind == kind
-        assert ExperimentConfig(kind="").kind == ""
 
     def test_mode_fields_are_validated(self):
         with pytest.raises(ConfigError, match="prior_mode"):
@@ -178,7 +172,6 @@ class TestRendering:
             n_labeled_grid=(5, 9),
             prior_mode=PRIOR_STRONG,
             prior_positive_share=0.6,
-            kind="active",
         )
         text = "\n".join(
             f"{key}={value}" for key, value in config_items(config)
