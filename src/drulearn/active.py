@@ -25,7 +25,7 @@ from .model import (
     loss_grad_theta,
     make_rng,
 )
-from .oracle import OPTIMAL, solve_payoff_lp
+from .oracle import OPTIMAL, PayoffLp
 
 RANDOM = "random"
 EMC = "emc"
@@ -205,6 +205,24 @@ def score_max_mc(theta, x, include_norm: bool = False) -> float:
     return float(_posterior_scores(theta, x, MAX_MC, include_norm)[0])
 
 
+def _impact_payoff(target: int, x_star, n_u: int, theta):
+    """The payoff table whose worst case over the decision set is minus the
+    robust score of support point `target` (see `score_dr`)."""
+    payoff = np.zeros((n_u, 2))
+    for label in (0, 1):
+        payoff[target, label] = -n_u * impact_gradient_norm(theta, x_star, label)
+    return payoff
+
+
+def _worst_impact(model: PayoffLp, payoff) -> float:
+    result = model.solve(payoff)
+    if result.status != OPTIMAL:
+        raise InfeasibleRadiusError(
+            "decision set is empty at the requested radius"
+        )
+    return -result.value
+
+
 def score_dr(
     x_star,
     data: LabeledDataset,
@@ -227,18 +245,9 @@ def score_dr(
     matches = np.flatnonzero((unlabeled.features == x_star).all(axis=1))
     if matches.size == 0:
         raise ValueError("x_star must be one of the unlabeled points")
-    target = int(matches[0])
-    payoff = np.zeros((unlabeled.n, 2))
-    for label in (0, 1):
-        payoff[target, label] = -unlabeled.n * impact_gradient_norm(
-            theta, x_star, label
-        )
-    result = solve_payoff_lp(payoff, unlabeled.features, data, prior, eps, cost)
-    if result.status != OPTIMAL:
-        raise InfeasibleRadiusError(
-            "decision set is empty at the requested radius"
-        )
-    return -result.value
+    payoff = _impact_payoff(int(matches[0]), x_star, unlabeled.n, theta)
+    model = PayoffLp(unlabeled.features, data, prior, eps, cost)
+    return _worst_impact(model, payoff)
 
 
 def _dr_prior_and_radius(state, strategy, pool, cost, class_share):
@@ -290,15 +299,12 @@ def select_next(
     candidates = np.sort(rng.choice(state.pool_size, size=size, replace=False))
     pool = UnlabeledDataset(state.pool_features)
     prior, eps = _dr_prior_and_radius(state, strategy, pool, cost, class_share)
+    # one model prices every candidate's `score_dr` payoff: only the costs
+    # change between candidates, so each solve starts from the last basis
+    model = PayoffLp(pool.features, state.labeled, prior, eps, cost)
     scores = [
-        score_dr(
-            state.pool_features[j],
-            state.labeled,
-            pool,
-            prior,
-            eps,
-            cost,
-            theta,
+        _worst_impact(
+            model, _impact_payoff(j, state.pool_features[j], pool.n, theta)
         )
         for j in candidates
     ]

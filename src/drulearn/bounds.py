@@ -36,7 +36,7 @@ from .model import (
     confidence,
     pair_costs,
 )
-from .oracle import discrete_wasserstein, min_feasible_radius
+from .oracle import discrete_wasserstein, min_feasible_radius, positive_share_range
 
 DEFAULT_Z_SCORE = 1.96
 VACUOUS_THRESHOLD = 0.5
@@ -381,17 +381,17 @@ def prior_feasible_radius(
 ) -> float:
     """Smallest radius keeping the decision set nonempty.
 
-    The prior is instantiated as a point at an endpoint of its interval for
-    the positive-class probability, so the radius stays feasible whichever
-    endpoint is true.  At a point prior with positive share s,
-    `min_feasible_radius` is W + label_flip_cost * |s - p| with W independent
-    of s and p the labeled atoms' positive share, so the endpoint farther
-    from p needs the larger radius and is the only one solved.
+    The prior is instantiated as a point at an endpoint of the interval of
+    positive-class probabilities the box allows (`oracle.positive_share_range`),
+    so the radius stays feasible whichever endpoint is true.  At a point
+    prior with positive share s, `min_feasible_radius` is
+    W + label_flip_cost * |s - p| with W independent of s and p the labeled
+    atoms' positive share, so the endpoint farther from p needs the larger
+    radius and is the only one solved.
     """
     share = float(data.labels.mean())
     farther = max(
-        (float(prior.lower[1]), float(prior.upper[1])),
-        key=lambda endpoint: abs(endpoint - share),
+        positive_share_range(prior), key=lambda endpoint: abs(endpoint - share)
     )
     return min_feasible_radius(
         data, unlabeled.features, _point_prior_for_share(farther), cost

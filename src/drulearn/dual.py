@@ -54,8 +54,8 @@ from .oracle import (
     BUDGET_SLACK,
     OPTIMAL,
     LpMultipliers,
+    PayoffLp,
     min_feasible_radius,
-    solve_payoff_lp,
     solve_worst_case_lp,
 )
 
@@ -448,9 +448,12 @@ class CutSetResult:
     `theta` is the best classifier found and `upper` its exact worst-case
     loss; `lower` is the last master value, a lower bound on the worst case
     of every classifier in the `THETA_BOX`, so `gap` bounds how far `upper`
-    is from optimal.  `state` is `theta` with the worst-case LP's
-    multipliers there, a dual point whose objective is `upper` up to
-    `oracle.BUDGET_SLACK` times its transport price.  `status` is
+    is from optimal.  `lower` is capped at `upper`, itself an upper bound on
+    that minimum: where the master is tight, the two are the same number
+    computed along two routes, and rounding can cross them by a few ulps.
+    `state` is `theta` with the worst-case LP's multipliers there, a dual
+    point whose objective is `upper` up to `oracle.BUDGET_SLACK` times its
+    transport price.  `status` is
     "converged" when the gap closed to `CUT_GAP_TOL` and "max_steps" when
     `CUT_LIMIT` worst-case LPs were solved first; `lps` counts them.
     """
@@ -522,28 +525,27 @@ def _solve_master(cuts, theta_start):
     return solution.x[:dim], float(solution.x[dim])
 
 
-def _worst_case(theta, data, unlabeled, prior, eps, cost, warm_columns):
-    """Exact worst case at theta: its value, its cut, its dual point and the
-    positive cells of its plan, which seed the next LP of the run."""
-    support = unlabeled.features
-    result = solve_payoff_lp(
-        both_class_losses(theta, support), support, data, prior, eps, cost,
-        warm_columns,
-    )
+def _worst_case(model: PayoffLp, theta, unlabeled, eps):
+    """Exact worst case at theta on the run's model: its value and its cut.
+
+    The cut's weights are the maximizing distribution's masses on each
+    (support point, label), normalized to total 1: the LP's clipped masses
+    can sum to 1 + 1e-13, which would lift the master's lower bound by that
+    much times the loss.
+    """
+    result = model.solve(both_class_losses(theta, unlabeled.features))
     if result.status != OPTIMAL:
         raise InfeasibleRadiusError(
             f"worst-case LP reported {result.status} at radius {float(eps)}"
         )
-    # the maximizing distribution's weight on each (support point, label)
     weights = result.plan.row_marginals
     keep = np.flatnonzero(weights > 0.0)
     cut = (
         unlabeled.features[keep // N_CLASSES],
         keep % N_CLASSES,
-        weights[keep],
+        weights[keep] / weights[keep].sum(),
     )
-    state = DualState.from_multipliers(theta, result.multipliers)
-    return result.value, cut, state, np.flatnonzero(result.plan.matrix)
+    return result.value, cut
 
 
 def cutset_solve(
@@ -563,31 +565,42 @@ def cutset_solve(
     whose value is an upper bound and whose maximizing distribution is the
     next cut (Mutapcic & Boyd, "Cutting-set methods for robust convex
     optimization with pessimizing oracles", Optim. Methods Softw. 2009).
-    Each LP after the first starts its column generation from the cells
-    of the previous LP's plan.  Starts from `theta0` (zeros by default)
-    and returns the best theta found; see `CutSetResult`.  Raises
+    The run's LPs share one `oracle.PayoffLp`: only the costs change
+    between rounds, so each LP re-optimizes from the last one's basis and
+    columns.  The best theta is then priced once more by a one-shot
+    `solve_worst_case_lp`, so the reported `upper` and `state` are those of
+    a fresh solve at theta, whatever the run's history.  Starts from
+    `theta0` (zeros by default); see `CutSetResult`.  Raises
     `InfeasibleRadiusError` when the decision set is empty.
     """
     _require_feasible_radius(data, unlabeled, prior, cost, eps)
-    theta = np.zeros(data.dim) if theta0 is None else np.asarray(theta0, dtype=float)
-    upper, cut, state, warm = _worst_case(
-        theta, data, unlabeled, prior, eps, cost, None
-    )
+    model = PayoffLp(unlabeled.features, data, prior, eps, cost)
+    best = np.zeros(data.dim) if theta0 is None else np.asarray(theta0, dtype=float)
+    upper, cut = _worst_case(model, best, unlabeled, eps)
     cuts = [cut]
     lower = -np.inf
     status = MAX_STEPS
     while len(cuts) < CUT_LIMIT:
-        theta, lower = _solve_master(cuts, state.theta)
+        theta, lower = _solve_master(cuts, best)
         if upper - lower <= CUT_GAP_TOL:
             status = CONVERGED
             break
-        value, cut, candidate, warm = _worst_case(
-            theta, data, unlabeled, prior, eps, cost, warm
-        )
+        value, cut = _worst_case(model, theta, unlabeled, eps)
         cuts.append(cut)
         if value < upper:
-            upper, state = value, candidate
-    return CutSetResult(status, state, upper, lower, len(cuts))
+            upper, best = value, theta
+    # free the model's simplex workspace (a few MB) before the fresh solve
+    # allocates its own
+    del model
+    exact = solve_worst_case_lp(best, unlabeled.features, data, prior, eps, cost)
+    if exact.status != OPTIMAL:
+        raise InfeasibleRadiusError(
+            f"worst-case LP reported {exact.status} at radius {float(eps)}"
+        )
+    state = DualState.from_multipliers(best, exact.multipliers)
+    return CutSetResult(
+        status, state, exact.value, min(lower, exact.value), len(cuts)
+    )
 
 
 def train_dru(

@@ -5,11 +5,14 @@ over a finite support, either over the decision set (given a label prior) or
 over the plain transport ball (`prior=None`), computes exact transport
 distances between finitely supported distributions, and finds the smallest
 transport radius with a nonempty decision set: one transport distance plus a
-closed-form label-flip term.  Every LP is assembled from sparse constraint
-blocks and solved by the HiGHS dual simplex (see `simplex`); the worst-case
-LP goes through column generation, which returns the full LP's value and
-optimal duals while holding only some of its columns.  Everything here is
-deterministic and exact up to its 1e-10 feasibility tolerances,
+closed-form label-flip term.  Every LP is assembled from sparse columns and
+solved by the HiGHS dual simplex (see `simplex`).  The worst-case LP goes
+through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
+which returns the full LP's value and optimal duals while holding only some
+of its columns, and re-optimizes from its last basis when the payoff
+changes; the transport problems and `feasible_distributions` make one
+stateless `linprog` call each.  Everything here is deterministic and exact
+up to its 1e-10 feasibility tolerances,
 which is what makes it usable as the reference side of two-route checks
 (`dual.duality_gap_check` sets the full dual objective at the worst-case
 LP's own multipliers against its value).
@@ -33,13 +36,13 @@ from .model import (
     make_rng,
     pair_costs,
 )
-from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp, solve_transportation
+from .simplex import INFEASIBLE, OPTIMAL, HighsModel, solve_lp, solve_transportation
 
 # slack added to the transport-budget right-hand side so feasibility does not
 # flap at the boundary radius
 BUDGET_SLACK = 1e-9
 
-# column generation for the worst-case LP (see `solve_payoff_lp`): nearest
+# column generation for the worst-case LP (see `PayoffLp`): nearest
 # atoms seeded per support point, columns added per support point and round,
 # and the reduced cost above which a column enters
 SEED_ATOMS = 3
@@ -103,6 +106,47 @@ def discrete_wasserstein(
     return value, CouplingPlan.from_matrix(plan)
 
 
+def _row_bounds(m, n_l, prior: LabelPrior | None, eps: float):
+    """Lower and upper bounds of the mass LP's rows, and its equality count.
+
+    Equality rows are the n_l labeled atoms, then (with a prior) the m
+    support points; inequality rows are the budget, then (with a prior) the
+    two upper and the two lower label bounds.  Every LP over the joint mass
+    uses this row order and `_column_entries`'s columns.
+    """
+    eq = [np.full(n_l, 1.0 / n_l)]
+    ub = [np.array([eps + BUDGET_SLACK])]
+    if prior is not None:
+        eq.append(np.full(m, 1.0 / m))
+        ub += [prior.upper, -prior.lower]
+    eq, ub = np.concatenate(eq), np.concatenate(ub)
+    lower = np.concatenate([eq, np.full(ub.size, -np.inf)])
+    return lower, np.concatenate([eq, ub]), eq.size
+
+
+def _column_entries(columns, move, prior: LabelPrior | None):
+    """Rows and values of the mass LP's columns, one row of each per column.
+
+    `columns` are flat indices into the (support point, label, labeled atom)
+    tensor `move`.  A column puts unit mass on its atom's row and, with a
+    prior, on its support point's; it spends its transport cost from the
+    budget and, with a prior, counts toward its label's upper bound and,
+    negated, toward its lower bound.  Rows are numbered as in `_row_bounds`.
+    """
+    m, _, n_l = move.shape
+    support, label, atom = np.unravel_index(columns, move.shape)
+    ones = np.ones(columns.size)
+    spend = move.ravel()[columns]
+    if prior is None:
+        budget = np.full(columns.size, n_l)
+        return np.stack([atom, budget], axis=1), np.stack([ones, spend], axis=1)
+    budget = np.full(columns.size, n_l + m)
+    upper = budget + 1 + label
+    rows = [atom, n_l + support, budget, upper, upper + N_CLASSES]
+    values = [ones, ones, spend, ones, -ones]
+    return np.stack(rows, axis=1), np.stack(values, axis=1)
+
+
 def _solve_mass_lp(gain, move, prior: LabelPrior | None, eps: float, columns):
     """Maximize `gain` over the joint mass pi[j, k, i] on the given columns.
 
@@ -112,36 +156,25 @@ def _solve_mass_lp(gain, move, prior: LabelPrior | None, eps: float, columns):
     total transport cost at `eps`.  With a prior it also pins the support
     marginal to uniform and bounds per-label mass by the prior box (the
     decision set); with `prior=None` the mass ranges over the plain
-    transport ball.  Returns the simplex result of the negated
+    transport ball.  One `linprog` call, cold; `feasible_distributions`
+    enumerates vertices with it, independently of the persistent model
+    `PayoffLp` keeps.  Returns the simplex result of the negated
     (minimization) problem, so the objective value is left to the caller.
-    Equality rows are the n_l atoms, then (with a prior) the m support
-    points; inequality rows are the budget, then (with a prior) the two
-    upper and the two lower label bounds.
     """
     m, _, n_l = move.shape
-    support, label, atom = np.unravel_index(columns, move.shape)
-    index = np.arange(columns.size)
-    ones = np.ones(columns.size)
-    eq = [(atom, ones)]
-    b_eq = [np.full(n_l, 1.0 / n_l)]
-    ub = [(np.zeros(columns.size, dtype=int), move.ravel()[columns])]
-    b_ub = [np.array([eps + BUDGET_SLACK])]
-    if prior is not None:
-        eq.append((n_l + support, ones))
-        b_eq.append(np.full(m, 1.0 / m))
-        ub += [(1 + label, ones), (1 + N_CLASSES + label, -ones)]
-        b_ub += [prior.upper, -prior.lower]
-
-    def block(entries, rhs):
-        rows = np.concatenate([row for row, _ in entries])
-        values = np.concatenate([value for _, value in entries])
-        cols = np.tile(index, len(entries))
-        rhs = np.concatenate(rhs)
-        return sparse.csr_array((values, (rows, cols)), (rhs.size, columns.size)), rhs
-
-    a_eq, b_eq = block(eq, b_eq)
-    a_ub, b_ub = block(ub, b_ub)
-    return solve_lp(-gain.ravel()[columns], a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    _, upper, n_eq = _row_bounds(m, n_l, prior, eps)
+    rows, values = _column_entries(columns, move, prior)
+    owner = np.repeat(np.arange(columns.size), rows.shape[1])
+    matrix = sparse.csr_array(
+        (values.ravel(), (rows.ravel(), owner)), (upper.size, columns.size)
+    )
+    return solve_lp(
+        -gain.ravel()[columns],
+        a_eq=matrix[:n_eq],
+        b_eq=upper[:n_eq],
+        a_ub=matrix[n_eq:],
+        b_ub=upper[n_eq:],
+    )
 
 
 def _feasibility_cells(distances, prior: LabelPrior | None):
@@ -161,14 +194,15 @@ def _feasibility_cells(distances, prior: LabelPrior | None):
     return np.nonzero(plan > 0.0)
 
 
-def _multipliers(result: LpResult, m: int, n_l: int, prior: LabelPrior | None):
-    """Decision-set duals from HiGHS's marginals of the negated LP.
+def _multipliers(row_duals, m: int, n_l: int, prior: LabelPrior | None):
+    """Decision-set duals from HiGHS's row duals of the negated LP.
 
     Returns the multipliers and the per-support-point duals (zero without a
     prior, which leaves the support marginal free).
     """
-    ub = -result.ub_marginals
-    eq = -result.eq_marginals
+    duals = -row_duals
+    n_eq = n_l if prior is None else n_l + m
+    eq, ub = duals[:n_eq], duals[n_eq:]
     if prior is None:
         upper = lower = np.zeros(N_CLASSES)
         support_duals = np.zeros(m)
@@ -185,16 +219,9 @@ def _multipliers(result: LpResult, m: int, n_l: int, prior: LabelPrior | None):
     return multipliers, support_duals
 
 
-def solve_payoff_lp(
-    payoff,
-    support,
-    data: LabeledDataset,
-    prior: LabelPrior | None,
-    eps: float,
-    cost: TransportCost,
-    warm_columns=None,
-) -> WorstCaseLpResult:
-    """Exact maximum expected payoff over the decision set or the ball.
+class PayoffLp:
+    """Exact maximum expected payoff over the decision set or the ball,
+    kept alive across payoffs.
 
     `payoff` is a (support point, candidate label) table.  The adversary
     places mass on (support point, label, labeled atom) columns, subject to:
@@ -204,66 +231,124 @@ def solve_payoff_lp(
     set.  With `prior=None` only the budget and the atom marginal remain:
     the transport ball within the given support.
 
-    Solved by column generation (Gilmore & Gomory, Oper. Res. 1961): a
-    restricted LP starts from each support point's `SEED_ATOMS` nearest
-    atoms with both labels, gains the cells of a minimal-cost plan only if
-    it is infeasible, and then takes, per support point and round, up to
-    `COLUMNS_PER_POINT` columns whose reduced cost under the restricted
-    LP's duals exceeds `PRICING_TOL`.  It stops when none does, so the
-    duals are feasible for the full LP and the value is the full LP's to
-    within `PRICING_TOL`.  An infeasible verdict is the full LP's too.
+    Solved by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
+    `simplex.HighsModel`: the restricted LP starts from each support point's
+    `SEED_ATOMS` nearest atoms with both labels, gains the cells of a
+    minimal-cost plan only if it is infeasible, and then takes, per support
+    point and round, up to `COLUMNS_PER_POINT` columns whose reduced cost
+    under the restricted LP's duals exceeds `PRICING_TOL`.  It stops when
+    none does, so the duals are feasible for the full LP and the value is
+    the full LP's to within `PRICING_TOL`.  An infeasible verdict is the
+    full LP's too.
 
-    `warm_columns`, flat indices into the plan matrix (the positive cells
-    of an earlier solution over the same support, atoms, radius and
-    prior), join the seed; they hold a feasible point, so the plan is not
-    needed then.
+    The rows depend only on the support, the atoms, the prior and the
+    radius, so every `solve` reuses the model: it sets the new payoff's
+    costs and re-optimizes from the last basis, over every column any
+    earlier solve brought in.  Values then agree with a fresh model's to
+    about 1e-12, not bit for bit; a sequence of solves on a fresh model is
+    deterministic.
     """
-    support = np.atleast_2d(np.asarray(support, dtype=float))
-    move = pair_costs(support, data, cost).transpose(0, 2, 1)
-    # one of the two labels matches each atom's and moves at feature cost
-    distances = move.min(axis=1)
-    gain = np.broadcast_to(np.asarray(payoff, dtype=float)[:, :, None], move.shape)
-    m, _, n_l = move.shape
-    active = np.zeros(move.shape, dtype=bool)
-    nearest = np.argsort(distances, axis=1, kind="stable")[:, :SEED_ATOMS]
-    active[np.arange(m)[:, None], :, nearest] = True
-    if warm_columns is not None:
-        active.ravel()[warm_columns] = True
-    widened = False
-    while True:
-        columns = np.flatnonzero(active)
-        result = _solve_mass_lp(gain, move, prior, eps, columns)
-        if result.status == INFEASIBLE and not widened:
-            rows, atoms = _feasibility_cells(distances, prior)
-            active[rows, :, atoms] = True
-            widened = True
-            continue
-        if result.status != OPTIMAL:
-            return WorstCaseLpResult(value=None, plan=None, status=result.status)
-        multipliers, support_duals = _multipliers(result, m, n_l, prior)
-        reduced = (
-            gain
-            - multipliers.transport_mult * move
-            - multipliers.atom_potentials[None, None, :]
-            - support_duals[:, None, None]
-            - (multipliers.label_upper_mult - multipliers.label_lower_mult)[
-                None, :, None
-            ]
-        ).reshape(m, -1)
-        reduced[active.reshape(m, -1)] = -np.inf
-        best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
-        entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
-        if not entering.any():
-            break
-        active.reshape(m, -1)[np.nonzero(entering)[0], best[entering]] = True
-    mass = np.zeros(move.size)
-    mass[columns] = result.x
-    return WorstCaseLpResult(
-        value=float(gain.ravel()[columns] @ result.x),
-        plan=CouplingPlan.from_matrix(mass.reshape(m * N_CLASSES, n_l)),
-        status=OPTIMAL,
-        multipliers=multipliers,
-    )
+
+    def __init__(
+        self,
+        support,
+        data: LabeledDataset,
+        prior: LabelPrior | None,
+        eps: float,
+        cost: TransportCost,
+    ):
+        support = np.atleast_2d(np.asarray(support, dtype=float))
+        self._move = pair_costs(support, data, cost).transpose(0, 2, 1)
+        self._prior = prior
+        m, _, n_l = self._move.shape
+        # one of the two labels matches each atom's and moves at feature cost
+        self._distances = self._move.min(axis=1)
+        lower, upper, _ = _row_bounds(m, n_l, prior, eps)
+        self._model = HighsModel(lower, upper)
+        self._active = np.zeros(self._move.shape, dtype=bool)
+        self._columns = np.zeros(0, dtype=np.intp)
+        self._widened = False
+        nearest = np.argsort(self._distances, axis=1, kind="stable")[:, :SEED_ATOMS]
+        seed = np.zeros(self._move.shape, dtype=bool)
+        seed[np.arange(m)[:, None], :, nearest] = True
+        self._add(np.flatnonzero(seed), np.zeros(self._move.size))
+
+    @property
+    def n_columns(self) -> int:
+        """Columns the model holds: the seed, plus every column priced in."""
+        return self._columns.size
+
+    def _add(self, columns, gain):
+        """Bring the flat `columns` into the model at the costs of `gain`."""
+        rows, values = _column_entries(columns, self._move, self._prior)
+        self._model.add_columns(
+            -gain[columns],
+            np.arange(columns.size) * rows.shape[1],
+            rows.ravel(),
+            values.ravel(),
+        )
+        self._active.ravel()[columns] = True
+        self._columns = np.concatenate([self._columns, columns])
+
+    def solve(self, payoff) -> WorstCaseLpResult:
+        """Maximize the expected `payoff` (see the class docstring)."""
+        move = self._move
+        m, _, n_l = move.shape
+        gain = np.broadcast_to(
+            np.asarray(payoff, dtype=float)[:, :, None], move.shape
+        ).ravel()
+        self._model.set_costs(-gain[self._columns])
+        while True:
+            result = self._model.solve()
+            if result.status == INFEASIBLE and not self._widened:
+                rows, atoms = _feasibility_cells(self._distances, self._prior)
+                cells = np.zeros(move.shape, dtype=bool)
+                cells[rows, :, atoms] = True
+                self._add(np.flatnonzero(cells & ~self._active), gain)
+                self._widened = True
+                continue
+            if result.status != OPTIMAL:
+                return WorstCaseLpResult(value=None, plan=None, status=result.status)
+            multipliers, support_duals = _multipliers(
+                result.row_duals, m, n_l, self._prior
+            )
+            reduced = (
+                gain.reshape(move.shape)
+                - multipliers.transport_mult * move
+                - multipliers.atom_potentials[None, None, :]
+                - support_duals[:, None, None]
+                - (multipliers.label_upper_mult - multipliers.label_lower_mult)[
+                    None, :, None
+                ]
+            ).reshape(m, -1)
+            reduced[self._active.reshape(m, -1)] = -np.inf
+            best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
+            entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
+            if not entering.any():
+                break
+            points = np.nonzero(entering)[0]
+            self._add(np.sort(points * reduced.shape[1] + best[entering]), gain)
+        mass = np.zeros(move.size)
+        mass[self._columns] = result.x
+        return WorstCaseLpResult(
+            value=float(gain[self._columns] @ result.x),
+            plan=CouplingPlan.from_matrix(mass.reshape(m * N_CLASSES, n_l)),
+            status=OPTIMAL,
+            multipliers=multipliers,
+        )
+
+
+def solve_payoff_lp(
+    payoff,
+    support,
+    data: LabeledDataset,
+    prior: LabelPrior | None,
+    eps: float,
+    cost: TransportCost,
+) -> WorstCaseLpResult:
+    """One `PayoffLp` solve on a fresh model: the exact maximum expected
+    payoff over the decision set (with a `prior`) or the ball (`prior=None`)."""
+    return PayoffLp(support, data, prior, eps, cost).solve(payoff)
 
 
 def solve_worst_case_lp(
@@ -277,13 +362,21 @@ def solve_worst_case_lp(
     """Exact worst-case expected logistic loss over the decision set or the ball.
 
     The payoff of each (support point, label) pair is its logistic loss (see
-    `solve_payoff_lp`).  With `prior=None` the value lower-bounds the
+    `PayoffLp`).  With `prior=None` the value lower-bounds the
     unconstrained-domain ball worst case.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
     return solve_payoff_lp(
         both_class_losses(theta, support), support, data, prior, eps, cost
     )
+
+
+def positive_share_range(prior: LabelPrior):
+    """[L, U], the positive-class mass the prior box allows:
+    L = max(lower_1, 1 - upper_0) and U = min(upper_1, 1 - lower_0)."""
+    low = max(float(prior.lower[1]), 1.0 - float(prior.upper[0]))
+    high = min(float(prior.upper[1]), 1.0 - float(prior.lower[0]))
+    return low, high
 
 
 def min_feasible_radius(
@@ -311,8 +404,7 @@ def min_feasible_radius(
         distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
     )
     share = float(data.labels.mean())
-    low = max(prior.lower[1], 1.0 - prior.upper[0])
-    high = min(prior.upper[1], 1.0 - prior.lower[0])
+    low, high = positive_share_range(prior)
     flipped = max(low - share, share - high, 0.0)
     return max(distance + cost.label_flip_cost * float(flipped), 0.0)
 

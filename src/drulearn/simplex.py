@@ -4,11 +4,23 @@ Every LP in the package has the form
 
     minimize c @ x   subject to   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
 
-and goes through one call of `scipy.optimize.linprog(method="highs-ds")`
-(Huangfu & Hall, "Parallelizing the dual revised simplex method", Math. Prog.
-Comp. 2018).  Constraint matrices may be dense arrays or `scipy.sparse`
-matrices.  The serial dual simplex is deterministic, so repeated solves of
-the same LP return the same vertex bit for bit.
+and is solved by the serial dual simplex of HiGHS (Huangfu & Hall,
+"Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018),
+through one of two doors:
+
+- `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
+  constraint matrices may be dense arrays or `scipy.sparse` matrices;
+- `HighsModel` keeps one LP alive over fixed rows, takes new columns and new
+  costs, and re-optimizes from its last basis.  `linprog` is stateless and
+  always starts cold, so an LP re-solved many times under small changes (the
+  restricted master of column generation) goes through this door.  It drives
+  the same HiGHS build `linprog` does, `scipy.optimize._highspy._core`; this
+  is the one module that imports it.
+
+Both use the same simplex strategy and tolerances (`HighsModel` also turns
+presolve off), and the serial dual simplex is deterministic, so
+repeated solves of the same LP, or of the same sequence of changes to one
+model, return the same vertex bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -53,6 +66,107 @@ class LpResult:
 
 class PivotLimitError(RuntimeError):
     """Raised when HiGHS stops without a verdict (iteration limit, numerical trouble)."""
+
+
+@dataclass
+class ModelResult:
+    """Status, solution, row duals and simplex iterations of one model solve.
+
+    `x` and `row_duals` are set only at an optimum; `row_duals` are in the
+    sign convention of `LpResult`'s marginals.
+    """
+
+    status: str
+    x: np.ndarray | None
+    row_duals: np.ndarray | None
+    iterations: int
+
+
+_SERIAL_DUAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_MODEL_STATUSES = {
+    highs.HighsModelStatus.kOptimal: OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+
+class HighsModel:
+    """A persistent HiGHS LP over fixed rows: min c @ x, lower <= A x <= upper, x >= 0.
+
+    Columns arrive by `add_columns` and keep their order; `set_costs`
+    replaces every cost; `solve` re-optimizes from the basis the last solve
+    left, so a solve after a small change takes a fraction of a cold
+    start's pivots.  Presolve is off, which keeps that basis valid
+    across changes; the simplex strategy and tolerances are those of
+    `solve_lp`.
+    """
+
+    def __init__(self, row_lower, row_upper):
+        lower = np.asarray(row_lower, dtype=float)
+        upper = np.asarray(row_upper, dtype=float)
+        self._highs = highs._Highs()
+        for option, value in (
+            ("output_flag", False),
+            ("presolve", "off"),
+            ("simplex_strategy", _SERIAL_DUAL_SIMPLEX),
+            ("primal_feasibility_tolerance", FEASIBILITY_TOL),
+            ("dual_feasibility_tolerance", FEASIBILITY_TOL),
+        ):
+            if self._highs.setOptionValue(option, value) != highs.HighsStatus.kOk:
+                raise ValueError(f"HiGHS rejected option {option}={value!r}")
+        self._highs.addRows(
+            lower.size,
+            np.where(np.isinf(lower), -highs.kHighsInf, lower),
+            np.where(np.isinf(upper), highs.kHighsInf, upper),
+            0,
+            np.zeros(lower.size, dtype=np.int32),
+            np.zeros(0, dtype=np.int32),
+            np.zeros(0),
+        )
+
+    def add_columns(self, costs, starts, rows, values):
+        """Append columns in compressed-column form: column j holds
+        `values[starts[j]:starts[j + 1]]` at `rows[starts[j]:starts[j + 1]]`
+        (`starts` has one entry per new column, the end is implied)."""
+        costs = np.asarray(costs, dtype=float)
+        self._highs.addCols(
+            costs.size,
+            costs,
+            np.zeros(costs.size),
+            np.full(costs.size, highs.kHighsInf),
+            len(values),
+            np.asarray(starts, dtype=np.int32),
+            np.asarray(rows, dtype=np.int32),
+            np.asarray(values, dtype=float),
+        )
+
+    def set_costs(self, costs):
+        """Replace the cost of every column, in column order."""
+        count = self._highs.getNumCol()
+        self._highs.changeColsCost(
+            count, np.arange(count, dtype=np.int32), np.asarray(costs, dtype=float)
+        )
+
+    def solve(self) -> ModelResult:
+        """Re-optimize; the optimal x is clipped at zero, as in `solve_lp`."""
+        self._highs.run()
+        model_status = self._highs.getModelStatus()
+        status = _MODEL_STATUSES.get(model_status)
+        if status is None:
+            raise PivotLimitError(
+                "HiGHS stopped without a verdict: "
+                + self._highs.modelStatusToString(model_status)
+            )
+        iterations = int(self._highs.getInfo().simplex_iteration_count)
+        if status != OPTIMAL:
+            return ModelResult(status, None, None, iterations)
+        solution = self._highs.getSolution()
+        return ModelResult(
+            OPTIMAL,
+            np.maximum(np.asarray(solution.col_value), 0.0),
+            np.asarray(solution.row_dual),
+            iterations,
+        )
 
 
 def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):

@@ -1,5 +1,6 @@
 """Tests for active-learning strategies, the acquisition loop, and AULC."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from drulearn.active import (
     score_min_mc,
     select_next,
 )
+from drulearn.bounds import make_prior, prior_feasible_radius
 from drulearn.dual import InfeasibleRadiusError, LabelPrior
 from drulearn.model import (
     LabeledDataset,
@@ -328,6 +330,36 @@ class TestSelectNext:
                     chosen = select_next(state, strategy, make_rng(0))
                     scores = [scorer(theta, x, norm) for x in pool]
                     assert chosen == int(np.argmax(scores))
+
+    def test_robust_pick_matches_one_shot_scores(self):
+        # select_next prices every candidate on one shared model; scoring
+        # each with its own one-shot score_dr must pick the same point
+        rng = make_rng(9)
+        for seed in range(4):
+            initial = initial_state(two_cluster_data(rng, 30, noise=1.2), 6, seed)
+            theta = erm_train_l2(initial.labeled, 1e-3)
+            state = dataclasses.replace(initial, theta=theta)
+            pool = UnlabeledDataset(state.pool_features)
+            for kind in (DR_WEAK, DR_STRONG):
+                strategy = StrategyConfig(
+                    kind=kind, candidate_subsample=state.pool_size
+                )
+                chosen = select_next(
+                    state, strategy, make_rng(0), cost=COST, class_share=0.5
+                )
+                if kind == DR_WEAK:
+                    prior = make_prior(state.labeled, mode="weak")
+                else:
+                    prior = make_prior(
+                        state.labeled, mode="strong", probabilities=(0.5, 0.5)
+                    )
+                eps = prior_feasible_radius(state.labeled, pool, prior, COST)
+                eps += strategy.delta_margin
+                scores = [
+                    score_dr(x, state.labeled, pool, prior, eps, COST, theta)
+                    for x in state.pool_features
+                ]
+                assert chosen == int(np.argmax(scores))
 
     def test_random_strategy_is_seed_deterministic(self):
         pool = np.arange(20, dtype=float).reshape(10, 2)

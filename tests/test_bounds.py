@@ -604,7 +604,8 @@ class TestPriorFeasibleRadius:
     def test_one_solve_equals_the_larger_of_the_two_endpoint_radii(self):
         # weak (Clopper-Pearson), strong and random-box priors: the one
         # transport solve at the endpoint farther from the labeled share is
-        # bitwise the maximum over both endpoints
+        # bitwise the maximum over both endpoints of the positive shares the
+        # box allows, where the class-0 bounds also bind
         rng = make_rng(43)
         for _ in range(40):
             data, unlabeled, box = random_instance(
@@ -623,10 +624,29 @@ class TestPriorFeasibleRadius:
                         LabelPrior.point([1.0 - endpoint, endpoint]),
                         COST,
                     )
-                    for endpoint in (float(prior.lower[1]), float(prior.upper[1]))
+                    for endpoint in (
+                        max(float(prior.lower[1]), 1.0 - float(prior.upper[0])),
+                        min(float(prior.upper[1]), 1.0 - float(prior.lower[0])),
+                    )
                 )
                 radius = prior_feasible_radius(data, unlabeled, prior, COST)
                 assert radius == endpoints
+
+    def test_sizes_for_the_share_the_class_0_bounds_allow(self):
+        # the class-0 bounds cap the positive share at 1 - 0.3 = 0.7, below
+        # upper[1] = 0.9: the radius must be sized for 0.7, not 0.9
+        rng = make_rng(44)
+        data = LabeledDataset(rng.normal(size=(2, 2)), np.array([0, 0]))
+        unlabeled = UnlabeledDataset(rng.normal(size=(8, 2)))
+        prior = LabelPrior(lower=[0.3, 0.1], upper=[0.9, 0.9])
+
+        def at_share(share):
+            point = LabelPrior.point([1.0 - share, share])
+            return min_feasible_radius(data, unlabeled.features, point, COST)
+
+        radius = prior_feasible_radius(data, unlabeled, prior, COST)
+        assert radius == at_share(0.7)
+        assert radius < at_share(0.9)
 
 
 class TestSelectRadius:

@@ -24,12 +24,15 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
+    SEED_ATOMS,
     CouplingPlan,
     DiscreteDistribution,
+    PayoffLp,
     discrete_wasserstein,
     feasible_distributions,
     min_feasible_radius,
     min_feasible_radius_bisect,
+    solve_payoff_lp,
     solve_worst_case_lp,
 )
 
@@ -430,6 +433,101 @@ class TestColumnGeneration:
             for delta, status in ((-1e-3, "infeasible"), (0.0, "optimal"), (0.3, "optimal")):
                 result = self._check(theta, support, data, None, cheapest + delta)
                 assert result.status == status
+
+
+class TestPayoffLp:
+    """One persistent model re-solved across payoffs, against one-shot solves."""
+
+    def _instance(self, rng):
+        # more atoms than SEED_ATOMS, so pricing rounds bring columns in
+        data = LabeledDataset(rng.normal(size=(12, 3)), rng.integers(0, 2, size=12))
+        unlabeled = UnlabeledDataset(rng.normal(size=(40, 3)))
+        prior = random_prior(rng)
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.1
+        return data, unlabeled, prior, eps
+
+    def _payoffs(self, rng, unlabeled, count):
+        return [
+            both_class_losses(rng.normal(size=3) * 2.0, unlabeled.features)
+            for _ in range(count)
+        ]
+
+    def test_successive_payoffs_match_one_shot_solves_and_their_duals(self):
+        rng = make_rng(35)
+        data, unlabeled, prior, eps = self._instance(rng)
+        model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+        seeded = model.n_columns
+        assert seeded == unlabeled.n * 2 * SEED_ATOMS
+        for payoff in self._payoffs(rng, unlabeled, 12):
+            result = model.solve(payoff)
+            fresh = solve_payoff_lp(payoff, unlabeled.features, data, prior, eps, COST)
+            assert result.status == fresh.status == "optimal"
+            assert abs(result.value - fresh.value) <= 1e-12
+            # the model's multipliers price the full dual at the LP value:
+            # never below it (weak duality), and not above it either, which
+            # only duals feasible for every column, priced or not, achieve
+            dual = payoff_dual_objective(
+                result.multipliers, payoff, data, unlabeled, prior, eps
+            )
+            slack = result.multipliers.transport_mult * BUDGET_SLACK
+            assert dual >= result.value - slack - 1e-12
+            assert dual <= result.value - slack + 1e-9
+        assert model.n_columns > seeded
+
+    def test_radius_below_the_minimum_reports_infeasible_on_every_solve(self):
+        rng = make_rng(36)
+        data, unlabeled, prior, eps = self._instance(rng)
+        eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+        model = PayoffLp(unlabeled.features, data, prior, eps_min - 0.05, COST)
+        for payoff in self._payoffs(rng, unlabeled, 2):
+            result = model.solve(payoff)
+            assert result.status == "infeasible"
+            assert result.value is None and result.plan is None
+
+    def test_identical_payoff_sequences_give_bitwise_identical_results(self):
+        rng = make_rng(37)
+        data, unlabeled, prior, eps = self._instance(rng)
+        payoffs = self._payoffs(rng, unlabeled, 10)
+        runs = []
+        for _ in range(2):
+            model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+            runs.append([model.solve(payoff) for payoff in payoffs])
+        for first, second in zip(*runs):
+            assert first.value == second.value
+            np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
+            for name in (
+                "transport_mult",
+                "atom_potentials",
+                "label_upper_mult",
+                "label_lower_mult",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(first.multipliers, name), getattr(second.multipliers, name)
+                )
+
+
+def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):
+    """The full dual objective of the payoff LP at the given multipliers: the
+    linear terms plus the mean over support points of the largest cell,
+    payoff minus the charges for moving mass there."""
+    pair = np.linalg.norm(
+        unlabeled.features[:, None, :] - data.features[None, :, :], axis=-1
+    )[:, :, None] + COST.label_flip_cost * (
+        np.arange(2)[None, None, :] != data.labels[None, :, None]
+    )
+    cells = (
+        payoff[:, None, :]
+        - multipliers.transport_mult * pair
+        - multipliers.atom_potentials[None, :, None]
+        - (multipliers.label_upper_mult - multipliers.label_lower_mult)[None, None, :]
+    )
+    return float(
+        multipliers.transport_mult * eps
+        + multipliers.atom_potentials.mean()
+        + multipliers.label_upper_mult @ prior.upper
+        - multipliers.label_lower_mult @ prior.lower
+        + cells.reshape(unlabeled.n, -1).max(axis=1).mean()
+    )
 
 
 class TestMinFeasibleRadius:

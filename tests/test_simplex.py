@@ -1,4 +1,4 @@
-"""Tests for the LP backend (`solve_lp` and `solve_transportation`).
+"""Tests for the LP backend (`solve_lp`, `HighsModel` and `solve_transportation`).
 
 Randomized instances are cross-checked against a separately assembled call of
 scipy.optimize.linprog with its default HiGHS method, and transport against
@@ -14,6 +14,7 @@ from drulearn.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    HighsModel,
     solve_lp,
     solve_transportation,
 )
@@ -149,6 +150,57 @@ class TestAgainstScipy:
         second = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
         assert first.value == second.value
         np.testing.assert_array_equal(first.x, second.x)
+
+
+class TestHighsModel:
+    def _transport_model(self, m, n):
+        """An m x n transport LP as rows plus compressed columns, cell-major."""
+        supply = np.full(m, 1.0 / m)
+        demand = np.full(n, 1.0 / n)
+        rows = np.stack(
+            [np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)], axis=1
+        )
+        return np.r_[supply, demand], rows
+
+    def test_columns_and_costs_reoptimize_to_the_cold_optimum(self):
+        # columns arrive in two batches and the costs change four times; each
+        # solve must match a cold linprog solve of the same LP, and every
+        # re-solve after a small cost change must start warm
+        rng = np.random.default_rng(5)
+        m, n = 6, 5
+        rhs, rows = self._transport_model(m, n)
+        a_eq = np.zeros((m + n, m * n))
+        a_eq[rows.ravel(), np.repeat(np.arange(m * n), 2)] = 1.0
+        model = HighsModel(rhs, rhs)
+        first = np.arange(0, m * n, 2)
+        rest = np.arange(1, m * n, 2)
+        order = np.r_[first, rest]
+        cost = rng.uniform(size=m * n)
+        for batch in (first, rest):
+            model.add_columns(
+                cost[batch], 2 * np.arange(batch.size), rows[batch].ravel(),
+                np.ones(2 * batch.size),
+            )
+        cold_iterations = None
+        for step in range(4):
+            model.set_costs(cost[order])
+            result = model.solve()
+            reference = solve_lp(cost, a_eq=a_eq[:-1], b_eq=rhs[:-1])
+            assert result.status == OPTIMAL
+            assert cost[order] @ result.x == pytest.approx(reference.value, abs=1e-12)
+            np.testing.assert_allclose(a_eq[:, order] @ result.x, rhs, atol=1e-12)
+            if cold_iterations is None:
+                cold_iterations = result.iterations
+            else:
+                assert result.iterations < cold_iterations
+            cost = cost + rng.normal(scale=0.1, size=m * n)
+
+    def test_contradictory_rows_report_infeasible(self):
+        model = HighsModel([1.0, 2.0], [1.0, 2.0])
+        model.add_columns([1.0], [0], [0, 1], [1.0, 1.0])
+        result = model.solve()
+        assert result.status == INFEASIBLE
+        assert result.x is None and result.row_duals is None
 
 
 class TestTransportation:
