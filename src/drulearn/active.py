@@ -25,7 +25,7 @@ from .model import (
     loss_grad_theta,
     make_rng,
 )
-from .oracle import OPTIMAL, PayoffLp
+from .oracle import OPTIMAL, PayoffLp, uniform_coupling
 
 RANDOM = "random"
 EMC = "emc"
@@ -250,7 +250,7 @@ def score_dr(
     return _worst_impact(model, payoff)
 
 
-def _dr_prior_and_radius(state, strategy, pool, cost, class_share):
+def _dr_prior_and_radius(state, strategy, pool, cost, class_share, coupling):
     """The per-step prior and radius for the robust strategies."""
     if strategy.kind == DR_STRONG:
         prior = make_prior(
@@ -259,7 +259,7 @@ def _dr_prior_and_radius(state, strategy, pool, cost, class_share):
         )
     else:
         prior = make_prior(state.labeled, mode="weak")
-    base = prior_feasible_radius(state.labeled, pool, prior, cost)
+    base = prior_feasible_radius(state.labeled, pool, prior, cost, coupling)
     return prior, base + strategy.delta_margin
 
 
@@ -298,10 +298,15 @@ def select_next(
     size = min(strategy.candidate_subsample, state.pool_size)
     candidates = np.sort(rng.choice(state.pool_size, size=size, replace=False))
     pool = UnlabeledDataset(state.pool_features)
-    prior, eps = _dr_prior_and_radius(state, strategy, pool, cost, class_share)
+    # the pool-to-labeled-atoms transport is solved once per step, for the
+    # radius and for the model's feasibility cells
+    coupling = uniform_coupling(state.labeled, pool.features)
+    prior, eps = _dr_prior_and_radius(
+        state, strategy, pool, cost, class_share, coupling
+    )
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis
-    model = PayoffLp(pool.features, state.labeled, prior, eps, cost)
+    model = PayoffLp(pool.features, state.labeled, prior, eps, cost, coupling)
     scores = [
         _worst_impact(
             model, _impact_payoff(j, state.pool_features[j], pool.n, theta)

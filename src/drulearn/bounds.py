@@ -36,7 +36,13 @@ from .model import (
     confidence,
     pair_costs,
 )
-from .oracle import discrete_wasserstein, min_feasible_radius, positive_share_range
+from .oracle import (
+    UniformCoupling,
+    discrete_wasserstein,
+    min_feasible_radius,
+    positive_share_range,
+    uniform_coupling,
+)
 
 DEFAULT_Z_SCORE = 1.96
 VACUOUS_THRESHOLD = 0.5
@@ -378,6 +384,7 @@ def prior_feasible_radius(
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
+    coupling: UniformCoupling | None = None,
 ) -> float:
     """Smallest radius keeping the decision set nonempty.
 
@@ -387,14 +394,15 @@ def prior_feasible_radius(
     prior with positive share s, `min_feasible_radius` is
     W + label_flip_cost * |s - p| with W independent of s and p the labeled
     atoms' positive share, so the endpoint farther from p needs the larger
-    radius and is the only one solved.
+    radius and is the only one solved.  W is `coupling.distance`, solved by
+    `min_feasible_radius` when `coupling` is `None`.
     """
     share = float(data.labels.mean())
     farther = max(
         positive_share_range(prior), key=lambda endpoint: abs(endpoint - share)
     )
     return min_feasible_radius(
-        data, unlabeled.features, _point_prior_for_share(farther), cost
+        data, unlabeled.features, _point_prior_for_share(farther), cost, coupling
     )
 
 
@@ -405,18 +413,26 @@ def select_radius(
     prior: LabelPrior,
     cost: TransportCost,
     full_data: LabeledDataset | None = None,
+    coupling: UniformCoupling | None = None,
 ) -> RadiusSelection:
     """Choose the ambiguity radius according to the selection policy.
 
     Returns a completed copy of ``selection`` with ``eps`` filled in and
     ``fallback_warning`` set when the confidence-screening policy found no
-    candidate radius meeting its threshold.
+    candidate radius meeting its threshold.  The minimal radius and every
+    training run of the screening policy share the instance's ``coupling``
+    (`oracle.UniformCoupling`), solved at most once here when it is ``None``.
     """
     warned = False
     if selection.policy == MIN_RADIUS_PLUS_DELTA:
-        eps = prior_feasible_radius(data, unlabeled, prior, cost) + selection.delta_margin
+        eps = (
+            prior_feasible_radius(data, unlabeled, prior, cost, coupling)
+            + selection.delta_margin
+        )
     elif selection.policy == AS_ROBUST_AS_POSSIBLE:
-        base = prior_feasible_radius(data, unlabeled, prior, cost)
+        if coupling is None:
+            coupling = uniform_coupling(data, unlabeled.features)
+        base = prior_feasible_radius(data, unlabeled, prior, cost, coupling)
         grid = np.geomspace(
             base + selection.delta_margin,
             base + selection.grid_span,
@@ -424,7 +440,9 @@ def select_radius(
         )
         eps = None
         for candidate in reversed(grid):
-            theta = train_dru(data, unlabeled, prior, cost, float(candidate))
+            theta = train_dru(
+                data, unlabeled, prior, cost, float(candidate), coupling=coupling
+            )
             median_conf = float(np.median(confidence(theta, unlabeled.features)))
             if median_conf >= selection.confidence_threshold:
                 eps = float(candidate)

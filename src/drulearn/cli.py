@@ -50,7 +50,7 @@ from .model import (
     confidence,
     make_rng,
 )
-from .oracle import discrete_wasserstein, min_feasible_radius
+from .oracle import discrete_wasserstein, min_feasible_radius, uniform_coupling
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +135,16 @@ def _require_unlabeled(instance: Instance):
     return instance.unlabeled
 
 
-def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
+def _coupling(instance: Instance):
+    """The instance's support-to-atoms transport (`oracle.UniformCoupling`),
+    solved once and shared by the radius policy, the trainer and its final
+    solve."""
+    return uniform_coupling(instance.labeled, _require_unlabeled(instance).features)
+
+
+def _resolve_eps(
+    config: ExperimentConfig, instance: Instance, coupling=None
+) -> float:
     """Explicit radius if given, otherwise run the configured policy."""
     if config.eps is not None:
         return config.eps
@@ -147,6 +156,7 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
         instance.prior,
         instance.cost,
         full_data=LabeledDataset(instance.table.features, instance.table.labels),
+        coupling=coupling,
     )
     return selection.eps
 
@@ -211,10 +221,10 @@ def _theta_columns(theta):
 def _run_train_dru(config: ExperimentConfig) -> int:
     table = _load_table(config)
     instance = _build_instance(config, table, config.seed)
-    _require_unlabeled(instance)
-    eps = _resolve_eps(config, instance)
+    coupling = _coupling(instance)
+    eps = _resolve_eps(config, instance, coupling)
     _write_metadata(config, "train-dru", [])
-    result, report = _certify_instance(config, instance, eps)
+    result, report = _certify_instance(config, instance, eps, coupling)
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
@@ -291,13 +301,20 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
 # Multi-trial experiments
 
 
-def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
+def _certify_instance(
+    config: ExperimentConfig, instance: Instance, eps: float, coupling
+):
     """Train at `eps` and certify the trained classifier by the multiplier
     search; returns the `CutSetResult` and the certificate's `BOUND_FIELDS`
-    columns."""
+    columns.  `coupling` is the instance's `_coupling`."""
     unlabeled = _require_unlabeled(instance)
     result = cutset_solve(
-        instance.labeled, unlabeled, instance.prior, instance.cost, eps
+        instance.labeled,
+        unlabeled,
+        instance.prior,
+        instance.cost,
+        eps,
+        coupling=coupling,
     )
     bound = certify(
         result.state,
@@ -330,8 +347,9 @@ def _run_bound_experiment(config: ExperimentConfig) -> int:
                 instance = _build_instance(
                     config, table, split_seed, n_labeled=int(n_labeled)
                 )
-                eps = _resolve_eps(config, instance)
-                _, report = _certify_instance(config, instance, eps)
+                coupling = _coupling(instance)
+                eps = _resolve_eps(config, instance, coupling)
+                _, report = _certify_instance(config, instance, eps, coupling)
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_n_{n_labeled}", error))
                 continue
@@ -359,7 +377,9 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
         for eps in config.eps_grid:
             try:
                 instance = _build_instance(config, table, split_seed)
-                _, report = _certify_instance(config, instance, float(eps))
+                _, report = _certify_instance(
+                    config, instance, float(eps), _coupling(instance)
+                )
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_eps_{render_float(eps)}", error))
                 continue
@@ -506,9 +526,10 @@ def _run_oracle_check(config: ExperimentConfig) -> int:
         seed = config.seed + index
         try:
             labeled, support, prior, theta = _oracle_instance(seed)
-            eps = min_feasible_radius(labeled, support, prior, cost) + 0.1
+            coupling = uniform_coupling(labeled, support)
+            eps = min_feasible_radius(labeled, support, prior, cost, coupling) + 0.1
             report = duality_gap_check(
-                theta, labeled, UnlabeledDataset(support), prior, eps, cost
+                theta, labeled, UnlabeledDataset(support), prior, eps, cost, coupling
             )
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(index), error))

@@ -26,7 +26,9 @@ descends the dual in weights and multipliers jointly from unlabeled
 minibatches with Adam (or plain SGD), is on no command-line path; it is kept
 with its own tests.  Both solvers first check the radius against
 `oracle.min_feasible_radius`: the dual is bounded below exactly when the
-decision set is nonempty.
+decision set is nonempty.  `cutset_solve` takes that radius from the
+instance's `oracle.UniformCoupling`, solved once and shared with its
+worst-case LPs.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ from .oracle import (
     OPTIMAL,
     LpMultipliers,
     PayoffLp,
+    UniformCoupling,
     min_feasible_radius,
     solve_worst_case_lp,
+    uniform_coupling,
 )
 
 CONVERGED = "converged"
@@ -123,16 +127,6 @@ class DualState:
             atom_potentials=multipliers.atom_potentials,
             label_upper_mult=multipliers.label_upper_mult,
             label_lower_mult=multipliers.label_lower_mult,
-        )
-
-    @staticmethod
-    def zeros(dim, n_labeled) -> "DualState":
-        return DualState(
-            theta=np.zeros(dim),
-            transport_mult=0.0,
-            atom_potentials=np.zeros(n_labeled),
-            label_upper_mult=np.zeros(N_CLASSES),
-            label_lower_mult=np.zeros(N_CLASSES),
         )
 
 
@@ -313,11 +307,11 @@ def descent_update(grad, moments, step: int, lr: float, config: SolverConfig):
     return update, (first, second)
 
 
-def _require_feasible_radius(data, unlabeled, prior, cost, eps):
+def _require_feasible_radius(data, unlabeled, prior, cost, eps, coupling=None):
     """Raise `InfeasibleRadiusError` when the radius plus the oracle's
     `BUDGET_SLACK` is below the minimal feasible radius: the decision set is
     then empty and the dual unbounded below."""
-    eps_min = min_feasible_radius(data, unlabeled.features, prior, cost)
+    eps_min = min_feasible_radius(data, unlabeled.features, prior, cost, coupling)
     if eps + BUDGET_SLACK < eps_min:
         raise InfeasibleRadiusError(
             f"transport radius too small for the prior: {float(eps)} is below "
@@ -555,6 +549,7 @@ def cutset_solve(
     cost: TransportCost,
     eps: float,
     theta0=None,
+    coupling: UniformCoupling | None = None,
 ) -> CutSetResult:
     """Minimize the exact worst-case loss F(theta) by a cutting-set method.
 
@@ -569,12 +564,16 @@ def cutset_solve(
     between rounds, so each LP re-optimizes from the last one's basis and
     columns.  The best theta is then priced once more by a one-shot
     `solve_worst_case_lp`, so the reported `upper` and `state` are those of
-    a fresh solve at theta, whatever the run's history.  Starts from
+    a fresh solve at theta, whatever the run's history.  The instance's
+    `oracle.UniformCoupling` (solved here when `coupling` is `None`) serves
+    the radius check, the run's model and that final solve.  Starts from
     `theta0` (zeros by default); see `CutSetResult`.  Raises
     `InfeasibleRadiusError` when the decision set is empty.
     """
-    _require_feasible_radius(data, unlabeled, prior, cost, eps)
-    model = PayoffLp(unlabeled.features, data, prior, eps, cost)
+    if coupling is None:
+        coupling = uniform_coupling(data, unlabeled.features)
+    _require_feasible_radius(data, unlabeled, prior, cost, eps, coupling)
+    model = PayoffLp(unlabeled.features, data, prior, eps, cost, coupling)
     best = np.zeros(data.dim) if theta0 is None else np.asarray(theta0, dtype=float)
     upper, cut = _worst_case(model, best, unlabeled, eps)
     cuts = [cut]
@@ -592,7 +591,9 @@ def cutset_solve(
     # free the model's simplex workspace (a few MB) before the fresh solve
     # allocates its own
     del model
-    exact = solve_worst_case_lp(best, unlabeled.features, data, prior, eps, cost)
+    exact = solve_worst_case_lp(
+        best, unlabeled.features, data, prior, eps, cost, coupling
+    )
     if exact.status != OPTIMAL:
         raise InfeasibleRadiusError(
             f"worst-case LP reported {exact.status} at radius {float(eps)}"
@@ -610,14 +611,16 @@ def train_dru(
     cost: TransportCost,
     eps: float,
     theta0=None,
+    coupling: UniformCoupling | None = None,
 ):
     """Train the distributionally robust classifier at radius `eps`.
 
-    Returns the weight vector `cutset_solve` finds.  Raises
+    Returns the weight vector `cutset_solve` finds, given the instance's
+    `coupling` if already solved.  Raises
     `InfeasibleRadiusError` when the decision set is empty (radius below
     the minimal feasible radius for the given prior).
     """
-    return cutset_solve(data, unlabeled, prior, cost, eps, theta0).theta
+    return cutset_solve(data, unlabeled, prior, cost, eps, theta0, coupling).theta
 
 
 @dataclass(frozen=True)
@@ -642,6 +645,7 @@ def duality_gap_check(
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
+    coupling: UniformCoupling | None = None,
 ) -> DualityGapReport:
     """Check strong duality at a fixed classifier.
 
@@ -654,13 +658,18 @@ def duality_gap_check(
     dual minus primal, is minus the transport price times `BUDGET_SLACK`.
     The gap is only guaranteed to vanish for radii strictly above the
     minimal feasible radius; at or below it the report carries
-    `relint_violated=True`.
+    `relint_violated=True`.  The LP and that radius share the instance's
+    `coupling`, solved here when it is `None`.
     """
     theta = np.asarray(theta, dtype=float)
-    primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
+    if coupling is None:
+        coupling = uniform_coupling(data, unlabeled.features)
+    primal = solve_worst_case_lp(
+        theta, unlabeled.features, data, prior, eps, cost, coupling
+    )
     if primal.status != OPTIMAL:
         raise ValueError("instance infeasible at this radius; nothing to compare")
-    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
+    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost, coupling)
     state = DualState.from_multipliers(theta, primal.multipliers)
     dual = dual_objective(state, data, unlabeled, prior, eps, cost)
     return DualityGapReport(

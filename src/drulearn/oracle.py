@@ -10,9 +10,13 @@ solved by the HiGHS dual simplex (see `simplex`).  The worst-case LP goes
 through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
 which returns the full LP's value and optimal duals while holding only some
 of its columns, and re-optimizes from its last basis when the payoff
-changes; the transport problems and `feasible_distributions` make one
-stateless `linprog` call each.  Everything here is deterministic and exact
-up to its 1e-10 feasibility tolerances,
+changes.  Transport problems go to `simplex.solve_transportation`, one cold
+`HighsModel` solve each; the transport from the uniform support to the
+uniform labeled atoms (`UniformCoupling`) is solved once per instance and
+handed to both the minimal radius and `PayoffLp`.  Only the test reference
+`feasible_distributions` still makes a stateless `linprog` call.
+Everything here is deterministic and exact up to its 1e-10 feasibility
+tolerances,
 which is what makes it usable as the reference side of two-route checks
 (`dual.duality_gap_check` sets the full dual objective at the worst-case
 LP's own multipliers against its value).
@@ -66,6 +70,38 @@ class CouplingPlan:
             row_marginals=matrix.sum(axis=1),
             col_marginals=matrix.sum(axis=0),
         )
+
+
+@dataclass(frozen=True)
+class UniformCoupling:
+    """Optimal transport from the uniform support to the uniform labeled atoms.
+
+    `distance` is its cost under the feature distance, the W of
+    `min_feasible_radius`; `supports` and `atoms` index the (support point,
+    atom) cells its optimal plan puts mass on, which `PayoffLp` brings in
+    when its restricted LP is infeasible.  It does not depend on the prior,
+    so one value serves every prior box over the same support and atoms.
+    """
+
+    distance: float
+    supports: np.ndarray
+    atoms: np.ndarray
+
+
+def _couple(distances) -> UniformCoupling:
+    """The `UniformCoupling` of a (support point, atom) distance matrix."""
+    m, n_l = distances.shape
+    distance, plan = solve_transportation(
+        distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
+    )
+    supports, atoms = np.nonzero(plan > 0.0)
+    return UniformCoupling(distance, supports, atoms)
+
+
+def uniform_coupling(data: LabeledDataset, support) -> UniformCoupling:
+    """Solve the transport from the uniform `support` to `data`'s uniform
+    atoms: one `simplex.solve_transportation` call."""
+    return _couple(feature_distances(support, data.features))
 
 
 @dataclass(frozen=True)
@@ -177,21 +213,21 @@ def _solve_mass_lp(gain, move, prior: LabelPrior | None, eps: float, columns):
     )
 
 
-def _feasibility_cells(distances, prior: LabelPrior | None):
+def _feasibility_cells(
+    distances, prior: LabelPrior | None, coupling: UniformCoupling | None
+):
     """(support point, atom) cells that hold a plan of minimal transport cost.
 
-    With a prior: the optimal transport plan between the uniform support and
-    the uniform atoms, whose cells, with both labels, hold a point of the
-    decision set at every radius from `min_feasible_radius` up.  Without
-    one: each atom's nearest support point, the cheapest point of the ball.
+    With a prior: the cells of the `coupling` (solved here when it is
+    `None`), which, with both labels, hold a point of the decision set at
+    every radius from `min_feasible_radius` up.  Without one: each atom's
+    nearest support point, the cheapest point of the ball.
     """
-    m, n_l = distances.shape
     if prior is None:
-        return np.argmin(distances, axis=0), np.arange(n_l)
-    _, plan = solve_transportation(
-        distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
-    )
-    return np.nonzero(plan > 0.0)
+        return np.argmin(distances, axis=0), np.arange(distances.shape[1])
+    if coupling is None:
+        coupling = _couple(distances)
+    return coupling.supports, coupling.atoms
 
 
 def _multipliers(row_duals, m: int, n_l: int, prior: LabelPrior | None):
@@ -234,7 +270,8 @@ class PayoffLp:
     Solved by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
     `simplex.HighsModel`: the restricted LP starts from each support point's
     `SEED_ATOMS` nearest atoms with both labels, gains the cells of a
-    minimal-cost plan only if it is infeasible, and then takes, per support
+    minimal-cost plan only if it is infeasible (with a prior, those of
+    `coupling`, which is solved then if not given), and then takes, per support
     point and round, up to `COLUMNS_PER_POINT` columns whose reduced cost
     under the restricted LP's duals exceeds `PRICING_TOL`.  It stops when
     none does, so the duals are feasible for the full LP and the value is
@@ -256,10 +293,12 @@ class PayoffLp:
         prior: LabelPrior | None,
         eps: float,
         cost: TransportCost,
+        coupling: UniformCoupling | None = None,
     ):
         support = np.atleast_2d(np.asarray(support, dtype=float))
         self._move = pair_costs(support, data, cost).transpose(0, 2, 1)
         self._prior = prior
+        self._coupling = coupling
         m, _, n_l = self._move.shape
         # one of the two labels matches each atom's and moves at feature cost
         self._distances = self._move.min(axis=1)
@@ -301,7 +340,9 @@ class PayoffLp:
         while True:
             result = self._model.solve()
             if result.status == INFEASIBLE and not self._widened:
-                rows, atoms = _feasibility_cells(self._distances, self._prior)
+                rows, atoms = _feasibility_cells(
+                    self._distances, self._prior, self._coupling
+                )
                 cells = np.zeros(move.shape, dtype=bool)
                 cells[rows, :, atoms] = True
                 self._add(np.flatnonzero(cells & ~self._active), gain)
@@ -345,10 +386,11 @@ def solve_payoff_lp(
     prior: LabelPrior | None,
     eps: float,
     cost: TransportCost,
+    coupling: UniformCoupling | None = None,
 ) -> WorstCaseLpResult:
     """One `PayoffLp` solve on a fresh model: the exact maximum expected
     payoff over the decision set (with a `prior`) or the ball (`prior=None`)."""
-    return PayoffLp(support, data, prior, eps, cost).solve(payoff)
+    return PayoffLp(support, data, prior, eps, cost, coupling).solve(payoff)
 
 
 def solve_worst_case_lp(
@@ -358,6 +400,7 @@ def solve_worst_case_lp(
     prior: LabelPrior | None,
     eps: float,
     cost: TransportCost,
+    coupling: UniformCoupling | None = None,
 ) -> WorstCaseLpResult:
     """Exact worst-case expected logistic loss over the decision set or the ball.
 
@@ -367,7 +410,7 @@ def solve_worst_case_lp(
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
     return solve_payoff_lp(
-        both_class_losses(theta, support), support, data, prior, eps, cost
+        both_class_losses(theta, support), support, data, prior, eps, cost, coupling
     )
 
 
@@ -384,6 +427,7 @@ def min_feasible_radius(
     support,
     prior: LabelPrior,
     cost: TransportCost,
+    coupling: UniformCoupling | None = None,
 ) -> float:
     """Smallest transport budget for which the decision set is nonempty:
 
@@ -396,17 +440,15 @@ def min_feasible_radius(
     couples the two uniform marginals, so its feature part costs at least W;
     the atom marginal fixes the positive mass at p before any flip, and each
     unit moved across labels costs the flip cost.  Relabeling part of an
-    optimal coupling attains both terms at once.
+    optimal coupling attains both terms at once.  W is `coupling.distance`;
+    without a `coupling`, `uniform_coupling` solves it here.
     """
-    distances = feature_distances(support, data.features)
-    m, n_l = distances.shape
-    distance, _ = solve_transportation(
-        distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
-    )
+    if coupling is None:
+        coupling = uniform_coupling(data, support)
     share = float(data.labels.mean())
     low, high = positive_share_range(prior)
     flipped = max(low - share, share - high, 0.0)
-    return max(distance + cost.label_flip_cost * float(flipped), 0.0)
+    return max(coupling.distance + cost.label_flip_cost * float(flipped), 0.0)
 
 
 def min_feasible_radius_bisect(

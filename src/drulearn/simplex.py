@@ -8,14 +8,17 @@ and is solved by the serial dual simplex of HiGHS (Huangfu & Hall,
 "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018),
 through one of two doors:
 
-- `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
-  constraint matrices may be dense arrays or `scipy.sparse` matrices;
 - `HighsModel` keeps one LP alive over fixed rows, takes new columns and new
   costs, and re-optimizes from its last basis.  `linprog` is stateless and
   always starts cold, so an LP re-solved many times under small changes (the
-  restricted master of column generation) goes through this door.  It drives
-  the same HiGHS build `linprog` does, `scipy.optimize._highspy._core`; this
-  is the one module that imports it.
+  restricted master of column generation) goes through this door, and so
+  does every transport problem (`solve_transportation`), whose cell columns
+  it takes without the sparse assembly `linprog` would need.  It drives the
+  same HiGHS build `linprog` does, `scipy.optimize._highspy._core`; this is
+  the one module that imports it.
+- `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
+  constraint matrices may be dense arrays or `scipy.sparse` matrices.  Only
+  the reference mass LP behind `oracle.feasible_distributions` uses it.
 
 Both use the same simplex strategy and tolerances (`HighsModel` also turns
 presolve off), and the serial dual simplex is deterministic, so
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
@@ -232,21 +234,26 @@ def solve_transportation(cost, supply, demand):
     if abs(total - demand.sum()) > 1e-9 * max(1.0, abs(total)):
         raise ValueError("total supply and total demand must balance")
 
-    # plan cell (r, c) is variable r * n + c: row sums, then column sums.  The
-    # sum of the last largest column is implied by the others and is left
-    # out, so totals that balance only to the tolerance above still give a
-    # feasible LP: that column absorbs the imbalance.
-    columns = np.arange(n) != n - 1 - np.argmax(demand[::-1])
-    marginals = sparse.vstack(
-        [
-            sparse.kron(sparse.eye(m), np.ones((1, n))),
-            sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr")[columns]),
-        ]
+    # plan cell (r, c) is column r * n + c, with a unit entry in supply row r
+    # and, unless c is the last largest demand, in the demand row of c.  That
+    # demand's row is implied by the others and is left out, so totals that
+    # balance only to the tolerance above still give a feasible LP: its
+    # column absorbs the imbalance.
+    kept = np.arange(n) != n - 1 - np.argmax(demand[::-1])
+    demand_row = np.full(n, -1)
+    demand_row[kept] = m + np.arange(n - 1)
+    entries = np.stack(
+        [np.repeat(np.arange(m), n), np.tile(demand_row, m)], axis=1
+    ).ravel()
+    entries = entries[entries >= 0]
+    counts = np.tile(1 + kept, m)
+    marginals = np.concatenate([supply, demand[kept]])
+    model = HighsModel(marginals, marginals)
+    model.add_columns(
+        cost.ravel(), np.cumsum(counts) - counts, entries, np.ones(entries.size)
     )
-    result = solve_lp(
-        cost.ravel(), a_eq=marginals, b_eq=np.concatenate([supply, demand[columns]])
-    )
-    if not result.ok:
+    result = model.solve()
+    if result.status != OPTIMAL:
         raise PivotLimitError(f"balanced transport LP reported {result.status}")
     plan = result.x.reshape(m, n)
     return float((cost * plan).sum()), plan

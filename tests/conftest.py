@@ -1,0 +1,21 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+from drulearn import oracle
+
+
+@pytest.fixture
+def transport_solves(monkeypatch):
+    """The cost shape of every transport problem `oracle` solves during the
+    test, in call order."""
+    calls = []
+    solve = oracle.solve_transportation
+
+    def counted(cost, supply, demand):
+        calls.append(np.shape(cost))
+        return solve(cost, supply, demand)
+
+    monkeypatch.setattr(oracle, "solve_transportation", counted)
+    return calls

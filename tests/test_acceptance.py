@@ -276,7 +276,7 @@ def test_certificate_lower_bounds_every_feasible_distribution():
         assert np.exp(-worst.value) - bound.likelihood_bound >= -1e-6
         done += 1
 
-    zeros = DualState.zeros(3, 2)
+    zeros = DualState(np.zeros(3), 0.0, np.zeros(2), np.zeros(2), np.zeros(2))
     flat_data = LabeledDataset(np.ones((2, 3)), np.array([0, 1]))
     flat_bound = performance_bound(
         zeros,

@@ -361,6 +361,17 @@ class TestSelectNext:
                 ]
                 assert chosen == int(np.argmax(scores))
 
+    def test_robust_pick_solves_the_pool_coupling_once(self, transport_solves):
+        # the step's radius and its model share one pool-to-atoms transport
+        rng = make_rng(10)
+        initial = initial_state(two_cluster_data(rng, 40, noise=1.2), 12, 0)
+        state = dataclasses.replace(
+            initial, theta=erm_train_l2(initial.labeled, 1e-3)
+        )
+        strategy = StrategyConfig(kind=DR_WEAK, candidate_subsample=8)
+        select_next(state, strategy, make_rng(0), cost=COST)
+        assert transport_solves == [(state.pool_size, state.labeled.n)]
+
     def test_random_strategy_is_seed_deterministic(self):
         pool = np.arange(20, dtype=float).reshape(10, 2)
         state = self._state(pool)

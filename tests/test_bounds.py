@@ -118,7 +118,9 @@ class TestPerformanceBound:
     def test_zero_model_zero_state_certifies_exactly_one_half(self):
         rng = make_rng(2)
         data, unlabeled, prior = random_instance(rng)
-        state = DualState.zeros(data.dim, data.n)
+        state = DualState(
+            np.zeros(data.dim), 0.0, np.zeros(data.n), np.zeros(2), np.zeros(2)
+        )
         bound = performance_bound(
             state, data, unlabeled, prior, 0.5, COST, z_score=0.0
         )
@@ -131,7 +133,9 @@ class TestPerformanceBound:
         # maximum, so even a positive z score adds nothing
         rng = make_rng(3)
         data, unlabeled, prior = random_instance(rng)
-        state = DualState.zeros(data.dim, data.n)
+        state = DualState(
+            np.zeros(data.dim), 0.0, np.zeros(data.n), np.zeros(2), np.zeros(2)
+        )
         bound = performance_bound(
             state, data, unlabeled, prior, 0.5, COST, z_score=1.96
         )

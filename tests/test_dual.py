@@ -89,7 +89,7 @@ class TestDualState:
             DualState(np.zeros(2), 0.0, np.zeros(1), np.array([-1.0, 0.0]), np.zeros(2))
 
     def test_zeros_constructor(self):
-        state = DualState.zeros(3, 2)
+        state = DualState(np.zeros(3), 0.0, np.zeros(2), np.zeros(2), np.zeros(2))
         assert state.theta.shape == (3,)
         assert state.atom_potentials.shape == (2,)
         assert state.transport_mult == 0.0
@@ -550,6 +550,18 @@ class TestCutsetSolve:
                 result = cutset_solve(data, unlabeled, prior, COST, eps0 + delta)
                 assert result.status == CONVERGED
                 assert result.gap <= CUT_GAP_TOL
+
+    def test_solves_the_support_coupling_once(self, transport_solves):
+        # at the minimal radius the seeded LPs of the run and of the final
+        # solve are infeasible and take the coupling's cells, and the radius
+        # check needs its distance: all three share one transport solve
+        rng = make_rng(45)
+        data, unlabeled, prior = random_instance(rng, 12, 40, 3)
+        eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+        transport_solves.clear()
+        result = cutset_solve(data, unlabeled, prior, COST, eps0)
+        assert result.status == CONVERGED
+        assert transport_solves == [(40, 12)]
 
     def test_cut_limit_reports_max_steps(self, monkeypatch):
         monkeypatch.setattr(dual, "CUT_LIMIT", 1)

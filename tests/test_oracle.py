@@ -34,6 +34,7 @@ from drulearn.oracle import (
     min_feasible_radius_bisect,
     solve_payoff_lp,
     solve_worst_case_lp,
+    uniform_coupling,
 )
 
 COST = TransportCost()
@@ -493,6 +494,37 @@ class TestPayoffLp:
             model = PayoffLp(unlabeled.features, data, prior, eps, COST)
             runs.append([model.solve(payoff) for payoff in payoffs])
         for first, second in zip(*runs):
+            assert first.value == second.value
+            np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
+            for name in (
+                "transport_mult",
+                "atom_potentials",
+                "label_upper_mult",
+                "label_lower_mult",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(first.multipliers, name), getattr(second.multipliers, name)
+                )
+
+    def test_given_coupling_matches_a_model_that_solves_its_own(
+        self, transport_solves
+    ):
+        rng = make_rng(38)
+        data, unlabeled, prior, _ = self._instance(rng)
+        # at the minimal radius the seeded LP is infeasible, so both models
+        # bring the coupling's cells in; only the second solves it
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST)
+        coupling = uniform_coupling(data, unlabeled.features)
+        transport_solves.clear()
+        given = PayoffLp(unlabeled.features, data, prior, eps, COST, coupling)
+        own = PayoffLp(unlabeled.features, data, prior, eps, COST)
+        payoffs = self._payoffs(rng, unlabeled, 3)
+        firsts = [given.solve(payoff) for payoff in payoffs]
+        assert transport_solves == []
+        seconds = [own.solve(payoff) for payoff in payoffs]
+        assert transport_solves == [(unlabeled.n, data.n)]
+        for first, second in zip(firsts, seconds):
+            assert first.status == second.status == "optimal"
             assert first.value == second.value
             np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
             for name in (

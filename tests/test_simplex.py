@@ -275,6 +275,34 @@ class TestTransportation:
         np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-12)
         np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-12)
 
+    def test_matches_the_dense_reference_across_shapes_marginals_and_costs(self):
+        # 240 instances: every combination of four shapes (1 x n, m x 1,
+        # m < n, m > n), three marginal kinds (uniform, nonuniform, with
+        # zero-mass entries) and three cost kinds (distances between distinct
+        # points, integer costs full of ties, distances between duplicated
+        # points), against the general LP on the full equality system
+        rng = np.random.default_rng(15)
+        for trial in range(240):
+            shape, kind, costs = trial % 4, trial // 4 % 3, trial // 12 % 3
+            low, high = sorted(rng.choice(np.arange(2, 12), size=2, replace=False))
+            m, n = [(1, high), (high, 1), (low, high), (high, low)][shape]
+            mu, nu = (transport_marginal(rng, size, kind) for size in (m, n))
+            if costs == 1:
+                cost = rng.integers(0, 4, size=(m, n)).astype(float)
+            else:
+                a, b = rng.normal(size=(m, 2)), rng.normal(size=(n, 2))
+                if costs == 2:
+                    a = a[rng.integers(0, max(m // 2, 1), size=m)]
+                    b = b[rng.integers(0, max(n // 2, 1), size=n)]
+                cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+            dense = solve_lp(cost.ravel(), *transport_equalities(m, n, mu, nu))
+            value, plan = solve_transportation(cost, mu, nu)
+            assert dense.status == OPTIMAL
+            assert abs(value - dense.value) <= 1e-12
+            np.testing.assert_allclose(plan.sum(axis=1), mu, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=0), nu, rtol=0.0, atol=1e-12)
+            assert plan.min() >= 0.0
+
     def test_rejects_unbalanced_marginals(self):
         with pytest.raises(ValueError):
             solve_transportation([[1.0, 2.0]], [1.0], [0.4, 0.4])
@@ -313,3 +341,15 @@ def transport_equalities(m, n, mu, nu):
     for j in range(n):
         a_eq[m + j, j::n] = 1.0
     return a_eq, np.r_[mu, nu]
+
+
+def transport_marginal(rng, size, kind):
+    """A probability vector: uniform (kind 0), nonuniform (1), or nonuniform
+    with about a third of its entries at zero mass (2)."""
+    if kind == 0:
+        return np.full(size, 1.0 / size)
+    weights = rng.uniform(0.2, 1.0, size=size)
+    if kind == 2:
+        weights[rng.random(size) < 0.35] = 0.0
+        weights[rng.integers(0, size)] = 1.0
+    return weights / weights.sum()
