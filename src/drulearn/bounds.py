@@ -186,32 +186,40 @@ def performance_bound(
 def _smoothed_bound(params, table, pair, data, prior, eps, z_score, tau):
     """Dual objective plus correction with every per-point maximum replaced
     by its tau-logsumexp, and its gradient in (alpha, potentials, upper,
-    lower) stacked in that order."""
+    lower) stacked in that order.
+
+    Works on the flat (n, 2 * n_labeled) cell matrix of `cell_tensor`,
+    which the softmax weights overwrite in place; the gradient's atom and
+    label masses are one matrix-vector product with the per-point shares."""
     n_l = data.n
     alpha, potentials = params[0], params[1 : 1 + n_l]
     upper, lower = params[1 + n_l : 3 + n_l], params[3 + n_l :]
-    cells = cell_tensor(table, pair, alpha, potentials, upper - lower)
-    flat = cells.reshape(cells.shape[0], -1)
+    n = table.shape[0]
+    flat = cell_tensor(table, pair, alpha, potentials, upper - lower).reshape(n, -1)
     top = flat.max(axis=1)
-    scaled = np.exp((flat - top[:, None]) / tau)
-    total = scaled.sum(axis=1)
+    flat -= top[:, None]
+    flat /= tau
+    np.exp(flat, out=flat)
+    total = flat.sum(axis=1)
     values = top + tau * np.log(total)
-    n = values.size
+    mean = values.mean()
+    value = linear_part(alpha, potentials, upper, lower, prior, eps) + mean
     weight = np.full(n, 1.0 / n)
-    value = linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean()
     if z_score > 0.0:
-        spread = values.std(ddof=1)
+        centered = values - mean
+        spread = math.sqrt(centered @ centered / (n - 1))
         value += z_score * spread / math.sqrt(n)
         if spread > 0.0:
-            centered = values - values.mean()
             weight += z_score / math.sqrt(n) * centered / ((n - 1) * spread)
     # d value / d cell: each point's softmax weights times d value / d max
-    mass = (weight[:, None] * scaled / total[:, None]).reshape(cells.shape)
-    label_mass = mass.sum(axis=(0, 1))
+    share = weight / total
+    mass = (share @ flat).reshape(n_l, N_CLASSES)
+    label_mass = mass.sum(axis=0)
+    moved = share @ np.einsum("ij,ij->i", flat, pair.reshape(n, -1))
     grad = np.concatenate(
         [
-            [eps - float((mass * pair).sum())],
-            1.0 / n_l - mass.sum(axis=(0, 2)),
+            [eps - moved],
+            1.0 / n_l - mass.sum(axis=1),
             prior.upper - label_mass,
             label_mass - prior.lower,
         ]

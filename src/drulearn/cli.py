@@ -374,12 +374,18 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
+        # the instance and its coupling do not depend on the radius
+        try:
+            instance = _build_instance(config, table, split_seed)
+            coupling = _coupling(instance)
+        except Exception as error:  # noqa: BLE001 - recorded, run continues
+            errors.extend(
+                (f"{trial}_eps_{render_float(eps)}", error) for eps in config.eps_grid
+            )
+            continue
         for eps in config.eps_grid:
             try:
-                instance = _build_instance(config, table, split_seed)
-                _, report = _certify_instance(
-                    config, instance, float(eps), _coupling(instance)
-                )
+                _, report = _certify_instance(config, instance, float(eps), coupling)
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_eps_{render_float(eps)}", error))
                 continue

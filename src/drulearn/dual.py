@@ -195,13 +195,20 @@ class SolveResult:
 
 
 def cell_tensor(loss_table, pair_costs, alpha, potentials, net_label_mult):
-    """Cell values for a block of points: (n, n_labeled, 2)."""
-    return (
-        loss_table[:, None, :]
-        - alpha * pair_costs
-        - potentials[None, :, None]
-        - net_label_mult[None, None, :]
-    )
+    """Cell values for a block of points: (n, n_labeled, 2).
+
+    The cells are built on the flat atom-major (n, 2 * n_labeled) matrix,
+    whose column 2 * atom + label holds that cell, and returned as its
+    C-order view; `reshape(n, -1)` gives the flat matrix back without a copy.
+    Loss minus transport charge, minus potential, minus net label multiplier:
+    the same operations in the same order as broadcasting over
+    (n, n_labeled, 2), so the values are bitwise those.
+    """
+    n, n_l = pair_costs.shape[:2]
+    flat = np.tile(loss_table, n_l) - alpha * pair_costs.reshape(n, -1)
+    flat -= np.repeat(potentials, N_CLASSES)
+    flat -= np.tile(net_label_mult, n_l)
+    return flat.reshape(n, n_l, N_CLASSES)
 
 
 def _max_cells(cells):

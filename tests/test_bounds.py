@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from drulearn import bounds
 from drulearn.bounds import (
     AS_ROBUST_AS_POSSIBLE,
     DEFAULT_Z_SCORE,
@@ -32,6 +33,7 @@ from drulearn.dual import (
     SolverConfig,
     cutset_solve,
     dual_objective,
+    linear_part,
     max_cell_values,
     sgd_solve,
 )
@@ -40,8 +42,10 @@ from drulearn.model import (
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
+    both_class_losses,
     logistic_loss,
     make_rng,
+    pair_costs,
 )
 from drulearn.oracle import (
     discrete_wasserstein,
@@ -335,6 +339,89 @@ def random_start(rng, theta, n_labeled):
     )
 
 
+def reference_smoothed_bound(params, table, pair, data, prior, eps, z_score, tau):
+    """`bounds._smoothed_bound` as it was on the (n, n_labeled, 2) cell
+    tensor: the cells broadcast, the masses reduced over two axes at once."""
+    n_l = data.n
+    alpha, potentials = params[0], params[1 : 1 + n_l]
+    upper, lower = params[1 + n_l : 3 + n_l], params[3 + n_l :]
+    cells = (
+        table[:, None, :]
+        - alpha * pair
+        - potentials[None, :, None]
+        - (upper - lower)[None, None, :]
+    )
+    flat = cells.reshape(cells.shape[0], -1)
+    top = flat.max(axis=1)
+    scaled = np.exp((flat - top[:, None]) / tau)
+    total = scaled.sum(axis=1)
+    values = top + tau * np.log(total)
+    n = values.size
+    weight = np.full(n, 1.0 / n)
+    value = linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean()
+    if z_score > 0.0:
+        spread = values.std(ddof=1)
+        value += z_score * spread / math.sqrt(n)
+        if spread > 0.0:
+            centered = values - values.mean()
+            weight += z_score / math.sqrt(n) * centered / ((n - 1) * spread)
+    mass = (weight[:, None] * scaled / total[:, None]).reshape(cells.shape)
+    label_mass = mass.sum(axis=(0, 1))
+    grad = np.concatenate(
+        [
+            [eps - float((mass * pair).sum())],
+            1.0 / n_l - mass.sum(axis=(0, 2)),
+            prior.upper - label_mass,
+            label_mass - prior.lower,
+        ]
+    )
+    return float(value), grad
+
+
+class TestSmoothedBound:
+    def test_matches_the_cell_tensor_reference(self):
+        # value and gradient agree with the broadcast reference at every
+        # temperature, with and without the correction; at the finest
+        # temperatures most cells underflow to zero weight.  Every fifth
+        # instance repeats one point 2, 8, 16 or 32 times, whose mean is
+        # exact, so its spread, and with it the correction, is zero
+        rng = make_rng(31)
+        for index in range(240):
+            repeated = index % 5 == 0
+            n = int(rng.choice([2, 8, 16, 32]) if repeated else rng.integers(2, 40))
+            n_l = int(rng.integers(1, 15))
+            data, unlabeled, prior = random_instance(rng, n_l, n, 3)
+            features = unlabeled.features
+            if repeated:
+                features = np.repeat(features[:1], n, axis=0)
+            table = both_class_losses(rng.normal(size=3) * 2.0, features)
+            pair = pair_costs(features, data, COST)
+            params = np.concatenate(
+                [
+                    [0.0 if index % 7 == 0 else abs(rng.normal())],
+                    rng.normal(size=n_l),
+                    np.abs(rng.normal(size=2 * N_CLASSES)),
+                ]
+            )
+            eps = float(rng.uniform(0.0, 2.0))
+            for tau in SMOOTHING_SCHEDULE:
+                for z_score in (0.0, DEFAULT_Z_SCORE):
+                    args = (table, pair, data, prior, eps, z_score, tau)
+                    value, grad = bounds._smoothed_bound(params, *args)
+                    ref_value, ref_grad = reference_smoothed_bound(params, *args)
+                    where = f"instance {index}, z {z_score}, tau {tau}"
+                    assert value == pytest.approx(
+                        ref_value, rel=1e-12, abs=1e-12
+                    ), where
+                    assert grad == pytest.approx(
+                        ref_grad, rel=1e-12, abs=1e-12
+                    ), where
+                if repeated:
+                    assert value == bounds._smoothed_bound(
+                        params, table, pair, data, prior, eps, 0.0, tau
+                    )[0], where
+
+
 class TestCertify:
     def test_search_starts_agree(self):
         # zeros, the LP multipliers and a random point lead to the same
@@ -415,6 +502,41 @@ class TestCertify:
             )
             assert bound.likelihood_bound == math.exp(-corrected(bound))
             assert bound.n_unlabeled == unlabeled.n
+
+    def test_certificate_is_the_reference_kernel_certificate(self, monkeypatch):
+        # the search's stopping point may move within its tolerances when
+        # the kernel sums its gradient in another order, but every candidate
+        # is priced exactly, so the certificate agrees with the one the
+        # broadcast reference kernel finds; at the zero model both kernels
+        # stay at the LP multipliers, so only instances that train a
+        # nonzero classifier count
+        seed, checked = 20, 0
+        while checked < 20:
+            seed += 1
+            rng = make_rng(seed)
+            n_l = int(rng.integers(3, 10))
+            features, labels = two_cluster_features(int(rng.integers(20, 60)), seed)
+            picked = np.sort(rng.choice(features.shape[0], n_l, replace=False))
+            data = LabeledDataset(features[picked], labels[picked])
+            unlabeled = UnlabeledDataset(features)
+            prior = (
+                LabelPrior.point([0.5, 0.5]) if seed % 2 else random_prior(rng)
+            )
+            eps = min_feasible_radius(data, features, prior, COST) + float(
+                rng.uniform(0.02, 0.2)
+            )
+            result = cutset_solve(data, unlabeled, prior, COST, eps)
+            if not np.any(result.theta):
+                continue
+            checked += 1
+            bound = certify(result.state, data, unlabeled, prior, eps, COST)
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_smoothed_bound", reference_smoothed_bound)
+                reference = certify(result.state, data, unlabeled, prior, eps, COST)
+            assert bound.neg_log_bound == reference.neg_log_bound
+            assert corrected(bound) == pytest.approx(
+                corrected(reference), abs=1e-6
+            ), f"seed {seed}"
 
     def test_each_half_needs_two_points_for_a_correction(self):
         data, unlabeled, prior, eps, result = trained_instance(3)

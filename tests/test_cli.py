@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from drulearn import baseline
+from drulearn import baseline, cli
 from drulearn.active import StrategyConfig, aulc, initial_state, run_active_loop
 from drulearn.baseline import baseline_train, robustness_sweep
 from drulearn.bounds import certify
@@ -429,6 +429,41 @@ class TestSweeps:
         for row in rows:
             _, certificate = library_certificate(config, 1, float(row["eps"]))
             assert {key: row[key] for key in certificate} == certificate
+
+    def test_radius_sweep_solves_each_trial_coupling_once(
+        self, tmp_path, transport_solves
+    ):
+        # one full-support coupling per trial, shared by every radius; each
+        # radius's certificate still solves its search half's minimal radius
+        out = tmp_path / "rs.csv"
+        config = write_config(
+            tmp_path, output=str(out), eps_grid=(0.6, 1.0, 1.5), seed=1, **SMALL_DATA
+        )
+        _, instance = cli_instance(config, 1)
+        n_u, n_l = instance.unlabeled.n, instance.labeled.n
+        transport_solves.clear()
+        assert main(["radius-sweep", "--config", config]) == EXIT_OK
+        assert len(read_rows(out)) == 3
+        assert transport_solves == [(n_u, n_l)] + [((n_u + 1) // 2, n_l)] * 3
+
+    def test_radius_sweep_records_a_failed_build_for_every_radius(
+        self, tmp_path, monkeypatch
+    ):
+        def fail(instance):
+            raise ValueError("no coupling")
+
+        monkeypatch.setattr(cli, "_coupling", fail)
+        out = tmp_path / "rs.csv"
+        config = write_config(
+            tmp_path, output=str(out), eps_grid=(0.6, 1.5), seed=1, **SMALL_DATA
+        )
+        assert main(["radius-sweep", "--config", config]) == EXIT_USAGE
+        meta = read_meta(out)
+        assert [key for key in meta if key.startswith("error_trial_")] == [
+            "error_trial_0_eps_0.6",
+            "error_trial_0_eps_1.5",
+        ]
+        assert meta["error_trial_0_eps_1.5"] == "no coupling"
 
     def test_robustness_sweep_rows_pin_the_header_and_flatten_the_matrix(
         self, tmp_path

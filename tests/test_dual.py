@@ -163,6 +163,35 @@ class TestCellValue:
         )
 
 
+class TestCellTensor:
+    def test_bitwise_equal_to_the_broadcast_cells(self):
+        # the flat atom-major build performs the broadcast expression's
+        # operations in its order, so every cell is the same double
+        rng = make_rng(12)
+        shapes = [(1, 1), (1, 5), (7, 1)] + [
+            tuple(rng.integers(1, 30, size=2)) for _ in range(237)
+        ]
+        for index, (n, n_l) in enumerate(shapes):
+            data, unlabeled, _ = random_instance(rng, n_l, n, 3)
+            table = both_class_losses(rng.normal(size=3) * 3.0, unlabeled.features)
+            pair = pair_costs(unlabeled.features, data, COST)
+            alpha = 0.0 if index % 4 == 0 else float(abs(rng.normal()) * 2.0)
+            potentials = rng.normal(size=n_l) * 5.0
+            if index % 3 == 0:
+                potentials = -np.abs(potentials)
+            net = rng.normal(size=2)
+            cells = cell_tensor(table, pair, alpha, potentials, net)
+            expected = (
+                table[:, None, :]
+                - alpha * pair
+                - potentials[None, :, None]
+                - net[None, None, :]
+            )
+            assert cells.shape == (n, n_l, 2)
+            assert cells.flags.c_contiguous
+            assert np.array_equal(cells, expected)
+
+
 class TestMaxCell:
     def test_matches_exhaustive_enumeration(self):
         rng = make_rng(1)
