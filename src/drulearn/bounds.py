@@ -18,12 +18,11 @@ from scipy.special import betaincinv
 
 from .dual import (
     DualState,
-    cell_tensor,
+    cutset_solve,
     linear_part,
     dual_objective,
     max_cell_values,
     objective_of_values,
-    train_dru,
 )
 from .model import (
     N_CLASSES,
@@ -33,6 +32,7 @@ from .model import (
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
+    cell_tensor,
     confidence,
     pair_costs,
 )
@@ -420,7 +420,7 @@ def select_radius(
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
-    full_data: LabeledDataset | None = None,
+    full: DiscreteDistribution | None = None,
     coupling: UniformCoupling | None = None,
 ) -> RadiusSelection:
     """Choose the ambiguity radius according to the selection policy.
@@ -430,6 +430,8 @@ def select_radius(
     candidate radius meeting its threshold.  The minimal radius and every
     training run of the screening policy share the instance's ``coupling``
     (`oracle.UniformCoupling`), solved at most once here when it is ``None``.
+    ``full`` is the reference distribution the distance-fraction policy
+    measures the labeled sample against.
     """
     warned = False
     if selection.policy == MIN_RADIUS_PLUS_DELTA:
@@ -448,9 +450,9 @@ def select_radius(
         )
         eps = None
         for candidate in reversed(grid):
-            theta = train_dru(
+            theta = cutset_solve(
                 data, unlabeled, prior, cost, float(candidate), coupling=coupling
-            )
+            ).theta
             median_conf = float(np.median(confidence(theta, unlabeled.features)))
             if median_conf >= selection.confidence_threshold:
                 eps = float(candidate)
@@ -459,13 +461,12 @@ def select_radius(
             eps = float(grid[0])
             warned = True
     elif selection.policy == FRACTION_OF_TRUE_DISTANCE:
-        if full_data is None:
+        if full is None:
             raise ValueError(
-                "distance-fraction policy requires the reference dataset"
+                "distance-fraction policy requires the reference distribution"
             )
         mu = DiscreteDistribution.from_dataset(data)
-        nu = DiscreteDistribution.from_dataset(full_data)
-        distance, _ = discrete_wasserstein(mu, nu, cost)
+        distance, _ = discrete_wasserstein(mu, full, cost)
         eps = selection.fraction * distance
     else:  # pragma: no cover - rejected by the dataclass validator
         raise ValueError(f"unknown radius policy {selection.policy!r}")

@@ -155,7 +155,7 @@ def _resolve_eps(
         unlabeled,
         instance.prior,
         instance.cost,
-        full_data=LabeledDataset(instance.table.features, instance.table.labels),
+        full=instance.full,
         coupling=coupling,
     )
     return selection.eps

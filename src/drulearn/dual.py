@@ -14,9 +14,9 @@ multiplier, one potential per labeled atom, and per-class label multipliers,
 Each "cell" pairs one labeled atom with one candidate label; its value at x
 is the logistic loss at the candidate label minus the charges the
 multipliers levy for moving mass there.  All dual points live in
-`DualState`.  Every evaluation is batched: `cell_tensor` holds the cells of
-a block of points and `max_cell_values` their per-point maxima, from which
-`dual_objective` prices a dual point.
+`DualState`.  Every evaluation is batched: `model.cell_tensor` holds the
+cells of a block of points and `max_cell_values` their per-point maxima,
+from which `dual_objective` prices a dual point.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
@@ -48,6 +48,7 @@ from .model import (
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
+    cell_tensor,
     loss_grad_theta,
     make_rng,
     pair_costs,
@@ -192,23 +193,6 @@ class SolveResult:
     state: DualState
     objective: float
     trace: list = field(default_factory=list)
-
-
-def cell_tensor(loss_table, pair_costs, alpha, potentials, net_label_mult):
-    """Cell values for a block of points: (n, n_labeled, 2).
-
-    The cells are built on the flat atom-major (n, 2 * n_labeled) matrix,
-    whose column 2 * atom + label holds that cell, and returned as its
-    C-order view; `reshape(n, -1)` gives the flat matrix back without a copy.
-    Loss minus transport charge, minus potential, minus net label multiplier:
-    the same operations in the same order as broadcasting over
-    (n, n_labeled, 2), so the values are bitwise those.
-    """
-    n, n_l = pair_costs.shape[:2]
-    flat = np.tile(loss_table, n_l) - alpha * pair_costs.reshape(n, -1)
-    flat -= np.repeat(potentials, N_CLASSES)
-    flat -= np.tile(net_label_mult, n_l)
-    return flat.reshape(n, n_l, N_CLASSES)
 
 
 def _max_cells(cells):
@@ -609,25 +593,6 @@ def cutset_solve(
     return CutSetResult(
         status, state, exact.value, min(lower, exact.value), len(cuts)
     )
-
-
-def train_dru(
-    data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    prior: LabelPrior,
-    cost: TransportCost,
-    eps: float,
-    theta0=None,
-    coupling: UniformCoupling | None = None,
-):
-    """Train the distributionally robust classifier at radius `eps`.
-
-    Returns the weight vector `cutset_solve` finds, given the instance's
-    `coupling` if already solved.  Raises
-    `InfeasibleRadiusError` when the decision set is empty (radius below
-    the minimal feasible radius for the given prior).
-    """
-    return cutset_solve(data, unlabeled, prior, cost, eps, theta0, coupling).theta
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Linear logistic model: prediction, loss, gradients, transport cost, confidence.
+"""Linear logistic model: prediction, loss, gradients, transport cost, dual cells,
+confidence.
 
 Conventions used across the package:
 
@@ -6,11 +7,13 @@ Conventions used across the package:
   coordinate at ingestion time, so the bias is an ordinary weight.  The model
   functions accept arbitrary vectors; the constant coordinate is only enforced
   by the data pipeline.
-* Binary labels carry two numeric views in fixed bijection: the loss view
-  y in {0, 1} and the cost view s in {-1, +1} (0 <-> -1, 1 <-> +1).  Loss
-  computations use the loss view; the transport cost uses the cost view, where
-  a label flip contributes exactly the configured flip cost.  The class index
-  k coincides with the loss view (k=0 negative class, k=1 positive class).
+* Binary labels are {0, 1} everywhere, and the class index k is the label
+  (k=0 negative class, k=1 positive class).  The transport cost compares
+  labels for equality: a label flip contributes exactly the configured flip
+  cost.
+* The cells of the finite dual (the loss at a candidate label minus the
+  multipliers' charges, `cell_tensor`) sit next to the transport costs they
+  charge for (`pair_costs`), in the same (point, atom, label) layout.
 """
 
 from __future__ import annotations
@@ -23,23 +26,13 @@ from scipy.special import expit
 N_CLASSES = 2
 
 
-def to_cost_view(y):
-    """Map loss-view labels {0, 1} to cost-view labels {-1, +1}."""
-    return 2 * np.asarray(y) - 1
-
-
-def to_loss_view(s):
-    """Map cost-view labels {-1, +1} to loss-view labels {0, 1}."""
-    return (np.asarray(s) + 1) // 2
-
-
 @dataclass(frozen=True)
 class TransportCost:
     """Ground transport cost: Euclidean distance on features plus a label term.
 
-    The label term is half the flip weight times the absolute cost-view
-    difference, so moving mass across the label boundary costs exactly
-    ``label_flip_cost`` and keeping the label costs nothing.
+    The label term is ``label_flip_cost`` when the two labels differ and
+    zero when they agree, so moving mass across the label boundary costs
+    exactly the flip cost and keeping the label costs nothing.
     """
 
     label_flip_cost: float = 1.0
@@ -72,7 +65,7 @@ def logistic_predict(theta, x):
 
 
 def logistic_loss(theta, x, y):
-    """Negative log-likelihood of loss-view label(s) y under the logistic model.
+    """Negative log-likelihood of label(s) y in {0, 1} under the logistic model.
 
     Computed as log(1 + exp(-m)) for y=1 and log(1 + exp(m)) for y=0 via
     logaddexp, which branches on the sign of the margin internally and is
@@ -121,8 +114,7 @@ def feature_distances(a, b):
 def transport_cost(x1, y1, x2, y2, cost: TransportCost):
     """Ground cost between labeled points (x1, y1) and (x2, y2).
 
-    Labels are loss-view {0, 1}; a flip contributes exactly cost.label_flip_cost
-    (half the flip weight times the cost-view difference of 2).
+    Labels are {0, 1}; a flip contributes exactly cost.label_flip_cost.
     """
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     if x1.shape != x2.shape:
@@ -134,7 +126,7 @@ def transport_cost(x1, y1, x2, y2, cost: TransportCost):
 def pair_costs(features, atoms, cost: TransportCost):
     """Transport cost from every (feature row, candidate label) to every atom.
 
-    `atoms` is any labeled atom list with `features` and loss-view `labels`
+    `atoms` is any labeled atom list with `features` and {0, 1} `labels`
     (a `LabeledDataset` or a `DiscreteDistribution`).  Returns an
     (n, n_atoms, 2) tensor: Euclidean feature distance plus the flip cost
     whenever the candidate label differs from the atom's label.
@@ -146,12 +138,29 @@ def pair_costs(features, atoms, cost: TransportCost):
     return dist[:, :, None] + flip[None, :, :]
 
 
+def cell_tensor(loss_table, pair_costs, alpha, potentials, net_label_mult):
+    """Cell values for a block of points: (n, n_labeled, 2).
+
+    The cells are built on the flat atom-major (n, 2 * n_labeled) matrix,
+    whose column 2 * atom + label holds that cell, and returned as its
+    C-order view; `reshape(n, -1)` gives the flat matrix back without a copy.
+    Loss minus transport charge, minus potential, minus net label multiplier:
+    the same operations in the same order as broadcasting over
+    (n, n_labeled, 2), so the values are bitwise those.
+    """
+    n, n_l = pair_costs.shape[:2]
+    flat = np.tile(loss_table, n_l) - alpha * pair_costs.reshape(n, -1)
+    flat -= np.repeat(potentials, N_CLASSES)
+    flat -= np.tile(net_label_mult, n_l)
+    return flat.reshape(n, n_l, N_CLASSES)
+
+
 @dataclass
 class LabeledDataset:
     """Empirical labeled sample with implied uniform weights 1/n.
 
     features: (n, d) float matrix, one row per sample.
-    labels: (n,) integer array of loss-view labels in {0, 1}.
+    labels: (n,) integer array of labels in {0, 1}.
     """
 
     features: np.ndarray
@@ -167,7 +176,7 @@ class LabeledDataset:
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
         if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be 0 or 1 (loss view)")
+            raise ValueError("labels must be 0 or 1")
 
     @property
     def n(self):
@@ -176,10 +185,6 @@ class LabeledDataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-    @property
-    def cost_labels(self):
-        return to_cost_view(self.labels)
 
 
 @dataclass

@@ -10,16 +10,18 @@ solved by the HiGHS dual simplex (see `simplex`).  The worst-case LP goes
 through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
 which returns the full LP's value and optimal duals while holding only some
 of its columns, and re-optimizes from its last basis when the payoff
-changes.  Transport problems go to `simplex.solve_transportation`, one cold
-`HighsModel` solve each; the transport from the uniform support to the
-uniform labeled atoms (`UniformCoupling`) is solved once per instance and
-handed to both the minimal radius and `PayoffLp`.  Only the test reference
-`feasible_distributions` still makes a stateless `linprog` call.
-Everything here is deterministic and exact up to its 1e-10 feasibility
-tolerances,
-which is what makes it usable as the reference side of two-route checks
-(`dual.duality_gap_check` sets the full dual objective at the worst-case
-LP's own multipliers against its value).
+changes.  Its columns are the (support point, atom, label) cells of
+`model.pair_costs`, and their reduced costs are the dual's cells,
+`model.cell_tensor`, less the support points' duals.  Transport problems go
+to `simplex.solve_transportation`, one cold `HighsModel` solve each; the
+transport from the uniform support to the uniform labeled atoms
+(`UniformCoupling`) is solved once per instance and handed to both the
+minimal radius and `PayoffLp`, whose restricted LP starts from its cells.
+Only the test reference `feasible_distributions` still makes a stateless
+`linprog` call.  Everything here is deterministic and exact up to its 1e-10
+feasibility tolerances, which is what makes it usable as the reference side
+of two-route checks (`dual.duality_gap_check` sets the full dual objective
+at the worst-case LP's own multipliers against its value).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .model import (
     LabelPrior,
     TransportCost,
     both_class_losses,
+    cell_tensor,
     feature_distances,
     make_rng,
     pair_costs,
@@ -46,10 +49,9 @@ from .simplex import INFEASIBLE, OPTIMAL, HighsModel, solve_lp, solve_transporta
 # flap at the boundary radius
 BUDGET_SLACK = 1e-9
 
-# column generation for the worst-case LP (see `PayoffLp`): nearest
-# atoms seeded per support point, columns added per support point and round,
-# and the reduced cost above which a column enters
-SEED_ATOMS = 3
+# column generation for the worst-case LP (see `PayoffLp`): columns added
+# per support point and round, and the reduced cost above which a column
+# enters
 COLUMNS_PER_POINT = 5
 PRICING_TOL = 1e-9
 
@@ -78,8 +80,8 @@ class UniformCoupling:
 
     `distance` is its cost under the feature distance, the W of
     `min_feasible_radius`; `supports` and `atoms` index the (support point,
-    atom) cells its optimal plan puts mass on, which `PayoffLp` brings in
-    when its restricted LP is infeasible.  It does not depend on the prior,
+    atom) cells its optimal plan puts mass on, which seed `PayoffLp`'s
+    restricted LP, with both labels.  It does not depend on the prior,
     so one value serves every prior box over the same support and atoms.
     """
 
@@ -160,19 +162,20 @@ def _row_bounds(m, n_l, prior: LabelPrior | None, eps: float):
     return lower, np.concatenate([eq, ub]), eq.size
 
 
-def _column_entries(columns, move, prior: LabelPrior | None):
+def _column_entries(columns, pair, prior: LabelPrior | None):
     """Rows and values of the mass LP's columns, one row of each per column.
 
-    `columns` are flat indices into the (support point, label, labeled atom)
-    tensor `move`.  A column puts unit mass on its atom's row and, with a
-    prior, on its support point's; it spends its transport cost from the
-    budget and, with a prior, counts toward its label's upper bound and,
-    negated, toward its lower bound.  Rows are numbered as in `_row_bounds`.
+    `columns` are flat indices into the (support point, labeled atom, label)
+    tensor `pair` of `model.pair_costs`.  A column puts unit mass on its
+    atom's row and, with a prior, on its support point's; it spends its
+    transport cost from the budget and, with a prior, counts toward its
+    label's upper bound and, negated, toward its lower bound.  Rows are
+    numbered as in `_row_bounds`.
     """
-    m, _, n_l = move.shape
-    support, label, atom = np.unravel_index(columns, move.shape)
+    m, n_l, _ = pair.shape
+    support, atom, label = np.unravel_index(columns, pair.shape)
     ones = np.ones(columns.size)
-    spend = move.ravel()[columns]
+    spend = pair.ravel()[columns]
     if prior is None:
         budget = np.full(columns.size, n_l)
         return np.stack([atom, budget], axis=1), np.stack([ones, spend], axis=1)
@@ -183,29 +186,30 @@ def _column_entries(columns, move, prior: LabelPrior | None):
     return np.stack(rows, axis=1), np.stack(values, axis=1)
 
 
-def _solve_mass_lp(gain, move, prior: LabelPrior | None, eps: float, columns):
-    """Maximize `gain` over the joint mass pi[j, k, i] on the given columns.
+def _solve_mass_lp(gain, pair, prior: LabelPrior | None, eps: float):
+    """Maximize `gain` over the joint mass pi[j, i, k] on every column.
 
-    `gain` and `move` are (support point, label, labeled atom) tensors and
-    `columns` lists flat indices into them; every other mass is held at
-    zero.  Always pins the labeled-atom marginal to uniform and caps the
-    total transport cost at `eps`.  With a prior it also pins the support
+    `gain` and `pair` are (support point, labeled atom, label) tensors.
+    Always pins the labeled-atom marginal to uniform and caps the total
+    transport cost at `eps`.  With a prior it also pins the support
     marginal to uniform and bounds per-label mass by the prior box (the
     decision set); with `prior=None` the mass ranges over the plain
-    transport ball.  One `linprog` call, cold; `feasible_distributions`
-    enumerates vertices with it, independently of the persistent model
-    `PayoffLp` keeps.  Returns the simplex result of the negated
-    (minimization) problem, so the objective value is left to the caller.
+    transport ball.  One `linprog` call, cold, over the full LP;
+    `feasible_distributions` enumerates vertices with it, independently of
+    the persistent model `PayoffLp` keeps.  Returns the simplex result of
+    the negated (minimization) problem, so the objective value is left to
+    the caller.
     """
-    m, _, n_l = move.shape
+    m, n_l, _ = pair.shape
     _, upper, n_eq = _row_bounds(m, n_l, prior, eps)
-    rows, values = _column_entries(columns, move, prior)
-    owner = np.repeat(np.arange(columns.size), rows.shape[1])
+    columns = np.arange(pair.size)
+    rows, values = _column_entries(columns, pair, prior)
+    owner = np.repeat(columns, rows.shape[1])
     matrix = sparse.csr_array(
         (values.ravel(), (rows.ravel(), owner)), (upper.size, columns.size)
     )
     return solve_lp(
-        -gain.ravel()[columns],
+        -gain.ravel(),
         a_eq=matrix[:n_eq],
         b_eq=upper[:n_eq],
         a_ub=matrix[n_eq:],
@@ -221,7 +225,8 @@ def _feasibility_cells(
     With a prior: the cells of the `coupling` (solved here when it is
     `None`), which, with both labels, hold a point of the decision set at
     every radius from `min_feasible_radius` up.  Without one: each atom's
-    nearest support point, the cheapest point of the ball.
+    nearest support point, the cheapest point of the ball.  Either way the
+    LP restricted to these cells is feasible exactly when the full LP is.
     """
     if prior is None:
         return np.argmin(distances, axis=0), np.arange(distances.shape[1])
@@ -260,23 +265,26 @@ class PayoffLp:
     kept alive across payoffs.
 
     `payoff` is a (support point, candidate label) table.  The adversary
-    places mass on (support point, label, labeled atom) columns, subject to:
-    total transport cost to the labeled atoms at most `eps` and labeled-atom
-    marginal uniform.  With a `prior`, the support marginal is also uniform
-    and the per-label mass stays inside the prior box: the full decision
-    set.  With `prior=None` only the budget and the atom marginal remain:
-    the transport ball within the given support.
+    places mass on (support point, labeled atom, label) columns, indexed as
+    `model.pair_costs` lays them out, subject to: total transport cost to
+    the labeled atoms at most `eps` and labeled-atom marginal uniform.  With
+    a `prior`, the support marginal is also uniform and the per-label mass
+    stays inside the prior box: the full decision set.  With `prior=None`
+    only the budget and the atom marginal remain: the transport ball within
+    the given support.
 
     Solved by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
-    `simplex.HighsModel`: the restricted LP starts from each support point's
-    `SEED_ATOMS` nearest atoms with both labels, gains the cells of a
-    minimal-cost plan only if it is infeasible (with a prior, those of
-    `coupling`, which is solved then if not given), and then takes, per support
-    point and round, up to `COLUMNS_PER_POINT` columns whose reduced cost
-    under the restricted LP's duals exceeds `PRICING_TOL`.  It stops when
-    none does, so the duals are feasible for the full LP and the value is
-    the full LP's to within `PRICING_TOL`.  An infeasible verdict is the
-    full LP's too.
+    `simplex.HighsModel`.  The restricted LP starts from the cells of a
+    minimal-cost plan with both labels (`_feasibility_cells`): with a prior,
+    those of `coupling`, which is solved at construction if not given;
+    without one, each atom's nearest support point.  It is then feasible
+    exactly when the full LP is, so its first verdict is final.  A column's
+    reduced cost under the restricted LP's duals is its dual cell
+    (`model.cell_tensor`) minus its support point's dual; per support point
+    and round, up to `COLUMNS_PER_POINT` columns whose reduced cost exceeds
+    `PRICING_TOL` enter.  It stops when none does, so the duals are
+    feasible for the full LP and the value is the full LP's to within
+    `PRICING_TOL`.
 
     The rows depend only on the support, the atoms, the prior and the
     radius, so every `solve` reuses the model: it sets the new payoff's
@@ -296,21 +304,18 @@ class PayoffLp:
         coupling: UniformCoupling | None = None,
     ):
         support = np.atleast_2d(np.asarray(support, dtype=float))
-        self._move = pair_costs(support, data, cost).transpose(0, 2, 1)
+        self._pair = pair_costs(support, data, cost)
         self._prior = prior
-        self._coupling = coupling
-        m, _, n_l = self._move.shape
-        # one of the two labels matches each atom's and moves at feature cost
-        self._distances = self._move.min(axis=1)
+        m, n_l, _ = self._pair.shape
         lower, upper, _ = _row_bounds(m, n_l, prior, eps)
         self._model = HighsModel(lower, upper)
-        self._active = np.zeros(self._move.shape, dtype=bool)
+        self._active = np.zeros(self._pair.shape, dtype=bool)
         self._columns = np.zeros(0, dtype=np.intp)
-        self._widened = False
-        nearest = np.argsort(self._distances, axis=1, kind="stable")[:, :SEED_ATOMS]
-        seed = np.zeros(self._move.shape, dtype=bool)
-        seed[np.arange(m)[:, None], :, nearest] = True
-        self._add(np.flatnonzero(seed), np.zeros(self._move.size))
+        # one of the two labels matches each atom's and moves at feature cost
+        supports, atoms = _feasibility_cells(self._pair.min(axis=2), prior, coupling)
+        seed = np.zeros(self._pair.shape, dtype=bool)
+        seed[supports, atoms] = True
+        self._add(np.flatnonzero(seed), np.zeros(self._pair.size))
 
     @property
     def n_columns(self) -> int:
@@ -319,7 +324,7 @@ class PayoffLp:
 
     def _add(self, columns, gain):
         """Bring the flat `columns` into the model at the costs of `gain`."""
-        rows, values = _column_entries(columns, self._move, self._prior)
+        rows, values = _column_entries(columns, self._pair, self._prior)
         self._model.add_columns(
             -gain[columns],
             np.arange(columns.size) * rows.shape[1],
@@ -330,38 +335,29 @@ class PayoffLp:
         self._columns = np.concatenate([self._columns, columns])
 
     def solve(self, payoff) -> WorstCaseLpResult:
-        """Maximize the expected `payoff` (see the class docstring)."""
-        move = self._move
-        m, _, n_l = move.shape
-        gain = np.broadcast_to(
-            np.asarray(payoff, dtype=float)[:, :, None], move.shape
-        ).ravel()
+        """Maximize the expected `payoff` (see the class docstring).
+
+        The plan's rows are the (support point, label) pairs, support-major,
+        and its columns the labeled atoms."""
+        pair = self._pair
+        m, n_l, _ = pair.shape
+        payoff = np.asarray(payoff, dtype=float)
+        gain = np.tile(payoff, n_l).ravel()
         self._model.set_costs(-gain[self._columns])
         while True:
             result = self._model.solve()
-            if result.status == INFEASIBLE and not self._widened:
-                rows, atoms = _feasibility_cells(
-                    self._distances, self._prior, self._coupling
-                )
-                cells = np.zeros(move.shape, dtype=bool)
-                cells[rows, :, atoms] = True
-                self._add(np.flatnonzero(cells & ~self._active), gain)
-                self._widened = True
-                continue
             if result.status != OPTIMAL:
                 return WorstCaseLpResult(value=None, plan=None, status=result.status)
             multipliers, support_duals = _multipliers(
                 result.row_duals, m, n_l, self._prior
             )
-            reduced = (
-                gain.reshape(move.shape)
-                - multipliers.transport_mult * move
-                - multipliers.atom_potentials[None, None, :]
-                - support_duals[:, None, None]
-                - (multipliers.label_upper_mult - multipliers.label_lower_mult)[
-                    None, :, None
-                ]
-            ).reshape(m, -1)
+            reduced = cell_tensor(
+                payoff,
+                pair,
+                multipliers.transport_mult,
+                multipliers.atom_potentials,
+                multipliers.label_upper_mult - multipliers.label_lower_mult,
+            ).reshape(m, -1) - support_duals[:, None]
             reduced[self._active.reshape(m, -1)] = -np.inf
             best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
             entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
@@ -369,28 +365,15 @@ class PayoffLp:
                 break
             points = np.nonzero(entering)[0]
             self._add(np.sort(points * reduced.shape[1] + best[entering]), gain)
-        mass = np.zeros(move.size)
-        mass[self._columns] = result.x
+        support, atom, label = np.unravel_index(self._columns, pair.shape)
+        mass = np.zeros((m * N_CLASSES, n_l))
+        mass[support * N_CLASSES + label, atom] = result.x
         return WorstCaseLpResult(
             value=float(gain[self._columns] @ result.x),
-            plan=CouplingPlan.from_matrix(mass.reshape(m * N_CLASSES, n_l)),
+            plan=CouplingPlan.from_matrix(mass),
             status=OPTIMAL,
             multipliers=multipliers,
         )
-
-
-def solve_payoff_lp(
-    payoff,
-    support,
-    data: LabeledDataset,
-    prior: LabelPrior | None,
-    eps: float,
-    cost: TransportCost,
-    coupling: UniformCoupling | None = None,
-) -> WorstCaseLpResult:
-    """One `PayoffLp` solve on a fresh model: the exact maximum expected
-    payoff over the decision set (with a `prior`) or the ball (`prior=None`)."""
-    return PayoffLp(support, data, prior, eps, cost, coupling).solve(payoff)
 
 
 def solve_worst_case_lp(
@@ -404,14 +387,13 @@ def solve_worst_case_lp(
 ) -> WorstCaseLpResult:
     """Exact worst-case expected logistic loss over the decision set or the ball.
 
-    The payoff of each (support point, label) pair is its logistic loss (see
-    `PayoffLp`).  With `prior=None` the value lower-bounds the
-    unconstrained-domain ball worst case.
+    One `PayoffLp` solve on a fresh model, the payoff of each (support
+    point, label) pair being its logistic loss.  With `prior=None` the
+    value lower-bounds the unconstrained-domain ball worst case.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
-    return solve_payoff_lp(
-        both_class_losses(theta, support), support, data, prior, eps, cost, coupling
-    )
+    model = PayoffLp(support, data, prior, eps, cost, coupling)
+    return model.solve(both_class_losses(theta, support))
 
 
 def positive_share_range(prior: LabelPrior):
@@ -504,18 +486,17 @@ def feasible_distributions(
     set).  Returns `count` such distributions; raises if the set is empty.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
-    move = pair_costs(support, data, cost).transpose(0, 2, 1)
-    m, n_l = support.shape[0], data.n
-    every_column = np.arange(move.size)
+    pair = pair_costs(support, data, cost)
+    m = support.shape[0]
     rng = make_rng(seed)
     out = []
     for _ in range(count):
         direction = rng.normal(size=(m, N_CLASSES))
-        objective = np.broadcast_to(direction[:, :, None], move.shape)
-        result = _solve_mass_lp(objective, move, prior, eps, every_column)
+        objective = np.broadcast_to(direction[:, None, :], pair.shape)
+        result = _solve_mass_lp(objective, pair, prior, eps)
         if result.status == INFEASIBLE:
             raise ValueError("decision set is empty at this radius")
-        mass = result.x.reshape(m, N_CLASSES, n_l).sum(axis=2)
+        mass = result.x.reshape(pair.shape).sum(axis=1)
         weights = np.maximum(mass.ravel(), 0.0)
         out.append(
             DiscreteDistribution(

@@ -10,10 +10,12 @@ through one of two doors:
 
 - `HighsModel` keeps one LP alive over fixed rows, takes new columns and new
   costs, and re-optimizes from its last basis.  `linprog` is stateless and
-  always starts cold, so an LP re-solved many times under small changes (the
-  restricted master of column generation) goes through this door, and so
-  does every transport problem (`solve_transportation`), whose cell columns
-  it takes without the sparse assembly `linprog` would need.  It drives the
+  always starts cold, so an LP re-solved many times under small changes
+  goes through this door: the restricted worst-case LP of
+  `oracle.PayoffLp`, which takes its seed and every priced column as new
+  columns and each new payoff as new costs.  So does every transport
+  problem (`solve_transportation`), whose cell columns it takes without the
+  sparse assembly `linprog` would need.  It drives the
   same HiGHS build `linprog` does, `scipy.optimize._highspy._core`; this is
   the one module that imports it.
 - `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
@@ -60,10 +62,6 @@ class LpResult:
     value: float | None
     eq_marginals: np.ndarray | None = None
     ub_marginals: np.ndarray | None = None
-
-    @property
-    def ok(self):
-        return self.status == OPTIMAL
 
 
 class PivotLimitError(RuntimeError):

@@ -1,21 +1,34 @@
-"""The benchmark's tracer wraps package functions by name: every name it
-lists must still resolve, or every traced benchmark run crashes."""
+"""The benchmark's tracer wraps package functions by name, and its
+workloads run CLI subcommands on generated configs: every name it lists must
+still resolve and every config must still parse, or every benchmark run of
+that workload crashes."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-from drulearn import oracle
+from drulearn import cli, oracle
+from drulearn.config import parse_config_text
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name):
+    """Execute `bench/<name>.py` as the module `bench_<name>`, read-only.
+
+    It is registered in `sys.modules` first, as an import would do, because
+    its dataclasses resolve their annotations through it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def layer_functions():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.LAYER_FUNCTIONS
+    return load_bench_module("tracing").LAYER_FUNCTIONS
 
 
 def test_every_traced_layer_function_resolves():
@@ -28,3 +41,10 @@ def test_min_feasible_radius_keeps_data_and_support_first():
     # the tracer's `_lp_vars` counter reads `args[0].n` and `len(args[1])`
     parameters = list(inspect.signature(oracle.min_feasible_radius).parameters)
     assert parameters[:2] == ["data", "support"]
+
+
+def test_every_workload_config_parses_for_a_known_subcommand():
+    # a key the config no longer accepts fails here, not in the benchmark
+    for name, workload in load_bench_module("workloads").WORKLOADS.items():
+        assert workload.subcommand in cli._SUBCOMMANDS, name
+        parse_config_text(workload.config_text())

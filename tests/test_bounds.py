@@ -816,7 +816,7 @@ class TestSelectRadius:
             unlabeled,
             prior,
             COST,
-            full_data=data,
+            full=DiscreteDistribution.from_dataset(data),
         )
         assert chosen.eps == 0.0
 
@@ -838,7 +838,7 @@ class TestSelectRadius:
                 unlabeled,
                 prior,
                 COST,
-                full_data=full,
+                full=DiscreteDistribution.from_dataset(full),
             )
             assert chosen.eps == pytest.approx(fraction * distance, rel=1e-12)
 

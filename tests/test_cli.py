@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from drulearn import baseline, cli
+from drulearn import baseline, cli, oracle
 from drulearn.active import StrategyConfig, aulc, initial_state, run_active_loop
 from drulearn.baseline import baseline_train, robustness_sweep
 from drulearn.bounds import certify
@@ -644,6 +644,25 @@ class TestOracleCheck:
             )
             slack = report.state.transport_mult * BUDGET_SLACK
             assert abs(report.gap + slack) <= 1e-12, f"seed {seed}"
+
+    def test_default_instances_run_a_pricing_round(self, tmp_path, monkeypatch):
+        # the eight default instances must exercise column generation, not
+        # only the seed: at least one worst-case LP prices a column in
+        grown = []
+        solve = oracle.PayoffLp.solve
+
+        def counted(model, payoff):
+            seeded = model.n_columns
+            result = solve(model, payoff)
+            grown.append(model.n_columns > seeded)
+            return result
+
+        monkeypatch.setattr(oracle.PayoffLp, "solve", counted)
+        out = tmp_path / "oc.csv"
+        config = write_config(tmp_path, output=str(out), trials=8)
+        assert main(["oracle-check", "--config", config]) == EXIT_OK
+        assert len(read_rows(out)) == len(grown) == 8
+        assert any(grown)
 
 
 class TestDeterminism:

@@ -23,7 +23,6 @@ from drulearn.dual import (
     dual_objective,
     max_cell_values,
     sgd_solve,
-    train_dru,
 )
 from drulearn.model import (
     LabeledDataset,
@@ -452,7 +451,7 @@ class TestTrainDru:
         share = labels.mean()
         prior = LabelPrior.point([1.0 - share, share])
         eps0 = min_feasible_radius(data, features, prior, COST)
-        theta = train_dru(data, unlabeled, prior, COST, eps0 + 0.01)
+        theta = cutset_solve(data, unlabeled, prior, COST, eps0 + 0.01).theta
 
         def erm_objective(t):
             return np.mean(
@@ -470,7 +469,7 @@ class TestTrainDru:
         data = LabeledDataset(np.vstack([point, mirrored]), np.array([1, 0]))
         unlabeled = UnlabeledDataset(data.features)
         prior = LabelPrior.point([0.5, 0.5])
-        theta = train_dru(data, unlabeled, prior, COST, 0.2)
+        theta = cutset_solve(data, unlabeled, prior, COST, 0.2).theta
         midpoint = np.array([0.0, 0.0, 1.0])
         assert confidence(theta, midpoint) == pytest.approx(0.5, abs=1e-2)
 
@@ -491,7 +490,7 @@ class TestTrainDru:
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([1.0, 0.0])
         with pytest.raises(InfeasibleRadiusError):
-            train_dru(data, unlabeled, prior, COST, 0.3)
+            cutset_solve(data, unlabeled, prior, COST, 0.3).theta
 
 
 class TestCutsetSolve:

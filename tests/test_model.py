@@ -17,8 +17,6 @@ from drulearn.model import (
     logistic_loss,
     logistic_predict,
     loss_grad_theta,
-    to_cost_view,
-    to_loss_view,
     transport_cost,
 )
 
@@ -26,16 +24,6 @@ SIGMA_1 = 0.7310585786300049  # 1/(1+e^-1)
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1+e^-1)
 LOG_1P_EXP_POS1 = 1.3132616875182228  # log(1+e^1)
 LOG2 = 0.6931471805599453
-
-
-class TestLabelViews:
-    def test_bijection(self):
-        assert to_cost_view(0) == -1
-        assert to_cost_view(1) == 1
-        assert to_loss_view(-1) == 0
-        assert to_loss_view(1) == 1
-        y = np.array([0, 1, 1, 0])
-        np.testing.assert_array_equal(to_loss_view(to_cost_view(y)), y)
 
 
 class TestLogisticPredict:
@@ -205,11 +193,6 @@ class TestDatasets:
             LabeledDataset(np.array([[np.inf, 1.0]]), np.array([0]))
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 2)), np.array([0, 1]))
-
-    def test_cost_labels(self):
-        data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 0]))
-        np.testing.assert_array_equal(data.cost_labels, [-1, 1, -1])
-        assert data.n == 3 and data.dim == 2
 
     def test_unlabeled_validation(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
-    SEED_ATOMS,
     CouplingPlan,
     DiscreteDistribution,
     PayoffLp,
@@ -32,7 +31,6 @@ from drulearn.oracle import (
     feasible_distributions,
     min_feasible_radius,
     min_feasible_radius_bisect,
-    solve_payoff_lp,
     solve_worst_case_lp,
     uniform_coupling,
 )
@@ -440,7 +438,8 @@ class TestPayoffLp:
     """One persistent model re-solved across payoffs, against one-shot solves."""
 
     def _instance(self, rng):
-        # more atoms than SEED_ATOMS, so pricing rounds bring columns in
+        # the coupling's cells hold few of the 40 x 12 x 2 columns, so
+        # pricing rounds bring columns in
         data = LabeledDataset(rng.normal(size=(12, 3)), rng.integers(0, 2, size=12))
         unlabeled = UnlabeledDataset(rng.normal(size=(40, 3)))
         prior = random_prior(rng)
@@ -458,10 +457,10 @@ class TestPayoffLp:
         data, unlabeled, prior, eps = self._instance(rng)
         model = PayoffLp(unlabeled.features, data, prior, eps, COST)
         seeded = model.n_columns
-        assert seeded == unlabeled.n * 2 * SEED_ATOMS
+        assert seeded == 2 * uniform_coupling(data, unlabeled.features).supports.size
         for payoff in self._payoffs(rng, unlabeled, 12):
             result = model.solve(payoff)
-            fresh = solve_payoff_lp(payoff, unlabeled.features, data, prior, eps, COST)
+            fresh = PayoffLp(unlabeled.features, data, prior, eps, COST).solve(payoff)
             assert result.status == fresh.status == "optimal"
             assert abs(result.value - fresh.value) <= 1e-12
             # the model's multipliers price the full dual at the LP value:
@@ -511,16 +510,16 @@ class TestPayoffLp:
     ):
         rng = make_rng(38)
         data, unlabeled, prior, _ = self._instance(rng)
-        # at the minimal radius the seeded LP is infeasible, so both models
-        # bring the coupling's cells in; only the second solves it
+        # at the minimal radius both models start from the coupling's cells;
+        # only the second solves it, when it is built
         eps = min_feasible_radius(data, unlabeled.features, prior, COST)
         coupling = uniform_coupling(data, unlabeled.features)
         transport_solves.clear()
         given = PayoffLp(unlabeled.features, data, prior, eps, COST, coupling)
-        own = PayoffLp(unlabeled.features, data, prior, eps, COST)
         payoffs = self._payoffs(rng, unlabeled, 3)
         firsts = [given.solve(payoff) for payoff in payoffs]
         assert transport_solves == []
+        own = PayoffLp(unlabeled.features, data, prior, eps, COST)
         seconds = [own.solve(payoff) for payoff in payoffs]
         assert transport_solves == [(unlabeled.n, data.n)]
         for first, second in zip(firsts, seconds):
@@ -536,6 +535,44 @@ class TestPayoffLp:
                 np.testing.assert_array_equal(
                     getattr(first.multipliers, name), getattr(second.multipliers, name)
                 )
+
+    def test_seed_is_the_coupling_cells_with_both_labels(self):
+        # a minimal-cost plan's cells hold a point of the decision set at the
+        # minimal radius, so the first solve there is already feasible
+        rng = make_rng(39)
+        for _ in range(5):
+            data, unlabeled, prior, _ = self._instance(rng)
+            coupling = uniform_coupling(data, unlabeled.features)
+            eps = min_feasible_radius(data, unlabeled.features, prior, COST, coupling)
+            model = PayoffLp(unlabeled.features, data, prior, eps, COST, coupling)
+            assert model.n_columns == 2 * coupling.supports.size
+            result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
+            assert result.status == "optimal"
+
+    def test_ball_seed_is_each_atoms_nearest_point_with_both_labels(self):
+        # at the cheapest radius of the ball every atom must move to its
+        # nearest support point, so a seed missing one of those cells would
+        # be infeasible
+        rng = make_rng(40)
+        for _ in range(5):
+            data, unlabeled, _, _ = self._instance(rng)
+            cheapest = np.linalg.norm(
+                unlabeled.features[:, None, :] - data.features[None, :, :], axis=-1
+            ).min(axis=0).mean()
+            model = PayoffLp(unlabeled.features, data, None, cheapest, COST)
+            assert model.n_columns == 2 * data.n
+            result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
+            assert result.status == "optimal"
+
+    def test_first_solve_below_the_minimum_is_final_and_adds_no_column(self):
+        rng = make_rng(41)
+        data, unlabeled, prior, _ = self._instance(rng)
+        eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+        model = PayoffLp(unlabeled.features, data, prior, eps_min - 1e-3, COST)
+        seeded = model.n_columns
+        result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
+        assert result.status == "infeasible"
+        assert model.n_columns == seeded
 
 
 def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):
