@@ -3,7 +3,9 @@
 Strategies score each unlabeled candidate by how much acquiring its label
 would change the fitted model; the robust variants price the score against
 the worst label distribution the decision set allows instead of trusting the
-current model's posterior.
+current model's posterior.  A robust step solves the pool-to-labeled-atoms
+transport once and prices every candidate through `score_dr` on one shared
+worst-case LP.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .bounds import make_prior, prior_feasible_radius
 from .dual import InfeasibleRadiusError
 from .model import (
     LabeledDataset,
-    LabelPrior,
     TransportCost,
     UnlabeledDataset,
     logistic_loss,
@@ -205,49 +206,29 @@ def score_max_mc(theta, x, include_norm: bool = False) -> float:
     return float(_posterior_scores(theta, x, MAX_MC, include_norm)[0])
 
 
-def _impact_payoff(target: int, x_star, n_u: int, theta):
-    """The payoff table whose worst case over the decision set is minus the
-    robust score of support point `target` (see `score_dr`)."""
+def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
+    """Worst-case expected impact of labeling pool row `target`.
+
+    ``model`` is the decision set's worst-case LP over ``pool_features``.
+    The unlabeled marginal pins 1/n_u of the mass on the candidate, so the
+    score is the minimum, over every distribution the decision set allows,
+    of the label-averaged impact there.  It is the exact value of one small
+    LP: ``model`` maximizes a payoff table that is zero except at row
+    `target`, where it holds minus n_u times each label's impact.  Raises
+    `InfeasibleRadiusError` when the decision set is empty.
+    """
+    n_u = len(pool_features)
     payoff = np.zeros((n_u, 2))
     for label in (0, 1):
-        payoff[target, label] = -n_u * impact_gradient_norm(theta, x_star, label)
-    return payoff
-
-
-def _worst_impact(model: PayoffLp, payoff) -> float:
+        payoff[target, label] = -n_u * impact_gradient_norm(
+            theta, pool_features[target], label
+        )
     result = model.solve(payoff)
     if result.status != OPTIMAL:
         raise InfeasibleRadiusError(
             "decision set is empty at the requested radius"
         )
     return -result.value
-
-
-def score_dr(
-    x_star,
-    data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    prior: LabelPrior,
-    eps: float,
-    cost: TransportCost,
-    theta,
-) -> float:
-    """Worst-case expected impact of labeling x_star over the decision set.
-
-    The unlabeled marginal pins 1/n_u of the mass on x_star, so the score is
-    the minimum, over every distribution the decision set allows, of the
-    label-averaged impact at x_star.  It is the exact value of one small LP:
-    the worst-case LP oracle maximizes a payoff table that is zero except at
-    x_star, where it holds minus n_u times each label's impact.  Raises
-    `InfeasibleRadiusError` when the decision set is empty.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    matches = np.flatnonzero((unlabeled.features == x_star).all(axis=1))
-    if matches.size == 0:
-        raise ValueError("x_star must be one of the unlabeled points")
-    payoff = _impact_payoff(int(matches[0]), x_star, unlabeled.n, theta)
-    model = PayoffLp(unlabeled.features, data, prior, eps, cost)
-    return _worst_impact(model, payoff)
 
 
 def _dr_prior_and_radius(state, strategy, pool, cost, class_share, coupling):
@@ -307,12 +288,7 @@ def select_next(
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis
     model = PayoffLp(pool.features, state.labeled, prior, eps, cost, coupling)
-    scores = [
-        _worst_impact(
-            model, _impact_payoff(j, state.pool_features[j], pool.n, theta)
-        )
-        for j in candidates
-    ]
+    scores = [score_dr(model, state.pool_features, j, theta) for j in candidates]
     return int(candidates[int(np.argmax(scores))])
 
 

@@ -539,7 +539,6 @@ def cutset_solve(
     prior: LabelPrior,
     cost: TransportCost,
     eps: float,
-    theta0=None,
     coupling: UniformCoupling | None = None,
 ) -> CutSetResult:
     """Minimize the exact worst-case loss F(theta) by a cutting-set method.
@@ -558,14 +557,14 @@ def cutset_solve(
     a fresh solve at theta, whatever the run's history.  The instance's
     `oracle.UniformCoupling` (solved here when `coupling` is `None`) serves
     the radius check, the run's model and that final solve.  Starts from
-    `theta0` (zeros by default); see `CutSetResult`.  Raises
-    `InfeasibleRadiusError` when the decision set is empty.
+    theta = 0; see `CutSetResult`.  Raises `InfeasibleRadiusError` when the
+    decision set is empty.
     """
     if coupling is None:
         coupling = uniform_coupling(data, unlabeled.features)
     _require_feasible_radius(data, unlabeled, prior, cost, eps, coupling)
     model = PayoffLp(unlabeled.features, data, prior, eps, cost, coupling)
-    best = np.zeros(data.dim) if theta0 is None else np.asarray(theta0, dtype=float)
+    best = np.zeros(data.dim)
     upper, cut = _worst_case(model, best, unlabeled, eps)
     cuts = [cut]
     lower = -np.inf

@@ -56,6 +56,7 @@ from drulearn.model import (
 from drulearn.oracle import (
     BUDGET_SLACK,
     DiscreteDistribution,
+    PayoffLp,
     discrete_wasserstein,
     feasible_distributions,
     min_feasible_radius,
@@ -446,7 +447,8 @@ def test_active_scores_match_their_enumerated_definitions():
         )
         eps = 0.5 if forced_label == anchor_label else COST.label_flip_cost + 0.5
         theta = rng.normal(size=dim)
-        score = score_dr(x0, data, unlabeled, prior, eps, COST, theta)
+        model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+        score = score_dr(model, unlabeled.features, 0, theta)
 
         pinned = feasible_distributions(
             data, x0[None], prior, eps, COST, count=3, seed=index

@@ -39,7 +39,7 @@ from drulearn.model import (
     loss_grad_theta,
     make_rng,
 )
-from drulearn.oracle import feasible_distributions, min_feasible_radius
+from drulearn.oracle import PayoffLp, feasible_distributions, min_feasible_radius
 
 COST = TransportCost()
 
@@ -170,7 +170,8 @@ class TestScoreDr:
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([0.5, 0.3])
-        score = score_dr(x0, data, unlabeled, prior, 0.5, COST, theta)
+        model = PayoffLp(unlabeled.features, data, prior, 0.5, COST)
+        score = score_dr(model, unlabeled.features, 0, theta)
         assert score == pytest.approx(impact_gradient_norm(theta, x0, 1), abs=1e-3)
 
     def test_free_labels_price_at_the_pessimistic_impact(self):
@@ -180,12 +181,10 @@ class TestScoreDr:
         rng = make_rng(3)
         data = LabeledDataset(rng.normal(size=(3, 2)), np.array([1, 0, 1]))
         pool = rng.normal(size=(4, 2))
-        unlabeled = UnlabeledDataset(pool)
         theta = np.array([0.5, 0.3])
         x_star = pool[2]
-        score = score_dr(
-            x_star, data, unlabeled, LabelPrior.uninformative(), 6.0, COST, theta,
-        )
+        model = PayoffLp(pool, data, LabelPrior.uninformative(), 6.0, COST)
+        score = score_dr(model, pool, 2, theta)
         floor = min(
             impact_gradient_norm(theta, x_star, 0),
             impact_gradient_norm(theta, x_star, 1),
@@ -197,12 +196,9 @@ class TestScoreDr:
         rng = make_rng(3)
         data = LabeledDataset(rng.normal(size=(3, 2)), np.array([1, 0, 1]))
         pool = np.vstack([rng.normal(size=(2, 2)), np.zeros(2)])
-        unlabeled = UnlabeledDataset(pool)
         theta = np.array([0.5, 0.3])
-        score = score_dr(
-            np.zeros(2), data, unlabeled, LabelPrior.uninformative(), 6.0, COST,
-            theta,
-        )
+        model = PayoffLp(pool, data, LabelPrior.uninformative(), 6.0, COST)
+        score = score_dr(model, pool, 2, theta)
         assert score == pytest.approx(0.0, abs=1e-2)
 
     def test_score_is_the_exact_worst_case_over_the_decision_set(self):
@@ -213,13 +209,14 @@ class TestScoreDr:
         rng = make_rng(21)
         data = LabeledDataset(rng.normal(size=(6, 2)), np.arange(6) % 2)
         pool = rng.normal(size=(20, 2))
-        unlabeled = UnlabeledDataset(pool)
         theta = np.array([0.8, -0.6])
         prior = LabelPrior(lower=[0.4, 0.4], upper=[0.6, 0.6])
         eps = min_feasible_radius(data, pool, prior, COST) + 0.02
         vertices = feasible_distributions(data, pool, prior, eps, COST, count=12)
-        for x_star in pool:
-            score = score_dr(x_star, data, unlabeled, prior, eps, COST, theta)
+        model = PayoffLp(pool, data, prior, eps, COST)
+        free_model = PayoffLp(pool, data, LabelPrior.uninformative(), 50.0, COST)
+        for target, x_star in enumerate(pool):
+            score = score_dr(model, pool, target, theta)
             for dist in vertices:
                 at_star = (dist.features == x_star).all(axis=1)
                 impacts = [
@@ -231,34 +228,22 @@ class TestScoreDr:
                 assert score <= expected + 1e-8
             # a huge radius under the uninformative prior frees the label at
             # the candidate, so the adversary takes the smaller impact
-            free = score_dr(
-                x_star, data, unlabeled, LabelPrior.uninformative(), 50.0, COST,
-                theta,
-            )
+            free = score_dr(free_model, pool, target, theta)
             floor = min(
                 impact_gradient_norm(theta, x_star, 0),
                 impact_gradient_norm(theta, x_star, 1),
             )
             assert free == pytest.approx(floor, abs=1e-8)
 
-    def test_candidate_must_come_from_the_pool(self):
-        data = LabeledDataset(np.zeros((1, 2)), np.array([1]))
-        unlabeled = UnlabeledDataset(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            score_dr(
-                np.array([5.0, 5.0]), data, unlabeled, LabelPrior.uninformative(),
-                1.0, COST, np.zeros(2),
-            )
-
     def test_empty_decision_set_raises(self):
         # the prior demands all mass on class 0 while the only atom carries
         # label 1 and the radius cannot pay for the flip
         x0 = np.array([1.0, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([1.0, 0.0])
+        model = PayoffLp(x0[None], data, prior, 0.01, COST)
         with pytest.raises(InfeasibleRadiusError):
-            score_dr(x0, data, unlabeled, prior, 0.01, COST, np.zeros(2))
+            score_dr(model, x0[None], 0, np.zeros(2))
 
 
 class TestSelectNext:
@@ -356,8 +341,11 @@ class TestSelectNext:
                 eps = prior_feasible_radius(state.labeled, pool, prior, COST)
                 eps += strategy.delta_margin
                 scores = [
-                    score_dr(x, state.labeled, pool, prior, eps, COST, theta)
-                    for x in state.pool_features
+                    score_dr(
+                        PayoffLp(pool.features, state.labeled, prior, eps, COST),
+                        pool.features, j, theta,
+                    )
+                    for j in range(pool.n)
                 ]
                 assert chosen == int(np.argmax(scores))
 

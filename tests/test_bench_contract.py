@@ -9,7 +9,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from drulearn import cli, oracle
+from drulearn import active, cli, oracle
 from drulearn.config import parse_config_text
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -48,3 +48,29 @@ def test_every_workload_config_parses_for_a_known_subcommand():
     for name, workload in load_bench_module("workloads").WORKLOADS.items():
         assert workload.subcommand in cli._SUBCOMMANDS, name
         parse_config_text(workload.config_text())
+
+
+def test_active_dr_workload_scores_every_candidate_through_score_dr(
+    tmp_path, monkeypatch
+):
+    # the workload is described as timing `active.score_dr`; a run that
+    # priced its candidates some other way would leave that span empty
+    workload = load_bench_module("workloads").WORKLOADS["active_dr"]
+    config = parse_config_text(workload.config_text())
+    calls = []
+    score_dr = active.score_dr
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return score_dr(*args, **kwargs)
+
+    monkeypatch.setattr(active, "score_dr", counted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "active_dr.cfg").write_text(workload.config_text())
+    assert cli.main([workload.subcommand, "--config", "active_dr.cfg"]) == 0
+    expected = (
+        config.trials
+        * (config.stop_at - config.n_initial)
+        * config.candidate_subsample
+    )
+    assert len(calls) == expected == 24

@@ -4,6 +4,7 @@ import csv
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def library_certificate(config_path, split_seed, eps, n_labeled=None):
 
 def read_meta(path):
     entries = {}
-    for line in open(str(path) + ".meta").read().splitlines():
+    for line in Path(str(path) + ".meta").read_text().splitlines():
         key, _, value = line.partition("=")
         entries[key] = value
     return entries
@@ -145,7 +146,7 @@ class TestOneShotCommands:
         out = tmp_path / "mr.csv"
         config = write_config(tmp_path, output=str(out), **SMALL_DATA)
         main(["min-radius", "--config", config])
-        lines = open(str(out) + ".meta").read().splitlines()
+        lines = Path(str(out) + ".meta").read_text().splitlines()
         keys = [line.partition("=")[0] for line in lines]
         assert keys == sorted(keys)
         banned = {"time", "timestamp", "date", "created", "walltime", "hostname"}
@@ -669,9 +670,9 @@ class TestDeterminism:
     @staticmethod
     def rerun_and_capture(args, paths):
         assert main(args) == EXIT_OK
-        first = [open(path, "rb").read() for path in paths]
+        first = [Path(path).read_bytes() for path in paths]
         assert main(args) == EXIT_OK
-        second = [open(path, "rb").read() for path in paths]
+        second = [Path(path).read_bytes() for path in paths]
         return first, second
 
     def test_every_subcommand_is_byte_deterministic(self, tmp_path):
