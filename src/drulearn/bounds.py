@@ -304,6 +304,7 @@ def certify(
     eps: float,
     cost: TransportCost,
     z_score: float = DEFAULT_Z_SCORE,
+    search_coupling: UniformCoupling | None = None,
 ) -> PerformanceBound:
     """Certificate at `state.theta` whose multipliers are chosen on one half
     of the unlabeled sample and evaluated on the other.
@@ -317,6 +318,8 @@ def certify(
     is exp(-max(neg_log_bound, held-out certificate)), so it never claims
     more than the sample's own worst case, and `correction` is the excess.
     Needs two points in each half, one without a correction.
+    `search_coupling` is the search half's `uniform_coupling`, which does not
+    depend on `eps`; without it, `min_feasible_radius` solves it here.
     """
     if unlabeled.n < (4 if z_score > 0.0 else 2):
         raise ValueError(
@@ -326,7 +329,10 @@ def certify(
     # the search half's own minimal radius can exceed eps; its decision set
     # is then empty and its dual has no minimum, so the search runs at that
     # minimal radius instead
-    search_eps = max(eps, min_feasible_radius(data, search.features, prior, cost))
+    search_eps = max(
+        eps,
+        min_feasible_radius(data, search.features, prior, cost, search_coupling),
+    )
     point = search_multipliers(state, data, search, prior, search_eps, cost, z_score)
     check = performance_bound(point, data, held_out, prior, eps, cost, z_score)
     neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)

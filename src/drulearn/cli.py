@@ -13,44 +13,61 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import os
 import sys
 
-import numpy as np
+# numpy and scipy.optimize build about 51k objects at import, and the
+# collector would scan them again and again while they load; pause it for the
+# imports and hand back the caller's setting, even when an import fails.
+_GC_WAS_ENABLED = gc.isenabled()
+gc.disable()
+try:
+    import numpy as np
 
-from .active import StrategyConfig, aulc, initial_state, run_active_loop
-from .baseline import baseline_train, robustness_sweep
-from .bounds import (
-    PRIOR_STRONG,
-    certify,
-    make_prior,
-    prior_feasible_radius,
-    select_radius,
-)
-from .config import ConfigError, ExperimentConfig, config_items, load_config
-from .data import (
-    RawTable,
-    append_intercept,
-    load_csv,
-    sample_split,
-    standardize,
-    synthetic_two_gaussians,
-)
-from .dual import (
-    InfeasibleRadiusError,
-    cutset_solve,
-    duality_gap_check,
-)
-from .model import (
-    DiscreteDistribution,
-    LabeledDataset,
-    LabelPrior,
-    TransportCost,
-    UnlabeledDataset,
-    confidence,
-    make_rng,
-)
-from .oracle import discrete_wasserstein, min_feasible_radius, uniform_coupling
+    from .active import StrategyConfig, aulc, initial_state, run_active_loop
+    from .baseline import baseline_train, robustness_sweep
+    from .bounds import (
+        PRIOR_STRONG,
+        certify,
+        held_out_halves,
+        make_prior,
+        prior_feasible_radius,
+        select_radius,
+    )
+    from .config import ConfigError, ExperimentConfig, config_items, load_config
+    from .data import (
+        RawTable,
+        append_intercept,
+        load_csv,
+        sample_split,
+        standardize,
+        synthetic_two_gaussians,
+    )
+    from .dual import (
+        InfeasibleRadiusError,
+        cutset_solve,
+        duality_gap_check,
+    )
+    from .model import (
+        DiscreteDistribution,
+        LabeledDataset,
+        LabelPrior,
+        TransportCost,
+        UnlabeledDataset,
+        confidence,
+        make_rng,
+    )
+    from .oracle import discrete_wasserstein, min_feasible_radius, uniform_coupling
+finally:
+    # Move the imported objects straight to the oldest generation: left young,
+    # all of them would be scanned by the first collection after this.  A
+    # caller's own frozen objects stay frozen.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+        gc.unfreeze()
+    if _GC_WAS_ENABLED:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,6 +157,13 @@ def _coupling(instance: Instance):
     solved once and shared by the radius policy, the trainer and its final
     solve."""
     return uniform_coupling(instance.labeled, _require_unlabeled(instance).features)
+
+
+def _search_coupling(instance: Instance):
+    """The `UniformCoupling` of `bounds.certify`'s search half, which every
+    radius of one instance shares."""
+    search, _ = held_out_halves(_require_unlabeled(instance))
+    return uniform_coupling(instance.labeled, search.features)
 
 
 def _resolve_eps(
@@ -302,11 +326,16 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
 
 
 def _certify_instance(
-    config: ExperimentConfig, instance: Instance, eps: float, coupling
+    config: ExperimentConfig,
+    instance: Instance,
+    eps: float,
+    coupling,
+    search_coupling=None,
 ):
     """Train at `eps` and certify the trained classifier by the multiplier
     search; returns the `CutSetResult` and the certificate's `BOUND_FIELDS`
-    columns.  `coupling` is the instance's `_coupling`."""
+    columns.  `coupling` is the instance's `_coupling`, `search_coupling`
+    its `_search_coupling` (solved inside `certify` when None)."""
     unlabeled = _require_unlabeled(instance)
     result = cutset_solve(
         instance.labeled,
@@ -324,6 +353,7 @@ def _certify_instance(
         eps,
         instance.cost,
         z_score=config.z_score,
+        search_coupling=search_coupling,
     )
     report = {
         "eps": float(eps),
@@ -374,10 +404,11 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
-        # the instance and its coupling do not depend on the radius
+        # the instance and its two couplings do not depend on the radius
         try:
             instance = _build_instance(config, table, split_seed)
             coupling = _coupling(instance)
+            search_coupling = _search_coupling(instance)
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.extend(
                 (f"{trial}_eps_{render_float(eps)}", error) for eps in config.eps_grid
@@ -385,7 +416,9 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
             continue
         for eps in config.eps_grid:
             try:
-                _, report = _certify_instance(config, instance, float(eps), coupling)
+                _, report = _certify_instance(
+                    config, instance, float(eps), coupling, search_coupling
+                )
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_eps_{render_float(eps)}", error))
                 continue
@@ -629,5 +662,27 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Process entry point (`python -m drulearn.cli`, the `drulearn` script):
+    run `main` on the command line and end the process with its exit code.
+
+    The imported modules live until the process ends, so `gc.freeze` takes
+    them out of every later collection, and `os._exit` skips the
+    interpreter's module-by-module teardown once the output streams are
+    flushed; `main` closes every file it writes before it returns.  An
+    exception that escapes `main` propagates as usual: traceback, exit 1.
+    """
+    gc.freeze()
+    code = main(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        # a closed pipe: the normal exit reports the lost output, as always
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

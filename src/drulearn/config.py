@@ -8,6 +8,7 @@ invalidate a sweep.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .active import STRATEGY_KINDS
 from .bounds import (
@@ -75,6 +76,18 @@ class ExperimentConfig:
     mc_include_norm: bool = False
 
     def __post_init__(self):
+        # nan passes every comparison below, and inf only fails deep inside
+        # a solver; every float key and every grid entry must be finite
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(
+                isinstance(entry, float) and not math.isfinite(entry)
+                for entry in entries
+            ):
+                raise ConfigError(
+                    f"{field.name} must be finite, got {render_value(value)}"
+                )
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.prior_mode not in (PRIOR_STRONG, PRIOR_WEAK):

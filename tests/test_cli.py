@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,15 @@ class TestUsageErrors:
         config = write_config(tmp_path, **SMALL_DATA)
         code = main(["active", "--config", config, "--strategy", "psychic"])
         assert code == EXIT_USAGE
+
+    def test_non_finite_eps_override_exits_one_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "nan.csv"
+        config = write_config(tmp_path, output=str(out), **SMALL_DATA)
+        assert main(["train-dru", "--config", config, "--eps", "nan"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: eps must be finite, got nan\n"
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
 
 class TestOneShotCommands:
@@ -434,8 +444,8 @@ class TestSweeps:
     def test_radius_sweep_solves_each_trial_coupling_once(
         self, tmp_path, transport_solves
     ):
-        # one full-support coupling per trial, shared by every radius; each
-        # radius's certificate still solves its search half's minimal radius
+        # one full-support coupling and one search-half coupling per trial,
+        # both shared by every radius
         out = tmp_path / "rs.csv"
         config = write_config(
             tmp_path, output=str(out), eps_grid=(0.6, 1.0, 1.5), seed=1, **SMALL_DATA
@@ -445,7 +455,7 @@ class TestSweeps:
         transport_solves.clear()
         assert main(["radius-sweep", "--config", config]) == EXIT_OK
         assert len(read_rows(out)) == 3
-        assert transport_solves == [(n_u, n_l)] + [((n_u + 1) // 2, n_l)] * 3
+        assert transport_solves == [(n_u, n_l), ((n_u + 1) // 2, n_l)]
 
     def test_radius_sweep_records_a_failed_build_for_every_radius(
         self, tmp_path, monkeypatch
@@ -713,6 +723,27 @@ class TestDeterminism:
             assert len(first[0]) > 0
 
 
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(args, **options):
+    """Run `python <args>` in a fresh interpreter that imports this tree's
+    drulearn, with stdout and stderr buffered as they are by default;
+    returns the `CompletedProcess` with text output."""
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, text=True, **options
+    )
+
+
+def run_module(args):
+    return run_python(["-m", "drulearn.cli", *args], capture_output=True)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
         out = tmp_path / "mr.csv"
@@ -724,6 +755,117 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("bound", {}),
+            ("min-radius", {}),
+            (
+                "active",
+                {
+                    "strategy": "dr_weak",
+                    "n_initial": 2,
+                    "stop_at": 4,
+                    "candidate_subsample": 4,
+                },
+            ),
+        ],
+    )
+    def test_process_writes_the_bytes_of_in_process_main(
+        self, tmp_path, command, keys
+    ):
+        out = tmp_path / "out.csv"
+        config = write_config(tmp_path, output=str(out), **SMALL_DATA, **keys)
+        paths = [out, Path(str(out) + ".meta")]
+        if command == "active":
+            paths.append(tmp_path / "out_aulc.csv")
+        assert main([command, "--config", config]) == EXIT_OK
+        in_process = [path.read_bytes() for path in paths]
+        for path in paths:
+            path.unlink()
+        result = run_module([command, "--config", config])
+        assert result.returncode == EXIT_OK, result.stderr
+        assert (result.stdout, result.stderr) == ("", "")
+        assert [path.read_bytes() for path in paths] == in_process
+
+    def test_usage_error_exits_one_with_its_message(self):
+        result = run_module(["fit"])
+        assert result.returncode == EXIT_USAGE
+        assert "invalid choice: 'fit'" in result.stderr
+
+    def test_infeasible_radius_exits_two_with_its_message(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        config = write_config(tmp_path, output=str(out), **SMALL_DATA)
+        result = run_module(["train-dru", "--config", config, "--eps", "0"])
+        assert result.returncode == EXIT_INFEASIBLE
+        assert result.stderr.startswith(
+            "infeasible instance: transport radius too small"
+        )
+        assert not out.exists()
+
+    def test_redirected_help_holds_the_full_text(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = tmp_path / "help.txt"
+        with open(path, "w") as handle:
+            result = run_python(["-m", "drulearn.cli", "--help"], stdout=handle)
+        assert result.returncode == EXIT_OK
+        assert path.read_text() == cli.build_parser().format_help()
+
+    def test_help_into_a_closed_pipe_fails_as_the_interpreter_reports_it(self):
+        # the write fails at the final flush; the normal exit then reports
+        # it (exit 120) without a traceback from the entry point
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_python(
+                ["-m", "drulearn.cli", "--help"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 120
+        assert "BrokenPipeError" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_an_escaping_exception_prints_its_traceback_and_exits_one(self):
+        script = (
+            "import sys, drulearn.cli as cli\n"
+            "def broken(argv):\n"
+            "    raise KeyError('escaped')\n"
+            "cli.main = broken\n"
+            "cli.run()\n"
+        )
+        result = run_python(["-c", script], capture_output=True)
+        assert result.returncode == 1
+        assert "Traceback" in result.stderr
+        assert result.stderr.rstrip().endswith("KeyError: 'escaped'")
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_import_hands_back_the_collector_as_it_found_it(self, collecting):
+        script = (
+            "import gc\n"
+            f"{'gc.enable()' if collecting else 'gc.disable()'}\n"
+            "import drulearn.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        result = run_python(["-c", script], capture_output=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [str(collecting), "0"]
+
+    def test_a_failed_import_still_hands_back_the_collector(self):
+        script = (
+            "import gc, sys\n"
+            "sys.modules['drulearn.oracle'] = None\n"
+            "try:\n"
+            "    import drulearn.cli\n"
+            "except ImportError:\n"
+            "    print(gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        result = run_python(["-c", script], capture_output=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "0"]
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

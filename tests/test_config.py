@@ -141,6 +141,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match="label_flip_cost"):
             ExperimentConfig(label_flip_cost=0.0)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity"])
+    def test_every_float_key_must_be_finite(self, raw):
+        float_keys = [
+            field.name
+            for field in dataclasses.fields(ExperimentConfig)
+            if field.type in ("float", "float | None")
+        ]
+        assert "eps" in float_keys and "label_flip_cost" in float_keys
+        for key in float_keys:
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                parse_config_text(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("key", ["eps_grid", "delta_grid"])
+    def test_every_grid_entry_must_be_finite(self, key):
+        for raw in ("0.1,nan", "inf", "0.0,0.5,-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                parse_config_text(f"{key} = {raw}\n")
+
+    def test_overrides_are_checked_for_finiteness(self):
+        # the CLI applies --eps and friends through dataclasses.replace
+        with pytest.raises(ConfigError, match="eps must be finite, got nan"):
+            dataclasses.replace(ExperimentConfig(), eps=float("nan"))
+        with pytest.raises(ConfigError, match="label_flip_cost must be finite"):
+            ExperimentConfig(label_flip_cost=float("nan"))
+
 
 class TestDerivedObjects:
     def test_radius_selection_carries_the_policy_keys(self):
