@@ -3,9 +3,9 @@
 Strategies score each unlabeled candidate by how much acquiring its label
 would change the fitted model; the robust variants price the score against
 the worst label distribution the decision set allows instead of trusting the
-current model's posterior.  A robust step solves the pool-to-labeled-atoms
-transport once and prices every candidate through `score_dr` on one shared
-worst-case LP.
+current model's posterior.  A robust step prices every candidate through
+`score_dr` on one shared worst-case LP, whose radius and first columns come
+from one pool-to-labeled-atoms transport (`oracle.uniform_coupling`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .model import (
     loss_grad_theta,
     make_rng,
 )
-from .oracle import OPTIMAL, PayoffLp, uniform_coupling
+from .oracle import OPTIMAL, PayoffLp
 
 RANDOM = "random"
 EMC = "emc"
@@ -231,7 +231,7 @@ def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
     return -result.value
 
 
-def _dr_prior_and_radius(state, strategy, pool, cost, class_share, coupling):
+def _dr_prior_and_radius(state, strategy, pool, cost, class_share):
     """The per-step prior and radius for the robust strategies."""
     if strategy.kind == DR_STRONG:
         prior = make_prior(
@@ -240,7 +240,7 @@ def _dr_prior_and_radius(state, strategy, pool, cost, class_share, coupling):
         )
     else:
         prior = make_prior(state.labeled, mode="weak")
-    base = prior_feasible_radius(state.labeled, pool, prior, cost, coupling)
+    base = prior_feasible_radius(state.labeled, pool, prior, cost)
     return prior, base + strategy.delta_margin
 
 
@@ -279,15 +279,10 @@ def select_next(
     size = min(strategy.candidate_subsample, state.pool_size)
     candidates = np.sort(rng.choice(state.pool_size, size=size, replace=False))
     pool = UnlabeledDataset(state.pool_features)
-    # the pool-to-labeled-atoms transport is solved once per step, for the
-    # radius and for the model's feasibility cells
-    coupling = uniform_coupling(state.labeled, pool.features)
-    prior, eps = _dr_prior_and_radius(
-        state, strategy, pool, cost, class_share, coupling
-    )
+    prior, eps = _dr_prior_and_radius(state, strategy, pool, cost, class_share)
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis
-    model = PayoffLp(pool.features, state.labeled, prior, eps, cost, coupling)
+    model = PayoffLp(pool.features, state.labeled, prior, eps, cost)
     scores = [score_dr(model, state.pool_features, j, theta) for j in candidates]
     return int(candidates[int(np.argmax(scores))])
 

@@ -36,13 +36,7 @@ from .model import (
     confidence,
     pair_costs,
 )
-from .oracle import (
-    UniformCoupling,
-    discrete_wasserstein,
-    min_feasible_radius,
-    positive_share_range,
-    uniform_coupling,
-)
+from .oracle import discrete_wasserstein, min_feasible_radius, positive_share_range
 
 DEFAULT_Z_SCORE = 1.96
 VACUOUS_THRESHOLD = 0.5
@@ -304,7 +298,6 @@ def certify(
     eps: float,
     cost: TransportCost,
     z_score: float = DEFAULT_Z_SCORE,
-    search_coupling: UniformCoupling | None = None,
 ) -> PerformanceBound:
     """Certificate at `state.theta` whose multipliers are chosen on one half
     of the unlabeled sample and evaluated on the other.
@@ -318,8 +311,6 @@ def certify(
     is exp(-max(neg_log_bound, held-out certificate)), so it never claims
     more than the sample's own worst case, and `correction` is the excess.
     Needs two points in each half, one without a correction.
-    `search_coupling` is the search half's `uniform_coupling`, which does not
-    depend on `eps`; without it, `min_feasible_radius` solves it here.
     """
     if unlabeled.n < (4 if z_score > 0.0 else 2):
         raise ValueError(
@@ -329,10 +320,7 @@ def certify(
     # the search half's own minimal radius can exceed eps; its decision set
     # is then empty and its dual has no minimum, so the search runs at that
     # minimal radius instead
-    search_eps = max(
-        eps,
-        min_feasible_radius(data, search.features, prior, cost, search_coupling),
-    )
+    search_eps = max(eps, min_feasible_radius(data, search.features, prior, cost))
     point = search_multipliers(state, data, search, prior, search_eps, cost, z_score)
     check = performance_bound(point, data, held_out, prior, eps, cost, z_score)
     neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
@@ -398,7 +386,6 @@ def prior_feasible_radius(
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
-    coupling: UniformCoupling | None = None,
 ) -> float:
     """Smallest radius keeping the decision set nonempty.
 
@@ -408,15 +395,14 @@ def prior_feasible_radius(
     prior with positive share s, `min_feasible_radius` is
     W + label_flip_cost * |s - p| with W independent of s and p the labeled
     atoms' positive share, so the endpoint farther from p needs the larger
-    radius and is the only one solved.  W is `coupling.distance`, solved by
-    `min_feasible_radius` when `coupling` is `None`.
+    radius and is the only one solved.
     """
     share = float(data.labels.mean())
     farther = max(
         positive_share_range(prior), key=lambda endpoint: abs(endpoint - share)
     )
     return min_feasible_radius(
-        data, unlabeled.features, _point_prior_for_share(farther), cost, coupling
+        data, unlabeled.features, _point_prior_for_share(farther), cost
     )
 
 
@@ -427,28 +413,23 @@ def select_radius(
     prior: LabelPrior,
     cost: TransportCost,
     full: DiscreteDistribution | None = None,
-    coupling: UniformCoupling | None = None,
 ) -> RadiusSelection:
     """Choose the ambiguity radius according to the selection policy.
 
     Returns a completed copy of ``selection`` with ``eps`` filled in and
     ``fallback_warning`` set when the confidence-screening policy found no
-    candidate radius meeting its threshold.  The minimal radius and every
-    training run of the screening policy share the instance's ``coupling``
-    (`oracle.UniformCoupling`), solved at most once here when it is ``None``.
-    ``full`` is the reference distribution the distance-fraction policy
-    measures the labeled sample against.
+    candidate radius meeting its threshold.  ``full`` is the reference
+    distribution the distance-fraction policy measures the labeled sample
+    against.
     """
     warned = False
     if selection.policy == MIN_RADIUS_PLUS_DELTA:
         eps = (
-            prior_feasible_radius(data, unlabeled, prior, cost, coupling)
+            prior_feasible_radius(data, unlabeled, prior, cost)
             + selection.delta_margin
         )
     elif selection.policy == AS_ROBUST_AS_POSSIBLE:
-        if coupling is None:
-            coupling = uniform_coupling(data, unlabeled.features)
-        base = prior_feasible_radius(data, unlabeled, prior, cost, coupling)
+        base = prior_feasible_radius(data, unlabeled, prior, cost)
         grid = np.geomspace(
             base + selection.delta_margin,
             base + selection.grid_span,
@@ -456,9 +437,7 @@ def select_radius(
         )
         eps = None
         for candidate in reversed(grid):
-            theta = cutset_solve(
-                data, unlabeled, prior, cost, float(candidate), coupling=coupling
-            ).theta
+            theta = cutset_solve(data, unlabeled, prior, cost, float(candidate)).theta
             median_conf = float(np.median(confidence(theta, unlabeled.features)))
             if median_conf >= selection.confidence_threshold:
                 eps = float(candidate)

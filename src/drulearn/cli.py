@@ -4,8 +4,10 @@ Every subcommand reads a flat config file, applies the targeted overrides,
 runs deterministically from the configured seed, and writes CSV results plus
 a ``<output>.meta`` sidecar recording the resolved configuration and any
 per-trial errors. The CSV layout is decided here: the library returns
-numbers, and each subcommand builds its rows next to the header it writes. Exit codes: 0 success, 1 usage/configuration error,
-2 infeasible instance, 3 numerical failure.
+numbers, and each subcommand builds its rows next to the header it writes.
+
+Exit codes: 0 success, 1 usage or configuration error, 2 infeasible
+instance, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ try:
     from .bounds import (
         PRIOR_STRONG,
         certify,
-        held_out_halves,
         make_prior,
         prior_feasible_radius,
         select_radius,
@@ -58,7 +59,7 @@ try:
         confidence,
         make_rng,
     )
-    from .oracle import discrete_wasserstein, min_feasible_radius, uniform_coupling
+    from .oracle import discrete_wasserstein, min_feasible_radius
 finally:
     # Move the imported objects straight to the oldest generation: left young,
     # all of them would be scanned by the first collection after this.  A
@@ -152,36 +153,26 @@ def _require_unlabeled(instance: Instance):
     return instance.unlabeled
 
 
-def _coupling(instance: Instance):
-    """The instance's support-to-atoms transport (`oracle.UniformCoupling`),
-    solved once and shared by the radius policy, the trainer and its final
-    solve."""
-    return uniform_coupling(instance.labeled, _require_unlabeled(instance).features)
-
-
-def _search_coupling(instance: Instance):
-    """The `UniformCoupling` of `bounds.certify`'s search half, which every
-    radius of one instance shares."""
-    search, _ = held_out_halves(_require_unlabeled(instance))
-    return uniform_coupling(instance.labeled, search.features)
-
-
-def _resolve_eps(
-    config: ExperimentConfig, instance: Instance, coupling=None
-) -> float:
-    """Explicit radius if given, otherwise run the configured policy."""
+def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
+    """Explicit radius if given, otherwise run the configured policy; warn on
+    stderr when the confidence screen fell back to its smallest radius."""
     if config.eps is not None:
         return config.eps
-    unlabeled = _require_unlabeled(instance)
     selection = select_radius(
         config.radius_selection(),
         instance.labeled,
-        unlabeled,
+        _require_unlabeled(instance),
         instance.prior,
         instance.cost,
         full=instance.full,
-        coupling=coupling,
     )
+    if selection.fallback_warning:
+        print(
+            f"warning: no radius met confidence_threshold "
+            f"{selection.confidence_threshold}; using the smallest candidate "
+            f"{selection.eps}",
+            file=sys.stderr,
+        )
     return selection.eps
 
 
@@ -245,10 +236,9 @@ def _theta_columns(theta):
 def _run_train_dru(config: ExperimentConfig) -> int:
     table = _load_table(config)
     instance = _build_instance(config, table, config.seed)
-    coupling = _coupling(instance)
-    eps = _resolve_eps(config, instance, coupling)
+    eps = _resolve_eps(config, instance)
     _write_metadata(config, "train-dru", [])
-    result, report = _certify_instance(config, instance, eps, coupling)
+    result, report = _certify_instance(config, instance, eps)
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
@@ -325,25 +315,13 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
 # Multi-trial experiments
 
 
-def _certify_instance(
-    config: ExperimentConfig,
-    instance: Instance,
-    eps: float,
-    coupling,
-    search_coupling=None,
-):
+def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     """Train at `eps` and certify the trained classifier by the multiplier
     search; returns the `CutSetResult` and the certificate's `BOUND_FIELDS`
-    columns.  `coupling` is the instance's `_coupling`, `search_coupling`
-    its `_search_coupling` (solved inside `certify` when None)."""
+    columns."""
     unlabeled = _require_unlabeled(instance)
     result = cutset_solve(
-        instance.labeled,
-        unlabeled,
-        instance.prior,
-        instance.cost,
-        eps,
-        coupling=coupling,
+        instance.labeled, unlabeled, instance.prior, instance.cost, eps
     )
     bound = certify(
         result.state,
@@ -353,7 +331,6 @@ def _certify_instance(
         eps,
         instance.cost,
         z_score=config.z_score,
-        search_coupling=search_coupling,
     )
     report = {
         "eps": float(eps),
@@ -377,9 +354,8 @@ def _run_bound_experiment(config: ExperimentConfig) -> int:
                 instance = _build_instance(
                     config, table, split_seed, n_labeled=int(n_labeled)
                 )
-                coupling = _coupling(instance)
-                eps = _resolve_eps(config, instance, coupling)
-                _, report = _certify_instance(config, instance, eps, coupling)
+                eps = _resolve_eps(config, instance)
+                _, report = _certify_instance(config, instance, eps)
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_n_{n_labeled}", error))
                 continue
@@ -404,21 +380,10 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
-        # the instance and its two couplings do not depend on the radius
-        try:
-            instance = _build_instance(config, table, split_seed)
-            coupling = _coupling(instance)
-            search_coupling = _search_coupling(instance)
-        except Exception as error:  # noqa: BLE001 - recorded, run continues
-            errors.extend(
-                (f"{trial}_eps_{render_float(eps)}", error) for eps in config.eps_grid
-            )
-            continue
         for eps in config.eps_grid:
             try:
-                _, report = _certify_instance(
-                    config, instance, float(eps), coupling, search_coupling
-                )
+                instance = _build_instance(config, table, split_seed)
+                _, report = _certify_instance(config, instance, float(eps))
             except Exception as error:  # noqa: BLE001 - recorded, run continues
                 errors.append((f"{trial}_eps_{render_float(eps)}", error))
                 continue
@@ -565,10 +530,9 @@ def _run_oracle_check(config: ExperimentConfig) -> int:
         seed = config.seed + index
         try:
             labeled, support, prior, theta = _oracle_instance(seed)
-            coupling = uniform_coupling(labeled, support)
-            eps = min_feasible_radius(labeled, support, prior, cost, coupling) + 0.1
+            eps = min_feasible_radius(labeled, support, prior, cost) + 0.1
             report = duality_gap_check(
-                theta, labeled, UnlabeledDataset(support), prior, eps, cost, coupling
+                theta, labeled, UnlabeledDataset(support), prior, eps, cost
             )
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(index), error))

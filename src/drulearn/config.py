@@ -106,6 +106,14 @@ class ExperimentConfig:
             raise ConfigError("eps must be nonnegative")
         if self.label_flip_cost <= 0:
             raise ConfigError("label_flip_cost must be positive")
+        if self.z_score < 0:
+            raise ConfigError("z_score must be nonnegative")
+        # the radius-policy keys are checked here, not when a subcommand first
+        # runs the policy: `min-radius` reads delta_margin but never does
+        try:
+            self.radius_selection()
+        except ValueError as error:
+            raise ConfigError(str(error)) from error
 
     def radius_selection(self) -> RadiusSelection:
         """Instantiate the radius policy (without the chosen radius)."""

@@ -26,9 +26,9 @@ descends the dual in weights and multipliers jointly from unlabeled
 minibatches with Adam (or plain SGD), is on no command-line path; it is kept
 with its own tests.  Both solvers first check the radius against
 `oracle.min_feasible_radius`: the dual is bounded below exactly when the
-decision set is nonempty.  `cutset_solve` takes that radius from the
-instance's `oracle.UniformCoupling`, solved once and shared with its
-worst-case LPs.
+decision set is nonempty.  That radius and the worst-case LPs' first
+columns come from the same `oracle.uniform_coupling`, which solves the
+support-to-atoms transport once per pair of point sets.
 """
 
 from __future__ import annotations
@@ -58,10 +58,8 @@ from .oracle import (
     OPTIMAL,
     LpMultipliers,
     PayoffLp,
-    UniformCoupling,
     min_feasible_radius,
     solve_worst_case_lp,
-    uniform_coupling,
 )
 
 CONVERGED = "converged"
@@ -298,11 +296,11 @@ def descent_update(grad, moments, step: int, lr: float, config: SolverConfig):
     return update, (first, second)
 
 
-def _require_feasible_radius(data, unlabeled, prior, cost, eps, coupling=None):
+def _require_feasible_radius(data, unlabeled, prior, cost, eps):
     """Raise `InfeasibleRadiusError` when the radius plus the oracle's
     `BUDGET_SLACK` is below the minimal feasible radius: the decision set is
     then empty and the dual unbounded below."""
-    eps_min = min_feasible_radius(data, unlabeled.features, prior, cost, coupling)
+    eps_min = min_feasible_radius(data, unlabeled.features, prior, cost)
     if eps + BUDGET_SLACK < eps_min:
         raise InfeasibleRadiusError(
             f"transport radius too small for the prior: {float(eps)} is below "
@@ -539,7 +537,6 @@ def cutset_solve(
     prior: LabelPrior,
     cost: TransportCost,
     eps: float,
-    coupling: UniformCoupling | None = None,
 ) -> CutSetResult:
     """Minimize the exact worst-case loss F(theta) by a cutting-set method.
 
@@ -554,16 +551,12 @@ def cutset_solve(
     between rounds, so each LP re-optimizes from the last one's basis and
     columns.  The best theta is then priced once more by a one-shot
     `solve_worst_case_lp`, so the reported `upper` and `state` are those of
-    a fresh solve at theta, whatever the run's history.  The instance's
-    `oracle.UniformCoupling` (solved here when `coupling` is `None`) serves
-    the radius check, the run's model and that final solve.  Starts from
+    a fresh solve at theta, whatever the run's history.  Starts from
     theta = 0; see `CutSetResult`.  Raises `InfeasibleRadiusError` when the
     decision set is empty.
     """
-    if coupling is None:
-        coupling = uniform_coupling(data, unlabeled.features)
-    _require_feasible_radius(data, unlabeled, prior, cost, eps, coupling)
-    model = PayoffLp(unlabeled.features, data, prior, eps, cost, coupling)
+    _require_feasible_radius(data, unlabeled, prior, cost, eps)
+    model = PayoffLp(unlabeled.features, data, prior, eps, cost)
     best = np.zeros(data.dim)
     upper, cut = _worst_case(model, best, unlabeled, eps)
     cuts = [cut]
@@ -581,9 +574,7 @@ def cutset_solve(
     # free the model's simplex workspace (a few MB) before the fresh solve
     # allocates its own
     del model
-    exact = solve_worst_case_lp(
-        best, unlabeled.features, data, prior, eps, cost, coupling
-    )
+    exact = solve_worst_case_lp(best, unlabeled.features, data, prior, eps, cost)
     if exact.status != OPTIMAL:
         raise InfeasibleRadiusError(
             f"worst-case LP reported {exact.status} at radius {float(eps)}"
@@ -616,7 +607,6 @@ def duality_gap_check(
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
-    coupling: UniformCoupling | None = None,
 ) -> DualityGapReport:
     """Check strong duality at a fixed classifier.
 
@@ -629,18 +619,13 @@ def duality_gap_check(
     dual minus primal, is minus the transport price times `BUDGET_SLACK`.
     The gap is only guaranteed to vanish for radii strictly above the
     minimal feasible radius; at or below it the report carries
-    `relint_violated=True`.  The LP and that radius share the instance's
-    `coupling`, solved here when it is `None`.
+    `relint_violated=True`.
     """
     theta = np.asarray(theta, dtype=float)
-    if coupling is None:
-        coupling = uniform_coupling(data, unlabeled.features)
-    primal = solve_worst_case_lp(
-        theta, unlabeled.features, data, prior, eps, cost, coupling
-    )
+    primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
     if primal.status != OPTIMAL:
         raise ValueError("instance infeasible at this radius; nothing to compare")
-    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost, coupling)
+    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
     state = DualState.from_multipliers(theta, primal.multipliers)
     dual = dual_objective(state, data, unlabeled, prior, eps, cost)
     return DualityGapReport(

@@ -13,10 +13,12 @@ of its columns, and re-optimizes from its last basis when the payoff
 changes.  Its columns are the (support point, atom, label) cells of
 `model.pair_costs`, and their reduced costs are the dual's cells,
 `model.cell_tensor`, less the support points' duals.  Transport problems go
-to `simplex.solve_transportation`, one cold `HighsModel` solve each; the
+to `simplex.solve_transportation`, one cold `HighsModel` solve each.  The
 transport from the uniform support to the uniform labeled atoms
-(`UniformCoupling`) is solved once per instance and handed to both the
-minimal radius and `PayoffLp`, whose restricted LP starts from its cells.
+(`UniformCoupling`) depends on the two point sets alone, so
+`uniform_coupling` solves it once per pair and keeps the last
+`COUPLINGS_KEPT`; the minimal radius reads its distance and `PayoffLp`'s
+restricted LP starts from its cells.
 Only the test reference `feasible_distributions` still makes a stateless
 `linprog` call.  Everything here is deterministic and exact up to its 1e-10
 feasibility tolerances, which is what makes it usable as the reference side
@@ -26,6 +28,7 @@ at the worst-case LP's own multipliers against its value).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,10 @@ BUDGET_SLACK = 1e-9
 # enters
 COLUMNS_PER_POINT = 5
 PRICING_TOL = 1e-9
+
+# support-to-atoms couplings `uniform_coupling` keeps: an instance needs two,
+# its whole unlabeled sample and `bounds.certify`'s search half
+COUPLINGS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -90,20 +97,39 @@ class UniformCoupling:
     atoms: np.ndarray
 
 
-def _couple(distances) -> UniformCoupling:
-    """The `UniformCoupling` of a (support point, atom) distance matrix."""
+def _points_key(points):
+    """A hashable, exact copy of a float point matrix: its shape and bytes."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return points.shape, points.tobytes()
+
+
+@functools.lru_cache(maxsize=COUPLINGS_KEPT)
+def _solve_coupling(support_key, atoms_key) -> UniformCoupling:
+    """The `UniformCoupling` of two `_points_key` matrices: one transport solve."""
+    support, atoms = (
+        np.frombuffer(raw).reshape(shape) for shape, raw in (support_key, atoms_key)
+    )
+    distances = feature_distances(support, atoms)
     m, n_l = distances.shape
     distance, plan = solve_transportation(
         distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
     )
-    supports, atoms = np.nonzero(plan > 0.0)
-    return UniformCoupling(distance, supports, atoms)
+    cells = np.nonzero(plan > 0.0)
+    for index in cells:
+        index.flags.writeable = False
+    return UniformCoupling(distance, *cells)
 
 
 def uniform_coupling(data: LabeledDataset, support) -> UniformCoupling:
-    """Solve the transport from the uniform `support` to `data`'s uniform
-    atoms: one `simplex.solve_transportation` call."""
-    return _couple(feature_distances(support, data.features))
+    """The transport from the uniform `support` to `data`'s uniform atoms.
+
+    It depends on the two feature matrices alone, labels aside, so one
+    `simplex.solve_transportation` call serves every caller with equal
+    matrices: the last `COUPLINGS_KEPT` pairs are kept, keyed by their
+    shapes and bytes, and the value returned is shared (its index arrays
+    are read-only).
+    """
+    return _solve_coupling(_points_key(support), _points_key(data.features))
 
 
 @dataclass(frozen=True)
@@ -217,24 +243,6 @@ def _solve_mass_lp(gain, pair, prior: LabelPrior | None, eps: float):
     )
 
 
-def _feasibility_cells(
-    distances, prior: LabelPrior | None, coupling: UniformCoupling | None
-):
-    """(support point, atom) cells that hold a plan of minimal transport cost.
-
-    With a prior: the cells of the `coupling` (solved here when it is
-    `None`), which, with both labels, hold a point of the decision set at
-    every radius from `min_feasible_radius` up.  Without one: each atom's
-    nearest support point, the cheapest point of the ball.  Either way the
-    LP restricted to these cells is feasible exactly when the full LP is.
-    """
-    if prior is None:
-        return np.argmin(distances, axis=0), np.arange(distances.shape[1])
-    if coupling is None:
-        coupling = _couple(distances)
-    return coupling.supports, coupling.atoms
-
-
 def _multipliers(row_duals, m: int, n_l: int, prior: LabelPrior | None):
     """Decision-set duals from HiGHS's row duals of the negated LP.
 
@@ -275,9 +283,10 @@ class PayoffLp:
 
     Solved by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
     `simplex.HighsModel`.  The restricted LP starts from the cells of a
-    minimal-cost plan with both labels (`_feasibility_cells`): with a prior,
-    those of `coupling`, which is solved at construction if not given;
-    without one, each atom's nearest support point.  It is then feasible
+    minimal-cost plan, with both labels: with a prior, those of
+    `uniform_coupling`, which hold a point of the decision set at every
+    radius from `min_feasible_radius` up; without one, each atom's nearest
+    support point, the cheapest point of the ball.  It is then feasible
     exactly when the full LP is, so its first verdict is final.  A column's
     reduced cost under the restricted LP's duals is its dual cell
     (`model.cell_tensor`) minus its support point's dual; per support point
@@ -301,7 +310,6 @@ class PayoffLp:
         prior: LabelPrior | None,
         eps: float,
         cost: TransportCost,
-        coupling: UniformCoupling | None = None,
     ):
         support = np.atleast_2d(np.asarray(support, dtype=float))
         self._pair = pair_costs(support, data, cost)
@@ -311,8 +319,13 @@ class PayoffLp:
         self._model = HighsModel(lower, upper)
         self._active = np.zeros(self._pair.shape, dtype=bool)
         self._columns = np.zeros(0, dtype=np.intp)
-        # one of the two labels matches each atom's and moves at feature cost
-        supports, atoms = _feasibility_cells(self._pair.min(axis=2), prior, coupling)
+        if prior is None:
+            # one of the two labels matches each atom's and moves at feature cost
+            supports = np.argmin(self._pair.min(axis=2), axis=0)
+            atoms = np.arange(n_l)
+        else:
+            coupling = uniform_coupling(data, support)
+            supports, atoms = coupling.supports, coupling.atoms
         seed = np.zeros(self._pair.shape, dtype=bool)
         seed[supports, atoms] = True
         self._add(np.flatnonzero(seed), np.zeros(self._pair.size))
@@ -383,7 +396,6 @@ def solve_worst_case_lp(
     prior: LabelPrior | None,
     eps: float,
     cost: TransportCost,
-    coupling: UniformCoupling | None = None,
 ) -> WorstCaseLpResult:
     """Exact worst-case expected logistic loss over the decision set or the ball.
 
@@ -392,7 +404,7 @@ def solve_worst_case_lp(
     value lower-bounds the unconstrained-domain ball worst case.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
-    model = PayoffLp(support, data, prior, eps, cost, coupling)
+    model = PayoffLp(support, data, prior, eps, cost)
     return model.solve(both_class_losses(theta, support))
 
 
@@ -409,7 +421,6 @@ def min_feasible_radius(
     support,
     prior: LabelPrior,
     cost: TransportCost,
-    coupling: UniformCoupling | None = None,
 ) -> float:
     """Smallest transport budget for which the decision set is nonempty:
 
@@ -422,15 +433,14 @@ def min_feasible_radius(
     couples the two uniform marginals, so its feature part costs at least W;
     the atom marginal fixes the positive mass at p before any flip, and each
     unit moved across labels costs the flip cost.  Relabeling part of an
-    optimal coupling attains both terms at once.  W is `coupling.distance`;
-    without a `coupling`, `uniform_coupling` solves it here.
+    optimal coupling attains both terms at once.  W is the distance of
+    `uniform_coupling`.
     """
-    if coupling is None:
-        coupling = uniform_coupling(data, support)
+    distance = uniform_coupling(data, support).distance
     share = float(data.labels.mean())
     low, high = positive_share_range(prior)
     flipped = max(low - share, share - high, 0.0)
-    return max(coupling.distance + cost.label_flip_cost * float(flipped), 0.0)
+    return max(distance + cost.label_flip_cost * float(flipped), 0.0)
 
 
 def min_feasible_radius_bisect(

@@ -9,7 +9,9 @@ from drulearn import oracle
 @pytest.fixture
 def transport_solves(monkeypatch):
     """The cost shape of every transport problem `oracle` solves during the
-    test, in call order."""
+    test, in call order; the kept couplings are dropped first, so the count
+    does not depend on which tests ran before."""
+    oracle._solve_coupling.cache_clear()
     calls = []
     solve = oracle.solve_transportation
 

@@ -138,6 +138,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: eps must be finite, got nan\n"
         assert list(tmp_path.iterdir()) == [Path(config)]
 
+    def test_min_radius_with_a_negative_delta_margin_exits_one(
+        self, tmp_path, capsys
+    ):
+        # min-radius adds delta_margin to its radius without running the
+        # radius policy, so the key must be checked with the config
+        out = tmp_path / "mr.csv"
+        config = write_config(
+            tmp_path, output=str(out), delta_margin=-5.0, **SMALL_DATA
+        )
+        assert main(["min-radius", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delta_margin must be positive\n"
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
 
 class TestOneShotCommands:
     def test_min_radius_writes_row_and_metadata(self, tmp_path):
@@ -380,6 +393,36 @@ class TestBoundExperiment:
             )
             assert {key: row[key] for key in certificate} == certificate
 
+    def test_confidence_screen_fallback_warns_once_per_instance(
+        self, tmp_path, capsys
+    ):
+        # no radius reaches a median confidence of 0.999, so each instance
+        # falls back to its smallest candidate and says so on stderr; the
+        # outputs do not carry the warning
+        out = tmp_path / "arap.csv"
+        keys = dict(
+            output=str(out),
+            eps_policy="as-robust-as-possible",
+            grid_points=2,
+            trials=2,
+            **SMALL_DATA,
+        )
+        config = write_config(tmp_path, confidence_threshold=0.999, **keys)
+        assert main(["bound", "--config", config]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        rows = read_rows(out)
+        assert len(rows) == len(lines) == 2
+        for row, line in zip(rows, lines):
+            assert line == (
+                "warning: no radius met confidence_threshold 0.999; using the "
+                f"smallest candidate {row['eps']}"
+            )
+        assert "warning" not in Path(str(out) + ".meta").read_text()
+        # every median confidence is at least 0.5: the largest radius passes
+        config = write_config(tmp_path, confidence_threshold=0.5, **keys)
+        assert main(["bound", "--config", config]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_mismatched_kind_is_a_usage_error(self, tmp_path):
         # `kind` is no longer a config key: the subcommand alone decides what
         # a run reports, so a config that still sets it exits 1
@@ -460,10 +503,10 @@ class TestSweeps:
     def test_radius_sweep_records_a_failed_build_for_every_radius(
         self, tmp_path, monkeypatch
     ):
-        def fail(instance):
+        def fail(*args, **kwargs):
             raise ValueError("no coupling")
 
-        monkeypatch.setattr(cli, "_coupling", fail)
+        monkeypatch.setattr(cli, "_build_instance", fail)
         out = tmp_path / "rs.csv"
         config = write_config(
             tmp_path, output=str(out), eps_grid=(0.6, 1.5), seed=1, **SMALL_DATA

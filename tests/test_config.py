@@ -159,6 +159,32 @@ class TestValidation:
             with pytest.raises(ConfigError, match=f"{key} must be finite"):
                 parse_config_text(f"{key} = {raw}\n")
 
+    def test_z_score_must_be_nonnegative(self):
+        with pytest.raises(ConfigError, match="z_score must be nonnegative"):
+            parse_config_text("z_score = -0.5\n")
+        assert ExperimentConfig(z_score=0.0).z_score == 0.0
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("delta_margin", "-5", "delta_margin must be positive"),
+            ("delta_margin", "0", "delta_margin must be positive"),
+            ("confidence_threshold", "1.0", "confidence_threshold must lie"),
+            ("confidence_threshold", "0", "confidence_threshold must lie"),
+            ("fraction", "-0.1", "fraction must be nonnegative"),
+            ("grid_points", "0", "grid_points must be positive"),
+            ("grid_span", "0", "grid_span must be positive"),
+        ],
+    )
+    def test_radius_policy_keys_are_validated_whatever_the_policy(
+        self, key, raw, message
+    ):
+        # checked when the config is built, not when a subcommand first runs
+        # the policy: some never do, and an explicit eps bypasses it
+        for extra in ("", "eps = 0.5\n"):
+            with pytest.raises(ConfigError, match=message):
+                parse_config_text(f"{extra}{key} = {raw}\n")
+
     def test_overrides_are_checked_for_finiteness(self):
         # the CLI applies --eps and friends through dataclasses.replace
         with pytest.raises(ConfigError, match="eps must be finite, got nan"):

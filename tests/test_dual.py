@@ -582,11 +582,11 @@ class TestCutsetSolve:
     def test_solves_the_support_coupling_once(self, transport_solves):
         # at the minimal radius the seeded LPs of the run and of the final
         # solve are infeasible and take the coupling's cells, and the radius
-        # check needs its distance: all three share one transport solve
+        # check needs its distance: all of them, and the radius computed
+        # here, share one transport solve
         rng = make_rng(45)
         data, unlabeled, prior = random_instance(rng, 12, 40, 3)
         eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
-        transport_solves.clear()
         result = cutset_solve(data, unlabeled, prior, COST, eps0)
         assert result.status == CONVERGED
         assert transport_solves == [(40, 12)]

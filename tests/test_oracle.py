@@ -6,7 +6,8 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from drulearn.bounds import make_prior
+from drulearn import oracle
+from drulearn.bounds import held_out_halves, make_prior
 from drulearn.dual import (
     DualState,
     LabelPrior,
@@ -505,37 +506,6 @@ class TestPayoffLp:
                     getattr(first.multipliers, name), getattr(second.multipliers, name)
                 )
 
-    def test_given_coupling_matches_a_model_that_solves_its_own(
-        self, transport_solves
-    ):
-        rng = make_rng(38)
-        data, unlabeled, prior, _ = self._instance(rng)
-        # at the minimal radius both models start from the coupling's cells;
-        # only the second solves it, when it is built
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST)
-        coupling = uniform_coupling(data, unlabeled.features)
-        transport_solves.clear()
-        given = PayoffLp(unlabeled.features, data, prior, eps, COST, coupling)
-        payoffs = self._payoffs(rng, unlabeled, 3)
-        firsts = [given.solve(payoff) for payoff in payoffs]
-        assert transport_solves == []
-        own = PayoffLp(unlabeled.features, data, prior, eps, COST)
-        seconds = [own.solve(payoff) for payoff in payoffs]
-        assert transport_solves == [(unlabeled.n, data.n)]
-        for first, second in zip(firsts, seconds):
-            assert first.status == second.status == "optimal"
-            assert first.value == second.value
-            np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
-            for name in (
-                "transport_mult",
-                "atom_potentials",
-                "label_upper_mult",
-                "label_lower_mult",
-            ):
-                np.testing.assert_array_equal(
-                    getattr(first.multipliers, name), getattr(second.multipliers, name)
-                )
-
     def test_seed_is_the_coupling_cells_with_both_labels(self):
         # a minimal-cost plan's cells hold a point of the decision set at the
         # minimal radius, so the first solve there is already feasible
@@ -543,8 +513,8 @@ class TestPayoffLp:
         for _ in range(5):
             data, unlabeled, prior, _ = self._instance(rng)
             coupling = uniform_coupling(data, unlabeled.features)
-            eps = min_feasible_radius(data, unlabeled.features, prior, COST, coupling)
-            model = PayoffLp(unlabeled.features, data, prior, eps, COST, coupling)
+            eps = min_feasible_radius(data, unlabeled.features, prior, COST)
+            model = PayoffLp(unlabeled.features, data, prior, eps, COST)
             assert model.n_columns == 2 * coupling.supports.size
             result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
             assert result.status == "optimal"
@@ -597,6 +567,66 @@ def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):
         - multipliers.label_lower_mult @ prior.lower
         + cells.reshape(unlabeled.n, -1).max(axis=1).mean()
     )
+
+
+class TestUniformCoupling:
+    """One transport solve per pair of point sets, kept by content."""
+
+    def _pair(self, rng, n_u=9, n_l=4):
+        data = LabeledDataset(rng.normal(size=(n_l, 2)), rng.integers(0, 2, size=n_l))
+        return data, UnlabeledDataset(rng.normal(size=(n_u, 2)))
+
+    def test_equal_point_sets_share_one_solve_whatever_the_arrays(
+        self, transport_solves
+    ):
+        # copies, a relabeled atom list and the strided search half all key
+        # on content, so each pair is solved once
+        rng = make_rng(60)
+        data, unlabeled = self._pair(rng)
+        first = uniform_coupling(data, unlabeled.features)
+        relabeled = LabeledDataset(data.features.copy(), 1 - data.labels)
+        again = uniform_coupling(relabeled, unlabeled.features.copy().tolist())
+        assert again is first
+        search, _ = held_out_halves(unlabeled)
+        assert not search.features.flags.c_contiguous
+        half = uniform_coupling(data, search.features)
+        assert uniform_coupling(data, np.ascontiguousarray(search.features)) is half
+        assert transport_solves == [(9, 4), (5, 4)]
+
+    def test_a_changed_support_is_solved_again(self, transport_solves):
+        rng = make_rng(61)
+        data, unlabeled = self._pair(rng)
+        first = uniform_coupling(data, unlabeled.features)
+        moved = unlabeled.features.copy()
+        moved[0, 0] += 0.5
+        second = uniform_coupling(data, moved)
+        assert second is not first
+        assert transport_solves == [(9, 4), (9, 4)]
+        # what was kept is the moved support's own coupling
+        oracle._solve_coupling.cache_clear()
+        fresh = uniform_coupling(data, moved)
+        assert fresh.distance == second.distance != first.distance
+        np.testing.assert_array_equal(fresh.supports, second.supports)
+        np.testing.assert_array_equal(fresh.atoms, second.atoms)
+
+    def test_more_pairs_than_are_kept_evict_the_oldest(self, transport_solves):
+        rng = make_rng(62)
+        pairs = [self._pair(rng) for _ in range(oracle.COUPLINGS_KEPT + 1)]
+        couplings = [uniform_coupling(data, u.features) for data, u in pairs]
+        assert len(transport_solves) == oracle.COUPLINGS_KEPT + 1
+        # the newest pairs are still kept; the oldest one was dropped
+        for (data, u), coupling in list(zip(pairs, couplings))[1:]:
+            assert uniform_coupling(data, u.features) is coupling
+        assert len(transport_solves) == oracle.COUPLINGS_KEPT + 1
+        data, u = pairs[0]
+        assert uniform_coupling(data, u.features) is not couplings[0]
+        assert len(transport_solves) == oracle.COUPLINGS_KEPT + 2
+
+    def test_the_kept_cells_are_read_only(self):
+        data, unlabeled = self._pair(make_rng(63))
+        coupling = uniform_coupling(data, unlabeled.features)
+        with pytest.raises(ValueError):
+            coupling.supports[0] = 0
 
 
 class TestMinFeasibleRadius:
