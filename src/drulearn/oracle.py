@@ -13,9 +13,11 @@ of its columns, and re-optimizes from its last basis when the payoff
 changes.  Its columns are the (support point, atom, label) cells of
 `model.pair_costs`, and their reduced costs are the dual's cells,
 `model.cell_tensor`, less the support points' duals.  Transport problems go
-to `simplex.solve_transportation`, one cold `HighsModel` solve each.  The
-transport from the uniform support to the uniform labeled atoms
-(`UniformCoupling`) depends on the two point sets alone, so
+to `simplex.solve_transportation`: one `linear_sum_assignment` call when both
+marginals are uniform and the larger size is a multiple of the smaller, one
+cold `HighsModel` solve otherwise.  The transport from the uniform support
+to the uniform labeled atoms (`UniformCoupling`) depends on the two point
+sets alone, so
 `uniform_coupling` solves it once per pair and keeps the last
 `COUPLINGS_KEPT`; the minimal radius reads its distance and `PayoffLp`'s
 restricted LP starts from its cells.

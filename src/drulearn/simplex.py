@@ -13,9 +13,9 @@ through one of two doors:
   always starts cold, so an LP re-solved many times under small changes
   goes through this door: the restricted worst-case LP of
   `oracle.PayoffLp`, which takes its seed and every priced column as new
-  columns and each new payoff as new costs.  So does every transport
-  problem (`solve_transportation`), whose cell columns it takes without the
-  sparse assembly `linprog` would need.  It drives the
+  columns and each new payoff as new costs.  So does a transport problem
+  (`solve_transportation`) that is not an assignment, whose cell columns
+  it takes without the sparse assembly `linprog` would need.  It drives the
   same HiGHS build `linprog` does, `scipy.optimize._highspy._core`; this is
   the one module that imports it.
 - `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
@@ -26,6 +26,16 @@ Both use the same simplex strategy and tolerances (`HighsModel` also turns
 presolve off), and the serial dual simplex is deterministic, so
 repeated solves of the same LP, or of the same sequence of changes to one
 model, return the same vertex bit for bit.
+
+A transport problem whose marginals are both uniform, with the larger size
+a multiple of the smaller, is an assignment problem, and
+`solve_transportation` gives it to `scipy.optimize.linear_sum_assignment`
+instead of an LP.  The support-to-atoms couplings of `oracle` are of this
+kind whenever the atom count divides the support size or the reverse.
+Median time of one call, HiGHS against the assignment, on two-cluster
+points (one core): 5.8 against 1.0 ms at 200 x 20, 5.8 against 2.1 ms at
+20 x 200, 2.2 against 0.2 ms at 100 x 20, 1.5 against 0.08 ms at 60 x 20,
+0.52 against 0.08 s at 1000 x 100 and 1.4 against 0.8 s at 2000 x 100.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.optimize._highspy import _core as highs
 
 OPTIMAL = "optimal"
@@ -204,39 +214,82 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
 def solve_transportation(cost, supply, demand):
     """Exact minimum-cost transport plan between two finite distributions.
 
+    Two exact solvers, chosen from the input alone.  When both marginals
+    are uniform (every entry equal) and the larger size is a multiple of
+    the smaller, repeating each point of the smaller side max/min times
+    gives a square problem between uniform marginals, whose polytope has
+    the permutations as vertices (Birkhoff-von Neumann; Peyre & Cuturi,
+    "Computational Optimal Transport", 2019, section 3.1), so scipy's
+    `linear_sum_assignment` (Crouse, IEEE TAES 2016) solves it.  Its plan
+    gives each assigned cell the larger side's unit mass, so that side's
+    marginals are met exactly.  Every other input is one cold solve on a
+    `HighsModel`, whose plan is the optimal vertex the dual simplex
+    reaches.  Both solvers are deterministic, so repeated calls return the
+    same plan bit for bit.
+
     Parameters
     ----------
     cost : (m, n) array
-        Per-unit transport costs.
+        Finite per-unit transport costs.
     supply, demand : (m,) and (n,) arrays
-        Nonnegative marginals with equal totals.
+        Finite nonnegative marginals with equal totals.
 
     Returns
     -------
     value : float
         Optimal total transport cost.
     plan : (m, n) ndarray
-        Optimal plan; row sums equal ``supply`` and column sums ``demand``.
+        Optimal plan; row sums equal ``supply`` and column sums ``demand``
+        up to rounding and the 1e-9 relative tolerance on the totals.
     """
     cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a 2-d array")
+    if cost.ndim != 2 or 0 in cost.shape:
+        raise ValueError("cost must be a nonempty 2-d array")
     m, n = cost.shape
     supply = np.asarray(supply, dtype=float)
     demand = np.asarray(demand, dtype=float)
     if supply.shape != (m,) or demand.shape != (n,):
         raise ValueError("marginal shapes do not match the cost matrix")
+    if not all(np.isfinite(array).all() for array in (cost, supply, demand)):
+        raise ValueError("costs and marginals must be finite")
     if np.any(supply < 0.0) or np.any(demand < 0.0):
         raise ValueError("marginals must be nonnegative")
     total = supply.sum()
     if abs(total - demand.sum()) > 1e-9 * max(1.0, abs(total)):
         raise ValueError("total supply and total demand must balance")
+    uniform = np.all(supply == supply[0]) and np.all(demand == demand[0])
+    if uniform and max(m, n) % min(m, n) == 0:
+        plan = _assignment_plan(cost, supply, demand)
+    else:
+        plan = _simplex_plan(cost, supply, demand)
+    return float((cost * plan).sum()), plan
 
+
+def _assignment_plan(cost, supply, demand):
+    """Optimal plan between uniform marginals whose larger size is a multiple
+    of the smaller: the larger side goes on the assignment's rows and each
+    point of the smaller side is repeated as `copies` columns."""
+    m, n = cost.shape
+    plan = np.zeros((m, n))
+    if m >= n:
+        copies = m // n
+        rows, slots = linear_sum_assignment(np.repeat(cost, copies, axis=1))
+        plan[rows, slots // copies] = supply
+    else:
+        copies = n // m
+        columns, slots = linear_sum_assignment(np.repeat(cost.T, copies, axis=1))
+        plan[slots // copies, columns] = demand
+    return plan
+
+
+def _simplex_plan(cost, supply, demand):
+    """Optimal vertex of the transport LP from one cold `HighsModel` solve."""
+    m, n = cost.shape
     # plan cell (r, c) is column r * n + c, with a unit entry in supply row r
     # and, unless c is the last largest demand, in the demand row of c.  That
     # demand's row is implied by the others and is left out, so totals that
-    # balance only to the tolerance above still give a feasible LP: its
-    # column absorbs the imbalance.
+    # balance only to `solve_transportation`'s tolerance still give a
+    # feasible LP: its column absorbs the imbalance.
     kept = np.arange(n) != n - 1 - np.argmax(demand[::-1])
     demand_row = np.full(n, -1)
     demand_row[kept] = m + np.arange(n - 1)
@@ -253,5 +306,4 @@ def solve_transportation(cost, supply, demand):
     result = model.solve()
     if result.status != OPTIMAL:
         raise PivotLimitError(f"balanced transport LP reported {result.status}")
-    plan = result.x.reshape(m, n)
-    return float((cost * plan).sum()), plan
+    return result.x.reshape(m, n)

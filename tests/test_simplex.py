@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from drulearn import simplex
 from drulearn.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -280,28 +281,67 @@ class TestTransportation:
         # m < n, m > n), three marginal kinds (uniform, nonuniform, with
         # zero-mass entries) and three cost kinds (distances between distinct
         # points, integer costs full of ties, distances between duplicated
-        # points), against the general LP on the full equality system
+        # points); then 72 uniform instances whose larger size is a multiple
+        # of the smaller (k*a x a and a x k*a), which take the assignment,
+        # with the same three cost kinds.  All against the general LP on the
+        # full equality system.
         rng = np.random.default_rng(15)
+        instances = []
         for trial in range(240):
             shape, kind, costs = trial % 4, trial // 4 % 3, trial // 12 % 3
             low, high = sorted(rng.choice(np.arange(2, 12), size=2, replace=False))
             m, n = [(1, high), (high, 1), (low, high), (high, low)][shape]
             mu, nu = (transport_marginal(rng, size, kind) for size in (m, n))
-            if costs == 1:
-                cost = rng.integers(0, 4, size=(m, n)).astype(float)
-            else:
-                a, b = rng.normal(size=(m, 2)), rng.normal(size=(n, 2))
-                if costs == 2:
-                    a = a[rng.integers(0, max(m // 2, 1), size=m)]
-                    b = b[rng.integers(0, max(n // 2, 1), size=n)]
-                cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-            dense = solve_lp(cost.ravel(), *transport_equalities(m, n, mu, nu))
+            instances.append((transport_cost(rng, m, n, costs), mu, nu))
+        for trial in range(72):
+            tall, costs = trial % 2, trial // 2 % 3
+            a, k = rng.integers(1, 7), rng.integers(1, 6)
+            m, n = (k * a, a) if tall else (a, k * a)
+            mu, nu = (transport_marginal(rng, size, 0) for size in (m, n))
+            instances.append((transport_cost(rng, m, n, costs), mu, nu))
+        for cost, mu, nu in instances:
+            dense = solve_lp(cost.ravel(), *transport_equalities(*cost.shape, mu, nu))
             value, plan = solve_transportation(cost, mu, nu)
             assert dense.status == OPTIMAL
             assert abs(value - dense.value) <= 1e-12
             np.testing.assert_allclose(plan.sum(axis=1), mu, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(plan.sum(axis=0), nu, rtol=0.0, atol=1e-12)
             assert plan.min() >= 0.0
+
+    def test_uniform_divisible_marginals_take_the_assignment(self, monkeypatch):
+        # the assignment runs exactly when both marginals are uniform and the
+        # larger size is a multiple of the smaller; it meets the larger
+        # side's marginals exactly, matches the general LP's value and
+        # returns the same plan on every call
+        calls = []
+        assign = simplex.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(np.shape(cost))
+            return assign(cost)
+
+        monkeypatch.setattr(simplex, "linear_sum_assignment", counted)
+        rng = np.random.default_rng(16)
+        for m, n in [(1, 7), (9, 1), (6, 6), (200, 20), (20, 200)]:
+            mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+            cost = transport_cost(rng, m, n, 2)
+            calls.clear()
+            value, plan = solve_transportation(cost, mu, nu)
+            assert calls == [(max(m, n), max(m, n))]
+            dense = solve_lp(cost.ravel(), *transport_equalities(m, n, mu, nu))
+            assert abs(value - dense.value) <= 1e-12
+            if m >= n:
+                np.testing.assert_array_equal(plan.sum(axis=1), mu)
+            else:
+                np.testing.assert_array_equal(plan.sum(axis=0), nu)
+            again = solve_transportation(cost, mu, nu)
+            assert again[0] == value
+            np.testing.assert_array_equal(again[1], plan)
+        calls.clear()
+        for m, n, kind in [(200, 20, 1), (20, 200, 2), (30, 20, 0), (4, 6, 0)]:
+            mu, nu = transport_marginal(rng, m, kind), np.full(n, 1.0 / n)
+            solve_transportation(transport_cost(rng, m, n, 0), mu, nu)
+        assert calls == []
 
     def test_rejects_unbalanced_marginals(self):
         with pytest.raises(ValueError):
@@ -321,6 +361,20 @@ class TestTransportation:
     def test_rejects_negative_marginals(self):
         with pytest.raises(ValueError):
             solve_transportation([[1.0], [1.0]], [1.5, -0.5], [1.0])
+
+    @pytest.mark.parametrize(
+        "cost, supply, demand",
+        [
+            ([[np.nan, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+            ([[np.inf, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+            ([[1.0, 2.0], [3.0, 1.0]], [np.inf, 0.5], [0.5, 0.5]),
+            ([[1.0, 2.0], [3.0, 1.0]], [0.5, 0.5], [np.nan, 0.5]),
+            (np.zeros((0, 2)), [], [0.0, 0.0]),
+        ],
+    )
+    def test_rejects_nonfinite_or_empty_inputs(self, cost, supply, demand):
+        with pytest.raises(ValueError):
+            solve_transportation(cost, supply, demand)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(14)
@@ -353,3 +407,16 @@ def transport_marginal(rng, size, kind):
         weights[rng.random(size) < 0.35] = 0.0
         weights[rng.integers(0, size)] = 1.0
     return weights / weights.sum()
+
+
+def transport_cost(rng, m, n, kind):
+    """An (m, n) cost matrix: distances between distinct random points (kind
+    0), integer costs full of ties (1), or distances between duplicated
+    points (2)."""
+    if kind == 1:
+        return rng.integers(0, 4, size=(m, n)).astype(float)
+    a, b = rng.normal(size=(m, 2)), rng.normal(size=(n, 2))
+    if kind == 2:
+        a = a[rng.integers(0, max(m // 2, 1), size=m)]
+        b = b[rng.integers(0, max(n // 2, 1), size=n)]
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
