@@ -6,12 +6,12 @@ over the plain transport ball (`prior=None`), computes exact transport
 distances between finitely supported distributions, and finds the smallest
 transport radius with a nonempty decision set: one transport distance plus a
 closed-form label-flip term.  Every LP is assembled from sparse columns and
-solved by the HiGHS dual simplex (see `simplex`).  The worst-case LP goes
+solved by the HiGHS simplex (see `simplex`).  The worst-case LP goes
 through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
 which returns the full LP's value and optimal duals while holding only some
-of its columns, and re-optimizes from its last basis when the payoff
-changes.  Its columns are the (support point, atom, label) cells of
-`model.pair_costs`, and their reduced costs are the dual's cells,
+of its columns, and re-optimizes from its last basis by the primal simplex
+when the payoff changes.  Its columns are the (support point, atom, label)
+cells of `model.pair_costs`, and their reduced costs are the dual's cells,
 `model.cell_tensor`, less the support points' duals.  Transport problems go
 to `simplex.solve_transportation`: one `linear_sum_assignment` call when both
 marginals are uniform and the larger size is a multiple of the smaller, one
@@ -300,9 +300,11 @@ class PayoffLp:
     The rows depend only on the support, the atoms, the prior and the
     radius, so every `solve` reuses the model: it sets the new payoff's
     costs and re-optimizes from the last basis, over every column any
-    earlier solve brought in.  Values then agree with a fresh model's to
-    about 1e-12, not bit for bit; a sequence of solves on a fresh model is
-    deterministic.
+    earlier solve brought in.  New costs and new columns keep that basis
+    primal feasible, so every solve after the model's first runs the
+    primal simplex (see `simplex.HighsModel`).  Values then agree with a
+    fresh model's to about 1e-12, not bit for bit; a sequence of solves on
+    a fresh model is deterministic.
     """
 
     def __init__(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drulearn import oracle
+from drulearn import oracle, simplex
 
 
 @pytest.fixture
@@ -20,4 +20,20 @@ def transport_solves(monkeypatch):
         return solve(cost, supply, demand)
 
     monkeypatch.setattr(oracle, "solve_transportation", counted)
+    return calls
+
+
+@pytest.fixture
+def simplex_iterations(monkeypatch):
+    """The simplex iterations of every `HighsModel.solve` during the test,
+    in call order."""
+    calls = []
+    solve = simplex.HighsModel.solve
+
+    def counted(model):
+        result = solve(model)
+        calls.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(simplex.HighsModel, "solve", counted)
     return calls

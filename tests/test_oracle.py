@@ -11,6 +11,7 @@ from drulearn.bounds import held_out_halves, make_prior
 from drulearn.dual import (
     DualState,
     LabelPrior,
+    cutset_solve,
     dual_objective,
     duality_gap_check,
 )
@@ -505,6 +506,38 @@ class TestPayoffLp:
                 np.testing.assert_array_equal(
                     getattr(first.multipliers, name), getattr(second.multipliers, name)
                 )
+
+    def test_hot_resolves_of_a_cut_set_run_take_fewer_pivots_than_fresh_models(
+        self, monkeypatch, simplex_iterations
+    ):
+        # replay the payoffs of one cut-set run's model: re-optimizing one
+        # model from its last basis must take fewer simplex iterations in
+        # all than solving each payoff on a fresh model
+        rng = make_rng(38)
+        data, unlabeled, prior, eps = self._instance(rng)
+        payoffs = []
+        solve = PayoffLp.solve
+
+        def recorded(model, payoff):
+            payoffs.append(payoff)
+            return solve(model, payoff)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PayoffLp, "solve", recorded)
+            cutset_solve(data, unlabeled, prior, COST, eps)
+        # the last payoff is the run's one-shot pricing of its best theta
+        payoffs.pop()
+        assert len(payoffs) >= 3
+        simplex_iterations.clear()
+        model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+        for payoff in payoffs:
+            model.solve(payoff)
+        hot = sum(simplex_iterations)
+        simplex_iterations.clear()
+        for payoff in payoffs:
+            PayoffLp(unlabeled.features, data, prior, eps, COST).solve(payoff)
+        assert len(simplex_iterations) > len(payoffs)
+        assert hot < sum(simplex_iterations)
 
     def test_seed_is_the_coupling_cells_with_both_labels(self):
         # a minimal-cost plan's cells hold a point of the decision set at the

@@ -203,6 +203,60 @@ class TestHighsModel:
         assert result.status == INFEASIBLE
         assert result.x is None and result.row_duals is None
 
+    def test_an_infeasible_model_stays_infeasible_after_new_costs_and_columns(self):
+        # the demand rows total twice the supply rows, so no set of cell
+        # columns is feasible; every re-solve after the cold verdict starts
+        # from a basis that is not primal feasible
+        rng = np.random.default_rng(11)
+        m, n = 5, 4
+        rhs, rows = self._transport_model(m, n)
+        rhs[m:] *= 2.0
+        model = HighsModel(rhs, rhs)
+        first, rest = np.arange(0, m * n, 2), np.arange(1, m * n, 2)
+        model.add_columns(
+            rng.uniform(size=first.size), 2 * np.arange(first.size),
+            rows[first].ravel(), np.ones(2 * first.size),
+        )
+        assert model.solve().status == INFEASIBLE
+        model.set_costs(rng.uniform(size=first.size))
+        assert model.solve().status == INFEASIBLE
+        model.add_columns(
+            rng.uniform(size=rest.size), 2 * np.arange(rest.size),
+            rows[rest].ravel(), np.ones(2 * rest.size),
+        )
+        result = model.solve()
+        assert result.status == INFEASIBLE
+        assert result.x is None and result.row_duals is None
+        model.set_costs(rng.normal(size=m * n))
+        assert model.solve().status == INFEASIBLE
+
+    def test_identical_change_sequences_give_bitwise_identical_solves(self):
+        # two fresh models taking the same columns, costs and solves reach
+        # the same vertices, duals and pivot counts
+        m, n = 9, 7
+        rhs, rows = self._transport_model(m, n)
+        runs = []
+        for _ in range(2):
+            rng = np.random.default_rng(12)
+            model = HighsModel(rhs, rhs)
+            solves, count = [], 0
+            for batch in np.split(rng.permutation(m * n), [40, 52]):
+                model.add_columns(
+                    rng.uniform(size=batch.size), 2 * np.arange(batch.size),
+                    rows[batch].ravel(), np.ones(2 * batch.size),
+                )
+                count += batch.size
+                for _ in range(2):
+                    solves.append(model.solve())
+                    model.set_costs(rng.uniform(size=count))
+            runs.append(solves)
+        assert all(result.status == OPTIMAL for result in runs[0])
+        assert all(result.iterations > 0 for result in runs[0])
+        for first, second in zip(*runs):
+            assert first.iterations == second.iterations
+            np.testing.assert_array_equal(first.x, second.x)
+            np.testing.assert_array_equal(first.row_duals, second.row_duals)
+
 
 class TestTransportation:
     def test_singleton_pair(self):
