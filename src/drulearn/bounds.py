@@ -5,6 +5,12 @@ Turns a dual point into a certified lower bound on out-of-sample likelihood
 searched on one half of the unlabeled sample and evaluated on the other
 (`certify`), builds label-probability priors from labeled counts, and picks
 the ambiguity radius according to a configurable policy.
+
+The multiplier search (`search_multipliers`) builds one `model.CellLayout`
+of its sample and reads every evaluation from it, smoothed or exact.  Its
+smoothed kernel sends the scaled cells at or below `EXP_ZERO` to -inf
+before the exponential; `np.exp` is exactly +0.0 there either way, so the
+floor changes no bit, only the cost of numpy's slow path below about -708.
 """
 
 from __future__ import annotations
@@ -13,26 +19,26 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 from scipy.special import betaincinv
 
 from .dual import (
     DualState,
     cutset_solve,
+    layout_max_values,
     linear_part,
     dual_objective,
-    max_cell_values,
     objective_of_values,
 )
 from .model import (
     N_CLASSES,
+    CellLayout,
     DiscreteDistribution,
     LabeledDataset,
     LabelPrior,
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
-    cell_tensor,
     confidence,
     pair_costs,
 )
@@ -45,6 +51,9 @@ VACUOUS_THRESHOLD = 0.5
 # fine, and the L-BFGS-B settings for each
 SMOOTHING_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4)
 SEARCH_OPTIONS = {"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8}
+# np.exp returns exactly +0.0 at and below this argument (its last positive
+# value, the smallest subnormal, is at about -745.133)
+EXP_ZERO = -745.2
 
 MIN_RADIUS_PLUS_DELTA = "min-radius-plus-delta"
 AS_ROBUST_AS_POSSIBLE = "as-robust-as-possible"
@@ -171,53 +180,66 @@ def performance_bound(
     distribution in the decision set; the correction accounts for the
     unlabeled sample being finite.
     """
-    values = max_cell_values(state, data, unlabeled.features, cost)
+    layout = CellLayout(
+        both_class_losses(state.theta, unlabeled.features),
+        pair_costs(unlabeled.features, data, cost),
+    )
+    return PerformanceBound.from_terms(
+        *_certificate_terms(state, layout, prior, eps, z_score)
+    )
+
+
+def _certificate_terms(state, layout, prior, eps, z_score):
+    """`performance_bound`'s negative-log bound, correction and sample size
+    at `state`, priced on `layout`, which holds the losses at
+    `state.theta`."""
+    values = layout_max_values(state, layout)
     neg_log = objective_of_values(state, values, prior, eps)
     correction = berry_esseen_correction(values, z_score)
-    return PerformanceBound.from_terms(neg_log, correction, int(values.size))
+    return neg_log, correction, int(values.size)
 
 
-def _smoothed_bound(params, table, pair, data, prior, eps, z_score, tau):
+def _smoothed_bound(params, layout, prior, eps, z_score, tau):
     """Dual objective plus correction with every per-point maximum replaced
     by its tau-logsumexp, and its gradient in (alpha, potentials, upper,
     lower) stacked in that order.
 
-    Works on the flat (n, 2 * n_labeled) cell matrix of `cell_tensor`,
-    which the softmax weights overwrite in place; the gradient's atom and
-    label masses are one matrix-vector product with the per-point shares."""
-    n_l = data.n
+    Gets the cells from `layout`, built once per search, as a new flat
+    (n, 2 * n_labeled) matrix, which the softmax weights overwrite in
+    place; the gradient's atom and label masses are one matrix-vector
+    product with the per-point shares.  A scaled cell at or below
+    `EXP_ZERO` is set to -inf before the `exp`: its weight is +0.0
+    either way, but numpy's vector `exp` takes a slow path below about
+    -708, and -inf costs less there than a finite argument."""
+    n, n_l = layout.costs.shape[0], layout.n_labeled
     alpha, potentials = params[0], params[1 : 1 + n_l]
     upper, lower = params[1 + n_l : 3 + n_l], params[3 + n_l :]
-    n = table.shape[0]
-    flat = cell_tensor(table, pair, alpha, potentials, upper - lower).reshape(n, -1)
+    flat = layout.cells(alpha, potentials, upper - lower)
     top = flat.max(axis=1)
     flat -= top[:, None]
     flat /= tau
+    np.putmask(flat, flat <= EXP_ZERO, -np.inf)
     np.exp(flat, out=flat)
     total = flat.sum(axis=1)
     values = top + tau * np.log(total)
-    mean = values.mean()
+    mean = values.sum() / n
     value = linear_part(alpha, potentials, upper, lower, prior, eps) + mean
-    weight = np.full(n, 1.0 / n)
+    weight = 1.0 / n
     if z_score > 0.0:
         centered = values - mean
         spread = math.sqrt(centered @ centered / (n - 1))
         value += z_score * spread / math.sqrt(n)
         if spread > 0.0:
-            weight += z_score / math.sqrt(n) * centered / ((n - 1) * spread)
+            weight = weight + z_score / math.sqrt(n) * centered / ((n - 1) * spread)
     # d value / d cell: each point's softmax weights times d value / d max
     share = weight / total
     mass = (share @ flat).reshape(n_l, N_CLASSES)
     label_mass = mass.sum(axis=0)
-    moved = share @ np.einsum("ij,ij->i", flat, pair.reshape(n, -1))
-    grad = np.concatenate(
-        [
-            [eps - moved],
-            1.0 / n_l - mass.sum(axis=1),
-            prior.upper - label_mass,
-            label_mass - prior.lower,
-        ]
-    )
+    grad = np.empty(params.size)
+    grad[0] = eps - share @ np.einsum("ij,ij->i", flat, layout.costs)
+    np.subtract(1.0 / n_l, mass.sum(axis=1), out=grad[1 : 1 + n_l])
+    np.subtract(prior.upper, label_mass, out=grad[1 + n_l : 3 + n_l])
+    np.subtract(label_mass, prior.lower, out=grad[3 + n_l :])
     return float(value), grad
 
 
@@ -237,14 +259,18 @@ def search_multipliers(
     correction, so this minimizes that sum over the multipliers: L-BFGS-B
     on its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
     turn, starting at `state`.  `state` and the point returned at each tau
-    are evaluated exactly by `performance_bound`, and the best is returned.
-    The multipliers are fitted to `unlabeled`, so its correction there is
-    optimistic; `certify` evaluates them on other points.
+    are priced exactly as `performance_bound` prices them, and the best is
+    returned.  Every evaluation, smoothed or exact, reads one
+    `CellLayout` of `unlabeled`, built here.  The multipliers are fitted
+    to `unlabeled`, so its correction there is optimistic; `certify`
+    evaluates them on other points.
     """
     n_l = data.n
     theta = state.theta
-    table = both_class_losses(theta, unlabeled.features)
-    pair = pair_costs(unlabeled.features, data, cost)
+    layout = CellLayout(
+        both_class_losses(theta, unlabeled.features),
+        pair_costs(unlabeled.features, data, cost),
+    )
     params = np.concatenate(
         [
             [state.transport_mult],
@@ -253,13 +279,16 @@ def search_multipliers(
             state.label_lower_mult,
         ]
     )
-    limits = [(0.0, None)] + [(None, None)] * n_l + [(0.0, None)] * (2 * N_CLASSES)
+    limits = Bounds(
+        np.concatenate([[0.0], np.full(n_l, -np.inf), np.zeros(2 * N_CLASSES)]),
+        np.inf,
+    )
     points = [state]
     for tau in SMOOTHING_SCHEDULE:
         params = minimize(
             _smoothed_bound,
             params,
-            args=(table, pair, data, prior, eps, z_score, tau),
+            args=(layout, prior, eps, z_score, tau),
             jac=True,
             method="L-BFGS-B",
             bounds=limits,
@@ -274,11 +303,10 @@ def search_multipliers(
                 label_lower_mult=params[3 + n_l :],
             )
         )
-    bounds = [
-        performance_bound(point, data, unlabeled, prior, eps, cost, z_score)
-        for point in points
+    certificates = [
+        _certificate_terms(point, layout, prior, eps, z_score) for point in points
     ]
-    return points[int(np.argmin([b.neg_log_bound + b.correction for b in bounds]))]
+    return points[int(np.argmin([neg_log + corr for neg_log, corr, _ in certificates]))]
 
 
 def held_out_halves(unlabeled: UnlabeledDataset):

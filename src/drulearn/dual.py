@@ -16,7 +16,8 @@ is the logistic loss at the candidate label minus the charges the
 multipliers levy for moving mass there.  All dual points live in
 `DualState`.  Every evaluation is batched: `model.cell_tensor` holds the
 cells of a block of points and `max_cell_values` their per-point maxima,
-from which `dual_objective` prices a dual point.
+from which `dual_objective` prices a dual point; `layout_max_values` gives
+the maxima on a `model.CellLayout` built once for many dual points.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
@@ -43,6 +44,7 @@ from scipy.special import expit
 
 from .model import (
     N_CLASSES,
+    CellLayout,
     LabeledDataset,
     LabelPrior,
     TransportCost,
@@ -205,7 +207,7 @@ def _max_cells(cells):
 def linear_part(alpha, potentials, upper_mult, lower_mult, prior, eps):
     return (
         alpha * eps
-        + potentials.mean()
+        + potentials.sum() / potentials.size
         + upper_mult @ prior.upper
         - lower_mult @ prior.lower
     )
@@ -214,11 +216,16 @@ def linear_part(alpha, potentials, upper_mult, lower_mult, prior, eps):
 def max_cell_values(state: DualState, data: LabeledDataset, features, cost: TransportCost):
     """Per-point inner maxima over all cells, for a block of feature rows."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    pair = pair_costs(features, data, cost)
-    table = both_class_losses(state.theta, features)
-    cells = cell_tensor(
-        table,
-        pair,
+    layout = CellLayout(
+        both_class_losses(state.theta, features), pair_costs(features, data, cost)
+    )
+    return layout_max_values(state, layout)
+
+
+def layout_max_values(state: DualState, layout: CellLayout):
+    """Per-point inner maxima over the cells of `layout` at `state`'s
+    multipliers; `layout` must hold the losses at `state.theta`."""
+    cells = layout.cells(
         state.transport_mult,
         state.atom_potentials,
         state.label_upper_mult - state.label_lower_mult,

@@ -12,8 +12,12 @@ Conventions used across the package:
   labels for equality: a label flip contributes exactly the configured flip
   cost.
 * The cells of the finite dual (the loss at a candidate label minus the
-  multipliers' charges, `cell_tensor`) sit next to the transport costs they
-  charge for (`pair_costs`), in the same (point, atom, label) layout.
+  multipliers' charges) sit next to the transport costs they charge for
+  (`pair_costs`), in the same (point, atom, label) layout.  `CellLayout`
+  holds a block's losses and costs in that layout, flattened, so a caller
+  that prices many dual points on one block (the certificate search) builds
+  it once; `cell_tensor` applies the same formula to one dual point
+  without it.
 """
 
 from __future__ import annotations
@@ -138,20 +142,66 @@ def pair_costs(features, atoms, cost: TransportCost):
     return dist[:, :, None] + flip[None, :, :]
 
 
+class CellLayout:
+    """The parts of the flat atom-major (n, 2 * n_labeled) cell matrix that
+    do not depend on the multipliers, for an (n, 2) loss table and its
+    (n, n_labeled, 2) transport costs (`pair_costs`); column
+    2 * atom + label holds that cell.
+
+    `losses` holds each column's label loss, `costs` each cell's transport
+    cost, and `atom` and `label` each column's atom and label.  Built once
+    for a block of points, it gives the cells of any dual point with three
+    subtractions (`cells`).  Indexing by `atom` and `label` gives the
+    per-column potentials and label multipliers that `cell_tensor` gets
+    from `np.repeat` and `np.tile`, about 5 us sooner per call on 100 x 40
+    cells.
+    """
+
+    def __init__(self, loss_table, pair_costs):
+        n, n_l = pair_costs.shape[:2]
+        self.n_labeled = n_l
+        self.losses = np.tile(loss_table, n_l)
+        self.costs = pair_costs.reshape(n, -1)
+        self.atom, self.label = np.divmod(np.arange(n_l * N_CLASSES), N_CLASSES)
+
+    def cells(self, alpha, potentials, net_label_mult):
+        """The flat (n, 2 * n_labeled) cells, a new array."""
+        return _flat_cells(
+            self.losses,
+            self.costs,
+            alpha,
+            potentials[self.atom],
+            net_label_mult[self.label],
+        )
+
+
+def _flat_cells(losses, costs, alpha, column_potentials, column_label_mults):
+    """Loss minus transport charge, minus potential, minus net label
+    multiplier on the flat matrix, given per column: the same operations in
+    the same order as broadcasting over (n, n_labeled, 2), so the values
+    are bitwise those."""
+    flat = np.multiply(costs, alpha)
+    np.subtract(losses, flat, out=flat)
+    flat -= column_potentials
+    flat -= column_label_mults
+    return flat
+
+
 def cell_tensor(loss_table, pair_costs, alpha, potentials, net_label_mult):
     """Cell values for a block of points: (n, n_labeled, 2).
 
-    The cells are built on the flat atom-major (n, 2 * n_labeled) matrix,
-    whose column 2 * atom + label holds that cell, and returned as its
-    C-order view; `reshape(n, -1)` gives the flat matrix back without a copy.
-    Loss minus transport charge, minus potential, minus net label multiplier:
-    the same operations in the same order as broadcasting over
-    (n, n_labeled, 2), so the values are bitwise those.
+    `CellLayout.cells` for a single dual point, without building the
+    layout object, returned as the C-order view of the flat matrix;
+    `reshape(n, -1)` gives the flat matrix back without a copy.
     """
     n, n_l = pair_costs.shape[:2]
-    flat = np.tile(loss_table, n_l) - alpha * pair_costs.reshape(n, -1)
-    flat -= np.repeat(potentials, N_CLASSES)
-    flat -= np.tile(net_label_mult, n_l)
+    flat = _flat_cells(
+        np.tile(loss_table, n_l),
+        pair_costs.reshape(n, -1),
+        alpha,
+        np.repeat(potentials, N_CLASSES),
+        np.tile(net_label_mult, n_l),
+    )
     return flat.reshape(n, n_l, N_CLASSES)
 
 

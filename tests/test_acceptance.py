@@ -44,6 +44,7 @@ from drulearn.dual import (
     duality_gap_check,
 )
 from drulearn.model import (
+    CellLayout,
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
@@ -136,7 +137,7 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
         labeled, support, prior = _random_small_instance(rng, with_theta=False)
         n_l = labeled.n
         table = both_class_losses(rng.normal(size=labeled.dim), support)
-        pair = pair_costs(support, labeled, COST)
+        layout = CellLayout(table, pair_costs(support, labeled, COST))
         params = np.concatenate(
             [
                 [abs(rng.normal())],
@@ -148,7 +149,7 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
         eps = float(rng.uniform(0.0, 2.0))
         for z_score in (0.0, 1.96):
             for tau in SMOOTHING_SCHEDULE[:3]:
-                args = (table, pair, labeled, prior, eps, z_score, tau)
+                args = (layout, prior, eps, z_score, tau)
                 _, grad = _smoothed_bound(params, *args)
                 fd = _central_differences(
                     lambda p: _smoothed_bound(p, *args)[0], params
@@ -196,7 +197,7 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
         labeled, support, prior = _random_small_instance(rng, with_theta=False)
         n_l = labeled.n
         table = both_class_losses(rng.normal(size=labeled.dim), support)
-        pair = pair_costs(support, labeled, COST)
+        layout = CellLayout(table, pair_costs(support, labeled, COST))
         first, second = (
             np.concatenate(
                 [
@@ -209,7 +210,7 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
         )
         eps = float(rng.uniform(0.0, 2.0))
         tau = SMOOTHING_SCHEDULE[index % len(SMOOTHING_SCHEDULE)]
-        args = (table, pair, labeled, prior, eps, 0.0, tau)
+        args = (layout, prior, eps, 0.0, tau)
         value, grad = _smoothed_bound(first, *args)
         lhs = _smoothed_bound(second, *args)[0]
         assert lhs >= value + grad @ (second - first) - 1e-10, f"pair {index}"

@@ -9,8 +9,9 @@ import inspect
 import sys
 from pathlib import Path
 
-from drulearn import active, cli, oracle
+from drulearn import active, bounds, cli, oracle
 from drulearn.config import parse_config_text
+from reference import flat_smoothed_bound, on_layout
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -74,3 +75,31 @@ def test_active_dr_workload_scores_every_candidate_through_score_dr(
         * config.candidate_subsample
     )
     assert len(calls) == expected == 24
+
+
+def test_bound_workloads_certify_bitwise_as_under_the_flat_reference_kernel(
+    tmp_path, monkeypatch
+):
+    # the certificate search's layout kernel is timed by the bound workloads
+    # as a saving at unchanged output: their CSVs are those the flat
+    # reference kernel gives, after the same number of kernel evaluations
+    workloads = load_bench_module("workloads").WORKLOADS
+    kernel = bounds._smoothed_bound
+    monkeypatch.chdir(tmp_path)
+    for name in ("bound_strong", "bound_weak"):
+        workload = workloads[name]
+        (tmp_path / f"{name}.cfg").write_text(workload.config_text())
+        runs = []
+        for chosen in (kernel, on_layout(flat_smoothed_bound)):
+            calls = []
+
+            def counted(*args, chosen=chosen, calls=calls):
+                calls.append(None)
+                return chosen(*args)
+
+            monkeypatch.setattr(bounds, "_smoothed_bound", counted)
+            assert cli.main([workload.subcommand, "--config", f"{name}.cfg"]) == 0
+            outputs = [(tmp_path / output).read_bytes() for output in workload.outputs]
+            runs.append((len(calls), outputs))
+        assert runs[0][0] > 0, name
+        assert runs[0] == runs[1], name

@@ -11,6 +11,7 @@ from drulearn import bounds
 from drulearn.bounds import (
     AS_ROBUST_AS_POSSIBLE,
     DEFAULT_Z_SCORE,
+    EXP_ZERO,
     FRACTION_OF_TRUE_DISTANCE,
     MIN_RADIUS_PLUS_DELTA,
     SMOOTHING_SCHEDULE,
@@ -39,6 +40,7 @@ from drulearn.dual import (
 )
 from drulearn.model import (
     N_CLASSES,
+    CellLayout,
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
@@ -53,6 +55,8 @@ from drulearn.oracle import (
     feasible_distributions,
     min_feasible_radius,
 )
+
+from reference import bits, flat_smoothed_bound, on_layout
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -378,37 +382,75 @@ def reference_smoothed_bound(params, table, pair, data, prior, eps, z_score, tau
     return float(value), grad
 
 
+def smoothed_instances():
+    """240 random instances of the smoothed bound: (index, repeated,
+    params, table, pair, data, prior, eps).  Every fifth repeats one point
+    2, 8, 16 or 32 times."""
+    rng = make_rng(31)
+    for index in range(240):
+        repeated = index % 5 == 0
+        n = int(rng.choice([2, 8, 16, 32]) if repeated else rng.integers(2, 40))
+        n_l = int(rng.integers(1, 15))
+        data, unlabeled, prior = random_instance(rng, n_l, n, 3)
+        features = unlabeled.features
+        if repeated:
+            features = np.repeat(features[:1], n, axis=0)
+        table = both_class_losses(rng.normal(size=3) * 2.0, features)
+        pair = pair_costs(features, data, COST)
+        params = np.concatenate(
+            [
+                [0.0 if index % 7 == 0 else abs(rng.normal())],
+                rng.normal(size=n_l),
+                np.abs(rng.normal(size=2 * N_CLASSES)),
+            ]
+        )
+        eps = float(rng.uniform(0.0, 2.0))
+        yield index, repeated, params, table, pair, data, prior, eps
+
+
+def floor_instances():
+    """Random instances whose scaled cells straddle the `exp` floor: each
+    point's cells sit at fixed multiples of tau below its top cell, through
+    the subnormal band and past `EXP_ZERO`, then are shifted by the loss
+    gap between labels and, on odd instances, by a transport charge.
+    Yields (params, table, pair, data, prior, eps, tau)."""
+    offsets = np.array(
+        [0.0, -1.0, -700.0, -708.3, -708.5, -720.0, -745.1, -745.13,
+         -745.2, -745.3, -746.0, -800.0, -1e4, -1e6]
+    )
+    rng = make_rng(32)
+    for index in range(60):
+        tau = SMOOTHING_SCHEDULE[index % len(SMOOTHING_SCHEDULE)]
+        data, unlabeled, prior = random_instance(
+            rng, offsets.size, int(rng.integers(2, 12)), 3
+        )
+        table = both_class_losses(rng.normal(size=3) * 0.1, unlabeled.features)
+        pair = pair_costs(unlabeled.features, data, COST)
+        alpha = float(rng.uniform(0.0, 3.0) * tau) if index % 2 else 0.0
+        net = rng.uniform(0.0, 0.5, size=N_CLASSES)
+        params = np.concatenate([[alpha], -tau * offsets, net, net[::-1]])
+        eps = float(rng.uniform(0.0, 2.0))
+        yield params, table, pair, data, prior, eps, tau
+
+
 class TestSmoothedBound:
     def test_matches_the_cell_tensor_reference(self):
         # value and gradient agree with the broadcast reference at every
         # temperature, with and without the correction; at the finest
-        # temperatures most cells underflow to zero weight.  Every fifth
-        # instance repeats one point 2, 8, 16 or 32 times, whose mean is
-        # exact, so its spread, and with it the correction, is zero
-        rng = make_rng(31)
-        for index in range(240):
-            repeated = index % 5 == 0
-            n = int(rng.choice([2, 8, 16, 32]) if repeated else rng.integers(2, 40))
-            n_l = int(rng.integers(1, 15))
-            data, unlabeled, prior = random_instance(rng, n_l, n, 3)
-            features = unlabeled.features
-            if repeated:
-                features = np.repeat(features[:1], n, axis=0)
-            table = both_class_losses(rng.normal(size=3) * 2.0, features)
-            pair = pair_costs(features, data, COST)
-            params = np.concatenate(
-                [
-                    [0.0 if index % 7 == 0 else abs(rng.normal())],
-                    rng.normal(size=n_l),
-                    np.abs(rng.normal(size=2 * N_CLASSES)),
-                ]
-            )
-            eps = float(rng.uniform(0.0, 2.0))
+        # temperatures most cells underflow to zero weight.  On the
+        # instances that repeat one point, whose mean is exact, the spread,
+        # and with it the correction, is zero
+        for index, repeated, params, table, pair, data, prior, eps in (
+            smoothed_instances()
+        ):
+            layout = CellLayout(table, pair)
             for tau in SMOOTHING_SCHEDULE:
                 for z_score in (0.0, DEFAULT_Z_SCORE):
-                    args = (table, pair, data, prior, eps, z_score, tau)
-                    value, grad = bounds._smoothed_bound(params, *args)
-                    ref_value, ref_grad = reference_smoothed_bound(params, *args)
+                    args = (prior, eps, z_score, tau)
+                    value, grad = bounds._smoothed_bound(params, layout, *args)
+                    ref_value, ref_grad = reference_smoothed_bound(
+                        params, table, pair, data, *args
+                    )
                     where = f"instance {index}, z {z_score}, tau {tau}"
                     assert value == pytest.approx(
                         ref_value, rel=1e-12, abs=1e-12
@@ -418,8 +460,79 @@ class TestSmoothedBound:
                     ), where
                 if repeated:
                     assert value == bounds._smoothed_bound(
-                        params, table, pair, data, prior, eps, 0.0, tau
+                        params, layout, prior, eps, 0.0, tau
                     )[0], where
+
+    def test_bitwise_the_flat_reference_kernel(self):
+        # the layout kernel performs the flat kernel's operations in its
+        # order, so value and gradient are the same doubles
+        for index, _, params, table, pair, data, prior, eps in smoothed_instances():
+            layout = CellLayout(table, pair)
+            for tau in SMOOTHING_SCHEDULE:
+                for z_score in (0.0, DEFAULT_Z_SCORE):
+                    args = (prior, eps, z_score, tau)
+                    value, grad = bounds._smoothed_bound(params, layout, *args)
+                    ref_value, ref_grad = flat_smoothed_bound(
+                        params, table, pair, data, *args
+                    )
+                    where = f"instance {index}, z {z_score}, tau {tau}"
+                    assert bits(value) == bits(ref_value), where
+                    assert bits(grad) == bits(ref_grad), where
+
+    def test_bitwise_the_flat_reference_kernel_across_the_exp_floor(self):
+        # a scaled cell at or below EXP_ZERO is -inf before the exp and
+        # weighs +0.0 either way; the cells in the subnormal band above it
+        # keep their subnormal weights
+        bands = np.zeros(3, dtype=int)
+        for index, (params, table, pair, data, prior, eps, tau) in enumerate(
+            floor_instances()
+        ):
+            layout = CellLayout(table, pair)
+            cells = layout.cells(
+                params[0],
+                params[1 : 1 + data.n],
+                params[1 + data.n : 3 + data.n] - params[3 + data.n :],
+            )
+            scaled = (cells - cells.max(axis=1)[:, None]) / tau
+            bands += [
+                np.sum(scaled <= EXP_ZERO),
+                np.sum((scaled > EXP_ZERO) & (scaled < -708.4)),
+                np.sum(scaled >= -708.4),
+            ]
+            for z_score in (0.0, DEFAULT_Z_SCORE):
+                args = (prior, eps, z_score, tau)
+                value, grad = bounds._smoothed_bound(params, layout, *args)
+                ref_value, ref_grad = flat_smoothed_bound(
+                    params, table, pair, data, *args
+                )
+                where = f"instance {index}, z {z_score}, tau {tau}"
+                assert bits(value) == bits(ref_value), where
+                assert bits(grad) == bits(ref_grad), where
+        # every band is reached on many cells
+        assert np.all(bands > 1000), bands
+
+
+class TestExpFloor:
+    def test_exp_is_positive_zero_at_and_below_the_floor(self):
+        # the kernel's -inf substitution is exact only if the installed
+        # numpy's exp returns +0.0 (sign bit clear) wherever it applies;
+        # a failure here means the floor is wrong on this platform
+        grid = np.concatenate(
+            [
+                [EXP_ZERO, np.nextafter(EXP_ZERO, 0.0)],
+                [np.nextafter(EXP_ZERO, -np.inf), -np.inf],
+                np.linspace(EXP_ZERO, -1e3, 100_001),
+                np.geomspace(-1e3, -1e6, 100_001),
+            ]
+        )
+        weights = np.exp(grid)
+        assert np.all(weights == 0.0)
+        assert not np.any(np.signbit(weights))
+        assert np.exp(np.nextafter(EXP_ZERO, 0.0)) == 0.0
+        # just above the threshold the smallest subnormal survives, so the
+        # floor sits below np.exp's own last positive value
+        assert np.exp(np.array([-745.13]))[0] > 0.0
+        assert np.exp(-745.13) > 0.0
 
 
 class TestCertify:
@@ -531,12 +644,37 @@ class TestCertify:
             checked += 1
             bound = certify(result.state, data, unlabeled, prior, eps, COST)
             with monkeypatch.context() as patch:
-                patch.setattr(bounds, "_smoothed_bound", reference_smoothed_bound)
+                patch.setattr(
+                    bounds, "_smoothed_bound", on_layout(reference_smoothed_bound)
+                )
                 reference = certify(result.state, data, unlabeled, prior, eps, COST)
             assert bound.neg_log_bound == reference.neg_log_bound
             assert corrected(bound) == pytest.approx(
                 corrected(reference), abs=1e-6
             ), f"seed {seed}"
+
+    def test_search_is_bitwise_the_flat_reference_kernel_search(self, monkeypatch):
+        # the layout kernel hands L-BFGS-B the flat kernel's doubles, so the
+        # search takes the same path under both and returns the same point
+        for seed in (1, 2, 3, 4):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            for start in (
+                result.state,
+                random_start(make_rng(seed), result.theta, data.n),
+            ):
+                point = search_multipliers(start, data, search, prior, eps, COST)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        bounds, "_smoothed_bound", on_layout(flat_smoothed_bound)
+                    )
+                    reference = search_multipliers(
+                        start, data, search, prior, eps, COST
+                    )
+                for field in dataclasses.fields(DualState):
+                    assert bits(getattr(point, field.name)) == bits(
+                        getattr(reference, field.name)
+                    ), f"seed {seed}, {field.name}"
 
     def test_each_half_needs_two_points_for_a_correction(self):
         data, unlabeled, prior, eps, result = trained_instance(3)
