@@ -173,7 +173,7 @@ def impact_gradient_norm(theta, x, y) -> float:
     return float(np.linalg.norm(loss_grad_theta(theta, np.asarray(x, float), y)))
 
 
-def _posterior_scores(theta, features, kind: str, include_norm: bool = False):
+def posterior_scores(theta, features, kind: str, include_norm: bool = False):
     """Posterior-based model-change scores for a block of feature rows.
 
     ``EMC`` is the posterior-weighted mean impact ``2 |x| p (1 - p)``;
@@ -189,21 +189,6 @@ def _posterior_scores(theta, features, kind: str, include_norm: bool = False):
         return 2.0 * norms * posteriors[:, 0] * posteriors[:, 1]
     scores = posteriors.min(axis=1) if kind == MIN_MC else posteriors.max(axis=1)
     return scores * norms if include_norm else scores
-
-
-def score_emc(theta, x) -> float:
-    """Expected model change: the posterior-weighted mean impact at x."""
-    return float(_posterior_scores(theta, x, EMC)[0])
-
-
-def score_min_mc(theta, x, include_norm: bool = False) -> float:
-    """Conservative model change: the smaller of the two class posteriors."""
-    return float(_posterior_scores(theta, x, MIN_MC, include_norm)[0])
-
-
-def score_max_mc(theta, x, include_norm: bool = False) -> float:
-    """Optimistic model change: the larger of the two class posteriors."""
-    return float(_posterior_scores(theta, x, MAX_MC, include_norm)[0])
 
 
 def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
@@ -266,7 +251,7 @@ def select_next(
     if theta is None:
         raise ValueError("state has no trained parameters to score with")
     if strategy.kind in (EMC, MIN_MC, MAX_MC):
-        scores = _posterior_scores(
+        scores = posterior_scores(
             theta, state.pool_features, strategy.kind, strategy.mc_include_norm
         )
         return int(np.argmax(scores))

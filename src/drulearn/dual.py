@@ -14,10 +14,10 @@ multiplier, one potential per labeled atom, and per-class label multipliers,
 Each "cell" pairs one labeled atom with one candidate label; its value at x
 is the logistic loss at the candidate label minus the charges the
 multipliers levy for moving mass there.  All dual points live in
-`DualState`.  Every evaluation is batched: `model.cell_tensor` holds the
+`DualState`.  Every evaluation is batched: a `model.CellLayout` gives the
 cells of a block of points and `max_cell_values` their per-point maxima,
 from which `dual_objective` prices a dual point; `layout_max_values` gives
-the maxima on a `model.CellLayout` built once for many dual points.
+the maxima on a layout built once for many dual points.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
@@ -50,7 +50,6 @@ from .model import (
     TransportCost,
     UnlabeledDataset,
     both_class_losses,
-    cell_tensor,
     loss_grad_theta,
     make_rng,
     pair_costs,
@@ -196,11 +195,10 @@ class SolveResult:
 
 
 def _max_cells(cells):
-    """Rowwise maximum cell and its first (atom-major) maximizer."""
-    n = cells.shape[0]
-    flat = cells.reshape(n, -1)
-    arg = np.argmax(flat, axis=1)
-    values = flat[np.arange(n), arg]
+    """Rowwise maximum of the flat cells (`CellLayout.cells`) and its first
+    (atom-major) maximizer's atom and label."""
+    arg = np.argmax(cells, axis=1)
+    values = cells[np.arange(cells.shape[0]), arg]
     return values, arg // N_CLASSES, arg % N_CLASSES
 
 
@@ -366,7 +364,7 @@ def sgd_solve(
         batch = unlabeled.features[idx]
         theta, alpha, potentials, upper, lower = _unpack(params, dim, n_l)
         table = both_class_losses(theta, batch)
-        cells = cell_tensor(table, pair[idx], alpha, potentials, upper - lower)
+        cells = CellLayout(table, pair[idx]).cells(alpha, potentials, upper - lower)
         values, atom_star, label_star = _max_cells(cells)
         estimate = float(
             linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean()

@@ -14,10 +14,10 @@ Conventions used across the package:
 * The cells of the finite dual (the loss at a candidate label minus the
   multipliers' charges) sit next to the transport costs they charge for
   (`pair_costs`), in the same (point, atom, label) layout.  `CellLayout`
-  holds a block's losses and costs in that layout, flattened, so a caller
-  that prices many dual points on one block (the certificate search) builds
-  it once; `cell_tensor` applies the same formula to one dual point
-  without it.
+  holds a block's losses and costs in that layout, flattened, and is the one
+  place the cells are built: a caller that prices many dual points on one
+  block (the certificate search) builds it once, and the worst-case LP's
+  pricing and the stochastic dual solver build one per payoff or batch.
 """
 
 from __future__ import annotations
@@ -115,18 +115,6 @@ def feature_distances(a, b):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def transport_cost(x1, y1, x2, y2, cost: TransportCost):
-    """Ground cost between labeled points (x1, y1) and (x2, y2).
-
-    Labels are {0, 1}; a flip contributes exactly cost.label_flip_cost.
-    """
-    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise ValueError("dimension mismatch between labeled points")
-    flip = cost.label_flip_cost * (np.asarray(y1) != np.asarray(y2))
-    return np.sqrt(((x1 - x2) ** 2).sum(axis=-1)) + flip
-
-
 def pair_costs(features, atoms, cost: TransportCost):
     """Transport cost from every (feature row, candidate label) to every atom.
 
@@ -152,9 +140,8 @@ class CellLayout:
     cost, and `atom` and `label` each column's atom and label.  Built once
     for a block of points, it gives the cells of any dual point with three
     subtractions (`cells`).  Indexing by `atom` and `label` gives the
-    per-column potentials and label multipliers that `cell_tensor` gets
-    from `np.repeat` and `np.tile`, about 5 us sooner per call on 100 x 40
-    cells.
+    per-column potentials and label multipliers, about 5 us sooner per call
+    on 100 x 40 cells than `np.repeat` and `np.tile`.
     """
 
     def __init__(self, loss_table, pair_costs):
@@ -165,44 +152,15 @@ class CellLayout:
         self.atom, self.label = np.divmod(np.arange(n_l * N_CLASSES), N_CLASSES)
 
     def cells(self, alpha, potentials, net_label_mult):
-        """The flat (n, 2 * n_labeled) cells, a new array."""
-        return _flat_cells(
-            self.losses,
-            self.costs,
-            alpha,
-            potentials[self.atom],
-            net_label_mult[self.label],
-        )
-
-
-def _flat_cells(losses, costs, alpha, column_potentials, column_label_mults):
-    """Loss minus transport charge, minus potential, minus net label
-    multiplier on the flat matrix, given per column: the same operations in
-    the same order as broadcasting over (n, n_labeled, 2), so the values
-    are bitwise those."""
-    flat = np.multiply(costs, alpha)
-    np.subtract(losses, flat, out=flat)
-    flat -= column_potentials
-    flat -= column_label_mults
-    return flat
-
-
-def cell_tensor(loss_table, pair_costs, alpha, potentials, net_label_mult):
-    """Cell values for a block of points: (n, n_labeled, 2).
-
-    `CellLayout.cells` for a single dual point, without building the
-    layout object, returned as the C-order view of the flat matrix;
-    `reshape(n, -1)` gives the flat matrix back without a copy.
-    """
-    n, n_l = pair_costs.shape[:2]
-    flat = _flat_cells(
-        np.tile(loss_table, n_l),
-        pair_costs.reshape(n, -1),
-        alpha,
-        np.repeat(potentials, N_CLASSES),
-        np.tile(net_label_mult, n_l),
-    )
-    return flat.reshape(n, n_l, N_CLASSES)
+        """The flat (n, 2 * n_labeled) cells, a new array: loss minus
+        transport charge, minus potential, minus net label multiplier.  These
+        are the operations of the broadcast over (n, n_labeled, 2) in its
+        order, so the values are bitwise those."""
+        flat = np.multiply(self.costs, alpha)
+        np.subtract(self.losses, flat, out=flat)
+        flat -= potentials[self.atom]
+        flat -= net_label_mult[self.label]
+        return flat
 
 
 @dataclass

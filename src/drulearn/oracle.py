@@ -1,8 +1,7 @@
 """Exact small-scale ground truth for the worst-case risk machinery.
 
 Solves the worst-case expected-loss (or any expected-payoff) linear program
-over a finite support, either over the decision set (given a label prior) or
-over the plain transport ball (`prior=None`), computes exact transport
+over the decision set on a finite support, computes exact transport
 distances between finitely supported distributions, and finds the smallest
 transport radius with a nonempty decision set: one transport distance plus a
 closed-form label-flip term.  Every LP is assembled from sparse columns and
@@ -12,15 +11,14 @@ which returns the full LP's value and optimal duals while holding only some
 of its columns, and re-optimizes from its last basis by the primal simplex
 when the payoff changes.  Its columns are the (support point, atom, label)
 cells of `model.pair_costs`, and their reduced costs are the dual's cells,
-`model.cell_tensor`, less the support points' duals.  Transport problems go
-to `simplex.solve_transportation`: one `linear_sum_assignment` call when both
-marginals are uniform and the larger size is a multiple of the smaller, one
-cold `HighsModel` solve otherwise.  The transport from the uniform support
-to the uniform labeled atoms (`UniformCoupling`) depends on the two point
-sets alone, so
-`uniform_coupling` solves it once per pair and keeps the last
-`COUPLINGS_KEPT`; the minimal radius reads its distance and `PayoffLp`'s
-restricted LP starts from its cells.
+`model.CellLayout.cells`, less the support points' duals.  Transport
+problems go to `simplex.solve_transportation`: one `linear_sum_assignment`
+call when both marginals are uniform and the larger size is a multiple of
+the smaller, one cold `HighsModel` solve otherwise.  The transport from the
+uniform support to the uniform labeled atoms (`UniformCoupling`) depends on
+the two point sets alone, so `uniform_coupling` solves it once per pair and
+keeps the last `COUPLINGS_KEPT`; the minimal radius reads its distance and
+`PayoffLp`'s restricted LP starts from its cells.
 Only the test reference `feasible_distributions` still makes a stateless
 `linprog` call.  Everything here is deterministic and exact up to its 1e-10
 feasibility tolerances, which is what makes it usable as the reference side
@@ -38,12 +36,12 @@ from scipy import sparse
 
 from .model import (
     N_CLASSES,
+    CellLayout,
     DiscreteDistribution,
     LabeledDataset,
     LabelPrior,
     TransportCost,
     both_class_losses,
-    cell_tensor,
     feature_distances,
     make_rng,
     pair_costs,
@@ -140,7 +138,7 @@ class LpMultipliers:
 
     The transport price, one potential per labeled atom and the prices of
     the upper and lower label-probability bounds, in the sign conventions of
-    `dual.DualState`; all zero on the label bounds without a prior.
+    `dual.DualState`.
     """
 
     transport_mult: float
@@ -172,57 +170,47 @@ def discrete_wasserstein(
     return value, CouplingPlan.from_matrix(plan)
 
 
-def _row_bounds(m, n_l, prior: LabelPrior | None, eps: float):
+def _row_bounds(m, n_l, prior: LabelPrior, eps: float):
     """Lower and upper bounds of the mass LP's rows, and its equality count.
 
-    Equality rows are the n_l labeled atoms, then (with a prior) the m
-    support points; inequality rows are the budget, then (with a prior) the
-    two upper and the two lower label bounds.  Every LP over the joint mass
-    uses this row order and `_column_entries`'s columns.
+    Equality rows are the n_l labeled atoms, then the m support points;
+    inequality rows are the budget, then the two upper and the two lower
+    label bounds.  Every LP over the joint mass uses this row order and
+    `_column_entries`'s columns.
     """
-    eq = [np.full(n_l, 1.0 / n_l)]
-    ub = [np.array([eps + BUDGET_SLACK])]
-    if prior is not None:
-        eq.append(np.full(m, 1.0 / m))
-        ub += [prior.upper, -prior.lower]
-    eq, ub = np.concatenate(eq), np.concatenate(ub)
+    eq = np.concatenate([np.full(n_l, 1.0 / n_l), np.full(m, 1.0 / m)])
+    ub = np.concatenate([[eps + BUDGET_SLACK], prior.upper, -prior.lower])
     lower = np.concatenate([eq, np.full(ub.size, -np.inf)])
     return lower, np.concatenate([eq, ub]), eq.size
 
 
-def _column_entries(columns, pair, prior: LabelPrior | None):
+def _column_entries(columns, pair):
     """Rows and values of the mass LP's columns, one row of each per column.
 
     `columns` are flat indices into the (support point, labeled atom, label)
     tensor `pair` of `model.pair_costs`.  A column puts unit mass on its
-    atom's row and, with a prior, on its support point's; it spends its
-    transport cost from the budget and, with a prior, counts toward its
-    label's upper bound and, negated, toward its lower bound.  Rows are
-    numbered as in `_row_bounds`.
+    atom's row and its support point's, spends its transport cost from the
+    budget, and counts toward its label's upper bound and, negated, toward
+    its lower bound.  Rows are numbered as in `_row_bounds`.
     """
     m, n_l, _ = pair.shape
     support, atom, label = np.unravel_index(columns, pair.shape)
     ones = np.ones(columns.size)
-    spend = pair.ravel()[columns]
-    if prior is None:
-        budget = np.full(columns.size, n_l)
-        return np.stack([atom, budget], axis=1), np.stack([ones, spend], axis=1)
     budget = np.full(columns.size, n_l + m)
     upper = budget + 1 + label
     rows = [atom, n_l + support, budget, upper, upper + N_CLASSES]
-    values = [ones, ones, spend, ones, -ones]
+    values = [ones, ones, pair.ravel()[columns], ones, -ones]
     return np.stack(rows, axis=1), np.stack(values, axis=1)
 
 
-def _solve_mass_lp(gain, pair, prior: LabelPrior | None, eps: float):
+def _solve_mass_lp(gain, pair, prior: LabelPrior, eps: float):
     """Maximize `gain` over the joint mass pi[j, i, k] on every column.
 
     `gain` and `pair` are (support point, labeled atom, label) tensors.
-    Always pins the labeled-atom marginal to uniform and caps the total
-    transport cost at `eps`.  With a prior it also pins the support
-    marginal to uniform and bounds per-label mass by the prior box (the
-    decision set); with `prior=None` the mass ranges over the plain
-    transport ball.  One `linprog` call, cold, over the full LP;
+    The mass ranges over the decision set: the labeled-atom and support
+    marginals are pinned to uniform, the total transport cost is capped at
+    `eps` and per-label mass is bounded by the prior box.  One `linprog`
+    call, cold, over the full LP;
     `feasible_distributions` enumerates vertices with it, independently of
     the persistent model `PayoffLp` keeps.  Returns the simplex result of
     the negated (minimization) problem, so the objective value is left to
@@ -231,7 +219,7 @@ def _solve_mass_lp(gain, pair, prior: LabelPrior | None, eps: float):
     m, n_l, _ = pair.shape
     _, upper, n_eq = _row_bounds(m, n_l, prior, eps)
     columns = np.arange(pair.size)
-    rows, values = _column_entries(columns, pair, prior)
+    rows, values = _column_entries(columns, pair)
     owner = np.repeat(columns, rows.shape[1])
     matrix = sparse.csr_array(
         (values.ravel(), (rows.ravel(), owner)), (upper.size, columns.size)
@@ -245,55 +233,42 @@ def _solve_mass_lp(gain, pair, prior: LabelPrior | None, eps: float):
     )
 
 
-def _multipliers(row_duals, m: int, n_l: int, prior: LabelPrior | None):
+def _multipliers(row_duals, m: int, n_l: int):
     """Decision-set duals from HiGHS's row duals of the negated LP.
 
-    Returns the multipliers and the per-support-point duals (zero without a
-    prior, which leaves the support marginal free).
+    Returns the multipliers and the per-support-point duals.
     """
     duals = -row_duals
-    n_eq = n_l if prior is None else n_l + m
-    eq, ub = duals[:n_eq], duals[n_eq:]
-    if prior is None:
-        upper = lower = np.zeros(N_CLASSES)
-        support_duals = np.zeros(m)
-    else:
-        upper = np.maximum(ub[1 : 1 + N_CLASSES], 0.0)
-        lower = np.maximum(ub[1 + N_CLASSES :], 0.0)
-        support_duals = eq[n_l:]
+    eq, ub = duals[: n_l + m], duals[n_l + m :]
     multipliers = LpMultipliers(
         transport_mult=max(float(ub[0]), 0.0),
         atom_potentials=eq[:n_l],
-        label_upper_mult=upper,
-        label_lower_mult=lower,
+        label_upper_mult=np.maximum(ub[1 : 1 + N_CLASSES], 0.0),
+        label_lower_mult=np.maximum(ub[1 + N_CLASSES :], 0.0),
     )
-    return multipliers, support_duals
+    return multipliers, eq[n_l:]
 
 
 class PayoffLp:
-    """Exact maximum expected payoff over the decision set or the ball,
-    kept alive across payoffs.
+    """Exact maximum expected payoff over the decision set, kept alive
+    across payoffs.
 
     `payoff` is a (support point, candidate label) table.  The adversary
     places mass on (support point, labeled atom, label) columns, indexed as
     `model.pair_costs` lays them out, subject to: total transport cost to
-    the labeled atoms at most `eps` and labeled-atom marginal uniform.  With
-    a `prior`, the support marginal is also uniform and the per-label mass
-    stays inside the prior box: the full decision set.  With `prior=None`
-    only the budget and the atom marginal remain: the transport ball within
-    the given support.
+    the labeled atoms at most `eps`, labeled-atom and support marginals
+    uniform, and per-label mass inside the `prior` box.
 
     Solved by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
-    `simplex.HighsModel`.  The restricted LP starts from the cells of a
-    minimal-cost plan, with both labels: with a prior, those of
-    `uniform_coupling`, which hold a point of the decision set at every
-    radius from `min_feasible_radius` up; without one, each atom's nearest
-    support point, the cheapest point of the ball.  It is then feasible
-    exactly when the full LP is, so its first verdict is final.  A column's
-    reduced cost under the restricted LP's duals is its dual cell
-    (`model.cell_tensor`) minus its support point's dual; per support point
-    and round, up to `COLUMNS_PER_POINT` columns whose reduced cost exceeds
-    `PRICING_TOL` enter.  It stops when none does, so the duals are
+    `simplex.HighsModel`.  The restricted LP starts from the cells of
+    `uniform_coupling`'s minimal-cost plan, with both labels, which hold a
+    point of the decision set at every radius from `min_feasible_radius`
+    up.  It is then feasible exactly when the full LP is, so its first
+    verdict is final.  Each solve lays the payoff out on one
+    `model.CellLayout`; a column's reduced cost under the restricted LP's
+    duals is its dual cell (`CellLayout.cells`) minus its support point's
+    dual.  Per support point and round, up to `COLUMNS_PER_POINT` columns
+    whose reduced cost exceeds `PRICING_TOL` enter.  It stops when none does, so the duals are
     feasible for the full LP and the value is the full LP's to within
     `PRICING_TOL`.
 
@@ -311,27 +286,20 @@ class PayoffLp:
         self,
         support,
         data: LabeledDataset,
-        prior: LabelPrior | None,
+        prior: LabelPrior,
         eps: float,
         cost: TransportCost,
     ):
         support = np.atleast_2d(np.asarray(support, dtype=float))
         self._pair = pair_costs(support, data, cost)
-        self._prior = prior
         m, n_l, _ = self._pair.shape
         lower, upper, _ = _row_bounds(m, n_l, prior, eps)
         self._model = HighsModel(lower, upper)
         self._active = np.zeros(self._pair.shape, dtype=bool)
         self._columns = np.zeros(0, dtype=np.intp)
-        if prior is None:
-            # one of the two labels matches each atom's and moves at feature cost
-            supports = np.argmin(self._pair.min(axis=2), axis=0)
-            atoms = np.arange(n_l)
-        else:
-            coupling = uniform_coupling(data, support)
-            supports, atoms = coupling.supports, coupling.atoms
+        coupling = uniform_coupling(data, support)
         seed = np.zeros(self._pair.shape, dtype=bool)
-        seed[supports, atoms] = True
+        seed[coupling.supports, coupling.atoms] = True
         self._add(np.flatnonzero(seed), np.zeros(self._pair.size))
 
     @property
@@ -341,7 +309,7 @@ class PayoffLp:
 
     def _add(self, columns, gain):
         """Bring the flat `columns` into the model at the costs of `gain`."""
-        rows, values = _column_entries(columns, self._pair, self._prior)
+        rows, values = _column_entries(columns, self._pair)
         self._model.add_columns(
             -gain[columns],
             np.arange(columns.size) * rows.shape[1],
@@ -358,23 +326,19 @@ class PayoffLp:
         and its columns the labeled atoms."""
         pair = self._pair
         m, n_l, _ = pair.shape
-        payoff = np.asarray(payoff, dtype=float)
-        gain = np.tile(payoff, n_l).ravel()
+        layout = CellLayout(np.asarray(payoff, dtype=float), pair)
+        gain = layout.losses.ravel()
         self._model.set_costs(-gain[self._columns])
         while True:
             result = self._model.solve()
             if result.status != OPTIMAL:
                 return WorstCaseLpResult(value=None, plan=None, status=result.status)
-            multipliers, support_duals = _multipliers(
-                result.row_duals, m, n_l, self._prior
-            )
-            reduced = cell_tensor(
-                payoff,
-                pair,
+            multipliers, support_duals = _multipliers(result.row_duals, m, n_l)
+            reduced = layout.cells(
                 multipliers.transport_mult,
                 multipliers.atom_potentials,
                 multipliers.label_upper_mult - multipliers.label_lower_mult,
-            ).reshape(m, -1) - support_duals[:, None]
+            ) - support_duals[:, None]
             reduced[self._active.reshape(m, -1)] = -np.inf
             best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
             entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
@@ -397,15 +361,14 @@ def solve_worst_case_lp(
     theta,
     support,
     data: LabeledDataset,
-    prior: LabelPrior | None,
+    prior: LabelPrior,
     eps: float,
     cost: TransportCost,
 ) -> WorstCaseLpResult:
-    """Exact worst-case expected logistic loss over the decision set or the ball.
+    """Exact worst-case expected logistic loss over the decision set.
 
     One `PayoffLp` solve on a fresh model, the payoff of each (support
-    point, label) pair being its logistic loss.  With `prior=None` the
-    value lower-bounds the unconstrained-domain ball worst case.
+    point, label) pair being its logistic loss.
     """
     support = np.atleast_2d(np.asarray(support, dtype=float))
     model = PayoffLp(support, data, prior, eps, cost)
@@ -445,42 +408,6 @@ def min_feasible_radius(
     low, high = positive_share_range(prior)
     flipped = max(low - share, share - high, 0.0)
     return max(distance + cost.label_flip_cost * float(flipped), 0.0)
-
-
-def min_feasible_radius_bisect(
-    data: LabeledDataset,
-    support,
-    prior: LabelPrior,
-    cost: TransportCost,
-    tol: float = 1e-7,
-) -> float:
-    """Cross-check path: bisect the radius on worst-case-LP feasibility.
-
-    Doubles an upper bracket until the LP reports feasible, then bisects the
-    feasibility boundary to width `tol` and returns the feasible end.
-    """
-    zero_theta = np.zeros(data.dim)
-
-    def feasible(eps):
-        return (
-            solve_worst_case_lp(zero_theta, support, data, prior, eps, cost).status
-            == OPTIMAL
-        )
-
-    lo, hi = 0.0, 1.0
-    while not feasible(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
-            raise ValueError("no feasible radius found below 1e9")
-    if feasible(lo):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def feasible_distributions(

@@ -1,21 +1,111 @@
 """Test-only reference implementations that the package's fast paths are
-checked against bit for bit."""
+checked against: the ground transport cost of one pair of labeled points,
+the worst-case LP assembled in full for `linprog` (over the decision set, or
+over the plain transport ball with `prior=None`), the minimal radius by
+bisection on that LP's feasibility, and the certificate kernel before
+`model.CellLayout`, which the layout kernel matches bit for bit."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-from drulearn.model import N_CLASSES
+from drulearn.model import N_CLASSES, both_class_losses
+from drulearn.oracle import BUDGET_SLACK, OPTIMAL, solve_worst_case_lp
+
+
+def transport_cost(x1, y1, x2, y2, cost):
+    """Ground cost between labeled points (x1, y1) and (x2, y2) under the
+    `model.TransportCost` `cost`.
+
+    Labels are {0, 1}; a flip contributes exactly cost.label_flip_cost.
+    """
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape:
+        raise ValueError("dimension mismatch between labeled points")
+    flip = cost.label_flip_cost * (np.asarray(y1) != np.asarray(y2))
+    return np.sqrt(((x1 - x2) ** 2).sum(axis=-1)) + flip
+
+
+def full_lp_reference(theta, support, data, prior, eps, cost):
+    """Independent route at scale: the worst-case LP over every (support
+    point, label, atom) column, assembled sparse for linprog at the
+    oracle's own feasibility tolerance; `prior=None` gives the plain
+    transport ball within the support.  Returns linprog's status and the
+    value when it is optimal."""
+    m, n_l = support.shape[0], data.n
+    dist = np.linalg.norm(support[:, None, :] - data.features[None, :, :], axis=-1)
+    flip = cost.label_flip_cost * (np.arange(2)[:, None] != data.labels[None, :])
+    move = (dist[:, None, :] + flip[None, :, :]).ravel()
+    j, k, i = np.unravel_index(np.arange(move.size), (m, 2, n_l))
+    cols = np.arange(move.size)
+    ones = np.ones(move.size)
+    a_eq = [sparse.csr_array((ones, (i, cols)), (n_l, move.size))]
+    b_eq = [np.full(n_l, 1.0 / n_l)]
+    a_ub = [sparse.csr_array(move[None, :])]
+    b_ub = [[eps + BUDGET_SLACK]]
+    if prior is not None:
+        a_eq.append(sparse.csr_array((ones, (j, cols)), (m, move.size)))
+        b_eq.append(np.full(m, 1.0 / m))
+        by_label = sparse.csr_array((ones, (k, cols)), (2, move.size))
+        a_ub += [by_label, -by_label]
+        b_ub += [prior.upper, -prior.lower]
+    gain = both_class_losses(theta, support)[j, k]
+    res = linprog(
+        -gain,
+        A_eq=sparse.vstack(a_eq),
+        b_eq=np.concatenate(b_eq),
+        A_ub=sparse.vstack(a_ub),
+        b_ub=np.concatenate(b_ub),
+        bounds=(0, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    return res.status, (-res.fun if res.status == 0 else None)
+
+
+def min_feasible_radius_bisect(data, support, prior, cost, tol=1e-7):
+    """Cross-check path for `oracle.min_feasible_radius`: bisect the radius
+    on worst-case-LP feasibility.
+
+    Doubles an upper bracket until the LP reports feasible, then bisects the
+    feasibility boundary to width `tol` and returns the feasible end.
+    """
+    zero_theta = np.zeros(data.dim)
+
+    def feasible(eps):
+        return (
+            solve_worst_case_lp(zero_theta, support, data, prior, eps, cost).status
+            == OPTIMAL
+        )
+
+    lo, hi = 0.0, 1.0
+    while not feasible(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e9:
+            raise ValueError("no feasible radius found below 1e9")
+    if feasible(lo):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def flat_smoothed_bound(params, table, pair, data, prior, eps, z_score, tau):
     """`bounds._smoothed_bound` as it was before `model.CellLayout`: the
     flat (n, 2 * n_labeled) cells rebuilt from the loss table and the
-    transport costs on every call (`np.tile` and `np.repeat`, as
-    `model.cell_tensor` then did), means taken by `mean`, and `np.exp`
-    called on every scaled cell, however far below the underflow
-    threshold."""
+    transport costs on every call (`np.tile` and `np.repeat`), means taken
+    by `mean`, and `np.exp` called on every scaled cell, however far below
+    the underflow threshold."""
     n_l = data.n
     alpha, potentials = params[0], params[1 : 1 + n_l]
     upper, lower = params[1 + n_l : 3 + n_l], params[3 + n_l :]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from drulearn.active import aulc, impact_gradient_norm, score_dr, score_emc
+from drulearn.active import EMC, aulc, impact_gradient_norm, posterior_scores, score_dr
 from drulearn.baseline import (
     baseline_train,
     baseline_worst_case,
@@ -61,9 +61,9 @@ from drulearn.oracle import (
     discrete_wasserstein,
     feasible_distributions,
     min_feasible_radius,
-    min_feasible_radius_bisect,
     solve_worst_case_lp,
 )
+from reference import full_lp_reference, min_feasible_radius_bisect
 
 COST = TransportCost()
 
@@ -367,7 +367,7 @@ def test_ball_baseline_dominates_its_grid_oracle_and_matches_at_high_price():
         closed_form = baseline_worst_case(theta, labeled, eps, COST)
         extras = np.column_stack([rng.normal(size=(3, dim)), np.ones(3)])
         grid = np.vstack([labeled.features, extras])
-        on_grid = solve_worst_case_lp(theta, grid, labeled, None, eps, COST).value
+        _, on_grid = full_lp_reference(theta, grid, labeled, None, eps, COST)
         assert closed_form >= on_grid - 1e-8
 
         price, _ = worst_case_price(theta, labeled, eps, COST)
@@ -430,7 +430,9 @@ def test_active_scores_match_their_enumerated_definitions():
         enumerated = posterior * impact_gradient_norm(theta, x, 1) + (
             1.0 - posterior
         ) * impact_gradient_norm(theta, x, 0)
-        assert score_emc(theta, x) == pytest.approx(enumerated, abs=1e-12)
+        assert posterior_scores(theta, x, EMC)[0] == pytest.approx(
+            enumerated, abs=1e-12
+        )
 
     constant_curve = [(n, 0.954) for n in range(2, 11)]
     assert aulc(constant_curve) == pytest.approx(95.4, rel=1e-12)

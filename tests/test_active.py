@@ -22,10 +22,8 @@ from drulearn.active import (
     impact_gradient_norm,
     initial_state,
     run_active_loop,
+    posterior_scores,
     score_dr,
-    score_emc,
-    score_max_mc,
-    score_min_mc,
     select_next,
 )
 from drulearn.bounds import make_prior, prior_feasible_radius
@@ -124,9 +122,9 @@ class TestImpactGradientNorm:
 class TestChangeScores:
     def test_zero_model_values(self):
         x = np.array([3.0, 0.0])
-        assert score_emc(np.zeros(2), x) == 1.5
-        assert score_min_mc(np.zeros(2), x) == 0.5
-        assert score_max_mc(np.zeros(2), x) == 0.5
+        assert posterior_scores(np.zeros(2), x, EMC)[0] == 1.5
+        assert posterior_scores(np.zeros(2), x, MIN_MC)[0] == 0.5
+        assert posterior_scores(np.zeros(2), x, MAX_MC)[0] == 0.5
 
     def test_emc_is_the_posterior_weighted_mean_impact(self):
         rng = make_rng(2)
@@ -137,15 +135,17 @@ class TestChangeScores:
             expected = p * impact_gradient_norm(theta, x, 1) + (
                 1.0 - p
             ) * impact_gradient_norm(theta, x, 0)
-            assert score_emc(theta, x) == pytest.approx(expected, rel=1e-12)
+            assert posterior_scores(theta, x, EMC)[0] == pytest.approx(
+                expected, rel=1e-12
+            )
 
     def test_min_and_max_bracket_a_half_and_sum_to_one(self):
         rng = make_rng(3)
         for _ in range(30):
             theta = rng.normal(size=2)
             x = rng.normal(size=2)
-            low = score_min_mc(theta, x)
-            high = score_max_mc(theta, x)
+            low = posterior_scores(theta, x, MIN_MC)[0]
+            high = posterior_scores(theta, x, MAX_MC)[0]
             assert low <= 0.5 <= high
             assert low + high == pytest.approx(1.0, abs=1e-12)
 
@@ -153,12 +153,10 @@ class TestChangeScores:
         theta = np.array([0.4, -0.7])
         x = np.array([1.5, 2.0])
         norm = np.linalg.norm(x)
-        assert score_min_mc(theta, x, include_norm=True) == pytest.approx(
-            norm * score_min_mc(theta, x), rel=1e-15
-        )
-        assert score_max_mc(theta, x, include_norm=True) == pytest.approx(
-            norm * score_max_mc(theta, x), rel=1e-15
-        )
+        for kind in (MIN_MC, MAX_MC):
+            scaled = posterior_scores(theta, x, kind, include_norm=True)[0]
+            bare = posterior_scores(theta, x, kind)[0]
+            assert scaled == pytest.approx(norm * bare, rel=1e-15)
 
 
 class TestScoreDr:
@@ -293,27 +291,22 @@ class TestSelectNext:
         perm = rng.permutation(6)
         permuted = self._state(pool[perm], theta=theta)
         chosen_perm = select_next(permuted, StrategyConfig(kind=EMC), make_rng(0))
-        assert score_emc(theta, pool[chosen]) == pytest.approx(
-            score_emc(theta, pool[perm][chosen_perm]), rel=1e-12
+        assert posterior_scores(theta, pool[chosen], EMC)[0] == pytest.approx(
+            posterior_scores(theta, pool[perm][chosen_perm], EMC)[0], rel=1e-12
         )
 
     def test_pool_scoring_picks_the_best_per_point_score(self):
         # the per-point loop is the reference for the vectorized pool scores
         rng = make_rng(8)
-        scorers = {
-            EMC: lambda theta, x, norm: score_emc(theta, x),
-            MIN_MC: score_min_mc,
-            MAX_MC: score_max_mc,
-        }
         for _ in range(30):
             pool = rng.normal(size=(12, 2)) * rng.uniform(0.1, 3.0)
             theta = rng.normal(size=2)
             state = self._state(pool, theta=theta)
-            for kind, scorer in scorers.items():
+            for kind in (EMC, MIN_MC, MAX_MC):
                 for norm in (False, True):
                     strategy = StrategyConfig(kind=kind, mc_include_norm=norm)
                     chosen = select_next(state, strategy, make_rng(0))
-                    scores = [scorer(theta, x, norm) for x in pool]
+                    scores = [posterior_scores(theta, x, kind, norm)[0] for x in pool]
                     assert chosen == int(np.argmax(scores))
 
     def test_robust_pick_matches_one_shot_scores(self):

@@ -434,7 +434,7 @@ def floor_instances():
 
 
 class TestSmoothedBound:
-    def test_matches_the_cell_tensor_reference(self):
+    def test_matches_the_broadcast_reference(self):
         # value and gradient agree with the broadcast reference at every
         # temperature, with and without the correction; at the finest
         # temperatures most cells underflow to zero weight.  On the

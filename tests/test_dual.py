@@ -18,13 +18,13 @@ from drulearn.dual import (
     InfeasibleRadiusError,
     LabelPrior,
     SolverConfig,
-    cell_tensor,
     cutset_solve,
     dual_objective,
     max_cell_values,
     sgd_solve,
 )
 from drulearn.model import (
+    CellLayout,
     LabeledDataset,
     TransportCost,
     UnlabeledDataset,
@@ -34,9 +34,9 @@ from drulearn.model import (
     loss_grad_theta,
     make_rng,
     pair_costs,
-    transport_cost,
 )
 from drulearn.oracle import BUDGET_SLACK, min_feasible_radius, solve_worst_case_lp
+from reference import transport_cost
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -112,15 +112,14 @@ def brute_force_max_cells(state, data, features):
 
 
 def cells_at(state, data, x):
-    """The (n_labeled, 2) cell values at one point, through `cell_tensor`."""
+    """The (n_labeled, 2) cell values at one point, through `CellLayout.cells`."""
     x = np.asarray(x, dtype=float)[None, :]
-    return cell_tensor(
-        both_class_losses(state.theta, x),
-        pair_costs(x, data, COST),
+    layout = CellLayout(both_class_losses(state.theta, x), pair_costs(x, data, COST))
+    return layout.cells(
         state.transport_mult,
         state.atom_potentials,
         state.label_upper_mult - state.label_lower_mult,
-    )[0]
+    ).reshape(data.n, 2)
 
 
 class TestCellValue:
@@ -162,7 +161,7 @@ class TestCellValue:
         )
 
 
-class TestCellTensor:
+class TestCellLayout:
     def test_bitwise_equal_to_the_broadcast_cells(self):
         # the flat atom-major build performs the broadcast expression's
         # operations in its order, so every cell is the same double
@@ -179,7 +178,9 @@ class TestCellTensor:
             if index % 3 == 0:
                 potentials = -np.abs(potentials)
             net = rng.normal(size=2)
-            cells = cell_tensor(table, pair, alpha, potentials, net)
+            cells = CellLayout(table, pair).cells(alpha, potentials, net).reshape(
+                n, n_l, 2
+            )
             expected = (
                 table[:, None, :]
                 - alpha * pair

@@ -17,8 +17,8 @@ from drulearn.model import (
     logistic_loss,
     logistic_predict,
     loss_grad_theta,
-    transport_cost,
 )
+from reference import transport_cost
 
 SIGMA_1 = 0.7310585786300049  # 1/(1+e^-1)
 LOG_1P_EXP_NEG1 = 0.31326168751822286  # log(1+e^-1)

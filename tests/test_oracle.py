@@ -3,7 +3,6 @@ minimal feasible radius, and strong-duality certification."""
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.optimize import linprog
 
 from drulearn import oracle
@@ -22,7 +21,6 @@ from drulearn.model import (
     both_class_losses,
     logistic_loss,
     make_rng,
-    transport_cost,
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
@@ -32,10 +30,10 @@ from drulearn.oracle import (
     discrete_wasserstein,
     feasible_distributions,
     min_feasible_radius,
-    min_feasible_radius_bisect,
     solve_worst_case_lp,
     uniform_coupling,
 )
+from reference import full_lp_reference, min_feasible_radius_bisect, transport_cost
 
 COST = TransportCost()
 
@@ -289,76 +287,11 @@ class TestWorstCaseLp:
         by_support = plan.matrix.reshape(5, 2, 3).sum(axis=(1, 2))
         np.testing.assert_allclose(by_support, np.full(5, 1 / 5), atol=1e-9)
 
-    def test_ball_variant_drops_the_extra_constraints(self):
-        # without the support marginal the adversary concentrates all mass
-        # on the single worst support point once the budget allows it
-        rng = make_rng(9)
-        support = rng.normal(size=(4, 2))
-        data = LabeledDataset(rng.normal(size=(2, 2)), np.array([0, 1]))
-        theta = rng.normal(size=2)
-        result = solve_worst_case_lp(theta, support, data, None, 1e3, COST)
-        assert result.value == pytest.approx(
-            both_class_losses(theta, support).max(), abs=1e-8
-        )
-        constrained = solve_worst_case_lp(
-            theta, support, data, LabelPrior.uninformative(), 1e3, COST
-        )
-        assert result.value >= constrained.value - 1e-9
-
-    def test_ball_variant_at_zero_radius_recovers_empirical_loss(self):
-        rng = make_rng(10)
-        data = LabeledDataset(rng.normal(size=(3, 2)), np.array([1, 1, 0]))
-        theta = rng.normal(size=2)
-        # support containing the labeled points themselves makes eps=0 feasible
-        result = solve_worst_case_lp(theta, data.features, data, None, 0.0, COST)
-        expected = np.mean(
-            [logistic_loss(theta, x, y) for x, y in zip(data.features, data.labels)]
-        )
-        assert result.value == pytest.approx(expected, abs=1e-8)
-
-
-def full_lp_reference(theta, support, data, prior, eps):
-    """Independent route at scale: the worst-case LP over every (support
-    point, label, atom) column, assembled sparse for linprog at the
-    oracle's own feasibility tolerance; `prior=None` gives the ball."""
-    m, n_l = support.shape[0], data.n
-    dist = np.linalg.norm(support[:, None, :] - data.features[None, :, :], axis=-1)
-    flip = COST.label_flip_cost * (np.arange(2)[:, None] != data.labels[None, :])
-    move = (dist[:, None, :] + flip[None, :, :]).ravel()
-    j, k, i = np.unravel_index(np.arange(move.size), (m, 2, n_l))
-    cols = np.arange(move.size)
-    ones = np.ones(move.size)
-    a_eq = [sparse.csr_array((ones, (i, cols)), (n_l, move.size))]
-    b_eq = [np.full(n_l, 1.0 / n_l)]
-    a_ub = [sparse.csr_array(move[None, :])]
-    b_ub = [[eps + BUDGET_SLACK]]
-    if prior is not None:
-        a_eq.append(sparse.csr_array((ones, (j, cols)), (m, move.size)))
-        b_eq.append(np.full(m, 1.0 / m))
-        by_label = sparse.csr_array((ones, (k, cols)), (2, move.size))
-        a_ub += [by_label, -by_label]
-        b_ub += [prior.upper, -prior.lower]
-    gain = both_class_losses(theta, support)[j, k]
-    res = linprog(
-        -gain,
-        A_eq=sparse.vstack(a_eq),
-        b_eq=np.concatenate(b_eq),
-        A_ub=sparse.vstack(a_ub),
-        b_ub=np.concatenate(b_ub),
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    return res.status, (-res.fun if res.status == 0 else None)
-
 
 class TestColumnGeneration:
     def _check(self, theta, support, data, prior, eps):
         mine = solve_worst_case_lp(theta, support, data, prior, eps, COST)
-        status, value = full_lp_reference(theta, support, data, prior, eps)
+        status, value = full_lp_reference(theta, support, data, prior, eps, COST)
         if status == 0:
             assert mine.status == "optimal"
             assert abs(mine.value - value) <= 1e-9
@@ -419,21 +352,6 @@ class TestColumnGeneration:
             dual = dual_objective(state, data, unlabeled, prior, eps, COST)
             slack = state.transport_mult * BUDGET_SLACK
             assert dual == pytest.approx(result.value - slack, abs=1e-9)
-
-    def test_ball_variant_matches_the_full_lp_below_at_and_above_its_minimum(self):
-        # without a prior the cheapest point of the ball sends each atom to
-        # its nearest support point with its own label
-        rng = make_rng(34)
-        for _ in range(10):
-            data = LabeledDataset(rng.normal(size=(8, 2)), rng.integers(0, 2, size=8))
-            support = rng.normal(size=(40, 2))
-            theta = rng.normal(size=2)
-            cheapest = np.linalg.norm(
-                support[:, None, :] - data.features[None, :, :], axis=-1
-            ).min(axis=0).mean()
-            for delta, status in ((-1e-3, "infeasible"), (0.0, "optimal"), (0.3, "optimal")):
-                result = self._check(theta, support, data, None, cheapest + delta)
-                assert result.status == status
 
 
 class TestPayoffLp:
@@ -549,21 +467,6 @@ class TestPayoffLp:
             eps = min_feasible_radius(data, unlabeled.features, prior, COST)
             model = PayoffLp(unlabeled.features, data, prior, eps, COST)
             assert model.n_columns == 2 * coupling.supports.size
-            result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
-            assert result.status == "optimal"
-
-    def test_ball_seed_is_each_atoms_nearest_point_with_both_labels(self):
-        # at the cheapest radius of the ball every atom must move to its
-        # nearest support point, so a seed missing one of those cells would
-        # be infeasible
-        rng = make_rng(40)
-        for _ in range(5):
-            data, unlabeled, _, _ = self._instance(rng)
-            cheapest = np.linalg.norm(
-                unlabeled.features[:, None, :] - data.features[None, :, :], axis=-1
-            ).min(axis=0).mean()
-            model = PayoffLp(unlabeled.features, data, None, cheapest, COST)
-            assert model.n_columns == 2 * data.n
             result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
             assert result.status == "optimal"
 
