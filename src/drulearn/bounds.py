@@ -146,11 +146,11 @@ class RadiusSelection:
             raise ValueError("grid_span must be positive")
 
 
-def berry_esseen_correction(values, z_score: float = DEFAULT_Z_SCORE) -> float:
+def normal_correction(values, z_score: float = DEFAULT_Z_SCORE) -> float:
     """Sampling correction ``z * sample_std(values) / sqrt(len(values))``.
 
     A normal approximation to the upper confidence limit of the mean, not a
-    Berry-Esseen finite-sample bound, whatever the name says.
+    Berry-Esseen finite-sample bound.
 
     A ``z_score`` of zero disables the correction entirely; otherwise at least
     two values are required so the sample standard deviation is defined.
@@ -195,7 +195,7 @@ def _certificate_terms(state, layout, prior, eps, z_score):
     `state.theta`."""
     values = layout_max_values(state, layout)
     neg_log = objective_of_values(state, values, prior, eps)
-    correction = berry_esseen_correction(values, z_score)
+    correction = normal_correction(values, z_score)
     return neg_log, correction, int(values.size)
 
 

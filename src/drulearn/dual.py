@@ -21,15 +21,17 @@ the maxima on a layout built once for many dual points.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
-LP's multipliers as its dual point.  `duality_gap_check` prices the dual
-objective at such a multiplier point against the LP value.  `sgd_solve`, which
-descends the dual in weights and multipliers jointly from unlabeled
-minibatches with Adam (or plain SGD), is on no command-line path; it is kept
-with its own tests.  Both solvers first check the radius against
-`oracle.min_feasible_radius`: the dual is bounded below exactly when the
-decision set is nonempty.  That radius and the worst-case LPs' first
-columns come from the same `oracle.uniform_coupling`, which solves the
-support-to-atoms transport once per pair of point sets.
+LP's multipliers as its dual point; its cuts are the LP's (support point,
+label) masses.  `duality_gap_check` prices the dual objective at such a
+multiplier point against the LP value.  `sgd_solve`, which descends the dual
+in weights and multipliers jointly from unlabeled minibatches with Adam (or
+plain SGD), is on no command-line path; it stays while the benchmark's
+tracer wraps it by name, which `tests/test_bench_contract.py` checks.  Both
+solvers first check the radius against `oracle.min_feasible_radius`: the
+dual is bounded below exactly when the decision set is nonempty.  That
+radius and the worst-case LPs' first columns come from the same
+`oracle.uniform_coupling`, which solves the support-to-atoms transport once
+per pair of point sets.
 """
 
 from __future__ import annotations
@@ -461,35 +463,24 @@ class CutSetResult:
         return self.upper - self.lower
 
 
-def _cut_matrix(cuts):
-    """Stack cuts into (features, labels, sparse cut-by-row weights)."""
-    features = np.concatenate([cut[0] for cut in cuts])
-    labels = np.concatenate([cut[1] for cut in cuts])
-    weights = np.concatenate([cut[2] for cut in cuts])
-    owner = np.repeat(np.arange(len(cuts)), [cut[2].size for cut in cuts])
-    rows = sparse.csr_array(
-        (weights, (owner, np.arange(weights.size))), (len(cuts), weights.size)
-    )
-    return features, labels, rows
-
-
-def _solve_master(cuts, theta_start):
-    """Minimize t over (theta, t) with t >= E_P l(theta) for every cut P.
+def _solve_master(cuts, features, theta_start):
+    """Minimize t over (theta, t) with t >= E_P l(theta) for every cut P,
+    a weight vector laid out as `both_class_losses(theta, features).ravel()`.
 
     One SLSQP solve with analytic Jacobians, theta confined to the
     `THETA_BOX`; returns the minimizing theta and the master value.
     """
     dim = theta_start.size
-    features, labels, rows = _cut_matrix(cuts)
-    sign = 1.0 - 2.0 * labels
+    rows = sparse.csr_array(np.stack(cuts))
+    repeated = np.repeat(features, N_CLASSES, axis=0)
 
     def slack(z):
-        return z[dim] - rows @ np.logaddexp(0.0, sign * (features @ z[:dim]))
+        return z[dim] - rows @ both_class_losses(z[:dim], features).ravel()
 
     def slack_jacobian(z):
-        residual = expit(features @ z[:dim]) - labels
+        residual = (expit(features @ z[:dim])[:, None] - np.arange(N_CLASSES)).ravel()
         jac = np.ones((len(cuts), dim + 1))
-        jac[:, :dim] = -(rows @ (residual[:, None] * features))
+        jac[:, :dim] = -(rows @ (residual[:, None] * repeated))
         return jac
 
     start = np.append(theta_start, 0.0)
@@ -513,27 +504,21 @@ def _solve_master(cuts, theta_start):
     return solution.x[:dim], float(solution.x[dim])
 
 
-def _worst_case(model: PayoffLp, theta, unlabeled, eps):
+def _worst_case(model: PayoffLp, theta, features, eps):
     """Exact worst case at theta on the run's model: its value and its cut.
 
-    The cut's weights are the maximizing distribution's masses on each
-    (support point, label), normalized to total 1: the LP's clipped masses
-    can sum to 1 + 1e-13, which would lift the master's lower bound by that
-    much times the loss.
+    The cut is the maximizing distribution's flattened (support point,
+    label) masses, normalized to total 1: the LP's clipped masses can sum
+    to 1 + 1e-13, which would lift the master's lower bound by that much
+    times the loss.
     """
-    result = model.solve(both_class_losses(theta, unlabeled.features))
+    result = model.solve(both_class_losses(theta, features))
     if result.status != OPTIMAL:
         raise InfeasibleRadiusError(
             f"worst-case LP reported {result.status} at radius {float(eps)}"
         )
-    weights = result.plan.row_marginals
-    keep = np.flatnonzero(weights > 0.0)
-    cut = (
-        unlabeled.features[keep // N_CLASSES],
-        keep % N_CLASSES,
-        weights[keep] / weights[keep].sum(),
-    )
-    return result.value, cut
+    weights = result.support_mass.ravel()
+    return result.value, weights / weights[weights > 0.0].sum()
 
 
 def cutset_solve(
@@ -563,16 +548,17 @@ def cutset_solve(
     _require_feasible_radius(data, unlabeled, prior, cost, eps)
     model = PayoffLp(unlabeled.features, data, prior, eps, cost)
     best = np.zeros(data.dim)
-    upper, cut = _worst_case(model, best, unlabeled, eps)
+    features = unlabeled.features
+    upper, cut = _worst_case(model, best, features, eps)
     cuts = [cut]
     lower = -np.inf
     status = MAX_STEPS
     while len(cuts) < CUT_LIMIT:
-        theta, lower = _solve_master(cuts, best)
+        theta, lower = _solve_master(cuts, features, best)
         if upper - lower <= CUT_GAP_TOL:
             status = CONVERGED
             break
-        value, cut = _worst_case(model, theta, unlabeled, eps)
+        value, cut = _worst_case(model, theta, features, eps)
         cuts.append(cut)
         if value < upper:
             upper, best = value, theta

@@ -7,14 +7,15 @@ transport radius with a nonempty decision set: one transport distance plus a
 closed-form label-flip term.  Every LP is assembled from sparse columns and
 solved by the HiGHS simplex (see `simplex`).  The worst-case LP goes
 through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
-which returns the full LP's value and optimal duals while holding only some
-of its columns, and re-optimizes from its last basis by the primal simplex
-when the payoff changes.  Its columns are the (support point, atom, label)
-cells of `model.pair_costs`, and their reduced costs are the dual's cells,
-`model.CellLayout.cells`, less the support points' duals.  Transport
-problems go to `simplex.solve_transportation`: one `linear_sum_assignment`
-call when both marginals are uniform and the larger size is a multiple of
-the smaller, one cold `HighsModel` solve otherwise.  The transport from the
+which returns the full LP's value, optimal duals and (support point, label)
+masses while holding only some of its columns, and re-optimizes from its
+last basis by the primal simplex when the payoff changes.  Its columns are
+the (support point, atom, label) cells of `model.pair_costs`, and their
+reduced costs are the dual's cells, `model.CellLayout.cells`, less the
+support points' duals.  Transport problems go to
+`simplex.solve_transportation`: one `linear_sum_assignment` call when both
+marginals are uniform and the larger size is a multiple of the smaller, one
+cold `HighsModel` solve otherwise.  The transport from the
 uniform support to the uniform labeled atoms (`UniformCoupling`) depends on
 the two point sets alone, so `uniform_coupling` solves it once per pair and
 keeps the last `COUPLINGS_KEPT`; the minimal radius reads its distance and
@@ -61,24 +62,6 @@ PRICING_TOL = 1e-9
 # support-to-atoms couplings `uniform_coupling` keeps: an instance needs two,
 # its whole unlabeled sample and `bounds.certify`'s search half
 COUPLINGS_KEPT = 4
-
-
-@dataclass(frozen=True)
-class CouplingPlan:
-    """Joint mass matrix between two atom lists, with its marginals."""
-
-    matrix: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-
-    @staticmethod
-    def from_matrix(matrix) -> "CouplingPlan":
-        matrix = np.maximum(np.asarray(matrix, dtype=float), 0.0)
-        return CouplingPlan(
-            matrix=matrix,
-            row_marginals=matrix.sum(axis=1),
-            col_marginals=matrix.sum(axis=0),
-        )
 
 
 @dataclass(frozen=True)
@@ -149,10 +132,12 @@ class LpMultipliers:
 
 @dataclass(frozen=True)
 class WorstCaseLpResult:
-    """Outcome of a worst-case LP solve; value, plan and multipliers exist iff optimal."""
+    """Outcome of a worst-case LP solve; value, masses and multipliers exist
+    iff optimal.  `support_mass[j, k]` is the maximizing distribution's mass
+    on support point j with label k; each row sums to 1/m."""
 
     value: float | None
-    plan: CouplingPlan | None
+    support_mass: np.ndarray | None
     status: str
     multipliers: LpMultipliers | None = None
 
@@ -162,12 +147,11 @@ def discrete_wasserstein(
 ):
     """Exact transport distance between two finitely supported distributions.
 
-    Returns the optimal value and an optimal coupling whose marginals
-    reproduce the two weight vectors.
+    Returns the optimal value and an optimal coupling, an (mu.n, nu.n)
+    array whose row and column sums reproduce the two weight vectors.
     """
     pair = pair_costs(mu.features, nu, cost)[np.arange(mu.n), :, mu.labels]
-    value, plan = solve_transportation(pair, mu.weights, nu.weights)
-    return value, CouplingPlan.from_matrix(plan)
+    return solve_transportation(pair, mu.weights, nu.weights)
 
 
 def _row_bounds(m, n_l, prior: LabelPrior, eps: float):
@@ -322,8 +306,8 @@ class PayoffLp:
     def solve(self, payoff) -> WorstCaseLpResult:
         """Maximize the expected `payoff` (see the class docstring).
 
-        The plan's rows are the (support point, label) pairs, support-major,
-        and its columns the labeled atoms."""
+        Its `support_mass` is one `np.bincount` of the active columns'
+        clipped masses over their (support point, label) pairs."""
         pair = self._pair
         m, n_l, _ = pair.shape
         layout = CellLayout(np.asarray(payoff, dtype=float), pair)
@@ -332,7 +316,7 @@ class PayoffLp:
         while True:
             result = self._model.solve()
             if result.status != OPTIMAL:
-                return WorstCaseLpResult(value=None, plan=None, status=result.status)
+                return WorstCaseLpResult(None, None, result.status)
             multipliers, support_duals = _multipliers(result.row_duals, m, n_l)
             reduced = layout.cells(
                 multipliers.transport_mult,
@@ -346,12 +330,12 @@ class PayoffLp:
                 break
             points = np.nonzero(entering)[0]
             self._add(np.sort(points * reduced.shape[1] + best[entering]), gain)
-        support, atom, label = np.unravel_index(self._columns, pair.shape)
-        mass = np.zeros((m * N_CLASSES, n_l))
-        mass[support * N_CLASSES + label, atom] = result.x
+        support, _, label = np.unravel_index(self._columns, pair.shape)
+        cells = support * N_CLASSES + label
+        mass = np.bincount(cells, np.maximum(result.x, 0.0), m * N_CLASSES)
         return WorstCaseLpResult(
             value=float(gain[self._columns] @ result.x),
-            plan=CouplingPlan.from_matrix(mass),
+            support_mass=mass.reshape(m, N_CLASSES),
             status=OPTIMAL,
             multipliers=multipliers,
         )

@@ -24,7 +24,9 @@ through one of two doors:
   the one module that imports it.
 - `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
   constraint matrices may be dense arrays or `scipy.sparse` matrices.  Only
-  the reference mass LP behind `oracle.feasible_distributions` uses it.
+  the reference mass LP behind `oracle.feasible_distributions` uses it; it
+  stays while the benchmark's tracer wraps it by name, which
+  `tests/test_bench_contract.py` checks.
 
 Both use the same tolerances, and a cold solve runs the same serial dual
 simplex through either door (`HighsModel` also turns presolve off).  The

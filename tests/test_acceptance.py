@@ -161,7 +161,8 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
 
     # Part two: the cut-set master's constraint Jacobian in (theta, t), as
     # `_solve_master` hands it to SLSQP, agrees with central finite
-    # differences of its constraint on 100 random sets of cuts.
+    # differences of its constraint on 100 random sets of cuts, each a
+    # weight vector on the (support point, label) grid with some zeros.
     constraints = {}
 
     def recording_minimize(fun, x0, **options):
@@ -171,18 +172,15 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
     monkeypatch.setattr(dual, "minimize", recording_minimize)
     for index in range(100):
         dim = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 6))
+        features = rng.normal(size=(m, dim))
         cuts = []
         for _ in range(int(rng.integers(1, 5))):
-            rows = int(rng.integers(1, 6))
-            weights = rng.uniform(0.1, 1.0, size=rows)
-            cuts.append(
-                (
-                    rng.normal(size=(rows, dim)),
-                    rng.integers(0, 2, size=rows),
-                    weights / weights.sum(),
-                )
-            )
-        dual._solve_master(cuts, rng.normal(size=dim))
+            weights = rng.uniform(0.1, 1.0, size=2 * m)
+            weights[rng.uniform(size=2 * m) < 0.4] = 0.0
+            weights[rng.integers(0, 2 * m)] = 1.0
+            cuts.append(weights / weights.sum())
+        dual._solve_master(cuts, features, rng.normal(size=dim))
         point = rng.normal(size=dim + 1)
         jacobian = constraints["jac"](point)
         fd = _central_differences(constraints["fun"], point)

@@ -17,7 +17,7 @@ from drulearn.bounds import (
     SMOOTHING_SCHEDULE,
     PerformanceBound,
     RadiusSelection,
-    berry_esseen_correction,
+    normal_correction,
     certify,
     clopper_pearson,
     held_out_halves,
@@ -87,24 +87,24 @@ def random_instance(rng, n_labeled=3, n_unlabeled=4, dim=2):
     return data, unlabeled, random_prior(rng)
 
 
-class TestBerryEsseenCorrection:
+class TestNormalCorrection:
     def test_matches_frozen_value_on_alternating_zeros_and_ones(self):
         # sample std of {0,1,0,1} with ddof=1 is sqrt(1/3); times 1.96/sqrt(4)
-        value = berry_esseen_correction([0.0, 1.0, 0.0, 1.0], z_score=1.96)
+        value = normal_correction([0.0, 1.0, 0.0, 1.0], z_score=1.96)
         assert value == pytest.approx(0.5658032638058332, abs=1e-15)
 
     def test_zero_z_score_disables_the_correction_entirely(self):
-        assert berry_esseen_correction([3.5], z_score=0.0) == 0.0
-        assert berry_esseen_correction([], z_score=0.0) == 0.0
+        assert normal_correction([3.5], z_score=0.0) == 0.0
+        assert normal_correction([], z_score=0.0) == 0.0
 
     def test_constant_values_give_zero(self):
-        assert berry_esseen_correction(np.full(50, 2.25)) == 0.0
+        assert normal_correction(np.full(50, 2.25)) == 0.0
 
     def test_scales_linearly_in_z(self):
         rng = make_rng(0)
         values = rng.normal(size=30)
-        base = berry_esseen_correction(values, z_score=1.0)
-        assert berry_esseen_correction(values, z_score=2.0) == pytest.approx(
+        base = normal_correction(values, z_score=1.0)
+        assert normal_correction(values, z_score=2.0) == pytest.approx(
             2.0 * base, rel=1e-12
         )
 
@@ -112,14 +112,14 @@ class TestBerryEsseenCorrection:
         rng = make_rng(1)
         values = rng.normal(size=100)
         tiled = np.tile(values, 4)
-        ratio = berry_esseen_correction(tiled) / berry_esseen_correction(values)
+        ratio = normal_correction(tiled) / normal_correction(values)
         assert ratio == pytest.approx(0.5, abs=1e-2)
 
     def test_rejects_single_value_and_negative_z(self):
         with pytest.raises(ValueError):
-            berry_esseen_correction([1.0], z_score=1.96)
+            normal_correction([1.0], z_score=1.96)
         with pytest.raises(ValueError):
-            berry_esseen_correction([1.0, 2.0], z_score=-0.5)
+            normal_correction([1.0, 2.0], z_score=-0.5)
 
 
 class TestPerformanceBound:
@@ -170,7 +170,7 @@ class TestPerformanceBound:
         state = random_state(rng, data.dim, data.n)
         bound = performance_bound(state, data, unlabeled, prior, 0.4, COST)
         values = max_cell_values(state, data, unlabeled.features, COST)
-        assert bound.correction == berry_esseen_correction(values, 1.96)
+        assert bound.correction == normal_correction(values, 1.96)
 
     def test_likelihood_is_clamped_at_one_for_negative_objectives(self):
         # an empty decision set lets a feasible dual state push the objective

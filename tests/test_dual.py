@@ -592,6 +592,32 @@ class TestCutsetSolve:
         assert result.status == CONVERGED
         assert transport_solves == [(40, 12)]
 
+    def test_cuts_are_worst_case_masses_on_the_support_label_grid(self, monkeypatch):
+        # every cut handed to the master is a distribution on the (support
+        # point, label) grid with each point's total pinned at 1/m
+        passed = []
+        solve_master = dual._solve_master
+
+        def recording_master(cuts, features, theta_start):
+            passed.extend(cuts)
+            return solve_master(cuts, features, theta_start)
+
+        monkeypatch.setattr(dual, "_solve_master", recording_master)
+        rng = make_rng(46)
+        for n_labeled, m, dim in ((3, 6, 2), (5, 20, 3), (12, 40, 3)):
+            data, unlabeled, prior = random_instance(rng, n_labeled, m, dim)
+            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+            passed.clear()
+            cutset_solve(data, unlabeled, prior, COST, eps)
+            assert passed
+            for cut in passed:
+                assert cut.shape == (2 * m,)
+                assert cut.min() >= 0.0
+                assert abs(cut.sum() - 1.0) <= 1e-12
+                np.testing.assert_allclose(
+                    cut.reshape(m, 2).sum(axis=1), np.full(m, 1 / m), rtol=0, atol=1e-12
+                )
+
     def test_cut_limit_reports_max_steps(self, monkeypatch):
         monkeypatch.setattr(dual, "CUT_LIMIT", 1)
         rng = make_rng(44)

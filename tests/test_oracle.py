@@ -24,7 +24,6 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
-    CouplingPlan,
     DiscreteDistribution,
     PayoffLp,
     discrete_wasserstein,
@@ -72,7 +71,7 @@ class TestDiscreteWasserstein:
             mu = random_distribution(rng, int(rng.integers(1, 5)))
             distance, plan = discrete_wasserstein(mu, mu, COST)
             assert distance == pytest.approx(0.0, abs=1e-12)
-            np.testing.assert_allclose(plan.row_marginals, mu.weights, atol=1e-9)
+            np.testing.assert_allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
 
     def test_singletons_give_the_pair_cost(self):
         x1, y1 = np.array([0.0, 0.0]), 1
@@ -82,7 +81,7 @@ class TestDiscreteWasserstein:
         distance, plan = discrete_wasserstein(mu, nu, COST)
         assert distance == pytest.approx(transport_cost(x1, y1, x2, y2, COST))
         assert distance == pytest.approx(6.0)  # 3-4-5 move plus one flip
-        np.testing.assert_array_equal(plan.matrix, [[1.0]])
+        np.testing.assert_array_equal(plan, [[1.0]])
 
     def test_two_atom_uniform_matches_one_parameter_family(self):
         # uniform 2x2 couplings form the segment [[t, .5-t], [.5-t, t]]:
@@ -156,9 +155,9 @@ class TestDiscreteWasserstein:
             mu = random_distribution(rng, int(rng.integers(1, 5)))
             nu = random_distribution(rng, int(rng.integers(1, 5)))
             _, plan = discrete_wasserstein(mu, nu, COST)
-            np.testing.assert_allclose(plan.row_marginals, mu.weights, atol=1e-9)
-            np.testing.assert_allclose(plan.col_marginals, nu.weights, atol=1e-9)
-            assert plan.matrix.min() >= 0.0
+            np.testing.assert_allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
+            np.testing.assert_allclose(plan.sum(axis=0), nu.weights, atol=1e-9)
+            assert plan.min() >= 0.0
 
 
 def scipy_worst_case(theta, support, data, prior, eps):
@@ -233,7 +232,7 @@ class TestWorstCaseLp:
             np.zeros(2), x0[None], data, LabelPrior.point([1.0, 0.0]), 0.5, COST
         )
         assert result.status == "infeasible"
-        assert result.value is None and result.plan is None
+        assert result.value is None and result.support_mass is None
 
     def test_matches_scipy_on_random_instances(self):
         rng = make_rng(6)
@@ -273,19 +272,35 @@ class TestWorstCaseLp:
         assert widened.value >= values[1] - 1e-9
 
     def test_returned_plan_reproduces_constraints(self):
+        # the (support point, label) masses of instances whose pricing
+        # rounds bring columns in: nonnegative, uniform over the support
+        # and inside the prior box
         rng = make_rng(8)
-        data = LabeledDataset(rng.normal(size=(3, 2)), np.array([1, 0, 1]))
-        support = rng.normal(size=(5, 2))
-        prior = random_prior(rng)
-        eps0 = min_feasible_radius(data, support, prior, COST)
-        result = solve_worst_case_lp(
-            rng.normal(size=2), support, data, prior, eps0 + 0.5, COST
-        )
-        plan = result.plan
-        # labeled-atom marginal uniform; support marginal uniform
-        np.testing.assert_allclose(plan.col_marginals, np.full(3, 1 / 3), atol=1e-9)
-        by_support = plan.matrix.reshape(5, 2, 3).sum(axis=(1, 2))
-        np.testing.assert_allclose(by_support, np.full(5, 1 / 5), atol=1e-9)
+        priced = 0
+        for index in range(12):
+            m, n_l = int(rng.integers(20, 60)), int(rng.integers(4, 12))
+            data = LabeledDataset(
+                rng.normal(size=(n_l, 2)), rng.integers(0, 2, size=n_l)
+            )
+            support = rng.normal(size=(m, 2))
+            if index % 2:
+                share = float(rng.uniform(0.2, 0.8))
+                prior = LabelPrior.point([1.0 - share, share])
+            else:
+                prior = random_prior(rng)
+            eps = min_feasible_radius(data, support, prior, COST) + 0.1
+            model = PayoffLp(support, data, prior, eps, COST)
+            seeded = model.n_columns
+            result = model.solve(both_class_losses(rng.normal(size=2) * 2.0, support))
+            priced += model.n_columns > seeded
+            mass = result.support_mass
+            assert mass.shape == (m, 2)
+            assert mass.min() >= 0.0
+            np.testing.assert_allclose(mass.sum(axis=1), np.full(m, 1 / m), atol=1e-9)
+            labels = mass.sum(axis=0)
+            assert np.all(labels >= prior.lower - 1e-9)
+            assert np.all(labels <= prior.upper + 1e-9)
+        assert priced >= 10
 
 
 class TestColumnGeneration:
@@ -402,7 +417,7 @@ class TestPayoffLp:
         for payoff in self._payoffs(rng, unlabeled, 2):
             result = model.solve(payoff)
             assert result.status == "infeasible"
-            assert result.value is None and result.plan is None
+            assert result.value is None and result.support_mass is None
 
     def test_identical_payoff_sequences_give_bitwise_identical_results(self):
         rng = make_rng(37)
@@ -414,7 +429,7 @@ class TestPayoffLp:
             runs.append([model.solve(payoff) for payoff in payoffs])
         for first, second in zip(*runs):
             assert first.value == second.value
-            np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
+            np.testing.assert_array_equal(first.support_mass, second.support_mass)
             for name in (
                 "transport_mult",
                 "atom_potentials",
