@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy import stats
+from scipy.optimize import Bounds, minimize
 
 from drulearn import bounds
 from drulearn.bounds import (
@@ -14,6 +16,7 @@ from drulearn.bounds import (
     EXP_ZERO,
     FRACTION_OF_TRUE_DISTANCE,
     MIN_RADIUS_PLUS_DELTA,
+    SEARCH_OPTIONS,
     SMOOTHING_SCHEDULE,
     PerformanceBound,
     RadiusSelection,
@@ -720,6 +723,120 @@ class TestCertify:
         )
         assert limit == 4
         assert exceedances < limit
+
+
+def search_params(state):
+    """`state`'s multipliers stacked as `search_multipliers` searches them."""
+    return np.concatenate(
+        [
+            [state.transport_mult],
+            state.atom_potentials,
+            state.label_upper_mult,
+            state.label_lower_mult,
+        ]
+    )
+
+
+def search_lower(n_labeled):
+    """The search's lower bounds: alpha and the label multipliers are
+    nonnegative, the atom potentials free."""
+    return np.concatenate([[0.0], np.full(n_labeled, -np.inf), np.zeros(2 * N_CLASSES)])
+
+
+def search_layout(theta, data, search):
+    return CellLayout(
+        both_class_losses(theta, search.features),
+        pair_costs(search.features, data, COST),
+    )
+
+
+def minimize_search(params, lower, args, maxiter=SEARCH_OPTIONS["maxiter"]):
+    """One search stage through `scipy.optimize.minimize`'s L-BFGS-B."""
+    return minimize(
+        bounds._smoothed_bound,
+        params,
+        args=args,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=Bounds(lower, np.inf),
+        options={**SEARCH_OPTIONS, "maxiter": maxiter},
+    )
+
+
+class TestLbfgsbDriver:
+    # the search drives scipy's private `setulb` in the loop `minimize`
+    # runs around it; a scipy release that changes that routine or that
+    # loop fails these comparisons rather than moving certificates silently
+
+    def test_every_search_stage_is_bitwise_minimize(self):
+        for seed in (1, 2, 3, 4):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            layout = search_layout(result.theta, data, search)
+            lower = search_lower(data.n)
+            for start in (
+                result.state,
+                random_start(make_rng(seed), result.theta, data.n),
+            ):
+                params = search_params(start)
+                for tau in SMOOTHING_SCHEDULE:
+                    args = (layout, prior, eps, DEFAULT_Z_SCORE, tau)
+                    x, evaluations = bounds._lbfgsb(
+                        bounds._smoothed_bound, params, lower, args
+                    )
+                    reference = minimize_search(params, lower, args)
+                    where = f"seed {seed}, tau {tau}"
+                    assert reference.success, where
+                    assert bits(x) == bits(reference.x), where
+                    assert evaluations == reference.nfev, where
+                    params = x
+
+    def test_start_outside_the_bounds_is_clipped_as_minimize_clips_it(self):
+        for seed in (1, 3):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            lower = search_lower(data.n)
+            params = search_params(random_start(make_rng(seed), result.theta, data.n))
+            params[0] = -1.0
+            params[-2 * N_CLASSES :] *= -1.0
+            assert np.any(params < lower)
+            args = (search_layout(result.theta, data, search), prior, eps, 0.0, 1e-2)
+            x, evaluations = bounds._lbfgsb(bounds._smoothed_bound, params, lower, args)
+            reference = minimize_search(params, lower, args)
+            assert np.all(x >= lower)
+            assert bits(x) == bits(reference.x), f"seed {seed}"
+            assert evaluations == reference.nfev, f"seed {seed}"
+
+    def test_iteration_limit_stops_where_minimize_stops(self):
+        data, unlabeled, prior, eps, result = trained_instance(2)
+        search, _ = held_out_halves(unlabeled)
+        lower = search_lower(data.n)
+        params = search_params(random_start(make_rng(2), result.theta, data.n))
+        args = (
+            search_layout(result.theta, data, search),
+            prior, eps, DEFAULT_Z_SCORE, SMOOTHING_SCHEDULE[-1],
+        )
+        for maxiter in (1, 2, 5, 12):
+            x, evaluations = bounds._lbfgsb(
+                bounds._smoothed_bound, params, lower, args, maxiter=maxiter
+            )
+            reference = minimize_search(params, lower, args, maxiter=maxiter)
+            # the limit, not convergence, ended the run
+            assert reference.nit == maxiter and reference.status == 1, maxiter
+            assert bits(x) == bits(reference.x), maxiter
+            assert evaluations == reference.nfev, maxiter
+
+    def test_search_never_calls_minimize(self, monkeypatch):
+        data, unlabeled, prior, eps, result = trained_instance(1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate search called scipy's minimize")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        monkeypatch.setattr(scipy.optimize._lbfgsb_py, "_minimize_lbfgsb", refuse)
+        point = search_multipliers(result.state, data, unlabeled, prior, eps, COST)
+        assert point.theta is result.theta
+        certify(result.state, data, unlabeled, prior, eps, COST)
 
 
 class TestClopperPearson:
