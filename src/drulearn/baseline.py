@@ -14,9 +14,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
+from .kernels import slsqp
 from .model import LabeledDataset, TransportCost, both_class_losses
 
 ALPHA_TOL = 1e-9
@@ -167,14 +167,18 @@ def baseline_train(
 
     gradient = np.concatenate([np.zeros(dim), [eps], np.full(n, 1.0 / n)])
     start = np.concatenate([np.zeros(dim + 1), np.full(n, np.log(2.0))])
-    solution = minimize(
+    lower = np.full(dim + 1 + n, -np.inf)
+    lower[dim] = 0.0
+    solution = slsqp(
         lambda z: gradient @ z,
+        lambda z: gradient,
         start,
-        jac=lambda z: gradient,
-        method="SLSQP",
-        bounds=[(None, None)] * dim + [(0.0, None)] + [(None, None)] * n,
-        constraints={"type": "ineq", "fun": constraints, "jac": jacobian},
-        options={"ftol": FIT_TOL, "maxiter": FIT_MAX_ITER},
+        lower,
+        np.full(dim + 1 + n, np.inf),
+        constraints=constraints,
+        jacobian=jacobian,
+        ftol=FIT_TOL,
+        maxiter=FIT_MAX_ITER,
     )
     if not solution.success:
         raise RuntimeError(

@@ -12,18 +12,14 @@ smoothed kernel sends the scaled cells at or below `EXP_ZERO` to -inf
 before the exponential; `np.exp` is exactly +0.0 there either way, so the
 floor changes no bit, only the cost of numpy's slow path below about -708.
 
-The search runs L-BFGS-B through scipy's private reverse-communication
-routine `scipy.optimize._lbfgsb.setulb` (`_lbfgsb`), in the loop that
-scipy 1.17's `minimize(method="L-BFGS-B")` runs around it, so its iterates
-and evaluation counts are `minimize`'s bit for bit.  It leaves out
-`minimize`'s per-call setup and its `ScalarFunction` and `MemoizeJac`
-wrappers, which copy and compare x several times per evaluation: on the
-`bound_strong` benchmark config (642 evaluations, one core) the search's
-time outside the kernel fell from about 72 to about 21 us per evaluation.
-A scipy release that moves `setulb`, changes its arguments or task codes,
-or changes the loop `minimize` runs breaks this module alone, and
-`tests/test_bounds.py::TestLbfgsbDriver`, which compares the two bit for
-bit, fails.
+The search runs L-BFGS-B through `kernels.lbfgsb`, the loop that scipy
+1.17's `minimize(method="L-BFGS-B")` runs around L-BFGS-B's compiled
+reverse-communication routine `setulb`, so its iterates and evaluation
+counts are `minimize`'s bit for bit.  It leaves out `minimize`'s per-call
+setup and its `ScalarFunction` and `MemoizeJac` wrappers, which copy and
+compare x several times per evaluation: on the `bound_strong` benchmark
+config (642 evaluations, one core) the search's time outside the kernel
+fell from about 72 to about 21 us per evaluation.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 from scipy.special import betaincinv
 
 from .dual import (
@@ -43,6 +38,7 @@ from .dual import (
     dual_objective,
     objective_of_values,
 )
+from .kernels import lbfgsb
 from .model import (
     N_CLASSES,
     CellLayout,
@@ -64,11 +60,6 @@ VACUOUS_THRESHOLD = 0.5
 # fine, and the L-BFGS-B settings for each
 SMOOTHING_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4)
 SEARCH_OPTIONS = {"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8}
-# the rest of scipy's L-BFGS-B defaults: stored correction pairs, line-search
-# steps per iteration, and the evaluation count past which it stops
-LBFGSB_MEMORY = 10
-LBFGSB_LINE_SEARCH_STEPS = 20
-LBFGSB_MAX_EVALUATIONS = 15000
 # np.exp returns exactly +0.0 at and below this argument (its last positive
 # value, the smallest subnormal, is at about -745.133)
 EXP_ZERO = -745.2
@@ -261,52 +252,6 @@ def _smoothed_bound(params, layout, prior, eps, z_score, tau):
     return float(value), grad
 
 
-def _lbfgsb(fun, x0, lower, args, maxiter=SEARCH_OPTIONS["maxiter"]):
-    """L-BFGS-B with `SEARCH_OPTIONS`' tolerances on `fun(x, *args)`, which
-    returns (value, gradient), over x >= `lower` (-inf leaves a variable
-    free), from `x0` clipped into the bounds.  Returns the final x and the
-    evaluation count, bit for bit `minimize`'s `.x` and `.nfev`.
-
-    Runs scipy 1.17's loop around `setulb`: `fun` is evaluated at the start
-    and whenever `setulb` asks for it (task 3) at an x other than the last
-    one evaluated; after each iteration (task 1) the run stops at `maxiter`
-    iterations or past `LBFGSB_MAX_EVALUATIONS` evaluations."""
-    n = x0.size
-    bounded = np.isfinite(lower)
-    # L-BFGS-B's bound type per variable: 0 free, 1 bounded below only
-    nbd = bounded.astype(np.int32)
-    low, high = np.where(bounded, lower, 0.0), np.zeros(n)
-    x = np.clip(x0, lower, np.inf)
-    evaluated = x.copy()
-    f, g = fun(evaluated, *args)
-    evaluations, iterations = 1, 0
-    factr = SEARCH_OPTIONS["ftol"] / np.finfo(float).eps
-    # setulb's workspace and saved state, sized as scipy sizes them
-    m = LBFGSB_MEMORY
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    while True:
-        setulb(
-            m, x, low, high, nbd, f, g, factr, SEARCH_OPTIONS["gtol"], wa, iwa,
-            task, lsave, isave, dsave, LBFGSB_LINE_SEARCH_STEPS, ln_task,
-        )
-        if task[0] == 3:
-            if not np.array_equal(x, evaluated):
-                evaluated = x.copy()
-                f, g = fun(evaluated, *args)
-                evaluations += 1
-        elif task[0] == 1:
-            iterations += 1
-            if iterations >= maxiter:
-                task[:] = 5, 504
-            elif evaluations > LBFGSB_MAX_EVALUATIONS:
-                task[:] = 5, 502
-        else:
-            return x, evaluations
-
-
 def search_multipliers(
     state: DualState,
     data: LabeledDataset,
@@ -346,8 +291,12 @@ def search_multipliers(
     lower = np.concatenate([[0.0], np.full(n_l, -np.inf), np.zeros(2 * N_CLASSES)])
     points = [state]
     for tau in SMOOTHING_SCHEDULE:
-        params, _ = _lbfgsb(
-            _smoothed_bound, params, lower, (layout, prior, eps, z_score, tau)
+        params, _ = lbfgsb(
+            _smoothed_bound,
+            params,
+            lower,
+            (layout, prior, eps, z_score, tau),
+            **SEARCH_OPTIONS,
         )
         points.append(
             DualState(

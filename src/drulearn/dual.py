@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize
 from scipy.special import expit
 
+from .kernels import slsqp
 from .model import (
     N_CLASSES,
     CellLayout,
@@ -487,14 +487,17 @@ def _solve_master(cuts, features, theta_start):
     start[dim] = float(np.max(-slack(start)))
     unit = np.zeros(dim + 1)
     unit[dim] = 1.0
-    solution = minimize(
+    box = np.append(np.full(dim, THETA_BOX), np.inf)
+    solution = slsqp(
         lambda z: z[dim],
+        lambda z: unit,
         start,
-        jac=lambda z: unit,
-        method="SLSQP",
-        bounds=[(-THETA_BOX, THETA_BOX)] * dim + [(None, None)],
-        constraints={"type": "ineq", "fun": slack, "jac": slack_jacobian},
-        options={"ftol": MASTER_TOL, "maxiter": MASTER_MAX_ITER},
+        -box,
+        box,
+        constraints=slack,
+        jacobian=slack_jacobian,
+        ftol=MASTER_TOL,
+        maxiter=MASTER_MAX_ITER,
     )
     if not solution.success:
         raise RuntimeError(

@@ -20,13 +20,14 @@ through one of two doors:
   columns and each new payoff as new costs.  So does a transport problem
   (`solve_transportation`) that is not an assignment, whose cell columns
   it takes without the sparse assembly `linprog` would need.  It drives the
-  same HiGHS build `linprog` does, `scipy.optimize._highspy._core`; this is
-  the one module that imports it.
+  same HiGHS build `linprog` does, scipy.optimize's compiled
+  `_highspy._core`, which `kernels` loads from its file.
 - `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
   constraint matrices may be dense arrays or `scipy.sparse` matrices.  Only
   the reference mass LP behind `oracle.feasible_distributions` uses it; it
   stays while the benchmark's tracer wraps it by name, which
-  `tests/test_bench_contract.py` checks.
+  `tests/test_bench_contract.py` checks.  It imports `linprog` in its own
+  body, so no command-line run imports the `scipy.optimize` package.
 
 Both use the same tolerances, and a cold solve runs the same serial dual
 simplex through either door (`HighsModel` also turns presolve off).  The
@@ -36,9 +37,10 @@ the same vertex bit for bit.
 
 A transport problem whose marginals are both uniform, with the larger size
 a multiple of the smaller, is an assignment problem, and
-`solve_transportation` gives it to `scipy.optimize.linear_sum_assignment`
-instead of an LP.  The support-to-atoms couplings of `oracle` are of this
-kind whenever the atom count divides the support size or the reverse.
+`solve_transportation` gives it to scipy.optimize's `linear_sum_assignment`
+(from `kernels`) instead of an LP.  The support-to-atoms couplings of
+`oracle` are of this kind whenever the atom count divides the support size
+or the reverse.
 Median time of one call, HiGHS against the assignment, on two-cluster
 points (one core): 5.8 against 1.0 ms at 200 x 20, 5.8 against 2.1 ms at
 20 x 200, 2.2 against 0.2 ms at 100 x 20, 1.5 against 0.08 ms at 60 x 20,
@@ -50,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.optimize._highspy import _core as highs
+
+from .kernels import highs, linear_sum_assignment
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -207,6 +209,8 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
     set), 'infeasible', or 'unbounded'.  The optimal x is clipped at zero, so
     it is exactly nonnegative, and the value is c @ x at the clipped point.
     """
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float).ravel()
     result = linprog(
         c,

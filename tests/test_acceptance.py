@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from drulearn.active import EMC, aulc, impact_gradient_norm, posterior_scores, score_dr
 from drulearn.baseline import (
@@ -43,6 +42,7 @@ from drulearn.dual import (
     cutset_solve,
     duality_gap_check,
 )
+from drulearn.kernels import SlsqpResult
 from drulearn.model import (
     CellLayout,
     LabeledDataset,
@@ -165,11 +165,11 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
     # weight vector on the (support point, label) grid with some zeros.
     constraints = {}
 
-    def recording_minimize(fun, x0, **options):
-        constraints.update(options["constraints"])
-        return OptimizeResult(x=np.asarray(x0), success=True)
+    def recording_slsqp(fun, grad, x0, lower, upper, **options):
+        constraints.update(fun=options["constraints"], jac=options["jacobian"])
+        return SlsqpResult(x=np.asarray(x0), status=0, nit=0)
 
-    monkeypatch.setattr(dual, "minimize", recording_minimize)
+    monkeypatch.setattr(dual, "slsqp", recording_slsqp)
     for index in range(100):
         dim = int(rng.integers(1, 4))
         m = int(rng.integers(1, 6))

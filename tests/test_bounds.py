@@ -9,7 +9,8 @@ import scipy.optimize
 from scipy import stats
 from scipy.optimize import Bounds, minimize
 
-from drulearn import bounds
+from drulearn import baseline, bounds, dual
+from drulearn.baseline import FIT_MAX_ITER, FIT_TOL
 from drulearn.bounds import (
     AS_ROBUST_AS_POSSIBLE,
     DEFAULT_Z_SCORE,
@@ -32,6 +33,9 @@ from drulearn.bounds import (
 )
 from drulearn.data import append_intercept, synthetic_two_gaussians
 from drulearn.dual import (
+    MASTER_MAX_ITER,
+    MASTER_TOL,
+    THETA_BOX,
     DualState,
     LabelPrior,
     SolverConfig,
@@ -41,6 +45,7 @@ from drulearn.dual import (
     max_cell_values,
     sgd_solve,
 )
+from drulearn.kernels import lbfgsb, slsqp
 from drulearn.model import (
     N_CLASSES,
     CellLayout,
@@ -781,8 +786,8 @@ class TestLbfgsbDriver:
                 params = search_params(start)
                 for tau in SMOOTHING_SCHEDULE:
                     args = (layout, prior, eps, DEFAULT_Z_SCORE, tau)
-                    x, evaluations = bounds._lbfgsb(
-                        bounds._smoothed_bound, params, lower, args
+                    x, evaluations = lbfgsb(
+                        bounds._smoothed_bound, params, lower, args, **SEARCH_OPTIONS
                     )
                     reference = minimize_search(params, lower, args)
                     where = f"seed {seed}, tau {tau}"
@@ -801,7 +806,9 @@ class TestLbfgsbDriver:
             params[-2 * N_CLASSES :] *= -1.0
             assert np.any(params < lower)
             args = (search_layout(result.theta, data, search), prior, eps, 0.0, 1e-2)
-            x, evaluations = bounds._lbfgsb(bounds._smoothed_bound, params, lower, args)
+            x, evaluations = lbfgsb(
+                bounds._smoothed_bound, params, lower, args, **SEARCH_OPTIONS
+            )
             reference = minimize_search(params, lower, args)
             assert np.all(x >= lower)
             assert bits(x) == bits(reference.x), f"seed {seed}"
@@ -817,8 +824,12 @@ class TestLbfgsbDriver:
             prior, eps, DEFAULT_Z_SCORE, SMOOTHING_SCHEDULE[-1],
         )
         for maxiter in (1, 2, 5, 12):
-            x, evaluations = bounds._lbfgsb(
-                bounds._smoothed_bound, params, lower, args, maxiter=maxiter
+            x, evaluations = lbfgsb(
+                bounds._smoothed_bound,
+                params,
+                lower,
+                args,
+                **{**SEARCH_OPTIONS, "maxiter": maxiter},
             )
             reference = minimize_search(params, lower, args, maxiter=maxiter)
             # the limit, not convergence, ended the run
@@ -837,6 +848,160 @@ class TestLbfgsbDriver:
         point = search_multipliers(result.state, data, unlabeled, prior, eps, COST)
         assert point.theta is result.theta
         certify(result.state, data, unlabeled, prior, eps, COST)
+
+
+def master_calls(seed, monkeypatch):
+    """The (cuts, features, theta_start) of every `_solve_master` call in
+    the cut-set run of `trained_instance(seed)`."""
+    calls = []
+    solve = dual._solve_master
+
+    def recording(cuts, features, theta_start):
+        calls.append((list(cuts), features, theta_start.copy()))
+        return solve(cuts, features, theta_start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dual, "_solve_master", recording)
+        trained_instance(seed)
+    return calls
+
+
+def driver_runs(module, run, monkeypatch):
+    """Call `run()` with `module`'s SLSQP driver spied on: the arguments and
+    the result of each of its calls."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append((args, kwargs, slsqp(*args, **kwargs)))
+        return runs[-1][2]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "slsqp", spy)
+        run()
+    return runs
+
+
+def minimize_slsqp(args, kwargs, bounds, maxiter):
+    """The driver's problem through `scipy.optimize.minimize`'s SLSQP, with
+    the bounds and options the master and the baseline fit gave it."""
+    fun, grad, x0 = args[:3]
+    return minimize(
+        fun,
+        x0,
+        jac=grad,
+        method="SLSQP",
+        bounds=bounds,
+        constraints={
+            "type": "ineq", "fun": kwargs["constraints"], "jac": kwargs["jacobian"],
+        },
+        options={"ftol": kwargs["ftol"], "maxiter": maxiter},
+    )
+
+
+def master_bounds(dim):
+    return [(-THETA_BOX, THETA_BOX)] * dim + [(None, None)]
+
+
+def baseline_bounds(data):
+    return [(None, None)] * data.dim + [(0.0, None)] + [(None, None)] * data.n
+
+
+# the fixture the robustness sweep tests fit; at radius 0.5 its optimum is
+# the no-confidence model theta = 0
+SWEEP_DATA = LabeledDataset(
+    np.column_stack([make_rng(31).normal(size=(6, 2)), np.ones(6)]),
+    np.array([1, 0, 1, 0, 1, 0]),
+)
+SWEEP_RADII = (0.0, 0.05, 0.2, 0.5)
+
+
+def assert_same_run(result, reference, where):
+    assert bits(result.x) == bits(reference.x), where
+    assert result.status == reference.status, where
+    assert result.nit == reference.nit, where
+    assert result.message == reference.message, where
+
+
+class TestSlsqpDriver:
+    # the cut-set master and the baseline fit drive SLSQP's compiled kernel
+    # in the loop `minimize` runs around it; a scipy release that changes
+    # that kernel or that loop fails these comparisons
+
+    def test_every_master_solve_is_bitwise_minimize(self, monkeypatch):
+        for seed in (1, 2, 3, 4):
+            calls = master_calls(seed, monkeypatch)
+            assert len(calls) >= 2, seed
+            for index, (cuts, features, theta_start) in enumerate(calls):
+                [(args, kwargs, result)] = driver_runs(
+                    dual,
+                    lambda: dual._solve_master(cuts, features, theta_start),
+                    monkeypatch,
+                )
+                assert kwargs["ftol"] == MASTER_TOL
+                assert kwargs["maxiter"] == MASTER_MAX_ITER
+                reference = minimize_slsqp(
+                    args, kwargs, master_bounds(theta_start.size), MASTER_MAX_ITER
+                )
+                assert reference.success, f"seed {seed}, master {index}"
+                assert_same_run(result, reference, f"seed {seed}, master {index}")
+
+    def test_every_baseline_fit_is_bitwise_minimize(self, monkeypatch):
+        assert not baseline.baseline_train(SWEEP_DATA, 0.5, COST).theta.any()
+        for eps in SWEEP_RADII:
+            [(args, kwargs, result)] = driver_runs(
+                baseline,
+                lambda: baseline.baseline_train(SWEEP_DATA, eps, COST),
+                monkeypatch,
+            )
+            assert kwargs["ftol"] == FIT_TOL and kwargs["maxiter"] == FIT_MAX_ITER
+            reference = minimize_slsqp(
+                args, kwargs, baseline_bounds(SWEEP_DATA), FIT_MAX_ITER
+            )
+            assert reference.success, f"eps {eps}"
+            assert_same_run(result, reference, f"eps {eps}")
+
+    def test_start_outside_the_box_is_clipped_as_minimize_clips_it(
+        self, monkeypatch
+    ):
+        cuts, features, theta_start = master_calls(2, monkeypatch)[1]
+        theta_start = theta_start.copy()
+        theta_start[0] = 3.0 * THETA_BOX
+        theta_start[-1] = -2.0 * THETA_BOX
+        [(args, kwargs, result)] = driver_runs(
+            dual, lambda: dual._solve_master(cuts, features, theta_start), monkeypatch
+        )
+        reference = minimize_slsqp(
+            args, kwargs, master_bounds(theta_start.size), MASTER_MAX_ITER
+        )
+        assert np.all(np.abs(result.x[: theta_start.size]) <= THETA_BOX)
+        assert_same_run(result, reference, "clipped start")
+
+    def test_iteration_limit_stops_where_minimize_stops(self, monkeypatch):
+        [(args, kwargs, _)] = driver_runs(
+            baseline,
+            lambda: baseline.baseline_train(SWEEP_DATA, 0.05, COST),
+            monkeypatch,
+        )
+        for maxiter in (1, 2, 5):
+            result = slsqp(*args, **{**kwargs, "maxiter": maxiter})
+            reference = minimize_slsqp(
+                args, kwargs, baseline_bounds(SWEEP_DATA), maxiter
+            )
+            # the limit, not convergence, ended the run
+            assert result.status == 9 and result.nit == maxiter, maxiter
+            assert_same_run(result, reference, f"maxiter {maxiter}")
+
+    def test_training_never_calls_minimize(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training called scipy's minimize")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        monkeypatch.setattr(scipy.optimize._slsqp_py, "_minimize_slsqp", refuse)
+        monkeypatch.setattr(scipy.optimize._minimize, "_minimize_slsqp", refuse)
+        data, unlabeled, prior, eps, result = trained_instance(1)
+        assert result.status == "converged"
+        for eps in SWEEP_RADII:
+            baseline.baseline_train(SWEEP_DATA, eps, COST)
 
 
 class TestClopperPearson:

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from drulearn import baseline, cli, oracle
 from drulearn.active import StrategyConfig, aulc, initial_state, run_active_loop
@@ -27,6 +26,7 @@ from drulearn.cli import (
 )
 from drulearn.config import load_config, render_value
 from drulearn.dual import cutset_solve, duality_gap_check
+from drulearn.kernels import SlsqpResult
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
@@ -332,13 +332,10 @@ class TestExitCodes:
     def test_failed_baseline_fit_exits_three_and_keeps_its_meta(
         self, tmp_path, monkeypatch, capsys
     ):
-        def failed_solve(fun, x0, **options):
-            return OptimizeResult(
-                x=np.asarray(x0), success=False, status=9, nit=1000,
-                message="Iteration limit reached",
-            )
+        def failed_solve(fun, grad, x0, lower, upper, **options):
+            return SlsqpResult(x=np.asarray(x0), status=9, nit=1000)
 
-        monkeypatch.setattr(baseline, "minimize", failed_solve)
+        monkeypatch.setattr(baseline, "slsqp", failed_solve)
         out = tmp_path / "fail.csv"
         config = write_config(tmp_path, output=str(out), eps=0.3, **SMALL_DATA)
         assert main(["train-baseline", "--config", config]) == EXIT_NUMERICAL
