@@ -14,9 +14,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import expit
 
-from .kernels import slsqp
+from .kernels import expit, slsqp
 from .model import LabeledDataset, TransportCost, both_class_losses
 
 ALPHA_TOL = 1e-9

@@ -28,7 +28,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .dual import (
     DualState,
@@ -38,7 +37,7 @@ from .dual import (
     dual_objective,
     objective_of_values,
 )
-from .kernels import lbfgsb
+from .kernels import betaincinv, lbfgsb
 from .model import (
     N_CLASSES,
     CellLayout,

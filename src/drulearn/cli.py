@@ -19,10 +19,10 @@ import gc
 import os
 import sys
 
-# numpy, scipy.special and scipy.sparse build about 63k objects at import,
-# and the collector would scan them again and again while they load; pause it
-# for the imports and hand back the caller's setting, even when an import
-# fails.
+# numpy, the compiled scipy modules `kernels` loads and the package build
+# about 27k objects at import, and the collector would scan them again and
+# again while they load; pause it for the imports and hand back the caller's
+# setting, even when an import fails.
 _GC_WAS_ENABLED = gc.isenabled()
 gc.disable()
 try:

@@ -40,10 +40,8 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
-from .kernels import slsqp
+from .kernels import SparseRows, expit, slsqp
 from .model import (
     N_CLASSES,
     CellLayout,
@@ -471,7 +469,7 @@ def _solve_master(cuts, features, theta_start):
     `THETA_BOX`; returns the minimizing theta and the master value.
     """
     dim = theta_start.size
-    rows = sparse.csr_array(np.stack(cuts))
+    rows = SparseRows(np.stack(cuts))
     repeated = np.repeat(features, N_CLASSES, axis=0)
 
     def slack(z):

@@ -1,28 +1,46 @@
-"""scipy.optimize's compiled kernels, loaded without the package, and the two
-optimizer loops the package runs around them.
+"""scipy's compiled modules, loaded without their packages, and the two
+optimizer loops the package runs around scipy.optimize's kernels.
 
-The package drives four compiled modules of scipy.optimize: the HiGHS
-build (`_highspy._core`), L-BFGS-B's `setulb` (`_lbfgsb`), the assignment
-solver (`_lsap`) and SLSQP's kernel (`_slsqplib`; Kraft, "A software package
-for sequential quadratic programming", DFVLR-FB 88-28, 1988).
-`optimize_extension` loads each from its file, so no run executes
-`scipy/optimize/__init__.py`, which imports `linprog`, `shgo`,
-`scipy.linalg` and `scipy.fft` along with everything else and costs about
-0.15-0.2 s of CPU and 18 MB at every start.  The one other
-`scipy.optimize` import in the package is `linprog`, inside
-`simplex.solve_lp`, which no command-line path calls.
+The package reaches scipy through six compiled modules:
+- `scipy.special._ufuncs`, for the `expit` and `betaincinv` ufuncs, the
+  very objects `scipy.special` exports;
+- `scipy.sparse._sparsetools`, for `csr_matvec` and `csr_matvecs`, the
+  routines `csr_array @` calls (`SparseRows`);
+- four of scipy.optimize's: the HiGHS build (`_highspy._core`), L-BFGS-B's
+  `setulb` (`_lbfgsb`), the assignment solver (`_lsap`) and SLSQP's kernel
+  (`_slsqplib`; Kraft, "A software package for sequential quadratic
+  programming", DFVLR-FB 88-28, 1988).
+
+`scipy_extension` loads each from its file, so no run executes the
+`__init__.py` of `scipy.special`, `scipy.sparse` or `scipy.optimize`.
+Each of those imports `scipy._lib._util`, whose `scipy._lib._array_api`
+imports `array_api_compat.numpy` and with it `numpy.f2py`,
+`numpy.testing`, `numpy.ma` and `numpy.fft`; `scipy.optimize` adds
+`linprog`, `shgo`, `scipy.linalg` and `scipy.fft`.  On one core,
+`scipy.special` and `scipy.sparse` cost about 0.19 s of CPU and 22 MB at
+every start, and `scipy.optimize` about 0.15-0.2 s and 18 MB more.  `_ufuncs` imports a sibling module
+relative to `scipy.special`, so while it loads, a bare stand-in package
+with `scipy/special` as its path takes the package's place in
+`sys.modules`; without it Python would run `scipy/special/__init__.py`,
+which imports the half-loaded `_ufuncs` and fails.  The one other scipy
+import in the package is `linprog`, inside `simplex.solve_lp`, which no
+command-line path calls.
 
 `lbfgsb` and `slsqp` run the loops scipy 1.17's `minimize` runs around
 `setulb` and `_slsqplib.slsqp`, without its per-call setup and its
 `ScalarFunction` wrappers, so their iterates are `minimize`'s bit for bit.
 
-This module holds every tie the package has to scipy.optimize's internals:
-a scipy release that moves one of these files, or changes a kernel's
-arguments or the loop `minimize` runs around it, breaks this module alone,
-and `tests/test_bounds.py::TestLbfgsbDriver`,
-`tests/test_bounds.py::TestSlsqpDriver` and `tests/test_imports.py`, which
-compare the drivers with `minimize` bit for bit and the loaded objects with
-the package's, fail.  scipy 1.17.1 is the tested release.
+This module holds every tie the package has to scipy's internals: a scipy
+release that moves one of these files, makes a package's stand-in
+insufficient, or changes a kernel's arguments, the loop `minimize` runs
+around it or the layout and routines behind `csr_array @`, breaks this
+module alone.  These tests then fail: `tests/test_imports.py`, which loads
+every module, runs every subcommand without the three packages and
+compares the loaded objects with the packages'; and
+`tests/test_bounds.py::TestLbfgsbDriver`, `TestSlsqpDriver` and
+`TestCutProduct`, which compare the drivers with `minimize` and the cut
+products with `csr_array`, bit for bit.  scipy 1.17.1 is the tested
+release.
 """
 
 from __future__ import annotations
@@ -31,6 +49,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,36 +75,94 @@ SLSQP_EXIT_MODES = {
 }
 
 
-def optimize_extension(name):
-    """The compiled module `scipy.optimize.<name>` ("_lbfgsb",
-    "_highspy._core"), loaded from its file without running any
-    `__init__.py` of scipy.optimize.
+def scipy_extension(package, name):
+    """The compiled module `scipy.<package>.<name>` ("special", "_ufuncs";
+    "optimize", "_highspy._core"), loaded from its file without running any
+    `__init__.py` of `scipy.<package>`; the module itself if it is already
+    imported.
 
-    Loading a single-phase extension also registers it, and any submodule
-    it creates, in `sys.modules`; a later `import scipy.optimize` would
-    find those entries there and so never set them as attributes of their
-    package.  The `scipy.optimize.*` entries are put back as they were
-    found, and that import then hands back the same objects."""
-    full = f"scipy.optimize.{name}"
-    path = os.path.join(
-        os.path.dirname(scipy.__file__), "optimize", *name.split(".")
-    ) + importlib.machinery.EXTENSION_SUFFIXES[0]
-    found = {k: v for k, v in sys.modules.items() if k.startswith("scipy.optimize.")}
-    spec = importlib.util.spec_from_file_location(full, path)
+    A module that imports a sibling relative to its package (`_ufuncs`
+    imports `expit` and more from `._special_ufuncs`) needs its package in
+    `sys.modules`; without one, Python would run the package's
+    `__init__.py`, which imports the half-loaded module and fails.  When
+    the package is not imported, a bare stand-in whose `__path__` is the
+    package's directory takes its place while the file loads.
+
+    Loading a single-phase extension also registers it, and any module it
+    imports, in `sys.modules`; a later `import scipy.<package>` would find
+    those entries there and so never set them as attributes of their
+    package.  Every `scipy.<package>` entry, the stand-in included, is put
+    back as it was found, and that import then hands back the same
+    objects."""
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    root = f"scipy.{package}"
+
+    def entries():
+        return [k for k in sys.modules if k == root or k.startswith(root + ".")]
+
+    found = {key: sys.modules[key] for key in entries()}
+    directory = os.path.join(os.path.dirname(scipy.__file__), package)
+    if root not in found:
+        stand_in = types.ModuleType(root)
+        stand_in.__path__ = [directory]
+        sys.modules[root] = stand_in
+    path = os.path.join(directory, *name.split("."))
+    spec = importlib.util.spec_from_file_location(
+        full, path + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for key in [k for k in sys.modules if k.startswith("scipy.optimize.")]:
-        if key in found:
-            sys.modules[key] = found[key]
-        else:
-            del sys.modules[key]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for key in entries():
+            if key in found:
+                sys.modules[key] = found[key]
+            else:
+                del sys.modules[key]
     return module
 
 
-highs = optimize_extension("_highspy._core")
-linear_sum_assignment = optimize_extension("_lsap").linear_sum_assignment
-setulb = optimize_extension("_lbfgsb").setulb
-_slsqp_kernel = optimize_extension("_slsqplib").slsqp
+_ufuncs = scipy_extension("special", "_ufuncs")
+expit = _ufuncs.expit
+betaincinv = _ufuncs.betaincinv
+_sparsetools = scipy_extension("sparse", "_sparsetools")
+highs = scipy_extension("optimize", "_highspy._core")
+linear_sum_assignment = scipy_extension("optimize", "_lsap").linear_sum_assignment
+setulb = scipy_extension("optimize", "_lbfgsb").setulb
+_slsqp_kernel = scipy_extension("optimize", "_slsqplib").slsqp
+
+
+class SparseRows:
+    """The nonzeros of a dense float matrix, row by row, laid out as
+    `scipy.sparse.csr_array(dense)` lays them out: row-major order and
+    int32 indices.  `rows @ x` calls the `_sparsetools` routine that
+    `csr_array @ x` calls, `csr_matvec` for a vector and `csr_matvecs` for
+    a matrix, so each row's sum runs over the same terms in the same order
+    and gives the same bits."""
+
+    def __init__(self, dense):
+        dense = np.asarray(dense, dtype=float)
+        nonzero = dense != 0
+        self.shape = dense.shape
+        self.indptr = np.zeros(dense.shape[0] + 1, np.int32)
+        np.cumsum(nonzero.sum(axis=1), out=self.indptr[1:])
+        self.indices = np.nonzero(nonzero)[1].astype(np.int32)
+        self.data = dense[nonzero]
+
+    def __matmul__(self, other):
+        m, n = self.shape
+        parts = self.indptr, self.indices, self.data
+        if other.ndim == 1:
+            result = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, *parts, other, result)
+            return result
+        result = np.zeros((m, other.shape[1]))
+        _sparsetools.csr_matvecs(
+            m, n, other.shape[1], *parts, other.ravel(), result.ravel()
+        )
+        return result
 
 
 def lbfgsb(fun, x0, lower, args, maxiter, ftol, gtol):

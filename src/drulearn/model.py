@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .kernels import expit
 
 N_CLASSES = 2
 

@@ -20,11 +20,13 @@ uniform support to the uniform labeled atoms (`UniformCoupling`) depends on
 the two point sets alone, so `uniform_coupling` solves it once per pair and
 keeps the last `COUPLINGS_KEPT`; the minimal radius reads its distance and
 `PayoffLp`'s restricted LP starts from its cells.
-Only the test reference `feasible_distributions` still makes a stateless
-`linprog` call.  Everything here is deterministic and exact up to its 1e-10
-feasibility tolerances, which is what makes it usable as the reference side
-of two-route checks (`dual.duality_gap_check` sets the full dual objective
-at the worst-case LP's own multipliers against its value).
+The test reference `feasible_distributions` (`tests/reference.py`) solves
+the same rows and columns (`_row_bounds`, `_column_entries`) by one
+stateless `linprog` call per draw.  Everything here is deterministic and
+exact up to its 1e-10 feasibility tolerances, which is what makes it
+usable as the reference side of two-route checks (`dual.duality_gap_check`
+sets the full dual objective at the worst-case LP's own multipliers
+against its value).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .model import (
     N_CLASSES,
@@ -44,10 +45,9 @@ from .model import (
     TransportCost,
     both_class_losses,
     feature_distances,
-    make_rng,
     pair_costs,
 )
-from .simplex import INFEASIBLE, OPTIMAL, HighsModel, solve_lp, solve_transportation
+from .simplex import OPTIMAL, HighsModel, solve_transportation
 
 # slack added to the transport-budget right-hand side so feasibility does not
 # flap at the boundary radius
@@ -185,36 +185,6 @@ def _column_entries(columns, pair):
     rows = [atom, n_l + support, budget, upper, upper + N_CLASSES]
     values = [ones, ones, pair.ravel()[columns], ones, -ones]
     return np.stack(rows, axis=1), np.stack(values, axis=1)
-
-
-def _solve_mass_lp(gain, pair, prior: LabelPrior, eps: float):
-    """Maximize `gain` over the joint mass pi[j, i, k] on every column.
-
-    `gain` and `pair` are (support point, labeled atom, label) tensors.
-    The mass ranges over the decision set: the labeled-atom and support
-    marginals are pinned to uniform, the total transport cost is capped at
-    `eps` and per-label mass is bounded by the prior box.  One `linprog`
-    call, cold, over the full LP;
-    `feasible_distributions` enumerates vertices with it, independently of
-    the persistent model `PayoffLp` keeps.  Returns the simplex result of
-    the negated (minimization) problem, so the objective value is left to
-    the caller.
-    """
-    m, n_l, _ = pair.shape
-    _, upper, n_eq = _row_bounds(m, n_l, prior, eps)
-    columns = np.arange(pair.size)
-    rows, values = _column_entries(columns, pair)
-    owner = np.repeat(columns, rows.shape[1])
-    matrix = sparse.csr_array(
-        (values.ravel(), (rows.ravel(), owner)), (upper.size, columns.size)
-    )
-    return solve_lp(
-        -gain.ravel(),
-        a_eq=matrix[:n_eq],
-        b_eq=upper[:n_eq],
-        a_ub=matrix[n_eq:],
-        b_ub=upper[n_eq:],
-    )
 
 
 def _multipliers(row_duals, m: int, n_l: int):
@@ -392,42 +362,3 @@ def min_feasible_radius(
     low, high = positive_share_range(prior)
     flipped = max(low - share, share - high, 0.0)
     return max(distance + cost.label_flip_cost * float(flipped), 0.0)
-
-
-def feasible_distributions(
-    data: LabeledDataset,
-    support,
-    prior: LabelPrior,
-    eps: float,
-    cost: TransportCost,
-    count: int = 10,
-    seed: int = 0,
-):
-    """Enumerate vertices of the decision set by optimizing random objectives.
-
-    Each draw maximizes a random linear functional of the joint mass over
-    the same constraint set as `solve_worst_case_lp`; the support marginal
-    of the solution is a feasible distribution (a vertex of the decision
-    set).  Returns `count` such distributions; raises if the set is empty.
-    """
-    support = np.atleast_2d(np.asarray(support, dtype=float))
-    pair = pair_costs(support, data, cost)
-    m = support.shape[0]
-    rng = make_rng(seed)
-    out = []
-    for _ in range(count):
-        direction = rng.normal(size=(m, N_CLASSES))
-        objective = np.broadcast_to(direction[:, None, :], pair.shape)
-        result = _solve_mass_lp(objective, pair, prior, eps)
-        if result.status == INFEASIBLE:
-            raise ValueError("decision set is empty at this radius")
-        mass = result.x.reshape(pair.shape).sum(axis=1)
-        weights = np.maximum(mass.ravel(), 0.0)
-        out.append(
-            DiscreteDistribution(
-                features=np.repeat(support, N_CLASSES, axis=0),
-                labels=np.tile(np.arange(N_CLASSES), m),
-                weights=weights / weights.sum(),
-            )
-        )
-    return out

@@ -23,9 +23,10 @@ through one of two doors:
   same HiGHS build `linprog` does, scipy.optimize's compiled
   `_highspy._core`, which `kernels` loads from its file.
 - `solve_lp` makes one call of `scipy.optimize.linprog(method="highs-ds")`;
-  constraint matrices may be dense arrays or `scipy.sparse` matrices.  Only
-  the reference mass LP behind `oracle.feasible_distributions` uses it; it
-  stays while the benchmark's tracer wraps it by name, which
+  constraint matrices may be dense arrays or `scipy.sparse` matrices.  No
+  module of the package calls it: only the test reference mass LP behind
+  `feasible_distributions` (`tests/reference.py`) does.  It stays while
+  the benchmark's tracer wraps it by name, which
   `tests/test_bench_contract.py` checks.  It imports `linprog` in its own
   body, so no command-line run imports the `scipy.optimize` package.
 

@@ -2,7 +2,8 @@
 checked against: the ground transport cost of one pair of labeled points,
 the worst-case LP assembled in full for `linprog` (over the decision set, or
 over the plain transport ball with `prior=None`), the minimal radius by
-bisection on that LP's feasibility, and the certificate kernel before
+bisection on that LP's feasibility, vertices of the decision set from the
+full mass LP by `linprog`, and the certificate kernel before
 `model.CellLayout`, which the layout kernel matches bit for bit."""
 
 import math
@@ -12,8 +13,16 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from drulearn.model import N_CLASSES, both_class_losses
+from drulearn import oracle
+from drulearn.model import (
+    N_CLASSES,
+    DiscreteDistribution,
+    both_class_losses,
+    make_rng,
+    pair_costs,
+)
 from drulearn.oracle import BUDGET_SLACK, OPTIMAL, solve_worst_case_lp
+from drulearn.simplex import INFEASIBLE, solve_lp
 
 
 def transport_cost(x1, y1, x2, y2, cost):
@@ -98,6 +107,68 @@ def min_feasible_radius_bisect(data, support, prior, cost, tol=1e-7):
         else:
             lo = mid
     return hi
+
+
+def _solve_mass_lp(gain, pair, prior, eps):
+    """Maximize `gain` over the joint mass pi[j, i, k] on every column.
+
+    `gain` and `pair` are (support point, labeled atom, label) tensors.
+    The mass ranges over the decision set: the labeled-atom and support
+    marginals are pinned to uniform, the total transport cost is capped at
+    `eps` and per-label mass is bounded by the prior box.  One `linprog`
+    call (`simplex.solve_lp`), cold, over the full LP, on the rows and
+    columns of `oracle._row_bounds` and `oracle._column_entries`;
+    `feasible_distributions` enumerates vertices with it, independently of
+    the persistent model `oracle.PayoffLp` keeps.  Returns the simplex
+    result of the negated (minimization) problem, so the objective value is
+    left to the caller.
+    """
+    m, n_l, _ = pair.shape
+    _, upper, n_eq = oracle._row_bounds(m, n_l, prior, eps)
+    columns = np.arange(pair.size)
+    rows, values = oracle._column_entries(columns, pair)
+    owner = np.repeat(columns, rows.shape[1])
+    matrix = sparse.csr_array(
+        (values.ravel(), (rows.ravel(), owner)), (upper.size, columns.size)
+    )
+    return solve_lp(
+        -gain.ravel(),
+        a_eq=matrix[:n_eq],
+        b_eq=upper[:n_eq],
+        a_ub=matrix[n_eq:],
+        b_ub=upper[n_eq:],
+    )
+
+
+def feasible_distributions(data, support, prior, eps, cost, count=10, seed=0):
+    """Enumerate vertices of the decision set by optimizing random objectives.
+
+    Each draw maximizes a random linear functional of the joint mass over
+    the same constraint set as `oracle.solve_worst_case_lp`; the support
+    marginal of the solution is a feasible distribution (a vertex of the
+    decision set).  Returns `count` such distributions; raises if the set is empty.
+    """
+    support = np.atleast_2d(np.asarray(support, dtype=float))
+    pair = pair_costs(support, data, cost)
+    m = support.shape[0]
+    rng = make_rng(seed)
+    out = []
+    for _ in range(count):
+        direction = rng.normal(size=(m, N_CLASSES))
+        objective = np.broadcast_to(direction[:, None, :], pair.shape)
+        result = _solve_mass_lp(objective, pair, prior, eps)
+        if result.status == INFEASIBLE:
+            raise ValueError("decision set is empty at this radius")
+        mass = result.x.reshape(pair.shape).sum(axis=1)
+        weights = np.maximum(mass.ravel(), 0.0)
+        out.append(
+            DiscreteDistribution(
+                features=np.repeat(support, N_CLASSES, axis=0),
+                labels=np.tile(np.arange(N_CLASSES), m),
+                weights=weights / weights.sum(),
+            )
+        )
+    return out
 
 
 def flat_smoothed_bound(params, table, pair, data, prior, eps, z_score, tau):

@@ -59,11 +59,14 @@ from drulearn.oracle import (
     DiscreteDistribution,
     PayoffLp,
     discrete_wasserstein,
-    feasible_distributions,
     min_feasible_radius,
     solve_worst_case_lp,
 )
-from reference import full_lp_reference, min_feasible_radius_bisect
+from reference import (
+    feasible_distributions,
+    full_lp_reference,
+    min_feasible_radius_bisect,
+)
 
 COST = TransportCost()
 

@@ -37,7 +37,8 @@ from drulearn.model import (
     loss_grad_theta,
     make_rng,
 )
-from drulearn.oracle import PayoffLp, feasible_distributions, min_feasible_radius
+from drulearn.oracle import PayoffLp, min_feasible_radius
+from reference import feasible_distributions
 
 COST = TransportCost()
 

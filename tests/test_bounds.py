@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy import stats
+from scipy import sparse, stats
+from scipy.special import expit
 from scipy.optimize import Bounds, minimize
 
 from drulearn import baseline, bounds, dual
@@ -45,7 +46,7 @@ from drulearn.dual import (
     max_cell_values,
     sgd_solve,
 )
-from drulearn.kernels import lbfgsb, slsqp
+from drulearn.kernels import SparseRows, lbfgsb, slsqp
 from drulearn.model import (
     N_CLASSES,
     CellLayout,
@@ -60,11 +61,10 @@ from drulearn.model import (
 from drulearn.oracle import (
     discrete_wasserstein,
     DiscreteDistribution,
-    feasible_distributions,
     min_feasible_radius,
 )
 
-from reference import bits, flat_smoothed_bound, on_layout
+from reference import bits, feasible_distributions, flat_smoothed_bound, on_layout
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -1002,6 +1002,85 @@ class TestSlsqpDriver:
         assert result.status == "converged"
         for eps in SWEEP_RADII:
             baseline.baseline_train(SWEEP_DATA, eps, COST)
+
+
+
+def csr_slack(z, rows, features):
+    """The master's constraint vector with its cut product taken by
+    `scipy.sparse.csr_array`."""
+    dim = features.shape[1]
+    return z[dim] - rows @ both_class_losses(z[:dim], features).ravel()
+
+
+def csr_slack_jacobian(z, rows, features):
+    """The constraint vector's Jacobian with its cut product taken by
+    `scipy.sparse.csr_array`."""
+    dim = features.shape[1]
+    repeated = np.repeat(features, N_CLASSES, axis=0)
+    residual = (expit(features @ z[:dim])[:, None] - np.arange(N_CLASSES)).ravel()
+    jac = np.ones((rows.shape[0], dim + 1))
+    jac[:, :dim] = -(rows @ (residual[:, None] * repeated))
+    return jac
+
+
+class TestCutProduct:
+    # the master multiplies its cuts with the routines `csr_array @` calls,
+    # on the layout `csr_array` builds; a scipy release that changes either
+    # fails these comparisons
+
+    def test_every_master_constraint_is_bitwise_csr_array(self, monkeypatch):
+        for seed in (1, 2, 3, 4):
+            for index, (cuts, features, start) in enumerate(
+                master_calls(seed, monkeypatch)
+            ):
+                # the recorded cuts, and the same with an all-zero cut
+                for stacked in (cuts, cuts[:1] + [np.zeros_like(cuts[0])] + cuts[1:]):
+                    rows = sparse.csr_array(np.stack(stacked))
+                    [(args, kwargs, _)] = driver_runs(
+                        dual,
+                        lambda: dual._solve_master(stacked, features, start),
+                        monkeypatch,
+                    )
+                    checked = []
+
+                    def slack(z):
+                        value = kwargs["constraints"](z)
+                        assert bits(value) == bits(csr_slack(z, rows, features))
+                        checked.append("slack")
+                        return value
+
+                    def jacobian(z):
+                        value = kwargs["jacobian"](z)
+                        expected = csr_slack_jacobian(z, rows, features)
+                        assert bits(value) == bits(expected)
+                        checked.append("jacobian")
+                        return value
+
+                    where = f"seed {seed}, master {index}"
+                    result = slsqp(
+                        *args, **{**kwargs, "constraints": slack, "jacobian": jacobian}
+                    )
+                    assert result.success, where
+                    assert {"slack", "jacobian"} <= set(checked), where
+
+    def test_layout_and_products_are_csr_arrays(self):
+        rng = make_rng(5)
+        dense = rng.normal(size=(5, 7))
+        dense[rng.random(dense.shape) < 0.5] = 0.0
+        dense[2] = 0.0
+        for matrix in (dense, np.zeros((3, 7)), dense[:1]):
+            rows, reference = SparseRows(matrix), sparse.csr_array(matrix)
+            for name in ("indptr", "indices", "data"):
+                assert getattr(rows, name).dtype == getattr(reference, name).dtype
+                assert bits(getattr(rows, name)) == bits(getattr(reference, name))
+            for other in (
+                rng.normal(size=7),
+                rng.normal(size=(7, 1)),
+                rng.normal(size=(7, 3)),
+            ):
+                product, expected = rows @ other, reference @ other
+                assert product.shape == expected.shape
+                assert bits(product) == bits(expected)
 
 
 class TestClopperPearson:

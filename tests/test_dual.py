@@ -332,7 +332,7 @@ class TestDualObjective:
     def test_upper_bounds_every_feasible_distribution(self):
         # weak duality: any dual point dominates the expected loss of any
         # distribution in the decision set
-        from drulearn.oracle import feasible_distributions
+        from reference import feasible_distributions
 
         rng = make_rng(8)
         data, unlabeled, prior = random_instance(rng, 2, 3, 2)

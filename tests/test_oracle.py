@@ -27,12 +27,16 @@ from drulearn.oracle import (
     DiscreteDistribution,
     PayoffLp,
     discrete_wasserstein,
-    feasible_distributions,
     min_feasible_radius,
     solve_worst_case_lp,
     uniform_coupling,
 )
-from reference import full_lp_reference, min_feasible_radius_bisect, transport_cost
+from reference import (
+    feasible_distributions,
+    full_lp_reference,
+    min_feasible_radius_bisect,
+    transport_cost,
+)
 
 COST = TransportCost()
 
