@@ -48,6 +48,7 @@ from .model import (
     UnlabeledDataset,
     both_class_losses,
     confidence,
+    median,
     pair_costs,
 )
 from .oracle import discrete_wasserstein, min_feasible_radius, positive_share_range
@@ -469,7 +470,7 @@ def select_radius(
         eps = None
         for candidate in reversed(grid):
             theta = cutset_solve(data, unlabeled, prior, cost, float(candidate)).theta
-            median_conf = float(np.median(confidence(theta, unlabeled.features)))
+            median_conf = median(confidence(theta, unlabeled.features))
             if median_conf >= selection.confidence_threshold:
                 eps = float(candidate)
                 break

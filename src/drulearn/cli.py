@@ -59,6 +59,7 @@ try:
         UnlabeledDataset,
         confidence,
         make_rng,
+        median,
     )
     from .oracle import discrete_wasserstein, min_feasible_radius
 finally:
@@ -178,7 +179,7 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
 
 
 def _median_confidence(theta, features) -> float:
-    return float(np.median(confidence(theta, features)))
+    return median(confidence(theta, features))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,7 @@ def _run_active(config: ExperimentConfig) -> int:
     if aulc_values:
         row = {
             "strategy": config.strategy,
-            "median_aulc": float(np.median(aulc_values)),
+            "median_aulc": median(aulc_values),
         }
         _write_csv(_aulc_output_path(config.output), row, [row])
     _finish(config, "active", len(rows), errors)

@@ -106,6 +106,28 @@ def confidence(theta, x):
     return np.maximum(p, 1.0 - p)
 
 
+def median(values) -> float:
+    """The median of a nonempty sample, bit for bit `np.median`'s.
+
+    `np.median` checks its partition for NaN through `numpy.ma`, which
+    costs a run about 10 ms to import.  This takes the same partition and
+    keeps numpy's arithmetic: the mean of the middle one or two values
+    starts from +0.0, so a zero median is +0.0, and a NaN in the sample is
+    returned as the median.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    if not values.size:
+        raise ValueError("median of an empty sample")
+    half, odd = divmod(values.size, 2)
+    middle = [half] if odd else [half - 1, half]
+    part = np.partition(values, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    if odd:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[half - 1]) + float(part[half])) / 2
+
+
 def feature_distances(a, b):
     """Pairwise Euclidean distances between rows of a (n, d) and b (m, d)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))

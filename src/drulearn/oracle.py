@@ -12,7 +12,9 @@ masses while holding only some of its columns, and re-optimizes from its
 last basis by the primal simplex when the payoff changes.  Its columns are
 the (support point, atom, label) cells of `model.pair_costs`, and their
 reduced costs are the dual's cells, `model.CellLayout.cells`, less the
-support points' duals.  Transport problems go to
+support points' duals.  A re-solve pays for what changed: pricing sorts
+only the support points that have a column to enter, and HiGHS is sent
+only the costs that changed.  Transport problems go to
 `simplex.solve_transportation`: one `linear_sum_assignment` call when both
 marginals are uniform and the larger size is a multiple of the smaller, one
 cold `HighsModel` solve otherwise.  The transport from the
@@ -203,6 +205,26 @@ def _multipliers(row_duals, m: int, n_l: int):
     return multipliers, eq[n_l:]
 
 
+def _entering_columns(reduced):
+    """The flat indices, in increasing order, of the columns a pricing round
+    brings in: per row of the (support point, column) matrix `reduced`, up
+    to `COLUMNS_PER_POINT` of its largest entries above `PRICING_TOL`, ties
+    going to the lower column.
+
+    Only a row holding an entry above the tolerance has a column to enter,
+    so only those rows are stable-sorted: the same columns enter, in the
+    same order, as when every row is.
+    """
+    rows = np.flatnonzero((reduced > PRICING_TOL).any(axis=1))
+    if not rows.size:
+        return rows
+    width = reduced.shape[1]
+    reduced = reduced[rows]
+    best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
+    entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
+    return np.sort(rows[np.nonzero(entering)[0]] * width + best[entering])
+
+
 class PayoffLp:
     """Exact maximum expected payoff over the decision set, kept alive
     across payoffs.
@@ -222,14 +244,17 @@ class PayoffLp:
     `model.CellLayout`; a column's reduced cost under the restricted LP's
     duals is its dual cell (`CellLayout.cells`) minus its support point's
     dual.  Per support point and round, up to `COLUMNS_PER_POINT` columns
-    whose reduced cost exceeds `PRICING_TOL` enter.  It stops when none does, so the duals are
-    feasible for the full LP and the value is the full LP's to within
-    `PRICING_TOL`.
+    whose reduced cost exceeds `PRICING_TOL` enter (`_entering_columns`,
+    which sorts only the rows holding one).  It stops when none does, so
+    the duals are feasible for the full LP and the value is the full LP's
+    to within `PRICING_TOL`.
 
     The rows depend only on the support, the atoms, the prior and the
     radius, so every `solve` reuses the model: it sets the new payoff's
-    costs and re-optimizes from the last basis, over every column any
-    earlier solve brought in.  New costs and new columns keep that basis
+    costs, of which `simplex.HighsModel.set_costs` sends only those that
+    changed (a `score_dr` payoff changes two rows' columns), and
+    re-optimizes from the last basis, over every column any earlier solve
+    brought in.  New costs and new columns keep that basis
     primal feasible, so every solve after the model's first runs the
     primal simplex (see `simplex.HighsModel`).  Values then agree with a
     fresh model's to about 1e-12, not bit for bit; a sequence of solves on
@@ -294,12 +319,10 @@ class PayoffLp:
                 multipliers.label_upper_mult - multipliers.label_lower_mult,
             ) - support_duals[:, None]
             reduced[self._active.reshape(m, -1)] = -np.inf
-            best = np.argsort(-reduced, axis=1, kind="stable")[:, :COLUMNS_PER_POINT]
-            entering = np.take_along_axis(reduced, best, axis=1) > PRICING_TOL
-            if not entering.any():
+            columns = _entering_columns(reduced)
+            if not columns.size:
                 break
-            points = np.nonzero(entering)[0]
-            self._add(np.sort(points * reduced.shape[1] + best[entering]), gain)
+            self._add(columns, gain)
         support, _, label = np.unravel_index(self._columns, pair.shape)
         cells = support * N_CLASSES + label
         mass = np.bincount(cells, np.maximum(result.x, 0.0), m * N_CLASSES)

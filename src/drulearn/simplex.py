@@ -17,7 +17,8 @@ through one of two doors:
   always starts cold, so an LP re-solved many times under small changes
   goes through this door: the restricted worst-case LP of
   `oracle.PayoffLp`, which takes its seed and every priced column as new
-  columns and each new payoff as new costs.  So does a transport problem
+  columns and each new payoff as new costs, of which only those that
+  changed reach HiGHS.  So does a transport problem
   (`solve_transportation`) that is not an assignment, whose cell columns
   it takes without the sparse assembly `linprog` would need.  It drives the
   same HiGHS build `linprog` does, scipy.optimize's compiled
@@ -115,10 +116,13 @@ class HighsModel:
     """A persistent HiGHS LP over fixed rows: min c @ x, lower <= A x <= upper, x >= 0.
 
     Columns arrive by `add_columns` and keep their order; `set_costs`
-    replaces every cost; `solve` re-optimizes from the basis the last solve
-    left, so a solve after a small change takes a fraction of a cold
-    start's pivots.  Presolve is off, which keeps that basis valid
-    across changes; the tolerances are those of `solve_lp`.  The first
+    replaces every cost, but passes HiGHS only the costs whose bit pattern
+    differs from the one it last gave it, so a change at two rows of a
+    payoff costs two rows' columns, not every column, and HiGHS solves the
+    same model; `solve` re-optimizes from the basis the last solve left, so
+    a solve after a small change takes a fraction of a cold start's
+    pivots.  Presolve is off, which keeps that basis valid across changes;
+    the tolerances are those of `solve_lp`.  The first
     solve is `solve_lp`'s serial dual simplex and decides feasibility;
     every later one runs the primal simplex, which keeps the last basis's
     primal feasibility: replaying the cut-set runs of the `bound_strong`
@@ -130,6 +134,8 @@ class HighsModel:
         upper = np.asarray(row_upper, dtype=float)
         self._highs = highs._Highs()
         self._resolving = False
+        # the cost of every column as HiGHS holds it, in column order
+        self._costs = np.zeros(0)
         for option, value in (
             ("output_flag", False),
             ("presolve", "off"),
@@ -157,6 +163,7 @@ class HighsModel:
         `values[starts[j]:starts[j + 1]]` at `rows[starts[j]:starts[j + 1]]`
         (`starts` has one entry per new column, the end is implied)."""
         costs = np.asarray(costs, dtype=float)
+        self._costs = np.concatenate([self._costs, costs])
         self._highs.addCols(
             costs.size,
             costs,
@@ -169,11 +176,20 @@ class HighsModel:
         )
 
     def set_costs(self, costs):
-        """Replace the cost of every column, in column order."""
-        count = self._highs.getNumCol()
+        """Replace the cost of every column, in column order.
+
+        Only the entries whose bits changed go to HiGHS, so +0.0 and -0.0
+        count as different costs."""
+        costs = np.array(costs, dtype=float)
+        if costs.shape != self._costs.shape:
+            raise ValueError(
+                f"expected {self._costs.size} costs, got shape {costs.shape}"
+            )
+        changed = np.flatnonzero(costs.view(np.int64) != self._costs.view(np.int64))
         self._highs.changeColsCost(
-            count, np.arange(count, dtype=np.int32), np.asarray(costs, dtype=float)
+            changed.size, changed.astype(np.int32), costs[changed]
         )
+        self._costs = costs
 
     def solve(self) -> ModelResult:
         """Re-optimize; the optimal x is clipped at zero, as in `solve_lp`.

@@ -3,8 +3,10 @@ checked against: the ground transport cost of one pair of labeled points,
 the worst-case LP assembled in full for `linprog` (over the decision set, or
 over the plain transport ball with `prior=None`), the minimal radius by
 bisection on that LP's feasibility, vertices of the decision set from the
-full mass LP by `linprog`, and the certificate kernel before
-`model.CellLayout`, which the layout kernel matches bit for bit."""
+full mass LP by `linprog`, the certificate kernel before
+`model.CellLayout`, which the layout kernel matches bit for bit, and the
+worst-case LP's pricing and cost updates as they were before they skipped
+what cannot change: every row sorted, every cost sent to HiGHS."""
 
 import math
 from types import SimpleNamespace
@@ -22,7 +24,7 @@ from drulearn.model import (
     pair_costs,
 )
 from drulearn.oracle import BUDGET_SLACK, OPTIMAL, solve_worst_case_lp
-from drulearn.simplex import INFEASIBLE, solve_lp
+from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp
 
 
 def transport_cost(x1, y1, x2, y2, cost):
@@ -240,3 +242,50 @@ def on_layout(kernel):
 def bits(array):
     """The bytes of a float array, so that +0.0 and -0.0 differ."""
     return np.asarray(array, dtype=float).tobytes()
+
+
+def full_row_entering(reduced):
+    """`oracle._entering_columns` before its row filter: every row of the
+    reduced-cost matrix is stable-argsorted, whether or not it holds an
+    entry above `oracle.PRICING_TOL`."""
+    best = np.argsort(-reduced, axis=1, kind="stable")[:, : oracle.COLUMNS_PER_POINT]
+    entering = np.take_along_axis(reduced, best, axis=1) > oracle.PRICING_TOL
+    points = np.nonzero(entering)[0]
+    return np.sort(points * reduced.shape[1] + best[entering])
+
+
+class AllCostsModel(HighsModel):
+    """`simplex.HighsModel` whose `set_costs` sends HiGHS every column's
+    cost, changed or not, as it did before it sent only the changed ones."""
+
+    def set_costs(self, costs):
+        count = self._highs.getNumCol()
+        self._highs.changeColsCost(
+            count, np.arange(count, dtype=np.int32), np.asarray(costs, dtype=float)
+        )
+
+
+def payoff_solve_bits(model, result):
+    """The bytes of one `oracle.PayoffLp.solve`: status, the columns its
+    model holds afterwards, value, masses and multipliers."""
+    if result.multipliers is None:
+        return result.status, model.n_columns
+    multipliers = result.multipliers
+    return (
+        result.status,
+        model.n_columns,
+        bits(result.value),
+        bits(result.support_mass),
+        bits(multipliers.transport_mult),
+        bits(multipliers.atom_potentials),
+        bits(multipliers.label_upper_mult),
+        bits(multipliers.label_lower_mult),
+    )
+
+
+def model_solve_bits(result):
+    """The bytes of one `simplex.ModelResult`: status, x, row duals and
+    simplex iterations."""
+    if result.x is None:
+        return result.status, result.iterations
+    return result.status, bits(result.x), bits(result.row_duals), result.iterations

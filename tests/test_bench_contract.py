@@ -9,9 +9,16 @@ import inspect
 import sys
 from pathlib import Path
 
-from drulearn import active, bounds, cli, oracle
+from drulearn import active, bounds, cli, oracle, simplex
 from drulearn.config import parse_config_text
-from reference import flat_smoothed_bound, on_layout
+from reference import (
+    AllCostsModel,
+    flat_smoothed_bound,
+    full_row_entering,
+    model_solve_bits,
+    on_layout,
+    payoff_solve_bits,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -102,4 +109,55 @@ def test_bound_workloads_certify_bitwise_as_under_the_flat_reference_kernel(
             outputs = [(tmp_path / output).read_bytes() for output in workload.outputs]
             runs.append((len(calls), outputs))
         assert runs[0][0] > 0, name
+        assert runs[0] == runs[1], name
+
+
+def test_payoff_workloads_solve_as_under_every_row_sorted_and_every_cost_sent(
+    tmp_path, monkeypatch
+):
+    # the worst-case LPs of the workloads that solve them sort only the
+    # pricing rows that can enter and send HiGHS only the changed costs;
+    # replayed with every row sorted (`full_row_entering`) and every cost
+    # sent (`AllCostsModel`), each round must enter the same columns, each
+    # solve give the same bits and pivots, and each run the same outputs
+    workloads = load_bench_module("workloads").WORKLOADS
+    monkeypatch.chdir(tmp_path)
+    solve, model_solve = oracle.PayoffLp.solve, simplex.HighsModel.solve
+    for name in ("bound_strong", "bound_weak", "active_dr"):
+        workload = workloads[name]
+        (tmp_path / f"{name}.cfg").write_text(workload.config_text())
+        runs = []
+        for entering, model_class in (
+            (oracle._entering_columns, simplex.HighsModel),
+            (full_row_entering, AllCostsModel),
+        ):
+            rounds, solves, model_solves = [], [], []
+            # solve the kept transport couplings again, as the first run did
+            oracle._solve_coupling.cache_clear()
+
+            def priced(reduced, entering=entering, rounds=rounds):
+                columns = entering(reduced)
+                rounds.append(columns.tolist())
+                return columns
+
+            def recorded(model, payoff, solves=solves):
+                result = solve(model, payoff)
+                solves.append(payoff_solve_bits(model, result))
+                return result
+
+            def model_recorded(model, model_solves=model_solves):
+                result = model_solve(model)
+                model_solves.append(model_solve_bits(result))
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_entering_columns", priced)
+                patch.setattr(oracle, "HighsModel", model_class)
+                patch.setattr(oracle.PayoffLp, "solve", recorded)
+                patch.setattr(simplex.HighsModel, "solve", model_recorded)
+                assert cli.main([workload.subcommand, "--config", f"{name}.cfg"]) == 0
+            outputs = [(tmp_path / output).read_bytes() for output in workload.outputs]
+            runs.append((rounds, solves, model_solves, outputs))
+        assert any(runs[0][0]), name
+        assert len(runs[0][1]) > 1, name
         assert runs[0] == runs[1], name

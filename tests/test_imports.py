@@ -286,3 +286,15 @@ def test_loading_kernels_after_the_packages_reuses_their_modules(tmp_path):
     }
     assert report["entries_kept"] is True
     assert report["loaded"] == []
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # `np.median` imports `numpy.ma` for its NaN check; `model.median`
+    # takes its place, so no subcommand loads it
+    report = run_script(
+        f"SUBCOMMANDS = {SUBCOMMANDS!r}\nPACKAGES = ('numpy.ma',)\n"
+        f"{RUN_EVERY_SUBCOMMAND}",
+        tmp_path,
+    )
+    assert report["codes"] == {command: 0 for command in SUBCOMMANDS}
+    assert report["imported_before"] == []

@@ -17,6 +17,7 @@ from drulearn.model import (
     logistic_loss,
     logistic_predict,
     loss_grad_theta,
+    median,
 )
 from reference import transport_cost
 
@@ -183,6 +184,41 @@ class TestConfidence:
                 confidence(-theta, x), abs=1e-15
             )
             assert 0.5 <= confidence(theta, x) <= 1.0
+
+
+class TestMedian:
+    """`model.median` is `np.median` bit for bit, without `numpy.ma`."""
+
+    def test_equals_np_median_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        levels = np.array(
+            [-0.0, 0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e308, -1e308, 1.7e308,
+             np.inf, -np.inf]
+        )
+        samples = [
+            [-0.0], [0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+            [1e308, 1.7e308], [-1.7e308, -1e308], [np.inf, -np.inf],
+            [2.0, 2.0, 3.0, 3.0], [np.nan], [1.0, np.nan, 2.0],
+            [-np.nan, 1.0], [np.nan, -np.nan, 0.0, 4.0],
+        ]
+        for size in range(1, 14):
+            for _ in range(60):
+                samples.append(rng.choice(levels, size=size))
+                samples.append(rng.normal(size=size))
+                samples.append(rng.integers(0, 3, size=size).astype(float))
+        samples.append(rng.choice(levels, size=1001))
+        samples.append(rng.normal(size=1000))
+        for sample in samples:
+            sample = np.asarray(sample, dtype=float)
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = np.asarray(np.median(sample), dtype=float)
+            got = median(sample)
+            assert isinstance(got, float)
+            assert np.asarray(got).tobytes() == expected.tobytes(), sample
+
+    def test_an_empty_sample_is_rejected(self):
+        with pytest.raises(ValueError):
+            median([])
 
 
 class TestDatasets:

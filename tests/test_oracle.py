@@ -34,7 +34,9 @@ from drulearn.oracle import (
 from reference import (
     feasible_distributions,
     full_lp_reference,
+    full_row_entering,
     min_feasible_radius_bisect,
+    payoff_solve_bits,
     transport_cost,
 )
 
@@ -498,6 +500,65 @@ class TestPayoffLp:
         result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
         assert result.status == "infeasible"
         assert model.n_columns == seeded
+
+
+class TestPricing:
+    """`PayoffLp`'s pricing sorts only the rows that hold a reduced cost
+    above `PRICING_TOL`; `reference.full_row_entering` sorts every row."""
+
+    def test_enters_what_the_full_row_sort_enters_on_ties_and_active_rows(self):
+        # few distinct levels make ties within and across rows; fully
+        # active rows (every entry -inf) and entries at the tolerance itself
+        # enter nothing
+        rng = make_rng(60)
+        levels = np.array(
+            [-np.inf, -1.0, 0.0, oracle.PRICING_TOL, 2 * oracle.PRICING_TOL, 0.5, 1.0]
+        )
+        entered = 0
+        for _ in range(300):
+            m, width = rng.integers(1, 12), rng.integers(1, 16)
+            reduced = rng.choice(levels, size=(m, width))
+            reduced[rng.random(m) < 0.3] = -np.inf
+            columns = oracle._entering_columns(reduced)
+            expected = full_row_entering(reduced)
+            assert columns.dtype == expected.dtype
+            assert columns.tolist() == expected.tolist()
+            entered += columns.size > 0
+        assert 0 < entered < 300
+
+    def test_solves_are_the_full_row_sorts_bit_for_bit_on_tied_instances(
+        self, monkeypatch
+    ):
+        # repeated support points and atoms on an integer grid tie reduced
+        # costs across rows and columns; both pricings must enter the same
+        # columns in every round and give the same bits
+        rng = make_rng(61)
+        points = rng.integers(-2, 3, size=(10, 2)).astype(float)
+        support = np.repeat(points, 3, axis=0)
+        data = LabeledDataset(points[rng.integers(0, 10, size=8)], np.arange(8) % 2)
+        prior = LabelPrior(lower=np.array([0.2, 0.2]), upper=np.array([0.8, 0.8]))
+        eps = min_feasible_radius(data, support, prior, COST) + 0.5
+        thetas = [np.zeros(2)] + [rng.integers(-2, 3, size=2) for _ in range(5)]
+        payoffs = [both_class_losses(theta, support) for theta in thetas]
+        payoffs.append(np.zeros_like(payoffs[0]))
+        runs = []
+        for entering in (oracle._entering_columns, full_row_entering):
+            rounds = []
+
+            def priced(reduced, entering=entering, rounds=rounds):
+                columns = entering(reduced)
+                rounds.append(columns.tolist())
+                return columns
+
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_entering_columns", priced)
+                model = PayoffLp(support, data, prior, eps, COST)
+                solves = [
+                    payoff_solve_bits(model, model.solve(payoff)) for payoff in payoffs
+                ]
+            runs.append((rounds, solves))
+        assert any(runs[0][0])
+        assert runs[0] == runs[1]
 
 
 def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):

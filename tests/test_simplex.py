@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from drulearn import simplex
+from drulearn import oracle, simplex
+from drulearn.active import score_dr
+from drulearn.bounds import make_prior
+from drulearn.dual import cutset_solve
+from drulearn.model import LabeledDataset, TransportCost, UnlabeledDataset
 from drulearn.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -19,6 +23,7 @@ from drulearn.simplex import (
     solve_lp,
     solve_transportation,
 )
+from reference import AllCostsModel, model_solve_bits
 
 
 def scipy_reference(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -256,6 +261,118 @@ class TestHighsModel:
             assert first.iterations == second.iterations
             np.testing.assert_array_equal(first.x, second.x)
             np.testing.assert_array_equal(first.row_duals, second.row_duals)
+
+
+class CostsSent:
+    """Stands in for a model's HiGHS instance and records the column
+    indices of every `changeColsCost` call before passing it on."""
+
+    def __init__(self, highs):
+        self._highs = highs
+        self.sent = []
+
+    def changeColsCost(self, count, indices, costs):
+        self.sent.append(np.asarray(indices).tolist())
+        return self._highs.changeColsCost(count, indices, costs)
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+class TestSetCosts:
+    """`HighsModel.set_costs` sends HiGHS only the costs whose bits changed;
+    `reference.AllCostsModel` sends every cost.  Both must solve alike."""
+
+    def _solves(self, monkeypatch, model_class, run):
+        """`model_solve_bits` of every model solve `run()` makes, with
+        `oracle`'s models built as `model_class`."""
+        solves = []
+        solve = HighsModel.solve
+
+        def recorded(model):
+            result = solve(model)
+            solves.append(model_solve_bits(result))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "HighsModel", model_class)
+            patch.setattr(HighsModel, "solve", recorded)
+            run()
+        return solves
+
+    def _instance(self, seed):
+        rng = np.random.default_rng(seed)
+        data = LabeledDataset(rng.normal(size=(10, 3)), np.arange(10) % 2)
+        unlabeled = UnlabeledDataset(rng.normal(size=(36, 3)))
+        prior = make_prior(data, mode="weak")
+        eps = oracle.min_feasible_radius(
+            data, unlabeled.features, prior, TransportCost()
+        ) + 0.2
+        return data, unlabeled, prior, eps
+
+    def test_a_cut_set_run_solves_as_when_every_cost_is_sent(self, monkeypatch):
+        data, unlabeled, prior, eps = self._instance(70)
+        runs = [
+            self._solves(
+                monkeypatch,
+                model_class,
+                lambda: cutset_solve(data, unlabeled, prior, TransportCost(), eps),
+            )
+            for model_class in (HighsModel, AllCostsModel)
+        ]
+        assert len(runs[0]) > 3
+        assert sum(solve[-1] for solve in runs[0]) > 0
+        assert runs[0] == runs[1]
+
+    def test_score_dr_candidates_solve_as_when_every_cost_is_sent(self, monkeypatch):
+        data, unlabeled, prior, eps = self._instance(71)
+        theta = np.array([0.8, -0.5, 0.3])
+
+        def run():
+            model = oracle.PayoffLp(
+                unlabeled.features, data, prior, eps, TransportCost()
+            )
+            for target in (0, 5, 3, 17, 35, 5):
+                score_dr(model, unlabeled.features, target, theta)
+
+        runs = [
+            self._solves(monkeypatch, model_class, run)
+            for model_class in (HighsModel, AllCostsModel)
+        ]
+        assert len(runs[0]) >= 6
+        assert runs[0] == runs[1]
+
+    def test_only_changed_bits_are_sent_and_a_zero_changing_sign_is(self):
+        # a 2 x 2 transport LP: costs that flip between +0.0 and -0.0 are
+        # sent, costs whose bits repeat are not, and every solve matches a
+        # model sent every cost
+        rhs = np.full(4, 0.5)
+        rows = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
+        steps = [
+            [1.0, 0.0, 0.0, 2.0],
+            [1.0, -0.0, 0.0, 2.0],
+            [1.0, -0.0, 0.0, 2.0],
+            [0.5, 0.0, -0.0, 2.0],
+        ]
+        runs = []
+        for model_class in (HighsModel, AllCostsModel):
+            model = model_class(rhs, rhs)
+            model.add_columns(np.zeros(4), 2 * np.arange(4), rows.ravel(), np.ones(8))
+            model._highs = CostsSent(model._highs)
+            solves = [model_solve_bits(model.solve())]
+            for costs in steps:
+                model.set_costs(costs)
+                solves.append(model_solve_bits(model.solve()))
+            runs.append(solves)
+            if model_class is HighsModel:
+                assert model._highs.sent == [[0, 3], [1], [], [0, 1, 2]]
+        assert runs[0] == runs[1]
+
+    def test_a_cost_vector_of_another_length_is_rejected(self):
+        model = HighsModel([1.0], [1.0])
+        model.add_columns([1.0, 2.0], [0, 1], [0, 0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            model.set_costs([1.0])
 
 
 class TestTransportation:
