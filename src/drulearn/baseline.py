@@ -1,12 +1,13 @@
 """Plain Wasserstein distributionally-robust logistic regression.
 
 The decision set here is a transport ball around the labeled sample with no
-unlabeled-marginal constraint, so the worst case has a closed form: a
-one-dimensional convex minimization over the transport-price multiplier.
-Training against it is a small convex program in (theta, price), solved
-exactly by one SLSQP call. This module evaluates that worst case, trains
-against it, and sweeps how the worst case degrades as the ball grows beyond
-the training radius.
+unlabeled-marginal constraint, so the worst case has a closed form: a convex,
+piecewise-linear minimization over the transport-price multiplier, whose
+smallest minimizer is a breakpoint or its lower limit, found exactly by one
+partial sort. Training against it is a small convex program in (theta,
+price), solved exactly by one SLSQP call. This module evaluates that worst
+case, trains against it, and sweeps how the worst case degrades as the ball
+grows beyond the training radius.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .kernels import expit, slsqp
 from .model import LabeledDataset, TransportCost, both_class_losses
 
-ALPHA_TOL = 1e-9
 # SLSQP's absolute objective tolerance; the objective lies in [0, log 2].
 FIT_TOL = 1e-9
 FIT_MAX_ITER = 1000
@@ -45,7 +45,7 @@ class BaselineResult:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        if self.alpha < feature_norm(self.theta) - ALPHA_TOL:
+        if self.alpha < feature_norm(self.theta):
             raise ValueError(
                 "alpha must be at least the non-intercept norm of theta"
             )
@@ -64,39 +64,29 @@ def _price_objective(alpha, eps, keep, flip, kappa):
     return alpha * eps + float(np.maximum(keep, flip - alpha * kappa).mean())
 
 
-def _right_subderivative(alpha, eps, keep, flip, kappa):
-    # each flipped branch contributes -kappa while it strictly dominates;
-    # at a tie the branch is about to leave, so the right derivative drops it
-    active = flip - alpha * kappa > keep
-    return eps - kappa * float(active.mean())
-
-
 def worst_case_price(theta, data: LabeledDataset, eps: float, cost: TransportCost):
-    """Minimize the worst-case objective over the transport price.
+    """Minimize the worst-case objective over the transport price, exactly.
 
-    Bisects on the nondecreasing right subderivative over prices at least the
-    non-intercept norm of theta; returns the minimizing price and its value.
+    ``f(alpha) = alpha * eps + mean_i max(keep_i, flip_i - alpha * kappa)`` is
+    convex and piecewise linear over prices at least the non-intercept norm
+    of theta, with breakpoints ``b_i = (flip_i - keep_i) / kappa``, and its
+    right slope is ``eps - kappa * #{i : b_i > alpha} / n``. With k the most
+    breakpoints a nonnegative slope allows above the price, the smallest
+    minimizer is the larger of that norm and the (k + 1)-th largest
+    breakpoint, found by one partial sort. Returns that price and its value.
     """
+    if not eps >= 0:
+        raise ValueError("eps must be nonnegative")
     kappa = cost.label_flip_cost
     keep, flip = _branch_losses(theta, data)
-    lo = feature_norm(theta)
-    if _right_subderivative(lo, eps, keep, flip, kappa) >= 0:
-        return lo, _price_objective(lo, eps, keep, flip, kappa)
-    gap = max(float((flip - keep).max()), 0.0)
-    hi = lo + 10.0 * gap / kappa + 1.0
-    while _right_subderivative(hi, eps, keep, flip, kappa) < 0:
-        hi = lo + 2.0 * (hi - lo)
-    while hi - lo > ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        if _right_subderivative(mid, eps, keep, flip, kappa) < 0:
-            lo = mid
-        else:
-            hi = mid
-    at_lo = _price_objective(lo, eps, keep, flip, kappa)
-    at_hi = _price_objective(hi, eps, keep, flip, kappa)
-    if at_lo <= at_hi:
-        return lo, at_lo
-    return hi, at_hi
+    n = data.n
+    # k is n whenever kappa = 0, so no breakpoint divides by it
+    k = int(np.count_nonzero(eps - kappa * (np.arange(n + 1) / n) >= 0)) - 1
+    price = feature_norm(theta)
+    if k < n:
+        breaks = np.partition((flip - keep) / kappa, n - 1 - k)
+        price = max(price, float(breaks[n - 1 - k]))
+    return price, _price_objective(price, eps, keep, flip, kappa)
 
 
 def baseline_worst_case(
@@ -104,12 +94,12 @@ def baseline_worst_case(
 ) -> float:
     """Exact worst-case average loss over the labeled-sample transport ball.
 
-    Minimizes ``alpha * eps + mean_i max(keep_i, flip_i - alpha * kappa)``
-    over transport prices ``alpha`` at least the non-intercept norm of theta.
-    Exact for data whose final feature coordinate is the constant intercept.
+    The value of ``alpha * eps + mean_i max(keep_i, flip_i - alpha * kappa)``
+    at its minimizing transport price ``alpha``, which `worst_case_price`
+    finds in closed form over prices at least the non-intercept norm of
+    theta. Exact for data whose final feature coordinate is the constant
+    intercept.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     return worst_case_price(theta, data, eps, cost)[1]
 
 
@@ -124,7 +114,7 @@ def baseline_train(
     ``alpha**2 >= |theta_features|**2``, with SLSQP and analytic Jacobians
     (Shafieezadeh-Abadeh, Mohajerin Esfahani & Kuhn, NeurIPS 2015). The
     returned price and value are re-derived exactly for the solver's theta by
-    the one-dimensional minimization, so the reported worst case is exact
+    `worst_case_price`'s closed form, so the reported worst case is exact
     whatever the solver did, and it is never above the no-confidence model
     theta = 0, which prices at log 2 for every radius. Raises RuntimeError
     if SLSQP reports failure.

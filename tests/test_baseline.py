@@ -17,6 +17,7 @@ from drulearn.baseline import (
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
+    both_class_losses,
     confidence,
     logistic_loss,
     make_rng,
@@ -42,6 +43,19 @@ def random_biased_instance(rng, n=5, dim=2):
 
 def empirical_loss(theta, data):
     return float(np.mean(logistic_loss(theta, data.features, data.labels)))
+
+
+def restarted_nelder_mead(objective, start):
+    """Least value Nelder-Mead reaches, restarted from its own stopping point
+    while that still improves: one run can stall on a kink of the piecewise
+    smooth worst case, with the objective still falling along a line."""
+    options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20000, "maxfev": 20000}
+    best = minimize(objective, start, method="Nelder-Mead", options=options)
+    while True:
+        again = minimize(objective, best.x, method="Nelder-Mead", options=options)
+        if again.fun >= best.fun:
+            return best.fun
+        best = again
 
 
 class TestFeatureNorm:
@@ -169,6 +183,81 @@ class TestWorstCasePrice:
         assert price == 0.0
         assert value == LOG2
 
+    def test_is_the_smallest_minimizer_by_enumeration(self):
+        # the objective is convex and piecewise linear in the price, so its
+        # minimum over prices >= the feature norm is attained at the norm or
+        # at a breakpoint (flip_i - keep_i) / kappa above it; the smallest
+        # minimizer is where the right slope eps - kappa * #{b > price} / n
+        # is nonnegative while the slope just left of it is negative
+        rng = make_rng(6)
+        reached = set()
+        for _ in range(1200):
+            n, dim = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+            features = rng.normal(size=(n, dim))
+            labels = rng.integers(0, 2, size=n)
+            if rng.uniform() < 0.3:
+                # repeated rows tie their breakpoints
+                copies = rng.integers(0, n, size=n)
+                features, labels = features[copies], labels[copies]
+            data = LabeledDataset(with_bias(features), labels)
+            theta = rng.normal(size=dim + 1) * float(rng.uniform() > 0.15)
+            kappa = float(rng.choice([0.0, 0.5, 2.0]))
+            draw = int(rng.integers(0, 4))
+            if draw == 0:
+                eps = kappa * (int(rng.integers(0, n + 1)) / n)
+            elif draw == 1:
+                eps = kappa + float(rng.uniform(0.0, 1.0))
+            else:
+                eps = float(rng.uniform(0.0, max(kappa, 0.5)))
+            cost = TransportCost(label_flip_cost=kappa)
+            price, value = worst_case_price(theta, data, eps, cost)
+
+            losses = both_class_losses(theta, data.features)
+            keep = losses[np.arange(n), labels]
+            flip = losses[np.arange(n), 1 - labels]
+
+            def objective(alpha):
+                return alpha * eps + float(
+                    np.maximum(keep, flip - alpha * kappa).mean()
+                )
+
+            lo = feature_norm(theta)
+            assert price >= lo
+            # k: the most breakpoints that may lie above a minimizer
+            k = -1
+            while k < n and eps - kappa * ((k + 1) / n) >= 0:
+                k += 1
+            if kappa == 0.0:
+                assert price == lo and value == objective(lo)
+                reached.add("kappa = 0")
+                continue
+            breaks = (flip - keep) / kappa
+            candidates = [lo] + [b for b in breaks if b >= lo]
+            assert value <= min(objective(a) for a in candidates) + 4e-15
+            assert price == lo or price in breaks
+            assert np.count_nonzero(breaks > price) <= k
+            assert price == lo or np.count_nonzero(breaks >= price) > k
+            if price > lo:
+                reached.add(f"breakpoint, kappa = {kappa}")
+                if np.count_nonzero(breaks == price) > 1:
+                    reached.add("tied breakpoint")
+                if draw == 0:
+                    reached.add("eps = kappa * c / n")
+            if k >= n:
+                reached.add(f"k >= n, kappa = {kappa}")
+            if not theta.any():
+                reached.add("theta = 0")
+        assert reached == {
+            "kappa = 0",
+            "breakpoint, kappa = 0.5",
+            "breakpoint, kappa = 2.0",
+            "tied breakpoint",
+            "eps = kappa * c / n",
+            "k >= n, kappa = 0.5",
+            "k >= n, kappa = 2.0",
+            "theta = 0",
+        }
+
 
 class TestBaselineResult:
     def test_rejects_a_price_below_the_feature_norm(self):
@@ -262,20 +351,7 @@ class TestBaselineTrain:
                 return baseline_worst_case(theta, data, eps, COST)
 
             starts = [np.zeros(dim + 1)] + list(rng.normal(size=(3, dim + 1)))
-            best = min(
-                minimize(
-                    objective,
-                    start,
-                    method="Nelder-Mead",
-                    options={
-                        "xatol": 1e-10,
-                        "fatol": 1e-13,
-                        "maxiter": 20000,
-                        "maxfev": 20000,
-                    },
-                ).fun
-                for start in starts
-            )
+            best = min(restarted_nelder_mead(objective, start) for start in starts)
             assert result.worst_case_value == pytest.approx(best, abs=1e-7)
 
     def test_separable_data_at_zero_radius_returns_a_finite_fit(self):
