@@ -62,7 +62,7 @@ class StrategyConfig:
             raise ValueError("delta_margin must be positive")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ActiveState:
     """Labeled set, the remaining pool with its held-back labels, and history."""
 

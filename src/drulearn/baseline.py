@@ -35,7 +35,7 @@ def feature_norm(theta) -> float:
     return float(np.linalg.norm(theta[:-1]))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BaselineResult:
     """Trained robust model: parameters, transport price, worst-case value."""
 

@@ -94,7 +94,7 @@ BOUND_FIELDS = (
 # Instance assembly
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Instance:
     """Everything one run needs: the split, the prior, and the geometry."""
 

@@ -23,7 +23,7 @@ class TableError(ValueError):
     """Raised when an input table cannot be ingested as requested."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class RawTable:
     """Numeric feature matrix with named columns and a binary label vector."""
 
@@ -126,7 +126,7 @@ def load_csv(path, label_column: str, positive_class_token: str) -> RawTable:
     return RawTable(tuple(feature_names), features, labels, label_column)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class StandardizeTransform:
     """Fitted preprocessing: per-feature centering/scaling, then a global scale."""
 

@@ -84,7 +84,7 @@ class InfeasibleRadiusError(RuntimeError):
     """The decision set is empty: the dual is unbounded below."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualState:
     """One point of the dual feasible set.
 
@@ -178,7 +178,7 @@ class SolverConfig:
             raise ValueError("convergence_tol must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of one stochastic dual solve.
 
@@ -429,7 +429,7 @@ def sgd_solve(
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutSetResult:
     """Outcome of one cutting-set training run.
 
@@ -577,7 +577,7 @@ def cutset_solve(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualityGapReport:
     """Primal-versus-dual comparison at one fixed classifier.
 

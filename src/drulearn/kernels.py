@@ -211,7 +211,7 @@ def lbfgsb(fun, x0, lower, args, maxiter, ftol, gtol):
             return x, evaluations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlsqpResult:
     """Final x, exit mode and iteration count of one SLSQP run, as
     `minimize` reports them in `.x`, `.status` and `.nit`."""

@@ -186,7 +186,7 @@ class CellLayout:
         return flat
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
     """Empirical labeled sample with implied uniform weights 1/n.
 
@@ -218,7 +218,7 @@ class LabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class UnlabeledDataset:
     """Empirical distribution over features only."""
 
@@ -240,7 +240,7 @@ class UnlabeledDataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Finitely supported distribution over labeled points."""
 
@@ -281,7 +281,7 @@ class DiscreteDistribution:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelPrior:
     """Per-class probability intervals [lower_k, upper_k] for the label marginal.
 

@@ -66,7 +66,7 @@ PRICING_TOL = 1e-9
 COUPLINGS_KEPT = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformCoupling:
     """Optimal transport from the uniform support to the uniform labeled atoms.
 
@@ -117,7 +117,7 @@ def uniform_coupling(data: LabeledDataset, support) -> UniformCoupling:
     return _solve_coupling(_points_key(support), _points_key(data.features))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpMultipliers:
     """Optimal duals of a worst-case LP.
 
@@ -132,7 +132,7 @@ class LpMultipliers:
     label_lower_mult: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorstCaseLpResult:
     """Outcome of a worst-case LP solve; value, masses and multipliers exist
     iff optimal.  `support_mass[j, k]` is the maximizing distribution's mass

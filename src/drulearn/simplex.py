@@ -69,7 +69,7 @@ _STATUSES = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 FEASIBILITY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class LpResult:
     """Status, solution and value of one LP.
 
@@ -89,7 +89,7 @@ class PivotLimitError(RuntimeError):
     """Raised when HiGHS stops without a verdict (iteration limit, numerical trouble)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelResult:
     """Status, solution, row duals and simplex iterations of one model solve.
 

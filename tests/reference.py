@@ -6,7 +6,9 @@ bisection on that LP's feasibility, vertices of the decision set from the
 full mass LP by `linprog`, the certificate kernel before
 `model.CellLayout`, which the layout kernel matches bit for bit, and the
 worst-case LP's pricing and cost updates as they were before they skipped
-what cannot change: every row sorted, every cost sent to HiGHS."""
+what cannot change: every row sorted, every cost sent to HiGHS, and the
+certificate search's six-stage smoothing schedule before it stopped after
+its three coarse stages."""
 
 import math
 from types import SimpleNamespace
@@ -25,6 +27,10 @@ from drulearn.model import (
 )
 from drulearn.oracle import BUDGET_SLACK, OPTIMAL, solve_worst_case_lp
 from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp
+
+# `bounds.SMOOTHING_SCHEDULE` before its three fine stages were dropped: they
+# lower the search half's certificate further, but not the held-out half's
+SIX_STAGE_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4)
 
 
 def transport_cost(x1, y1, x2, y2, cost):

@@ -63,6 +63,7 @@ from drulearn.oracle import (
     solve_worst_case_lp,
 )
 from reference import (
+    SIX_STAGE_SCHEDULE,
     feasible_distributions,
     full_lp_reference,
     min_feasible_radius_bisect,
@@ -210,7 +211,7 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
             for _ in range(2)
         )
         eps = float(rng.uniform(0.0, 2.0))
-        tau = SMOOTHING_SCHEDULE[index % len(SMOOTHING_SCHEDULE)]
+        tau = SIX_STAGE_SCHEDULE[index % len(SIX_STAGE_SCHEDULE)]
         args = (layout, prior, eps, 0.0, tau)
         value, grad = _smoothed_bound(first, *args)
         lhs = _smoothed_bound(second, *args)[0]

@@ -64,7 +64,13 @@ from drulearn.oracle import (
     min_feasible_radius,
 )
 
-from reference import bits, feasible_distributions, flat_smoothed_bound, on_layout
+from reference import (
+    SIX_STAGE_SCHEDULE,
+    bits,
+    feasible_distributions,
+    flat_smoothed_bound,
+    on_layout,
+)
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -428,7 +434,7 @@ def floor_instances():
     )
     rng = make_rng(32)
     for index in range(60):
-        tau = SMOOTHING_SCHEDULE[index % len(SMOOTHING_SCHEDULE)]
+        tau = SIX_STAGE_SCHEDULE[index % len(SIX_STAGE_SCHEDULE)]
         data, unlabeled, prior = random_instance(
             rng, offsets.size, int(rng.integers(2, 12)), 3
         )
@@ -452,7 +458,7 @@ class TestSmoothedBound:
             smoothed_instances()
         ):
             layout = CellLayout(table, pair)
-            for tau in SMOOTHING_SCHEDULE:
+            for tau in SIX_STAGE_SCHEDULE:
                 for z_score in (0.0, DEFAULT_Z_SCORE):
                     args = (prior, eps, z_score, tau)
                     value, grad = bounds._smoothed_bound(params, layout, *args)
@@ -476,7 +482,7 @@ class TestSmoothedBound:
         # order, so value and gradient are the same doubles
         for index, _, params, table, pair, data, prior, eps in smoothed_instances():
             layout = CellLayout(table, pair)
-            for tau in SMOOTHING_SCHEDULE:
+            for tau in SIX_STAGE_SCHEDULE:
                 for z_score in (0.0, DEFAULT_Z_SCORE):
                     args = (prior, eps, z_score, tau)
                     value, grad = bounds._smoothed_bound(params, layout, *args)
@@ -683,6 +689,29 @@ class TestCertify:
                     assert bits(getattr(point, field.name)) == bits(
                         getattr(reference, field.name)
                     ), f"seed {seed}, {field.name}"
+
+    def test_three_stages_certify_no_looser_on_average_than_six(self, monkeypatch):
+        # the fine stages fit the search half's noise: on the held-out half,
+        # which the reported certificate reads, the three-stage schedule is
+        # at least as tight on average over these instances as the six-stage
+        # one (6.7e-4 lower: 15 instances tighter, 5 looser, 4 equal)
+        instances = [trained_instance(seed) for seed in range(1, 25)]
+
+        def mean_certificate():
+            return np.mean(
+                [
+                    corrected(
+                        certify(result.state, data, unlabeled, prior, eps, COST)
+                    )
+                    for data, unlabeled, prior, eps, result in instances
+                ]
+            )
+
+        three = mean_certificate()
+        monkeypatch.setattr(bounds, "SMOOTHING_SCHEDULE", SIX_STAGE_SCHEDULE)
+        six = mean_certificate()
+        assert SMOOTHING_SCHEDULE == SIX_STAGE_SCHEDULE[:3]
+        assert three <= six
 
     def test_each_half_needs_two_points_for_a_correction(self):
         data, unlabeled, prior, eps, result = trained_instance(3)
