@@ -98,18 +98,15 @@ class PerformanceBound:
     neg_log_bound: float
     correction: float
     likelihood_bound: float
-    n_unlabeled: int
 
     def __post_init__(self):
         if self.correction < 0:
             raise ValueError("correction must be nonnegative")
         if not 0.0 < self.likelihood_bound <= 1.0:
             raise ValueError("likelihood_bound must lie in (0, 1]")
-        if self.n_unlabeled < 1:
-            raise ValueError("n_unlabeled must be positive")
 
     @staticmethod
-    def from_terms(neg_log_bound, correction, n_unlabeled) -> "PerformanceBound":
+    def from_terms(neg_log_bound, correction) -> "PerformanceBound":
         """The bound whose likelihood is exp(-(neg_log_bound + correction))."""
         likelihood = float(
             np.clip(
@@ -120,7 +117,6 @@ class PerformanceBound:
             neg_log_bound=neg_log_bound,
             correction=correction,
             likelihood_bound=likelihood,
-            n_unlabeled=n_unlabeled,
         )
 
     @property
@@ -131,27 +127,18 @@ class PerformanceBound:
 
 @dataclasses.dataclass(frozen=True)
 class RadiusSelection:
-    """Radius-selection policy settings, plus the chosen radius once selected.
-
-    ``eps`` is ``None`` until :func:`select_radius` fills it in; the returned
-    copy also carries ``fallback_warning`` when the confidence-screening policy
-    had to fall back to its smallest candidate radius.
-    """
+    """Radius-selection policy settings; :func:`select_radius` runs them."""
 
     policy: str
-    eps: float | None = None
     delta_margin: float = 1e-3
     confidence_threshold: float = 0.7
     fraction: float = 1.0
     grid_points: int = 20
     grid_span: float = 10.0
-    fallback_warning: bool = False
 
     def __post_init__(self):
         if self.policy not in RADIUS_POLICIES:
             raise ValueError(f"unknown radius policy {self.policy!r}")
-        if self.eps is not None and self.eps < 0:
-            raise ValueError("eps must be nonnegative")
         if self.delta_margin <= 0:
             raise ValueError("delta_margin must be positive")
         if not 0.0 < self.confidence_threshold < 1.0:
@@ -208,13 +195,12 @@ def performance_bound(
 
 
 def _certificate_terms(state, layout, prior, eps, z_score):
-    """`performance_bound`'s negative-log bound, correction and sample size
-    at `state`, priced on `layout`, which holds the losses at
-    `state.theta`."""
+    """`performance_bound`'s negative-log bound and correction at `state`,
+    priced on `layout`, which holds the losses at `state.theta`."""
     values = layout_max_values(state, layout)
     neg_log = objective_of_values(state, values, prior, eps)
     correction = normal_correction(values, z_score)
-    return neg_log, correction, int(values.size)
+    return neg_log, correction
 
 
 def _smoothed_bound(params, layout, prior, eps, z_score, tau):
@@ -325,7 +311,7 @@ def search_multipliers(
     certificates = [
         _certificate_terms(point, layout, prior, eps, z_score) for point in points
     ]
-    return points[int(np.argmin([neg_log + corr for neg_log, corr, _ in certificates]))]
+    return points[int(np.argmin([neg_log + corr for neg_log, corr in certificates]))]
 
 
 def held_out_halves(unlabeled: UnlabeledDataset):
@@ -372,7 +358,7 @@ def certify(
     check = performance_bound(point, data, held_out, prior, eps, cost, z_score)
     neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
     excess = max(check.neg_log_bound + check.correction - neg_log, 0.0)
-    return PerformanceBound.from_terms(neg_log, excess, unlabeled.n)
+    return PerformanceBound.from_terms(neg_log, excess)
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95):
@@ -460,16 +446,16 @@ def select_radius(
     prior: LabelPrior,
     cost: TransportCost,
     full: DiscreteDistribution | None = None,
-) -> RadiusSelection:
+) -> tuple[float, bool]:
     """Choose the ambiguity radius according to the selection policy.
 
-    Returns a completed copy of ``selection`` with ``eps`` filled in and
-    ``fallback_warning`` set when the confidence-screening policy found no
-    candidate radius meeting its threshold.  ``full`` is the reference
+    Returns ``(eps, fell_back)``; ``fell_back`` is true when the
+    confidence-screening policy found no candidate radius meeting its
+    threshold and took its smallest one.  ``full`` is the reference
     distribution the distance-fraction policy measures the labeled sample
     against.
     """
-    warned = False
+    fell_back = False
     if selection.policy == MIN_RADIUS_PLUS_DELTA:
         eps = (
             prior_feasible_radius(data, unlabeled, prior, cost)
@@ -491,7 +477,7 @@ def select_radius(
                 break
         if eps is None:
             eps = float(grid[0])
-            warned = True
+            fell_back = True
     elif selection.policy == FRACTION_OF_TRUE_DISTANCE:
         if full is None:
             raise ValueError(
@@ -502,6 +488,4 @@ def select_radius(
         eps = selection.fraction * distance
     else:  # pragma: no cover - rejected by the dataclass validator
         raise ValueError(f"unknown radius policy {selection.policy!r}")
-    return dataclasses.replace(
-        selection, eps=float(eps), fallback_warning=warned
-    )
+    return float(eps), fell_back

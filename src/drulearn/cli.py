@@ -1,10 +1,14 @@
 """Command-line surface: one subcommand per training routine or experiment.
 
-Every subcommand reads a flat config file, applies the targeted overrides,
-runs deterministically from the configured seed, and writes CSV results plus
-a ``<output>.meta`` sidecar recording the resolved configuration and any
-per-trial errors. The CSV layout is decided here: the library returns
-numbers, and each subcommand builds its rows next to the header it writes.
+Every subcommand reads a flat config file, applies the targeted overrides
+and runs deterministically from the configured seed.  Its ``_run_*``
+returns a CSV header, rows and failed trials, and `main` alone writes what
+a run leaves: the ``<output>.meta`` sidecar (the resolved configuration)
+before the run, the CSV after it, and one ``error_trial_*`` line in
+``.meta`` per failed trial.  If no row succeeded, the first failure sets
+the exit code; a failed one-shot run writes no CSV.  `active` also writes
+its ``_aulc.csv``.  The CSV layout is decided here: the library returns
+numbers, and each subcommand builds its rows next to its header.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible
 instance, 3 numerical failure.
@@ -98,7 +102,6 @@ BOUND_FIELDS = (
 class Instance:
     """Everything one run needs: the split, the prior, and the geometry."""
 
-    table: RawTable
     labeled: LabeledDataset
     unlabeled: UnlabeledDataset | None
     full: DiscreteDistribution
@@ -143,7 +146,7 @@ def _build_instance(
     else:
         prior = make_prior(labeled, config.prior_mode, level=config.prior_level)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
-    return Instance(table, labeled, unlabeled, full, prior, cost)
+    return Instance(labeled, unlabeled, full, prior, cost)
 
 
 def _require_unlabeled(instance: Instance):
@@ -160,7 +163,7 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
     stderr when the confidence screen fell back to its smallest radius."""
     if config.eps is not None:
         return config.eps
-    selection = select_radius(
+    eps, fell_back = select_radius(
         config.radius_selection(),
         instance.labeled,
         _require_unlabeled(instance),
@@ -168,14 +171,14 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
         instance.cost,
         full=instance.full,
     )
-    if selection.fallback_warning:
+    if fell_back:
         print(
             f"warning: no radius met confidence_threshold "
-            f"{selection.confidence_threshold}; using the smallest candidate "
-            f"{selection.eps}",
+            f"{config.confidence_threshold}; using the smallest candidate "
+            f"{eps}",
             file=sys.stderr,
         )
-    return selection.eps
+    return eps
 
 
 def _median_confidence(theta, features) -> float:
@@ -204,7 +207,7 @@ def _write_csv(path: str, fieldnames, rows):
             writer.writerow([_render_cell(row[name]) for name in fieldnames])
 
 
-def _write_metadata(config: ExperimentConfig, command: str, errors):
+def _write_metadata(config: ExperimentConfig, command: str, errors=()):
     items = config_items(config)
     items.append(("command", command))
     for trial, error in errors:
@@ -220,26 +223,17 @@ def _aulc_output_path(output: str) -> str:
     return f"{root}_aulc{extension or '.csv'}"
 
 
-def _finish(config, command, rows_written: int, errors):
-    """Record the run; if nothing succeeded, surface the first failure."""
-    _write_metadata(config, command, errors)
-    if errors and rows_written == 0:
-        raise errors[0][1]
-
-
 # ---------------------------------------------------------------------------
-# One-shot subcommands
+# One-shot subcommands: one row, or the failure raised
 
 
 def _theta_columns(theta):
     return {f"theta_{j}": float(value) for j, value in enumerate(theta)}
 
 
-def _run_train_dru(config: ExperimentConfig) -> int:
-    table = _load_table(config)
-    instance = _build_instance(config, table, config.seed)
+def _run_train_dru(config: ExperimentConfig):
+    instance = _build_instance(config, _load_table(config), config.seed)
     eps = _resolve_eps(config, instance)
-    _write_metadata(config, "train-dru", [])
     result, report = _certify_instance(config, instance, eps)
     row = {
         "seed": config.seed,
@@ -249,15 +243,12 @@ def _run_train_dru(config: ExperimentConfig) -> int:
         **report,
         **_theta_columns(result.theta),
     }
-    _write_csv(config.output, row, [row])
-    return EXIT_OK
+    return row, [row], []
 
 
-def _run_train_baseline(config: ExperimentConfig) -> int:
-    table = _load_table(config)
-    instance = _build_instance(config, table, config.seed)
+def _run_train_baseline(config: ExperimentConfig):
+    instance = _build_instance(config, _load_table(config), config.seed)
     eps = _resolve_eps(config, instance)
-    _write_metadata(config, "train-baseline", [])
     result = baseline_train(instance.labeled, eps, instance.cost)
     score_features = (
         instance.unlabeled.features
@@ -274,13 +265,11 @@ def _run_train_baseline(config: ExperimentConfig) -> int:
         "median_confidence": _median_confidence(result.theta, score_features),
         **_theta_columns(result.theta),
     }
-    _write_csv(config.output, row, [row])
-    return EXIT_OK
+    return row, [row], []
 
 
-def _run_min_radius(config: ExperimentConfig) -> int:
-    table = _load_table(config)
-    instance = _build_instance(config, table, config.seed)
+def _run_min_radius(config: ExperimentConfig):
+    instance = _build_instance(config, _load_table(config), config.seed)
     unlabeled = _require_unlabeled(instance)
     eps_min = prior_feasible_radius(
         instance.labeled, unlabeled, instance.prior, instance.cost
@@ -291,16 +280,11 @@ def _run_min_radius(config: ExperimentConfig) -> int:
         "eps_min": float(eps_min),
         "eps_selected": float(eps_min + config.delta_margin),
     }
-    _write_csv(
-        config.output, ["seed", "n_labeled", "eps_min", "eps_selected"], [row]
-    )
-    _write_metadata(config, "min-radius", [])
-    return EXIT_OK
+    return row, [row], []
 
 
-def _run_wasserstein(config: ExperimentConfig) -> int:
-    table = _load_table(config)
-    instance = _build_instance(config, table, config.seed)
+def _run_wasserstein(config: ExperimentConfig):
+    instance = _build_instance(config, _load_table(config), config.seed)
     sample = DiscreteDistribution.from_dataset(instance.labeled)
     distance, _ = discrete_wasserstein(sample, instance.full, instance.cost)
     row = {
@@ -308,13 +292,11 @@ def _run_wasserstein(config: ExperimentConfig) -> int:
         "n_labeled": instance.labeled.n,
         "distance": float(distance),
     }
-    _write_csv(config.output, ["seed", "n_labeled", "distance"], [row])
-    _write_metadata(config, "wasserstein", [])
-    return EXIT_OK
+    return row, [row], []
 
 
 # ---------------------------------------------------------------------------
-# Multi-trial experiments
+# Multi-trial experiments: the rows that succeeded, and each failed trial
 
 
 def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
@@ -345,7 +327,7 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     return result, report
 
 
-def _run_bound_experiment(config: ExperimentConfig) -> int:
+def _run_bound_experiment(config: ExperimentConfig):
     table = _load_table(config)
     grid = config.n_labeled_grid or (config.n_labeled,)
     rows, errors = [], []
@@ -369,16 +351,13 @@ def _run_bound_experiment(config: ExperimentConfig) -> int:
                     **report,
                 }
             )
-    fieldnames = ["n_labeled", "trial", "seed"] + list(BOUND_FIELDS)
-    _write_csv(config.output, fieldnames, rows)
-    _finish(config, "bound", len(rows), errors)
-    return EXIT_OK
+    return ["n_labeled", "trial", "seed", *BOUND_FIELDS], rows, errors
 
 
-def _run_radius_sweep(config: ExperimentConfig) -> int:
+def _run_radius_sweep(config: ExperimentConfig):
     table = _load_table(config)
     if not config.eps_grid:
-        raise ConfigError("radius-sweep requires a nonempty eps_grid")
+        raise ConfigError("a radius sweep requires a nonempty eps_grid")
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
@@ -387,24 +366,17 @@ def _run_radius_sweep(config: ExperimentConfig) -> int:
                 instance = _build_instance(config, table, split_seed)
                 _, report = _certify_instance(config, instance, float(eps))
             except Exception as error:  # noqa: BLE001 - recorded, run continues
-                errors.append((f"{trial}_eps_{render_float(eps)}", error))
+                errors.append((f"{trial}_eps_{float(eps)!r}", error))
                 continue
             rows.append({"trial": trial, "seed": split_seed, **report})
-    fieldnames = ["trial", "seed"] + list(BOUND_FIELDS)
-    _write_csv(config.output, fieldnames, rows)
-    _finish(config, "radius-sweep", len(rows), errors)
-    return EXIT_OK
+    return ["trial", "seed", *BOUND_FIELDS], rows, errors
 
 
-def render_float(value) -> str:
-    return repr(float(value))
-
-
-def _run_robustness_sweep(config: ExperimentConfig) -> int:
+def _run_robustness_sweep(config: ExperimentConfig):
     table = _load_table(config)
     if not config.eps_grid or not config.delta_grid:
         raise ConfigError(
-            "robustness-sweep requires nonempty eps_grid and delta_grid"
+            "a robustness sweep requires nonempty eps_grid and delta_grid"
         )
     rows, errors = [], []
     for trial in range(config.trials):
@@ -448,12 +420,10 @@ def _run_robustness_sweep(config: ExperimentConfig) -> int:
         "worst_case_likelihood",
         "log10_worst_case_likelihood",
     ]
-    _write_csv(config.output, fieldnames, rows)
-    _finish(config, "robustness-sweep", len(rows), errors)
-    return EXIT_OK
+    return fieldnames, rows, errors
 
 
-def _run_active(config: ExperimentConfig) -> int:
+def _run_active(config: ExperimentConfig):
     table = _load_table(config)
     pool = LabeledDataset(table.features, table.labels)
     stop_at = config.stop_at if config.stop_at else config.n_labeled
@@ -491,16 +461,13 @@ def _run_active(config: ExperimentConfig) -> int:
             }
             for n, value in state.history
         )
-    fieldnames = ["seed", "strategy", "trial", "n_labeled", "likelihood"]
-    _write_csv(config.output, fieldnames, rows)
     if aulc_values:
         row = {
             "strategy": config.strategy,
             "median_aulc": median(aulc_values),
         }
         _write_csv(_aulc_output_path(config.output), row, [row])
-    _finish(config, "active", len(rows), errors)
-    return EXIT_OK
+    return ["seed", "strategy", "trial", "n_labeled", "likelihood"], rows, errors
 
 
 def _oracle_instance(seed: int):
@@ -525,7 +492,7 @@ def _oracle_instance(seed: int):
     return labeled, unlabeled_features, prior, theta
 
 
-def _run_oracle_check(config: ExperimentConfig) -> int:
+def _run_oracle_check(config: ExperimentConfig):
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     for index in range(config.trials):
@@ -550,15 +517,14 @@ def _run_oracle_check(config: ExperimentConfig) -> int:
                 "within_tol": int(abs(report.gap) <= tolerance),
             }
         )
-    fieldnames = ["instance", "seed", "primal", "dual", "gap", "within_tol"]
-    _write_csv(config.output, fieldnames, rows)
-    _finish(config, "oracle-check", len(rows), errors)
-    return EXIT_OK
+    return ["instance", "seed", "primal", "dual", "gap", "within_tol"], rows, errors
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
+# each runner returns its CSV header, its rows and its failed trials as
+# (label, error) pairs; `main` writes them
 _SUBCOMMANDS = {
     "train-dru": _run_train_dru,
     "train-baseline": _run_train_baseline,
@@ -616,7 +582,14 @@ def main(argv=None) -> int:
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
         config = _apply_overrides(load_config(args.config), args)
-        return _SUBCOMMANDS[args.command](config)
+        _write_metadata(config, args.command)
+        fieldnames, rows, errors = _SUBCOMMANDS[args.command](config)
+        _write_csv(config.output, fieldnames, rows)
+        if errors:
+            _write_metadata(config, args.command, errors)
+            if not rows:
+                raise errors[0][1]
+        return EXIT_OK
     except InfeasibleRadiusError as error:
         print(f"infeasible instance: {error}", file=sys.stderr)
         return EXIT_INFEASIBLE

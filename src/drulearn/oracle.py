@@ -274,7 +274,6 @@ class PayoffLp:
         m, n_l, _ = self._pair.shape
         lower, upper, _ = _row_bounds(m, n_l, prior, eps)
         self._model = HighsModel(lower, upper)
-        self._active = np.zeros(self._pair.shape, dtype=bool)
         self._columns = np.zeros(0, dtype=np.intp)
         coupling = uniform_coupling(data, support)
         seed = np.zeros(self._pair.shape, dtype=bool)
@@ -295,7 +294,6 @@ class PayoffLp:
             rows.ravel(),
             values.ravel(),
         )
-        self._active.ravel()[columns] = True
         self._columns = np.concatenate([self._columns, columns])
 
     def solve(self, payoff) -> WorstCaseLpResult:
@@ -318,7 +316,7 @@ class PayoffLp:
                 multipliers.atom_potentials,
                 multipliers.label_upper_mult - multipliers.label_lower_mult,
             ) - support_duals[:, None]
-            reduced[self._active.reshape(m, -1)] = -np.inf
+            reduced.ravel()[self._columns] = -np.inf
             columns = _entering_columns(reduced)
             if not columns.size:
                 break

@@ -39,12 +39,10 @@ from drulearn.dual import (
     THETA_BOX,
     DualState,
     LabelPrior,
-    SolverConfig,
     cutset_solve,
     dual_objective,
     linear_part,
     max_cell_values,
-    sgd_solve,
 )
 from drulearn.kernels import SparseRows, lbfgsb, slsqp
 from drulearn.model import (
@@ -62,6 +60,7 @@ from drulearn.oracle import (
     discrete_wasserstein,
     DiscreteDistribution,
     min_feasible_radius,
+    solve_worst_case_lp,
 )
 
 from reference import (
@@ -176,7 +175,6 @@ class TestPerformanceBound:
         assert bound.likelihood_bound == min(
             1.0, math.exp(-(bound.neg_log_bound + bound.correction))
         )
-        assert bound.n_unlabeled == unlabeled.n
 
     def test_correction_uses_the_per_point_maxima(self):
         rng = make_rng(5)
@@ -208,13 +206,11 @@ class TestPerformanceBound:
 
     def test_validator_rejects_out_of_range_fields(self):
         with pytest.raises(ValueError):
-            PerformanceBound(1.0, -0.1, 0.5, 10)
+            PerformanceBound(1.0, -0.1, 0.5)
         with pytest.raises(ValueError):
-            PerformanceBound(1.0, 0.0, 0.0, 10)
+            PerformanceBound(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            PerformanceBound(1.0, 0.0, 1.5, 10)
-        with pytest.raises(ValueError):
-            PerformanceBound(1.0, 0.0, 0.5, 0)
+            PerformanceBound(1.0, 0.0, 1.5)
 
 
 class TestBoundValidity:
@@ -247,8 +243,7 @@ class TestBoundValidity:
         rng = make_rng(7)
         data, unlabeled, prior = random_instance(rng, n_labeled=3, n_unlabeled=5)
         eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.4
-        config = SolverConfig(radius_eps=eps, max_steps=4000, seed=11)
-        result = sgd_solve(data, unlabeled, prior, COST, config)
+        result = cutset_solve(data, unlabeled, prior, COST, eps)
         bound = performance_bound(
             result.state, data, unlabeled, prior, eps, COST, z_score=0.0
         )
@@ -272,18 +267,12 @@ class TestBoundValidity:
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         likelihoods = []
         for bump in (0.05, 0.3, 0.8):
-            config = SolverConfig(
-                radius_eps=base + bump,
-                step_size=0.05,
-                convergence_tol=1e-5,
-                max_steps=30000,
-                seed=4,
+            exact = solve_worst_case_lp(
+                theta, unlabeled.features, data, prior, base + bump, COST
             )
-            result = sgd_solve(
-                data, unlabeled, prior, COST, config, theta0=theta, update_theta=False
-            )
+            state = DualState.from_multipliers(theta, exact.multipliers)
             bound = performance_bound(
-                result.state, data, unlabeled, prior, base + bump, COST, z_score=0.0
+                state, data, unlabeled, prior, base + bump, COST, z_score=0.0
             )
             likelihoods.append(bound.likelihood_bound)
         assert likelihoods[1] <= likelihoods[0] + 2e-3
@@ -628,7 +617,6 @@ class TestCertify:
                 max(corrected(check), bound.neg_log_bound), abs=1e-15
             )
             assert bound.likelihood_bound == math.exp(-corrected(bound))
-            assert bound.n_unlabeled == unlabeled.n
 
     def test_certificate_is_the_reference_kernel_certificate(self, monkeypatch):
         # the search's stopping point may move within its tolerances when
@@ -722,8 +710,7 @@ class TestCertify:
         for n, z_score in ((4, DEFAULT_Z_SCORE), (2, 0.0)):
             small = UnlabeledDataset(unlabeled.features[:n])
             wider = min_feasible_radius(data, small.features, prior, COST) + 0.1
-            bound = certify(result.state, data, small, prior, wider, COST, z_score)
-            assert bound.n_unlabeled == n
+            certify(result.state, data, small, prior, wider, COST, z_score)
 
     def test_corrected_certificate_covers_the_population_dual(self):
         # The correction is a normal approximation at multipliers chosen on
@@ -1241,8 +1228,6 @@ class TestRadiusSelectionValidation:
         with pytest.raises(ValueError):
             RadiusSelection(policy="largest")
         with pytest.raises(ValueError):
-            RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA, eps=-0.1)
-        with pytest.raises(ValueError):
             RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA, delta_margin=0.0)
         with pytest.raises(ValueError):
             RadiusSelection(policy=AS_ROBUST_AS_POSSIBLE, confidence_threshold=1.0)
@@ -1309,12 +1294,11 @@ class TestSelectRadius:
         data, unlabeled, _ = random_instance(rng)
         prior = LabelPrior.point([0.5, 0.5])
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
-        chosen = select_radius(
+        eps, fell_back = select_radius(
             RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
         )
-        assert chosen.eps == pytest.approx(base + 1e-3, abs=1e-12)
-        assert not chosen.fallback_warning
-        assert chosen.policy == MIN_RADIUS_PLUS_DELTA
+        assert eps == pytest.approx(base + 1e-3, abs=1e-12)
+        assert not fell_back
 
     def test_min_radius_plus_delta_takes_the_worse_interval_endpoint(self):
         # all labels are 1, so demanding 80% of the mass on class 0 forces
@@ -1330,15 +1314,15 @@ class TestSelectRadius:
             data, unlabeled.features, LabelPrior.point([0.1, 0.9]), COST
         )
         assert low_end > high_end
-        chosen = select_radius(
+        eps, _ = select_radius(
             RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
         )
-        assert chosen.eps == pytest.approx(max(low_end, high_end) + 1e-3, abs=1e-12)
+        assert eps == pytest.approx(max(low_end, high_end) + 1e-3, abs=1e-12)
 
     def test_distance_fraction_of_the_dataset_to_itself_is_zero(self):
         rng = make_rng(11)
         data, unlabeled, prior = random_instance(rng)
-        chosen = select_radius(
+        eps, _ = select_radius(
             RadiusSelection(policy=FRACTION_OF_TRUE_DISTANCE),
             data,
             unlabeled,
@@ -1346,7 +1330,7 @@ class TestSelectRadius:
             COST,
             full=DiscreteDistribution.from_dataset(data),
         )
-        assert chosen.eps == 0.0
+        assert eps == 0.0
 
     def test_distance_fraction_scales_the_transport_distance(self):
         rng = make_rng(12)
@@ -1360,7 +1344,7 @@ class TestSelectRadius:
         )
         prior = LabelPrior.uninformative()
         for fraction in (1.0, 0.5):
-            chosen = select_radius(
+            eps, _ = select_radius(
                 RadiusSelection(policy=FRACTION_OF_TRUE_DISTANCE, fraction=fraction),
                 data,
                 unlabeled,
@@ -1368,7 +1352,7 @@ class TestSelectRadius:
                 COST,
                 full=DiscreteDistribution.from_dataset(full),
             )
-            assert chosen.eps == pytest.approx(fraction * distance, rel=1e-12)
+            assert eps == pytest.approx(fraction * distance, rel=1e-12)
 
     def test_required_context_is_enforced(self):
         rng = make_rng(13)
@@ -1405,11 +1389,11 @@ class TestSelectRadius:
             grid_points=3,
             grid_span=0.5,
         )
-        chosen = select_radius(selection, data, unlabeled, prior, COST)
+        eps, fell_back = select_radius(selection, data, unlabeled, prior, COST)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
-        assert chosen.eps == pytest.approx(grid[1], rel=1e-12)
-        assert not chosen.fallback_warning
+        assert eps == pytest.approx(grid[1], rel=1e-12)
+        assert not fell_back
 
     def test_confidence_screening_falls_back_to_the_smallest_radius(self):
         # heavily overlapping classes keep the median confidence well under
@@ -1421,16 +1405,16 @@ class TestSelectRadius:
             grid_points=3,
             grid_span=0.5,
         )
-        chosen = select_radius(selection, data, unlabeled, prior, COST)
+        eps, fell_back = select_radius(selection, data, unlabeled, prior, COST)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
-        assert chosen.eps == pytest.approx(grid[0], rel=1e-12)
-        assert chosen.fallback_warning
+        assert eps == pytest.approx(grid[0], rel=1e-12)
+        assert fell_back
 
     def test_selected_radius_is_always_nonnegative(self):
         rng = make_rng(15)
         data, unlabeled, prior = random_instance(rng)
-        chosen = select_radius(
+        eps, _ = select_radius(
             RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
         )
-        assert chosen.eps >= 0.0
+        assert eps >= 0.0

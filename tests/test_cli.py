@@ -345,6 +345,53 @@ class TestExitCodes:
         assert not out.exists()
         assert read_meta(out)["command"] == "train-baseline"
 
+    # every subcommand on a config it cannot run: a labeled sample larger
+    # than the data, a stop_at beyond the pool, or a failing oracle; the
+    # last entry is the number of failed trials, None for a one-shot run
+    @pytest.mark.parametrize(
+        "command, code, failed",
+        [
+            ("train-dru", EXIT_USAGE, None),
+            ("train-baseline", EXIT_USAGE, None),
+            ("min-radius", EXIT_USAGE, None),
+            ("wasserstein", EXIT_USAGE, None),
+            ("bound", EXIT_USAGE, 2),
+            ("radius-sweep", EXIT_USAGE, 4),
+            ("robustness-sweep", EXIT_USAGE, 2),
+            ("active", EXIT_USAGE, 2),
+            ("oracle-check", EXIT_NUMERICAL, 2),
+        ],
+    )
+    def test_a_failed_run_leaves_its_meta(
+        self, tmp_path, monkeypatch, command, code, failed
+    ):
+        def failing_oracle(*args):
+            raise RuntimeError("oracle failed")
+
+        monkeypatch.setattr(cli, "min_feasible_radius", failing_oracle)
+        out = tmp_path / "fail.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            synthetic_n=24,
+            n_labeled=30,
+            trials=2,
+            stop_at=40,
+            eps_grid=(0.3, 0.8),
+            delta_grid=(0.0, 0.3),
+        )
+        assert main([command, "--config", config]) == code
+        meta = read_meta(out)
+        assert meta["command"] == command
+        errors = [key for key in meta if key.startswith("error_trial_")]
+        if failed is None:
+            assert not out.exists()
+            assert errors == []
+        else:
+            assert len(out.read_text().splitlines()) == 1
+            assert len(errors) == failed
+            assert not (tmp_path / "fail_aulc.csv").exists()
+
 
 class TestBoundExperiment:
     # at eps 0.5 trial 0 needs a larger radius at both grid sizes (minimal

@@ -205,7 +205,6 @@ class TestDerivedObjects:
         )
         selection = config.radius_selection()
         assert selection.policy == AS_ROBUST_AS_POSSIBLE
-        assert selection.eps is None
         assert selection.delta_margin == 0.01
         assert selection.confidence_threshold == 0.8
         assert selection.fraction == 0.5
