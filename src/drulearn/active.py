@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .bounds import make_prior, prior_feasible_radius
-from .dual import InfeasibleRadiusError
 from .model import (
     LabeledDataset,
     TransportCost,
@@ -26,7 +25,7 @@ from .model import (
     loss_grad_theta,
     make_rng,
 )
-from .oracle import OPTIMAL, PayoffLp
+from .oracle import PayoffLp
 
 RANDOM = "random"
 EMC = "emc"
@@ -199,8 +198,9 @@ def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
     score is the minimum, over every distribution the decision set allows,
     of the label-averaged impact there.  It is the exact value of one small
     LP: ``model`` maximizes a payoff table that is zero except at row
-    `target`, where it holds minus n_u times each label's impact.  Raises
-    `InfeasibleRadiusError` when the decision set is empty.
+    `target`, where it holds minus n_u times each label's impact.  An empty
+    decision set raises when ``model`` is built, so every score is an
+    optimum.
     """
     n_u = len(pool_features)
     payoff = np.zeros((n_u, 2))
@@ -208,12 +208,7 @@ def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
         payoff[target, label] = -n_u * impact_gradient_norm(
             theta, pool_features[target], label
         )
-    result = model.solve(payoff)
-    if result.status != OPTIMAL:
-        raise InfeasibleRadiusError(
-            "decision set is empty at the requested radius"
-        )
-    return -result.value
+    return -model.solve(payoff).value
 
 
 def _dr_prior_and_radius(state, strategy, pool, cost, class_share):

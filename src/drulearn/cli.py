@@ -50,11 +50,7 @@ try:
         standardize,
         synthetic_two_gaussians,
     )
-    from .dual import (
-        InfeasibleRadiusError,
-        cutset_solve,
-        duality_gap_check,
-    )
+    from .dual import cutset_solve, duality_gap_check
     from .model import (
         DiscreteDistribution,
         LabeledDataset,
@@ -65,7 +61,7 @@ try:
         make_rng,
         median,
     )
-    from .oracle import discrete_wasserstein, min_feasible_radius
+    from .oracle import InfeasibleRadiusError, discrete_wasserstein, min_feasible_radius
 finally:
     # Move the imported objects straight to the oldest generation: left young,
     # all of them would be scanned by the first collection after this.  A

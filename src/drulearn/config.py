@@ -108,6 +108,21 @@ class ExperimentConfig:
             raise ConfigError("label_flip_cost must be positive")
         if self.z_score < 0:
             raise ConfigError("z_score must be nonnegative")
+        # the keys below would otherwise fail once per trial, or not at all
+        for key in ("eps_grid", "delta_grid"):
+            if any(entry < 0 for entry in getattr(self, key)):
+                raise ConfigError(f"{key} entries must be nonnegative")
+        if any(entry < 1 for entry in self.n_labeled_grid):
+            raise ConfigError("n_labeled_grid entries must be at least 1")
+        if not 0.0 < self.prior_level < 1.0:
+            raise ConfigError("prior_level must lie strictly between 0 and 1")
+        share = self.prior_positive_share
+        if share is not None and not 0.0 <= share <= 1.0:
+            raise ConfigError("prior_positive_share must lie in [0, 1]")
+        if self.candidate_subsample < 1:
+            raise ConfigError("candidate_subsample must be at least 1")
+        if self.ridge_gamma < 0:
+            raise ConfigError("ridge_gamma must be nonnegative")
         # the radius-policy keys are checked here, not when a subcommand first
         # runs the policy: `min-radius` reads delta_margin but never does
         try:

@@ -26,12 +26,11 @@ label) masses.  `duality_gap_check` prices the dual objective at such a
 multiplier point against the LP value.  `sgd_solve`, which descends the dual
 in weights and multipliers jointly from unlabeled minibatches with Adam (or
 plain SGD), is on no command-line path; it stays while the benchmark's
-tracer wraps it by name, which `tests/test_bench_contract.py` checks.  Both
-solvers first check the radius against `oracle.min_feasible_radius`: the
-dual is bounded below exactly when the decision set is nonempty.  That
-radius and the worst-case LPs' first columns come from the same
-`oracle.uniform_coupling`, which solves the support-to-atoms transport once
-per pair of point sets.
+tracer wraps it by name, which `tests/test_bench_contract.py` checks.  The
+dual is bounded below exactly when the decision set is nonempty, which
+`oracle.require_feasible_radius` decides before `sgd_solve`'s first step
+and before any worst-case LP (`oracle.PayoffLp`) is built.  That radius and
+the LPs' first columns come from one transport, `oracle.uniform_coupling`.
 """
 
 from __future__ import annotations
@@ -55,11 +54,10 @@ from .model import (
     pair_costs,
 )
 from .oracle import (
-    BUDGET_SLACK,
-    OPTIMAL,
     LpMultipliers,
     PayoffLp,
     min_feasible_radius,
+    require_feasible_radius,
     solve_worst_case_lp,
 )
 
@@ -78,10 +76,6 @@ CUT_LIMIT = 100
 THETA_BOX = 50.0
 MASTER_TOL = 1e-10
 MASTER_MAX_ITER = 1000
-
-
-class InfeasibleRadiusError(RuntimeError):
-    """The decision set is empty: the dual is unbounded below."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,18 +295,6 @@ def descent_update(grad, moments, step: int, lr: float, config: SolverConfig):
     return update, (first, second)
 
 
-def _require_feasible_radius(data, unlabeled, prior, cost, eps):
-    """Raise `InfeasibleRadiusError` when the radius plus the oracle's
-    `BUDGET_SLACK` is below the minimal feasible radius: the decision set is
-    then empty and the dual unbounded below."""
-    eps_min = min_feasible_radius(data, unlabeled.features, prior, cost)
-    if eps + BUDGET_SLACK < eps_min:
-        raise InfeasibleRadiusError(
-            f"transport radius too small for the prior: {float(eps)} is below "
-            f"the minimal feasible radius {eps_min}"
-        )
-
-
 def sgd_solve(
     data: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -330,14 +312,12 @@ def sgd_solve(
     sign-constrained multipliers at zero.  `update_theta` toggles descent in
     the weights; with it off the solve prices a fixed classifier.
 
-    Raises `InfeasibleRadiusError` before the first step when the radius
-    plus the oracle's `BUDGET_SLACK` is below the minimal feasible radius:
-    the decision set is then empty and the dual unbounded below.
+    Raises `oracle.InfeasibleRadiusError` first if the decision set is empty.
     """
     n_l, dim = data.n, data.dim
     n_u = unlabeled.n
     eps = config.radius_eps
-    _require_feasible_radius(data, unlabeled, prior, cost, eps)
+    require_feasible_radius(data, unlabeled.features, prior, cost, eps)
 
     pair = pair_costs(unlabeled.features, data, cost)
     n_params = dim + 1 + n_l + 2 * N_CLASSES
@@ -505,7 +485,7 @@ def _solve_master(cuts, features, theta_start):
     return solution.x[:dim], float(solution.x[dim])
 
 
-def _worst_case(model: PayoffLp, theta, features, eps):
+def _worst_case(model: PayoffLp, theta, features):
     """Exact worst case at theta on the run's model: its value and its cut.
 
     The cut is the maximizing distribution's flattened (support point,
@@ -514,10 +494,6 @@ def _worst_case(model: PayoffLp, theta, features, eps):
     times the loss.
     """
     result = model.solve(both_class_losses(theta, features))
-    if result.status != OPTIMAL:
-        raise InfeasibleRadiusError(
-            f"worst-case LP reported {result.status} at radius {float(eps)}"
-        )
     weights = result.support_mass.ravel()
     return result.value, weights / weights[weights > 0.0].sum()
 
@@ -543,14 +519,13 @@ def cutset_solve(
     columns.  The best theta is then priced once more by a one-shot
     `solve_worst_case_lp`, so the reported `upper` and `state` are those of
     a fresh solve at theta, whatever the run's history.  Starts from
-    theta = 0; see `CutSetResult`.  Raises `InfeasibleRadiusError` when the
-    decision set is empty.
+    theta = 0; see `CutSetResult`.  Raises `oracle.InfeasibleRadiusError`
+    when the decision set is empty.
     """
-    _require_feasible_radius(data, unlabeled, prior, cost, eps)
     model = PayoffLp(unlabeled.features, data, prior, eps, cost)
     best = np.zeros(data.dim)
     features = unlabeled.features
-    upper, cut = _worst_case(model, best, features, eps)
+    upper, cut = _worst_case(model, best, features)
     cuts = [cut]
     lower = -np.inf
     status = MAX_STEPS
@@ -559,7 +534,7 @@ def cutset_solve(
         if upper - lower <= CUT_GAP_TOL:
             status = CONVERGED
             break
-        value, cut = _worst_case(model, theta, features, eps)
+        value, cut = _worst_case(model, theta, features)
         cuts.append(cut)
         if value < upper:
             upper, best = value, theta
@@ -567,10 +542,6 @@ def cutset_solve(
     # allocates its own
     del model
     exact = solve_worst_case_lp(best, unlabeled.features, data, prior, eps, cost)
-    if exact.status != OPTIMAL:
-        raise InfeasibleRadiusError(
-            f"worst-case LP reported {exact.status} at radius {float(eps)}"
-        )
     state = DualState.from_multipliers(best, exact.multipliers)
     return CutSetResult(
         status, state, exact.value, min(lower, exact.value), len(cuts)
@@ -611,12 +582,10 @@ def duality_gap_check(
     dual minus primal, is minus the transport price times `BUDGET_SLACK`.
     The gap is only guaranteed to vanish for radii strictly above the
     minimal feasible radius; at or below it the report carries
-    `relint_violated=True`.
+    `relint_violated=True`; below it, `oracle.InfeasibleRadiusError` is raised.
     """
     theta = np.asarray(theta, dtype=float)
     primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
-    if primal.status != OPTIMAL:
-        raise ValueError("instance infeasible at this radius; nothing to compare")
     eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
     state = DualState.from_multipliers(theta, primal.multipliers)
     dual = dual_objective(state, data, unlabeled, prior, eps, cost)

@@ -4,8 +4,10 @@ Solves the worst-case expected-loss (or any expected-payoff) linear program
 over the decision set on a finite support, computes exact transport
 distances between finitely supported distributions, and finds the smallest
 transport radius with a nonempty decision set: one transport distance plus a
-closed-form label-flip term.  Every LP is assembled from sparse columns and
-solved by the HiGHS simplex (see `simplex`).  The worst-case LP goes
+closed-form label-flip term, which decides feasibility exactly: below it
+`require_feasible_radius` raises, and `PayoffLp` calls it before building
+an LP, so every LP here is feasible.  Every LP is assembled from sparse
+columns and solved by the HiGHS simplex (see `simplex`).  The worst-case LP goes
 through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
 which returns the full LP's value, optimal duals and (support point, label)
 masses while holding only some of its columns, and re-optimizes from its
@@ -49,7 +51,7 @@ from .model import (
     feature_distances,
     pair_costs,
 )
-from .simplex import OPTIMAL, HighsModel, solve_transportation
+from .simplex import HighsModel, solve_transportation
 
 # slack added to the transport-budget right-hand side so feasibility does not
 # flap at the boundary radius
@@ -134,14 +136,13 @@ class LpMultipliers:
 
 @dataclass(frozen=True, eq=False)
 class WorstCaseLpResult:
-    """Outcome of a worst-case LP solve; value, masses and multipliers exist
-    iff optimal.  `support_mass[j, k]` is the maximizing distribution's mass
-    on support point j with label k; each row sums to 1/m."""
+    """Optimum of a worst-case LP: `support_mass[j, k]` is the maximizing
+    distribution's mass on support point j with label k; each row sums to
+    1/m."""
 
-    value: float | None
-    support_mass: np.ndarray | None
-    status: str
-    multipliers: LpMultipliers | None = None
+    value: float
+    support_mass: np.ndarray
+    multipliers: LpMultipliers
 
 
 def discrete_wasserstein(
@@ -235,12 +236,12 @@ class PayoffLp:
     the labeled atoms at most `eps`, labeled-atom and support marginals
     uniform, and per-label mass inside the `prior` box.
 
-    Solved by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
+    Construction first calls `require_feasible_radius`.  The LP is solved
+    by column generation (Gilmore & Gomory, Oper. Res. 1961) on one
     `simplex.HighsModel`.  The restricted LP starts from the cells of
     `uniform_coupling`'s minimal-cost plan, with both labels, which hold a
-    point of the decision set at every radius from `min_feasible_radius`
-    up.  It is then feasible exactly when the full LP is, so its first
-    verdict is final.  Each solve lays the payoff out on one
+    point of the decision set at every radius that passes that check, so
+    the restricted LP is feasible too.  Each solve lays the payoff out on one
     `model.CellLayout`; a column's reduced cost under the restricted LP's
     duals is its dual cell (`CellLayout.cells`) minus its support point's
     dual.  Per support point and round, up to `COLUMNS_PER_POINT` columns
@@ -270,6 +271,7 @@ class PayoffLp:
         cost: TransportCost,
     ):
         support = np.atleast_2d(np.asarray(support, dtype=float))
+        require_feasible_radius(data, support, prior, cost, eps)
         self._pair = pair_costs(support, data, cost)
         m, n_l, _ = self._pair.shape
         lower, upper, _ = _row_bounds(m, n_l, prior, eps)
@@ -308,8 +310,6 @@ class PayoffLp:
         self._model.set_costs(-gain[self._columns])
         while True:
             result = self._model.solve()
-            if result.status != OPTIMAL:
-                return WorstCaseLpResult(None, None, result.status)
             multipliers, support_duals = _multipliers(result.row_duals, m, n_l)
             reduced = layout.cells(
                 multipliers.transport_mult,
@@ -327,7 +327,6 @@ class PayoffLp:
         return WorstCaseLpResult(
             value=float(gain[self._columns] @ result.x),
             support_mass=mass.reshape(m, N_CLASSES),
-            status=OPTIMAL,
             multipliers=multipliers,
         )
 
@@ -383,3 +382,19 @@ def min_feasible_radius(
     low, high = positive_share_range(prior)
     flipped = max(low - share, share - high, 0.0)
     return max(distance + cost.label_flip_cost * float(flipped), 0.0)
+
+
+class InfeasibleRadiusError(RuntimeError):
+    """The decision set is empty: the dual is unbounded below."""
+
+
+def require_feasible_radius(data, support, prior, cost, eps):
+    """Raise `InfeasibleRadiusError` when `eps` plus `BUDGET_SLACK` is below
+    `min_feasible_radius`: the decision set is then empty and the dual
+    unbounded below.  The package decides feasibility here alone."""
+    eps_min = min_feasible_radius(data, support, prior, cost)
+    if eps + BUDGET_SLACK < eps_min:
+        raise InfeasibleRadiusError(
+            f"transport radius too small for the prior: {float(eps)} is below "
+            f"the minimal feasible radius {eps_min}"
+        )

@@ -86,30 +86,25 @@ class LpResult:
 
 
 class PivotLimitError(RuntimeError):
-    """Raised when HiGHS stops without a verdict (iteration limit, numerical trouble)."""
+    """Raised when HiGHS stops without an optimum: `HighsModel.solve` on any
+    other outcome, `solve_lp` on one with no verdict (iteration limit,
+    numerical trouble)."""
 
 
 @dataclass(eq=False)
 class ModelResult:
-    """Status, solution, row duals and simplex iterations of one model solve.
+    """Optimal solution, row duals and simplex iterations of one model solve.
 
-    `x` and `row_duals` are set only at an optimum; `row_duals` are in the
-    sign convention of `LpResult`'s marginals.
+    `row_duals` are in the sign convention of `LpResult`'s marginals.
     """
 
-    status: str
-    x: np.ndarray | None
-    row_duals: np.ndarray | None
+    x: np.ndarray
+    row_duals: np.ndarray
     iterations: int
 
 
 _SERIAL_DUAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _PRIMAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
-_MODEL_STATUSES = {
-    highs.HighsModelStatus.kOptimal: OPTIMAL,
-    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
-}
 
 
 class HighsModel:
@@ -123,10 +118,12 @@ class HighsModel:
     a solve after a small change takes a fraction of a cold start's
     pivots.  Presolve is off, which keeps that basis valid across changes;
     the tolerances are those of `solve_lp`.  The first
-    solve is `solve_lp`'s serial dual simplex and decides feasibility;
-    every later one runs the primal simplex, which keeps the last basis's
-    primal feasibility: replaying the cut-set runs of the `bound_strong`
-    benchmark workload, it took 925 pivots where the dual simplex took 2144.
+    solve is `solve_lp`'s serial dual simplex; every later one runs the
+    primal simplex, which keeps the last basis's primal feasibility:
+    replaying the cut-set runs of the `bound_strong` benchmark workload, it
+    took 925 pivots where the dual simplex took 2144.  Every model the
+    package builds is feasible by construction (see `oracle.PayoffLp` and
+    `solve_transportation`), so a solve returns an optimum or raises.
     """
 
     def __init__(self, row_lower, row_upper):
@@ -195,27 +192,23 @@ class HighsModel:
         """Re-optimize; the optimal x is clipped at zero, as in `solve_lp`.
 
         The first solve is the cold serial dual simplex; every later one
-        runs the primal simplex from the basis the last solve left."""
+        runs the primal simplex from the basis the last solve left.  Raises
+        `PivotLimitError` when HiGHS stops without an optimum."""
         self._highs.run()
         if not self._resolving:
             self._set_option("simplex_strategy", _PRIMAL_SIMPLEX)
             self._resolving = True
         model_status = self._highs.getModelStatus()
-        status = _MODEL_STATUSES.get(model_status)
-        if status is None:
+        if model_status != highs.HighsModelStatus.kOptimal:
             raise PivotLimitError(
-                "HiGHS stopped without a verdict: "
+                "HiGHS stopped without an optimum: "
                 + self._highs.modelStatusToString(model_status)
             )
-        iterations = int(self._highs.getInfo().simplex_iteration_count)
-        if status != OPTIMAL:
-            return ModelResult(status, None, None, iterations)
         solution = self._highs.getSolution()
         return ModelResult(
-            OPTIMAL,
             np.maximum(np.asarray(solution.col_value), 0.0),
             np.asarray(solution.row_dual),
-            iterations,
+            int(self._highs.getInfo().simplex_iteration_count),
         )
 
 
@@ -345,7 +338,4 @@ def _simplex_plan(cost, supply, demand):
     model.add_columns(
         cost.ravel(), np.cumsum(counts) - counts, entries, np.ones(entries.size)
     )
-    result = model.solve()
-    if result.status != OPTIMAL:
-        raise PivotLimitError(f"balanced transport LP reported {result.status}")
-    return result.x.reshape(m, n)
+    return model.solve().x.reshape(m, n)

@@ -2,7 +2,7 @@
 checked against: the ground transport cost of one pair of labeled points,
 the worst-case LP assembled in full for `linprog` (over the decision set, or
 over the plain transport ball with `prior=None`), the minimal radius by
-bisection on that LP's feasibility, vertices of the decision set from the
+bisection on that full LP's feasibility, vertices of the decision set from the
 full mass LP by `linprog`, the certificate kernel before
 `model.CellLayout`, which the layout kernel matches bit for bit, and the
 worst-case LP's pricing and cost updates as they were before they skipped
@@ -25,7 +25,7 @@ from drulearn.model import (
     make_rng,
     pair_costs,
 )
-from drulearn.oracle import BUDGET_SLACK, OPTIMAL, solve_worst_case_lp
+from drulearn.oracle import BUDGET_SLACK
 from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp
 
 # `bounds.SMOOTHING_SCHEDULE` before its three fine stages were dropped: they
@@ -88,7 +88,8 @@ def full_lp_reference(theta, support, data, prior, eps, cost):
 
 def min_feasible_radius_bisect(data, support, prior, cost, tol=1e-7):
     """Cross-check path for `oracle.min_feasible_radius`: bisect the radius
-    on worst-case-LP feasibility.
+    on the feasibility of `full_lp_reference`, the worst-case LP over every
+    column, which shares neither the closed form nor its transport plan.
 
     Doubles an upper bracket until the LP reports feasible, then bisects the
     feasibility boundary to width `tol` and returns the feasible end.
@@ -96,10 +97,10 @@ def min_feasible_radius_bisect(data, support, prior, cost, tol=1e-7):
     zero_theta = np.zeros(data.dim)
 
     def feasible(eps):
-        return (
-            solve_worst_case_lp(zero_theta, support, data, prior, eps, cost).status
-            == OPTIMAL
-        )
+        status, _ = full_lp_reference(zero_theta, support, data, prior, eps, cost)
+        if status not in (0, 2):
+            raise RuntimeError(f"linprog stopped with status {status}")
+        return status == 0
 
     lo, hi = 0.0, 1.0
     while not feasible(hi):
@@ -272,13 +273,10 @@ class AllCostsModel(HighsModel):
 
 
 def payoff_solve_bits(model, result):
-    """The bytes of one `oracle.PayoffLp.solve`: status, the columns its
-    model holds afterwards, value, masses and multipliers."""
-    if result.multipliers is None:
-        return result.status, model.n_columns
+    """The bytes of one `oracle.PayoffLp.solve`: the columns its model holds
+    afterwards, value, masses and multipliers."""
     multipliers = result.multipliers
     return (
-        result.status,
         model.n_columns,
         bits(result.value),
         bits(result.support_mass),
@@ -290,8 +288,6 @@ def payoff_solve_bits(model, result):
 
 
 def model_solve_bits(result):
-    """The bytes of one `simplex.ModelResult`: status, x, row duals and
-    simplex iterations."""
-    if result.x is None:
-        return result.status, result.iterations
-    return result.status, bits(result.x), bits(result.row_duals), result.iterations
+    """The bytes of one `simplex.ModelResult`: x, row duals and simplex
+    iterations."""
+    return bits(result.x), bits(result.row_duals), result.iterations

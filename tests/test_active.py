@@ -27,7 +27,7 @@ from drulearn.active import (
     select_next,
 )
 from drulearn.bounds import make_prior, prior_feasible_radius
-from drulearn.dual import InfeasibleRadiusError, LabelPrior
+from drulearn.dual import LabelPrior
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
@@ -37,7 +37,7 @@ from drulearn.model import (
     loss_grad_theta,
     make_rng,
 )
-from drulearn.oracle import PayoffLp, min_feasible_radius
+from drulearn.oracle import InfeasibleRadiusError, PayoffLp, min_feasible_radius
 from reference import feasible_distributions
 
 COST = TransportCost()
@@ -240,9 +240,8 @@ class TestScoreDr:
         x0 = np.array([1.0, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
         prior = LabelPrior.point([1.0, 0.0])
-        model = PayoffLp(x0[None], data, prior, 0.01, COST)
         with pytest.raises(InfeasibleRadiusError):
-            score_dr(model, x0[None], 0, np.zeros(2))
+            PayoffLp(x0[None], data, prior, 0.01, COST)
 
 
 class TestSelectNext:

@@ -185,6 +185,33 @@ class TestValidation:
             with pytest.raises(ConfigError, match=message):
                 parse_config_text(f"{extra}{key} = {raw}\n")
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("eps_grid", "-1,0.5", "eps_grid entries must be nonnegative"),
+            ("delta_grid", "0.1,-0.05", "delta_grid entries must be nonnegative"),
+            ("n_labeled_grid", "0,5", "n_labeled_grid entries must be at least 1"),
+            ("prior_level", "0", "prior_level must lie strictly between"),
+            ("prior_level", "1.0", "prior_level must lie strictly between"),
+            ("prior_positive_share", "-0.1", r"prior_positive_share must lie in \[0, 1\]"),
+            ("prior_positive_share", "1.5", r"prior_positive_share must lie in \[0, 1\]"),
+            ("candidate_subsample", "0", "candidate_subsample must be at least 1"),
+            ("ridge_gamma", "-1e-3", "ridge_gamma must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_keys_stop_at_parse_time(self, key, raw, message):
+        # each of these parsed before and failed once per trial, later
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"{key} = {raw}\n")
+
+    def test_range_edges_parse(self):
+        config = parse_config_text(
+            "eps_grid = 0\ndelta_grid = 0\nn_labeled_grid = 1\n"
+            "prior_positive_share = 1\ncandidate_subsample = 1\nridge_gamma = 0\n"
+        )
+        assert config.eps_grid == (0.0,) and config.n_labeled_grid == (1,)
+        assert config.prior_positive_share == 1.0 and config.ridge_gamma == 0.0
+
     def test_overrides_are_checked_for_finiteness(self):
         # the CLI applies --eps and friends through dataclasses.replace
         with pytest.raises(ConfigError, match="eps must be finite, got nan"):

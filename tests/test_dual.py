@@ -15,7 +15,6 @@ from drulearn.dual import (
     THETA_BOX,
     TRACE_FIELDS,
     DualState,
-    InfeasibleRadiusError,
     LabelPrior,
     SolverConfig,
     cutset_solve,
@@ -35,7 +34,12 @@ from drulearn.model import (
     make_rng,
     pair_costs,
 )
-from drulearn.oracle import BUDGET_SLACK, min_feasible_radius, solve_worst_case_lp
+from drulearn.oracle import (
+    BUDGET_SLACK,
+    InfeasibleRadiusError,
+    min_feasible_radius,
+    solve_worst_case_lp,
+)
 from reference import transport_cost
 
 COST = TransportCost()

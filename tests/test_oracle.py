@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from drulearn import oracle
+from drulearn import oracle, simplex
 from drulearn.bounds import held_out_halves, make_prior
 from drulearn.dual import (
     DualState,
     LabelPrior,
+    SolverConfig,
     cutset_solve,
     dual_objective,
     duality_gap_check,
+    sgd_solve,
 )
 from drulearn.model import (
     LabeledDataset,
@@ -25,6 +27,7 @@ from drulearn.model import (
 from drulearn.oracle import (
     BUDGET_SLACK,
     DiscreteDistribution,
+    InfeasibleRadiusError,
     PayoffLp,
     discrete_wasserstein,
     min_feasible_radius,
@@ -215,7 +218,6 @@ class TestWorstCaseLp:
         result = solve_worst_case_lp(
             theta, x0[None], data, LabelPrior.point([0.0, 1.0]), 0.0, COST
         )
-        assert result.status == "optimal"
         assert result.value == pytest.approx(logistic_loss(theta, x0, 1), abs=1e-10)
 
     def test_wide_prior_big_radius_gives_per_point_worst_labels(self):
@@ -234,11 +236,10 @@ class TestWorstCaseLp:
     def test_forced_flip_below_flip_cost_is_infeasible(self):
         x0 = np.array([0.5, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        result = solve_worst_case_lp(
-            np.zeros(2), x0[None], data, LabelPrior.point([1.0, 0.0]), 0.5, COST
-        )
-        assert result.status == "infeasible"
-        assert result.value is None and result.support_mass is None
+        with pytest.raises(InfeasibleRadiusError):
+            solve_worst_case_lp(
+                np.zeros(2), x0[None], data, LabelPrior.point([1.0, 0.0]), 0.5, COST
+            )
 
     def test_matches_scipy_on_random_instances(self):
         rng = make_rng(6)
@@ -251,14 +252,14 @@ class TestWorstCaseLp:
             prior = random_prior(rng)
             theta = rng.normal(size=3)
             eps = float(rng.uniform(0.0, 3.0))
-            mine = solve_worst_case_lp(theta, support, data, prior, eps, COST)
             ref_status, ref_value = scipy_worst_case(theta, support, data, prior, eps)
             if ref_status == 0:
-                assert mine.status == "optimal"
+                mine = solve_worst_case_lp(theta, support, data, prior, eps, COST)
                 assert mine.value == pytest.approx(ref_value, abs=1e-8)
                 solved += 1
             else:
-                assert mine.status == "infeasible"
+                with pytest.raises(InfeasibleRadiusError):
+                    solve_worst_case_lp(theta, support, data, prior, eps, COST)
         assert solved >= 5
 
     def test_value_monotone_in_radius_and_prior_width(self):
@@ -311,15 +312,15 @@ class TestWorstCaseLp:
 
 class TestColumnGeneration:
     def _check(self, theta, support, data, prior, eps):
-        mine = solve_worst_case_lp(theta, support, data, prior, eps, COST)
         status, value = full_lp_reference(theta, support, data, prior, eps, COST)
         if status == 0:
-            assert mine.status == "optimal"
+            mine = solve_worst_case_lp(theta, support, data, prior, eps, COST)
             assert abs(mine.value - value) <= 1e-9
         else:
             assert status == 2
-            assert mine.status == "infeasible"
-        return mine
+            with pytest.raises(InfeasibleRadiusError):
+                solve_worst_case_lp(theta, support, data, prior, eps, COST)
+        return status
 
     def test_matches_the_full_lp_from_the_minimal_radius_up(self):
         rng = make_rng(31)
@@ -339,11 +340,9 @@ class TestColumnGeneration:
             theta = rng.normal(size=dim)
             eps_min = min_feasible_radius(data, support, prior, COST)
             for delta in (0.0, 0.05, 0.5):
-                result = self._check(theta, support, data, prior, eps_min + delta)
-                assert result.status == "optimal"
+                assert self._check(theta, support, data, prior, eps_min + delta) == 0
             if eps_min > 0.05:
-                result = self._check(theta, support, data, prior, eps_min - 0.05)
-                assert result.status == "infeasible"
+                assert self._check(theta, support, data, prior, eps_min - 0.05) == 2
 
     def test_matches_the_full_lp_at_500_points_and_20_atoms(self):
         rng = make_rng(32)
@@ -351,10 +350,10 @@ class TestColumnGeneration:
         support = rng.normal(size=(500, 3))
         prior = LabelPrior.point([0.5, 0.5])
         eps_min = min_feasible_radius(data, support, prior, COST)
-        result = self._check(
+        status = self._check(
             np.array([0.5, 0.5, 0.0]), support, data, prior, eps_min + 0.05
         )
-        assert result.status == "optimal"
+        assert status == 0
 
     def test_multipliers_price_the_dual_at_the_lp_value(self):
         # the returned multipliers are a dual point whose objective is the LP
@@ -402,7 +401,6 @@ class TestPayoffLp:
         for payoff in self._payoffs(rng, unlabeled, 12):
             result = model.solve(payoff)
             fresh = PayoffLp(unlabeled.features, data, prior, eps, COST).solve(payoff)
-            assert result.status == fresh.status == "optimal"
             assert abs(result.value - fresh.value) <= 1e-12
             # the model's multipliers price the full dual at the LP value:
             # never below it (weak duality), and not above it either, which
@@ -415,15 +413,12 @@ class TestPayoffLp:
             assert dual <= result.value - slack + 1e-9
         assert model.n_columns > seeded
 
-    def test_radius_below_the_minimum_reports_infeasible_on_every_solve(self):
+    def test_radius_below_the_minimum_raises_on_construction(self):
         rng = make_rng(36)
         data, unlabeled, prior, eps = self._instance(rng)
         eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
-        model = PayoffLp(unlabeled.features, data, prior, eps_min - 0.05, COST)
-        for payoff in self._payoffs(rng, unlabeled, 2):
-            result = model.solve(payoff)
-            assert result.status == "infeasible"
-            assert result.value is None and result.support_mass is None
+        with pytest.raises(InfeasibleRadiusError, match="radius too small"):
+            PayoffLp(unlabeled.features, data, prior, eps_min - 0.05, COST)
 
     def test_identical_payoff_sequences_give_bitwise_identical_results(self):
         rng = make_rng(37)
@@ -488,18 +483,19 @@ class TestPayoffLp:
             eps = min_feasible_radius(data, unlabeled.features, prior, COST)
             model = PayoffLp(unlabeled.features, data, prior, eps, COST)
             assert model.n_columns == 2 * coupling.supports.size
-            result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
-            assert result.status == "optimal"
+            model.solve(self._payoffs(rng, unlabeled, 1)[0])
 
-    def test_first_solve_below_the_minimum_is_final_and_adds_no_column(self):
+    def test_construction_just_below_the_minimum_builds_no_model(self, monkeypatch):
+        # the radius is checked before the costs or the HiGHS model exist
         rng = make_rng(41)
         data, unlabeled, prior, _ = self._instance(rng)
         eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
-        model = PayoffLp(unlabeled.features, data, prior, eps_min - 1e-3, COST)
-        seeded = model.n_columns
-        result = model.solve(self._payoffs(rng, unlabeled, 1)[0])
-        assert result.status == "infeasible"
-        assert model.n_columns == seeded
+        built = []
+        monkeypatch.setattr(oracle, "pair_costs", lambda *args: built.append(args))
+        monkeypatch.setattr(oracle, "HighsModel", lambda *args: built.append(args))
+        with pytest.raises(InfeasibleRadiusError, match="radius too small"):
+            PayoffLp(unlabeled.features, data, prior, eps_min - 1e-3, COST)
+        assert built == []
 
 
 class TestPricing:
@@ -759,7 +755,7 @@ class TestDualityGap:
         x0 = np.array([0.5, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
         unlabeled = UnlabeledDataset(x0[None])
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleRadiusError):
             duality_gap_check(
                 np.zeros(2),
                 data,
@@ -796,6 +792,54 @@ class TestDualityGap:
                     report.state, data, unlabeled, prior, eps + BUDGET_SLACK, COST
                 )
                 assert abs(at_budget - report.primal) <= 1e-9
+
+
+# every route into a worst-case LP or a dual solve, called at one radius on
+# (labeled, unlabeled, prior)
+DECIDED_ROUTES = {
+    "PayoffLp": lambda data, unlabeled, prior, eps: PayoffLp(
+        unlabeled.features, data, prior, eps, COST
+    ),
+    "solve_worst_case_lp": lambda data, unlabeled, prior, eps: solve_worst_case_lp(
+        np.ones(data.dim), unlabeled.features, data, prior, eps, COST
+    ),
+    "cutset_solve": lambda data, unlabeled, prior, eps: cutset_solve(
+        data, unlabeled, prior, COST, eps
+    ),
+    "duality_gap_check": lambda data, unlabeled, prior, eps: duality_gap_check(
+        np.ones(data.dim), data, unlabeled, prior, eps, COST
+    ),
+    "sgd_solve": lambda data, unlabeled, prior, eps: sgd_solve(
+        data, unlabeled, prior, COST,
+        SolverConfig(radius_eps=eps, batch_size=8, max_steps=100),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(DECIDED_ROUTES))
+def test_the_closed_form_radius_decides_feasibility_before_any_lp(
+    route, monkeypatch
+):
+    # just below the minimal radius every route raises the one error, and
+    # no HiGHS model is solved; at the minimal radius every route returns
+    call = DECIDED_ROUTES[route]
+    rng = make_rng(70)
+    data = LabeledDataset(rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
+    unlabeled = UnlabeledDataset(rng.normal(size=(24, 2)))
+    prior = random_prior(rng)
+    eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+    solves = []
+    solve = simplex.HighsModel.solve
+
+    def counted(model):
+        solves.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(simplex.HighsModel, "solve", counted)
+    with pytest.raises(InfeasibleRadiusError, match="transport radius too small"):
+        call(data, unlabeled, prior, eps_min - 1e-6)
+    assert solves == []
+    call(data, unlabeled, prior, eps_min)
 
 
 class TestFeasibleDistributions:
