@@ -6,6 +6,11 @@ the worst label distribution the decision set allows instead of trusting the
 current model's posterior.  A robust step prices every candidate through
 `score_dr` on one shared worst-case LP, whose radius and first columns come
 from one pool-to-labeled-atoms transport (`oracle.uniform_coupling`).
+
+`select_next` and `run_active_loop` read a checked `config.ExperimentConfig`.
+The robust strategies build their prior with `bounds.configured_prior`, strong
+or weak as the strategy says (``prior_mode`` is not read), and take its
+minimal feasible radius plus ``delta_margin`` (``eps`` is not read).
 """
 
 from __future__ import annotations
@@ -15,7 +20,17 @@ import math
 
 import numpy as np
 
-from .bounds import make_prior, prior_feasible_radius
+from .bounds import configured_prior, prior_feasible_radius
+from .config import (
+    DR_STRONG,
+    EMC,
+    MAX_MC,
+    MIN_MC,
+    PRIOR_STRONG,
+    PRIOR_WEAK,
+    RANDOM,
+    ExperimentConfig,
+)
 from .model import (
     LabeledDataset,
     TransportCost,
@@ -27,38 +42,8 @@ from .model import (
 )
 from .oracle import PayoffLp
 
-RANDOM = "random"
-EMC = "emc"
-MIN_MC = "min_mc"
-MAX_MC = "max_mc"
-DR_STRONG = "dr_strong"
-DR_WEAK = "dr_weak"
-STRATEGY_KINDS = (RANDOM, EMC, MIN_MC, MAX_MC, DR_STRONG, DR_WEAK)
-
 GRADIENT_TOL = 1e-6
 NEWTON_MAX_ITER = 100
-
-
-@dataclasses.dataclass(frozen=True)
-class StrategyConfig:
-    """Which acquisition rule to run and its knobs."""
-
-    kind: str
-    candidate_subsample: int = 100
-    ridge_gamma: float = 0.001
-    delta_margin: float = 1e-3
-    seed: int = 0
-    mc_include_norm: bool = False
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.candidate_subsample < 1:
-            raise ValueError("candidate_subsample must be at least 1")
-        if self.ridge_gamma < 0:
-            raise ValueError("ridge_gamma must be nonnegative")
-        if self.delta_margin <= 0:
-            raise ValueError("delta_margin must be positive")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -211,55 +196,41 @@ def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
     return -model.solve(payoff).value
 
 
-def _dr_prior_and_radius(state, strategy, pool, cost, class_share):
-    """The per-step prior and radius for the robust strategies."""
-    if strategy.kind == DR_STRONG:
-        prior = make_prior(
-            state.labeled, mode="strong",
-            probabilities=(1.0 - class_share, class_share),
-        )
-    else:
-        prior = make_prior(state.labeled, mode="weak")
-    base = prior_feasible_radius(state.labeled, pool, prior, cost)
-    return prior, base + strategy.delta_margin
-
-
 def select_next(
     state: ActiveState,
-    strategy: StrategyConfig,
+    config: ExperimentConfig,
     rng,
-    cost: TransportCost | None = None,
-    class_share: float | None = None,
+    cost: TransportCost,
+    class_share: float,
 ) -> int:
-    """Pick the pool index to label next under the given strategy.
+    """Pick the pool index to label next under ``config.strategy``.
 
     Score-based strategies break exact ties toward the lowest pool index; the
     robust ones score a random candidate subsample instead of the whole pool.
-    ``class_share`` feeds the strong-prior robust variant; it defaults to the
-    share of positives among everything the run can see.
+    ``class_share``, the share of positives among everything the run can
+    see, is the strong prior's share when ``prior_positive_share`` is empty.
     """
     if state.pool_size == 0:
         raise ValueError("pool is empty")
-    if strategy.kind == RANDOM:
+    kind = config.strategy
+    if kind == RANDOM:
         return int(rng.integers(0, state.pool_size))
     theta = state.theta
     if theta is None:
         raise ValueError("state has no trained parameters to score with")
-    if strategy.kind in (EMC, MIN_MC, MAX_MC):
+    if kind in (EMC, MIN_MC, MAX_MC):
         scores = posterior_scores(
-            theta, state.pool_features, strategy.kind, strategy.mc_include_norm
+            theta, state.pool_features, kind, config.mc_include_norm
         )
         return int(np.argmax(scores))
     # robust variants: subsample candidates, price each against the worst
     # label distribution, and take the best worst-case impact
-    cost = cost if cost is not None else TransportCost()
-    if class_share is None:
-        seen = np.concatenate([state.labeled.labels, state.pool_labels])
-        class_share = float(np.mean(seen))
-    size = min(strategy.candidate_subsample, state.pool_size)
+    size = min(config.candidate_subsample, state.pool_size)
     candidates = np.sort(rng.choice(state.pool_size, size=size, replace=False))
     pool = UnlabeledDataset(state.pool_features)
-    prior, eps = _dr_prior_and_radius(state, strategy, pool, cost, class_share)
+    mode = PRIOR_STRONG if kind == DR_STRONG else PRIOR_WEAK
+    prior = configured_prior(config, state.labeled, mode, class_share)
+    eps = prior_feasible_radius(state.labeled, pool, prior, cost) + config.delta_margin
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis
     model = PayoffLp(pool.features, state.labeled, prior, eps, cost)
@@ -274,38 +245,39 @@ def evaluation_likelihood(theta, data: LabeledDataset) -> float:
 
 def run_active_loop(
     initial: ActiveState,
-    strategy: StrategyConfig,
+    config: ExperimentConfig,
     eval_data: LabeledDataset,
-    stop_at: int,
-    cost: TransportCost | None = None,
+    seed: int,
+    cost: TransportCost,
 ) -> ActiveState:
     """Acquire labels one at a time until the labeled set reaches stop_at.
 
-    Each round fits the ridge model, records the evaluation likelihood,
-    selects a pool point, and moves it (with its held-back label) into the
-    labeled set; one final fit is recorded at stop_at. Returns the finished
-    state with the full likelihood curve in its history.
+    ``stop_at`` is ``config.stop_at``, or ``n_labeled`` when that is 0, and
+    the picks draw from a generator seeded with `seed`.  Each round fits the
+    ridge model, records the evaluation likelihood, selects a pool point,
+    and moves it (with its held-back label) into the labeled set; one final
+    fit is recorded at stop_at. Returns the finished state with the full
+    likelihood curve in its history.
     """
+    stop_at = config.stop_at or config.n_labeled
     if stop_at <= initial.labeled.n:
         raise ValueError("stop_at must exceed the initial labeled size")
     if stop_at > initial.labeled.n + initial.pool_size:
         raise ValueError("pool too small to reach stop_at")
-    rng = make_rng(strategy.seed)
+    rng = make_rng(seed)
     state = initial
     class_share = float(
         np.mean(np.concatenate([initial.labeled.labels, initial.pool_labels]))
     )
     while True:
-        theta = erm_train_l2(state.labeled, strategy.ridge_gamma)
+        theta = erm_train_l2(state.labeled, config.ridge_gamma)
         history = state.history + (
             (state.labeled.n, evaluation_likelihood(theta, eval_data)),
         )
         state = dataclasses.replace(state, theta=theta, history=history)
         if state.labeled.n >= stop_at:
             return state
-        chosen = select_next(
-            state, strategy, rng, cost=cost, class_share=class_share
-        )
+        chosen = select_next(state, config, rng, cost, class_share)
         keep = np.ones(state.pool_size, dtype=bool)
         keep[chosen] = False
         labeled = LabeledDataset(

@@ -3,8 +3,9 @@
 Turns a dual point into a certified lower bound on out-of-sample likelihood
 (`performance_bound`), certifies a trained classifier with multipliers
 searched on one half of the unlabeled sample and evaluated on the other
-(`certify`), builds label-probability priors from labeled counts, and picks
-the ambiguity radius according to a configurable policy.
+(`certify`), builds the label prior a config sets (`configured_prior`), and
+picks the ambiguity radius by the config's policy (`select_radius`).  Both
+read a checked `config.ExperimentConfig`; neither checks a key again.
 
 The multiplier search (`search_multipliers`) builds one `model.CellLayout`
 of its sample and reads every evaluation from it, smoothed or exact.  Its
@@ -37,6 +38,13 @@ import math
 
 import numpy as np
 
+from .config import (
+    AS_ROBUST_AS_POSSIBLE,
+    MIN_RADIUS_PLUS_DELTA,
+    PRIOR_STRONG,
+    PRIOR_WEAK,
+    ExperimentConfig,
+)
 from .dual import (
     DualState,
     cutset_solve,
@@ -72,18 +80,6 @@ SEARCH_OPTIONS = {"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8}
 # np.exp returns exactly +0.0 at and below this argument (its last positive
 # value, the smallest subnormal, is at about -745.133)
 EXP_ZERO = -745.2
-
-MIN_RADIUS_PLUS_DELTA = "min-radius-plus-delta"
-AS_ROBUST_AS_POSSIBLE = "as-robust-as-possible"
-FRACTION_OF_TRUE_DISTANCE = "fraction-of-true-distance"
-RADIUS_POLICIES = (
-    MIN_RADIUS_PLUS_DELTA,
-    AS_ROBUST_AS_POSSIBLE,
-    FRACTION_OF_TRUE_DISTANCE,
-)
-
-PRIOR_STRONG = "strong"
-PRIOR_WEAK = "weak"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,32 +119,6 @@ class PerformanceBound:
     def vacuous(self) -> bool:
         """Whether the bound says nothing beyond a coin flip per point."""
         return self.likelihood_bound <= VACUOUS_THRESHOLD
-
-
-@dataclasses.dataclass(frozen=True)
-class RadiusSelection:
-    """Radius-selection policy settings; :func:`select_radius` runs them."""
-
-    policy: str
-    delta_margin: float = 1e-3
-    confidence_threshold: float = 0.7
-    fraction: float = 1.0
-    grid_points: int = 20
-    grid_span: float = 10.0
-
-    def __post_init__(self):
-        if self.policy not in RADIUS_POLICIES:
-            raise ValueError(f"unknown radius policy {self.policy!r}")
-        if self.delta_margin <= 0:
-            raise ValueError("delta_margin must be positive")
-        if not 0.0 < self.confidence_threshold < 1.0:
-            raise ValueError("confidence_threshold must lie in (0, 1)")
-        if self.fraction < 0:
-            raise ValueError("fraction must be nonnegative")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be positive")
-        if self.grid_span <= 0:
-            raise ValueError("grid_span must be positive")
 
 
 def normal_correction(values, z_score: float = DEFAULT_Z_SCORE) -> float:
@@ -386,17 +356,11 @@ def make_prior(
 ) -> LabelPrior:
     """Build the label-probability box from labeled data.
 
-    ``strong`` pins both bounds to externally known class probabilities;
+    ``strong`` pins both bounds to externally known class probabilities
+    (`LabelPrior.point` rejects any that are not one probability per class);
     ``weak`` derives per-class confidence intervals from the labeled counts.
     """
     if mode == PRIOR_STRONG:
-        if probabilities is None:
-            raise ValueError("strong mode requires class probabilities")
-        probabilities = np.asarray(probabilities, dtype=float)
-        if probabilities.shape != (2,):
-            raise ValueError("probabilities must have one entry per class")
-        if abs(probabilities.sum() - 1.0) > 1e-9:
-            raise ValueError("class probabilities must sum to one")
         return LabelPrior.point(probabilities)
     if mode == PRIOR_WEAK:
         counts = np.bincount(data.labels, minlength=2)
@@ -408,6 +372,23 @@ def make_prior(
             upper=np.array([upper0, upper1]),
         )
     raise ValueError(f"unknown prior mode {mode!r}")
+
+
+def configured_prior(
+    config: ExperimentConfig, data: LabeledDataset, mode: str, class_share: float
+) -> LabelPrior:
+    """The label prior `config` sets on `data`, strong or weak by `mode`.
+
+    A strong prior pins the positive share to ``prior_positive_share`` or,
+    when that key is empty, to `class_share`, the share of positives in the
+    whole dataset; a weak one is the Clopper-Pearson box at ``prior_level``.
+    `mode` is ``prior_mode``, except in ``active``, whose strategy picks it.
+    """
+    if mode == PRIOR_STRONG:
+        share = config.prior_positive_share
+        share = class_share if share is None else share
+        return make_prior(data, PRIOR_STRONG, probabilities=(1.0 - share, share))
+    return make_prior(data, PRIOR_WEAK, level=config.prior_level)
 
 
 def _point_prior_for_share(positive_share: float) -> LabelPrior:
@@ -440,14 +421,15 @@ def prior_feasible_radius(
 
 
 def select_radius(
-    selection: RadiusSelection,
+    config: ExperimentConfig,
     data: LabeledDataset,
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
     full: DiscreteDistribution | None = None,
 ) -> tuple[float, bool]:
-    """Choose the ambiguity radius according to the selection policy.
+    """Choose the ambiguity radius by `config`'s ``eps_policy`` and the
+    policy's keys.
 
     Returns ``(eps, fell_back)``; ``fell_back`` is true when the
     confidence-screening policy found no candidate radius meeting its
@@ -456,36 +438,31 @@ def select_radius(
     against.
     """
     fell_back = False
-    if selection.policy == MIN_RADIUS_PLUS_DELTA:
-        eps = (
-            prior_feasible_radius(data, unlabeled, prior, cost)
-            + selection.delta_margin
-        )
-    elif selection.policy == AS_ROBUST_AS_POSSIBLE:
+    if config.eps_policy == MIN_RADIUS_PLUS_DELTA:
+        eps = prior_feasible_radius(data, unlabeled, prior, cost) + config.delta_margin
+    elif config.eps_policy == AS_ROBUST_AS_POSSIBLE:
         base = prior_feasible_radius(data, unlabeled, prior, cost)
         grid = np.geomspace(
-            base + selection.delta_margin,
-            base + selection.grid_span,
-            selection.grid_points,
+            base + config.delta_margin,
+            base + config.grid_span,
+            config.grid_points,
         )
         eps = None
         for candidate in reversed(grid):
             theta = cutset_solve(data, unlabeled, prior, cost, float(candidate)).theta
             median_conf = median(confidence(theta, unlabeled.features))
-            if median_conf >= selection.confidence_threshold:
+            if median_conf >= config.confidence_threshold:
                 eps = float(candidate)
                 break
         if eps is None:
             eps = float(grid[0])
             fell_back = True
-    elif selection.policy == FRACTION_OF_TRUE_DISTANCE:
+    else:  # FRACTION_OF_TRUE_DISTANCE
         if full is None:
             raise ValueError(
                 "distance-fraction policy requires the reference distribution"
             )
         mu = DiscreteDistribution.from_dataset(data)
         distance, _ = discrete_wasserstein(mu, full, cost)
-        eps = selection.fraction * distance
-    else:  # pragma: no cover - rejected by the dataclass validator
-        raise ValueError(f"unknown radius policy {selection.policy!r}")
+        eps = config.fraction * distance
     return float(eps), fell_back

@@ -2,12 +2,13 @@
 
 Every subcommand reads a flat config file, applies the targeted overrides
 and runs deterministically from the configured seed.  Its ``_run_*``
-returns a CSV header, rows and failed trials, and `main` alone writes what
-a run leaves: the ``<output>.meta`` sidecar (the resolved configuration)
-before the run, the CSV after it, and one ``error_trial_*`` line in
-``.meta`` per failed trial.  If no row succeeded, the first failure sets
-the exit code; a failed one-shot run writes no CSV.  `active` also writes
-its ``_aulc.csv``.  The CSV layout is decided here: the library returns
+returns a CSV header, rows, failed trials and any extra CSV files, and
+`main` alone writes what a run leaves: the ``<output>.meta`` sidecar (the
+resolved configuration) before the run, the CSV after it, the extra files
+after that (`active`'s ``_aulc.csv``, only when some trial succeeded), and
+one ``error_trial_*`` line in ``.meta`` per failed trial.  If no row
+succeeded, the first failure sets the exit code; a failed one-shot run
+writes no CSV.  The CSV layout is decided here: the library returns
 numbers, and each subcommand builds its rows next to its header.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible
@@ -32,16 +33,22 @@ gc.disable()
 try:
     import numpy as np
 
-    from .active import StrategyConfig, aulc, initial_state, run_active_loop
+    from .active import aulc, initial_state, run_active_loop
     from .baseline import baseline_train, robustness_sweep
     from .bounds import (
-        PRIOR_STRONG,
         certify,
+        configured_prior,
         make_prior,
         prior_feasible_radius,
         select_radius,
     )
-    from .config import ConfigError, ExperimentConfig, config_items, load_config
+    from .config import (
+        PRIOR_STRONG,
+        ConfigError,
+        ExperimentConfig,
+        config_items,
+        load_config,
+    )
     from .data import (
         RawTable,
         append_intercept,
@@ -130,17 +137,7 @@ def _build_instance(
     labeled, unlabeled, full = sample_split(
         table, n_labeled, split_seed, config.unlabeled_mode
     )
-    if config.prior_mode == PRIOR_STRONG:
-        share = (
-            table.positive_share
-            if config.prior_positive_share is None
-            else config.prior_positive_share
-        )
-        prior = make_prior(
-            labeled, PRIOR_STRONG, probabilities=(1.0 - share, share)
-        )
-    else:
-        prior = make_prior(labeled, config.prior_mode, level=config.prior_level)
+    prior = configured_prior(config, labeled, config.prior_mode, table.positive_share)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     return Instance(labeled, unlabeled, full, prior, cost)
 
@@ -160,7 +157,7 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
     if config.eps is not None:
         return config.eps
     eps, fell_back = select_radius(
-        config.radius_selection(),
+        config,
         instance.labeled,
         _require_unlabeled(instance),
         instance.prior,
@@ -239,7 +236,7 @@ def _run_train_dru(config: ExperimentConfig):
         **report,
         **_theta_columns(result.theta),
     }
-    return row, [row], []
+    return row, [row], [], {}
 
 
 def _run_train_baseline(config: ExperimentConfig):
@@ -261,7 +258,7 @@ def _run_train_baseline(config: ExperimentConfig):
         "median_confidence": _median_confidence(result.theta, score_features),
         **_theta_columns(result.theta),
     }
-    return row, [row], []
+    return row, [row], [], {}
 
 
 def _run_min_radius(config: ExperimentConfig):
@@ -276,7 +273,7 @@ def _run_min_radius(config: ExperimentConfig):
         "eps_min": float(eps_min),
         "eps_selected": float(eps_min + config.delta_margin),
     }
-    return row, [row], []
+    return row, [row], [], {}
 
 
 def _run_wasserstein(config: ExperimentConfig):
@@ -288,7 +285,7 @@ def _run_wasserstein(config: ExperimentConfig):
         "n_labeled": instance.labeled.n,
         "distance": float(distance),
     }
-    return row, [row], []
+    return row, [row], [], {}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def _run_bound_experiment(config: ExperimentConfig):
                     **report,
                 }
             )
-    return ["n_labeled", "trial", "seed", *BOUND_FIELDS], rows, errors
+    return ["n_labeled", "trial", "seed", *BOUND_FIELDS], rows, errors, {}
 
 
 def _run_radius_sweep(config: ExperimentConfig):
@@ -365,7 +362,7 @@ def _run_radius_sweep(config: ExperimentConfig):
                 errors.append((f"{trial}_eps_{float(eps)!r}", error))
                 continue
             rows.append({"trial": trial, "seed": split_seed, **report})
-    return ["trial", "seed", *BOUND_FIELDS], rows, errors
+    return ["trial", "seed", *BOUND_FIELDS], rows, errors, {}
 
 
 def _run_robustness_sweep(config: ExperimentConfig):
@@ -416,32 +413,24 @@ def _run_robustness_sweep(config: ExperimentConfig):
         "worst_case_likelihood",
         "log10_worst_case_likelihood",
     ]
-    return fieldnames, rows, errors
+    return fieldnames, rows, errors, {}
 
 
 def _run_active(config: ExperimentConfig):
     table = _load_table(config)
     pool = LabeledDataset(table.features, table.labels)
-    stop_at = config.stop_at if config.stop_at else config.n_labeled
+    cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     aulc_values = []
     for trial in range(config.trials):
         trial_seed = config.seed + trial
         try:
-            strategy = StrategyConfig(
-                kind=config.strategy,
-                candidate_subsample=config.candidate_subsample,
-                ridge_gamma=config.ridge_gamma,
-                delta_margin=config.delta_margin,
-                seed=trial_seed,
-                mc_include_norm=config.mc_include_norm,
-            )
             state = run_active_loop(
                 initial_state(pool, config.n_initial, trial_seed),
-                strategy,
+                config,
                 eval_data=pool,
-                stop_at=stop_at,
-                cost=TransportCost(label_flip_cost=config.label_flip_cost),
+                seed=trial_seed,
+                cost=cost,
             )
             aulc_values.append(aulc(state.history))
         except Exception as error:  # noqa: BLE001 - recorded, run continues
@@ -457,13 +446,14 @@ def _run_active(config: ExperimentConfig):
             }
             for n, value in state.history
         )
+    extra = {}
     if aulc_values:
         row = {
             "strategy": config.strategy,
             "median_aulc": median(aulc_values),
         }
-        _write_csv(_aulc_output_path(config.output), row, [row])
-    return ["seed", "strategy", "trial", "n_labeled", "likelihood"], rows, errors
+        extra[_aulc_output_path(config.output)] = (row, [row])
+    return ["seed", "strategy", "trial", "n_labeled", "likelihood"], rows, errors, extra
 
 
 def _oracle_instance(seed: int):
@@ -513,14 +503,15 @@ def _run_oracle_check(config: ExperimentConfig):
                 "within_tol": int(abs(report.gap) <= tolerance),
             }
         )
-    return ["instance", "seed", "primal", "dual", "gap", "within_tol"], rows, errors
+    return ["instance", "seed", "primal", "dual", "gap", "within_tol"], rows, errors, {}
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
-# each runner returns its CSV header, its rows and its failed trials as
-# (label, error) pairs; `main` writes them
+# each runner returns its CSV header, its rows, its failed trials as
+# (label, error) pairs and any extra CSV files as {path: (header, rows)};
+# `main` writes them
 _SUBCOMMANDS = {
     "train-dru": _run_train_dru,
     "train-baseline": _run_train_baseline,
@@ -579,8 +570,10 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         _write_metadata(config, args.command)
-        fieldnames, rows, errors = _SUBCOMMANDS[args.command](config)
+        fieldnames, rows, errors, extra = _SUBCOMMANDS[args.command](config)
         _write_csv(config.output, fieldnames, rows)
+        for path, (extra_fieldnames, extra_rows) in extra.items():
+            _write_csv(path, extra_fieldnames, extra_rows)
         if errors:
             _write_metadata(config, args.command, errors)
             if not rows:

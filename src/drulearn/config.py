@@ -2,7 +2,11 @@
 
 Every key has a default, every value is type-checked on parse, and unknown
 keys are hard errors so a typo cannot silently fall back to a default and
-invalidate a sweep.
+invalidate a sweep.  `ExperimentConfig` is the one settings record and the
+one place each key's range is checked; the library reads the checked
+values.  The names a key can take (unlabeled modes, prior modes, radius
+policies, strategies) are defined here too, so this module imports no other
+part of the package and no numpy.
 """
 
 from __future__ import annotations
@@ -10,15 +14,28 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .active import STRATEGY_KINDS
-from .bounds import (
+UNLABELED_FULL = "full"
+UNLABELED_REMAINDER = "remainder"
+
+PRIOR_STRONG = "strong"
+PRIOR_WEAK = "weak"
+
+MIN_RADIUS_PLUS_DELTA = "min-radius-plus-delta"
+AS_ROBUST_AS_POSSIBLE = "as-robust-as-possible"
+FRACTION_OF_TRUE_DISTANCE = "fraction-of-true-distance"
+RADIUS_POLICIES = (
     MIN_RADIUS_PLUS_DELTA,
-    PRIOR_STRONG,
-    PRIOR_WEAK,
-    RADIUS_POLICIES,
-    RadiusSelection,
+    AS_ROBUST_AS_POSSIBLE,
+    FRACTION_OF_TRUE_DISTANCE,
 )
-from .data import UNLABELED_FULL, UNLABELED_REMAINDER
+
+RANDOM = "random"
+EMC = "emc"
+MIN_MC = "min_mc"
+MAX_MC = "max_mc"
+DR_STRONG = "dr_strong"
+DR_WEAK = "dr_weak"
+STRATEGY_KINDS = (RANDOM, EMC, MIN_MC, MAX_MC, DR_STRONG, DR_WEAK)
 
 
 class ConfigError(ValueError):
@@ -68,7 +85,7 @@ class ExperimentConfig:
     delta_grid: tuple = (0.0, 0.05, 0.1, 0.2, 0.5)
 
     # Label acquisition.
-    strategy: str = "random"
+    strategy: str = RANDOM
     n_initial: int = 2
     stop_at: int = 0
     candidate_subsample: int = 100
@@ -123,23 +140,22 @@ class ExperimentConfig:
             raise ConfigError("candidate_subsample must be at least 1")
         if self.ridge_gamma < 0:
             raise ConfigError("ridge_gamma must be nonnegative")
-        # the radius-policy keys are checked here, not when a subcommand first
-        # runs the policy: `min-radius` reads delta_margin but never does
-        try:
-            self.radius_selection()
-        except ValueError as error:
-            raise ConfigError(str(error)) from error
-
-    def radius_selection(self) -> RadiusSelection:
-        """Instantiate the radius policy (without the chosen radius)."""
-        return RadiusSelection(
-            policy=self.eps_policy,
-            delta_margin=self.delta_margin,
-            confidence_threshold=self.confidence_threshold,
-            fraction=self.fraction,
-            grid_points=self.grid_points,
-            grid_span=self.grid_span,
-        )
+        # the radius-policy keys are checked whatever the policy: `min-radius`
+        # and `active` read delta_margin but never run a policy
+        if self.delta_margin <= 0:
+            raise ConfigError("delta_margin must be positive")
+        if not 0.0 < self.confidence_threshold < 1.0:
+            raise ConfigError("confidence_threshold must lie in (0, 1)")
+        if self.fraction < 0:
+            raise ConfigError("fraction must be nonnegative")
+        if self.grid_points < 1:
+            raise ConfigError("grid_points must be positive")
+        if self.grid_span <= 0:
+            raise ConfigError("grid_span must be positive")
+        if self.stop_at < 0:
+            raise ConfigError("stop_at must be nonnegative")
+        if 0 < self.stop_at <= self.n_initial:
+            raise ConfigError("stop_at must exceed n_initial")
 
 
 _FIELD_TYPES = {

@@ -14,6 +14,7 @@ import dataclasses
 
 import numpy as np
 
+from .config import UNLABELED_FULL, UNLABELED_REMAINDER
 from .model import DiscreteDistribution, LabeledDataset, UnlabeledDataset, make_rng
 
 INTERCEPT_NAME = "intercept"
@@ -172,10 +173,6 @@ def append_intercept(table: RawTable) -> RawTable:
         table.labels,
         table.label_column,
     )
-
-
-UNLABELED_FULL = "full"
-UNLABELED_REMAINDER = "remainder"
 
 
 def sample_split(

@@ -9,13 +9,6 @@ from scipy.optimize import minimize
 
 from drulearn.active import (
     ActiveState,
-    DR_STRONG,
-    DR_WEAK,
-    EMC,
-    MAX_MC,
-    MIN_MC,
-    RANDOM,
-    StrategyConfig,
     aulc,
     erm_train_l2,
     evaluation_likelihood,
@@ -27,6 +20,15 @@ from drulearn.active import (
     select_next,
 )
 from drulearn.bounds import make_prior, prior_feasible_radius
+from drulearn.config import (
+    DR_STRONG,
+    DR_WEAK,
+    EMC,
+    MAX_MC,
+    MIN_MC,
+    RANDOM,
+    ExperimentConfig,
+)
 from drulearn.dual import LabelPrior
 from drulearn.model import (
     LabeledDataset,
@@ -263,23 +265,25 @@ class TestSelectNext:
         pool = np.array([[0.5, 0.5]])
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK, DR_STRONG):
             state = self._state(pool, pool_labels=np.array([1]), theta=np.zeros(2))
-            strategy = StrategyConfig(kind=kind, candidate_subsample=3, seed=0)
-            chosen = select_next(
-                state, strategy, make_rng(0), cost=COST, class_share=0.5,
-            )
+            config = ExperimentConfig(strategy=kind, candidate_subsample=3)
+            chosen = select_next(state, config, make_rng(0), COST, 0.5)
             assert chosen == 0
 
     def test_zero_model_emc_takes_the_largest_feature_norm(self):
         pool = np.array([[1.0, 0.0], [3.0, 0.5], [0.2, 0.1]])
         state = self._state(pool, theta=np.zeros(2))
-        chosen = select_next(state, StrategyConfig(kind=EMC), make_rng(0))
+        chosen = select_next(
+            state, ExperimentConfig(strategy=EMC), make_rng(0), COST, 0.5
+        )
         assert chosen == 1
 
     def test_exact_ties_break_toward_the_lower_index(self):
         pool = np.array([[2.0, 1.0], [2.0, 1.0]])
         state = self._state(pool, theta=np.array([0.3, -0.2]))
         for kind in (EMC, MIN_MC, MAX_MC):
-            chosen = select_next(state, StrategyConfig(kind=kind), make_rng(0))
+            chosen = select_next(
+                state, ExperimentConfig(strategy=kind), make_rng(0), COST, 0.5
+            )
             assert chosen == 0
 
     def test_score_value_is_invariant_under_pool_permutation(self):
@@ -287,10 +291,11 @@ class TestSelectNext:
         pool = rng.normal(size=(6, 2))
         theta = rng.normal(size=2)
         state = self._state(pool, theta=theta)
-        chosen = select_next(state, StrategyConfig(kind=EMC), make_rng(0))
+        config = ExperimentConfig(strategy=EMC)
+        chosen = select_next(state, config, make_rng(0), COST, 0.5)
         perm = rng.permutation(6)
         permuted = self._state(pool[perm], theta=theta)
-        chosen_perm = select_next(permuted, StrategyConfig(kind=EMC), make_rng(0))
+        chosen_perm = select_next(permuted, config, make_rng(0), COST, 0.5)
         assert posterior_scores(theta, pool[chosen], EMC)[0] == pytest.approx(
             posterior_scores(theta, pool[perm][chosen_perm], EMC)[0], rel=1e-12
         )
@@ -304,8 +309,8 @@ class TestSelectNext:
             state = self._state(pool, theta=theta)
             for kind in (EMC, MIN_MC, MAX_MC):
                 for norm in (False, True):
-                    strategy = StrategyConfig(kind=kind, mc_include_norm=norm)
-                    chosen = select_next(state, strategy, make_rng(0))
+                    config = ExperimentConfig(strategy=kind, mc_include_norm=norm)
+                    chosen = select_next(state, config, make_rng(0), COST, 0.5)
                     scores = [posterior_scores(theta, x, kind, norm)[0] for x in pool]
                     assert chosen == int(np.argmax(scores))
 
@@ -319,12 +324,10 @@ class TestSelectNext:
             state = dataclasses.replace(initial, theta=theta)
             pool = UnlabeledDataset(state.pool_features)
             for kind in (DR_WEAK, DR_STRONG):
-                strategy = StrategyConfig(
-                    kind=kind, candidate_subsample=state.pool_size
+                config = ExperimentConfig(
+                    strategy=kind, candidate_subsample=state.pool_size
                 )
-                chosen = select_next(
-                    state, strategy, make_rng(0), cost=COST, class_share=0.5
-                )
+                chosen = select_next(state, config, make_rng(0), COST, 0.5)
                 if kind == DR_WEAK:
                     prior = make_prior(state.labeled, mode="weak")
                 else:
@@ -332,7 +335,7 @@ class TestSelectNext:
                         state.labeled, mode="strong", probabilities=(0.5, 0.5)
                     )
                 eps = prior_feasible_radius(state.labeled, pool, prior, COST)
-                eps += strategy.delta_margin
+                eps += config.delta_margin
                 scores = [
                     score_dr(
                         PayoffLp(pool.features, state.labeled, prior, eps, COST),
@@ -349,24 +352,29 @@ class TestSelectNext:
         state = dataclasses.replace(
             initial, theta=erm_train_l2(initial.labeled, 1e-3)
         )
-        strategy = StrategyConfig(kind=DR_WEAK, candidate_subsample=8)
-        select_next(state, strategy, make_rng(0), cost=COST)
+        config = ExperimentConfig(strategy=DR_WEAK, candidate_subsample=8)
+        select_next(state, config, make_rng(0), COST, 0.5)
         assert transport_solves == [(state.pool_size, state.labeled.n)]
 
     def test_random_strategy_is_seed_deterministic(self):
         pool = np.arange(20, dtype=float).reshape(10, 2)
         state = self._state(pool)
-        first = select_next(state, StrategyConfig(kind=RANDOM), make_rng(7))
-        second = select_next(state, StrategyConfig(kind=RANDOM), make_rng(7))
+        config = ExperimentConfig(strategy=RANDOM)
+        first = select_next(state, config, make_rng(7), COST, 0.5)
+        second = select_next(state, config, make_rng(7), COST, 0.5)
         assert first == second
 
     def test_empty_pool_and_missing_model_are_rejected(self):
         state = self._state(np.empty((0, 2)))
         with pytest.raises(ValueError):
-            select_next(state, StrategyConfig(kind=RANDOM), make_rng(0))
+            select_next(
+                state, ExperimentConfig(strategy=RANDOM), make_rng(0), COST, 0.5
+            )
         unscored = self._state(np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
-            select_next(unscored, StrategyConfig(kind=EMC), make_rng(0))
+            select_next(
+                unscored, ExperimentConfig(strategy=EMC), make_rng(0), COST, 0.5
+            )
 
 
 class TestActiveStateAndInit:
@@ -408,14 +416,15 @@ class TestRunActiveLoop:
 
     def test_random_curve_is_bitwise_reproducible(self):
         data, init = self._setup()
-        strategy = StrategyConfig(kind=RANDOM, seed=21)
-        first = run_active_loop(init, strategy, data, 12)
-        second = run_active_loop(init, strategy, data, 12)
+        config = ExperimentConfig(strategy=RANDOM, stop_at=12)
+        first = run_active_loop(init, config, data, 21, COST)
+        second = run_active_loop(init, config, data, 21, COST)
         assert first.history == second.history
 
     def test_curve_has_one_entry_per_labeled_count(self):
         data, init = self._setup()
-        done = run_active_loop(init, StrategyConfig(kind=EMC, seed=1), data, 13)
+        config = ExperimentConfig(strategy=EMC, stop_at=13)
+        done = run_active_loop(init, config, data, 1, COST)
         counts = [n for n, _ in done.history]
         assert counts == list(range(6, 14))
         assert done.labeled.n == 13
@@ -428,16 +437,18 @@ class TestRunActiveLoop:
         data = two_cluster_data(rng, 28, spread=1.2, noise=0.8)
         init = initial_state(data, 4, seed=9)
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK):
-            strategy = StrategyConfig(kind=kind, candidate_subsample=4, seed=9)
-            done = run_active_loop(init, strategy, data, 16, cost=COST)
+            config = ExperimentConfig(
+                strategy=kind, candidate_subsample=4, stop_at=16
+            )
+            done = run_active_loop(init, config, data, 9, COST)
             assert done.history[-1][1] >= done.history[0][1] - 1e-9
 
     def test_stopping_bounds_are_validated(self):
         data, init = self._setup()
         with pytest.raises(ValueError):
-            run_active_loop(init, StrategyConfig(kind=RANDOM), data, 6)
+            run_active_loop(init, ExperimentConfig(stop_at=6), data, 0, COST)
         with pytest.raises(ValueError):
-            run_active_loop(init, StrategyConfig(kind=RANDOM), data, 25)
+            run_active_loop(init, ExperimentConfig(stop_at=25), data, 0, COST)
 
     def test_evaluation_likelihood_is_the_geometric_mean(self):
         data = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 0]))

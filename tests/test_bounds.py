@@ -13,15 +13,11 @@ from scipy.optimize import Bounds, minimize
 from drulearn import baseline, bounds, dual
 from drulearn.baseline import FIT_MAX_ITER, FIT_TOL
 from drulearn.bounds import (
-    AS_ROBUST_AS_POSSIBLE,
     DEFAULT_Z_SCORE,
     EXP_ZERO,
-    FRACTION_OF_TRUE_DISTANCE,
-    MIN_RADIUS_PLUS_DELTA,
     SEARCH_OPTIONS,
     SMOOTHING_SCHEDULE,
     PerformanceBound,
-    RadiusSelection,
     normal_correction,
     certify,
     clopper_pearson,
@@ -31,6 +27,12 @@ from drulearn.bounds import (
     prior_feasible_radius,
     search_multipliers,
     select_radius,
+)
+from drulearn.config import (
+    AS_ROBUST_AS_POSSIBLE,
+    FRACTION_OF_TRUE_DISTANCE,
+    MIN_RADIUS_PLUS_DELTA,
+    ExperimentConfig,
 )
 from drulearn.data import append_intercept, synthetic_two_gaussians
 from drulearn.dual import (
@@ -1223,22 +1225,6 @@ class TestMakePrior:
             make_prior(data, mode="medium")
 
 
-class TestRadiusSelectionValidation:
-    def test_rejects_unknown_policy_and_bad_fields(self):
-        with pytest.raises(ValueError):
-            RadiusSelection(policy="largest")
-        with pytest.raises(ValueError):
-            RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA, delta_margin=0.0)
-        with pytest.raises(ValueError):
-            RadiusSelection(policy=AS_ROBUST_AS_POSSIBLE, confidence_threshold=1.0)
-        with pytest.raises(ValueError):
-            RadiusSelection(policy=FRACTION_OF_TRUE_DISTANCE, fraction=-1.0)
-        with pytest.raises(ValueError):
-            RadiusSelection(policy=AS_ROBUST_AS_POSSIBLE, grid_points=0)
-        with pytest.raises(ValueError):
-            RadiusSelection(policy=AS_ROBUST_AS_POSSIBLE, grid_span=0.0)
-
-
 class TestPriorFeasibleRadius:
     def test_one_solve_equals_the_larger_of_the_two_endpoint_radii(self):
         # weak (Clopper-Pearson), strong and random-box priors: the one
@@ -1295,7 +1281,11 @@ class TestSelectRadius:
         prior = LabelPrior.point([0.5, 0.5])
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         eps, fell_back = select_radius(
-            RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
+            ExperimentConfig(eps_policy=MIN_RADIUS_PLUS_DELTA),
+            data,
+            unlabeled,
+            prior,
+            COST,
         )
         assert eps == pytest.approx(base + 1e-3, abs=1e-12)
         assert not fell_back
@@ -1315,7 +1305,11 @@ class TestSelectRadius:
         )
         assert low_end > high_end
         eps, _ = select_radius(
-            RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
+            ExperimentConfig(eps_policy=MIN_RADIUS_PLUS_DELTA),
+            data,
+            unlabeled,
+            prior,
+            COST,
         )
         assert eps == pytest.approx(max(low_end, high_end) + 1e-3, abs=1e-12)
 
@@ -1323,7 +1317,7 @@ class TestSelectRadius:
         rng = make_rng(11)
         data, unlabeled, prior = random_instance(rng)
         eps, _ = select_radius(
-            RadiusSelection(policy=FRACTION_OF_TRUE_DISTANCE),
+            ExperimentConfig(eps_policy=FRACTION_OF_TRUE_DISTANCE),
             data,
             unlabeled,
             prior,
@@ -1345,7 +1339,9 @@ class TestSelectRadius:
         prior = LabelPrior.uninformative()
         for fraction in (1.0, 0.5):
             eps, _ = select_radius(
-                RadiusSelection(policy=FRACTION_OF_TRUE_DISTANCE, fraction=fraction),
+                ExperimentConfig(
+                    eps_policy=FRACTION_OF_TRUE_DISTANCE, fraction=fraction
+                ),
                 data,
                 unlabeled,
                 prior,
@@ -1359,7 +1355,7 @@ class TestSelectRadius:
         data, unlabeled, prior = random_instance(rng)
         with pytest.raises(ValueError):
             select_radius(
-                RadiusSelection(policy=FRACTION_OF_TRUE_DISTANCE),
+                ExperimentConfig(eps_policy=FRACTION_OF_TRUE_DISTANCE),
                 data,
                 unlabeled,
                 prior,
@@ -1383,13 +1379,13 @@ class TestSelectRadius:
         # the threshold, so the scan must settle on the middle grid point, the
         # largest one that still clears it
         data, unlabeled, prior = self._screening_instance(14, 3.0, 0.2)
-        selection = RadiusSelection(
-            policy=AS_ROBUST_AS_POSSIBLE,
+        config = ExperimentConfig(
+            eps_policy=AS_ROBUST_AS_POSSIBLE,
             confidence_threshold=0.7,
             grid_points=3,
             grid_span=0.5,
         )
-        eps, fell_back = select_radius(selection, data, unlabeled, prior, COST)
+        eps, fell_back = select_radius(config, data, unlabeled, prior, COST)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert eps == pytest.approx(grid[1], rel=1e-12)
@@ -1399,13 +1395,13 @@ class TestSelectRadius:
         # heavily overlapping classes keep the median confidence well under
         # 0.99 at every radius, so the policy must fall back and warn
         data, unlabeled, prior = self._screening_instance(21, 1.0, 1.2)
-        selection = RadiusSelection(
-            policy=AS_ROBUST_AS_POSSIBLE,
+        config = ExperimentConfig(
+            eps_policy=AS_ROBUST_AS_POSSIBLE,
             confidence_threshold=0.99,
             grid_points=3,
             grid_span=0.5,
         )
-        eps, fell_back = select_radius(selection, data, unlabeled, prior, COST)
+        eps, fell_back = select_radius(config, data, unlabeled, prior, COST)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert eps == pytest.approx(grid[0], rel=1e-12)
@@ -1415,6 +1411,10 @@ class TestSelectRadius:
         rng = make_rng(15)
         data, unlabeled, prior = random_instance(rng)
         eps, _ = select_radius(
-            RadiusSelection(policy=MIN_RADIUS_PLUS_DELTA), data, unlabeled, prior, COST
+            ExperimentConfig(eps_policy=MIN_RADIUS_PLUS_DELTA),
+            data,
+            unlabeled,
+            prior,
+            COST,
         )
         assert eps >= 0.0

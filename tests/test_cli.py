@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drulearn import baseline, cli, oracle
-from drulearn.active import StrategyConfig, aulc, initial_state, run_active_loop
+from drulearn import active, baseline, cli, oracle
+from drulearn.active import aulc, initial_state, run_active_loop
 from drulearn.baseline import baseline_train, robustness_sweep
-from drulearn.bounds import certify
+from drulearn.bounds import certify, make_prior, prior_feasible_radius
 from drulearn.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -676,15 +676,16 @@ class TestActiveExperiment:
         assert read_header(out) == "seed,strategy,trial,n_labeled,likelihood"
         aulc_path = tmp_path / "act_aulc.csv"
         assert read_header(aulc_path) == "strategy,median_aulc"
-        table = _load_table(load_config(config))
+        settings = load_config(config)
+        table = _load_table(settings)
         pool = LabeledDataset(table.features, table.labels)
         expected, areas = [], []
         for trial in range(3):
             state = run_active_loop(
                 initial_state(pool, 3, 2 + trial),
-                StrategyConfig(kind="emc", seed=2 + trial),
+                settings,
                 eval_data=pool,
-                stop_at=6,
+                seed=2 + trial,
                 cost=TransportCost(),
             )
             expected += [
@@ -714,6 +715,52 @@ class TestActiveExperiment:
         rows = read_rows(out)
         assert all(row["strategy"] == "emc" for row in rows)
         assert read_meta(out)["strategy"] == "emc"
+
+    def test_robust_strategies_read_the_prior_keys(self, tmp_path, monkeypatch):
+        # `.meta` records prior_level and prior_positive_share, so the run
+        # must use them: every robust step prices its candidates under the
+        # configured prior, at that prior's minimal radius plus delta_margin
+        built = []
+
+        def recording(support, labeled, prior, eps, cost):
+            built.append((support, labeled, prior, eps, cost))
+            return oracle.PayoffLp(support, labeled, prior, eps, cost)
+
+        monkeypatch.setattr(active, "PayoffLp", recording)
+        keys = dict(synthetic_n=30, n_initial=4, stop_at=8, candidate_subsample=8)
+        curves = {}
+        for name, extra in (
+            ("weak", {"strategy": "dr_weak", "prior_level": 0.5}),
+            ("strong", {"strategy": "dr_strong", "prior_positive_share": 0.9}),
+            ("strong_empty", {"strategy": "dr_strong"}),
+            ("strong_half", {"strategy": "dr_strong", "prior_positive_share": 0.5}),
+        ):
+            built.clear()
+            out = tmp_path / f"{name}.csv"
+            config = write_config(
+                tmp_path, name=f"{name}.cfg", output=str(out), **keys, **extra
+            )
+            assert main(["active", "--config", config]) == EXIT_OK
+            curves[name] = out.read_text()
+            assert len(built) == 4
+            for support, labeled, prior, eps, cost in built:
+                if name == "weak":
+                    expected = make_prior(labeled, "weak", level=0.5)
+                else:
+                    # the synthetic set is balanced: an empty share is 0.5
+                    share = extra.get("prior_positive_share", 0.5)
+                    expected = make_prior(
+                        labeled, "strong", probabilities=(1 - share, share)
+                    )
+                assert np.array_equal(prior.lower, expected.lower)
+                assert np.array_equal(prior.upper, expected.upper)
+                radius = prior_feasible_radius(
+                    labeled, UnlabeledDataset(support), prior, cost
+                )
+                assert eps == radius + 1e-3
+        # on this instance the 0.9 share changes which points are acquired
+        assert curves["strong_empty"] == curves["strong_half"]
+        assert curves["strong"] != curves["strong_empty"]
 
 
 class TestOracleCheck:

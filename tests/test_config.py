@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from drulearn.bounds import AS_ROBUST_AS_POSSIBLE, PRIOR_STRONG
 from drulearn.config import (
+    AS_ROBUST_AS_POSSIBLE,
+    FRACTION_OF_TRUE_DISTANCE,
+    MIN_RADIUS_PLUS_DELTA,
+    PRIOR_STRONG,
     ConfigError,
     ExperimentConfig,
     config_items,
@@ -197,6 +200,9 @@ class TestValidation:
             ("prior_positive_share", "1.5", r"prior_positive_share must lie in \[0, 1\]"),
             ("candidate_subsample", "0", "candidate_subsample must be at least 1"),
             ("ridge_gamma", "-1e-3", "ridge_gamma must be nonnegative"),
+            ("stop_at", "-3", "stop_at must be nonnegative"),
+            ("stop_at", "1", "stop_at must exceed n_initial"),
+            ("stop_at", "2", "stop_at must exceed n_initial"),
         ],
     )
     def test_out_of_range_keys_stop_at_parse_time(self, key, raw, message):
@@ -208,9 +214,40 @@ class TestValidation:
         config = parse_config_text(
             "eps_grid = 0\ndelta_grid = 0\nn_labeled_grid = 1\n"
             "prior_positive_share = 1\ncandidate_subsample = 1\nridge_gamma = 0\n"
+            "stop_at = 3\n"
         )
         assert config.eps_grid == (0.0,) and config.n_labeled_grid == (1,)
         assert config.prior_positive_share == 1.0 and config.ridge_gamma == 0.0
+        assert config.stop_at == 3
+
+    def test_rejects_unknown_policy_and_bad_fields(self):
+        # an unknown policy, and each policy key out of range under a policy
+        # that reads it
+        for keys, message in (
+            ({"eps_policy": "largest"}, "unknown eps_policy 'largest'"),
+            (
+                {"eps_policy": MIN_RADIUS_PLUS_DELTA, "delta_margin": 0.0},
+                "delta_margin must be positive",
+            ),
+            (
+                {"eps_policy": AS_ROBUST_AS_POSSIBLE, "confidence_threshold": 1.0},
+                r"confidence_threshold must lie in \(0, 1\)",
+            ),
+            (
+                {"eps_policy": FRACTION_OF_TRUE_DISTANCE, "fraction": -1.0},
+                "fraction must be nonnegative",
+            ),
+            (
+                {"eps_policy": AS_ROBUST_AS_POSSIBLE, "grid_points": 0},
+                "grid_points must be positive",
+            ),
+            (
+                {"eps_policy": AS_ROBUST_AS_POSSIBLE, "grid_span": 0.0},
+                "grid_span must be positive",
+            ),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig(**keys)
 
     def test_overrides_are_checked_for_finiteness(self):
         # the CLI applies --eps and friends through dataclasses.replace
@@ -218,25 +255,6 @@ class TestValidation:
             dataclasses.replace(ExperimentConfig(), eps=float("nan"))
         with pytest.raises(ConfigError, match="label_flip_cost must be finite"):
             ExperimentConfig(label_flip_cost=float("nan"))
-
-
-class TestDerivedObjects:
-    def test_radius_selection_carries_the_policy_keys(self):
-        config = ExperimentConfig(
-            eps_policy=AS_ROBUST_AS_POSSIBLE,
-            delta_margin=0.01,
-            confidence_threshold=0.8,
-            fraction=0.5,
-            grid_points=7,
-            grid_span=3.0,
-        )
-        selection = config.radius_selection()
-        assert selection.policy == AS_ROBUST_AS_POSSIBLE
-        assert selection.delta_margin == 0.01
-        assert selection.confidence_threshold == 0.8
-        assert selection.fraction == 0.5
-        assert selection.grid_points == 7
-        assert selection.grid_span == 3.0
 
 
 class TestRendering:

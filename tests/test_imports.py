@@ -298,3 +298,16 @@ def test_no_subcommand_imports_numpy_ma(tmp_path):
     )
     assert report["codes"] == {command: 0 for command in SUBCOMMANDS}
     assert report["imported_before"] == []
+
+
+def test_importing_config_loads_no_other_package_module_and_no_numpy(tmp_path):
+    # the settings names live in `config`, so a caller can read and check a
+    # config file without loading numpy, scipy or the solver layer
+    report = run_script(
+        "import json, sys\n"
+        "import drulearn.config\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "    if name.split('.')[0] in ('drulearn', 'numpy', 'scipy'))))\n",
+        tmp_path,
+    )
+    assert report == ["drulearn", "drulearn.config"]
