@@ -417,6 +417,9 @@ def _run_robustness_sweep(config: ExperimentConfig):
 
 
 def _run_active(config: ExperimentConfig):
+    # not a parse-time check: other subcommands accept n_labeled <= n_initial
+    if config.stop_at == 0 and config.n_labeled <= config.n_initial:
+        raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
     table = _load_table(config)
     pool = LabeledDataset(table.features, table.labels)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)

@@ -421,7 +421,8 @@ class CutSetResult:
     computed along two routes, and rounding can cross them by a few ulps.
     `state` is `theta` with the worst-case LP's multipliers there, a dual
     point whose objective is `upper` up to `oracle.BUDGET_SLACK` times its
-    transport price.  `status` is
+    transport price.  Both are the run's own solve at `theta`, so they also
+    depend on the (deterministic) solves before it.  `status` is
     "converged" when the gap closed to `CUT_GAP_TOL` and "max_steps" when
     `CUT_LIMIT` worst-case LPs were solved first; `lps` counts them.
     """
@@ -486,7 +487,7 @@ def _solve_master(cuts, features, theta_start):
 
 
 def _worst_case(model: PayoffLp, theta, features):
-    """Exact worst case at theta on the run's model: its value and its cut.
+    """Exact worst case at theta on the run's model: the optimum and its cut.
 
     The cut is the maximizing distribution's flattened (support point,
     label) masses, normalized to total 1: the LP's clipped masses can sum
@@ -495,7 +496,7 @@ def _worst_case(model: PayoffLp, theta, features):
     """
     result = model.solve(both_class_losses(theta, features))
     weights = result.support_mass.ravel()
-    return result.value, weights / weights[weights > 0.0].sum()
+    return result, weights / weights[weights > 0.0].sum()
 
 
 def cutset_solve(
@@ -514,38 +515,32 @@ def cutset_solve(
     whose value is an upper bound and whose maximizing distribution is the
     next cut (Mutapcic & Boyd, "Cutting-set methods for robust convex
     optimization with pessimizing oracles", Optim. Methods Softw. 2009).
-    The run's LPs share one `oracle.PayoffLp`: only the costs change
-    between rounds, so each LP re-optimizes from the last one's basis and
-    columns.  The best theta is then priced once more by a one-shot
-    `solve_worst_case_lp`, so the reported `upper` and `state` are those of
-    a fresh solve at theta, whatever the run's history.  Starts from
-    theta = 0; see `CutSetResult`.  Raises `oracle.InfeasibleRadiusError`
-    when the decision set is empty.
+    The run's LPs share one `oracle.PayoffLp`, the instance's only LP model:
+    only the costs change between rounds, so each LP re-optimizes from the
+    last one's basis and columns.  `upper` and `state` are those of the
+    solve that found the best theta, already an optimum of the full LP
+    there, so it is not priced again.  Starts from theta = 0; see
+    `CutSetResult`.  Raises `oracle.InfeasibleRadiusError` when the
+    decision set is empty.
     """
     model = PayoffLp(unlabeled.features, data, prior, eps, cost)
     best = np.zeros(data.dim)
     features = unlabeled.features
-    upper, cut = _worst_case(model, best, features)
+    exact, cut = _worst_case(model, best, features)
     cuts = [cut]
     lower = -np.inf
     status = MAX_STEPS
     while len(cuts) < CUT_LIMIT:
         theta, lower = _solve_master(cuts, features, best)
-        if upper - lower <= CUT_GAP_TOL:
+        if exact.value - lower <= CUT_GAP_TOL:
             status = CONVERGED
             break
-        value, cut = _worst_case(model, theta, features)
+        result, cut = _worst_case(model, theta, features)
         cuts.append(cut)
-        if value < upper:
-            upper, best = value, theta
-    # free the model's simplex workspace (a few MB) before the fresh solve
-    # allocates its own
-    del model
-    exact = solve_worst_case_lp(best, unlabeled.features, data, prior, eps, cost)
+        if result.value < exact.value:
+            exact, best = result, theta
     state = DualState.from_multipliers(best, exact.multipliers)
-    return CutSetResult(
-        status, state, exact.value, min(lower, exact.value), len(cuts)
-    )
+    return CutSetResult(status, state, exact.value, min(lower, exact.value), len(cuts))
 
 
 @dataclass(frozen=True, eq=False)

@@ -636,6 +636,28 @@ class TestSweeps:
 
 
 class TestActiveExperiment:
+    def test_default_stop_at_within_the_initial_set_fails_once_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # stop_at = 0 targets n_labeled, here the default n_initial of 2
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_active_loop", no_trial)
+        out = tmp_path / "act.csv"
+        config = write_config(
+            tmp_path, output=str(out), synthetic_n=20, n_labeled=2, trials=3
+        )
+        assert main(["active", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: with stop_at = 0, n_labeled must exceed n_initial\n"
+        )
+        assert not out.exists()
+        assert not (tmp_path / "act_aulc.csv").exists()
+        meta = read_meta(out)
+        assert meta["command"] == "active"
+        assert not [key for key in meta if key.startswith("error_trial_")]
+
     def test_curves_and_aulc_files(self, tmp_path):
         out = tmp_path / "act.csv"
         config = write_config(

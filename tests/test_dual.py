@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from drulearn import dual
+from drulearn import dual, oracle
 from drulearn.dual import (
     CONVERGED,
     CUT_GAP_TOL,
@@ -36,6 +36,7 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
+    PRICING_TOL,
     InfeasibleRadiusError,
     min_feasible_radius,
     solve_worst_case_lp,
@@ -498,15 +499,41 @@ class TestTrainDru:
             cutset_solve(data, unlabeled, prior, COST, 0.3).theta
 
 
+def _multiplier_bytes(multipliers):
+    return [
+        np.asarray(part, dtype=float).tobytes()
+        for part in (
+            multipliers.transport_mult,
+            multipliers.atom_potentials,
+            multipliers.label_upper_mult,
+            multipliers.label_lower_mult,
+        )
+    ]
+
+
 class TestCutsetSolve:
-    def test_master_bound_never_exceeds_the_worst_case_on_a_grid(self):
+    def test_master_bound_never_exceeds_the_worst_case_on_a_grid(self, monkeypatch):
         # the master value is a lower bound on min F, so no theta on a grid
-        # may price below it, and the certified gap closes
+        # may price below it, and the certified gap closes; `upper` and the
+        # state's multipliers are, bit for bit, those of the run's own solve
+        # at the reported theta, and a fresh solve there agrees with them
+        # to the pricing tolerance
+        solves = []
+        solve = oracle.PayoffLp.solve
+
+        def recording(model, payoff):
+            result = solve(model, payoff)
+            solves.append((np.asarray(payoff, dtype=float).tobytes(), result))
+            return result
+
         rng = make_rng(40)
         for _ in range(3):
             data, unlabeled, prior = random_instance(rng, 3, 6, 2)
             eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
-            result = cutset_solve(data, unlabeled, prior, COST, eps)
+            solves.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle.PayoffLp, "solve", recording)
+                result = cutset_solve(data, unlabeled, prior, COST, eps)
             assert result.status == CONVERGED
             assert result.gap <= CUT_GAP_TOL
             grid = np.linspace(-4.0, 4.0, 9)
@@ -515,10 +542,18 @@ class TestCutsetSolve:
                     np.array(theta), unlabeled.features, data, prior, eps, COST
                 )
                 assert result.lower <= worst.value
+            payoff = both_class_losses(result.theta, unlabeled.features).tobytes()
+            reported = (result.upper, _multiplier_bytes(result.state))
+            at_theta = [
+                (found.value, _multiplier_bytes(found.multipliers))
+                for key, found in solves
+                if key == payoff
+            ]
+            assert reported in at_theta
             exact = solve_worst_case_lp(
                 result.theta, unlabeled.features, data, prior, eps, COST
             )
-            assert result.upper == exact.value
+            assert abs(result.upper - exact.value) <= PRICING_TOL
 
     def test_state_is_a_dual_point_at_the_reported_worst_case(self):
         rng = make_rng(41)
@@ -585,16 +620,40 @@ class TestCutsetSolve:
                 assert result.gap <= CUT_GAP_TOL
 
     def test_solves_the_support_coupling_once(self, transport_solves):
-        # at the minimal radius the seeded LPs of the run and of the final
-        # solve are infeasible and take the coupling's cells, and the radius
-        # check needs its distance: all of them, and the radius computed
-        # here, share one transport solve
+        # at the minimal radius the run's seeded LP takes the coupling's
+        # cells, and the radius check needs its distance: both, and the
+        # radius computed here, share one transport solve
         rng = make_rng(45)
         data, unlabeled, prior = random_instance(rng, 12, 40, 3)
         eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
         result = cutset_solve(data, unlabeled, prior, COST, eps0)
         assert result.status == CONVERGED
         assert transport_solves == [(40, 12)]
+
+    def test_builds_one_lp_model_and_no_one_shot_solve(self, monkeypatch):
+        # every worst-case LP of a run, the reported one included, is solved
+        # on the run's one `PayoffLp`
+        built, one_shot = [], []
+        init = oracle.PayoffLp.__init__
+
+        def counted_init(model, *args, **kwargs):
+            built.append(args)
+            init(model, *args, **kwargs)
+
+        def counted_one_shot(*args, **kwargs):
+            one_shot.append(args)
+            return solve_worst_case_lp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle.PayoffLp, "__init__", counted_init)
+        monkeypatch.setattr(oracle, "solve_worst_case_lp", counted_one_shot)
+        monkeypatch.setattr(dual, "solve_worst_case_lp", counted_one_shot)
+        rng = make_rng(47)
+        data, unlabeled, prior = random_instance(rng, 5, 20, 3)
+        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+        result = cutset_solve(data, unlabeled, prior, COST, eps)
+        assert result.lps > 1
+        assert len(built) == 1
+        assert one_shot == []
 
     def test_cuts_are_worst_case_masses_on_the_support_label_grid(self, monkeypatch):
         # every cut handed to the master is a distribution on the (support
