@@ -7,6 +7,11 @@ current model's posterior.  A robust step prices every candidate through
 `score_dr` on one shared worst-case LP, whose radius and first columns come
 from one pool-to-labeled-atoms transport (`oracle.uniform_coupling`).
 
+`score_dr` is g_lo + (g_hi - g_lo) * s_j with s_j in [0, 1] (see there), and
+on every config measured the pick was the subsample's argmax of
+g_lo = min(p, 1 - p) * |x|: `min_mc` with ``mc_include_norm``, whose curves
+``dr_weak`` and ``dr_strong`` write once the subsample covers the pool.
+
 `select_next` and `run_active_loop` read a checked `config.ExperimentConfig`.
 The robust strategies build their prior with `bounds.configured_prior`, strong
 or weak as the strategy says (``prior_mode`` is not read), and take its
@@ -186,6 +191,13 @@ def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
     `target`, where it holds minus n_u times each label's impact.  An empty
     decision set raises when ``model`` is built, so every score is an
     optimum.
+
+    With its mass fixed, the score is g_lo + (g_hi - g_lo) * s_j: g_lo, g_hi the
+    smaller and the larger impact, s_j in [0, 1] n_u times the least mass
+    left on the high-impact label, and g_lo = min(p, 1 - p) * |x| at the
+    posterior p: the ``min_mc`` score with ``mc_include_norm``.  s_j was at
+    most 1.4e-12 on 7,624 scores of three configs and at most 0.33 with
+    overlapping clusters; every measured pick was the argmax of g_lo.
     """
     n_u = len(pool_features)
     payoff = np.zeros((n_u, 2))

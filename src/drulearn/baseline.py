@@ -6,8 +6,9 @@ piecewise-linear minimization over the transport-price multiplier, whose
 smallest minimizer is a breakpoint or its lower limit, found exactly by one
 partial sort. Training against it is a small convex program in (theta,
 price), solved exactly by one SLSQP call. This module evaluates that worst
-case, trains against it, and sweeps how the worst case degrades as the ball
-grows beyond the training radius.
+case (`worst_case_price`) and trains against it (`baseline_train`); the
+``robustness-sweep`` subcommand prices each trained model with
+`worst_case_price` as the ball grows beyond its training radius.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def worst_case_price(theta, data: LabeledDataset, eps: float, cost: TransportCos
     right slope is ``eps - kappa * #{i : b_i > alpha} / n``. With k the most
     breakpoints a nonnegative slope allows above the price, the smallest
     minimizer is the larger of that norm and the (k + 1)-th largest
-    breakpoint, found by one partial sort. Returns that price and its value.
+    breakpoint, found by one partial sort. Returns that price and its value,
+    the exact worst-case average loss over the labeled-sample transport ball
+    for data whose final feature coordinate is the constant intercept.
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
@@ -87,20 +90,6 @@ def worst_case_price(theta, data: LabeledDataset, eps: float, cost: TransportCos
         breaks = np.partition((flip - keep) / kappa, n - 1 - k)
         price = max(price, float(breaks[n - 1 - k]))
     return price, _price_objective(price, eps, keep, flip, kappa)
-
-
-def baseline_worst_case(
-    theta, data: LabeledDataset, eps: float, cost: TransportCost
-) -> float:
-    """Exact worst-case average loss over the labeled-sample transport ball.
-
-    The value of ``alpha * eps + mean_i max(keep_i, flip_i - alpha * kappa)``
-    at its minimizing transport price ``alpha``, which `worst_case_price`
-    finds in closed form over prices at least the non-intercept norm of
-    theta. Exact for data whose final feature coordinate is the constant
-    intercept.
-    """
-    return worst_case_price(theta, data, eps, cost)[1]
 
 
 def baseline_train(
@@ -183,32 +172,3 @@ def baseline_train(
     if zero_value < value:
         theta, alpha, value = np.zeros(dim), zero_alpha, zero_value
     return BaselineResult(theta=theta, alpha=alpha, worst_case_value=value)
-
-
-def robustness_sweep(
-    theta_by_eps: dict,
-    data: LabeledDataset,
-    eps_grid,
-    delta_grid,
-    cost: TransportCost,
-) -> np.ndarray:
-    """Worst-case likelihood of each trained model as the ball outgrows it.
-
-    Entry (i, j) evaluates the model trained at ``eps_grid[i]`` against the
-    ball of radius ``eps_grid[i] + delta_grid[j]`` and reports the implied
-    per-sample likelihood ``exp(-worst_case)``.
-    """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if eps_grid.size == 0 or delta_grid.size == 0:
-        raise ValueError("both grids must be nonempty")
-    matrix = np.empty((eps_grid.size, delta_grid.size))
-    for i, eps in enumerate(eps_grid):
-        if eps not in theta_by_eps:
-            raise ValueError(f"no trained parameters supplied for eps={eps!r}")
-        theta = theta_by_eps[eps]
-        for j, delta in enumerate(delta_grid):
-            matrix[i, j] = np.exp(
-                -baseline_worst_case(theta, data, eps + delta, cost)
-            )
-    return matrix

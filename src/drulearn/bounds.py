@@ -3,7 +3,8 @@
 Turns a dual point into a certified lower bound on out-of-sample likelihood
 (`performance_bound`), certifies a trained classifier with multipliers
 searched on one half of the unlabeled sample and evaluated on the other
-(`certify`), builds the label prior a config sets (`configured_prior`), and
+(`certify`), builds the label prior a config sets (`configured_prior`: the
+Clopper-Pearson box of `weak_prior` or a strong `LabelPrior.point`), and
 picks the ambiguity radius by the config's policy (`select_radius`).  Both
 read a checked `config.ExperimentConfig`; neither checks a key again.
 
@@ -42,7 +43,6 @@ from .config import (
     AS_ROBUST_AS_POSSIBLE,
     MIN_RADIUS_PLUS_DELTA,
     PRIOR_STRONG,
-    PRIOR_WEAK,
     ExperimentConfig,
 )
 from .dual import (
@@ -348,30 +348,16 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95):
     return lower, upper
 
 
-def make_prior(
-    data: LabeledDataset,
-    mode: str = PRIOR_WEAK,
-    probabilities=None,
-    level: float = 0.95,
-) -> LabelPrior:
-    """Build the label-probability box from labeled data.
-
-    ``strong`` pins both bounds to externally known class probabilities
-    (`LabelPrior.point` rejects any that are not one probability per class);
-    ``weak`` derives per-class confidence intervals from the labeled counts.
-    """
-    if mode == PRIOR_STRONG:
-        return LabelPrior.point(probabilities)
-    if mode == PRIOR_WEAK:
-        counts = np.bincount(data.labels, minlength=2)
-        n = int(counts.sum())
-        lower0, upper0 = clopper_pearson(int(counts[0]), n, level)
-        lower1, upper1 = clopper_pearson(int(counts[1]), n, level)
-        return LabelPrior(
-            lower=np.array([lower0, lower1]),
-            upper=np.array([upper0, upper1]),
-        )
-    raise ValueError(f"unknown prior mode {mode!r}")
+def weak_prior(data: LabeledDataset, level: float = 0.95) -> LabelPrior:
+    """The weak label prior: the per-class Clopper-Pearson box at `level`
+    around the labeled class counts."""
+    counts = np.bincount(data.labels, minlength=2)
+    n = int(counts.sum())
+    lower0, upper0 = clopper_pearson(int(counts[0]), n, level)
+    lower1, upper1 = clopper_pearson(int(counts[1]), n, level)
+    return LabelPrior(
+        lower=np.array([lower0, lower1]), upper=np.array([upper0, upper1])
+    )
 
 
 def configured_prior(
@@ -387,12 +373,8 @@ def configured_prior(
     if mode == PRIOR_STRONG:
         share = config.prior_positive_share
         share = class_share if share is None else share
-        return make_prior(data, PRIOR_STRONG, probabilities=(1.0 - share, share))
-    return make_prior(data, PRIOR_WEAK, level=config.prior_level)
-
-
-def _point_prior_for_share(positive_share: float) -> LabelPrior:
-    return LabelPrior.point(np.array([1.0 - positive_share, positive_share]))
+        return LabelPrior.point((1.0 - share, share))
+    return weak_prior(data, config.prior_level)
 
 
 def prior_feasible_radius(
@@ -416,7 +398,7 @@ def prior_feasible_radius(
         positive_share_range(prior), key=lambda endpoint: abs(endpoint - share)
     )
     return min_feasible_radius(
-        data, unlabeled.features, _point_prior_for_share(farther), cost
+        data, unlabeled.features, LabelPrior.point((1.0 - farther, farther)), cost
     )
 
 

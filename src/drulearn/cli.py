@@ -34,16 +34,14 @@ try:
     import numpy as np
 
     from .active import aulc, initial_state, run_active_loop
-    from .baseline import baseline_train, robustness_sweep
+    from .baseline import baseline_train, worst_case_price
     from .bounds import (
         certify,
         configured_prior,
-        make_prior,
         prior_feasible_radius,
         select_radius,
     )
     from .config import (
-        PRIOR_STRONG,
         ConfigError,
         ExperimentConfig,
         config_items,
@@ -376,35 +374,29 @@ def _run_robustness_sweep(config: ExperimentConfig):
         split_seed = config.seed + trial
         try:
             instance = _build_instance(config, table, split_seed)
-            theta_by_eps = {
-                float(eps): baseline_train(
-                    instance.labeled, float(eps), instance.cost
-                ).theta
-                for eps in config.eps_grid
-            }
-            matrix = robustness_sweep(
-                theta_by_eps,
-                instance.labeled,
-                config.eps_grid,
-                config.delta_grid,
-                instance.cost,
-            )
+            data, cost = instance.labeled, instance.cost
+            trial_rows = []
+            for eps in map(float, config.eps_grid):
+                theta = baseline_train(data, eps, cost).theta
+                for delta in map(float, config.delta_grid):
+                    # exp(-worst case): the per-sample likelihood of the model
+                    # trained at eps over the ball of radius eps + delta
+                    _, worst = worst_case_price(theta, data, eps + delta, cost)
+                    likelihood = float(np.exp(-worst))
+                    trial_rows.append(
+                        {
+                            "trial": trial,
+                            "seed": split_seed,
+                            "eps": eps,
+                            "delta": delta,
+                            "worst_case_likelihood": likelihood,
+                            "log10_worst_case_likelihood": float(np.log10(likelihood)),
+                        }
+                    )
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(trial), error))
             continue
-        for i, eps in enumerate(config.eps_grid):
-            for j, delta in enumerate(config.delta_grid):
-                likelihood = float(matrix[i, j])
-                rows.append(
-                    {
-                        "trial": trial,
-                        "seed": split_seed,
-                        "eps": float(eps),
-                        "delta": float(delta),
-                        "worst_case_likelihood": likelihood,
-                        "log10_worst_case_likelihood": float(np.log10(likelihood)),
-                    }
-                )
+        rows.extend(trial_rows)
     fieldnames = [
         "trial",
         "seed",
@@ -472,7 +464,7 @@ def _oracle_instance(seed: int):
     unlabeled_features = np.round(rng.normal(size=(n_unlabeled, dim)), 3)
     if rng.integers(0, 2) == 0:
         share = float(rng.uniform(0.2, 0.8))
-        prior = make_prior(labeled, PRIOR_STRONG, probabilities=(1 - share, share))
+        prior = LabelPrior.point((1 - share, share))
     else:
         lower = rng.uniform(0.0, 0.3, size=2)
         upper = np.minimum(1.0, lower + rng.uniform(0.5, 0.9, size=2))

@@ -131,6 +131,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} entries must be nonnegative")
         if any(entry < 1 for entry in self.n_labeled_grid):
             raise ConfigError("n_labeled_grid entries must be at least 1")
+        # a repeated entry would repeat a run and its `.meta` error key
+        for key in ("n_labeled_grid", "eps_grid", "delta_grid"):
+            grid = getattr(self, key)
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{key} entries must be distinct")
         if not 0.0 < self.prior_level < 1.0:
             raise ConfigError("prior_level must lie strictly between 0 and 1")
         share = self.prior_positive_share

@@ -21,17 +21,13 @@ import pytest
 from drulearn.active import EMC, aulc, impact_gradient_norm, posterior_scores, score_dr
 from drulearn.baseline import (
     baseline_train,
-    baseline_worst_case,
     feature_norm,
-    robustness_sweep,
     worst_case_price,
 )
 from drulearn import dual
 from drulearn.bounds import (
-    PRIOR_STRONG,
     SMOOTHING_SCHEDULE,
     _smoothed_bound,
-    make_prior,
     performance_bound,
 )
 from drulearn.cli import main
@@ -85,7 +81,7 @@ def _random_small_instance(rng, with_theta=True):
     support = np.round(rng.normal(size=(n_unlabeled, dim)), 3)
     if rng.integers(0, 2) == 0:
         share = float(rng.uniform(0.2, 0.8))
-        prior = make_prior(labeled, PRIOR_STRONG, probabilities=(1 - share, share))
+        prior = LabelPrior.point((1 - share, share))
     else:
         lower = rng.uniform(0.0, 0.3, size=2)
         upper = np.minimum(1.0, lower + rng.uniform(0.5, 0.9, size=2))
@@ -366,7 +362,7 @@ def test_ball_baseline_dominates_its_grid_oracle_and_matches_at_high_price():
         theta = rng.normal(size=dim + 1) * float(rng.uniform(0.5, 2.5))
         theta[-1] *= 2.0  # strong bias makes in-place label flips profitable
         eps = float(rng.uniform(0.05, 0.6))
-        closed_form = baseline_worst_case(theta, labeled, eps, COST)
+        closed_form = worst_case_price(theta, labeled, eps, COST)[1]
         extras = np.column_stack([rng.normal(size=(3, dim)), np.ones(3)])
         grid = np.vstack([labeled.features, extras])
         _, on_grid = full_lp_reference(theta, grid, labeled, None, eps, COST)
@@ -396,7 +392,7 @@ def test_ball_baseline_dominates_its_grid_oracle_and_matches_at_high_price():
                 ]
             )
         )
-        assert abs(baseline_worst_case(theta, labeled, 0.0, COST) - empirical) <= 1e-12
+        assert abs(worst_case_price(theta, labeled, 0.0, COST)[1] - empirical) <= 1e-12
 
 
 def test_robustness_sweep_rows_never_recover_as_the_ball_grows():
@@ -413,7 +409,19 @@ def test_robustness_sweep_rows_never_recover_as_the_ball_grows():
         theta_by_eps = {
             float(eps): rng.normal(size=3) for eps in eps_grid
         }
-        matrix = robustness_sweep(theta_by_eps, labeled, eps_grid, delta_grid, COST)
+        matrix = np.array(
+            [
+                [
+                    np.exp(
+                        -worst_case_price(
+                            theta_by_eps[float(eps)], labeled, eps + delta, COST
+                        )[1]
+                    )
+                    for delta in delta_grid
+                ]
+                for eps in eps_grid
+            ]
+        )
         assert np.all(np.diff(matrix, axis=1) <= 1e-12)
 
 

@@ -19,7 +19,7 @@ from drulearn.active import (
     score_dr,
     select_next,
 )
-from drulearn.bounds import make_prior, prior_feasible_radius
+from drulearn.bounds import prior_feasible_radius, weak_prior
 from drulearn.config import (
     DR_STRONG,
     DR_WEAK,
@@ -329,11 +329,9 @@ class TestSelectNext:
                 )
                 chosen = select_next(state, config, make_rng(0), COST, 0.5)
                 if kind == DR_WEAK:
-                    prior = make_prior(state.labeled, mode="weak")
+                    prior = weak_prior(state.labeled)
                 else:
-                    prior = make_prior(
-                        state.labeled, mode="strong", probabilities=(0.5, 0.5)
-                    )
+                    prior = LabelPrior.point((0.5, 0.5))
                 eps = prior_feasible_radius(state.labeled, pool, prior, COST)
                 eps += config.delta_margin
                 scores = [

@@ -9,9 +9,7 @@ from scipy.optimize import minimize
 from drulearn.baseline import (
     BaselineResult,
     baseline_train,
-    baseline_worst_case,
     feature_norm,
-    robustness_sweep,
     worst_case_price,
 )
 from drulearn.model import (
@@ -69,20 +67,20 @@ class TestBaselineWorstCase:
         rng = make_rng(0)
         for _ in range(20):
             data, theta = random_biased_instance(rng)
-            value = baseline_worst_case(theta, data, 0.0, COST)
+            value = worst_case_price(theta, data, 0.0, COST)[1]
             assert abs(value - empirical_loss(theta, data)) <= 1e-12
 
     def test_zero_model_prices_at_log_two_for_every_radius(self):
         data = LabeledDataset(with_bias([[0.5, -1.0], [2.0, 0.3]]), np.array([0, 1]))
         for eps in (0.0, 0.1, 1.0, 50.0):
-            assert baseline_worst_case(np.zeros(3), data, eps, COST) == LOG2
+            assert worst_case_price(np.zeros(3), data, eps, COST)[1] == LOG2
 
     def test_monotone_nondecreasing_in_the_radius(self):
         rng = make_rng(1)
         for _ in range(10):
             data, theta = random_biased_instance(rng)
             grid = [0.0, 0.05, 0.2, 0.5, 1.5, 4.0]
-            values = [baseline_worst_case(theta, data, e, COST) for e in grid]
+            values = [worst_case_price(theta, data, e, COST)[1] for e in grid]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_concave_in_the_radius_by_midpoint(self):
@@ -90,9 +88,10 @@ class TestBaselineWorstCase:
         for _ in range(10):
             data, theta = random_biased_instance(rng)
             a, b = sorted(rng.uniform(0.0, 3.0, size=2))
-            mid = baseline_worst_case(theta, data, 0.5 * (a + b), COST)
-            ends = baseline_worst_case(theta, data, a, COST) + baseline_worst_case(
-                theta, data, b, COST
+            mid = worst_case_price(theta, data, 0.5 * (a + b), COST)[1]
+            ends = (
+                worst_case_price(theta, data, a, COST)[1]
+                + worst_case_price(theta, data, b, COST)[1]
             )
             assert mid >= 0.5 * ends - 1e-9
 
@@ -107,7 +106,7 @@ class TestBaselineWorstCase:
         norm = feature_norm(theta)
         for eps in (0.0, 0.4, 1.1):
             expected = norm * eps + empirical_loss(theta, data)
-            assert baseline_worst_case(theta, data, eps, COST) == pytest.approx(
+            assert worst_case_price(theta, data, eps, COST)[1] == pytest.approx(
                 expected, abs=1e-10
             )
 
@@ -127,8 +126,8 @@ class TestBaselineWorstCase:
             empirical_loss(theta, data), abs=1e-12
         )
         eps = 0.8
-        original = baseline_worst_case(theta, data, eps, COST)
-        scaled = baseline_worst_case(scaled_theta, scaled_data, eps, COST)
+        original = worst_case_price(theta, data, eps, COST)[1]
+        scaled = worst_case_price(scaled_theta, scaled_data, eps, COST)[1]
         assert original == pytest.approx(
             feature_norm(theta) * eps + empirical_loss(theta, data), abs=1e-10
         )
@@ -152,7 +151,7 @@ class TestBaselineWorstCase:
         )
         support = np.column_stack([grid, np.ones_like(grid)])
         for eps in (0.1, 0.3, 0.6):
-            closed = baseline_worst_case(theta, data, eps, COST)
+            closed = worst_case_price(theta, data, eps, COST)[1]
             _, lp_value = full_lp_reference(theta, support, data, None, eps, COST)
             # the LP's sanctioned budget slack can push it a hair above
             assert closed >= lp_value - 1e-8
@@ -164,7 +163,7 @@ class TestBaselineWorstCase:
     def test_rejects_a_negative_radius(self):
         data = LabeledDataset(with_bias([[0.0, 0.0]]), np.array([1]))
         with pytest.raises(ValueError):
-            baseline_worst_case(np.zeros(3), data, -0.1, COST)
+            worst_case_price(np.zeros(3), data, -0.1, COST)
 
 
 class TestWorstCasePrice:
@@ -175,7 +174,7 @@ class TestWorstCasePrice:
             eps = float(rng.uniform(0.0, 2.0))
             price, value = worst_case_price(theta, data, eps, COST)
             assert price >= feature_norm(theta) - 1e-9
-            assert value == baseline_worst_case(theta, data, eps, COST)
+            assert value == worst_case_price(theta, data, eps, COST)[1]
 
     def test_zero_model_prices_at_zero(self):
         data = LabeledDataset(with_bias([[1.0, 2.0]]), np.array([1]))
@@ -348,7 +347,7 @@ class TestBaselineTrain:
             result = baseline_train(data, eps, COST)
 
             def objective(theta):
-                return baseline_worst_case(theta, data, eps, COST)
+                return worst_case_price(theta, data, eps, COST)[1]
 
             starts = [np.zeros(dim + 1)] + list(rng.normal(size=(3, dim + 1)))
             best = min(restarted_nelder_mead(objective, start) for start in starts)
@@ -374,6 +373,8 @@ class TestBaselineTrain:
 
 
 class TestRobustnessSweep:
+    # the robustness-sweep runner's pricing: exp(-worst case) of the model
+    # trained at eps over the ball of radius eps + delta, for each delta
     def _trained(self):
         rng = make_rng(31)
         data = LabeledDataset(
@@ -386,35 +387,29 @@ class TestRobustnessSweep:
             theta_by_eps[float(eps)] = result.theta
         return data, eps_grid, theta_by_eps
 
+    @staticmethod
+    def _row(theta, data, eps, delta_grid):
+        return [
+            float(np.exp(-worst_case_price(theta, data, eps + delta, COST)[1]))
+            for delta in delta_grid
+        ]
+
     def test_zero_extra_radius_column_matches_the_training_value(self):
         data, eps_grid, theta_by_eps = self._trained()
         delta_grid = np.array([0.0, 0.3, 1.0])
-        matrix = robustness_sweep(theta_by_eps, data, eps_grid, delta_grid, COST)
-        for i, eps in enumerate(eps_grid):
-            expected = math.exp(
-                -baseline_worst_case(theta_by_eps[float(eps)], data, float(eps), COST)
-            )
-            assert matrix[i, 0] == pytest.approx(expected, rel=1e-12)
+        for eps in eps_grid:
+            theta = theta_by_eps[float(eps)]
+            row = self._row(theta, data, eps, delta_grid)
+            expected = math.exp(-worst_case_price(theta, data, float(eps), COST)[1])
+            assert row[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rows_are_monotone_nonincreasing_in_the_extra_radius(self):
         data, eps_grid, theta_by_eps = self._trained()
         delta_grid = np.array([0.0, 0.1, 0.4, 1.0, 3.0])
-        matrix = robustness_sweep(theta_by_eps, data, eps_grid, delta_grid, COST)
-        for row in matrix:
+        for eps in eps_grid:
+            row = self._row(theta_by_eps[float(eps)], data, eps, delta_grid)
             assert all(b <= a + 1e-12 for a, b in zip(row, row[1:]))
 
     def test_zero_model_row_is_constant_one_half(self):
         data = LabeledDataset(with_bias([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
-        matrix = robustness_sweep(
-            {0.5: np.zeros(3)}, data, [0.5], [0.0, 0.2, 2.0], COST
-        )
-        assert np.all(matrix == 0.5)
-
-    def test_missing_parameters_and_empty_grids_are_rejected(self):
-        data = LabeledDataset(with_bias([[1.0, 0.0]]), np.array([1]))
-        with pytest.raises(ValueError):
-            robustness_sweep({0.1: np.zeros(3)}, data, [0.2], [0.0], COST)
-        with pytest.raises(ValueError):
-            robustness_sweep({0.1: np.zeros(3)}, data, [], [0.0], COST)
-        with pytest.raises(ValueError):
-            robustness_sweep({0.1: np.zeros(3)}, data, [0.1], [], COST)
+        assert self._row(np.zeros(3), data, 0.5, [0.0, 0.2, 2.0]) == [0.5] * 3

@@ -22,11 +22,11 @@ from drulearn.bounds import (
     certify,
     clopper_pearson,
     held_out_halves,
-    make_prior,
     performance_bound,
     prior_feasible_radius,
     search_multipliers,
     select_radius,
+    weak_prior,
 )
 from drulearn.config import (
     AS_ROBUST_AS_POSSIBLE,
@@ -1182,25 +1182,24 @@ class TestClopperPearson:
 
 
 class TestMakePrior:
+    # the strong prior is `LabelPrior.point`, the weak one `weak_prior`
     def test_strong_mode_pins_both_bounds_exactly(self):
-        data = LabeledDataset(np.zeros((2, 2)), np.array([0, 1]))
-        prior = make_prior(data, mode="strong", probabilities=(0.3, 0.7))
+        prior = LabelPrior.point((0.3, 0.7))
         assert np.array_equal(prior.lower, [0.3, 0.7])
         assert np.array_equal(prior.upper, [0.3, 0.7])
 
     def test_strong_mode_validates_the_probabilities(self):
-        data = LabeledDataset(np.zeros((2, 2)), np.array([0, 1]))
         with pytest.raises(ValueError):
-            make_prior(data, mode="strong", probabilities=(0.3, 0.6))
+            LabelPrior.point((0.3, 0.6))
         with pytest.raises(ValueError):
-            make_prior(data, mode="strong")
+            LabelPrior.point(None)
         with pytest.raises(ValueError):
-            make_prior(data, mode="strong", probabilities=(0.2, 0.3, 0.5))
+            LabelPrior.point((0.2, 0.3, 0.5))
 
     def test_weak_mode_reproduces_the_per_class_intervals(self):
         labels = np.array([1] * 10 + [0] * 10)
         data = LabeledDataset(np.zeros((20, 2)), labels)
-        prior = make_prior(data, mode="weak", level=0.95)
+        prior = weak_prior(data, level=0.95)
         lower1, upper1 = clopper_pearson(10, 20)
         assert prior.lower[1] == lower1
         assert prior.upper[1] == upper1
@@ -1214,15 +1213,10 @@ class TestMakePrior:
             n = int(rng.integers(2, 30))
             labels = rng.integers(0, 2, size=n)
             data = LabeledDataset(rng.normal(size=(n, 2)), labels)
-            prior = make_prior(data, mode="weak")
+            prior = weak_prior(data)
             freq = np.bincount(labels, minlength=2) / n
             assert np.all(prior.lower <= freq + 1e-12)
             assert np.all(prior.upper >= freq - 1e-12)
-
-    def test_unknown_mode_is_rejected(self):
-        data = LabeledDataset(np.zeros((2, 2)), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            make_prior(data, mode="medium")
 
 
 class TestPriorFeasibleRadius:
@@ -1239,8 +1233,8 @@ class TestPriorFeasibleRadius:
             share = float(rng.uniform())
             for prior in (
                 box,
-                make_prior(data, mode="weak"),
-                make_prior(data, mode="strong", probabilities=(1.0 - share, share)),
+                weak_prior(data),
+                LabelPrior.point((1.0 - share, share)),
             ):
                 endpoints = max(
                     min_feasible_radius(

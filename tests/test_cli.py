@@ -12,8 +12,8 @@ import pytest
 
 from drulearn import active, baseline, cli, oracle
 from drulearn.active import aulc, initial_state, run_active_loop
-from drulearn.baseline import baseline_train, robustness_sweep
-from drulearn.bounds import certify, make_prior, prior_feasible_radius
+from drulearn.baseline import baseline_train, worst_case_price
+from drulearn.bounds import certify, prior_feasible_radius, weak_prior
 from drulearn.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -29,6 +29,7 @@ from drulearn.dual import cutset_solve, duality_gap_check
 from drulearn.kernels import SlsqpResult
 from drulearn.model import (
     LabeledDataset,
+    LabelPrior,
     TransportCost,
     UnlabeledDataset,
     confidence,
@@ -582,21 +583,13 @@ class TestSweeps:
             "log10_worst_case_likelihood"
         )
         _, instance = cli_instance(config, 1)
-        matrix = robustness_sweep(
-            {
-                eps: baseline_train(instance.labeled, eps, instance.cost).theta
-                for eps in eps_grid
-            },
-            instance.labeled,
-            eps_grid,
-            delta_grid,
-            instance.cost,
-        )
-        expected = [
-            [repr(eps), repr(delta), repr(float(matrix[i, j]))]
-            for i, eps in enumerate(eps_grid)
-            for j, delta in enumerate(delta_grid)
-        ]
+        data, cost = instance.labeled, instance.cost
+        expected = []
+        for eps in eps_grid:
+            theta = baseline_train(data, eps, cost).theta
+            for delta in delta_grid:
+                _, worst = worst_case_price(theta, data, eps + delta, cost)
+                expected.append([repr(eps), repr(delta), repr(float(np.exp(-worst)))])
         rows = read_rows(out)
         assert [
             [row["eps"], row["delta"], row["worst_case_likelihood"]] for row in rows
@@ -606,6 +599,35 @@ class TestSweeps:
             assert row["log10_worst_case_likelihood"] == repr(
                 float(np.log10(likelihood))
             )
+
+    @pytest.mark.parametrize(
+        "command, grid, message",
+        [
+            (
+                "robustness-sweep",
+                "eps_grid",
+                "a robustness sweep requires nonempty eps_grid and delta_grid",
+            ),
+            (
+                "robustness-sweep",
+                "delta_grid",
+                "a robustness sweep requires nonempty eps_grid and delta_grid",
+            ),
+            ("radius-sweep", "eps_grid", "a radius sweep requires a nonempty eps_grid"),
+        ],
+        ids=["robustness-sweep-eps", "robustness-sweep-delta", "radius-sweep-eps"],
+    )
+    def test_an_empty_grid_fails_before_any_trial(
+        self, tmp_path, capsys, command, grid, message
+    ):
+        out = tmp_path / "sweep.csv"
+        config = write_config(tmp_path, output=str(out), **{grid: ()}, **SMALL_DATA)
+        assert main([command, "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        meta = read_meta(out)
+        assert meta["command"] == command and meta[grid] == ""
+        assert not [key for key in meta if key.startswith("error_trial_")]
 
     def test_robustness_sweep_is_monotone_in_the_extra_radius(self, tmp_path):
         out = tmp_path / "rob.csv"
@@ -657,6 +679,36 @@ class TestActiveExperiment:
         meta = read_meta(out)
         assert meta["command"] == "active"
         assert not [key for key in meta if key.startswith("error_trial_")]
+
+    def test_robust_strategies_match_min_mc_with_the_norm_over_the_whole_pool(
+        self, tmp_path
+    ):
+        # with the subsample covering the pool, each robust pick is the
+        # argmax of min(p, 1 - p) * |x|, min_mc's pick with mc_include_norm,
+        # so both files agree byte for byte apart from the strategy name
+        files = {}
+        for strategy in ("min_mc", "dr_weak", "dr_strong"):
+            out = tmp_path / f"{strategy}.csv"
+            config = write_config(
+                tmp_path,
+                name=f"{strategy}.cfg",
+                output=str(out),
+                synthetic_n=60,
+                stop_at=14,
+                candidate_subsample=60,
+                mc_include_norm=True,
+                trials=2,
+                strategy=strategy,
+            )
+            assert main(["active", "--config", config]) == EXIT_OK
+            files[strategy] = [
+                path.read_text().replace(strategy, "<strategy>")
+                for path in (out, tmp_path / f"{strategy}_aulc.csv")
+            ]
+        assert files["dr_weak"] == files["min_mc"]
+        assert files["dr_strong"] == files["min_mc"]
+        (aulc_row,) = read_rows(tmp_path / "min_mc_aulc.csv")
+        assert aulc_row["median_aulc"] == "96.74531390389562"
 
     def test_curves_and_aulc_files(self, tmp_path):
         out = tmp_path / "act.csv"
@@ -767,13 +819,11 @@ class TestActiveExperiment:
             assert len(built) == 4
             for support, labeled, prior, eps, cost in built:
                 if name == "weak":
-                    expected = make_prior(labeled, "weak", level=0.5)
+                    expected = weak_prior(labeled, level=0.5)
                 else:
                     # the synthetic set is balanced: an empty share is 0.5
                     share = extra.get("prior_positive_share", 0.5)
-                    expected = make_prior(
-                        labeled, "strong", probabilities=(1 - share, share)
-                    )
+                    expected = LabelPrior.point((1 - share, share))
                 assert np.array_equal(prior.lower, expected.lower)
                 assert np.array_equal(prior.upper, expected.upper)
                 radius = prior_feasible_radius(

@@ -194,6 +194,9 @@ class TestValidation:
             ("eps_grid", "-1,0.5", "eps_grid entries must be nonnegative"),
             ("delta_grid", "0.1,-0.05", "delta_grid entries must be nonnegative"),
             ("n_labeled_grid", "0,5", "n_labeled_grid entries must be at least 1"),
+            ("n_labeled_grid", "40,40", "n_labeled_grid entries must be distinct"),
+            ("eps_grid", "0.001,0.001,0.5", "eps_grid entries must be distinct"),
+            ("delta_grid", "0,0.1,0", "delta_grid entries must be distinct"),
             ("prior_level", "0", "prior_level must lie strictly between"),
             ("prior_level", "1.0", "prior_level must lie strictly between"),
             ("prior_positive_share", "-0.1", r"prior_positive_share must lie in \[0, 1\]"),

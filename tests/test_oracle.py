@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from drulearn import oracle, simplex
-from drulearn.bounds import held_out_halves, make_prior
+from drulearn.bounds import held_out_halves, weak_prior
 from drulearn.dual import (
     DualState,
     LabelPrior,
@@ -693,7 +693,7 @@ class TestMinFeasibleRadius:
         rng = make_rng(13)
         data = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 2, size=20))
         support = rng.normal(size=(100, 2))
-        for prior in (make_prior(data, mode="weak"), LabelPrior.point([0.7, 0.3])):
+        for prior in (weak_prior(data), LabelPrior.point([0.7, 0.3])):
             exact = min_feasible_radius(data, support, prior, COST)
             bisected = min_feasible_radius_bisect(data, support, prior, COST)
             assert bisected == pytest.approx(exact, abs=1e-6)

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from drulearn import oracle, simplex
 from drulearn.active import score_dr
-from drulearn.bounds import make_prior
+from drulearn.bounds import weak_prior
 from drulearn.dual import cutset_solve
 from drulearn.model import LabeledDataset, TransportCost, UnlabeledDataset
 from drulearn.simplex import (
@@ -304,7 +304,7 @@ class TestSetCosts:
         rng = np.random.default_rng(seed)
         data = LabeledDataset(rng.normal(size=(10, 3)), np.arange(10) % 2)
         unlabeled = UnlabeledDataset(rng.normal(size=(36, 3)))
-        prior = make_prior(data, mode="weak")
+        prior = weak_prior(data)
         eps = oracle.min_feasible_radius(
             data, unlabeled.features, prior, TransportCost()
         ) + 0.2
