@@ -57,7 +57,6 @@ from .kernels import betaincinv, lbfgsb
 from .model import (
     N_CLASSES,
     CellLayout,
-    DiscreteDistribution,
     LabeledDataset,
     LabelPrior,
     TransportCost,
@@ -408,16 +407,16 @@ def select_radius(
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
-    full: DiscreteDistribution | None = None,
+    full: LabeledDataset | None = None,
 ) -> tuple[float, bool]:
     """Choose the ambiguity radius by `config`'s ``eps_policy`` and the
     policy's keys.
 
     Returns ``(eps, fell_back)``; ``fell_back`` is true when the
     confidence-screening policy found no candidate radius meeting its
-    threshold and took its smallest one.  ``full`` is the reference
-    distribution the distance-fraction policy measures the labeled sample
-    against.
+    threshold and took its smallest one.  ``full`` is the whole table, the
+    uniform reference sample whose transport distance from ``data``
+    (`oracle.discrete_wasserstein`) the distance-fraction policy scales.
     """
     fell_back = False
     if config.eps_policy == MIN_RADIUS_PLUS_DELTA:
@@ -444,7 +443,6 @@ def select_radius(
             raise ValueError(
                 "distance-fraction policy requires the reference distribution"
             )
-        mu = DiscreteDistribution.from_dataset(data)
-        distance, _ = discrete_wasserstein(mu, full, cost)
+        distance, _ = discrete_wasserstein(data, full, cost)
         eps = config.fraction * distance
     return float(eps), fell_back

@@ -48,7 +48,6 @@ try:
         load_config,
     )
     from .data import (
-        RawTable,
         append_intercept,
         load_csv,
         sample_split,
@@ -57,7 +56,6 @@ try:
     )
     from .dual import cutset_solve, duality_gap_check
     from .model import (
-        DiscreteDistribution,
         LabeledDataset,
         LabelPrior,
         TransportCost,
@@ -101,16 +99,17 @@ BOUND_FIELDS = (
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Instance:
-    """Everything one run needs: the split, the prior, and the geometry."""
+    """Everything one run needs: the split, the whole table it was drawn
+    from (``full``, the reference sample), the prior, and the geometry."""
 
     labeled: LabeledDataset
     unlabeled: UnlabeledDataset | None
-    full: DiscreteDistribution
+    full: LabeledDataset
     prior: LabelPrior
     cost: TransportCost
 
 
-def _load_table(config: ExperimentConfig) -> RawTable:
+def _load_table(config: ExperimentConfig) -> LabeledDataset:
     if config.dataset:
         table = load_csv(config.dataset, config.label_column, config.positive_label)
     else:
@@ -121,23 +120,24 @@ def _load_table(config: ExperimentConfig) -> RawTable:
             noise=config.synthetic_noise,
         )
     if config.standardize:
-        table, _ = standardize(table)
+        table = standardize(table)
     return append_intercept(table)
 
 
 def _build_instance(
     config: ExperimentConfig,
-    table: RawTable,
+    table: LabeledDataset,
     split_seed: int,
     n_labeled: int | None = None,
 ) -> Instance:
     n_labeled = config.n_labeled if n_labeled is None else n_labeled
-    labeled, unlabeled, full = sample_split(
+    labeled, unlabeled = sample_split(
         table, n_labeled, split_seed, config.unlabeled_mode
     )
-    prior = configured_prior(config, labeled, config.prior_mode, table.positive_share)
+    share = float(table.labels.mean())
+    prior = configured_prior(config, labeled, config.prior_mode, share)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
-    return Instance(labeled, unlabeled, full, prior, cost)
+    return Instance(labeled, unlabeled, table, prior, cost)
 
 
 def _require_unlabeled(instance: Instance):
@@ -276,8 +276,7 @@ def _run_min_radius(config: ExperimentConfig):
 
 def _run_wasserstein(config: ExperimentConfig):
     instance = _build_instance(config, _load_table(config), config.seed)
-    sample = DiscreteDistribution.from_dataset(instance.labeled)
-    distance, _ = discrete_wasserstein(sample, instance.full, instance.cost)
+    distance, _ = discrete_wasserstein(instance.labeled, instance.full, instance.cost)
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
@@ -412,8 +411,7 @@ def _run_active(config: ExperimentConfig):
     # not a parse-time check: other subcommands accept n_labeled <= n_initial
     if config.stop_at == 0 and config.n_labeled <= config.n_initial:
         raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
-    table = _load_table(config)
-    pool = LabeledDataset(table.features, table.labels)
+    pool = _load_table(config)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     aulc_values = []

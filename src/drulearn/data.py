@@ -1,60 +1,28 @@
 """Dataset ingestion, preprocessing, and sampling.
 
-CSV tables come in with a header and a binary label column; categorical
-feature columns are one-hot encoded deterministically. Preprocessing
-z-scores each feature and then rescales the whole matrix by its largest
-absolute entry, and the labeled/unlabeled split is seeded and uniform
-without replacement.
+Every step takes and returns a `model.LabeledDataset`.  CSV tables come in
+with a header and a binary label column; the feature columns keep the
+header's order, a categorical column becoming one indicator column per
+category in alphabetical order, and every cell must be a finite number or a
+category.  Preprocessing z-scores each feature and then rescales the whole
+matrix by its largest absolute entry; `append_intercept` adds the constant
+feature last.  The labeled/unlabeled split is seeded and uniform without
+replacement, and the whole table is the reference sample that stands in for
+the true distribution.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 
 import numpy as np
 
 from .config import UNLABELED_FULL, UNLABELED_REMAINDER
-from .model import DiscreteDistribution, LabeledDataset, UnlabeledDataset, make_rng
-
-INTERCEPT_NAME = "intercept"
+from .model import LabeledDataset, UnlabeledDataset, make_rng
 
 
 class TableError(ValueError):
     """Raised when an input table cannot be ingested as requested."""
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class RawTable:
-    """Numeric feature matrix with named columns and a binary label vector."""
-
-    feature_names: tuple
-    features: np.ndarray
-    labels: np.ndarray
-    label_column: str
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=int).ravel()
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        if features.ndim != 2:
-            raise TableError("features must form a matrix")
-        if features.shape[1] != len(self.feature_names):
-            raise TableError("feature names and columns disagree")
-        if features.shape[0] != labels.shape[0]:
-            raise TableError("feature rows and labels disagree")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise TableError("labels must be binary")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def positive_share(self) -> float:
-        return float(self.labels.mean())
 
 
 def _is_numeric_column(values) -> bool:
@@ -66,12 +34,13 @@ def _is_numeric_column(values) -> bool:
     return True
 
 
-def load_csv(path, label_column: str, positive_class_token: str) -> RawTable:
-    """Ingest a headed CSV into a numeric table with a binary label.
+def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDataset:
+    """Ingest a headed CSV into a labeled dataset with a binary label.
 
-    Numeric columns parse as reals; any other column is one-hot encoded with
-    its categories in alphabetical order. The label column must hold exactly
-    two distinct tokens, one of them the positive token, mapped to 1.
+    Numeric columns parse as reals and must be finite; any other column is
+    one-hot encoded with its categories in alphabetical order.  The label
+    column must hold exactly two distinct tokens, one of them the positive
+    token, mapped to 1.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -108,45 +77,35 @@ def load_csv(path, label_column: str, positive_class_token: str) -> RawTable:
         [1 if token == positive_class_token else 0 for token in label_tokens]
     )
 
-    feature_names = []
     columns = []
     for index, name in enumerate(header):
         if index == label_index:
             continue
         values = [row[index] for row in rows]
         if _is_numeric_column(values):
-            feature_names.append(name)
-            columns.append(np.array([float(v) for v in values]))
+            column = np.array([float(v) for v in values])
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise TableError(
+                    f"{path}: column {name!r}, data row {bad[0] + 1} "
+                    f"(line {bad[0] + 2}): {values[bad[0]]!r} is not a finite number"
+                )
+            columns.append(column)
         else:
             for category in sorted(set(values)):
-                feature_names.append(f"{name}={category}")
                 columns.append(
                     np.array([1.0 if v == category else 0.0 for v in values])
                 )
     features = np.column_stack(columns) if columns else np.empty((len(rows), 0))
-    return RawTable(tuple(feature_names), features, labels, label_column)
+    return LabeledDataset(features, labels)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class StandardizeTransform:
-    """Fitted preprocessing: per-feature centering/scaling, then a global scale."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    global_scale: float
-
-    def apply(self, features) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        return (features - self.means) / self.stds / self.global_scale
-
-
-def standardize(table: RawTable):
+def standardize(table: LabeledDataset) -> LabeledDataset:
     """Z-score each feature, then divide everything by the largest |entry|.
 
     Population (divide-by-n) standard deviations; a constant feature is
     centered and divided by 1, and an all-zero matrix keeps a global scale
-    of 1. Returns the transformed table and the fitted transform; the input
-    table is never modified.
+    of 1.  Returns a new dataset; the input is never modified.
     """
     if table.n < 2:
         raise TableError("standardization needs at least two rows")
@@ -157,37 +116,27 @@ def standardize(table: RawTable):
     global_scale = float(np.abs(scored).max())
     if global_scale == 0.0:
         global_scale = 1.0
-    transform = StandardizeTransform(means=means, stds=stds, global_scale=global_scale)
-    scaled = RawTable(
-        table.feature_names, scored / global_scale, table.labels, table.label_column
-    )
-    return scaled, transform
+    return LabeledDataset(scored / global_scale, table.labels)
 
 
-def append_intercept(table: RawTable) -> RawTable:
+def append_intercept(table: LabeledDataset) -> LabeledDataset:
     """Add the constant-1 intercept feature as the final column."""
     features = np.column_stack([table.features, np.ones(table.n)])
-    return RawTable(
-        table.feature_names + (INTERCEPT_NAME,),
-        features,
-        table.labels,
-        table.label_column,
-    )
+    return LabeledDataset(features, table.labels)
 
 
 def sample_split(
-    table: RawTable,
+    table: LabeledDataset,
     n_labeled: int,
     seed: int,
     unlabeled_mode: str = UNLABELED_FULL,
 ):
-    """Draw the labeled subsample and build the unlabeled set and reference.
+    """Draw the labeled subsample and build the unlabeled set.
 
-    The labeled set is a seeded uniform draw without replacement. The
+    The labeled set is a seeded uniform draw without replacement.  The
     unlabeled set is either every feature row (``full``) or only the rows
     left out of the labeled draw (``remainder``; ``None`` when nothing
-    remains). The full-table empirical distribution is returned as the
-    stand-in for the true distribution.
+    remains).  Returns ``(labeled, unlabeled)``.
     """
     if unlabeled_mode not in (UNLABELED_FULL, UNLABELED_REMAINDER):
         raise ValueError(f"unknown unlabeled_mode {unlabeled_mode!r}")
@@ -206,15 +155,12 @@ def sample_split(
         unlabeled = None
     else:
         unlabeled = UnlabeledDataset(table.features[~mask])
-    full = DiscreteDistribution.from_dataset(
-        LabeledDataset(table.features, table.labels)
-    )
-    return labeled, unlabeled, full
+    return labeled, unlabeled
 
 
 def synthetic_two_gaussians(
     n: int, seed: int, separation: float = 1.5, noise: float = 0.5
-) -> RawTable:
+) -> LabeledDataset:
     """Balanced two-cluster binary dataset with Gaussian class conditionals.
 
     Class 1 is centered at (+separation, +separation) and class 0 at the
@@ -228,4 +174,4 @@ def synthetic_two_gaussians(
     negative = rng.normal(scale=noise, size=(n - half, 2)) - separation
     features = np.concatenate([positive, negative])
     labels = np.array([1] * half + [0] * (n - half))
-    return RawTable(("f0", "f1"), features, labels, "label")
+    return LabeledDataset(features, labels)

@@ -141,10 +141,10 @@ def feature_distances(a, b):
 def pair_costs(features, atoms, cost: TransportCost):
     """Transport cost from every (feature row, candidate label) to every atom.
 
-    `atoms` is any labeled atom list with `features` and {0, 1} `labels`
-    (a `LabeledDataset` or a `DiscreteDistribution`).  Returns an
-    (n, n_atoms, 2) tensor: Euclidean feature distance plus the flip cost
-    whenever the candidate label differs from the atom's label.
+    `atoms` is a `LabeledDataset`, or anything with its (n_atoms, d)
+    `features` and {0, 1} `labels`.  Returns an (n, n_atoms, 2) tensor:
+    Euclidean feature distance plus the flip cost whenever the candidate
+    label differs from the atom's label.
     """
     dist = feature_distances(features, atoms.features)
     flip = cost.label_flip_cost * (
@@ -238,47 +238,6 @@ class UnlabeledDataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
-    """Finitely supported distribution over labeled points."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        labels = np.asarray(self.labels, dtype=int)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        n = features.shape[0]
-        if labels.shape != (n,) or weights.shape != (n,):
-            raise ValueError("labels and weights must match the number of atoms")
-        if n == 0:
-            raise ValueError("distribution needs at least one atom")
-        if not np.all(np.isin(labels, (0, 1))):
-            raise ValueError("labels must be 0 or 1")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    @property
-    def n(self):
-        return self.features.shape[0]
-
-    @staticmethod
-    def from_dataset(data: LabeledDataset) -> "DiscreteDistribution":
-        """Uniform empirical distribution of a labeled dataset."""
-        return DiscreteDistribution(
-            features=data.features,
-            labels=data.labels,
-            weights=np.full(data.n, 1.0 / data.n),
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,7 +43,6 @@ import numpy as np
 from .model import (
     N_CLASSES,
     CellLayout,
-    DiscreteDistribution,
     LabeledDataset,
     LabelPrior,
     TransportCost,
@@ -145,16 +144,17 @@ class WorstCaseLpResult:
     multipliers: LpMultipliers
 
 
-def discrete_wasserstein(
-    mu: DiscreteDistribution, nu: DiscreteDistribution, cost: TransportCost
-):
-    """Exact transport distance between two finitely supported distributions.
+def discrete_wasserstein(mu: LabeledDataset, nu: LabeledDataset, cost: TransportCost):
+    """Exact transport distance between two uniform empirical samples.
 
-    Returns the optimal value and an optimal coupling, an (mu.n, nu.n)
-    array whose row and column sums reproduce the two weight vectors.
+    Each sample puts mass 1/n on each of its n labeled points.  Returns the
+    optimal value and an optimal coupling, an (mu.n, nu.n) array whose rows
+    each sum to 1/mu.n and whose columns each sum to 1/nu.n.
     """
     pair = pair_costs(mu.features, nu, cost)[np.arange(mu.n), :, mu.labels]
-    return solve_transportation(pair, mu.weights, nu.weights)
+    return solve_transportation(
+        pair, np.full(mu.n, 1.0 / mu.n), np.full(nu.n, 1.0 / nu.n)
+    )
 
 
 def _row_bounds(m, n_l, prior: LabelPrior, eps: float):

@@ -3,7 +3,8 @@ checked against: the ground transport cost of one pair of labeled points,
 the worst-case LP assembled in full for `linprog` (over the decision set, or
 over the plain transport ball with `prior=None`), the minimal radius by
 bisection on that full LP's feasibility, vertices of the decision set from the
-full mass LP by `linprog`, the certificate kernel before
+full mass LP by `linprog` (weighted samples, with their transport distance
+to the labeled atoms), the certificate kernel before
 `model.CellLayout`, which the layout kernel matches bit for bit, and the
 worst-case LP's pricing and cost updates as they were before they skipped
 what cannot change: every row sorted, every cost sent to HiGHS, and the
@@ -11,6 +12,7 @@ certificate search's six-stage smoothing schedule before it stopped after
 its three coarse stages."""
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,13 +22,12 @@ from scipy.optimize import linprog
 from drulearn import oracle
 from drulearn.model import (
     N_CLASSES,
-    DiscreteDistribution,
     both_class_losses,
     make_rng,
     pair_costs,
 )
 from drulearn.oracle import BUDGET_SLACK
-from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp
+from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp, solve_transportation
 
 # `bounds.SMOOTHING_SCHEDULE` before its three fine stages were dropped: they
 # lower the search half's certificate further, but not the held-out half's
@@ -149,6 +150,25 @@ def _solve_mass_lp(gain, pair, prior, eps):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class WeightedSample:
+    """A distribution on finitely many labeled points, `weights[i]` on point
+    i: a decision-set vertex, as `feasible_distributions` returns them."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+
+
+def weighted_wasserstein(sample, data, cost):
+    """Transport distance from a `WeightedSample` to the uniform labeled
+    sample `data`, and an optimal coupling: one `solve_transportation` call
+    on the sample's weights and data's 1/n."""
+    pair = pair_costs(sample.features, data, cost)
+    pair = pair[np.arange(sample.labels.size), :, sample.labels]
+    return solve_transportation(pair, sample.weights, np.full(data.n, 1.0 / data.n))
+
+
 def feasible_distributions(data, support, prior, eps, cost, count=10, seed=0):
     """Enumerate vertices of the decision set by optimizing random objectives.
 
@@ -171,7 +191,7 @@ def feasible_distributions(data, support, prior, eps, cost, count=10, seed=0):
         mass = result.x.reshape(pair.shape).sum(axis=1)
         weights = np.maximum(mass.ravel(), 0.0)
         out.append(
-            DiscreteDistribution(
+            WeightedSample(
                 features=np.repeat(support, N_CLASSES, axis=0),
                 labels=np.tile(np.arange(N_CLASSES), m),
                 weights=weights / weights.sum(),

@@ -52,7 +52,6 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
-    DiscreteDistribution,
     PayoffLp,
     discrete_wasserstein,
     min_feasible_radius,
@@ -300,11 +299,7 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
     # at least 8 of 10 labeled draws.
     start = time.monotonic()
     table = synthetic_two_gaussians(500, seed=0, separation=0.6, noise=0.6)
-    table, _ = standardize(table)
-    table = append_intercept(table)
-    full = DiscreteDistribution(
-        table.features, table.labels, np.full(table.n, 1.0 / table.n)
-    )
+    table = append_intercept(standardize(table))
     unlabeled = UnlabeledDataset(table.features)
     class_balance = LabelPrior.point([0.5, 0.5])
     positives = np.flatnonzero(table.labels == 1)
@@ -320,9 +315,7 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
             ]
         )
         labeled = LabeledDataset(table.features[picked], table.labels[picked])
-        eps, _ = discrete_wasserstein(
-            DiscreteDistribution.from_dataset(labeled), full, COST
-        )
+        eps, _ = discrete_wasserstein(labeled, table, COST)
 
         ball_only = baseline_train(labeled, eps, COST)
         ball_conf = float(np.median(confidence(ball_only.theta, table.features)))
@@ -480,22 +473,19 @@ def test_active_scores_match_their_enumerated_definitions():
 
 
 def test_transport_solver_is_exact_and_metric():
-    # The network-simplex transport value must match brute-force coupling
-    # enumeration on uniform 2x2 and 3x3 instances (where the optimum sits
-    # on a permutation), and must satisfy the triangle inequality.
+    # The transport value must match brute-force coupling enumeration on
+    # uniform 2x2 and 3x3 instances (where the optimum sits on a
+    # permutation), and must satisfy the triangle inequality on uniform
+    # samples of 1-4 atoms, whose unequal sizes also take the transport LP.
     rng = make_rng(90)
     for size in (2, 3):
         for _ in range(50):
             dim = int(rng.integers(1, 4))
-            first = DiscreteDistribution(
-                rng.normal(size=(size, dim)),
-                rng.integers(0, 2, size=size),
-                np.full(size, 1.0 / size),
+            first = LabeledDataset(
+                rng.normal(size=(size, dim)), rng.integers(0, 2, size=size)
             )
-            second = DiscreteDistribution(
-                rng.normal(size=(size, dim)),
-                rng.integers(0, 2, size=size),
-                np.full(size, 1.0 / size),
+            second = LabeledDataset(
+                rng.normal(size=(size, dim)), rng.integers(0, 2, size=size)
             )
             value, _ = discrete_wasserstein(first, second, COST)
             best = math.inf
@@ -517,13 +507,10 @@ def test_transport_solver_is_exact_and_metric():
         dim = int(rng.integers(1, 3))
         triple = []
         for _ in range(3):
-            size = int(rng.integers(2, 5))
-            weights = rng.uniform(0.2, 1.0, size=size)
+            size = int(rng.integers(1, 5))
             triple.append(
-                DiscreteDistribution(
-                    rng.normal(size=(size, dim)),
-                    rng.integers(0, 2, size=size),
-                    weights / weights.sum(),
+                LabeledDataset(
+                    rng.normal(size=(size, dim)), rng.integers(0, 2, size=size)
                 )
             )
         first, second, third = triple

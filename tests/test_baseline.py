@@ -174,7 +174,18 @@ class TestWorstCasePrice:
             eps = float(rng.uniform(0.0, 2.0))
             price, value = worst_case_price(theta, data, eps, COST)
             assert price >= feature_norm(theta) - 1e-9
-            assert value == worst_case_price(theta, data, eps, COST)[1]
+            losses = both_class_losses(theta, data.features)
+            rows = np.arange(data.n)
+            keep, flip = losses[rows, data.labels], losses[rows, 1 - data.labels]
+
+            def objective(alpha):
+                hinge = np.maximum(keep, flip - alpha * COST.label_flip_cost)
+                return alpha * eps + float(hinge.mean())
+
+            assert value == pytest.approx(objective(price), rel=1e-12)
+            # the objective may be flat right of the price: allow rounding
+            for other in (feature_norm(theta), price + 1.0):
+                assert value <= objective(other) + 1e-12
 
     def test_zero_model_prices_at_zero(self):
         data = LabeledDataset(with_bias([[1.0, 2.0]]), np.array([1]))

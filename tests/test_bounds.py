@@ -60,7 +60,6 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     discrete_wasserstein,
-    DiscreteDistribution,
     min_feasible_radius,
     solve_worst_case_lp,
 )
@@ -1316,7 +1315,7 @@ class TestSelectRadius:
             unlabeled,
             prior,
             COST,
-            full=DiscreteDistribution.from_dataset(data),
+            full=data,
         )
         assert eps == 0.0
 
@@ -1325,11 +1324,7 @@ class TestSelectRadius:
         data = LabeledDataset(rng.normal(size=(3, 2)), np.array([0, 1, 1]))
         full = LabeledDataset(rng.normal(size=(9, 2)), rng.integers(0, 2, size=9))
         unlabeled = UnlabeledDataset(full.features)
-        distance, _ = discrete_wasserstein(
-            DiscreteDistribution.from_dataset(data),
-            DiscreteDistribution.from_dataset(full),
-            COST,
-        )
+        distance, _ = discrete_wasserstein(data, full, COST)
         prior = LabelPrior.uninformative()
         for fraction in (1.0, 0.5):
             eps, _ = select_radius(
@@ -1340,7 +1335,7 @@ class TestSelectRadius:
                 unlabeled,
                 prior,
                 COST,
-                full=DiscreteDistribution.from_dataset(full),
+                full=full,
             )
             assert eps == pytest.approx(fraction * distance, rel=1e-12)
 

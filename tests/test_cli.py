@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from drulearn import active, baseline, cli, oracle
 from drulearn.active import aulc, initial_state, run_active_loop
@@ -36,6 +37,7 @@ from drulearn.model import (
     make_rng,
 )
 from drulearn.oracle import BUDGET_SLACK, min_feasible_radius
+from reference import transport_cost
 
 SMALL_DATA = {
     "synthetic_n": 24,
@@ -279,6 +281,52 @@ class TestOneShotCommands:
         assert float(row["distance"]) >= 0.0
         assert row["n_labeled"] == "6"
 
+    def test_wasserstein_of_the_whole_table_to_itself_is_zero(self, tmp_path):
+        out = tmp_path / "w.csv"
+        config = write_config(tmp_path, output=str(out), synthetic_n=24, n_labeled=24)
+        assert main(["wasserstein", "--config", config]) == EXIT_OK
+        assert read_rows(out)[0]["distance"] == "0.0"
+
+    # 24 rows: 6 labeled divide them (the assignment path), 7 do not (the
+    # transport LP)
+    @pytest.mark.parametrize("n_labeled", [6, 7])
+    def test_wasserstein_row_is_the_dense_transport_lp(self, tmp_path, n_labeled):
+        out = tmp_path / "w.csv"
+        config = write_config(
+            tmp_path, output=str(out), synthetic_n=24, n_labeled=n_labeled
+        )
+        assert main(["wasserstein", "--config", config]) == EXIT_OK
+        (row,) = read_rows(out)
+        _, instance = cli_instance(config, split_seed=0)
+        labeled, table = instance.labeled, instance.full
+        m, n = labeled.n, table.n
+        costs = np.array(
+            [
+                [
+                    transport_cost(
+                        labeled.features[i],
+                        labeled.labels[i],
+                        table.features[j],
+                        table.labels[j],
+                        instance.cost,
+                    )
+                    for j in range(n)
+                ]
+                for i in range(m)
+            ]
+        )
+        rows = np.kron(np.eye(m), np.ones(n))
+        columns = np.kron(np.ones(m), np.eye(n))
+        dense = linprog(
+            costs.ravel(),
+            A_eq=np.vstack([rows, columns]),
+            b_eq=np.concatenate([np.full(m, 1.0 / m), np.full(n, 1.0 / n)]),
+            bounds=(0, None),
+            method="highs",
+        )
+        assert dense.status == 0
+        assert float(row["distance"]) == pytest.approx(dense.fun, rel=0, abs=1e-12)
+
     def test_n_labeled_override_shrinks_the_sample(self, tmp_path):
         out = tmp_path / "w.csv"
         config = write_config(tmp_path, output=str(out), seed=5, **SMALL_DATA)
@@ -392,6 +440,24 @@ class TestExitCodes:
             assert len(out.read_text().splitlines()) == 1
             assert len(errors) == failed
             assert not (tmp_path / "fail_aulc.csv").exists()
+
+
+    def test_a_non_finite_csv_cell_fails_once_at_load(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("a,b,label\n1.0,2.0,1\nnan,0.5,0\n0.3,1.5,1\n2.0,0.1,0\n")
+        out = tmp_path / "bound.csv"
+        config = write_config(
+            tmp_path, output=str(out), dataset=str(data), n_labeled=2, trials=2
+        )
+        assert main(["bound", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {data}: column 'a', data row 2 (line 3): "
+            "'nan' is not a finite number\n"
+        )
+        assert not out.exists()
+        meta = read_meta(out)
+        assert meta["command"] == "bound"
+        assert not [key for key in meta if key.startswith("error_trial_")]
 
 
 class TestBoundExperiment:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from drulearn.data import (
-    INTERCEPT_NAME,
-    RawTable,
     TableError,
     UNLABELED_REMAINDER,
     append_intercept,
@@ -14,7 +12,7 @@ from drulearn.data import (
     standardize,
     synthetic_two_gaussians,
 )
-from drulearn.model import make_rng
+from drulearn.model import LabeledDataset, make_rng
 
 
 def write_csv(path, text):
@@ -29,12 +27,10 @@ class TestLoadCsv:
             "a,b,y\n1.5,2.0,1\n-0.5,0.25,0\n3.0,-1.0,1\n",
         )
         table = load_csv(path, "y", "1")
-        assert table.feature_names == ("a", "b")
         np.testing.assert_array_equal(
             table.features, [[1.5, 2.0], [-0.5, 0.25], [3.0, -1.0]]
         )
         np.testing.assert_array_equal(table.labels, [1, 0, 1])
-        assert table.label_column == "y"
 
     def test_categorical_one_hot_alphabetical(self, tmp_path):
         path = write_csv(
@@ -42,7 +38,7 @@ class TestLoadCsv:
             "color,y\nb,yes\na,no\nb,yes\n",
         )
         table = load_csv(path, "y", "yes")
-        assert table.feature_names == ("color=a", "color=b")
+        # one indicator per category, "a" first
         np.testing.assert_array_equal(table.features, [[0, 1], [1, 0], [0, 1]])
         np.testing.assert_array_equal(table.labels, [1, 0, 1])
 
@@ -52,13 +48,12 @@ class TestLoadCsv:
             "size,kind,y\n1.0,m,0\n2.0,f,1\n",
         )
         table = load_csv(path, "y", "1")
-        assert table.feature_names == ("size", "kind=f", "kind=m")
+        # size, then kind's indicators for "f" and "m"
         np.testing.assert_array_equal(table.features, [[1.0, 0, 1], [2.0, 1, 0]])
 
     def test_label_column_anywhere(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "y,a\n1,4.0\n0,5.0\n")
         table = load_csv(path, "y", "1")
-        assert table.feature_names == ("a",)
         np.testing.assert_array_equal(table.features, [[4.0], [5.0]])
 
     def test_missing_label_column_is_an_error(self, tmp_path):
@@ -80,6 +75,17 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "t.csv", "a,b,y\n1,2,0\n1,0\n")
         with pytest.raises(TableError, match="row 3 has 2 cells"):
             load_csv(path, "y", "1")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_is_an_error_naming_column_and_row(self, tmp_path, cell):
+        path = write_csv(
+            tmp_path / "t.csv", f"a,y,b\n1.0,1,2.0\n0.5,0,0.5\n0.3,1,{cell}\n"
+        )
+        with pytest.raises(TableError) as raised:
+            load_csv(path, "y", "1")
+        message = str(raised.value)
+        assert message.startswith(f"{path}: column 'b', data row 3 (line 4): ")
+        assert repr(cell) in message
 
     def test_empty_file_and_header_only_are_errors(self, tmp_path):
         empty = write_csv(tmp_path / "e.csv", "")
@@ -110,115 +116,82 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "big.csv", "\n".join(lines) + "\n")
         table = load_csv(path, "age", "old")
         assert table.features.shape == (2854, 10)  # 3 one-hot + 7 numeric
-        assert table.positive_share == pytest.approx(0.507, abs=1e-3)
+        assert float(table.labels.mean()) == pytest.approx(0.507, abs=1e-3)
 
 
 class TestRawTable:
+    """The raw table, a `LabeledDataset` as the loaders return it, checks
+    its labels and its shapes."""
+
     def test_binary_label_validation(self):
-        with pytest.raises(TableError, match="binary"):
-            RawTable(("a",), [[1.0], [2.0]], [0, 2], "y")
+        with pytest.raises(ValueError, match="0 or 1"):
+            LabeledDataset([[1.0], [2.0]], [0, 2])
 
     def test_shape_validation(self):
-        with pytest.raises(TableError, match="disagree"):
-            RawTable(("a", "b"), [[1.0], [2.0]], [0, 1], "y")
-        with pytest.raises(TableError, match="disagree"):
-            RawTable(("a",), [[1.0], [2.0]], [0, 1, 1], "y")
-
-    def test_positive_share(self):
-        table = RawTable(("a",), [[1.0], [2.0], [3.0], [4.0]], [1, 0, 0, 0], "y")
-        assert table.positive_share == 0.25
+        with pytest.raises(ValueError, match="disagree"):
+            LabeledDataset([[1.0], [2.0]], [0, 1, 1])
 
 
 class TestStandardize:
     def test_hand_computed_two_by_two(self):
-        table = RawTable(("a", "b"), [[0.0, 2.0], [2.0, 0.0]], [0, 1], "y")
-        scaled, transform = standardize(table)
+        table = LabeledDataset([[0.0, 2.0], [2.0, 0.0]], [0, 1])
+        scaled = standardize(table)
         np.testing.assert_array_equal(scaled.features, [[-1.0, 1.0], [1.0, -1.0]])
-        assert transform.global_scale == 1.0
 
     def test_zero_mean_unit_std_divides_by_max_abs(self):
         values = np.array([-2.0, -1.0, 1.0, 2.0])
         values = values / values.std()  # zero mean, unit population std
-        table = RawTable(("a",), values[:, None], [0, 0, 1, 1], "y")
-        scaled, transform = standardize(table)
+        table = LabeledDataset(values[:, None], [0, 0, 1, 1])
+        scaled = standardize(table)
         peak = np.abs(values).max()
-        assert transform.global_scale == peak
         np.testing.assert_allclose(
             scaled.features[:, 0], values / peak, rtol=0, atol=1e-15
         )
 
     def test_constant_feature_becomes_zeros(self):
-        table = RawTable(
-            ("a", "b"), [[5.0, 1.0], [5.0, 3.0], [5.0, 2.0]], [0, 1, 0], "y"
-        )
-        scaled, _ = standardize(table)
+        table = LabeledDataset([[5.0, 1.0], [5.0, 3.0], [5.0, 2.0]], [0, 1, 0])
+        scaled = standardize(table)
         np.testing.assert_array_equal(scaled.features[:, 0], np.zeros(3))
 
     def test_all_constant_table_keeps_unit_global_scale(self):
-        table = RawTable(("a",), [[4.0], [4.0]], [0, 1], "y")
-        scaled, transform = standardize(table)
+        table = LabeledDataset([[4.0], [4.0]], [0, 1])
+        scaled = standardize(table)
         np.testing.assert_array_equal(scaled.features, [[0.0], [0.0]])
-        assert transform.global_scale == 1.0
 
     def test_idempotent_within_tolerance(self):
         # Re-standardizing standardized data re-inflates each feature to
         # unit spread and then divides the same global factor back out, so
         # the output is unchanged and its largest magnitude stays exactly 1.
         rng = make_rng(3)
-        table = RawTable(
-            tuple(f"f{j}" for j in range(4)),
+        table = LabeledDataset(
             rng.normal(size=(50, 4)) * rng.uniform(0.5, 3.0, size=4) + 1.0,
             rng.integers(0, 2, size=50),
-            "y",
         )
-        once, _ = standardize(table)
+        once = standardize(table)
         assert np.abs(once.features).max() == 1.0
-        twice, _ = standardize(once)
+        twice = standardize(once)
         np.testing.assert_allclose(
             twice.features, once.features, rtol=0, atol=1e-12
         )
         assert np.abs(twice.features).max() == pytest.approx(1.0, abs=1e-12)
 
-    def test_transform_applies_to_held_out_points(self):
-        rng = make_rng(4)
-        table = RawTable(
-            ("a", "b"),
-            rng.normal(size=(20, 2)) * 2.0 + 3.0,
-            rng.integers(0, 2, size=20),
-            "y",
-        )
-        scaled, transform = standardize(table)
-        np.testing.assert_allclose(
-            transform.apply(table.features), scaled.features, rtol=0, atol=1e-15
-        )
-        held_out = np.array([0.5, -1.5])
-        expected = (
-            (held_out - table.features.mean(axis=0))
-            / table.features.std(axis=0)
-            / transform.global_scale
-        )
-        np.testing.assert_allclose(
-            transform.apply(held_out)[0], expected, rtol=0, atol=1e-15
-        )
-
     def test_input_table_is_not_mutated(self):
         features = np.array([[1.0, 2.0], [3.0, 4.0]])
-        table = RawTable(("a", "b"), features.copy(), [0, 1], "y")
+        table = LabeledDataset(features.copy(), [0, 1])
         before = table.features.copy()
         standardize(table)
         np.testing.assert_array_equal(table.features, before)
 
     def test_single_row_is_an_error(self):
-        table = RawTable(("a",), [[1.0]], [1], "y")
+        table = LabeledDataset([[1.0]], [1])
         with pytest.raises(TableError, match="two rows"):
             standardize(table)
 
 
 class TestAppendIntercept:
     def test_appends_trailing_ones(self):
-        table = RawTable(("a",), [[2.0], [3.0]], [0, 1], "y")
+        table = LabeledDataset([[2.0], [3.0]], [0, 1])
         extended = append_intercept(table)
-        assert extended.feature_names == ("a", INTERCEPT_NAME)
         np.testing.assert_array_equal(extended.features, [[2.0, 1.0], [3.0, 1.0]])
 
 
@@ -226,12 +199,7 @@ class TestSampleSplit:
     @staticmethod
     def table(n=10, dim=2, seed=0):
         rng = make_rng(seed)
-        return RawTable(
-            tuple(f"f{j}" for j in range(dim)),
-            rng.normal(size=(n, dim)),
-            rng.integers(0, 2, size=n),
-            "y",
-        )
+        return LabeledDataset(rng.normal(size=(n, dim)), rng.integers(0, 2, size=n))
 
     def test_same_seed_same_split(self):
         table = self.table()
@@ -243,17 +211,13 @@ class TestSampleSplit:
 
     def test_full_mode_unlabeled_is_whole_table(self):
         table = self.table()
-        labeled, unlabeled, full = sample_split(table, 4, seed=1)
+        labeled, unlabeled = sample_split(table, 4, seed=1)
         assert labeled.n == 4
         np.testing.assert_array_equal(unlabeled.features, table.features)
-        assert full.weights.shape == (10,)
-        np.testing.assert_allclose(full.weights, 0.1, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(full.features, table.features)
-        np.testing.assert_array_equal(full.labels, table.labels)
 
     def test_remainder_mode_partitions_the_rows(self):
         table = self.table()
-        labeled, unlabeled, _ = sample_split(
+        labeled, unlabeled = sample_split(
             table, 4, seed=2, unlabeled_mode=UNLABELED_REMAINDER
         )
         assert labeled.n == 4
@@ -265,7 +229,7 @@ class TestSampleSplit:
 
     def test_taking_every_row_leaves_no_remainder(self):
         table = self.table(n=5)
-        labeled, unlabeled, _ = sample_split(
+        labeled, unlabeled = sample_split(
             table, 5, seed=3, unlabeled_mode=UNLABELED_REMAINDER
         )
         assert unlabeled is None
@@ -274,7 +238,7 @@ class TestSampleSplit:
 
     def test_labeled_rows_come_from_the_table(self):
         table = self.table(n=30, seed=5)
-        labeled, _, _ = sample_split(table, 7, seed=11)
+        labeled, _ = sample_split(table, 7, seed=11)
         table_rows = {tuple(row) for row in table.features}
         assert all(tuple(row) in table_rows for row in labeled.features)
 
@@ -296,8 +260,8 @@ class TestSampleSplit:
         row_ids = {tuple(row): i for i, row in enumerate(table.features)}
         overlaps = []
         for pair in range(1000):
-            first, _, _ = sample_split(table, 20, seed=2 * pair)
-            second, _, _ = sample_split(table, 20, seed=2 * pair + 1)
+            first, _ = sample_split(table, 20, seed=2 * pair)
+            second, _ = sample_split(table, 20, seed=2 * pair + 1)
             ids_first = {row_ids[tuple(row)] for row in first.features}
             ids_second = {row_ids[tuple(row)] for row in second.features}
             overlaps.append(len(ids_first & ids_second))

@@ -26,7 +26,6 @@ from drulearn.model import (
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
-    DiscreteDistribution,
     InfeasibleRadiusError,
     PayoffLp,
     discrete_wasserstein,
@@ -41,16 +40,21 @@ from reference import (
     min_feasible_radius_bisect,
     payoff_solve_bits,
     transport_cost,
+    weighted_wasserstein,
 )
 
 COST = TransportCost()
 
 
-def random_distribution(rng, n_atoms, dim=2):
+def random_sample(rng, n_atoms, dim=2):
+    """A uniform labeled sample of `n_atoms` random points."""
     features = rng.normal(size=(n_atoms, dim))
     labels = rng.integers(0, 2, size=n_atoms)
-    weights = rng.uniform(0.2, 1.0, size=n_atoms)
-    return DiscreteDistribution(features, labels, weights / weights.sum())
+    return LabeledDataset(features, labels)
+
+
+def uniform(n):
+    return np.full(n, 1.0 / n)
 
 
 def random_prior(rng):
@@ -60,33 +64,23 @@ def random_prior(rng):
     return LabelPrior(lower=lower, upper=upper)
 
 
-class TestDiscreteDistribution:
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution([[0.0]], [1], [0.5])
-        with pytest.raises(ValueError):
-            DiscreteDistribution([[0.0], [1.0]], [1, 0], [1.2, -0.2])
-
-    def test_from_dataset_uniform(self):
-        data = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
-        dist = DiscreteDistribution.from_dataset(data)
-        np.testing.assert_array_equal(dist.weights, np.full(4, 0.25))
-
-
 class TestDiscreteWasserstein:
+    # samples of 1-4 atoms: equal sizes, and sizes one divides, take the
+    # assignment path of `solve_transportation`; 2 against 3 or 3 against 4
+    # take the transport LP
     def test_identical_distributions_have_zero_distance(self):
         rng = make_rng(0)
         for _ in range(5):
-            mu = random_distribution(rng, int(rng.integers(1, 5)))
+            mu = random_sample(rng, int(rng.integers(1, 5)))
             distance, plan = discrete_wasserstein(mu, mu, COST)
             assert distance == pytest.approx(0.0, abs=1e-12)
-            np.testing.assert_allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
+            np.testing.assert_allclose(plan.sum(axis=1), uniform(mu.n), atol=1e-9)
 
     def test_singletons_give_the_pair_cost(self):
         x1, y1 = np.array([0.0, 0.0]), 1
         x2, y2 = np.array([3.0, 4.0]), 0
-        mu = DiscreteDistribution(x1[None], [y1], [1.0])
-        nu = DiscreteDistribution(x2[None], [y2], [1.0])
+        mu = LabeledDataset(x1[None], [y1])
+        nu = LabeledDataset(x2[None], [y2])
         distance, plan = discrete_wasserstein(mu, nu, COST)
         assert distance == pytest.approx(transport_cost(x1, y1, x2, y2, COST))
         assert distance == pytest.approx(6.0)  # 3-4-5 move plus one flip
@@ -97,10 +91,8 @@ class TestDiscreteWasserstein:
         # scan 10^4 interpolation points and check both exact vertices
         rng = make_rng(1)
         for _ in range(10):
-            mu = random_distribution(rng, 2)
-            nu = random_distribution(rng, 2)
-            mu = DiscreteDistribution(mu.features, mu.labels, np.array([0.5, 0.5]))
-            nu = DiscreteDistribution(nu.features, nu.labels, np.array([0.5, 0.5]))
+            mu = random_sample(rng, 2)
+            nu = random_sample(rng, 2)
             pair = np.array(
                 [
                     [
@@ -127,10 +119,8 @@ class TestDiscreteWasserstein:
 
         rng = make_rng(2)
         for _ in range(10):
-            mu = random_distribution(rng, 3)
-            nu = random_distribution(rng, 3)
-            mu = DiscreteDistribution(mu.features, mu.labels, np.full(3, 1 / 3))
-            nu = DiscreteDistribution(nu.features, nu.labels, np.full(3, 1 / 3))
+            mu = random_sample(rng, 3)
+            nu = random_sample(rng, 3)
             pair = np.array(
                 [
                     [
@@ -151,8 +141,8 @@ class TestDiscreteWasserstein:
     def test_triangle_inequality(self):
         rng = make_rng(3)
         for _ in range(100):
-            sizes = rng.integers(1, 4, size=3)
-            mu, rho, nu = (random_distribution(rng, int(s)) for s in sizes)
+            sizes = rng.integers(1, 5, size=3)
+            mu, rho, nu = (random_sample(rng, int(s)) for s in sizes)
             d_mu_nu, _ = discrete_wasserstein(mu, nu, COST)
             d_mu_rho, _ = discrete_wasserstein(mu, rho, COST)
             d_rho_nu, _ = discrete_wasserstein(rho, nu, COST)
@@ -161,11 +151,11 @@ class TestDiscreteWasserstein:
     def test_plan_marginals_match_inputs(self):
         rng = make_rng(4)
         for _ in range(10):
-            mu = random_distribution(rng, int(rng.integers(1, 5)))
-            nu = random_distribution(rng, int(rng.integers(1, 5)))
+            mu = random_sample(rng, int(rng.integers(1, 5)))
+            nu = random_sample(rng, int(rng.integers(1, 5)))
             _, plan = discrete_wasserstein(mu, nu, COST)
-            np.testing.assert_allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
-            np.testing.assert_allclose(plan.sum(axis=0), nu.weights, atol=1e-9)
+            np.testing.assert_allclose(plan.sum(axis=1), uniform(mu.n), atol=1e-9)
+            np.testing.assert_allclose(plan.sum(axis=0), uniform(nu.n), atol=1e-9)
             assert plan.min() >= 0.0
 
 
@@ -850,7 +840,6 @@ class TestFeasibleDistributions:
         prior = LabelPrior(lower=np.array([0.2, 0.3]), upper=np.array([0.7, 0.8]))
         eps0 = min_feasible_radius(data, support, prior, COST)
         eps = eps0 + 0.4
-        empirical = DiscreteDistribution.from_dataset(data)
         for dist in feasible_distributions(data, support, prior, eps, COST, count=6, seed=3):
             assert dist.weights.min() >= 0.0
             assert dist.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -861,7 +850,7 @@ class TestFeasibleDistributions:
             mass1 = dist.weights.reshape(4, 2)[:, 1].sum()
             assert prior.lower[1] - 1e-8 <= mass1 <= prior.upper[1] + 1e-8
             # within the transport budget of the labeled empirical
-            distance, _ = discrete_wasserstein(dist, empirical, COST)
+            distance, _ = weighted_wasserstein(dist, data, COST)
             assert distance <= eps + 1e-7
 
     def test_empty_decision_set_raises(self):
