@@ -23,13 +23,23 @@ compare x several times per evaluation: on the `bound_strong` benchmark
 config (one core) the search's time outside the kernel fell from about 72
 to about 21 us per evaluation.
 
-The search stops after three temperatures, 1e-1 to 1e-2 (348 evaluations
-on that config).  Three finer stages would go on lowering the search
-half's certificate, the objective they minimize, but the figure reported is
-the held-out half's, and there they fit the search half's noise: over 112
-`bound` rows the three-stage certificate was tighter on 72 and looser on
-23, and higher in likelihood on average, while the fine stages took almost
-half the evaluations (`BENCH_three_stages.json`).
+The search starts at whichever of the given point and the origin the first
+stage prices lower.  At the minimal feasible radius the worst-case LP's
+optimal duals form an unbounded face, and the solver may return a point far
+out on it: on `bound_strong` trial 0 a transport price of 136.6 offset by a
+label multiplier of 136.3, from which the first stage took 200 evaluations
+to walk the price back to 0.60.  From the origin that config takes 201
+evaluations in all, 4 of them the comparison, against 366 from the LP's
+multipliers alone (one BLAS thread; 369 at two, where the solver reaches
+another point of the face; `BENCH_search_start.json`).
+
+The search stops after three temperatures, 1e-1 to 1e-2.  Three finer
+stages would go on lowering the search half's certificate, the objective
+they minimize, but the figure reported is the held-out half's, and there
+they fit the search half's noise: over 112 `bound` rows the three-stage
+certificate was tighter on 72 and looser on 23, and higher in likelihood on
+average, while the fine stages took almost half the evaluations
+(`BENCH_three_stages.json`).
 """
 
 from __future__ import annotations
@@ -231,18 +241,22 @@ def search_multipliers(
     Every dual point gives a valid certificate, dual objective plus
     correction, so this minimizes that sum over the multipliers: L-BFGS-B
     on its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
-    turn, starting at `state`.  `state` and the point returned at each tau
-    are priced exactly as `performance_bound` prices them, and the best is
-    returned.  Every evaluation, smoothed or exact, reads one
-    `CellLayout` of `unlabeled`, built here.  The multipliers are fitted
-    to `unlabeled`, so its correction there is optimistic; `certify`
-    evaluates them on other points.
+    turn.  The first stage starts at `state` or at the origin (zero
+    transport price, potentials and label multipliers, a dual point that
+    depends on no solver), whichever its smoothing prices lower, `state`
+    on a tie; each later stage starts where the one before stopped.
+    `state` and the point returned at each tau are priced exactly as
+    `performance_bound` prices them, and the best is returned, so the
+    result is never worse than `state` on `unlabeled`.  Every evaluation,
+    smoothed or exact, reads one `CellLayout` of `unlabeled`, built here.
+    The multipliers are fitted to `unlabeled`, so its correction there is
+    optimistic; `certify` evaluates them on other points.
 
     The schedule stops at tau = 1e-2, so a search can end up to
     1e-2 * log(2 * n_labeled) above the best certificate where the
     smoothing cannot resolve a tie, as at the zero model theta = 0 (about
-    0.037 at 20 atoms).  A start at the worst-case LP's multipliers, which
-    `certify` is given, is priced exactly and kept if it is best.
+    0.037 at 20 atoms).  The worst-case LP's multipliers, which `certify`
+    is given, certify theta = 0 exactly and are kept as a candidate.
     """
     n_l = data.n
     theta = state.theta
@@ -259,6 +273,12 @@ def search_multipliers(
         ]
     )
     lower = np.concatenate([[0.0], np.full(n_l, -np.inf), np.zeros(2 * N_CLASSES)])
+    # the origin is a dual point too; start at it when the first stage
+    # prices it strictly lower than `state`
+    origin = np.zeros_like(params)
+    first = (layout, prior, eps, z_score, SMOOTHING_SCHEDULE[0])
+    if _smoothed_bound(origin, *first)[0] < _smoothed_bound(params, *first)[0]:
+        params = origin
     points = [state]
     for tau in SMOOTHING_SCHEDULE:
         params, _ = lbfgsb(

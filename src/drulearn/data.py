@@ -105,14 +105,20 @@ def standardize(table: LabeledDataset) -> LabeledDataset:
 
     Population (divide-by-n) standard deviations; a constant feature is
     centered and divided by 1, and an all-zero matrix keeps a global scale
-    of 1.  Returns a new dataset; the input is never modified.
+    of 1.  Each column is first scaled by the power of two that brings its
+    largest |entry| into [0.5, 1): the scaling is exact, so the z-scores
+    keep their bits, and the mean and std of finite cells near the float
+    limit cannot overflow.  Returns a new dataset; the input is never
+    modified.
     """
     if table.n < 2:
         raise TableError("standardization needs at least two rows")
-    means = table.features.mean(axis=0)
-    stds = table.features.std(axis=0)
+    _, exponents = np.frexp(np.abs(table.features).max(axis=0))
+    features = np.ldexp(table.features, -exponents)
+    means = features.mean(axis=0)
+    stds = features.std(axis=0)
     stds = np.where(stds == 0.0, 1.0, stds)
-    scored = (table.features - means) / stds
+    scored = (features - means) / stds
     global_scale = float(np.abs(scored).max())
     if global_scale == 0.0:
         global_scale = 1.0

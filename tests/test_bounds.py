@@ -10,7 +10,7 @@ from scipy import sparse, stats
 from scipy.special import expit
 from scipy.optimize import Bounds, minimize
 
-from drulearn import baseline, bounds, dual
+from drulearn import baseline, bounds, cli, dual
 from drulearn.baseline import FIT_MAX_ITER, FIT_TOL
 from drulearn.bounds import (
     DEFAULT_Z_SCORE,
@@ -327,6 +327,24 @@ def trained_instance(seed, n_unlabeled=120, n_labeled=12):
     return data, unlabeled, prior, eps, cutset_solve(data, unlabeled, prior, COST, eps)
 
 
+def bound_strong_instance():
+    """Trial 0 of `bound` on the strong prior with the distance-fraction
+    radius and 20 labels, built by the CLI's own helpers, and its
+    cutting-set solution.  Its radius is the minimal feasible one."""
+    config = ExperimentConfig(
+        prior_mode="strong", eps_policy=FRACTION_OF_TRUE_DISTANCE, n_labeled=20
+    )
+    instance = cli._build_instance(config, cli._load_table(config), config.seed)
+    eps = cli._resolve_eps(config, instance)
+    data, unlabeled, prior = instance.labeled, instance.unlabeled, instance.prior
+    return data, unlabeled, prior, eps, cutset_solve(data, unlabeled, prior, COST, eps)
+
+
+def search_radius(data, search, prior, eps):
+    """The radius `certify` searches its search half at."""
+    return max(eps, min_feasible_radius(data, search.features, prior, COST))
+
+
 def corrected(bound):
     return bound.neg_log_bound + bound.correction
 
@@ -543,11 +561,14 @@ class TestCertify:
     def test_search_starts_agree(self):
         # zeros, the LP multipliers and a random point lead to the same
         # certificate on the search half, on instances whose trained
-        # classifier is not zero
-        for seed in (1, 2, 3):
-            data, unlabeled, prior, eps, result = trained_instance(seed)
+        # classifier is not zero; the last instance sits on its minimal
+        # feasible radius
+        instances = [(seed, *trained_instance(seed)) for seed in (1, 2, 3)]
+        instances.append((0, *bound_strong_instance()))
+        for seed, data, unlabeled, prior, eps, result in instances:
             assert np.linalg.norm(result.theta) > 1e-2
             search, _ = held_out_halves(unlabeled)
+            eps = search_radius(data, search, prior, eps)
             starts = (
                 zero_start(result.theta, data.n),
                 result.state,
@@ -563,6 +584,39 @@ class TestCertify:
                 for start in starts
             ]
             assert max(values) - min(values) <= 1e-6
+
+    def test_search_from_the_lp_start_costs_no_more_than_from_the_origin(
+        self, monkeypatch
+    ):
+        # at the minimal feasible radius the worst-case LP's optimal duals
+        # form an unbounded face: the solver may return a large transport
+        # price offset by a large label multiplier, and a search walking the
+        # price back from there took over 260 evaluations against under 100
+        # from the origin; the search starts at the origin when it prices
+        # lower
+        data, unlabeled, prior, eps, result = bound_strong_instance()
+        assert eps == pytest.approx(
+            min_feasible_radius(data, unlabeled.features, prior, COST), abs=1e-12
+        )
+        search, _ = held_out_halves(unlabeled)
+        eps = search_radius(data, search, prior, eps)
+        kernel, calls = bounds._smoothed_bound, []
+
+        def counting(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(bounds, "_smoothed_bound", counting)
+        counts, values = [], []
+        for start in (result.state, zero_start(result.theta, data.n)):
+            calls.clear()
+            point = search_multipliers(start, data, search, prior, eps, COST)
+            counts.append(len(calls))
+            values.append(
+                corrected(performance_bound(point, data, search, prior, eps, COST))
+            )
+        assert counts[0] <= counts[1]
+        assert values[0] == pytest.approx(values[1], abs=1e-6)
 
     def test_far_start_stops_within_the_smoothing_floor_at_the_zero_model(self):
         # at theta = 0 every cell ties, the best certificate is log 2 with

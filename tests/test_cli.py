@@ -459,6 +459,21 @@ class TestExitCodes:
         assert meta["command"] == "bound"
         assert not [key for key in meta if key.startswith("error_trial_")]
 
+    @pytest.mark.filterwarnings("error")
+    def test_cells_near_the_float_limit_standardize_without_overflow(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "big.csv"
+        data.write_text("a,b,label\n1e308,2.0,1\n1e308,0.5,0\n0.3,1.5,1\n2.0,0.1,0\n")
+        out = tmp_path / "wasserstein.csv"
+        config = write_config(
+            tmp_path, output=str(out), dataset=str(data), n_labeled=2
+        )
+        assert main(["wasserstein", "--config", config]) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = read_rows(out)
+        assert math.isfinite(float(row["distance"]))
+
 
 class TestBoundExperiment:
     # at eps 0.5 trial 0 needs a larger radius at both grid sizes (minimal

@@ -187,6 +187,32 @@ class TestStandardize:
         with pytest.raises(TableError, match="two rows"):
             standardize(table)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_cells_near_the_float_limit_do_not_overflow(self):
+        # the column sum of two 1e308 cells overflows; scaled by a power of
+        # two first, the column gives the z-scores of its scaled copy
+        features = np.array([[1e308, 2.0], [1e308, 0.5], [0.3, 1.5], [2.0, 0.1]])
+        scaled = standardize(LabeledDataset(features, [1, 0, 1, 0]))
+        assert np.all(np.isfinite(scaled.features))
+        small = standardize(
+            LabeledDataset(features * [2.0**-1000, 1.0], [1, 0, 1, 0])
+        )
+        assert scaled.features.tobytes() == small.features.tobytes()
+
+    def test_column_scaling_keeps_the_unscaled_z_scores_bit_for_bit(self):
+        # the power-of-two scaling is exact, so where the unscaled mean and
+        # std cannot overflow the output is the unscaled formula's
+        rng = make_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            scales = 10.0 ** rng.uniform(-30, 30, size=3)
+            features = (rng.normal(size=(n, 3)) + rng.normal(size=3)) * scales
+            means, stds = features.mean(axis=0), features.std(axis=0)
+            scored = (features - means) / np.where(stds == 0.0, 1.0, stds)
+            reference = scored / np.abs(scored).max()
+            scaled = standardize(LabeledDataset(features, rng.integers(0, 2, n)))
+            assert scaled.features.tobytes() == reference.tobytes()
+
 
 class TestAppendIntercept:
     def test_appends_trailing_ones(self):
