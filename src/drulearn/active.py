@@ -12,7 +12,11 @@ on every config measured the pick was the subsample's argmax of
 g_lo = min(p, 1 - p) * |x|: `min_mc` with ``mc_include_norm``, whose curves
 ``dr_weak`` and ``dr_strong`` write once the subsample covers the pool.
 
-`select_next` and `run_active_loop` read a checked `config.ExperimentConfig`.
+A run starts from `data.sample_split`: its labeled draw is the starting
+labeled set and its remainder the pool, so every strategy run from one seed
+starts from the same labeled rows, the rows `bound` draws at that seed and
+size.  `select_next` and `run_active_loop` read a checked
+`config.ExperimentConfig`.
 The robust strategies build their prior with `bounds.configured_prior`, strong
 or weak as the strategy says (``prior_mode`` is not read), and take its
 minimal feasible radius plus ``delta_margin`` (``eps`` is not read).
@@ -53,22 +57,16 @@ NEWTON_MAX_ITER = 100
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ActiveState:
-    """Labeled set, the remaining pool with its held-back labels, and history."""
+    """Labeled set, the remaining pool with its held-back labels (``None``
+    once empty), and history."""
 
     labeled: LabeledDataset
-    pool_features: np.ndarray
-    pool_labels: np.ndarray
+    pool: LabeledDataset | None
     theta: np.ndarray | None = None
     history: tuple = ()
 
     def __post_init__(self):
-        features = np.asarray(self.pool_features, dtype=float)
-        labels = np.asarray(self.pool_labels)
-        object.__setattr__(self, "pool_features", features)
-        object.__setattr__(self, "pool_labels", labels)
-        if features.ndim != 2 or len(features) != len(labels):
-            raise ValueError("pool features and labels must align")
-        if features.shape[1] != self.labeled.dim:
+        if self.pool is not None and self.pool.dim != self.labeled.dim:
             raise ValueError("pool and labeled feature dimensions differ")
         counts = [n for n, _ in self.history]
         if any(b <= a for a, b in zip(counts, counts[1:])):
@@ -76,27 +74,7 @@ class ActiveState:
 
     @property
     def pool_size(self) -> int:
-        return len(self.pool_features)
-
-
-def initial_state(data: LabeledDataset, n_initial: int, seed: int) -> ActiveState:
-    """Split off a uniformly chosen starting labeled set; the rest is the pool.
-
-    The split depends only on the seed, so every strategy run from the same
-    seed starts from the identical labeled set.
-    """
-    if not 0 < n_initial <= data.n:
-        raise ValueError("n_initial must be in (0, dataset size]")
-    rng = make_rng(seed)
-    chosen = np.sort(rng.choice(data.n, size=n_initial, replace=False))
-    mask = np.zeros(data.n, dtype=bool)
-    mask[chosen] = True
-    labeled = LabeledDataset(data.features[mask], data.labels[mask])
-    return ActiveState(
-        labeled=labeled,
-        pool_features=data.features[~mask],
-        pool_labels=data.labels[~mask],
-    )
+        return 0 if self.pool is None else self.pool.n
 
 
 def erm_train_l2(data: LabeledDataset, ridge_gamma: float) -> np.ndarray:
@@ -222,31 +200,31 @@ def select_next(
     ``class_share``, the share of positives among everything the run can
     see, is the strong prior's share when ``prior_positive_share`` is empty.
     """
-    if state.pool_size == 0:
+    pool = state.pool
+    if pool is None:
         raise ValueError("pool is empty")
     kind = config.strategy
     if kind == RANDOM:
-        return int(rng.integers(0, state.pool_size))
+        return int(rng.integers(0, pool.n))
     theta = state.theta
     if theta is None:
         raise ValueError("state has no trained parameters to score with")
     if kind in (EMC, MIN_MC, MAX_MC):
-        scores = posterior_scores(
-            theta, state.pool_features, kind, config.mc_include_norm
-        )
+        scores = posterior_scores(theta, pool.features, kind, config.mc_include_norm)
         return int(np.argmax(scores))
     # robust variants: subsample candidates, price each against the worst
     # label distribution, and take the best worst-case impact
-    size = min(config.candidate_subsample, state.pool_size)
-    candidates = np.sort(rng.choice(state.pool_size, size=size, replace=False))
-    pool = UnlabeledDataset(state.pool_features)
+    size = min(config.candidate_subsample, pool.n)
+    candidates = np.sort(rng.choice(pool.n, size=size, replace=False))
+    unlabeled = UnlabeledDataset(pool.features)
     mode = PRIOR_STRONG if kind == DR_STRONG else PRIOR_WEAK
     prior = configured_prior(config, state.labeled, mode, class_share)
-    eps = prior_feasible_radius(state.labeled, pool, prior, cost) + config.delta_margin
+    eps = prior_feasible_radius(state.labeled, unlabeled, prior, cost)
+    eps += config.delta_margin
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis
     model = PayoffLp(pool.features, state.labeled, prior, eps, cost)
-    scores = [score_dr(model, state.pool_features, j, theta) for j in candidates]
+    scores = [score_dr(model, pool.features, j, theta) for j in candidates]
     return int(candidates[int(np.argmax(scores))])
 
 
@@ -279,7 +257,7 @@ def run_active_loop(
     rng = make_rng(seed)
     state = initial
     class_share = float(
-        np.mean(np.concatenate([initial.labeled.labels, initial.pool_labels]))
+        np.mean(np.concatenate([initial.labeled.labels, initial.pool.labels]))
     )
     while True:
         theta = erm_train_l2(state.labeled, config.ridge_gamma)
@@ -290,18 +268,18 @@ def run_active_loop(
         if state.labeled.n >= stop_at:
             return state
         chosen = select_next(state, config, rng, cost, class_share)
-        keep = np.ones(state.pool_size, dtype=bool)
-        keep[chosen] = False
+        pool = state.pool
+        keep = np.arange(pool.n) != chosen
         labeled = LabeledDataset(
-            np.vstack([state.labeled.features, state.pool_features[chosen]]),
-            np.append(state.labeled.labels, state.pool_labels[chosen]),
+            np.vstack([state.labeled.features, pool.features[chosen]]),
+            np.append(state.labeled.labels, pool.labels[chosen]),
         )
-        state = dataclasses.replace(
-            state,
-            labeled=labeled,
-            pool_features=state.pool_features[keep],
-            pool_labels=state.pool_labels[keep],
+        rest = (
+            LabeledDataset(pool.features[keep], pool.labels[keep])
+            if keep.any()
+            else None
         )
+        state = dataclasses.replace(state, labeled=labeled, pool=rest)
 
 
 def aulc(curve) -> float:

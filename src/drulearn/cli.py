@@ -33,7 +33,7 @@ gc.disable()
 try:
     import numpy as np
 
-    from .active import aulc, initial_state, run_active_loop
+    from .active import ActiveState, aulc, run_active_loop
     from .baseline import baseline_train, worst_case_price
     from .bounds import (
         certify,
@@ -42,6 +42,7 @@ try:
         select_radius,
     )
     from .config import (
+        UNLABELED_FULL,
         ConfigError,
         ExperimentConfig,
         config_items,
@@ -131,9 +132,9 @@ def _build_instance(
     n_labeled: int | None = None,
 ) -> Instance:
     n_labeled = config.n_labeled if n_labeled is None else n_labeled
-    labeled, unlabeled = sample_split(
-        table, n_labeled, split_seed, config.unlabeled_mode
-    )
+    labeled, rest = sample_split(table, n_labeled, split_seed)
+    source = table if config.unlabeled_mode == UNLABELED_FULL else rest
+    unlabeled = None if source is None else UnlabeledDataset(source.features)
     share = float(table.labels.mean())
     prior = configured_prior(config, labeled, config.prior_mode, share)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
@@ -411,7 +412,7 @@ def _run_active(config: ExperimentConfig):
     # not a parse-time check: other subcommands accept n_labeled <= n_initial
     if config.stop_at == 0 and config.n_labeled <= config.n_initial:
         raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
-    pool = _load_table(config)
+    table = _load_table(config)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     aulc_values = []
@@ -419,9 +420,9 @@ def _run_active(config: ExperimentConfig):
         trial_seed = config.seed + trial
         try:
             state = run_active_loop(
-                initial_state(pool, config.n_initial, trial_seed),
+                ActiveState(*sample_split(table, config.n_initial, trial_seed)),
                 config,
-                eval_data=pool,
+                eval_data=table,
                 seed=trial_seed,
                 cost=cost,
             )

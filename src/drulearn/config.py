@@ -157,6 +157,15 @@ class ExperimentConfig:
             raise ConfigError("grid_points must be positive")
         if self.grid_span <= 0:
             raise ConfigError("grid_span must be positive")
+        # the screen's grid runs from base + delta_margin up to base + grid_span
+        if (
+            self.eps_policy == AS_ROBUST_AS_POSSIBLE
+            and self.grid_span <= self.delta_margin
+        ):
+            raise ConfigError(
+                "with eps_policy = as-robust-as-possible, grid_span must exceed "
+                "delta_margin"
+            )
         if self.stop_at < 0:
             raise ConfigError("stop_at must be nonnegative")
         if 0 < self.stop_at <= self.n_initial:

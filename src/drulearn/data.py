@@ -4,11 +4,13 @@ Every step takes and returns a `model.LabeledDataset`.  CSV tables come in
 with a header and a binary label column; the feature columns keep the
 header's order, a categorical column becoming one indicator column per
 category in alphabetical order, and every cell must be a finite number or a
-category.  Preprocessing z-scores each feature and then rescales the whole
-matrix by its largest absolute entry; `append_intercept` adds the constant
-feature last.  The labeled/unlabeled split is seeded and uniform without
-replacement, and the whole table is the reference sample that stands in for
-the true distribution.
+category: a numeric column may hold no blank cell, and a table needs a
+feature column besides the label.  Preprocessing z-scores each feature and
+then rescales the whole matrix by its largest absolute entry;
+`append_intercept` adds the constant feature last.  `sample_split` draws
+the labeled rows, seeded and uniform without replacement, and returns the
+rows left over with them; every subcommand that needs a labeled subsample
+takes it from there.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import csv
 
 import numpy as np
 
-from .config import UNLABELED_FULL, UNLABELED_REMAINDER
-from .model import LabeledDataset, UnlabeledDataset, make_rng
+from .model import LabeledDataset, make_rng
 
 
 class TableError(ValueError):
@@ -26,9 +27,11 @@ class TableError(ValueError):
 
 
 def _is_numeric_column(values) -> bool:
+    """Whether every non-blank cell parses as a number."""
     try:
         for value in values:
-            float(value)
+            if value.strip():
+                float(value)
     except ValueError:
         return False
     return True
@@ -37,10 +40,10 @@ def _is_numeric_column(values) -> bool:
 def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDataset:
     """Ingest a headed CSV into a labeled dataset with a binary label.
 
-    Numeric columns parse as reals and must be finite; any other column is
-    one-hot encoded with its categories in alphabetical order.  The label
-    column must hold exactly two distinct tokens, one of them the positive
-    token, mapped to 1.
+    Numeric columns parse as reals and must be finite, with no blank cell;
+    any other column is one-hot encoded with its categories in alphabetical
+    order.  The label column must hold exactly two distinct tokens, one of
+    them the positive token, mapped to 1, and some other column must exist.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -59,6 +62,10 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
             )
     if label_column not in header:
         raise TableError(f"{path}: no column named {label_column!r}")
+    if len(header) == 1:
+        raise TableError(
+            f"{path}: no feature column besides the label column {label_column!r}"
+        )
     label_index = header.index(label_column)
 
     label_tokens = [row[label_index] for row in rows]
@@ -83,12 +90,14 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
             continue
         values = [row[index] for row in rows]
         if _is_numeric_column(values):
-            column = np.array([float(v) for v in values])
+            column = np.array([float(v) if v.strip() else np.nan for v in values])
             bad = np.flatnonzero(~np.isfinite(column))
             if bad.size:
+                cell = values[bad[0]]
+                problem = "is not a finite number" if cell.strip() else "is blank"
                 raise TableError(
                     f"{path}: column {name!r}, data row {bad[0] + 1} "
-                    f"(line {bad[0] + 2}): {values[bad[0]]!r} is not a finite number"
+                    f"(line {bad[0] + 2}): {cell!r} {problem}"
                 )
             columns.append(column)
         else:
@@ -96,8 +105,7 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
                 columns.append(
                     np.array([1.0 if v == category else 0.0 for v in values])
                 )
-    features = np.column_stack(columns) if columns else np.empty((len(rows), 0))
-    return LabeledDataset(features, labels)
+    return LabeledDataset(np.column_stack(columns), labels)
 
 
 def standardize(table: LabeledDataset) -> LabeledDataset:
@@ -131,21 +139,12 @@ def append_intercept(table: LabeledDataset) -> LabeledDataset:
     return LabeledDataset(features, table.labels)
 
 
-def sample_split(
-    table: LabeledDataset,
-    n_labeled: int,
-    seed: int,
-    unlabeled_mode: str = UNLABELED_FULL,
-):
-    """Draw the labeled subsample and build the unlabeled set.
+def sample_split(table: LabeledDataset, n_labeled: int, seed: int):
+    """Draw the labeled subsample, a seeded uniform draw without replacement.
 
-    The labeled set is a seeded uniform draw without replacement.  The
-    unlabeled set is either every feature row (``full``) or only the rows
-    left out of the labeled draw (``remainder``; ``None`` when nothing
-    remains).  Returns ``(labeled, unlabeled)``.
+    Returns ``(labeled, rest)``: ``rest`` holds the rows not drawn, in table
+    order, or is ``None`` when every row was drawn.
     """
-    if unlabeled_mode not in (UNLABELED_FULL, UNLABELED_REMAINDER):
-        raise ValueError(f"unknown unlabeled_mode {unlabeled_mode!r}")
     if not 0 < n_labeled <= table.n:
         raise ValueError(
             f"n_labeled must be in [1, {table.n}], got {n_labeled}"
@@ -155,13 +154,9 @@ def sample_split(
     mask = np.zeros(table.n, dtype=bool)
     mask[chosen] = True
     labeled = LabeledDataset(table.features[mask], table.labels[mask])
-    if unlabeled_mode == UNLABELED_FULL:
-        unlabeled = UnlabeledDataset(table.features)
-    elif mask.all():
-        unlabeled = None
-    else:
-        unlabeled = UnlabeledDataset(table.features[~mask])
-    return labeled, unlabeled
+    if mask.all():
+        return labeled, None
+    return labeled, LabeledDataset(table.features[~mask], table.labels[~mask])
 
 
 def synthetic_two_gaussians(

@@ -13,7 +13,6 @@ from drulearn.active import (
     erm_train_l2,
     evaluation_likelihood,
     impact_gradient_norm,
-    initial_state,
     run_active_loop,
     posterior_scores,
     score_dr,
@@ -29,6 +28,7 @@ from drulearn.config import (
     RANDOM,
     ExperimentConfig,
 )
+from drulearn.data import sample_split
 from drulearn.dual import LabelPrior
 from drulearn.model import (
     LabeledDataset,
@@ -251,15 +251,10 @@ class TestSelectNext:
         labeled = LabeledDataset(
             np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1, 0])
         )
-        pool_features = np.asarray(pool_features, dtype=float)
         if pool_labels is None:
             pool_labels = np.zeros(len(pool_features), dtype=int)
-        return ActiveState(
-            labeled=labeled,
-            pool_features=pool_features,
-            pool_labels=pool_labels,
-            theta=theta,
-        )
+        pool = LabeledDataset(pool_features, pool_labels) if len(pool_labels) else None
+        return ActiveState(labeled=labeled, pool=pool, theta=theta)
 
     def test_singleton_pool_is_chosen_by_every_strategy(self):
         pool = np.array([[0.5, 0.5]])
@@ -319,10 +314,12 @@ class TestSelectNext:
         # each with its own one-shot score_dr must pick the same point
         rng = make_rng(9)
         for seed in range(4):
-            initial = initial_state(two_cluster_data(rng, 30, noise=1.2), 6, seed)
+            initial = ActiveState(
+                *sample_split(two_cluster_data(rng, 30, noise=1.2), 6, seed)
+            )
             theta = erm_train_l2(initial.labeled, 1e-3)
             state = dataclasses.replace(initial, theta=theta)
-            pool = UnlabeledDataset(state.pool_features)
+            pool = UnlabeledDataset(state.pool.features)
             for kind in (DR_WEAK, DR_STRONG):
                 config = ExperimentConfig(
                     strategy=kind, candidate_subsample=state.pool_size
@@ -346,7 +343,8 @@ class TestSelectNext:
     def test_robust_pick_solves_the_pool_coupling_once(self, transport_solves):
         # the step's radius and its model share one pool-to-atoms transport
         rng = make_rng(10)
-        initial = initial_state(two_cluster_data(rng, 40, noise=1.2), 12, 0)
+        data = two_cluster_data(rng, 40, noise=1.2)
+        initial = ActiveState(*sample_split(data, 12, 0))
         state = dataclasses.replace(
             initial, theta=erm_train_l2(initial.labeled, 1e-3)
         )
@@ -377,15 +375,17 @@ class TestSelectNext:
 
 class TestActiveStateAndInit:
     def test_initial_split_partitions_the_data_deterministically(self):
+        # a run starts from `sample_split`: the draw `bound` takes at that
+        # seed and size, with the rest of the table as the pool
         rng = make_rng(5)
         data = two_cluster_data(rng, 30)
-        first = initial_state(data, 8, seed=3)
-        second = initial_state(data, 8, seed=3)
+        first = ActiveState(*sample_split(data, 8, seed=3))
+        second = ActiveState(*sample_split(data, 8, seed=3))
         assert np.array_equal(first.labeled.features, second.labeled.features)
-        assert np.array_equal(first.pool_features, second.pool_features)
+        assert np.array_equal(first.pool.features, second.pool.features)
         assert first.labeled.n == 8
         assert first.pool_size == 22
-        combined = np.vstack([first.labeled.features, first.pool_features])
+        combined = np.vstack([first.labeled.features, first.pool.features])
         assert sorted(map(tuple, combined)) == sorted(map(tuple, data.features))
 
     def test_history_must_be_strictly_increasing(self):
@@ -393,24 +393,35 @@ class TestActiveStateAndInit:
         with pytest.raises(ValueError):
             ActiveState(
                 labeled=labeled,
-                pool_features=np.ones((1, 2)),
-                pool_labels=np.array([0]),
+                pool=LabeledDataset(np.ones((1, 2)), np.array([0])),
                 history=((5, 0.5), (5, 0.6)),
             )
 
+    def test_pool_and_labeled_dimensions_must_agree(self):
+        labeled = LabeledDataset(np.zeros((1, 2)), np.array([1]))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            ActiveState(labeled, LabeledDataset(np.ones((1, 3)), np.array([0])))
+
     def test_initial_size_bounds_are_enforced(self):
+        # the error names the requested size and the table's
         data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 0]))
-        with pytest.raises(ValueError):
-            initial_state(data, 0, seed=0)
-        with pytest.raises(ValueError):
-            initial_state(data, 4, seed=0)
+        with pytest.raises(ValueError, match=r"\[1, 3\], got 0"):
+            ActiveState(*sample_split(data, 0, seed=0))
+        with pytest.raises(ValueError, match=r"\[1, 3\], got 4"):
+            ActiveState(*sample_split(data, 4, seed=0))
+
+    def test_an_empty_pool_is_none(self):
+        data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 0]))
+        state = ActiveState(*sample_split(data, 3, seed=0))
+        assert state.pool is None
+        assert state.pool_size == 0
 
 
 class TestRunActiveLoop:
     def _setup(self, n=24, n_initial=6, seed=9):
         rng = make_rng(5)
         data = two_cluster_data(rng, n)
-        return data, initial_state(data, n_initial, seed=seed)
+        return data, ActiveState(*sample_split(data, n_initial, seed=seed))
 
     def test_random_curve_is_bitwise_reproducible(self):
         data, init = self._setup()
@@ -433,13 +444,22 @@ class TestRunActiveLoop:
         # strategy, including the easy-point-seeking optimistic one, to gain
         rng = make_rng(6)
         data = two_cluster_data(rng, 28, spread=1.2, noise=0.8)
-        init = initial_state(data, 4, seed=9)
+        init = ActiveState(*sample_split(data, 4, seed=9))
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK):
             config = ExperimentConfig(
                 strategy=kind, candidate_subsample=4, stop_at=16
             )
             done = run_active_loop(init, config, data, 9, COST)
             assert done.history[-1][1] >= done.history[0][1] - 1e-9
+
+    def test_the_pool_can_run_dry(self):
+        data, init = self._setup()
+        config = ExperimentConfig(strategy=EMC, stop_at=24)
+        done = run_active_loop(init, config, data, 1, COST)
+        assert done.pool is None
+        assert sorted(map(tuple, done.labeled.features)) == sorted(
+            map(tuple, data.features)
+        )
 
     def test_stopping_bounds_are_validated(self):
         data, init = self._setup()

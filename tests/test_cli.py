@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 from drulearn import active, baseline, cli, oracle
-from drulearn.active import aulc, initial_state, run_active_loop
+from drulearn.active import ActiveState, aulc, run_active_loop
 from drulearn.baseline import baseline_train, worst_case_price
 from drulearn.bounds import certify, prior_feasible_radius, weak_prior
 from drulearn.cli import (
@@ -25,7 +25,8 @@ from drulearn.cli import (
     _oracle_instance,
     main,
 )
-from drulearn.config import load_config, render_value
+from drulearn.config import ExperimentConfig, load_config, render_value
+from drulearn.data import sample_split
 from drulearn.dual import cutset_solve, duality_gap_check
 from drulearn.kernels import SlsqpResult
 from drulearn.model import (
@@ -107,6 +108,32 @@ def read_meta(path):
         key, _, value = line.partition("=")
         entries[key] = value
     return entries
+
+
+class TestBuildInstance:
+    """`_build_instance` takes the labeled rows from `data.sample_split` and
+    the unlabeled sample by ``unlabeled_mode``."""
+
+    @staticmethod
+    def table(n=10):
+        rng = make_rng(0)
+        return LabeledDataset(rng.normal(size=(n, 2)), rng.integers(0, 2, size=n))
+
+    def test_full_mode_unlabeled_is_whole_table(self):
+        table = self.table()
+        instance = _build_instance(ExperimentConfig(n_labeled=4), table, 1)
+        labeled, _ = sample_split(table, 4, 1)
+        np.testing.assert_array_equal(instance.labeled.features, labeled.features)
+        np.testing.assert_array_equal(instance.unlabeled.features, table.features)
+
+    def test_remainder_mode_unlabeled_is_the_rest(self):
+        table = self.table()
+        config = ExperimentConfig(n_labeled=4, unlabeled_mode="remainder")
+        instance = _build_instance(config, table, 1)
+        _, rest = sample_split(table, 4, 1)
+        np.testing.assert_array_equal(instance.unlabeled.features, rest.features)
+        drawn_all = _build_instance(config, table, 1, n_labeled=10)
+        assert drawn_all.unlabeled is None
 
 
 class TestUsageErrors:
@@ -837,7 +864,7 @@ class TestActiveExperiment:
         expected, areas = [], []
         for trial in range(3):
             state = run_active_loop(
-                initial_state(pool, 3, 2 + trial),
+                ActiveState(*sample_split(pool, 3, 2 + trial)),
                 settings,
                 eval_data=pool,
                 seed=2 + trial,
@@ -854,6 +881,34 @@ class TestActiveExperiment:
             "strategy": "emc",
             "median_aulc": repr(float(np.median(areas))),
         }
+
+    def test_active_starts_from_the_rows_bound_labels(self, tmp_path, monkeypatch):
+        # one seeded draw serves both: at the same seed and size, an active
+        # trial starts from exactly the rows a bound trial certifies with
+        draws = []
+
+        def recording(table, n_labeled, seed):
+            labeled, rest = sample_split(table, n_labeled, seed)
+            draws.append(labeled.features)
+            return labeled, rest
+
+        monkeypatch.setattr(cli, "sample_split", recording)
+        config = write_config(
+            tmp_path,
+            output=str(tmp_path / "out.csv"),
+            synthetic_n=20,
+            n_labeled_grid=(4,),
+            n_initial=4,
+            stop_at=6,
+            trials=2,
+            seed=3,
+        )
+        assert main(["bound", "--config", config]) == EXIT_OK
+        assert main(["active", "--config", config]) == EXIT_OK
+        assert len(draws) == 4
+        for trial in range(2):
+            np.testing.assert_array_equal(draws[trial], draws[2 + trial])
+        assert not np.array_equal(draws[0], draws[1])
 
     def test_strategy_override_changes_the_curves(self, tmp_path):
         out = tmp_path / "act.csv"

@@ -223,6 +223,22 @@ class TestValidation:
         assert config.prior_positive_share == 1.0 and config.ridge_gamma == 0.0
         assert config.stop_at == 3
 
+    @pytest.mark.parametrize("span", ["20", "10"])
+    def test_robust_screen_needs_grid_span_above_delta_margin(self, span):
+        # the screen's grid would otherwise run downward, from base +
+        # delta_margin to base + grid_span; other policies never build it
+        text = f"delta_margin = 20\ngrid_span = {span}\n"
+        with pytest.raises(ConfigError, match="grid_span must exceed delta_margin"):
+            parse_config_text(f"eps_policy = {AS_ROBUST_AS_POSSIBLE}\n{text}")
+        for policy in (MIN_RADIUS_PLUS_DELTA, FRACTION_OF_TRUE_DISTANCE):
+            config = parse_config_text(f"eps_policy = {policy}\n{text}")
+            assert config.grid_span == float(span)
+        config = parse_config_text(
+            f"eps_policy = {AS_ROBUST_AS_POSSIBLE}\ndelta_margin = 9.5\n"
+            f"grid_span = {span}\n"
+        )
+        assert config.grid_span == float(span)
+
     def test_rejects_unknown_policy_and_bad_fields(self):
         # an unknown policy, and each policy key out of range under a policy
         # that reads it

@@ -5,7 +5,6 @@ import pytest
 
 from drulearn.data import (
     TableError,
-    UNLABELED_REMAINDER,
     append_intercept,
     load_csv,
     sample_split,
@@ -86,6 +85,36 @@ class TestLoadCsv:
         message = str(raised.value)
         assert message.startswith(f"{path}: column 'b', data row 3 (line 4): ")
         assert repr(cell) in message
+
+    @pytest.mark.parametrize("cell", ["", "  "])
+    def test_blank_cell_in_a_numeric_column_is_an_error(self, tmp_path, cell):
+        # five numbers and one blank cell once loaded as six indicator columns
+        rows = ["1.0", "2.5", cell, "0.3", "1.1", "0.9"]
+        text = "a,b,y\n" + "".join(
+            f"{a},{i / 2},{i % 2}\n" for i, a in enumerate(rows)
+        )
+        path = write_csv(tmp_path / "t.csv", text)
+        with pytest.raises(TableError) as raised:
+            load_csv(path, "y", "1")
+        assert str(raised.value) == (
+            f"{path}: column 'a', data row 3 (line 4): {cell!r} is blank"
+        )
+
+    def test_blank_cell_beside_a_category_stays_a_category(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "a,y\n1.0,1\n,0\nx,1\n")
+        table = load_csv(path, "y", "1")
+        # the categories "", "1.0" and "x", in that order
+        np.testing.assert_array_equal(
+            table.features, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        )
+
+    def test_label_column_alone_is_an_error(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "y\n1\n0\n1\n")
+        with pytest.raises(TableError) as raised:
+            load_csv(path, "y", "1")
+        assert str(raised.value) == (
+            f"{path}: no feature column besides the label column 'y'"
+        )
 
     def test_empty_file_and_header_only_are_errors(self, tmp_path):
         empty = write_csv(tmp_path / "e.csv", "")
@@ -234,30 +263,21 @@ class TestSampleSplit:
         np.testing.assert_array_equal(first[0].features, second[0].features)
         np.testing.assert_array_equal(first[0].labels, second[0].labels)
         np.testing.assert_array_equal(first[1].features, second[1].features)
-
-    def test_full_mode_unlabeled_is_whole_table(self):
-        table = self.table()
-        labeled, unlabeled = sample_split(table, 4, seed=1)
-        assert labeled.n == 4
-        np.testing.assert_array_equal(unlabeled.features, table.features)
+        np.testing.assert_array_equal(first[1].labels, second[1].labels)
 
     def test_remainder_mode_partitions_the_rows(self):
+        # the rest is every row not drawn, with its label, in table order
         table = self.table()
-        labeled, unlabeled = sample_split(
-            table, 4, seed=2, unlabeled_mode=UNLABELED_REMAINDER
-        )
-        assert labeled.n == 4
-        assert unlabeled.n == 6
-        combined = np.vstack([labeled.features, unlabeled.features])
-        assert {tuple(row) for row in combined} == {
-            tuple(row) for row in table.features
-        }
+        labeled, rest = sample_split(table, 4, seed=2)
+        drawn = np.isin(table.features[:, 0], labeled.features[:, 0])
+        assert labeled.n == 4 and drawn.sum() == 4
+        np.testing.assert_array_equal(labeled.labels, table.labels[drawn])
+        np.testing.assert_array_equal(rest.features, table.features[~drawn])
+        np.testing.assert_array_equal(rest.labels, table.labels[~drawn])
 
     def test_taking_every_row_leaves_no_remainder(self):
         table = self.table(n=5)
-        labeled, unlabeled = sample_split(
-            table, 5, seed=3, unlabeled_mode=UNLABELED_REMAINDER
-        )
+        labeled, unlabeled = sample_split(table, 5, seed=3)
         assert unlabeled is None
         np.testing.assert_array_equal(labeled.features, table.features)
         np.testing.assert_array_equal(labeled.labels, table.labels)
@@ -274,10 +294,6 @@ class TestSampleSplit:
             sample_split(table, 6, seed=0)
         with pytest.raises(ValueError, match="n_labeled"):
             sample_split(table, 0, seed=0)
-
-    def test_unknown_mode_is_an_error(self):
-        with pytest.raises(ValueError, match="unlabeled_mode"):
-            sample_split(self.table(), 2, seed=0, unlabeled_mode="half")
 
     def test_overlap_between_seeds_is_hypergeometric_on_average(self):
         # Two independent draws of 20 from 100 share 20*20/100 = 4 rows
