@@ -8,8 +8,11 @@ Clopper-Pearson box of `weak_prior` or a strong `LabelPrior.point`), and
 picks the ambiguity radius by the config's policy (`select_radius`).  Both
 read a checked `config.ExperimentConfig`; neither checks a key again.
 
-The multiplier search (`search_multipliers`) builds one `model.CellLayout`
-of its sample and reads every evaluation from it, smoothed or exact.  Its
+The multiplier search (`search_multipliers`) moves the multiplier vector
+itself (`model.multiplier_parts`): L-BFGS-B's iterate, the smoothed
+kernel's gradient and each stage's `dual.DualState` share its layout.  It
+builds one `model.CellLayout` of its sample and reads every evaluation from
+it, smoothed or exact.  Its
 smoothed kernel sends the scaled cells at or below `EXP_ZERO` to -inf
 before the exponential; `np.exp` is exactly +0.0 there either way, so the
 floor changes no bit, only the cost of numpy's slow path below about -708.
@@ -74,6 +77,7 @@ from .model import (
     both_class_losses,
     confidence,
     median,
+    multiplier_parts,
     pair_costs,
 )
 from .oracle import discrete_wasserstein, min_feasible_radius, positive_share_range
@@ -182,10 +186,10 @@ def _certificate_terms(state, layout, prior, eps, z_score):
     return neg_log, correction
 
 
-def _smoothed_bound(params, layout, prior, eps, z_score, tau):
-    """Dual objective plus correction with every per-point maximum replaced
-    by its tau-logsumexp, and its gradient in (alpha, potentials, upper,
-    lower) stacked in that order.
+def _smoothed_bound(multipliers, layout, prior, eps, z_score, tau):
+    """Dual objective plus correction at a multiplier vector
+    (`model.multiplier_parts`) with every per-point maximum replaced by its
+    tau-logsumexp, and its gradient, a vector laid out as the multipliers.
 
     Gets the cells from `layout`, built once per search, as a new flat
     (n, 2 * n_labeled) matrix, which the softmax weights overwrite in
@@ -195,9 +199,7 @@ def _smoothed_bound(params, layout, prior, eps, z_score, tau):
     either way, but numpy's vector `exp` takes a slow path below about
     -708, and -inf costs less there than a finite argument."""
     n, n_l = layout.costs.shape[0], layout.n_labeled
-    alpha, potentials = params[0], params[1 : 1 + n_l]
-    upper, lower = params[1 + n_l : 3 + n_l], params[3 + n_l :]
-    flat = layout.cells(alpha, potentials, upper - lower)
+    flat = layout.cells(multipliers)
     top = flat.max(axis=1)
     flat -= top[:, None]
     flat /= tau
@@ -206,7 +208,7 @@ def _smoothed_bound(params, layout, prior, eps, z_score, tau):
     total = flat.sum(axis=1)
     values = top + tau * np.log(total)
     mean = values.sum() / n
-    value = linear_part(alpha, potentials, upper, lower, prior, eps) + mean
+    value = linear_part(multipliers, prior, eps) + mean
     weight = 1.0 / n
     if z_score > 0.0:
         centered = values - mean
@@ -218,11 +220,12 @@ def _smoothed_bound(params, layout, prior, eps, z_score, tau):
     share = weight / total
     mass = (share @ flat).reshape(n_l, N_CLASSES)
     label_mass = mass.sum(axis=0)
-    grad = np.empty(params.size)
-    grad[0] = eps - share @ np.einsum("ij,ij->i", flat, layout.costs)
-    np.subtract(1.0 / n_l, mass.sum(axis=1), out=grad[1 : 1 + n_l])
-    np.subtract(prior.upper, label_mass, out=grad[1 + n_l : 3 + n_l])
-    np.subtract(label_mass, prior.lower, out=grad[3 + n_l :])
+    grad = np.empty(multipliers.size)
+    price, potentials, upper, lower = multiplier_parts(grad)
+    price[...] = eps - share @ np.einsum("ij,ij->i", flat, layout.costs)
+    np.subtract(1.0 / n_l, mass.sum(axis=1), out=potentials)
+    np.subtract(prior.upper, label_mass, out=upper)
+    np.subtract(label_mass, prior.lower, out=lower)
     return float(value), grad
 
 
@@ -258,45 +261,32 @@ def search_multipliers(
     0.037 at 20 atoms).  The worst-case LP's multipliers, which `certify`
     is given, certify theta = 0 exactly and are kept as a candidate.
     """
-    n_l = data.n
-    theta = state.theta
+    theta, multipliers = state.theta, state.multipliers
     layout = CellLayout(
         both_class_losses(theta, unlabeled.features),
         pair_costs(unlabeled.features, data, cost),
     )
-    params = np.concatenate(
-        [
-            [state.transport_mult],
-            state.atom_potentials,
-            state.label_upper_mult,
-            state.label_lower_mult,
-        ]
-    )
-    lower = np.concatenate([[0.0], np.full(n_l, -np.inf), np.zeros(2 * N_CLASSES)])
+    # the price and the label multipliers are nonnegative, the potentials free
+    lower = np.zeros_like(multipliers)
+    _, potentials, _, _ = multiplier_parts(lower)
+    potentials[:] = -np.inf
     # the origin is a dual point too; start at it when the first stage
     # prices it strictly lower than `state`
-    origin = np.zeros_like(params)
+    origin = np.zeros_like(multipliers)
     first = (layout, prior, eps, z_score, SMOOTHING_SCHEDULE[0])
-    if _smoothed_bound(origin, *first)[0] < _smoothed_bound(params, *first)[0]:
-        params = origin
+    if _smoothed_bound(origin, *first)[0] < _smoothed_bound(multipliers, *first)[0]:
+        multipliers = origin
     points = [state]
     for tau in SMOOTHING_SCHEDULE:
-        params, _ = lbfgsb(
+        # each run returns a new array that no later run writes to
+        multipliers, _ = lbfgsb(
             _smoothed_bound,
-            params,
+            multipliers,
             lower,
             (layout, prior, eps, z_score, tau),
             **SEARCH_OPTIONS,
         )
-        points.append(
-            DualState(
-                theta=theta,
-                transport_mult=float(params[0]),
-                atom_potentials=params[1 : 1 + n_l],
-                label_upper_mult=params[1 + n_l : 3 + n_l],
-                label_lower_mult=params[3 + n_l :],
-            )
-        )
+        points.append(DualState(theta, multipliers))
     certificates = [
         _certificate_terms(point, layout, prior, eps, z_score) for point in points
     ]
@@ -427,7 +417,7 @@ def select_radius(
     unlabeled: UnlabeledDataset,
     prior: LabelPrior,
     cost: TransportCost,
-    full: LabeledDataset | None = None,
+    full: LabeledDataset,
 ) -> tuple[float, bool]:
     """Choose the ambiguity radius by `config`'s ``eps_policy`` and the
     policy's keys.
@@ -459,10 +449,6 @@ def select_radius(
             eps = float(grid[0])
             fell_back = True
     else:  # FRACTION_OF_TRUE_DISTANCE
-        if full is None:
-            raise ValueError(
-                "distance-fraction policy requires the reference distribution"
-            )
         distance, _ = discrete_wasserstein(data, full, cost)
         eps = config.fraction * distance
     return float(eps), fell_back

@@ -240,13 +240,9 @@ def _run_train_dru(config: ExperimentConfig):
 
 def _run_train_baseline(config: ExperimentConfig):
     instance = _build_instance(config, _load_table(config), config.seed)
+    unlabeled = _require_unlabeled(instance)
     eps = _resolve_eps(config, instance)
     result = baseline_train(instance.labeled, eps, instance.cost)
-    score_features = (
-        instance.unlabeled.features
-        if instance.unlabeled is not None
-        else instance.labeled.features
-    )
     row = {
         "seed": config.seed,
         "n_labeled": instance.labeled.n,
@@ -254,7 +250,7 @@ def _run_train_baseline(config: ExperimentConfig):
         "alpha": float(result.alpha),
         "worst_case_value": float(result.worst_case_value),
         "worst_case_likelihood": float(np.exp(-result.worst_case_value)),
-        "median_confidence": _median_confidence(result.theta, score_features),
+        "median_confidence": _median_confidence(result.theta, unlabeled.features),
         **_theta_columns(result.theta),
     }
     return row, [row], [], {}
@@ -413,6 +409,11 @@ def _run_active(config: ExperimentConfig):
     if config.stop_at == 0 and config.n_labeled <= config.n_initial:
         raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
     table = _load_table(config)
+    if config.n_initial > table.n:
+        raise ConfigError(
+            f"n_initial must not exceed the table size {table.n}, "
+            f"got {config.n_initial}"
+        )
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     aulc_values = []

@@ -6,18 +6,20 @@ the labeled empirical distribution and (b) satisfy marginal/label-probability
 constraints admits a finite-dimensional dual: minimize, over a transport
 multiplier, one potential per labeled atom, and per-class label multipliers,
 
-    transport_mult * radius
-    + mean(atom_potentials)
-    + label_upper_mult @ prior.upper - label_lower_mult @ prior.lower
+    transport_price * radius
+    + mean(potentials)
+    + upper @ prior.upper - lower @ prior.lower
     + mean over unlabeled x of  max over cells of cell(x).
 
 Each "cell" pairs one labeled atom with one candidate label; its value at x
 is the logistic loss at the candidate label minus the charges the
 multipliers levy for moving mass there.  All dual points live in
-`DualState`.  Every evaluation is batched: a `model.CellLayout` gives the
-cells of a block of points and `max_cell_values` their per-point maxima,
-from which `dual_objective` prices a dual point; `layout_max_values` gives
-the maxima on a layout built once for many dual points.
+`DualState`: the weights and one multiplier vector (`model.multiplier_parts`
+names its parts), as the worst-case LP returns it and the certificate search
+moves it.  Every evaluation is batched: a `model.CellLayout` gives the cells
+of a block of points and `max_cell_values` their per-point maxima, from
+which `dual_objective` prices a dual point; `layout_max_values` gives the
+maxima on a layout built once for many dual points.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
@@ -51,10 +53,10 @@ from .model import (
     both_class_losses,
     loss_grad_theta,
     make_rng,
+    multiplier_parts,
     pair_costs,
 )
 from .oracle import (
-    LpMultipliers,
     PayoffLp,
     min_feasible_radius,
     require_feasible_radius,
@@ -80,48 +82,34 @@ MASTER_MAX_ITER = 1000
 
 @dataclass(frozen=True, eq=False)
 class DualState:
-    """One point of the dual feasible set.
+    """One point of the dual feasible set: the weights `theta` and one
+    multiplier vector (`model.multiplier_parts`).
 
-    `transport_mult` prices the transport budget, `atom_potentials` hold one
-    potential per labeled atom, and the label multipliers price the upper and
-    lower label-probability bounds.  The sign-constrained components must be
-    nonnegative.
+    Its transport price prices the transport budget, its potentials are one
+    per labeled atom, and its label multipliers price the upper and lower
+    label-probability bounds.  The price and the label multipliers must be
+    nonnegative.  Float arrays are kept as given, not copied.
     """
 
     theta: np.ndarray
-    transport_mult: float
-    atom_potentials: np.ndarray
-    label_upper_mult: np.ndarray
-    label_lower_mult: np.ndarray
+    multipliers: np.ndarray
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
-        potentials = np.asarray(self.atom_potentials, dtype=float)
-        upper = np.asarray(self.label_upper_mult, dtype=float)
-        lower = np.asarray(self.label_lower_mult, dtype=float)
+        multipliers = np.asarray(self.multipliers, dtype=float)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "atom_potentials", potentials)
-        object.__setattr__(self, "label_upper_mult", upper)
-        object.__setattr__(self, "label_lower_mult", lower)
-        if theta.ndim != 1 or potentials.ndim != 1:
-            raise ValueError("theta and atom_potentials must be vectors")
-        if upper.shape != (N_CLASSES,) or lower.shape != (N_CLASSES,):
-            raise ValueError("label multipliers must have one entry per class")
-        if self.transport_mult < 0.0:
-            raise ValueError("transport_mult must be nonnegative")
+        object.__setattr__(self, "multipliers", multipliers)
+        if theta.ndim != 1 or multipliers.ndim != 1:
+            raise ValueError("theta and multipliers must be vectors")
+        if multipliers.size < 2 + 2 * N_CLASSES:
+            raise ValueError(
+                "multipliers must hold a price, a potential and the label multipliers"
+            )
+        price, _, upper, lower = multiplier_parts(multipliers)
+        if price < 0.0:
+            raise ValueError("the transport price must be nonnegative")
         if np.any(upper < 0.0) or np.any(lower < 0.0):
             raise ValueError("label multipliers must be nonnegative")
-
-    @staticmethod
-    def from_multipliers(theta, multipliers: LpMultipliers) -> "DualState":
-        """`theta` with a worst-case LP's optimal multipliers."""
-        return DualState(
-            theta=theta,
-            transport_mult=multipliers.transport_mult,
-            atom_potentials=multipliers.atom_potentials,
-            label_upper_mult=multipliers.label_upper_mult,
-            label_lower_mult=multipliers.label_lower_mult,
-        )
 
 
 @dataclass(frozen=True)
@@ -196,12 +184,14 @@ def _max_cells(cells):
     return values, arg // N_CLASSES, arg % N_CLASSES
 
 
-def linear_part(alpha, potentials, upper_mult, lower_mult, prior, eps):
+def linear_part(multipliers, prior, eps):
+    """The dual objective's terms that are linear in the multipliers."""
+    alpha, potentials, upper, lower = multiplier_parts(multipliers)
     return (
         alpha * eps
         + potentials.sum() / potentials.size
-        + upper_mult @ prior.upper
-        - lower_mult @ prior.lower
+        + upper @ prior.upper
+        - lower @ prior.lower
     )
 
 
@@ -217,12 +207,7 @@ def max_cell_values(state: DualState, data: LabeledDataset, features, cost: Tran
 def layout_max_values(state: DualState, layout: CellLayout):
     """Per-point inner maxima over the cells of `layout` at `state`'s
     multipliers; `layout` must hold the losses at `state.theta`."""
-    cells = layout.cells(
-        state.transport_mult,
-        state.atom_potentials,
-        state.label_upper_mult - state.label_lower_mult,
-    )
-    values, _, _ = _max_cells(cells)
+    values, _, _ = _max_cells(layout.cells(state.multipliers))
     return values
 
 
@@ -241,37 +226,7 @@ def dual_objective(
 
 def objective_of_values(state: DualState, values, prior: LabelPrior, eps: float):
     """The dual objective at `state` from its per-point maxima `values`."""
-    return float(
-        linear_part(
-            state.transport_mult,
-            state.atom_potentials,
-            state.label_upper_mult,
-            state.label_lower_mult,
-            prior,
-            eps,
-        )
-        + values.mean()
-    )
-
-
-def _unpack(params, dim, n_labeled):
-    theta = params[:dim]
-    alpha = params[dim]
-    potentials = params[dim + 1 : dim + 1 + n_labeled]
-    upper = params[dim + 1 + n_labeled : dim + 1 + n_labeled + N_CLASSES]
-    lower = params[dim + 1 + n_labeled + N_CLASSES :]
-    return theta, alpha, potentials, upper, lower
-
-
-def _state_from_params(params, dim, n_labeled):
-    theta, alpha, potentials, upper, lower = _unpack(params, dim, n_labeled)
-    return DualState(
-        theta=theta.copy(),
-        transport_mult=float(alpha),
-        atom_potentials=potentials.copy(),
-        label_upper_mult=upper.copy(),
-        label_lower_mult=lower.copy(),
-    )
+    return float(linear_part(state.multipliers, prior, eps) + values.mean())
 
 
 def learning_rate(config: SolverConfig, step: int) -> float:
@@ -326,9 +281,6 @@ def sgd_solve(
         params[:dim] = np.asarray(theta0, dtype=float)
 
     moments = (np.zeros(n_params), np.zeros(n_params))
-    alpha_at = dim
-    upper_sl = slice(dim + 1 + n_l, dim + 1 + n_l + N_CLASSES)
-    lower_sl = slice(dim + 1 + n_l + N_CLASSES, n_params)
 
     rng = make_rng(config.seed)
     trace = []
@@ -342,36 +294,34 @@ def sgd_solve(
         lr = learning_rate(config, step)
         idx = rng.integers(0, n_u, size=config.batch_size)
         batch = unlabeled.features[idx]
-        theta, alpha, potentials, upper, lower = _unpack(params, dim, n_l)
+        theta, multipliers = params[:dim], params[dim:]
         table = both_class_losses(theta, batch)
-        cells = CellLayout(table, pair[idx]).cells(alpha, potentials, upper - lower)
+        cells = CellLayout(table, pair[idx]).cells(multipliers)
         values, atom_star, label_star = _max_cells(cells)
-        estimate = float(
-            linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean()
-        )
+        estimate = float(linear_part(multipliers, prior, eps) + values.mean())
         estimates.append(estimate)
 
         if step % config.trace_every == 0:
-            trace.append(
-                (step, lr, estimate, float(alpha), float(np.linalg.norm(theta)), True)
-            )
+            alpha, norm = float(params[dim]), float(np.linalg.norm(theta))
+            trace.append((step, lr, estimate, alpha, norm, True))
 
         grad = np.zeros(n_params)
         if update_theta:
             grad[:dim] = loss_grad_theta(theta, batch, label_star).mean(axis=0)
+        price, potentials, upper, lower = multiplier_parts(grad[dim:])
         moved = pair[idx][np.arange(config.batch_size), atom_star, label_star]
-        grad[alpha_at] = eps - moved.mean()
+        price[...] = eps - moved.mean()
         atom_freq = np.bincount(atom_star, minlength=n_l) / config.batch_size
-        grad[dim + 1 : dim + 1 + n_l] = 1.0 / n_l - atom_freq
+        potentials[:] = 1.0 / n_l - atom_freq
         label_freq = np.bincount(label_star, minlength=N_CLASSES) / config.batch_size
-        grad[upper_sl] = prior.upper - label_freq
-        grad[lower_sl] = label_freq - prior.lower
+        upper[:] = prior.upper - label_freq
+        lower[:] = label_freq - prior.lower
 
         update, moments = descent_update(grad, moments, step, lr, config)
         params = params - update
-        params[alpha_at] = max(params[alpha_at], 0.0)
-        params[upper_sl] = np.maximum(params[upper_sl], 0.0)
-        params[lower_sl] = np.maximum(params[lower_sl], 0.0)
+        price, _, upper, lower = multiplier_parts(params[dim:])
+        for part in (price, upper, lower):
+            np.maximum(part, 0.0, out=part)
 
         tail_sum += params
         tail_count += 1
@@ -392,10 +342,11 @@ def sgd_solve(
                 break
             prev_window_mean = window_mean
 
-    best = _state_from_params(params, dim, n_l)
+    best = DualState(params[:dim], params[dim:])
     best_value = dual_objective(best, data, unlabeled, prior, eps, cost)
     if config.tail_average and tail_count > 0:
-        averaged = _state_from_params(tail_sum / tail_count, dim, n_l)
+        tail = tail_sum / tail_count
+        averaged = DualState(tail[:dim], tail[dim:])
         averaged_value = dual_objective(averaged, data, unlabeled, prior, eps, cost)
         if averaged_value < best_value:
             best, best_value = averaged, averaged_value
@@ -415,10 +366,11 @@ class CutSetResult:
 
     `theta` is the best classifier found and `upper` its exact worst-case
     loss; `lower` is the last master value, a lower bound on the worst case
-    of every classifier in the `THETA_BOX`, so `gap` bounds how far `upper`
-    is from optimal.  `lower` is capped at `upper`, itself an upper bound on
-    that minimum: where the master is tight, the two are the same number
-    computed along two routes, and rounding can cross them by a few ulps.
+    of every classifier in the `THETA_BOX`, so `upper - lower` bounds how
+    far `upper` is from optimal.  `lower` is capped at `upper`, itself an
+    upper bound on that minimum: where the master is tight, the two are the
+    same number computed along two routes, and rounding can cross them by a
+    few ulps.
     `state` is `theta` with the worst-case LP's multipliers there, a dual
     point whose objective is `upper` up to `oracle.BUDGET_SLACK` times its
     transport price.  Both are the run's own solve at `theta`, so they also
@@ -436,10 +388,6 @@ class CutSetResult:
     @property
     def theta(self) -> np.ndarray:
         return self.state.theta
-
-    @property
-    def gap(self) -> float:
-        return self.upper - self.lower
 
 
 def _solve_master(cuts, features, theta_start):
@@ -539,7 +487,7 @@ def cutset_solve(
         cuts.append(cut)
         if result.value < exact.value:
             exact, best = result, theta
-    state = DualState.from_multipliers(best, exact.multipliers)
+    state = DualState(best, exact.multipliers)
     return CutSetResult(status, state, exact.value, min(lower, exact.value), len(cuts))
 
 
@@ -582,7 +530,7 @@ def duality_gap_check(
     theta = np.asarray(theta, dtype=float)
     primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
     eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
-    state = DualState.from_multipliers(theta, primal.multipliers)
+    state = DualState(theta, primal.multipliers)
     dual = dual_objective(state, data, unlabeled, prior, eps, cost)
     return DualityGapReport(
         primal=primal.value,

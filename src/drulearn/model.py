@@ -11,6 +11,11 @@ Conventions used across the package:
   (k=0 negative class, k=1 positive class).  The transport cost compares
   labels for equality: a label flip contributes exactly the configured flip
   cost.
+* A dual point's multipliers are one flat vector: the transport price, one
+  potential per labeled atom, then the upper and the lower label
+  multipliers, one per class.  The worst-case LP returns it, `dual.DualState`
+  holds it and the certificate search moves it; `multiplier_parts` is the
+  one place its parts are named.
 * The cells of the finite dual (the loss at a candidate label minus the
   multipliers' charges) sit next to the transport costs they charge for
   (`pair_costs`), in the same (point, atom, label) layout.  `CellLayout`
@@ -153,6 +158,17 @@ def pair_costs(features, atoms, cost: TransportCost):
     return dist[:, :, None] + flip[None, :, :]
 
 
+def multiplier_parts(multipliers):
+    """Views of a multiplier vector's transport price (0-d), potentials, and
+    upper and lower label multipliers; writing through one writes the vector."""
+    return (
+        multipliers[0, ...],
+        multipliers[1:-2 * N_CLASSES],
+        multipliers[-2 * N_CLASSES : -N_CLASSES],
+        multipliers[-N_CLASSES:],
+    )
+
+
 class CellLayout:
     """The parts of the flat atom-major (n, 2 * n_labeled) cell matrix that
     do not depend on the multipliers, for an (n, 2) loss table and its
@@ -174,15 +190,16 @@ class CellLayout:
         self.costs = pair_costs.reshape(n, -1)
         self.atom, self.label = np.divmod(np.arange(n_l * N_CLASSES), N_CLASSES)
 
-    def cells(self, alpha, potentials, net_label_mult):
-        """The flat (n, 2 * n_labeled) cells, a new array: loss minus
-        transport charge, minus potential, minus net label multiplier.  These
-        are the operations of the broadcast over (n, n_labeled, 2) in its
-        order, so the values are bitwise those."""
+    def cells(self, multipliers):
+        """The flat (n, 2 * n_labeled) cells at `multipliers`, a new array:
+        loss minus transport charge, minus potential, minus net label
+        multiplier.  These are the operations of the broadcast over
+        (n, n_labeled, 2) in its order, so the values are bitwise those."""
+        alpha, potentials, upper, lower = multiplier_parts(multipliers)
         flat = np.multiply(self.costs, alpha)
         np.subtract(self.losses, flat, out=flat)
         flat -= potentials[self.atom]
-        flat -= net_label_mult[self.label]
+        flat -= (upper - lower)[self.label]
         return flat
 
 
@@ -235,10 +252,6 @@ class UnlabeledDataset:
     def n(self):
         return self.features.shape[0]
 
-    @property
-    def dim(self):
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class LabelPrior:
@@ -270,11 +283,6 @@ class LabelPrior:
         """Degenerate prior pinning the label marginal to one vector."""
         p = np.asarray(probabilities, dtype=float)
         return LabelPrior(lower=p, upper=p)
-
-    @staticmethod
-    def uninformative() -> "LabelPrior":
-        """The vacuous prior [0, 1] for every class."""
-        return LabelPrior(lower=np.zeros(N_CLASSES), upper=np.ones(N_CLASSES))
 
 
 def make_rng(seed):

@@ -11,8 +11,10 @@ columns and solved by the HiGHS simplex (see `simplex`).  The worst-case LP goes
 through column generation on a persistent `simplex.HighsModel` (`PayoffLp`),
 which returns the full LP's value, optimal duals and (support point, label)
 masses while holding only some of its columns, and re-optimizes from its
-last basis by the primal simplex when the payoff changes.  Its columns are
-the (support point, atom, label) cells of `model.pair_costs`, and their
+last basis by the primal simplex when the payoff changes.  The duals come
+back as one multiplier vector (`model.multiplier_parts`), which
+`dual.DualState` holds as it is.  The LP's columns are the (support point,
+atom, label) cells of `model.pair_costs`, and their
 reduced costs are the dual's cells, `model.CellLayout.cells`, less the
 support points' duals.  A re-solve pays for what changed: pricing sorts
 only the support points that have a column to enter, and HiGHS is sent
@@ -119,29 +121,15 @@ def uniform_coupling(data: LabeledDataset, support) -> UniformCoupling:
 
 
 @dataclass(frozen=True, eq=False)
-class LpMultipliers:
-    """Optimal duals of a worst-case LP.
-
-    The transport price, one potential per labeled atom and the prices of
-    the upper and lower label-probability bounds, in the sign conventions of
-    `dual.DualState`.
-    """
-
-    transport_mult: float
-    atom_potentials: np.ndarray
-    label_upper_mult: np.ndarray
-    label_lower_mult: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class WorstCaseLpResult:
     """Optimum of a worst-case LP: `support_mass[j, k]` is the maximizing
     distribution's mass on support point j with label k; each row sums to
-    1/m."""
+    1/m.  `multipliers` are its optimal duals, a multiplier vector
+    (`model.multiplier_parts`) in the sign conventions of `dual.DualState`."""
 
     value: float
     support_mass: np.ndarray
-    multipliers: LpMultipliers
+    multipliers: np.ndarray
 
 
 def discrete_wasserstein(mu: LabeledDataset, nu: LabeledDataset, cost: TransportCost):
@@ -193,17 +181,12 @@ def _column_entries(columns, pair):
 def _multipliers(row_duals, m: int, n_l: int):
     """Decision-set duals from HiGHS's row duals of the negated LP.
 
-    Returns the multipliers and the per-support-point duals.
+    Returns the multiplier vector, the budget's and label bounds' duals
+    clipped at zero, and the per-support-point duals.
     """
     duals = -row_duals
-    eq, ub = duals[: n_l + m], duals[n_l + m :]
-    multipliers = LpMultipliers(
-        transport_mult=max(float(ub[0]), 0.0),
-        atom_potentials=eq[:n_l],
-        label_upper_mult=np.maximum(ub[1 : 1 + N_CLASSES], 0.0),
-        label_lower_mult=np.maximum(ub[1 + N_CLASSES :], 0.0),
-    )
-    return multipliers, eq[n_l:]
+    ub = np.maximum(duals[n_l + m :], 0.0)
+    return np.concatenate([ub[:1], duals[:n_l], ub[1:]]), duals[n_l : n_l + m]
 
 
 def _entering_columns(reduced):
@@ -311,11 +294,7 @@ class PayoffLp:
         while True:
             result = self._model.solve()
             multipliers, support_duals = _multipliers(result.row_duals, m, n_l)
-            reduced = layout.cells(
-                multipliers.transport_mult,
-                multipliers.atom_potentials,
-                multipliers.label_upper_mult - multipliers.label_lower_mult,
-            ) - support_duals[:, None]
+            reduced = layout.cells(multipliers) - support_duals[:, None]
             reduced.ravel()[self._columns] = -np.inf
             columns = _entering_columns(reduced)
             if not columns.size:

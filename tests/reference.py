@@ -34,6 +34,12 @@ from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp, solve_transportat
 SIX_STAGE_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4)
 
 
+def stacked(price, potentials, upper, lower):
+    """The multiplier vector of these parts, in `model.multiplier_parts`'
+    order."""
+    return np.concatenate([[price], potentials, upper, lower])
+
+
 def transport_cost(x1, y1, x2, y2, cost):
     """Ground cost between labeled points (x1, y1) and (x2, y2) under the
     `model.TransportCost` `cost`.
@@ -295,15 +301,11 @@ class AllCostsModel(HighsModel):
 def payoff_solve_bits(model, result):
     """The bytes of one `oracle.PayoffLp.solve`: the columns its model holds
     afterwards, value, masses and multipliers."""
-    multipliers = result.multipliers
     return (
         model.n_columns,
         bits(result.value),
         bits(result.support_mass),
-        bits(multipliers.transport_mult),
-        bits(multipliers.atom_potentials),
-        bits(multipliers.label_upper_mult),
-        bits(multipliers.label_lower_mult),
+        bits(result.multipliers),
     )
 
 

@@ -62,6 +62,7 @@ from reference import (
     feasible_distributions,
     full_lp_reference,
     min_feasible_radius_bisect,
+    stacked,
 )
 
 COST = TransportCost()
@@ -110,7 +111,7 @@ def test_dual_solver_reaches_the_exact_worst_case_on_random_instances():
             f"instance {index}: primal {report.primal:.6f} "
             f"dual {report.dual:.6f}"
         )
-        slack = report.state.transport_mult * BUDGET_SLACK
+        slack = report.state.multipliers[0] * BUDGET_SLACK
         assert abs(report.gap + slack) <= 1e-12, f"instance {index}"
     assert time.monotonic() - start < 300.0
 
@@ -275,13 +276,15 @@ def test_certificate_lower_bounds_every_feasible_distribution():
         assert np.exp(-worst.value) - bound.likelihood_bound >= -1e-6
         done += 1
 
-    zeros = DualState(np.zeros(3), 0.0, np.zeros(2), np.zeros(2), np.zeros(2))
+    zeros = DualState(
+        np.zeros(3), stacked(0.0, np.zeros(2), np.zeros(2), np.zeros(2))
+    )
     flat_data = LabeledDataset(np.ones((2, 3)), np.array([0, 1]))
     flat_bound = performance_bound(
         zeros,
         flat_data,
         UnlabeledDataset(np.ones((2, 3))),
-        LabelPrior.uninformative(),
+        LabelPrior(np.zeros(2), np.ones(2)),
         1.0,
         COST,
         z_score=0.0,

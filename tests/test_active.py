@@ -184,7 +184,7 @@ class TestScoreDr:
         pool = rng.normal(size=(4, 2))
         theta = np.array([0.5, 0.3])
         x_star = pool[2]
-        model = PayoffLp(pool, data, LabelPrior.uninformative(), 6.0, COST)
+        model = PayoffLp(pool, data, LabelPrior(np.zeros(2), np.ones(2)), 6.0, COST)
         score = score_dr(model, pool, 2, theta)
         floor = min(
             impact_gradient_norm(theta, x_star, 0),
@@ -198,7 +198,7 @@ class TestScoreDr:
         data = LabeledDataset(rng.normal(size=(3, 2)), np.array([1, 0, 1]))
         pool = np.vstack([rng.normal(size=(2, 2)), np.zeros(2)])
         theta = np.array([0.5, 0.3])
-        model = PayoffLp(pool, data, LabelPrior.uninformative(), 6.0, COST)
+        model = PayoffLp(pool, data, LabelPrior(np.zeros(2), np.ones(2)), 6.0, COST)
         score = score_dr(model, pool, 2, theta)
         assert score == pytest.approx(0.0, abs=1e-2)
 
@@ -215,7 +215,8 @@ class TestScoreDr:
         eps = min_feasible_radius(data, pool, prior, COST) + 0.02
         vertices = feasible_distributions(data, pool, prior, eps, COST, count=12)
         model = PayoffLp(pool, data, prior, eps, COST)
-        free_model = PayoffLp(pool, data, LabelPrior.uninformative(), 50.0, COST)
+        free = LabelPrior(np.zeros(2), np.ones(2))
+        free_model = PayoffLp(pool, data, free, 50.0, COST)
         for target, x_star in enumerate(pool):
             score = score_dr(model, pool, target, theta)
             for dist in vertices:

@@ -70,6 +70,7 @@ from reference import (
     feasible_distributions,
     flat_smoothed_bound,
     on_layout,
+    stacked,
 )
 
 COST = TransportCost()
@@ -85,10 +86,12 @@ def random_prior(rng):
 def random_state(rng, dim, n_labeled, scale=1.0):
     return DualState(
         theta=rng.normal(scale=scale, size=dim),
-        transport_mult=float(rng.uniform(0.0, scale)),
-        atom_potentials=rng.normal(scale=scale, size=n_labeled),
-        label_upper_mult=rng.uniform(0.0, scale, size=2),
-        label_lower_mult=rng.uniform(0.0, scale, size=2),
+        multipliers=stacked(
+            float(rng.uniform(0.0, scale)),
+            rng.normal(scale=scale, size=n_labeled),
+            rng.uniform(0.0, scale, size=2),
+            rng.uniform(0.0, scale, size=2),
+        ),
     )
 
 
@@ -141,7 +144,7 @@ class TestPerformanceBound:
         rng = make_rng(2)
         data, unlabeled, prior = random_instance(rng)
         state = DualState(
-            np.zeros(data.dim), 0.0, np.zeros(data.n), np.zeros(2), np.zeros(2)
+            np.zeros(data.dim), stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
         )
         bound = performance_bound(
             state, data, unlabeled, prior, 0.5, COST, z_score=0.0
@@ -156,7 +159,7 @@ class TestPerformanceBound:
         rng = make_rng(3)
         data, unlabeled, prior = random_instance(rng)
         state = DualState(
-            np.zeros(data.dim), 0.0, np.zeros(data.n), np.zeros(2), np.zeros(2)
+            np.zeros(data.dim), stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
         )
         bound = performance_bound(
             state, data, unlabeled, prior, 0.5, COST, z_score=1.96
@@ -195,10 +198,7 @@ class TestPerformanceBound:
         prior = LabelPrior.point([1.0, 0.0])
         state = DualState(
             theta=np.zeros(2),
-            transport_mult=10.0,
-            atom_potentials=np.zeros(1),
-            label_upper_mult=np.array([0.0, 10.0]),
-            label_lower_mult=np.zeros(2),
+            multipliers=stacked(10.0, np.zeros(1), np.array([0.0, 10.0]), np.zeros(2)),
         )
         assert dual_objective(state, data, unlabeled, prior, 0.0, COST) < 0
         bound = performance_bound(state, data, unlabeled, prior, 0.0, COST)
@@ -271,7 +271,7 @@ class TestBoundValidity:
             exact = solve_worst_case_lp(
                 theta, unlabeled.features, data, prior, base + bump, COST
             )
-            state = DualState.from_multipliers(theta, exact.multipliers)
+            state = DualState(theta, exact.multipliers)
             bound = performance_bound(
                 state, data, unlabeled, prior, base + bump, COST, z_score=0.0
             )
@@ -351,17 +351,20 @@ def corrected(bound):
 
 def zero_start(theta, n_labeled):
     return DualState(
-        theta, 0.0, np.zeros(n_labeled), np.zeros(N_CLASSES), np.zeros(N_CLASSES)
+        theta,
+        stacked(0.0, np.zeros(n_labeled), np.zeros(N_CLASSES), np.zeros(N_CLASSES)),
     )
 
 
 def random_start(rng, theta, n_labeled):
     return DualState(
         theta,
-        float(rng.uniform(0.0, 3.0)),
-        rng.normal(size=n_labeled),
-        rng.uniform(0.0, 1.0, size=N_CLASSES),
-        rng.uniform(0.0, 1.0, size=N_CLASSES),
+        stacked(
+            float(rng.uniform(0.0, 3.0)),
+            rng.normal(size=n_labeled),
+            rng.uniform(0.0, 1.0, size=N_CLASSES),
+            rng.uniform(0.0, 1.0, size=N_CLASSES),
+        ),
     )
 
 
@@ -384,7 +387,7 @@ def reference_smoothed_bound(params, table, pair, data, prior, eps, z_score, tau
     values = top + tau * np.log(total)
     n = values.size
     weight = np.full(n, 1.0 / n)
-    value = linear_part(alpha, potentials, upper, lower, prior, eps) + values.mean()
+    value = linear_part(params, prior, eps) + values.mean()
     if z_score > 0.0:
         spread = values.std(ddof=1)
         value += z_score * spread / math.sqrt(n)
@@ -510,11 +513,7 @@ class TestSmoothedBound:
             floor_instances()
         ):
             layout = CellLayout(table, pair)
-            cells = layout.cells(
-                params[0],
-                params[1 : 1 + data.n],
-                params[1 + data.n : 3 + data.n] - params[3 + data.n :],
-            )
+            cells = layout.cells(params)
             scaled = (cells - cells.max(axis=1)[:, None]) / tau
             bands += [
                 np.sum(scaled <= EXP_ZERO),
@@ -801,18 +800,6 @@ class TestCertify:
         assert exceedances < limit
 
 
-def search_params(state):
-    """`state`'s multipliers stacked as `search_multipliers` searches them."""
-    return np.concatenate(
-        [
-            [state.transport_mult],
-            state.atom_potentials,
-            state.label_upper_mult,
-            state.label_lower_mult,
-        ]
-    )
-
-
 def search_lower(n_labeled):
     """The search's lower bounds: alpha and the label multipliers are
     nonnegative, the atom potentials free."""
@@ -854,7 +841,7 @@ class TestLbfgsbDriver:
                 result.state,
                 random_start(make_rng(seed), result.theta, data.n),
             ):
-                params = search_params(start)
+                params = start.multipliers
                 for tau in SMOOTHING_SCHEDULE:
                     args = (layout, prior, eps, DEFAULT_Z_SCORE, tau)
                     x, evaluations = lbfgsb(
@@ -872,7 +859,7 @@ class TestLbfgsbDriver:
             data, unlabeled, prior, eps, result = trained_instance(seed)
             search, _ = held_out_halves(unlabeled)
             lower = search_lower(data.n)
-            params = search_params(random_start(make_rng(seed), result.theta, data.n))
+            params = random_start(make_rng(seed), result.theta, data.n).multipliers
             params[0] = -1.0
             params[-2 * N_CLASSES :] *= -1.0
             assert np.any(params < lower)
@@ -889,7 +876,7 @@ class TestLbfgsbDriver:
         data, unlabeled, prior, eps, result = trained_instance(2)
         search, _ = held_out_halves(unlabeled)
         lower = search_lower(data.n)
-        params = search_params(random_start(make_rng(2), result.theta, data.n))
+        params = random_start(make_rng(2), result.theta, data.n).multipliers
         args = (
             search_layout(result.theta, data, search),
             prior, eps, DEFAULT_Z_SCORE, SMOOTHING_SCHEDULE[-1],
@@ -907,6 +894,22 @@ class TestLbfgsbDriver:
             assert reference.nit == maxiter and reference.status == 1, maxiter
             assert bits(x) == bits(reference.x), maxiter
             assert evaluations == reference.nfev, maxiter
+
+    def test_search_writes_neither_its_start_nor_its_result(self):
+        # a `DualState` holds the multiplier vector it is given, the
+        # search's start and every stage's L-BFGS-B result among them, so
+        # no later stage or search may write to one
+        for seed in (1, 2):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            start = random_start(make_rng(seed), result.theta, data.n)
+            started = bits(start.multipliers)
+            point = search_multipliers(start, data, search, prior, eps, COST)
+            assert point is not start, f"seed {seed}"
+            found = bits(point.multipliers)
+            search_multipliers(point, data, search, prior, eps, COST)
+            assert bits(start.multipliers) == started, f"seed {seed}"
+            assert bits(point.multipliers) == found, f"seed {seed}"
 
     def test_search_never_calls_minimize(self, monkeypatch):
         data, unlabeled, prior, eps, result = trained_instance(1)
@@ -1333,6 +1336,7 @@ class TestSelectRadius:
             unlabeled,
             prior,
             COST,
+            data,
         )
         assert eps == pytest.approx(base + 1e-3, abs=1e-12)
         assert not fell_back
@@ -1357,6 +1361,7 @@ class TestSelectRadius:
             unlabeled,
             prior,
             COST,
+            data,
         )
         assert eps == pytest.approx(max(low_end, high_end) + 1e-3, abs=1e-12)
 
@@ -1379,7 +1384,7 @@ class TestSelectRadius:
         full = LabeledDataset(rng.normal(size=(9, 2)), rng.integers(0, 2, size=9))
         unlabeled = UnlabeledDataset(full.features)
         distance, _ = discrete_wasserstein(data, full, COST)
-        prior = LabelPrior.uninformative()
+        prior = LabelPrior(np.zeros(2), np.ones(2))
         for fraction in (1.0, 0.5):
             eps, _ = select_radius(
                 ExperimentConfig(
@@ -1392,18 +1397,6 @@ class TestSelectRadius:
                 full=full,
             )
             assert eps == pytest.approx(fraction * distance, rel=1e-12)
-
-    def test_required_context_is_enforced(self):
-        rng = make_rng(13)
-        data, unlabeled, prior = random_instance(rng)
-        with pytest.raises(ValueError):
-            select_radius(
-                ExperimentConfig(eps_policy=FRACTION_OF_TRUE_DISTANCE),
-                data,
-                unlabeled,
-                prior,
-                COST,
-            )
 
     def _screening_instance(self, seed, spread, noise):
         rng = make_rng(seed)
@@ -1428,7 +1421,7 @@ class TestSelectRadius:
             grid_points=3,
             grid_span=0.5,
         )
-        eps, fell_back = select_radius(config, data, unlabeled, prior, COST)
+        eps, fell_back = select_radius(config, data, unlabeled, prior, COST, data)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert eps == pytest.approx(grid[1], rel=1e-12)
@@ -1444,7 +1437,7 @@ class TestSelectRadius:
             grid_points=3,
             grid_span=0.5,
         )
-        eps, fell_back = select_radius(config, data, unlabeled, prior, COST)
+        eps, fell_back = select_radius(config, data, unlabeled, prior, COST, data)
         base = min_feasible_radius(data, unlabeled.features, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert eps == pytest.approx(grid[0], rel=1e-12)
@@ -1459,5 +1452,6 @@ class TestSelectRadius:
             unlabeled,
             prior,
             COST,
+            data,
         )
         assert eps >= 0.0

@@ -233,6 +233,28 @@ class TestOneShotCommands:
             math.exp(-value), rel=1e-12
         )
 
+    def test_train_baseline_with_an_empty_remainder_exits_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every row drawn leaves no unlabeled sample to score, as train-dru
+        # and the policy radius already report, even with an explicit eps
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the baseline was fitted")
+
+        monkeypatch.setattr(cli, "baseline_train", no_fit)
+        out = tmp_path / "base.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            eps=0.3,
+            synthetic_n=20,
+            n_labeled=20,
+            unlabeled_mode="remainder",
+        )
+        assert main(["train-baseline", "--config", config]) == EXIT_USAGE
+        assert "the unlabeled remainder is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weight_columns_follow_the_index_order(self, tmp_path):
         # 10 features plus the intercept: 11 weights, so a string sort of
         # the names would put theta_10 before theta_2
@@ -788,6 +810,26 @@ class TestActiveExperiment:
         assert meta["command"] == "active"
         assert not [key for key in meta if key.startswith("error_trial_")]
 
+    def test_initial_set_larger_than_the_table_fails_once_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_active_loop", no_trial)
+        out = tmp_path / "act.csv"
+        config = write_config(
+            tmp_path, output=str(out), synthetic_n=10, n_initial=12, trials=3
+        )
+        assert main(["active", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: n_initial must not exceed the table size 10, got 12\n"
+        )
+        assert not out.exists()
+        assert not (tmp_path / "act_aulc.csv").exists()
+        meta = read_meta(out)
+        assert not [key for key in meta if key.startswith("error_trial_")]
+
     def test_robust_strategies_match_min_mc_with_the_norm_over_the_whole_pool(
         self, tmp_path
     ):
@@ -995,7 +1037,7 @@ class TestOracleCheck:
             report = duality_gap_check(
                 theta, labeled, UnlabeledDataset(support), prior, eps, cost
             )
-            slack = report.state.transport_mult * BUDGET_SLACK
+            slack = report.state.multipliers[0] * BUDGET_SLACK
             assert abs(report.gap + slack) <= 1e-12, f"seed {seed}"
 
     def test_default_instances_run_a_pricing_round(self, tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from drulearn.model import (
     logistic_loss,
     loss_grad_theta,
     make_rng,
+    multiplier_parts,
     pair_costs,
 )
 from drulearn.oracle import (
@@ -41,7 +42,7 @@ from drulearn.oracle import (
     min_feasible_radius,
     solve_worst_case_lp,
 )
-from reference import transport_cost
+from reference import stacked, transport_cost
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -50,10 +51,12 @@ LOG2 = 0.6931471805599453
 def random_state(rng, dim, n_labeled, scale=1.0):
     return DualState(
         theta=rng.normal(size=dim) * scale,
-        transport_mult=float(abs(rng.normal())) * scale,
-        atom_potentials=rng.normal(size=n_labeled) * scale,
-        label_upper_mult=np.abs(rng.normal(size=2)) * scale,
-        label_lower_mult=np.abs(rng.normal(size=2)) * scale,
+        multipliers=stacked(
+            float(abs(rng.normal())) * scale,
+            rng.normal(size=n_labeled) * scale,
+            np.abs(rng.normal(size=2)) * scale,
+            np.abs(rng.normal(size=2)) * scale,
+        ),
     )
 
 
@@ -81,34 +84,47 @@ class TestLabelPrior:
     def test_point_and_uninformative_constructors(self):
         point = LabelPrior.point([0.25, 0.75])
         np.testing.assert_array_equal(point.lower, point.upper)
-        wide = LabelPrior.uninformative()
+        wide = LabelPrior(np.zeros(2), np.ones(2))
         assert wide.lower.sum() == 0.0 and wide.upper.sum() == 2.0
 
 
 class TestDualState:
     def test_rejects_negative_multipliers(self):
         with pytest.raises(ValueError):
-            DualState(np.zeros(2), -0.1, np.zeros(1), np.zeros(2), np.zeros(2))
+            DualState(np.zeros(2), stacked(-0.1, np.zeros(1), np.zeros(2), np.zeros(2)))
         with pytest.raises(ValueError):
-            DualState(np.zeros(2), 0.0, np.zeros(1), np.array([-1.0, 0.0]), np.zeros(2))
+            DualState(
+                np.zeros(2),
+                stacked(0.0, np.zeros(1), np.array([-1.0, 0.0]), np.zeros(2)),
+            )
+
+    def test_rejects_a_vector_too_short_for_its_parts(self):
+        # a price, one potential and four label entries take six entries
+        for size in range(6):
+            with pytest.raises(ValueError, match="must hold a price"):
+                DualState(np.zeros(2), np.zeros(size))
 
     def test_zeros_constructor(self):
-        state = DualState(np.zeros(3), 0.0, np.zeros(2), np.zeros(2), np.zeros(2))
+        state = DualState(
+            np.zeros(3), stacked(0.0, np.zeros(2), np.zeros(2), np.zeros(2))
+        )
+        price, potentials, _, _ = multiplier_parts(state.multipliers)
         assert state.theta.shape == (3,)
-        assert state.atom_potentials.shape == (2,)
-        assert state.transport_mult == 0.0
+        assert potentials.shape == (2,)
+        assert price == 0.0
 
 
 def brute_force_max_cells(state, data, features):
     """Per point, the max over atoms i and labels k of
     loss(theta, x, k) - alpha * c((x, k), (x_i, y_i)) - psi_i - (u_k - l_k)."""
+    alpha, potentials, upper, lower = multiplier_parts(state.multipliers)
     return [
         max(
             logistic_loss(state.theta, x, k)
-            - state.transport_mult
+            - alpha
             * float(transport_cost(x, k, data.features[i], data.labels[i], COST))
-            - state.atom_potentials[i]
-            - (state.label_upper_mult[k] - state.label_lower_mult[k])
+            - potentials[i]
+            - (upper[k] - lower[k])
             for i in range(data.n)
             for k in range(2)
         )
@@ -120,11 +136,7 @@ def cells_at(state, data, x):
     """The (n_labeled, 2) cell values at one point, through `CellLayout.cells`."""
     x = np.asarray(x, dtype=float)[None, :]
     layout = CellLayout(both_class_losses(state.theta, x), pair_costs(x, data, COST))
-    return layout.cells(
-        state.transport_mult,
-        state.atom_potentials,
-        state.label_upper_mult - state.label_lower_mult,
-    ).reshape(data.n, 2)
+    return layout.cells(state.multipliers).reshape(data.n, 2)
 
 
 class TestCellValue:
@@ -132,7 +144,7 @@ class TestCellValue:
         rng = make_rng(0)
         data = LabeledDataset(rng.normal(size=(2, 3)), np.array([0, 1]))
         theta = rng.normal(size=3)
-        state = DualState(theta, 0.0, np.zeros(2), np.zeros(2), np.zeros(2))
+        state = DualState(theta, stacked(0.0, np.zeros(2), np.zeros(2), np.zeros(2)))
         x = rng.normal(size=3)
         cells = cells_at(state, data, x)
         for i in range(2):
@@ -148,7 +160,9 @@ class TestCellValue:
     def test_unit_transport_mult_at_distance_five(self):
         # same candidate label as the atom, zero weights: log 2 - 5
         data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([1]))
-        state = DualState(np.zeros(2), 1.0, np.zeros(1), np.zeros(2), np.zeros(2))
+        state = DualState(
+            np.zeros(2), stacked(1.0, np.zeros(1), np.zeros(2), np.zeros(2))
+        )
         x = np.array([3.0, 4.0])
         value = cells_at(state, data, x)[0, 1]
         assert value == pytest.approx(LOG2 - 5.0, abs=1e-12)
@@ -158,7 +172,9 @@ class TestCellValue:
 
     def test_atom_potential_is_a_flat_charge(self):
         data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([1]))
-        state = DualState(np.zeros(2), 0.0, np.array([10.0]), np.zeros(2), np.zeros(2))
+        state = DualState(
+            np.zeros(2), stacked(0.0, np.array([10.0]), np.zeros(2), np.zeros(2))
+        )
         cells = cells_at(state, data, np.array([0.0, 0.0]))
         np.testing.assert_allclose(cells, [[LOG2 - 10.0, LOG2 - 10.0]], atol=1e-12)
         assert max_cell_values(state, data, np.zeros(2), COST)[0] == pytest.approx(
@@ -183,9 +199,9 @@ class TestCellLayout:
             if index % 3 == 0:
                 potentials = -np.abs(potentials)
             net = rng.normal(size=2)
-            cells = CellLayout(table, pair).cells(alpha, potentials, net).reshape(
-                n, n_l, 2
-            )
+            # net - 0.0 is net, bit for bit
+            multipliers = stacked(alpha, potentials, net, np.zeros(2))
+            cells = CellLayout(table, pair).cells(multipliers).reshape(n, n_l, 2)
             expected = (
                 table[:, None, :]
                 - alpha * pair
@@ -234,27 +250,21 @@ class TestCellSubgradients:
             grad_theta = loss_grad_theta(state.theta, x, label)
             grad_alpha = -pair_costs(x[None, :], data, COST)[0, atom, label]
 
+            alpha, potentials, upper, lower = multiplier_parts(state.multipliers)
+
             def phi(theta, alpha):
-                bumped = DualState(
-                    theta,
-                    alpha,
-                    state.atom_potentials,
-                    state.label_upper_mult,
-                    state.label_lower_mult,
-                )
+                bumped = DualState(theta, stacked(alpha, potentials, upper, lower))
                 return max_cell_values(bumped, data, x, COST)[0]
 
             for axis in range(3):
                 bump = np.zeros(3)
                 bump[axis] = step
                 fd = (
-                    phi(state.theta + bump, state.transport_mult)
-                    - phi(state.theta - bump, state.transport_mult)
+                    phi(state.theta + bump, alpha) - phi(state.theta - bump, alpha)
                 ) / (2 * step)
                 assert fd == pytest.approx(grad_theta[axis], rel=1e-5, abs=1e-7)
             fd_alpha = (
-                phi(state.theta, state.transport_mult + step)
-                - phi(state.theta, state.transport_mult - step)
+                phi(state.theta, alpha + step) - phi(state.theta, alpha - step)
             ) / (2 * step)
             assert fd_alpha == pytest.approx(grad_alpha, rel=1e-5, abs=1e-7)
             checked += 1
@@ -265,7 +275,9 @@ class TestDualObjective:
         rng = make_rng(5)
         data, unlabeled, prior = random_instance(rng)
         theta = rng.normal(size=3)
-        state = DualState(theta, 0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
+        state = DualState(
+            theta, stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
+        )
         expected = both_class_losses(theta, unlabeled.features).max(axis=1).mean()
         value = dual_objective(state, data, unlabeled, prior, 0.7, COST)
         assert value == pytest.approx(expected, abs=1e-14)
@@ -278,14 +290,16 @@ class TestDualObjective:
         unlabeled = UnlabeledDataset(x0[None])
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([-0.5, 1.0, -0.2])
-        state = DualState(theta, 0.0, np.zeros(1), np.zeros(2), np.zeros(2))
+        state = DualState(theta, stacked(0.0, np.zeros(1), np.zeros(2), np.zeros(2)))
         value = dual_objective(state, data, unlabeled, prior, 0.0, COST)
         assert value == pytest.approx(logistic_loss(theta, x0, 1), abs=1e-12)
         primal = solve_worst_case_lp(theta, x0[None], data, prior, 0.0, COST)
         assert value == pytest.approx(primal.value, abs=1e-9)
         # for a positive margin the zero state is only an upper bound
         flipped = np.array([0.5, -1.0, 0.2])
-        state2 = DualState(flipped, 0.0, np.zeros(1), np.zeros(2), np.zeros(2))
+        state2 = DualState(
+            flipped, stacked(0.0, np.zeros(1), np.zeros(2), np.zeros(2))
+        )
         value2 = dual_objective(state2, data, unlabeled, prior, 0.0, COST)
         primal2 = solve_worst_case_lp(flipped, x0[None], data, prior, 0.0, COST)
         assert value2 >= primal2.value - 1e-12
@@ -296,12 +310,9 @@ class TestDualObjective:
         state = random_state(rng, 3, data.n)
         base = dual_objective(state, data, unlabeled, prior, 0.5, COST)
         for shift in (2.0, -7.5, 0.125):
+            alpha, potentials, upper, lower = multiplier_parts(state.multipliers)
             shifted = DualState(
-                state.theta,
-                state.transport_mult,
-                state.atom_potentials + shift,
-                state.label_upper_mult,
-                state.label_lower_mult,
+                state.theta, stacked(alpha, potentials + shift, upper, lower)
             )
             value = dual_objective(shifted, data, unlabeled, prior, 0.5, COST)
             assert value == pytest.approx(base, abs=1e-12)
@@ -314,21 +325,9 @@ class TestDualObjective:
             eps = float(rng.uniform(0.0, 2.0))
             states = []
             for _ in range(2):
-                s = random_state(rng, 2, 2)
-                states.append(
-                    DualState(
-                        theta, s.transport_mult, s.atom_potentials,
-                        s.label_upper_mult, s.label_lower_mult,
-                    )
-                )
+                states.append(DualState(theta, random_state(rng, 2, 2).multipliers))
             s1, s2 = states
-            mid = DualState(
-                theta,
-                0.5 * (s1.transport_mult + s2.transport_mult),
-                0.5 * (s1.atom_potentials + s2.atom_potentials),
-                0.5 * (s1.label_upper_mult + s2.label_upper_mult),
-                0.5 * (s1.label_lower_mult + s2.label_lower_mult),
-            )
+            mid = DualState(theta, 0.5 * (s1.multipliers + s2.multipliers))
             g1 = dual_objective(s1, data, unlabeled, prior, eps, COST)
             g2 = dual_objective(s2, data, unlabeled, prior, eps, COST)
             gm = dual_objective(mid, data, unlabeled, prior, eps, COST)
@@ -347,11 +346,7 @@ class TestDualObjective:
             data, unlabeled.features, prior, eps, COST, count=5, seed=1
         )
         for _ in range(20):
-            s = random_state(rng, 2, 2)
-            state = DualState(
-                theta, s.transport_mult, s.atom_potentials,
-                s.label_upper_mult, s.label_lower_mult,
-            )
+            state = DualState(theta, random_state(rng, 2, 2).multipliers)
             bound = dual_objective(state, data, unlabeled, prior, eps, COST)
             for mu in candidates:
                 risk = float(
@@ -499,18 +494,6 @@ class TestTrainDru:
             cutset_solve(data, unlabeled, prior, COST, 0.3).theta
 
 
-def _multiplier_bytes(multipliers):
-    return [
-        np.asarray(part, dtype=float).tobytes()
-        for part in (
-            multipliers.transport_mult,
-            multipliers.atom_potentials,
-            multipliers.label_upper_mult,
-            multipliers.label_lower_mult,
-        )
-    ]
-
-
 class TestCutsetSolve:
     def test_master_bound_never_exceeds_the_worst_case_on_a_grid(self, monkeypatch):
         # the master value is a lower bound on min F, so no theta on a grid
@@ -535,7 +518,7 @@ class TestCutsetSolve:
                 patch.setattr(oracle.PayoffLp, "solve", recording)
                 result = cutset_solve(data, unlabeled, prior, COST, eps)
             assert result.status == CONVERGED
-            assert result.gap <= CUT_GAP_TOL
+            assert result.upper - result.lower <= CUT_GAP_TOL
             grid = np.linspace(-4.0, 4.0, 9)
             for theta in zip(*(axis.ravel() for axis in np.meshgrid(grid, grid))):
                 worst = solve_worst_case_lp(
@@ -543,9 +526,9 @@ class TestCutsetSolve:
                 )
                 assert result.lower <= worst.value
             payoff = both_class_losses(result.theta, unlabeled.features).tobytes()
-            reported = (result.upper, _multiplier_bytes(result.state))
+            reported = (result.upper, result.state.multipliers.tobytes())
             at_theta = [
-                (found.value, _multiplier_bytes(found.multipliers))
+                (found.value, found.multipliers.tobytes())
                 for key, found in solves
                 if key == payoff
             ]
@@ -561,7 +544,7 @@ class TestCutsetSolve:
         eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.1
         result = cutset_solve(data, unlabeled, prior, COST, eps)
         objective = dual_objective(result.state, data, unlabeled, prior, eps, COST)
-        slack = result.state.transport_mult * BUDGET_SLACK
+        slack = result.state.multipliers[0] * BUDGET_SLACK
         assert objective == pytest.approx(result.upper - slack, abs=1e-9)
         assert np.all(np.abs(result.theta) <= THETA_BOX)
 
@@ -585,7 +568,7 @@ class TestCutsetSolve:
         data, unlabeled, prior = random_instance(rng, 3, 5, 2)
         eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
         result = cutset_solve(data, unlabeled, prior, COST, eps0)
-        assert result.gap <= CUT_GAP_TOL
+        assert result.upper - result.lower <= CUT_GAP_TOL
         with pytest.raises(InfeasibleRadiusError):
             cutset_solve(data, unlabeled, prior, COST, eps0 - 1e-6)
 
@@ -617,7 +600,7 @@ class TestCutsetSolve:
             for delta in (0.0, 0.01, 0.3, 3.0):
                 result = cutset_solve(data, unlabeled, prior, COST, eps0 + delta)
                 assert result.status == CONVERGED
-                assert result.gap <= CUT_GAP_TOL
+                assert result.upper - result.lower <= CUT_GAP_TOL
 
     def test_solves_the_support_coupling_once(self, transport_solves):
         # at the minimal radius the run's seeded LP takes the coupling's

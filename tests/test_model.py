@@ -234,7 +234,7 @@ class TestDatasets:
         with pytest.raises(ValueError):
             UnlabeledDataset(np.array([[np.nan, 0.0]]))
         pool = UnlabeledDataset(np.ones((4, 3)))
-        assert pool.n == 4 and pool.dim == 3
+        assert pool.n == 4 and pool.features.shape == (4, 3)
 
     def test_feature_distances(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])

@@ -23,6 +23,7 @@ from drulearn.model import (
     both_class_losses,
     logistic_loss,
     make_rng,
+    multiplier_parts,
 )
 from drulearn.oracle import (
     BUDGET_SLACK,
@@ -218,7 +219,7 @@ class TestWorstCaseLp:
         data = LabeledDataset(rng.normal(size=(1, 2)), np.array([0]))
         theta = rng.normal(size=2)
         result = solve_worst_case_lp(
-            theta, support, data, LabelPrior.uninformative(), 1e3, COST
+            theta, support, data, LabelPrior(np.zeros(2), np.ones(2)), 1e3, COST
         )
         expected = both_class_losses(theta, support).max(axis=1).mean()
         assert result.value == pytest.approx(expected, abs=1e-8)
@@ -358,9 +359,9 @@ class TestColumnGeneration:
             result = solve_worst_case_lp(
                 theta, unlabeled.features, data, prior, eps, COST
             )
-            state = DualState.from_multipliers(theta, result.multipliers)
+            state = DualState(theta, result.multipliers)
             dual = dual_objective(state, data, unlabeled, prior, eps, COST)
-            slack = state.transport_mult * BUDGET_SLACK
+            slack = state.multipliers[0] * BUDGET_SLACK
             assert dual == pytest.approx(result.value - slack, abs=1e-9)
 
 
@@ -398,7 +399,7 @@ class TestPayoffLp:
             dual = payoff_dual_objective(
                 result.multipliers, payoff, data, unlabeled, prior, eps
             )
-            slack = result.multipliers.transport_mult * BUDGET_SLACK
+            slack = result.multipliers[0] * BUDGET_SLACK
             assert dual >= result.value - slack - 1e-12
             assert dual <= result.value - slack + 1e-9
         assert model.n_columns > seeded
@@ -421,15 +422,7 @@ class TestPayoffLp:
         for first, second in zip(*runs):
             assert first.value == second.value
             np.testing.assert_array_equal(first.support_mass, second.support_mass)
-            for name in (
-                "transport_mult",
-                "atom_potentials",
-                "label_upper_mult",
-                "label_lower_mult",
-            ):
-                np.testing.assert_array_equal(
-                    getattr(first.multipliers, name), getattr(second.multipliers, name)
-                )
+            np.testing.assert_array_equal(first.multipliers, second.multipliers)
 
     def test_hot_resolves_of_a_cut_set_run_take_fewer_pivots_than_fresh_models(
         self, monkeypatch, simplex_iterations
@@ -556,17 +549,18 @@ def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):
     )[:, :, None] + COST.label_flip_cost * (
         np.arange(2)[None, None, :] != data.labels[None, :, None]
     )
+    alpha, potentials, upper, lower = multiplier_parts(multipliers)
     cells = (
         payoff[:, None, :]
-        - multipliers.transport_mult * pair
-        - multipliers.atom_potentials[None, :, None]
-        - (multipliers.label_upper_mult - multipliers.label_lower_mult)[None, None, :]
+        - alpha * pair
+        - potentials[None, :, None]
+        - (upper - lower)[None, None, :]
     )
     return float(
-        multipliers.transport_mult * eps
-        + multipliers.atom_potentials.mean()
-        + multipliers.label_upper_mult @ prior.upper
-        - multipliers.label_lower_mult @ prior.lower
+        alpha * eps
+        + potentials.mean()
+        + upper @ prior.upper
+        - lower @ prior.lower
         + cells.reshape(unlabeled.n, -1).max(axis=1).mean()
     )
 
@@ -865,7 +859,7 @@ class TestFeasibleDistributions:
         rng = make_rng(14)
         data = LabeledDataset(rng.normal(size=(2, 2)), np.array([0, 1]))
         support = rng.normal(size=(3, 2))
-        prior = LabelPrior.uninformative()
+        prior = LabelPrior(np.zeros(2), np.ones(2))
         eps = min_feasible_radius(data, support, prior, COST) + 0.5
         first = feasible_distributions(data, support, prior, eps, COST, count=3, seed=9)
         second = feasible_distributions(data, support, prior, eps, COST, count=3, seed=9)

@@ -23,11 +23,8 @@ _BENCHMARK_TRACER = (
     "the benchmark's tracer wraps dual.sgd_solve and simplex.solve_lp by "
     "name; ROADMAP items 2 and 3 drop the spans, then the code"
 )
-_UNDECIDED = "called only by tests; ROADMAP item 3 deletes it or gives it a caller"
 EXEMPT = {
     "dual.SolverConfig.__post_init__": _BENCHMARK_TRACER,
-    "dual._unpack": _BENCHMARK_TRACER,
-    "dual._state_from_params": _BENCHMARK_TRACER,
     "dual.learning_rate": _BENCHMARK_TRACER,
     "dual.descent_update": _BENCHMARK_TRACER,
     "dual.sgd_solve": _BENCHMARK_TRACER,
@@ -36,10 +33,9 @@ EXEMPT = {
     "kernels.scipy_extension.<locals>.entries": "runs once, at import",
     "cli.run": "the process entry point; tests call cli.main",
     "kernels.SlsqpResult.message": "read only when a solve fails",
-    "dual.CutSetResult.gap": _UNDECIDED,
-    "model.UnlabeledDataset.dim": _UNDECIDED,
-    "model.LabelPrior.uninformative": _UNDECIDED,
-    "oracle.PayoffLp.n_columns": _UNDECIDED,
+    "oracle.PayoffLp.n_columns": (
+        "read only by tests; ROADMAP item 10's run telemetry reports it"
+    ),
 }
 
 CATEGORICAL_CSV = """a,color,y,b
