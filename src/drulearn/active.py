@@ -43,7 +43,6 @@ from .config import (
 from .model import (
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     logistic_loss,
     logistic_predict,
     loss_grad_theta,
@@ -216,10 +215,9 @@ def select_next(
     # label distribution, and take the best worst-case impact
     size = min(config.candidate_subsample, pool.n)
     candidates = np.sort(rng.choice(pool.n, size=size, replace=False))
-    unlabeled = UnlabeledDataset(pool.features)
     mode = PRIOR_STRONG if kind == DR_STRONG else PRIOR_WEAK
     prior = configured_prior(config, state.labeled, mode, class_share)
-    eps = prior_feasible_radius(state.labeled, unlabeled, prior, cost)
+    eps = prior_feasible_radius(state.labeled, pool.features, prior, cost)
     eps += config.delta_margin
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis

@@ -73,7 +73,6 @@ from .model import (
     LabeledDataset,
     LabelPrior,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     confidence,
     median,
@@ -156,7 +155,7 @@ def normal_correction(values, z_score: float = DEFAULT_Z_SCORE) -> float:
 def performance_bound(
     state: DualState,
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
@@ -166,11 +165,10 @@ def performance_bound(
 
     The negative-log bound is the dual objective itself, valid for every
     distribution in the decision set; the correction accounts for the
-    unlabeled sample being finite.
+    unlabeled sample, the (m, d) feature matrix `unlabeled`, being finite.
     """
     layout = CellLayout(
-        both_class_losses(state.theta, unlabeled.features),
-        pair_costs(unlabeled.features, data, cost),
+        both_class_losses(state.theta, unlabeled), pair_costs(unlabeled, data, cost)
     )
     return PerformanceBound.from_terms(
         *_certificate_terms(state, layout, prior, eps, z_score)
@@ -232,7 +230,7 @@ def _smoothed_bound(multipliers, layout, prior, eps, z_score, tau):
 def search_multipliers(
     state: DualState,
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
@@ -263,8 +261,7 @@ def search_multipliers(
     """
     theta, multipliers = state.theta, state.multipliers
     layout = CellLayout(
-        both_class_losses(theta, unlabeled.features),
-        pair_costs(unlabeled.features, data, cost),
+        both_class_losses(theta, unlabeled), pair_costs(unlabeled, data, cost)
     )
     # the price and the label multipliers are nonnegative, the potentials free
     lower = np.zeros_like(multipliers)
@@ -293,19 +290,16 @@ def search_multipliers(
     return points[int(np.argmin([neg_log + corr for neg_log, corr in certificates]))]
 
 
-def held_out_halves(unlabeled: UnlabeledDataset):
-    """Split the unlabeled sample into alternate points: the even positions
-    (the search half) and the odd positions (the held-out half)."""
-    return (
-        UnlabeledDataset(unlabeled.features[0::2]),
-        UnlabeledDataset(unlabeled.features[1::2]),
-    )
+def held_out_halves(unlabeled):
+    """Split the unlabeled feature matrix into alternate rows: the even
+    positions (the search half) and the odd positions (the held-out half)."""
+    return unlabeled[0::2], unlabeled[1::2]
 
 
 def certify(
     state: DualState,
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
@@ -324,7 +318,7 @@ def certify(
     more than the sample's own worst case, and `correction` is the excess.
     Needs two points in each half, one without a correction.
     """
-    if unlabeled.n < (4 if z_score > 0.0 else 2):
+    if len(unlabeled) < (4 if z_score > 0.0 else 2):
         raise ValueError(
             "certify needs two unlabeled points per half (one at z_score 0)"
         )
@@ -332,7 +326,7 @@ def certify(
     # the search half's own minimal radius can exceed eps; its decision set
     # is then empty and its dual has no minimum, so the search runs at that
     # minimal radius instead
-    search_eps = max(eps, min_feasible_radius(data, search.features, prior, cost))
+    search_eps = max(eps, min_feasible_radius(data, search, prior, cost))
     point = search_multipliers(state, data, search, prior, search_eps, cost, z_score)
     check = performance_bound(point, data, held_out, prior, eps, cost, z_score)
     neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
@@ -388,7 +382,7 @@ def configured_prior(
 
 def prior_feasible_radius(
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     cost: TransportCost,
 ) -> float:
@@ -407,14 +401,14 @@ def prior_feasible_radius(
         positive_share_range(prior), key=lambda endpoint: abs(endpoint - share)
     )
     return min_feasible_radius(
-        data, unlabeled.features, LabelPrior.point((1.0 - farther, farther)), cost
+        data, unlabeled, LabelPrior.point((1.0 - farther, farther)), cost
     )
 
 
 def select_radius(
     config: ExperimentConfig,
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     cost: TransportCost,
     full: LabeledDataset,
@@ -441,7 +435,7 @@ def select_radius(
         eps = None
         for candidate in reversed(grid):
             theta = cutset_solve(data, unlabeled, prior, cost, float(candidate)).theta
-            median_conf = median(confidence(theta, unlabeled.features))
+            median_conf = median(confidence(theta, unlabeled))
             if median_conf >= config.confidence_threshold:
                 eps = float(candidate)
                 break

@@ -60,7 +60,6 @@ try:
         LabeledDataset,
         LabelPrior,
         TransportCost,
-        UnlabeledDataset,
         confidence,
         make_rng,
         median,
@@ -104,7 +103,7 @@ class Instance:
     from (``full``, the reference sample), the prior, and the geometry."""
 
     labeled: LabeledDataset
-    unlabeled: UnlabeledDataset | None
+    unlabeled: np.ndarray | None
     full: LabeledDataset
     prior: LabelPrior
     cost: TransportCost
@@ -134,7 +133,7 @@ def _build_instance(
     n_labeled = config.n_labeled if n_labeled is None else n_labeled
     labeled, rest = sample_split(table, n_labeled, split_seed)
     source = table if config.unlabeled_mode == UNLABELED_FULL else rest
-    unlabeled = None if source is None else UnlabeledDataset(source.features)
+    unlabeled = None if source is None else source.features
     share = float(table.labels.mean())
     prior = configured_prior(config, labeled, config.prior_mode, share)
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
@@ -250,7 +249,7 @@ def _run_train_baseline(config: ExperimentConfig):
         "alpha": float(result.alpha),
         "worst_case_value": float(result.worst_case_value),
         "worst_case_likelihood": float(np.exp(-result.worst_case_value)),
-        "median_confidence": _median_confidence(result.theta, unlabeled.features),
+        "median_confidence": _median_confidence(result.theta, unlabeled),
         **_theta_columns(result.theta),
     }
     return row, [row], [], {}
@@ -308,7 +307,7 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
         "neg_log_bound": bound.neg_log_bound,
         "correction": bound.correction,
         "likelihood_bound": bound.likelihood_bound,
-        "median_confidence": _median_confidence(result.theta, unlabeled.features),
+        "median_confidence": _median_confidence(result.theta, unlabeled),
         "vacuous_flag": int(bound.vacuous),
     }
     return result, report
@@ -409,11 +408,15 @@ def _run_active(config: ExperimentConfig):
     if config.stop_at == 0 and config.n_labeled <= config.n_initial:
         raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
     table = _load_table(config)
-    if config.n_initial > table.n:
-        raise ConfigError(
-            f"n_initial must not exceed the table size {table.n}, "
-            f"got {config.n_initial}"
-        )
+    # the stop size always exceeds n_initial, so an oversized n_initial is
+    # the one named
+    stop_key = "stop_at" if config.stop_at else "n_labeled"
+    stop = (stop_key, config.stop_at or config.n_labeled)
+    for key, size in (("n_initial", config.n_initial), stop):
+        if size > table.n:
+            raise ConfigError(
+                f"{key} must not exceed the table size {table.n}, got {size}"
+            )
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     aulc_values = []
@@ -481,9 +484,7 @@ def _run_oracle_check(config: ExperimentConfig):
         try:
             labeled, support, prior, theta = _oracle_instance(seed)
             eps = min_feasible_radius(labeled, support, prior, cost) + 0.1
-            report = duality_gap_check(
-                theta, labeled, UnlabeledDataset(support), prior, eps, cost
-            )
+            report = duality_gap_check(theta, labeled, support, prior, eps, cost)
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(index), error))
             continue

@@ -1,16 +1,16 @@
 """Dataset ingestion, preprocessing, and sampling.
 
 Every step takes and returns a `model.LabeledDataset`.  CSV tables come in
-with a header and a binary label column; the feature columns keep the
-header's order, a categorical column becoming one indicator column per
-category in alphabetical order, and every cell must be a finite number or a
-category: a numeric column may hold no blank cell, and a table needs a
-feature column besides the label.  Preprocessing z-scores each feature and
-then rescales the whole matrix by its largest absolute entry;
-`append_intercept` adds the constant feature last.  `sample_split` draws
-the labeled rows, seeded and uniform without replacement, and returns the
-rows left over with them; every subcommand that needs a labeled subsample
-takes it from there.
+with a header naming each column once and a binary label column; the feature
+columns keep the header's order, a categorical column becoming one indicator
+column per category in alphabetical order, and every cell must be a finite
+number or a category: a numeric column may hold no blank cell, and a table
+needs a feature column besides the label.  Preprocessing z-scores each
+feature and then rescales the whole matrix by its largest absolute entry;
+`append_intercept` adds the constant feature last.  `sample_split` draws the
+labeled rows, seeded and uniform without replacement, and returns the rows
+left over with them; every subcommand that needs a labeled subsample takes
+it from there.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ def _is_numeric_column(values) -> bool:
 def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDataset:
     """Ingest a headed CSV into a labeled dataset with a binary label.
 
-    Numeric columns parse as reals and must be finite, with no blank cell;
-    any other column is one-hot encoded with its categories in alphabetical
-    order.  The label column must hold exactly two distinct tokens, one of
-    them the positive token, mapped to 1, and some other column must exist.
+    The header must name each column once.  Numeric columns parse as reals
+    and must be finite, with no blank cell; any other column is one-hot
+    encoded with its categories in alphabetical order.  The label column must
+    hold exactly two distinct tokens, one of them the positive token, mapped
+    to 1, and some other column must exist.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -54,6 +55,11 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
         rows = list(reader)
     if not rows:
         raise TableError(f"{path}: no data rows")
+    if len(set(header)) < len(header):
+        repeated = next(name for name in header if header.count(name) > 1)
+        raise TableError(
+            f"{path}: the header names column {repeated!r} more than once"
+        )
     for index, row in enumerate(rows):
         if len(row) != len(header):
             raise TableError(

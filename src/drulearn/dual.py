@@ -9,7 +9,7 @@ multiplier, one potential per labeled atom, and per-class label multipliers,
     transport_price * radius
     + mean(potentials)
     + upper @ prior.upper - lower @ prior.lower
-    + mean over unlabeled x of  max over cells of cell(x).
+    + mean over unlabeled rows x of  max over cells of cell(x).
 
 Each "cell" pairs one labeled atom with one candidate label; its value at x
 is the logistic loss at the candidate label minus the charges the
@@ -49,7 +49,6 @@ from .model import (
     LabeledDataset,
     LabelPrior,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     loss_grad_theta,
     make_rng,
@@ -214,13 +213,14 @@ def layout_max_values(state: DualState, layout: CellLayout):
 def dual_objective(
     state: DualState,
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
 ):
-    """Full-sample dual objective: linear multiplier terms plus mean max cell."""
-    values = max_cell_values(state, data, unlabeled.features, cost)
+    """Full-sample dual objective on the (m, d) unlabeled feature matrix:
+    linear multiplier terms plus mean max cell."""
+    values = max_cell_values(state, data, unlabeled, cost)
     return objective_of_values(state, values, prior, eps)
 
 
@@ -252,7 +252,7 @@ def descent_update(grad, moments, step: int, lr: float, config: SolverConfig):
 
 def sgd_solve(
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     cost: TransportCost,
     config: SolverConfig,
@@ -261,7 +261,7 @@ def sgd_solve(
 ):
     """Minimize the dual objective by projected stochastic subgradient steps.
 
-    Each step draws `batch_size` unlabeled points uniformly with replacement,
+    Each step draws `batch_size` unlabeled rows uniformly with replacement,
     forms the batch-mean subgradient (deterministic linear terms plus the
     active-cell terms), applies an Adam or plain-SGD update, and clamps the
     sign-constrained multipliers at zero.  `update_theta` toggles descent in
@@ -270,11 +270,11 @@ def sgd_solve(
     Raises `oracle.InfeasibleRadiusError` first if the decision set is empty.
     """
     n_l, dim = data.n, data.dim
-    n_u = unlabeled.n
+    n_u = len(unlabeled)
     eps = config.radius_eps
-    require_feasible_radius(data, unlabeled.features, prior, cost, eps)
+    require_feasible_radius(data, unlabeled, prior, cost, eps)
 
-    pair = pair_costs(unlabeled.features, data, cost)
+    pair = pair_costs(unlabeled, data, cost)
     n_params = dim + 1 + n_l + 2 * N_CLASSES
     params = np.zeros(n_params)
     if theta0 is not None:
@@ -293,7 +293,7 @@ def sgd_solve(
     for step in range(config.max_steps):
         lr = learning_rate(config, step)
         idx = rng.integers(0, n_u, size=config.batch_size)
-        batch = unlabeled.features[idx]
+        batch = unlabeled[idx]
         theta, multipliers = params[:dim], params[dim:]
         table = both_class_losses(theta, batch)
         cells = CellLayout(table, pair[idx]).cells(multipliers)
@@ -449,17 +449,18 @@ def _worst_case(model: PayoffLp, theta, features):
 
 def cutset_solve(
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     cost: TransportCost,
     eps: float,
 ) -> CutSetResult:
     """Minimize the exact worst-case loss F(theta) by a cutting-set method.
 
-    F(theta) is the value of the worst-case LP over the unlabeled support,
-    convex in theta.  Each round solves the master problem over the
-    worst-case distributions found so far (`_solve_master`), whose value is
-    a lower bound on min F, then the worst-case LP at the master's theta,
+    F(theta) is the value of the worst-case LP whose support is the rows of
+    the (m, d) unlabeled feature matrix, convex in theta.  Each round solves
+    the master problem over the worst-case distributions found so far
+    (`_solve_master`), whose value is a lower bound on min F, then the
+    worst-case LP at the master's theta,
     whose value is an upper bound and whose maximizing distribution is the
     next cut (Mutapcic & Boyd, "Cutting-set methods for robust convex
     optimization with pessimizing oracles", Optim. Methods Softw. 2009).
@@ -471,19 +472,18 @@ def cutset_solve(
     `CutSetResult`.  Raises `oracle.InfeasibleRadiusError` when the
     decision set is empty.
     """
-    model = PayoffLp(unlabeled.features, data, prior, eps, cost)
+    model = PayoffLp(unlabeled, data, prior, eps, cost)
     best = np.zeros(data.dim)
-    features = unlabeled.features
-    exact, cut = _worst_case(model, best, features)
+    exact, cut = _worst_case(model, best, unlabeled)
     cuts = [cut]
     lower = -np.inf
     status = MAX_STEPS
     while len(cuts) < CUT_LIMIT:
-        theta, lower = _solve_master(cuts, features, best)
+        theta, lower = _solve_master(cuts, unlabeled, best)
         if exact.value - lower <= CUT_GAP_TOL:
             status = CONVERGED
             break
-        result, cut = _worst_case(model, theta, features)
+        result, cut = _worst_case(model, theta, unlabeled)
         cuts.append(cut)
         if result.value < exact.value:
             exact, best = result, theta
@@ -509,14 +509,14 @@ class DualityGapReport:
 def duality_gap_check(
     theta,
     data: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled,
     prior: LabelPrior,
     eps: float,
     cost: TransportCost,
 ) -> DualityGapReport:
     """Check strong duality at a fixed classifier.
 
-    Solves the exact worst-case LP (with the unlabeled features as the
+    Solves the exact worst-case LP (with the unlabeled feature rows as the
     support) and evaluates the full dual objective at radius `eps` at the
     LP's own multipliers, a max over every (support point, atom, label)
     cell.  Any such point bounds the worst case at `eps` from above, so
@@ -528,8 +528,8 @@ def duality_gap_check(
     `relint_violated=True`; below it, `oracle.InfeasibleRadiusError` is raised.
     """
     theta = np.asarray(theta, dtype=float)
-    primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, cost)
-    eps0 = min_feasible_radius(data, unlabeled.features, prior, cost)
+    primal = solve_worst_case_lp(theta, unlabeled, data, prior, eps, cost)
+    eps0 = min_feasible_radius(data, unlabeled, prior, cost)
     state = DualState(theta, primal.multipliers)
     dual = dual_objective(state, data, unlabeled, prior, eps, cost)
     return DualityGapReport(

@@ -11,6 +11,9 @@ Conventions used across the package:
   (k=0 negative class, k=1 positive class).  The transport cost compares
   labels for equality: a label flip contributes exactly the configured flip
   cost.
+* An unlabeled sample is its (m, d) float feature matrix, one row per point
+  with implied weight 1/m: it constrains the adversary only through its
+  feature marginal.  A labeled sample is a `LabeledDataset`.
 * A dual point's multipliers are one flat vector: the transport price, one
   potential per labeled atom, then the upper and the lower label
   multipliers, one per class.  The worst-case LP returns it, `dual.DualState`
@@ -233,24 +236,6 @@ class LabeledDataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-
-@dataclass(eq=False)
-class UnlabeledDataset:
-    """Empirical distribution over features only."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        if self.features.shape[0] < 1:
-            raise ValueError("dataset must contain at least one point")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features must be finite")
-
-    @property
-    def n(self):
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,7 +43,6 @@ from drulearn.model import (
     CellLayout,
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     confidence,
     logistic_loss,
@@ -104,7 +103,7 @@ def test_dual_solver_reaches_the_exact_worst_case_on_random_instances():
         labeled, support, prior, theta = _random_small_instance(rng)
         eps = min_feasible_radius(labeled, support, prior, COST) + 0.1
         report = duality_gap_check(
-            theta, labeled, UnlabeledDataset(support), prior, eps, COST
+            theta, labeled, support, prior, eps, COST
         )
         assert not report.relint_violated
         assert abs(report.gap) <= 1e-3 * (1.0 + abs(report.primal)), (
@@ -255,7 +254,7 @@ def test_certificate_lower_bounds_every_feasible_distribution():
             eps = min_feasible_radius(labeled, support, prior, COST) + 0.2
         except ValueError:
             continue
-        unlabeled = UnlabeledDataset(support)
+        unlabeled = support
         result = cutset_solve(labeled, unlabeled, prior, COST, eps)
         bound = performance_bound(
             result.state, labeled, unlabeled, prior, eps, COST, z_score=0.0
@@ -283,7 +282,7 @@ def test_certificate_lower_bounds_every_feasible_distribution():
     flat_bound = performance_bound(
         zeros,
         flat_data,
-        UnlabeledDataset(np.ones((2, 3))),
+        np.ones((2, 3)),
         LabelPrior(np.zeros(2), np.ones(2)),
         1.0,
         COST,
@@ -303,7 +302,7 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
     start = time.monotonic()
     table = synthetic_two_gaussians(500, seed=0, separation=0.6, noise=0.6)
     table = append_intercept(standardize(table))
-    unlabeled = UnlabeledDataset(table.features)
+    unlabeled = table.features
     class_balance = LabelPrior.point([0.5, 0.5])
     positives = np.flatnonzero(table.labels == 1)
     negatives = np.flatnonzero(table.labels == 0)
@@ -450,14 +449,14 @@ def test_active_scores_match_their_enumerated_definitions():
         anchor_label = int(rng.integers(0, 2))
         forced_label = int(rng.integers(0, 2))
         data = LabeledDataset(x0[None], np.array([anchor_label]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         prior = LabelPrior.point(
             [1.0, 0.0] if forced_label == 0 else [0.0, 1.0]
         )
         eps = 0.5 if forced_label == anchor_label else COST.label_flip_cost + 0.5
         theta = rng.normal(size=dim)
-        model = PayoffLp(unlabeled.features, data, prior, eps, COST)
-        score = score_dr(model, unlabeled.features, 0, theta)
+        model = PayoffLp(unlabeled, data, prior, eps, COST)
+        score = score_dr(model, unlabeled, 0, theta)
 
         pinned = feasible_distributions(
             data, x0[None], prior, eps, COST, count=3, seed=index

@@ -33,7 +33,6 @@ from drulearn.dual import LabelPrior
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     logistic_loss,
     logistic_predict,
     loss_grad_theta,
@@ -168,11 +167,11 @@ class TestScoreDr:
         # so the worst-case impact is the impact of the forced label
         x0 = np.array([0.8, -0.4])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([0.5, 0.3])
-        model = PayoffLp(unlabeled.features, data, prior, 0.5, COST)
-        score = score_dr(model, unlabeled.features, 0, theta)
+        model = PayoffLp(unlabeled, data, prior, 0.5, COST)
+        score = score_dr(model, unlabeled, 0, theta)
         assert score == pytest.approx(impact_gradient_norm(theta, x0, 1), abs=1e-3)
 
     def test_free_labels_price_at_the_pessimistic_impact(self):
@@ -320,7 +319,7 @@ class TestSelectNext:
             )
             theta = erm_train_l2(initial.labeled, 1e-3)
             state = dataclasses.replace(initial, theta=theta)
-            pool = UnlabeledDataset(state.pool.features)
+            pool = state.pool.features
             for kind in (DR_WEAK, DR_STRONG):
                 config = ExperimentConfig(
                     strategy=kind, candidate_subsample=state.pool_size
@@ -334,10 +333,10 @@ class TestSelectNext:
                 eps += config.delta_margin
                 scores = [
                     score_dr(
-                        PayoffLp(pool.features, state.labeled, prior, eps, COST),
-                        pool.features, j, theta,
+                        PayoffLp(pool, state.labeled, prior, eps, COST),
+                        pool, j, theta,
                     )
-                    for j in range(pool.n)
+                    for j in range(len(pool))
                 ]
                 assert chosen == int(np.argmax(scores))
 

@@ -52,7 +52,6 @@ from drulearn.model import (
     CellLayout,
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     logistic_loss,
     make_rng,
@@ -100,7 +99,7 @@ def random_instance(rng, n_labeled=3, n_unlabeled=4, dim=2):
         rng.normal(size=(n_labeled, dim)),
         rng.integers(0, 2, size=n_labeled),
     )
-    unlabeled = UnlabeledDataset(rng.normal(size=(n_unlabeled, dim)))
+    unlabeled = rng.normal(size=(n_unlabeled, dim))
     return data, unlabeled, random_prior(rng)
 
 
@@ -185,7 +184,7 @@ class TestPerformanceBound:
         data, unlabeled, prior = random_instance(rng, n_labeled=3, n_unlabeled=8)
         state = random_state(rng, data.dim, data.n)
         bound = performance_bound(state, data, unlabeled, prior, 0.4, COST)
-        values = max_cell_values(state, data, unlabeled.features, COST)
+        values = max_cell_values(state, data, unlabeled, COST)
         assert bound.correction == normal_correction(values, 1.96)
 
     def test_likelihood_is_clamped_at_one_for_negative_objectives(self):
@@ -194,7 +193,7 @@ class TestPerformanceBound:
         # label 1 and the radius is zero, then charge class-1 cells heavily
         x = np.array([1.0, 1.0])
         data = LabeledDataset(x[None], np.array([1]))
-        unlabeled = UnlabeledDataset(np.vstack([x, x]))
+        unlabeled = np.vstack([x, x])
         prior = LabelPrior.point([1.0, 0.0])
         state = DualState(
             theta=np.zeros(2),
@@ -223,14 +222,14 @@ class TestBoundValidity:
         for trial in range(10):
             data, unlabeled, prior = random_instance(rng)
             eps = min_feasible_radius(
-                data, unlabeled.features, prior, COST
+                data, unlabeled, prior, COST
             ) + rng.uniform(0.2, 1.0)
             state = random_state(rng, data.dim, data.n, scale=0.8)
             bound = performance_bound(
                 state, data, unlabeled, prior, eps, COST, z_score=0.0
             )
             candidates = feasible_distributions(
-                data, unlabeled.features, prior, eps, COST, count=5, seed=trial
+                data, unlabeled, prior, eps, COST, count=5, seed=trial
             )
             assert candidates
             for mu in candidates:
@@ -243,13 +242,13 @@ class TestBoundValidity:
     def test_bound_holds_at_a_trained_state_as_well(self):
         rng = make_rng(7)
         data, unlabeled, prior = random_instance(rng, n_labeled=3, n_unlabeled=5)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.4
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.4
         result = cutset_solve(data, unlabeled, prior, COST, eps)
         bound = performance_bound(
             result.state, data, unlabeled, prior, eps, COST, z_score=0.0
         )
         for mu in feasible_distributions(
-            data, unlabeled.features, prior, eps, COST, count=6, seed=3
+            data, unlabeled, prior, eps, COST, count=6, seed=3
         ):
             risk = float(
                 np.dot(
@@ -265,11 +264,11 @@ class TestBoundValidity:
         rng = make_rng(8)
         data, unlabeled, prior = random_instance(rng, n_labeled=3, n_unlabeled=5)
         theta = rng.normal(size=data.dim)
-        base = min_feasible_radius(data, unlabeled.features, prior, COST)
+        base = min_feasible_radius(data, unlabeled, prior, COST)
         likelihoods = []
         for bump in (0.05, 0.3, 0.8):
             exact = solve_worst_case_lp(
-                theta, unlabeled.features, data, prior, base + bump, COST
+                theta, unlabeled, data, prior, base + bump, COST
             )
             state = DualState(theta, exact.multipliers)
             bound = performance_bound(
@@ -321,7 +320,7 @@ def trained_instance(seed, n_unlabeled=120, n_labeled=12):
     rng = make_rng(seed)
     picked = np.sort(rng.choice(n_unlabeled, n_labeled, replace=False))
     data = LabeledDataset(features[picked], labels[picked])
-    unlabeled = UnlabeledDataset(features)
+    unlabeled = features
     prior = LabelPrior.point([0.5, 0.5])
     eps = min_feasible_radius(data, features, prior, COST) + 0.1
     return data, unlabeled, prior, eps, cutset_solve(data, unlabeled, prior, COST, eps)
@@ -342,7 +341,7 @@ def bound_strong_instance():
 
 def search_radius(data, search, prior, eps):
     """The radius `certify` searches its search half at."""
-    return max(eps, min_feasible_radius(data, search.features, prior, COST))
+    return max(eps, min_feasible_radius(data, search, prior, COST))
 
 
 def corrected(bound):
@@ -417,7 +416,7 @@ def smoothed_instances():
         n = int(rng.choice([2, 8, 16, 32]) if repeated else rng.integers(2, 40))
         n_l = int(rng.integers(1, 15))
         data, unlabeled, prior = random_instance(rng, n_l, n, 3)
-        features = unlabeled.features
+        features = unlabeled
         if repeated:
             features = np.repeat(features[:1], n, axis=0)
         table = both_class_losses(rng.normal(size=3) * 2.0, features)
@@ -449,8 +448,8 @@ def floor_instances():
         data, unlabeled, prior = random_instance(
             rng, offsets.size, int(rng.integers(2, 12)), 3
         )
-        table = both_class_losses(rng.normal(size=3) * 0.1, unlabeled.features)
-        pair = pair_costs(unlabeled.features, data, COST)
+        table = both_class_losses(rng.normal(size=3) * 0.1, unlabeled)
+        pair = pair_costs(unlabeled, data, COST)
         alpha = float(rng.uniform(0.0, 3.0) * tau) if index % 2 else 0.0
         net = rng.uniform(0.0, 0.5, size=N_CLASSES)
         params = np.concatenate([[alpha], -tau * offsets, net, net[::-1]])
@@ -595,7 +594,7 @@ class TestCertify:
         # lower
         data, unlabeled, prior, eps, result = bound_strong_instance()
         assert eps == pytest.approx(
-            min_feasible_radius(data, unlabeled.features, prior, COST), abs=1e-12
+            min_feasible_radius(data, unlabeled, prior, COST), abs=1e-12
         )
         search, _ = held_out_halves(unlabeled)
         eps = search_radius(data, search, prior, eps)
@@ -658,8 +657,8 @@ class TestCertify:
         for seed in (1, 3):
             data, unlabeled, prior, eps, result = trained_instance(seed)
             search, held_out = held_out_halves(unlabeled)
-            np.testing.assert_array_equal(search.features, unlabeled.features[0::2])
-            np.testing.assert_array_equal(held_out.features, unlabeled.features[1::2])
+            np.testing.assert_array_equal(search, unlabeled[0::2])
+            np.testing.assert_array_equal(held_out, unlabeled[1::2])
             point = search_multipliers(result.state, data, search, prior, eps, COST)
             check = performance_bound(point, data, held_out, prior, eps, COST)
             bound = certify(result.state, data, unlabeled, prior, eps, COST)
@@ -687,7 +686,7 @@ class TestCertify:
             features, labels = two_cluster_features(int(rng.integers(20, 60)), seed)
             picked = np.sort(rng.choice(features.shape[0], n_l, replace=False))
             data = LabeledDataset(features[picked], labels[picked])
-            unlabeled = UnlabeledDataset(features)
+            unlabeled = features
             prior = (
                 LabelPrior.point([0.5, 0.5]) if seed % 2 else random_prior(rng)
             )
@@ -758,12 +757,12 @@ class TestCertify:
     def test_each_half_needs_two_points_for_a_correction(self):
         data, unlabeled, prior, eps, result = trained_instance(3)
         for n, z_score in ((3, DEFAULT_Z_SCORE), (1, 0.0)):
-            small = UnlabeledDataset(unlabeled.features[:n])
+            small = unlabeled[:n]
             with pytest.raises(ValueError):
                 certify(result.state, data, small, prior, eps, COST, z_score)
         for n, z_score in ((4, DEFAULT_Z_SCORE), (2, 0.0)):
-            small = UnlabeledDataset(unlabeled.features[:n])
-            wider = min_feasible_radius(data, small.features, prior, COST) + 0.1
+            small = unlabeled[:n]
+            wider = min_feasible_radius(data, small, prior, COST) + 0.1
             certify(result.state, data, small, prior, wider, COST, z_score)
 
     def test_corrected_certificate_covers_the_population_dual(self):
@@ -780,13 +779,13 @@ class TestCertify:
         exceedances = 0
         for draw in range(draws):
             features, _ = two_cluster_features(120, 100 + draw)
-            unlabeled = UnlabeledDataset(features)
+            unlabeled = features
             search, _ = held_out_halves(unlabeled)
             point = search_multipliers(result.state, data, search, prior, eps, COST)
             population_dual = np.mean(
                 [
                     dual_objective(
-                        point, data, UnlabeledDataset(chunk), prior, eps, COST
+                        point, data, chunk, prior, eps, COST
                     )
                     for chunk in np.split(population, 10)
                 ]
@@ -808,8 +807,8 @@ def search_lower(n_labeled):
 
 def search_layout(theta, data, search):
     return CellLayout(
-        both_class_losses(theta, search.features),
-        pair_costs(search.features, data, COST),
+        both_class_losses(theta, search),
+        pair_costs(search, data, COST),
     )
 
 
@@ -1295,7 +1294,7 @@ class TestPriorFeasibleRadius:
                 endpoints = max(
                     min_feasible_radius(
                         data,
-                        unlabeled.features,
+                        unlabeled,
                         LabelPrior.point([1.0 - endpoint, endpoint]),
                         COST,
                     )
@@ -1312,12 +1311,12 @@ class TestPriorFeasibleRadius:
         # upper[1] = 0.9: the radius must be sized for 0.7, not 0.9
         rng = make_rng(44)
         data = LabeledDataset(rng.normal(size=(2, 2)), np.array([0, 0]))
-        unlabeled = UnlabeledDataset(rng.normal(size=(8, 2)))
+        unlabeled = rng.normal(size=(8, 2))
         prior = LabelPrior(lower=[0.3, 0.1], upper=[0.9, 0.9])
 
         def at_share(share):
             point = LabelPrior.point([1.0 - share, share])
-            return min_feasible_radius(data, unlabeled.features, point, COST)
+            return min_feasible_radius(data, unlabeled, point, COST)
 
         radius = prior_feasible_radius(data, unlabeled, prior, COST)
         assert radius == at_share(0.7)
@@ -1329,7 +1328,7 @@ class TestSelectRadius:
         rng = make_rng(10)
         data, unlabeled, _ = random_instance(rng)
         prior = LabelPrior.point([0.5, 0.5])
-        base = min_feasible_radius(data, unlabeled.features, prior, COST)
+        base = min_feasible_radius(data, unlabeled, prior, COST)
         eps, fell_back = select_radius(
             ExperimentConfig(eps_policy=MIN_RADIUS_PLUS_DELTA),
             data,
@@ -1346,13 +1345,13 @@ class TestSelectRadius:
         # expensive flips while demanding 10% barely moves anything
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         data = LabeledDataset(x, np.array([1, 1]))
-        unlabeled = UnlabeledDataset(x)
+        unlabeled = x
         prior = LabelPrior(lower=np.array([0.1, 0.2]), upper=np.array([0.8, 0.9]))
         low_end = min_feasible_radius(
-            data, unlabeled.features, LabelPrior.point([0.8, 0.2]), COST
+            data, unlabeled, LabelPrior.point([0.8, 0.2]), COST
         )
         high_end = min_feasible_radius(
-            data, unlabeled.features, LabelPrior.point([0.1, 0.9]), COST
+            data, unlabeled, LabelPrior.point([0.1, 0.9]), COST
         )
         assert low_end > high_end
         eps, _ = select_radius(
@@ -1382,7 +1381,7 @@ class TestSelectRadius:
         rng = make_rng(12)
         data = LabeledDataset(rng.normal(size=(3, 2)), np.array([0, 1, 1]))
         full = LabeledDataset(rng.normal(size=(9, 2)), rng.integers(0, 2, size=9))
-        unlabeled = UnlabeledDataset(full.features)
+        unlabeled = full.features
         distance, _ = discrete_wasserstein(data, full, COST)
         prior = LabelPrior(np.zeros(2), np.ones(2))
         for fraction in (1.0, 0.5):
@@ -1406,7 +1405,7 @@ class TestSelectRadius:
         )
         labels = np.array([1] * 6 + [0] * 6)
         data = LabeledDataset(features, labels)
-        unlabeled = UnlabeledDataset(features)
+        unlabeled = features
         prior = LabelPrior.point([0.5, 0.5])
         return data, unlabeled, prior
 
@@ -1422,7 +1421,7 @@ class TestSelectRadius:
             grid_span=0.5,
         )
         eps, fell_back = select_radius(config, data, unlabeled, prior, COST, data)
-        base = min_feasible_radius(data, unlabeled.features, prior, COST)
+        base = min_feasible_radius(data, unlabeled, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert eps == pytest.approx(grid[1], rel=1e-12)
         assert not fell_back
@@ -1438,7 +1437,7 @@ class TestSelectRadius:
             grid_span=0.5,
         )
         eps, fell_back = select_radius(config, data, unlabeled, prior, COST, data)
-        base = min_feasible_radius(data, unlabeled.features, prior, COST)
+        base = min_feasible_radius(data, unlabeled, prior, COST)
         grid = np.geomspace(base + 1e-3, base + 0.5, 3)
         assert eps == pytest.approx(grid[0], rel=1e-12)
         assert fell_back

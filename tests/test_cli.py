@@ -33,7 +33,6 @@ from drulearn.model import (
     LabeledDataset,
     LabelPrior,
     TransportCost,
-    UnlabeledDataset,
     confidence,
     make_rng,
 )
@@ -91,7 +90,7 @@ def library_certificate(config_path, split_seed, eps, n_labeled=None):
         instance.cost,
         z_score=config.z_score,
     )
-    median = np.median(confidence(result.theta, instance.unlabeled.features))
+    median = np.median(confidence(result.theta, instance.unlabeled))
     return result, {
         "eps": repr(float(eps)),
         "neg_log_bound": repr(bound.neg_log_bound),
@@ -124,14 +123,14 @@ class TestBuildInstance:
         instance = _build_instance(ExperimentConfig(n_labeled=4), table, 1)
         labeled, _ = sample_split(table, 4, 1)
         np.testing.assert_array_equal(instance.labeled.features, labeled.features)
-        np.testing.assert_array_equal(instance.unlabeled.features, table.features)
+        np.testing.assert_array_equal(instance.unlabeled, table.features)
 
     def test_remainder_mode_unlabeled_is_the_rest(self):
         table = self.table()
         config = ExperimentConfig(n_labeled=4, unlabeled_mode="remainder")
         instance = _build_instance(config, table, 1)
         _, rest = sample_split(table, 4, 1)
-        np.testing.assert_array_equal(instance.unlabeled.features, rest.features)
+        np.testing.assert_array_equal(instance.unlabeled, rest.features)
         drawn_all = _build_instance(config, table, 1, n_labeled=10)
         assert drawn_all.unlabeled is None
 
@@ -456,7 +455,7 @@ class TestExitCodes:
             ("bound", EXIT_USAGE, 2),
             ("radius-sweep", EXIT_USAGE, 4),
             ("robustness-sweep", EXIT_USAGE, 2),
-            ("active", EXIT_USAGE, 2),
+            ("active", EXIT_USAGE, None),
             ("oracle-check", EXIT_NUMERICAL, 2),
         ],
     )
@@ -669,7 +668,7 @@ class TestSweeps:
             tmp_path, output=str(out), eps_grid=(0.6, 1.0, 1.5), seed=1, **SMALL_DATA
         )
         _, instance = cli_instance(config, 1)
-        n_u, n_l = instance.unlabeled.n, instance.labeled.n
+        n_u, n_l = len(instance.unlabeled), instance.labeled.n
         transport_solves.clear()
         assert main(["radius-sweep", "--config", config]) == EXIT_OK
         assert len(read_rows(out)) == 3
@@ -829,6 +828,66 @@ class TestActiveExperiment:
         assert not (tmp_path / "act_aulc.csv").exists()
         meta = read_meta(out)
         assert not [key for key in meta if key.startswith("error_trial_")]
+
+    def test_failed_trials_leave_a_header_only_csv_and_one_key_each(
+        self, tmp_path, monkeypatch
+    ):
+        def failing_trial(*args, **kwargs):
+            raise ValueError("trial failed")
+
+        monkeypatch.setattr(cli, "run_active_loop", failing_trial)
+        out = tmp_path / "act.csv"
+        config = write_config(tmp_path, output=str(out), synthetic_n=20, trials=2)
+        assert main(["active", "--config", config]) == EXIT_USAGE
+        assert out.read_text() == "seed,strategy,trial,n_labeled,likelihood\n"
+        assert not (tmp_path / "act_aulc.csv").exists()
+        meta = read_meta(out)
+        errors = {key: meta[key] for key in meta if key.startswith("error_trial_")}
+        assert errors == {
+            "error_trial_0": "trial failed",
+            "error_trial_1": "trial failed",
+        }
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (
+                {"stop_at": 12},
+                "error: stop_at must not exceed the table size 10, got 12\n",
+            ),
+            (
+                {"n_labeled": 11},
+                "error: n_labeled must not exceed the table size 10, got 11\n",
+            ),
+        ],
+    )
+    def test_stop_size_larger_than_the_table_fails_once_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, keys, message
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_active_loop", no_trial)
+        out = tmp_path / "act.csv"
+        config = write_config(
+            tmp_path, output=str(out), synthetic_n=10, n_initial=2, trials=3, **keys
+        )
+        assert main(["active", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        assert not (tmp_path / "act_aulc.csv").exists()
+        meta = read_meta(out)
+        assert not [key for key in meta if key.startswith("error_trial_")]
+
+    def test_stop_size_equal_to_the_table_size_labels_every_row(self, tmp_path):
+        out = tmp_path / "act.csv"
+        config = write_config(
+            tmp_path, output=str(out), synthetic_n=10, n_initial=2, stop_at=10
+        )
+        assert main(["active", "--config", config]) == EXIT_OK
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["n_labeled"]) for row in rows] == list(range(2, 11))
 
     def test_robust_strategies_match_min_mc_with_the_norm_over_the_whole_pool(
         self, tmp_path
@@ -1005,7 +1064,7 @@ class TestActiveExperiment:
                 assert np.array_equal(prior.lower, expected.lower)
                 assert np.array_equal(prior.upper, expected.upper)
                 radius = prior_feasible_radius(
-                    labeled, UnlabeledDataset(support), prior, cost
+                    labeled, support, prior, cost
                 )
                 assert eps == radius + 1e-3
         # on this instance the 0.9 share changes which points are acquired
@@ -1035,7 +1094,7 @@ class TestOracleCheck:
             labeled, support, prior, theta = _oracle_instance(seed)
             eps = min_feasible_radius(labeled, support, prior, cost) + 0.1
             report = duality_gap_check(
-                theta, labeled, UnlabeledDataset(support), prior, eps, cost
+                theta, labeled, support, prior, eps, cost
             )
             slack = report.state.multipliers[0] * BUDGET_SLACK
             assert abs(report.gap + slack) <= 1e-12, f"seed {seed}"

@@ -86,6 +86,24 @@ class TestLoadCsv:
         assert message.startswith(f"{path}: column 'b', data row 3 (line 4): ")
         assert repr(cell) in message
 
+    @pytest.mark.parametrize(
+        "header, repeated", [("a,y,y", "y"), ("a,y,a", "a"), ("b,a,y,a,a", "a")]
+    )
+    def test_a_column_named_twice_is_an_error_naming_it(
+        self, tmp_path, header, repeated
+    ):
+        # a second label column was read as a feature, the label leaking in
+        width = header.count(",") + 1
+        text = header + "\n" + "".join(
+            ",".join([str(i % 2)] * width) + "\n" for i in range(4)
+        )
+        path = write_csv(tmp_path / "t.csv", text)
+        with pytest.raises(TableError) as raised:
+            load_csv(path, "y", "1")
+        assert str(raised.value) == (
+            f"{path}: the header names column {repeated!r} more than once"
+        )
+
     @pytest.mark.parametrize("cell", ["", "  "])
     def test_blank_cell_in_a_numeric_column_is_an_error(self, tmp_path, cell):
         # five numbers and one blank cell once loaded as six indicator columns

@@ -26,7 +26,6 @@ from drulearn.model import (
     CellLayout,
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     confidence,
     logistic_loss,
@@ -64,7 +63,7 @@ def random_instance(rng, n_labeled=3, n_unlabeled=4, dim=3):
     data = LabeledDataset(
         rng.normal(size=(n_labeled, dim)), rng.integers(0, 2, size=n_labeled)
     )
-    unlabeled = UnlabeledDataset(rng.normal(size=(n_unlabeled, dim)))
+    unlabeled = rng.normal(size=(n_unlabeled, dim))
     lower = rng.uniform(0.0, 0.35, size=2)
     upper = np.minimum(1.0, lower + rng.uniform(0.55, 0.95, size=2))
     return data, unlabeled, LabelPrior(lower=lower, upper=upper)
@@ -192,8 +191,8 @@ class TestCellLayout:
         ]
         for index, (n, n_l) in enumerate(shapes):
             data, unlabeled, _ = random_instance(rng, n_l, n, 3)
-            table = both_class_losses(rng.normal(size=3) * 3.0, unlabeled.features)
-            pair = pair_costs(unlabeled.features, data, COST)
+            table = both_class_losses(rng.normal(size=3) * 3.0, unlabeled)
+            pair = pair_costs(unlabeled, data, COST)
             alpha = 0.0 if index % 4 == 0 else float(abs(rng.normal()) * 2.0)
             potentials = rng.normal(size=n_l) * 5.0
             if index % 3 == 0:
@@ -219,11 +218,11 @@ class TestMaxCell:
         for _ in range(50):
             data, unlabeled, _ = random_instance(rng)
             state = random_state(rng, 3, data.n)
-            values = max_cell_values(state, data, unlabeled.features, COST)
+            values = max_cell_values(state, data, unlabeled, COST)
             # matrix/vector dot products may differ in the last ulp
             np.testing.assert_allclose(
                 values,
-                brute_force_max_cells(state, data, unlabeled.features),
+                brute_force_max_cells(state, data, unlabeled),
                 rtol=1e-13,
                 atol=1e-15,
             )
@@ -278,7 +277,7 @@ class TestDualObjective:
         state = DualState(
             theta, stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
         )
-        expected = both_class_losses(theta, unlabeled.features).max(axis=1).mean()
+        expected = both_class_losses(theta, unlabeled).max(axis=1).mean()
         value = dual_objective(state, data, unlabeled, prior, 0.7, COST)
         assert value == pytest.approx(expected, abs=1e-14)
 
@@ -287,7 +286,7 @@ class TestDualObjective:
         # all-zero dual state already attains the singleton primal value
         x0 = np.array([0.7, -0.3, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([-0.5, 1.0, -0.2])
         state = DualState(theta, stacked(0.0, np.zeros(1), np.zeros(2), np.zeros(2)))
@@ -341,9 +340,9 @@ class TestDualObjective:
         rng = make_rng(8)
         data, unlabeled, prior = random_instance(rng, 2, 3, 2)
         theta = rng.normal(size=2)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.3
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.3
         candidates = feasible_distributions(
-            data, unlabeled.features, prior, eps, COST, count=5, seed=1
+            data, unlabeled, prior, eps, COST, count=5, seed=1
         )
         for _ in range(20):
             state = DualState(theta, random_state(rng, 2, 2).multipliers)
@@ -365,7 +364,7 @@ class TestSgdSolve:
     def test_singleton_converges_to_the_point_loss(self):
         x0 = np.array([0.7, -0.3, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([0.5, -1.0, 0.2])
         config = SolverConfig(radius_eps=0.0, batch_size=8, max_steps=30000, seed=1)
@@ -380,20 +379,20 @@ class TestSgdSolve:
         rng = make_rng(9)
         data, unlabeled, prior = random_instance(rng, 2, 4, 3)
         theta = rng.normal(size=3)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.2
         config = SolverConfig(
             radius_eps=eps, batch_size=16, max_steps=60000, seed=2,
             convergence_tol=1e-5,
         )
         result = sgd_solve(data, unlabeled, prior, COST, config, theta0=theta,
                            update_theta=False)
-        primal = solve_worst_case_lp(theta, unlabeled.features, data, prior, eps, COST)
+        primal = solve_worst_case_lp(theta, unlabeled, data, prior, eps, COST)
         assert abs(result.objective - primal.value) <= 1e-3 * (1 + abs(primal.value))
 
     def test_contrived_empty_decision_set_reports_infeasible(self):
         x0 = np.array([0.7, -0.3, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         prior = LabelPrior.point([1.0, 0.0])  # opposite of every label
         config = SolverConfig(
             radius_eps=0.3, batch_size=4, max_steps=60000, seed=3, step_size=0.5,
@@ -404,7 +403,7 @@ class TestSgdSolve:
     def test_raises_just_below_the_minimal_radius_and_solves_at_it(self):
         rng = make_rng(12)
         data, unlabeled, prior = random_instance(rng)
-        eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+        eps_min = min_feasible_radius(data, unlabeled, prior, COST)
         below = SolverConfig(radius_eps=eps_min - 1e-6, batch_size=8, max_steps=1000)
         with pytest.raises(InfeasibleRadiusError, match="radius too small"):
             sgd_solve(data, unlabeled, prior, COST, below)
@@ -416,7 +415,7 @@ class TestSgdSolve:
     def test_identical_configs_give_bitwise_identical_traces(self):
         rng = make_rng(10)
         data, unlabeled, prior = random_instance(rng)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.5
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.5
         config = SolverConfig(radius_eps=eps, batch_size=8, max_steps=2000, seed=4)
         first = sgd_solve(data, unlabeled, prior, COST, config)
         second = sgd_solve(data, unlabeled, prior, COST, config)
@@ -428,7 +427,7 @@ class TestSgdSolve:
         rng = make_rng(11)
         data, unlabeled, prior = random_instance(rng)
         path = tmp_path / "trace.csv"
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.5
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.5
         config = SolverConfig(
             radius_eps=eps, batch_size=8, max_steps=1500, seed=5,
             trace_path=str(path), trace_every=100,
@@ -448,7 +447,7 @@ class TestTrainDru:
         features = np.c_[rng.normal(size=(n, 2)), np.ones(n)]
         labels = (features[:, 0] + 0.35 * rng.normal(size=n) > 0).astype(int)
         data = LabeledDataset(features, labels)
-        unlabeled = UnlabeledDataset(features)
+        unlabeled = features
         share = labels.mean()
         prior = LabelPrior.point([1.0 - share, share])
         eps0 = min_feasible_radius(data, features, prior, COST)
@@ -468,7 +467,7 @@ class TestTrainDru:
         point = np.array([1.5, -0.7, 1.0])
         mirrored = np.array([-1.5, 0.7, 1.0])
         data = LabeledDataset(np.vstack([point, mirrored]), np.array([1, 0]))
-        unlabeled = UnlabeledDataset(data.features)
+        unlabeled = data.features
         prior = LabelPrior.point([0.5, 0.5])
         theta = cutset_solve(data, unlabeled, prior, COST, 0.2).theta
         midpoint = np.array([0.0, 0.0, 1.0])
@@ -477,7 +476,7 @@ class TestTrainDru:
     def test_warm_and_cold_starts_agree(self):
         rng = make_rng(14)
         data, unlabeled, prior = random_instance(rng, 3, 5, 3)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.3
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.3
         config = SolverConfig(radius_eps=eps, batch_size=16, max_steps=40000, seed=9)
         cold = sgd_solve(data, unlabeled, prior, COST, config)
         warm = sgd_solve(
@@ -488,7 +487,7 @@ class TestTrainDru:
     def test_propagates_infeasibility(self):
         x0 = np.array([0.7, -0.3, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         prior = LabelPrior.point([1.0, 0.0])
         with pytest.raises(InfeasibleRadiusError):
             cutset_solve(data, unlabeled, prior, COST, 0.3).theta
@@ -512,7 +511,7 @@ class TestCutsetSolve:
         rng = make_rng(40)
         for _ in range(3):
             data, unlabeled, prior = random_instance(rng, 3, 6, 2)
-            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+            eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.2
             solves.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(oracle.PayoffLp, "solve", recording)
@@ -522,10 +521,10 @@ class TestCutsetSolve:
             grid = np.linspace(-4.0, 4.0, 9)
             for theta in zip(*(axis.ravel() for axis in np.meshgrid(grid, grid))):
                 worst = solve_worst_case_lp(
-                    np.array(theta), unlabeled.features, data, prior, eps, COST
+                    np.array(theta), unlabeled, data, prior, eps, COST
                 )
                 assert result.lower <= worst.value
-            payoff = both_class_losses(result.theta, unlabeled.features).tobytes()
+            payoff = both_class_losses(result.theta, unlabeled).tobytes()
             reported = (result.upper, result.state.multipliers.tobytes())
             at_theta = [
                 (found.value, found.multipliers.tobytes())
@@ -534,14 +533,14 @@ class TestCutsetSolve:
             ]
             assert reported in at_theta
             exact = solve_worst_case_lp(
-                result.theta, unlabeled.features, data, prior, eps, COST
+                result.theta, unlabeled, data, prior, eps, COST
             )
             assert abs(result.upper - exact.value) <= PRICING_TOL
 
     def test_state_is_a_dual_point_at_the_reported_worst_case(self):
         rng = make_rng(41)
         data, unlabeled, prior = random_instance(rng, 4, 12, 3)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.1
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.1
         result = cutset_solve(data, unlabeled, prior, COST, eps)
         objective = dual_objective(result.state, data, unlabeled, prior, eps, COST)
         slack = result.state.multipliers[0] * BUDGET_SLACK
@@ -552,13 +551,13 @@ class TestCutsetSolve:
         rng = make_rng(42)
         for seed in range(3):
             data, unlabeled, prior = random_instance(rng, 3, 5, 3)
-            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.3
+            eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.3
             config = SolverConfig(
                 radius_eps=eps, batch_size=16, max_steps=20000, seed=seed
             )
             sgd_theta = sgd_solve(data, unlabeled, prior, COST, config).state.theta
             at_sgd = solve_worst_case_lp(
-                sgd_theta, unlabeled.features, data, prior, eps, COST
+                sgd_theta, unlabeled, data, prior, eps, COST
             )
             result = cutset_solve(data, unlabeled, prior, COST, eps)
             assert result.upper <= at_sgd.value + 1e-9
@@ -566,7 +565,7 @@ class TestCutsetSolve:
     def test_solves_at_the_minimal_radius_and_raises_just_below_it(self):
         rng = make_rng(43)
         data, unlabeled, prior = random_instance(rng, 3, 5, 2)
-        eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+        eps0 = min_feasible_radius(data, unlabeled, prior, COST)
         result = cutset_solve(data, unlabeled, prior, COST, eps0)
         assert result.upper - result.lower <= CUT_GAP_TOL
         with pytest.raises(InfeasibleRadiusError):
@@ -588,7 +587,7 @@ class TestCutsetSolve:
             data = LabeledDataset(
                 features[:n_labeled], rng.integers(0, 2, size=n_labeled)
             )
-            unlabeled = UnlabeledDataset(features[n_labeled:])
+            unlabeled = features[n_labeled:]
             if rng.integers(0, 2) == 0:
                 share = float(rng.uniform(0.05, 0.95))
                 prior = LabelPrior.point([1.0 - share, share])
@@ -596,7 +595,7 @@ class TestCutsetSolve:
                 lower = rng.uniform(0.0, 0.35, size=2)
                 upper = np.minimum(1.0, lower + rng.uniform(0.55, 0.95, size=2))
                 prior = LabelPrior(lower=lower, upper=upper)
-            eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+            eps0 = min_feasible_radius(data, unlabeled, prior, COST)
             for delta in (0.0, 0.01, 0.3, 3.0):
                 result = cutset_solve(data, unlabeled, prior, COST, eps0 + delta)
                 assert result.status == CONVERGED
@@ -608,7 +607,7 @@ class TestCutsetSolve:
         # radius computed here, share one transport solve
         rng = make_rng(45)
         data, unlabeled, prior = random_instance(rng, 12, 40, 3)
-        eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+        eps0 = min_feasible_radius(data, unlabeled, prior, COST)
         result = cutset_solve(data, unlabeled, prior, COST, eps0)
         assert result.status == CONVERGED
         assert transport_solves == [(40, 12)]
@@ -632,7 +631,7 @@ class TestCutsetSolve:
         monkeypatch.setattr(dual, "solve_worst_case_lp", counted_one_shot)
         rng = make_rng(47)
         data, unlabeled, prior = random_instance(rng, 5, 20, 3)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.2
         result = cutset_solve(data, unlabeled, prior, COST, eps)
         assert result.lps > 1
         assert len(built) == 1
@@ -652,7 +651,7 @@ class TestCutsetSolve:
         rng = make_rng(46)
         for n_labeled, m, dim in ((3, 6, 2), (5, 20, 3), (12, 40, 3)):
             data, unlabeled, prior = random_instance(rng, n_labeled, m, dim)
-            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+            eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.2
             passed.clear()
             cutset_solve(data, unlabeled, prior, COST, eps)
             assert passed
@@ -668,7 +667,7 @@ class TestCutsetSolve:
         monkeypatch.setattr(dual, "CUT_LIMIT", 1)
         rng = make_rng(44)
         data, unlabeled, prior = random_instance(rng, 3, 5, 2)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.3
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.3
         result = cutset_solve(data, unlabeled, prior, COST, eps)
         assert result.status == MAX_STEPS
         assert result.lps == 1

@@ -10,7 +10,6 @@ import pytest
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     confidence,
     feature_distances,
@@ -229,12 +228,6 @@ class TestDatasets:
             LabeledDataset(np.array([[np.inf, 1.0]]), np.array([0]))
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 2)), np.array([0, 1]))
-
-    def test_unlabeled_validation(self):
-        with pytest.raises(ValueError):
-            UnlabeledDataset(np.array([[np.nan, 0.0]]))
-        pool = UnlabeledDataset(np.ones((4, 3)))
-        assert pool.n == 4 and pool.features.shape == (4, 3)
 
     def test_feature_distances(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])

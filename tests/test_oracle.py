@@ -19,7 +19,6 @@ from drulearn.dual import (
 from drulearn.model import (
     LabeledDataset,
     TransportCost,
-    UnlabeledDataset,
     both_class_losses,
     logistic_loss,
     make_rng,
@@ -352,12 +351,12 @@ class TestColumnGeneration:
         rng = make_rng(33)
         for _ in range(10):
             data = LabeledDataset(rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
-            unlabeled = UnlabeledDataset(rng.normal(size=(30, 2)))
+            unlabeled = rng.normal(size=(30, 2))
             prior = random_prior(rng)
             theta = rng.normal(size=2)
-            eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.2
+            eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.2
             result = solve_worst_case_lp(
-                theta, unlabeled.features, data, prior, eps, COST
+                theta, unlabeled, data, prior, eps, COST
             )
             state = DualState(theta, result.multipliers)
             dual = dual_objective(state, data, unlabeled, prior, eps, COST)
@@ -372,26 +371,26 @@ class TestPayoffLp:
         # the coupling's cells hold few of the 40 x 12 x 2 columns, so
         # pricing rounds bring columns in
         data = LabeledDataset(rng.normal(size=(12, 3)), rng.integers(0, 2, size=12))
-        unlabeled = UnlabeledDataset(rng.normal(size=(40, 3)))
+        unlabeled = rng.normal(size=(40, 3))
         prior = random_prior(rng)
-        eps = min_feasible_radius(data, unlabeled.features, prior, COST) + 0.1
+        eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.1
         return data, unlabeled, prior, eps
 
     def _payoffs(self, rng, unlabeled, count):
         return [
-            both_class_losses(rng.normal(size=3) * 2.0, unlabeled.features)
+            both_class_losses(rng.normal(size=3) * 2.0, unlabeled)
             for _ in range(count)
         ]
 
     def test_successive_payoffs_match_one_shot_solves_and_their_duals(self):
         rng = make_rng(35)
         data, unlabeled, prior, eps = self._instance(rng)
-        model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+        model = PayoffLp(unlabeled, data, prior, eps, COST)
         seeded = model.n_columns
-        assert seeded == 2 * uniform_coupling(data, unlabeled.features).supports.size
+        assert seeded == 2 * uniform_coupling(data, unlabeled).supports.size
         for payoff in self._payoffs(rng, unlabeled, 12):
             result = model.solve(payoff)
-            fresh = PayoffLp(unlabeled.features, data, prior, eps, COST).solve(payoff)
+            fresh = PayoffLp(unlabeled, data, prior, eps, COST).solve(payoff)
             assert abs(result.value - fresh.value) <= 1e-12
             # the model's multipliers price the full dual at the LP value:
             # never below it (weak duality), and not above it either, which
@@ -407,9 +406,9 @@ class TestPayoffLp:
     def test_radius_below_the_minimum_raises_on_construction(self):
         rng = make_rng(36)
         data, unlabeled, prior, eps = self._instance(rng)
-        eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+        eps_min = min_feasible_radius(data, unlabeled, prior, COST)
         with pytest.raises(InfeasibleRadiusError, match="radius too small"):
-            PayoffLp(unlabeled.features, data, prior, eps_min - 0.05, COST)
+            PayoffLp(unlabeled, data, prior, eps_min - 0.05, COST)
 
     def test_identical_payoff_sequences_give_bitwise_identical_results(self):
         rng = make_rng(37)
@@ -417,7 +416,7 @@ class TestPayoffLp:
         payoffs = self._payoffs(rng, unlabeled, 10)
         runs = []
         for _ in range(2):
-            model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+            model = PayoffLp(unlabeled, data, prior, eps, COST)
             runs.append([model.solve(payoff) for payoff in payoffs])
         for first, second in zip(*runs):
             assert first.value == second.value
@@ -446,13 +445,13 @@ class TestPayoffLp:
         payoffs.pop()
         assert len(payoffs) >= 3
         simplex_iterations.clear()
-        model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+        model = PayoffLp(unlabeled, data, prior, eps, COST)
         for payoff in payoffs:
             model.solve(payoff)
         hot = sum(simplex_iterations)
         simplex_iterations.clear()
         for payoff in payoffs:
-            PayoffLp(unlabeled.features, data, prior, eps, COST).solve(payoff)
+            PayoffLp(unlabeled, data, prior, eps, COST).solve(payoff)
         assert len(simplex_iterations) > len(payoffs)
         assert hot < sum(simplex_iterations)
 
@@ -462,9 +461,9 @@ class TestPayoffLp:
         rng = make_rng(39)
         for _ in range(5):
             data, unlabeled, prior, _ = self._instance(rng)
-            coupling = uniform_coupling(data, unlabeled.features)
-            eps = min_feasible_radius(data, unlabeled.features, prior, COST)
-            model = PayoffLp(unlabeled.features, data, prior, eps, COST)
+            coupling = uniform_coupling(data, unlabeled)
+            eps = min_feasible_radius(data, unlabeled, prior, COST)
+            model = PayoffLp(unlabeled, data, prior, eps, COST)
             assert model.n_columns == 2 * coupling.supports.size
             model.solve(self._payoffs(rng, unlabeled, 1)[0])
 
@@ -472,12 +471,12 @@ class TestPayoffLp:
         # the radius is checked before the costs or the HiGHS model exist
         rng = make_rng(41)
         data, unlabeled, prior, _ = self._instance(rng)
-        eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+        eps_min = min_feasible_radius(data, unlabeled, prior, COST)
         built = []
         monkeypatch.setattr(oracle, "pair_costs", lambda *args: built.append(args))
         monkeypatch.setattr(oracle, "HighsModel", lambda *args: built.append(args))
         with pytest.raises(InfeasibleRadiusError, match="radius too small"):
-            PayoffLp(unlabeled.features, data, prior, eps_min - 1e-3, COST)
+            PayoffLp(unlabeled, data, prior, eps_min - 1e-3, COST)
         assert built == []
 
 
@@ -545,7 +544,7 @@ def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):
     linear terms plus the mean over support points of the largest cell,
     payoff minus the charges for moving mass there."""
     pair = np.linalg.norm(
-        unlabeled.features[:, None, :] - data.features[None, :, :], axis=-1
+        unlabeled[:, None, :] - data.features[None, :, :], axis=-1
     )[:, :, None] + COST.label_flip_cost * (
         np.arange(2)[None, None, :] != data.labels[None, :, None]
     )
@@ -561,7 +560,7 @@ def payoff_dual_objective(multipliers, payoff, data, unlabeled, prior, eps):
         + potentials.mean()
         + upper @ prior.upper
         - lower @ prior.lower
-        + cells.reshape(unlabeled.n, -1).max(axis=1).mean()
+        + cells.reshape(len(unlabeled), -1).max(axis=1).mean()
     )
 
 
@@ -570,7 +569,7 @@ class TestUniformCoupling:
 
     def _pair(self, rng, n_u=9, n_l=4):
         data = LabeledDataset(rng.normal(size=(n_l, 2)), rng.integers(0, 2, size=n_l))
-        return data, UnlabeledDataset(rng.normal(size=(n_u, 2)))
+        return data, rng.normal(size=(n_u, 2))
 
     def test_equal_point_sets_share_one_solve_whatever_the_arrays(
         self, transport_solves
@@ -579,21 +578,21 @@ class TestUniformCoupling:
         # on content, so each pair is solved once
         rng = make_rng(60)
         data, unlabeled = self._pair(rng)
-        first = uniform_coupling(data, unlabeled.features)
+        first = uniform_coupling(data, unlabeled)
         relabeled = LabeledDataset(data.features.copy(), 1 - data.labels)
-        again = uniform_coupling(relabeled, unlabeled.features.copy().tolist())
+        again = uniform_coupling(relabeled, unlabeled.copy().tolist())
         assert again is first
         search, _ = held_out_halves(unlabeled)
-        assert not search.features.flags.c_contiguous
-        half = uniform_coupling(data, search.features)
-        assert uniform_coupling(data, np.ascontiguousarray(search.features)) is half
+        assert not search.flags.c_contiguous
+        half = uniform_coupling(data, search)
+        assert uniform_coupling(data, np.ascontiguousarray(search)) is half
         assert transport_solves == [(9, 4), (5, 4)]
 
     def test_a_changed_support_is_solved_again(self, transport_solves):
         rng = make_rng(61)
         data, unlabeled = self._pair(rng)
-        first = uniform_coupling(data, unlabeled.features)
-        moved = unlabeled.features.copy()
+        first = uniform_coupling(data, unlabeled)
+        moved = unlabeled.copy()
         moved[0, 0] += 0.5
         second = uniform_coupling(data, moved)
         assert second is not first
@@ -608,19 +607,19 @@ class TestUniformCoupling:
     def test_more_pairs_than_are_kept_evict_the_oldest(self, transport_solves):
         rng = make_rng(62)
         pairs = [self._pair(rng) for _ in range(oracle.COUPLINGS_KEPT + 1)]
-        couplings = [uniform_coupling(data, u.features) for data, u in pairs]
+        couplings = [uniform_coupling(data, u) for data, u in pairs]
         assert len(transport_solves) == oracle.COUPLINGS_KEPT + 1
         # the newest pairs are still kept; the oldest one was dropped
         for (data, u), coupling in list(zip(pairs, couplings))[1:]:
-            assert uniform_coupling(data, u.features) is coupling
+            assert uniform_coupling(data, u) is coupling
         assert len(transport_solves) == oracle.COUPLINGS_KEPT + 1
         data, u = pairs[0]
-        assert uniform_coupling(data, u.features) is not couplings[0]
+        assert uniform_coupling(data, u) is not couplings[0]
         assert len(transport_solves) == oracle.COUPLINGS_KEPT + 2
 
     def test_the_kept_cells_are_read_only(self):
         data, unlabeled = self._pair(make_rng(63))
-        coupling = uniform_coupling(data, unlabeled.features)
+        coupling = uniform_coupling(data, unlabeled)
         with pytest.raises(ValueError):
             coupling.supports[0] = 0
 
@@ -693,7 +692,7 @@ class TestDualityGap:
     def test_singleton_gap_vanishes(self):
         x0 = np.array([0.7, -0.3, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         report = duality_gap_check(
             np.array([0.5, -1.0, 0.2]),
             data,
@@ -710,9 +709,9 @@ class TestDualityGap:
             n_l = int(rng.integers(1, 4))
             m = int(rng.integers(2, 6))
             data = LabeledDataset(rng.normal(size=(n_l, 3)), rng.integers(0, 2, size=n_l))
-            unlabeled = UnlabeledDataset(rng.normal(size=(m, 3)))
+            unlabeled = rng.normal(size=(m, 3))
             prior = random_prior(rng)
-            eps0 = min_feasible_radius(data, unlabeled.features, prior, COST)
+            eps0 = min_feasible_radius(data, unlabeled, prior, COST)
             eps = eps0 + 0.1
             report = duality_gap_check(
                 rng.normal(size=3), data, unlabeled, prior, eps, COST
@@ -724,7 +723,7 @@ class TestDualityGap:
     def test_boundary_radius_is_flagged_not_asserted(self):
         x0 = np.array([0.5, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         report = duality_gap_check(
             np.zeros(2),
             data,
@@ -738,7 +737,7 @@ class TestDualityGap:
     def test_infeasible_instance_raises_before_solving(self):
         x0 = np.array([0.5, 1.0])
         data = LabeledDataset(x0[None], np.array([1]))
-        unlabeled = UnlabeledDataset(x0[None])
+        unlabeled = x0[None]
         with pytest.raises(InfeasibleRadiusError):
             duality_gap_check(
                 np.zeros(2),
@@ -761,14 +760,14 @@ class TestDualityGap:
             data = LabeledDataset(
                 rng.normal(size=(n_l, dim)), rng.integers(0, 2, size=n_l)
             )
-            unlabeled = UnlabeledDataset(rng.normal(size=(m, dim)))
+            unlabeled = rng.normal(size=(m, dim))
             if rng.integers(0, 2) == 0:
                 share = float(rng.uniform(0.2, 0.8))
                 prior = LabelPrior.point([1.0 - share, share])
             else:
                 prior = random_prior(rng)
             theta = rng.normal(size=dim)
-            eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+            eps_min = min_feasible_radius(data, unlabeled, prior, COST)
             for delta in (0.0, 0.05, 0.5):
                 eps = eps_min + delta
                 report = duality_gap_check(theta, data, unlabeled, prior, eps, COST)
@@ -782,10 +781,10 @@ class TestDualityGap:
 # (labeled, unlabeled, prior)
 DECIDED_ROUTES = {
     "PayoffLp": lambda data, unlabeled, prior, eps: PayoffLp(
-        unlabeled.features, data, prior, eps, COST
+        unlabeled, data, prior, eps, COST
     ),
     "solve_worst_case_lp": lambda data, unlabeled, prior, eps: solve_worst_case_lp(
-        np.ones(data.dim), unlabeled.features, data, prior, eps, COST
+        np.ones(data.dim), unlabeled, data, prior, eps, COST
     ),
     "cutset_solve": lambda data, unlabeled, prior, eps: cutset_solve(
         data, unlabeled, prior, COST, eps
@@ -809,9 +808,9 @@ def test_the_closed_form_radius_decides_feasibility_before_any_lp(
     call = DECIDED_ROUTES[route]
     rng = make_rng(70)
     data = LabeledDataset(rng.normal(size=(6, 2)), rng.integers(0, 2, size=6))
-    unlabeled = UnlabeledDataset(rng.normal(size=(24, 2)))
+    unlabeled = rng.normal(size=(24, 2))
     prior = random_prior(rng)
-    eps_min = min_feasible_radius(data, unlabeled.features, prior, COST)
+    eps_min = min_feasible_radius(data, unlabeled, prior, COST)
     solves = []
     solve = simplex.HighsModel.solve
 

@@ -14,7 +14,7 @@ from drulearn import oracle, simplex
 from drulearn.active import score_dr
 from drulearn.bounds import weak_prior
 from drulearn.dual import cutset_solve
-from drulearn.model import LabeledDataset, TransportCost, UnlabeledDataset
+from drulearn.model import LabeledDataset, TransportCost
 from drulearn.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -303,10 +303,10 @@ class TestSetCosts:
     def _instance(self, seed):
         rng = np.random.default_rng(seed)
         data = LabeledDataset(rng.normal(size=(10, 3)), np.arange(10) % 2)
-        unlabeled = UnlabeledDataset(rng.normal(size=(36, 3)))
+        unlabeled = rng.normal(size=(36, 3))
         prior = weak_prior(data)
         eps = oracle.min_feasible_radius(
-            data, unlabeled.features, prior, TransportCost()
+            data, unlabeled, prior, TransportCost()
         ) + 0.2
         return data, unlabeled, prior, eps
 
@@ -330,10 +330,10 @@ class TestSetCosts:
 
         def run():
             model = oracle.PayoffLp(
-                unlabeled.features, data, prior, eps, TransportCost()
+                unlabeled, data, prior, eps, TransportCost()
             )
             for target in (0, 5, 3, 17, 35, 5):
-                score_dr(model, unlabeled.features, target, theta)
+                score_dr(model, unlabeled, target, theta)
 
         runs = [
             self._solves(monkeypatch, model_class, run)
