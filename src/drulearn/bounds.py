@@ -1,21 +1,23 @@
 """Finite-sample performance guarantees and radius-selection policies.
 
-Turns a dual point into a certified lower bound on out-of-sample likelihood
-(`performance_bound`), certifies a trained classifier with multipliers
-searched on one half of the unlabeled sample and evaluated on the other
-(`certify`), builds the label prior a config sets (`configured_prior`: the
-Clopper-Pearson box of `weak_prior` or a strong `LabelPrior.point`), and
-picks the ambiguity radius by the config's policy (`select_radius`).  Both
-read a checked `config.ExperimentConfig`; neither checks a key again.
+Turns a dual point, its multiplier vector priced on a `model.CellLayout` of
+the unlabeled sample at the classifier's weights, into a certified lower
+bound on out-of-sample likelihood (`performance_bound`), certifies a trained
+classifier with multipliers searched on one half of the unlabeled sample and
+evaluated on the other (`certify`), builds the label prior a config sets
+(`configured_prior`: the Clopper-Pearson box of `weak_prior` or a strong
+`LabelPrior.point`), and picks the ambiguity radius by the config's policy
+(`select_radius`).  Both read a checked `config.ExperimentConfig`; neither
+checks a key again.
 
 The multiplier search (`search_multipliers`) moves the multiplier vector
-itself (`model.multiplier_parts`): L-BFGS-B's iterate, the smoothed
-kernel's gradient and each stage's `dual.DualState` share its layout.  It
-builds one `model.CellLayout` of its sample and reads every evaluation from
-it, smoothed or exact.  Its
-smoothed kernel sends the scaled cells at or below `EXP_ZERO` to -inf
-before the exponential; `np.exp` is exactly +0.0 there either way, so the
-floor changes no bit, only the cost of numpy's slow path below about -708.
+itself (`model.multiplier_parts`): L-BFGS-B's iterate, the smoothed kernel's
+gradient and each stage's result share its layout.  It reads every
+evaluation, smoothed or exact, from the one layout of its sample that
+`certify` builds.  Its smoothed kernel sends the scaled cells at or below
+`EXP_ZERO` to -inf before the exponential; `np.exp` is exactly +0.0 there
+either way, so the floor changes no bit, only the cost of numpy's slow path
+below about -708.
 
 The search runs L-BFGS-B through `kernels.lbfgsb`, the loop that scipy
 1.17's `minimize(method="L-BFGS-B")` runs around L-BFGS-B's compiled
@@ -58,14 +60,7 @@ from .config import (
     PRIOR_STRONG,
     ExperimentConfig,
 )
-from .dual import (
-    DualState,
-    cutset_solve,
-    layout_max_values,
-    linear_part,
-    dual_objective,
-    objective_of_values,
-)
+from .dual import DualState, cutset_solve, dual_objective, linear_part
 from .kernels import betaincinv, lbfgsb
 from .model import (
     N_CLASSES,
@@ -153,35 +148,23 @@ def normal_correction(values, z_score: float = DEFAULT_Z_SCORE) -> float:
 
 
 def performance_bound(
-    state: DualState,
-    data: LabeledDataset,
-    unlabeled,
+    multipliers,
+    layout: CellLayout,
     prior: LabelPrior,
     eps: float,
-    cost: TransportCost,
     z_score: float = DEFAULT_Z_SCORE,
 ) -> PerformanceBound:
-    """Certify a likelihood lower bound from any feasible dual state.
+    """Certify a likelihood lower bound from any feasible multiplier vector,
+    priced on `layout`, the `model.CellLayout` of the unlabeled sample at
+    the classifier's weights.
 
     The negative-log bound is the dual objective itself, valid for every
     distribution in the decision set; the correction accounts for the
-    unlabeled sample, the (m, d) feature matrix `unlabeled`, being finite.
+    unlabeled sample being finite.
     """
-    layout = CellLayout(
-        both_class_losses(state.theta, unlabeled), pair_costs(unlabeled, data, cost)
-    )
-    return PerformanceBound.from_terms(
-        *_certificate_terms(state, layout, prior, eps, z_score)
-    )
-
-
-def _certificate_terms(state, layout, prior, eps, z_score):
-    """`performance_bound`'s negative-log bound and correction at `state`,
-    priced on `layout`, which holds the losses at `state.theta`."""
-    values = layout_max_values(state, layout)
-    neg_log = objective_of_values(state, values, prior, eps)
-    correction = normal_correction(values, z_score)
-    return neg_log, correction
+    values = layout.cells(multipliers).max(axis=1)
+    neg_log = float(linear_part(multipliers, prior, eps) + values.mean())
+    return PerformanceBound.from_terms(neg_log, normal_correction(values, z_score))
 
 
 def _smoothed_bound(multipliers, layout, prior, eps, z_score, tau):
@@ -228,30 +211,29 @@ def _smoothed_bound(multipliers, layout, prior, eps, z_score, tau):
 
 
 def search_multipliers(
-    state: DualState,
-    data: LabeledDataset,
-    unlabeled,
+    multipliers,
+    layout: CellLayout,
     prior: LabelPrior,
     eps: float,
-    cost: TransportCost,
     z_score: float = DEFAULT_Z_SCORE,
-) -> DualState:
-    """The dual point at `state.theta` with the smallest certificate on
-    `unlabeled` among those the search visits.
+):
+    """The multiplier vector with the smallest certificate on `layout`
+    among those the search visits.
 
     Every dual point gives a valid certificate, dual objective plus
     correction, so this minimizes that sum over the multipliers: L-BFGS-B
     on its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
-    turn.  The first stage starts at `state` or at the origin (zero
+    turn.  The first stage starts at `multipliers` or at the origin (zero
     transport price, potentials and label multipliers, a dual point that
-    depends on no solver), whichever its smoothing prices lower, `state`
-    on a tie; each later stage starts where the one before stopped.
-    `state` and the point returned at each tau are priced exactly as
-    `performance_bound` prices them, and the best is returned, so the
-    result is never worse than `state` on `unlabeled`.  Every evaluation,
-    smoothed or exact, reads one `CellLayout` of `unlabeled`, built here.
-    The multipliers are fitted to `unlabeled`, so its correction there is
-    optimistic; `certify` evaluates them on other points.
+    depends on no solver), whichever its smoothing prices lower,
+    `multipliers` on a tie; each later stage starts where the one before
+    stopped, and L-BFGS-B keeps every iterate's price and label multipliers
+    nonnegative.  `multipliers` and the point returned at each tau are
+    priced by `performance_bound` on `layout`, the one layout every
+    evaluation, smoothed or exact, reads, and the best is returned, so the
+    result is never worse than `multipliers` there.  The multipliers are
+    fitted to the layout's sample, so its correction there is optimistic;
+    `certify` evaluates them on other points.
 
     The schedule stops at tau = 1e-2, so a search can end up to
     1e-2 * log(2 * n_labeled) above the best certificate where the
@@ -259,21 +241,17 @@ def search_multipliers(
     0.037 at 20 atoms).  The worst-case LP's multipliers, which `certify`
     is given, certify theta = 0 exactly and are kept as a candidate.
     """
-    theta, multipliers = state.theta, state.multipliers
-    layout = CellLayout(
-        both_class_losses(theta, unlabeled), pair_costs(unlabeled, data, cost)
-    )
     # the price and the label multipliers are nonnegative, the potentials free
     lower = np.zeros_like(multipliers)
     _, potentials, _, _ = multiplier_parts(lower)
     potentials[:] = -np.inf
     # the origin is a dual point too; start at it when the first stage
-    # prices it strictly lower than `state`
+    # prices it strictly lower than `multipliers`
     origin = np.zeros_like(multipliers)
     first = (layout, prior, eps, z_score, SMOOTHING_SCHEDULE[0])
+    points = [multipliers]
     if _smoothed_bound(origin, *first)[0] < _smoothed_bound(multipliers, *first)[0]:
         multipliers = origin
-    points = [state]
     for tau in SMOOTHING_SCHEDULE:
         # each run returns a new array that no later run writes to
         multipliers, _ = lbfgsb(
@@ -283,16 +261,15 @@ def search_multipliers(
             (layout, prior, eps, z_score, tau),
             **SEARCH_OPTIONS,
         )
-        points.append(DualState(theta, multipliers))
-    certificates = [
-        _certificate_terms(point, layout, prior, eps, z_score) for point in points
-    ]
-    return points[int(np.argmin([neg_log + corr for neg_log, corr in certificates]))]
+        points.append(multipliers)
+    priced = [performance_bound(point, layout, prior, eps, z_score) for point in points]
+    return points[int(np.argmin([p.neg_log_bound + p.correction for p in priced]))]
 
 
 def held_out_halves(unlabeled):
-    """Split the unlabeled feature matrix into alternate rows: the even
-    positions (the search half) and the odd positions (the held-out half)."""
+    """Split an array of per-point rows (the unlabeled feature matrix, or
+    its losses or transport costs) into alternate rows: the even positions
+    (the search half) and the odd positions (the held-out half)."""
     return unlabeled[0::2], unlabeled[1::2]
 
 
@@ -308,28 +285,37 @@ def certify(
     """Certificate at `state.theta` whose multipliers are chosen on one half
     of the unlabeled sample and evaluated on the other.
 
-    `search_multipliers` picks the multipliers on the search half of
-    `held_out_halves`, starting at `state`, and `performance_bound`
-    evaluates them on the held-out half, which played no part in the
-    choice.  `neg_log_bound` is the dual objective at `state` over the
-    whole sample: the exact worst case when `state` carries the worst-case
-    LP's multipliers, as `cutset_solve` returns it.  The likelihood bound
-    is exp(-max(neg_log_bound, held-out certificate)), so it never claims
-    more than the sample's own worst case, and `correction` is the excess.
+    The sample's losses at `state.theta` and its transport costs are built
+    once; the search and held-out layouts are their `held_out_halves` rows,
+    bit for bit the arrays built on each half.  `search_multipliers` picks
+    the multipliers on the search half, starting at `state`'s, and
+    `performance_bound` evaluates them on the held-out half, which played
+    no part in the choice.  `DualState` checks that the chosen point's price
+    and label multipliers are nonnegative, as L-BFGS-B's bounds keep them.
+    `neg_log_bound` is the dual objective at `state` over the whole sample:
+    the exact worst case when `state` carries the worst-case LP's
+    multipliers, as `cutset_solve` returns it.  The likelihood bound is
+    exp(-max(neg_log_bound, held-out certificate)), so it never claims more
+    than the sample's own worst case, and `correction` is the excess.
     Needs two points in each half, one without a correction.
     """
     if len(unlabeled) < (4 if z_score > 0.0 else 2):
         raise ValueError(
             "certify needs two unlabeled points per half (one at z_score 0)"
         )
-    search, held_out = held_out_halves(unlabeled)
+    losses = both_class_losses(state.theta, unlabeled)
+    costs = pair_costs(unlabeled, data, cost)
+    # the whole sample is priced first, so its layout is freed before the search
+    neg_log = dual_objective(state.multipliers, CellLayout(losses, costs), prior, eps)
+    search, held_out = map(CellLayout, held_out_halves(losses), held_out_halves(costs))
     # the search half's own minimal radius can exceed eps; its decision set
     # is then empty and its dual has no minimum, so the search runs at that
     # minimal radius instead
-    search_eps = max(eps, min_feasible_radius(data, search, prior, cost))
-    point = search_multipliers(state, data, search, prior, search_eps, cost, z_score)
-    check = performance_bound(point, data, held_out, prior, eps, cost, z_score)
-    neg_log = dual_objective(state, data, unlabeled, prior, eps, cost)
+    search_features, _ = held_out_halves(unlabeled)
+    search_eps = max(eps, min_feasible_radius(data, search_features, prior, cost))
+    point = search_multipliers(state.multipliers, search, prior, search_eps, z_score)
+    DualState(state.theta, point)  # checks the price and label multipliers
+    check = performance_bound(point, held_out, prior, eps, z_score)
     excess = max(check.neg_log_bound + check.correction - neg_log, 0.0)
     return PerformanceBound.from_terms(neg_log, excess)
 

@@ -140,6 +140,27 @@ def _build_instance(
     return Instance(labeled, unlabeled, table, prior, cost)
 
 
+def _require_certifiable(config: ExperimentConfig, table: LabeledDataset, grid=()):
+    """Reject, before any trial, a labeled size in force (`n_labeled`, or
+    each `grid` entry) above the table size or leaving `bounds.certify`
+    fewer unlabeled rows than it needs: 4, or 2 at z_score 0."""
+    key = "n_labeled_grid" if grid else "n_labeled"
+    needed = 4 if config.z_score > 0.0 else 2
+    full = config.unlabeled_mode == UNLABELED_FULL
+    for n_labeled in grid or (config.n_labeled,):
+        if n_labeled > table.n:
+            raise ConfigError(
+                f"{key} must not exceed the table size {table.n}, got {n_labeled}"
+            )
+        rows = table.n if full else table.n - n_labeled
+        if rows < needed:
+            raise ConfigError(
+                f"{key} = {n_labeled} on a table of {table.n} rows with "
+                f"unlabeled_mode = {config.unlabeled_mode} leaves {rows} "
+                f"unlabeled rows; certify needs at least {needed}"
+            )
+
+
 def _require_unlabeled(instance: Instance):
     if instance.unlabeled is None:
         raise ValueError(
@@ -223,7 +244,9 @@ def _theta_columns(theta):
 
 
 def _run_train_dru(config: ExperimentConfig):
-    instance = _build_instance(config, _load_table(config), config.seed)
+    table = _load_table(config)
+    _require_certifiable(config, table)
+    instance = _build_instance(config, table, config.seed)
     eps = _resolve_eps(config, instance)
     result, report = _certify_instance(config, instance, eps)
     row = {
@@ -315,6 +338,7 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
 
 def _run_bound_experiment(config: ExperimentConfig):
     table = _load_table(config)
+    _require_certifiable(config, table, config.n_labeled_grid)
     grid = config.n_labeled_grid or (config.n_labeled,)
     rows, errors = [], []
     for n_labeled in grid:
@@ -344,6 +368,7 @@ def _run_radius_sweep(config: ExperimentConfig):
     table = _load_table(config)
     if not config.eps_grid:
         raise ConfigError("a radius sweep requires a nonempty eps_grid")
+    _require_certifiable(config, table)
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
@@ -375,17 +400,18 @@ def _run_robustness_sweep(config: ExperimentConfig):
                 theta = baseline_train(data, eps, cost).theta
                 for delta in map(float, config.delta_grid):
                     # exp(-worst case): the per-sample likelihood of the model
-                    # trained at eps over the ball of radius eps + delta
+                    # trained at eps over the ball of radius eps + delta; its
+                    # log10 is taken from the worst case, as the likelihood
+                    # underflows to 0 past a worst case of about 745
                     _, worst = worst_case_price(theta, data, eps + delta, cost)
-                    likelihood = float(np.exp(-worst))
                     trial_rows.append(
                         {
                             "trial": trial,
                             "seed": split_seed,
                             "eps": eps,
                             "delta": delta,
-                            "worst_case_likelihood": likelihood,
-                            "log10_worst_case_likelihood": float(np.log10(likelihood)),
+                            "worst_case_likelihood": float(np.exp(-worst)),
+                            "log10_worst_case_likelihood": -worst / np.log(10),
                         }
                     )
         except Exception as error:  # noqa: BLE001 - recorded, run continues

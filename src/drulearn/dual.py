@@ -13,13 +13,13 @@ multiplier, one potential per labeled atom, and per-class label multipliers,
 
 Each "cell" pairs one labeled atom with one candidate label; its value at x
 is the logistic loss at the candidate label minus the charges the
-multipliers levy for moving mass there.  All dual points live in
-`DualState`: the weights and one multiplier vector (`model.multiplier_parts`
-names its parts), as the worst-case LP returns it and the certificate search
-moves it.  Every evaluation is batched: a `model.CellLayout` gives the cells
-of a block of points and `max_cell_values` their per-point maxima, from
-which `dual_objective` prices a dual point; `layout_max_values` gives the
-maxima on a layout built once for many dual points.
+multipliers levy for moving mass there.  A dual point is the weights and one
+multiplier vector (`model.multiplier_parts` names its parts), which the
+worst-case LP returns and the certificate search moves; `DualState` holds
+the pair and checks the vector's signs.  It is priced by its multiplier
+vector on a `model.CellLayout` of the unlabeled sample, whose losses fix
+the weights: `dual_objective` takes the layout's per-point maxima, so a
+caller that prices many points on one sample builds its layout once.
 
 Training is exact: `cutset_solve` minimizes the worst-case loss over the
 weights by a cutting-set method over the exact worst-case LP and returns that
@@ -175,14 +175,6 @@ class SolveResult:
     trace: list = field(default_factory=list)
 
 
-def _max_cells(cells):
-    """Rowwise maximum of the flat cells (`CellLayout.cells`) and its first
-    (atom-major) maximizer's atom and label."""
-    arg = np.argmax(cells, axis=1)
-    values = cells[np.arange(cells.shape[0]), arg]
-    return values, arg // N_CLASSES, arg % N_CLASSES
-
-
 def linear_part(multipliers, prior, eps):
     """The dual objective's terms that are linear in the multipliers."""
     alpha, potentials, upper, lower = multiplier_parts(multipliers)
@@ -194,39 +186,12 @@ def linear_part(multipliers, prior, eps):
     )
 
 
-def max_cell_values(state: DualState, data: LabeledDataset, features, cost: TransportCost):
-    """Per-point inner maxima over all cells, for a block of feature rows."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    layout = CellLayout(
-        both_class_losses(state.theta, features), pair_costs(features, data, cost)
-    )
-    return layout_max_values(state, layout)
-
-
-def layout_max_values(state: DualState, layout: CellLayout):
-    """Per-point inner maxima over the cells of `layout` at `state`'s
-    multipliers; `layout` must hold the losses at `state.theta`."""
-    values, _, _ = _max_cells(layout.cells(state.multipliers))
-    return values
-
-
-def dual_objective(
-    state: DualState,
-    data: LabeledDataset,
-    unlabeled,
-    prior: LabelPrior,
-    eps: float,
-    cost: TransportCost,
-):
-    """Full-sample dual objective on the (m, d) unlabeled feature matrix:
-    linear multiplier terms plus mean max cell."""
-    values = max_cell_values(state, data, unlabeled, cost)
-    return objective_of_values(state, values, prior, eps)
-
-
-def objective_of_values(state: DualState, values, prior: LabelPrior, eps: float):
-    """The dual objective at `state` from its per-point maxima `values`."""
-    return float(linear_part(state.multipliers, prior, eps) + values.mean())
+def dual_objective(multipliers, layout: CellLayout, prior: LabelPrior, eps: float):
+    """The dual objective at a multiplier vector, priced on `layout`, which
+    holds the sample's losses at the weights: linear multiplier terms plus
+    the mean over points of the largest cell."""
+    values = layout.cells(multipliers).max(axis=1)
+    return float(linear_part(multipliers, prior, eps) + values.mean())
 
 
 def learning_rate(config: SolverConfig, step: int) -> float:
@@ -297,7 +262,10 @@ def sgd_solve(
         theta, multipliers = params[:dim], params[dim:]
         table = both_class_losses(theta, batch)
         cells = CellLayout(table, pair[idx]).cells(multipliers)
-        values, atom_star, label_star = _max_cells(cells)
+        # the first (atom-major) maximizer gives the active atom and label
+        best_cell = np.argmax(cells, axis=1)
+        values = cells[np.arange(config.batch_size), best_cell]
+        atom_star, label_star = np.divmod(best_cell, N_CLASSES)
         estimate = float(linear_part(multipliers, prior, eps) + values.mean())
         estimates.append(estimate)
 
@@ -342,15 +310,22 @@ def sgd_solve(
                 break
             prev_window_mean = window_mean
 
-    best = DualState(params[:dim], params[dim:])
-    best_value = dual_objective(best, data, unlabeled, prior, eps, cost)
+    # the final iterate or the tail average, whichever prices lower
+    points = [params]
     if config.tail_average and tail_count > 0:
-        tail = tail_sum / tail_count
-        averaged = DualState(tail[:dim], tail[dim:])
-        averaged_value = dual_objective(averaged, data, unlabeled, prior, eps, cost)
-        if averaged_value < best_value:
-            best, best_value = averaged, averaged_value
-    result = SolveResult(status, best, best_value, trace)
+        points.append(tail_sum / tail_count)
+    values = [
+        dual_objective(
+            point[dim:],
+            CellLayout(both_class_losses(point[:dim], unlabeled), pair),
+            prior,
+            eps,
+        )
+        for point in points
+    ]
+    best = int(np.argmin(values))
+    state = DualState(points[best][:dim], points[best][dim:])
+    result = SolveResult(status, state, values[best], trace)
 
     if config.trace_path is not None:
         with open(config.trace_path, "w", newline="") as handle:
@@ -531,7 +506,10 @@ def duality_gap_check(
     primal = solve_worst_case_lp(theta, unlabeled, data, prior, eps, cost)
     eps0 = min_feasible_radius(data, unlabeled, prior, cost)
     state = DualState(theta, primal.multipliers)
-    dual = dual_objective(state, data, unlabeled, prior, eps, cost)
+    layout = CellLayout(
+        both_class_losses(theta, unlabeled), pair_costs(unlabeled, data, cost)
+    )
+    dual = dual_objective(state.multipliers, layout, prior, eps)
     return DualityGapReport(
         primal=primal.value,
         dual=dual,

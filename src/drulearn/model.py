@@ -23,9 +23,11 @@ Conventions used across the package:
   multipliers' charges) sit next to the transport costs they charge for
   (`pair_costs`), in the same (point, atom, label) layout.  `CellLayout`
   holds a block's losses and costs in that layout, flattened, and is the one
-  place the cells are built: a caller that prices many dual points on one
-  block (the certificate search) builds it once, and the worst-case LP's
-  pricing and the stochastic dual solver build one per payoff or batch.
+  place the cells are built.  A dual point is priced by its multiplier
+  vector on a layout, whose losses already fix the weights: `certify` builds
+  its sample's losses and costs once and prices every point on their rows,
+  and the worst-case LP's pricing and the stochastic dual solver build one
+  layout per payoff or batch.
 """
 
 from __future__ import annotations

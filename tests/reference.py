@@ -22,6 +22,8 @@ from scipy.optimize import linprog
 from drulearn import oracle
 from drulearn.model import (
     N_CLASSES,
+    CellLayout,
+    TransportCost,
     both_class_losses,
     make_rng,
     pair_costs,
@@ -38,6 +40,15 @@ def stacked(price, potentials, upper, lower):
     """The multiplier vector of these parts, in `model.multiplier_parts`'
     order."""
     return np.concatenate([[price], potentials, upper, lower])
+
+
+def sample_layout(theta, data, features, cost=TransportCost()):
+    """The `model.CellLayout` on which a dual point at the weights `theta`
+    is priced: the (n, d) feature matrix's losses and its transport costs
+    to the labeled atoms of `data`."""
+    return CellLayout(
+        both_class_losses(theta, features), pair_costs(features, data, cost)
+    )
 
 
 def transport_cost(x1, y1, x2, y2, cost):

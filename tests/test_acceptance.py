@@ -61,6 +61,7 @@ from reference import (
     feasible_distributions,
     full_lp_reference,
     min_feasible_radius_bisect,
+    sample_layout,
     stacked,
 )
 
@@ -257,7 +258,11 @@ def test_certificate_lower_bounds_every_feasible_distribution():
         unlabeled = support
         result = cutset_solve(labeled, unlabeled, prior, COST, eps)
         bound = performance_bound(
-            result.state, labeled, unlabeled, prior, eps, COST, z_score=0.0
+            result.state.multipliers,
+            sample_layout(result.theta, labeled, unlabeled),
+            prior,
+            eps,
+            z_score=0.0,
         )
         theta = result.state.theta
         for dist in feasible_distributions(
@@ -280,12 +285,10 @@ def test_certificate_lower_bounds_every_feasible_distribution():
     )
     flat_data = LabeledDataset(np.ones((2, 3)), np.array([0, 1]))
     flat_bound = performance_bound(
-        zeros,
-        flat_data,
-        np.ones((2, 3)),
+        zeros.multipliers,
+        sample_layout(zeros.theta, flat_data, np.ones((2, 3))),
         LabelPrior(np.zeros(2), np.ones(2)),
         1.0,
-        COST,
         z_score=0.0,
     )
     assert flat_bound.likelihood_bound == 0.5
@@ -329,7 +332,10 @@ def test_marginal_constraints_keep_certificates_where_the_ball_collapses():
             np.median(confidence(constrained.state.theta, table.features))
         )
         certificate = performance_bound(
-            constrained.state, labeled, unlabeled, class_balance, eps, COST,
+            constrained.state.multipliers,
+            sample_layout(constrained.theta, labeled, unlabeled),
+            class_balance,
+            eps,
             z_score=0.0,
         )
         constrained_strong = (

@@ -1,6 +1,5 @@
 """Tests for the guarantees module: bounds, intervals, priors, radius policies."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -44,7 +43,6 @@ from drulearn.dual import (
     cutset_solve,
     dual_objective,
     linear_part,
-    max_cell_values,
 )
 from drulearn.kernels import SparseRows, lbfgsb, slsqp
 from drulearn.model import (
@@ -69,6 +67,7 @@ from reference import (
     feasible_distributions,
     flat_smoothed_bound,
     on_layout,
+    sample_layout,
     stacked,
 )
 
@@ -146,7 +145,8 @@ class TestPerformanceBound:
             np.zeros(data.dim), stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
         )
         bound = performance_bound(
-            state, data, unlabeled, prior, 0.5, COST, z_score=0.0
+            state.multipliers, sample_layout(state.theta, data, unlabeled), prior, 0.5,
+            z_score=0.0,
         )
         assert bound.neg_log_bound == LOG2
         assert bound.likelihood_bound == 0.5
@@ -161,7 +161,8 @@ class TestPerformanceBound:
             np.zeros(data.dim), stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
         )
         bound = performance_bound(
-            state, data, unlabeled, prior, 0.5, COST, z_score=1.96
+            state.multipliers, sample_layout(state.theta, data, unlabeled), prior, 0.5,
+            z_score=1.96,
         )
         assert bound.correction == 0.0
         assert bound.likelihood_bound == 0.5
@@ -171,9 +172,10 @@ class TestPerformanceBound:
         data, unlabeled, prior = random_instance(rng, n_labeled=4, n_unlabeled=6)
         state = random_state(rng, data.dim, data.n)
         eps = 0.7
-        bound = performance_bound(state, data, unlabeled, prior, eps, COST)
+        layout = sample_layout(state.theta, data, unlabeled)
+        bound = performance_bound(state.multipliers, layout, prior, eps)
         assert bound.neg_log_bound == dual_objective(
-            state, data, unlabeled, prior, eps, COST
+            state.multipliers, layout, prior, eps
         )
         assert bound.likelihood_bound == min(
             1.0, math.exp(-(bound.neg_log_bound + bound.correction))
@@ -183,8 +185,9 @@ class TestPerformanceBound:
         rng = make_rng(5)
         data, unlabeled, prior = random_instance(rng, n_labeled=3, n_unlabeled=8)
         state = random_state(rng, data.dim, data.n)
-        bound = performance_bound(state, data, unlabeled, prior, 0.4, COST)
-        values = max_cell_values(state, data, unlabeled, COST)
+        layout = sample_layout(state.theta, data, unlabeled)
+        bound = performance_bound(state.multipliers, layout, prior, 0.4)
+        values = layout.cells(state.multipliers).max(axis=1)
         assert bound.correction == normal_correction(values, 1.96)
 
     def test_likelihood_is_clamped_at_one_for_negative_objectives(self):
@@ -199,8 +202,9 @@ class TestPerformanceBound:
             theta=np.zeros(2),
             multipliers=stacked(10.0, np.zeros(1), np.array([0.0, 10.0]), np.zeros(2)),
         )
-        assert dual_objective(state, data, unlabeled, prior, 0.0, COST) < 0
-        bound = performance_bound(state, data, unlabeled, prior, 0.0, COST)
+        layout = sample_layout(state.theta, data, unlabeled)
+        assert dual_objective(state.multipliers, layout, prior, 0.0) < 0
+        bound = performance_bound(state.multipliers, layout, prior, 0.0)
         assert bound.likelihood_bound == 1.0
         assert not bound.vacuous
 
@@ -226,7 +230,8 @@ class TestBoundValidity:
             ) + rng.uniform(0.2, 1.0)
             state = random_state(rng, data.dim, data.n, scale=0.8)
             bound = performance_bound(
-                state, data, unlabeled, prior, eps, COST, z_score=0.0
+                state.multipliers, sample_layout(state.theta, data, unlabeled), prior,
+                eps, z_score=0.0,
             )
             candidates = feasible_distributions(
                 data, unlabeled, prior, eps, COST, count=5, seed=trial
@@ -245,7 +250,8 @@ class TestBoundValidity:
         eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.4
         result = cutset_solve(data, unlabeled, prior, COST, eps)
         bound = performance_bound(
-            result.state, data, unlabeled, prior, eps, COST, z_score=0.0
+            result.state.multipliers, sample_layout(result.theta, data, unlabeled),
+            prior, eps, z_score=0.0,
         )
         for mu in feasible_distributions(
             data, unlabeled, prior, eps, COST, count=6, seed=3
@@ -272,7 +278,8 @@ class TestBoundValidity:
             )
             state = DualState(theta, exact.multipliers)
             bound = performance_bound(
-                state, data, unlabeled, prior, base + bump, COST, z_score=0.0
+                state.multipliers, sample_layout(theta, data, unlabeled), prior,
+                base + bump, z_score=0.0,
             )
             likelihoods.append(bound.likelihood_bound)
         assert likelihoods[1] <= likelihoods[0] + 2e-3
@@ -556,6 +563,40 @@ class TestExpFloor:
 
 
 class TestCertify:
+    def test_half_layouts_are_bitwise_those_built_on_each_half(self, monkeypatch):
+        # certify builds one loss table and one cost tensor for the whole
+        # sample and takes its search and held-out layouts from their rows;
+        # each is, bit for bit, the layout built on that half's features
+        built = []
+
+        class Recording(CellLayout):
+            def __init__(self, loss_table, pair_costs):
+                super().__init__(loss_table, pair_costs)
+                built.append(self)
+
+        monkeypatch.setattr(bounds, "CellLayout", Recording)
+        rng = make_rng(50)
+        for index in range(60):
+            n_l, dim = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            data, unlabeled, prior = random_instance(
+                rng, n_l, int(rng.integers(4, 41)), dim
+            )
+            state = random_state(rng, dim, n_l, scale=2.0)
+            eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.1
+            built.clear()
+            certify(state, data, unlabeled, prior, eps, COST)
+            search, held_out = held_out_halves(unlabeled)
+            expected = [
+                sample_layout(state.theta, data, features)
+                for features in (unlabeled, search, held_out)
+            ]
+            assert len(built) == len(expected), index
+            for layout, reference in zip(built, expected):
+                for name in ("losses", "costs", "atom", "label"):
+                    mine, theirs = getattr(layout, name), getattr(reference, name)
+                    assert mine.shape == theirs.shape, (index, name)
+                    assert bits(mine) == bits(theirs), (index, name)
+
     def test_search_starts_agree(self):
         # zeros, the LP multipliers and a random point lead to the same
         # certificate on the search half, on instances whose trained
@@ -572,11 +613,12 @@ class TestCertify:
                 result.state,
                 random_start(make_rng(seed), result.theta, data.n),
             )
+            layout = sample_layout(result.theta, data, search)
             values = [
                 corrected(
                     performance_bound(
-                        search_multipliers(start, data, search, prior, eps, COST),
-                        data, search, prior, eps, COST,
+                        search_multipliers(start.multipliers, layout, prior, eps),
+                        layout, prior, eps,
                     )
                 )
                 for start in starts
@@ -605,14 +647,13 @@ class TestCertify:
             return kernel(*args)
 
         monkeypatch.setattr(bounds, "_smoothed_bound", counting)
+        layout = sample_layout(result.theta, data, search)
         counts, values = [], []
         for start in (result.state, zero_start(result.theta, data.n)):
             calls.clear()
-            point = search_multipliers(start, data, search, prior, eps, COST)
+            point = search_multipliers(start.multipliers, layout, prior, eps)
             counts.append(len(calls))
-            values.append(
-                corrected(performance_bound(point, data, search, prior, eps, COST))
-            )
+            values.append(corrected(performance_bound(point, layout, prior, eps)))
         assert counts[0] <= counts[1]
         assert values[0] == pytest.approx(values[1], abs=1e-6)
 
@@ -625,33 +666,30 @@ class TestCertify:
         np.testing.assert_array_equal(result.theta, np.zeros(data.dim))
         at_lp = certify(result.state, data, unlabeled, prior, eps, COST)
         assert corrected(at_lp) == pytest.approx(LOG2, abs=1e-12)
+        layout = sample_layout(result.theta, data, unlabeled)
         far = search_multipliers(
-            random_start(make_rng(4), result.theta, data.n),
-            data, unlabeled, prior, eps, COST,
+            random_start(make_rng(4), result.theta, data.n).multipliers,
+            layout, prior, eps,
         )
         floor = SMOOTHING_SCHEDULE[-1] * math.log(N_CLASSES * data.n)
-        value = corrected(performance_bound(far, data, unlabeled, prior, eps, COST))
+        value = corrected(performance_bound(far, layout, prior, eps))
         assert LOG2 - 1e-12 <= value <= LOG2 + floor
 
     def test_search_never_raises_the_certificate_on_its_own_sample(self):
         for seed in (1, 2, 3):
             data, unlabeled, prior, eps, result = trained_instance(seed)
-            searched = search_multipliers(
-                result.state, data, unlabeled, prior, eps, COST
-            )
+            layout = sample_layout(result.theta, data, unlabeled)
+            multipliers = result.state.multipliers
+            searched = search_multipliers(multipliers, layout, prior, eps)
             assert corrected(
-                performance_bound(searched, data, unlabeled, prior, eps, COST)
-            ) <= corrected(
-                performance_bound(result.state, data, unlabeled, prior, eps, COST)
-            )
+                performance_bound(searched, layout, prior, eps)
+            ) <= corrected(performance_bound(multipliers, layout, prior, eps))
             # without a correction the search cannot beat the LP's own
             # multipliers, which attain the exact worst case
-            exact = search_multipliers(
-                result.state, data, unlabeled, prior, eps, COST, z_score=0.0
+            exact = search_multipliers(multipliers, layout, prior, eps, z_score=0.0)
+            assert dual_objective(exact, layout, prior, eps) == pytest.approx(
+                result.upper, abs=1e-6
             )
-            assert dual_objective(
-                exact, data, unlabeled, prior, eps, COST
-            ) == pytest.approx(result.upper, abs=1e-6)
 
     def test_certificate_evaluates_the_searched_point_on_the_held_out_half(self):
         for seed in (1, 3):
@@ -659,11 +697,16 @@ class TestCertify:
             search, held_out = held_out_halves(unlabeled)
             np.testing.assert_array_equal(search, unlabeled[0::2])
             np.testing.assert_array_equal(held_out, unlabeled[1::2])
-            point = search_multipliers(result.state, data, search, prior, eps, COST)
-            check = performance_bound(point, data, held_out, prior, eps, COST)
+            multipliers = result.state.multipliers
+            point = search_multipliers(
+                multipliers, sample_layout(result.theta, data, search), prior, eps
+            )
+            check = performance_bound(
+                point, sample_layout(result.theta, data, held_out), prior, eps
+            )
             bound = certify(result.state, data, unlabeled, prior, eps, COST)
             assert bound.neg_log_bound == dual_objective(
-                result.state, data, unlabeled, prior, eps, COST
+                multipliers, sample_layout(result.theta, data, unlabeled), prior, eps
             )
             assert bound.neg_log_bound == pytest.approx(result.upper, abs=1e-6)
             assert corrected(bound) == pytest.approx(
@@ -714,22 +757,20 @@ class TestCertify:
         for seed in (1, 2, 3, 4):
             data, unlabeled, prior, eps, result = trained_instance(seed)
             search, _ = held_out_halves(unlabeled)
+            layout = sample_layout(result.theta, data, search)
             for start in (
                 result.state,
                 random_start(make_rng(seed), result.theta, data.n),
             ):
-                point = search_multipliers(start, data, search, prior, eps, COST)
+                point = search_multipliers(start.multipliers, layout, prior, eps)
                 with monkeypatch.context() as patch:
                     patch.setattr(
                         bounds, "_smoothed_bound", on_layout(flat_smoothed_bound)
                     )
                     reference = search_multipliers(
-                        start, data, search, prior, eps, COST
+                        start.multipliers, layout, prior, eps
                     )
-                for field in dataclasses.fields(DualState):
-                    assert bits(getattr(point, field.name)) == bits(
-                        getattr(reference, field.name)
-                    ), f"seed {seed}, {field.name}"
+                assert bits(point) == bits(reference), f"seed {seed}"
 
     def test_three_stages_certify_no_looser_on_average_than_six(self, monkeypatch):
         # the fine stages fit the search half's noise: on the held-out half,
@@ -781,11 +822,16 @@ class TestCertify:
             features, _ = two_cluster_features(120, 100 + draw)
             unlabeled = features
             search, _ = held_out_halves(unlabeled)
-            point = search_multipliers(result.state, data, search, prior, eps, COST)
+            point = search_multipliers(
+                result.state.multipliers,
+                sample_layout(result.theta, data, search),
+                prior,
+                eps,
+            )
             population_dual = np.mean(
                 [
                     dual_objective(
-                        point, data, chunk, prior, eps, COST
+                        point, sample_layout(result.theta, data, chunk), prior, eps
                     )
                     for chunk in np.split(population, 10)
                 ]
@@ -803,13 +849,6 @@ def search_lower(n_labeled):
     """The search's lower bounds: alpha and the label multipliers are
     nonnegative, the atom potentials free."""
     return np.concatenate([[0.0], np.full(n_labeled, -np.inf), np.zeros(2 * N_CLASSES)])
-
-
-def search_layout(theta, data, search):
-    return CellLayout(
-        both_class_losses(theta, search),
-        pair_costs(search, data, COST),
-    )
 
 
 def minimize_search(params, lower, args, maxiter=SEARCH_OPTIONS["maxiter"]):
@@ -834,7 +873,7 @@ class TestLbfgsbDriver:
         for seed in (1, 2, 3, 4):
             data, unlabeled, prior, eps, result = trained_instance(seed)
             search, _ = held_out_halves(unlabeled)
-            layout = search_layout(result.theta, data, search)
+            layout = sample_layout(result.theta, data, search)
             lower = search_lower(data.n)
             for start in (
                 result.state,
@@ -862,7 +901,7 @@ class TestLbfgsbDriver:
             params[0] = -1.0
             params[-2 * N_CLASSES :] *= -1.0
             assert np.any(params < lower)
-            args = (search_layout(result.theta, data, search), prior, eps, 0.0, 1e-2)
+            args = (sample_layout(result.theta, data, search), prior, eps, 0.0, 1e-2)
             x, evaluations = lbfgsb(
                 bounds._smoothed_bound, params, lower, args, **SEARCH_OPTIONS
             )
@@ -877,7 +916,7 @@ class TestLbfgsbDriver:
         lower = search_lower(data.n)
         params = random_start(make_rng(2), result.theta, data.n).multipliers
         args = (
-            search_layout(result.theta, data, search),
+            sample_layout(result.theta, data, search),
             prior, eps, DEFAULT_Z_SCORE, SMOOTHING_SCHEDULE[-1],
         )
         for maxiter in (1, 2, 5, 12):
@@ -895,20 +934,21 @@ class TestLbfgsbDriver:
             assert evaluations == reference.nfev, maxiter
 
     def test_search_writes_neither_its_start_nor_its_result(self):
-        # a `DualState` holds the multiplier vector it is given, the
-        # search's start and every stage's L-BFGS-B result among them, so
-        # no later stage or search may write to one
+        # the search returns its start or a stage's L-BFGS-B result, and
+        # `certify` keeps it in a `DualState` as given, so no later stage
+        # or search may write to one
         for seed in (1, 2):
             data, unlabeled, prior, eps, result = trained_instance(seed)
             search, _ = held_out_halves(unlabeled)
-            start = random_start(make_rng(seed), result.theta, data.n)
-            started = bits(start.multipliers)
-            point = search_multipliers(start, data, search, prior, eps, COST)
+            layout = sample_layout(result.theta, data, search)
+            start = random_start(make_rng(seed), result.theta, data.n).multipliers
+            started = bits(start)
+            point = search_multipliers(start, layout, prior, eps)
             assert point is not start, f"seed {seed}"
-            found = bits(point.multipliers)
-            search_multipliers(point, data, search, prior, eps, COST)
-            assert bits(start.multipliers) == started, f"seed {seed}"
-            assert bits(point.multipliers) == found, f"seed {seed}"
+            found = bits(point)
+            search_multipliers(point, layout, prior, eps)
+            assert bits(start) == started, f"seed {seed}"
+            assert bits(point) == found, f"seed {seed}"
 
     def test_search_never_calls_minimize(self, monkeypatch):
         data, unlabeled, prior, eps, result = trained_instance(1)
@@ -918,8 +958,11 @@ class TestLbfgsbDriver:
 
         monkeypatch.setattr(scipy.optimize, "minimize", refuse)
         monkeypatch.setattr(scipy.optimize._lbfgsb_py, "_minimize_lbfgsb", refuse)
-        point = search_multipliers(result.state, data, unlabeled, prior, eps, COST)
-        assert point.theta is result.theta
+        point = search_multipliers(
+            result.state.multipliers, sample_layout(result.theta, data, unlabeled),
+            prior, eps,
+        )
+        assert point.shape == result.state.multipliers.shape
         certify(result.state, data, unlabeled, prior, eps, COST)
 
 

@@ -235,8 +235,8 @@ class TestOneShotCommands:
     def test_train_baseline_with_an_empty_remainder_exits_one(
         self, tmp_path, capsys, monkeypatch
     ):
-        # every row drawn leaves no unlabeled sample to score, as train-dru
-        # and the policy radius already report, even with an explicit eps
+        # every row drawn leaves no unlabeled sample to score, as the policy
+        # radius already reports, even with an explicit eps
         def no_fit(*args, **kwargs):
             raise AssertionError("the baseline was fitted")
 
@@ -444,7 +444,8 @@ class TestExitCodes:
 
     # every subcommand on a config it cannot run: a labeled sample larger
     # than the data, a stop_at beyond the pool, or a failing oracle; the
-    # last entry is the number of failed trials, None for a one-shot run
+    # last entry is the number of failed trials, None for a run that fails
+    # once (a one-shot run, or a size check before any trial)
     @pytest.mark.parametrize(
         "command, code, failed",
         [
@@ -452,8 +453,8 @@ class TestExitCodes:
             ("train-baseline", EXIT_USAGE, None),
             ("min-radius", EXIT_USAGE, None),
             ("wasserstein", EXIT_USAGE, None),
-            ("bound", EXIT_USAGE, 2),
-            ("radius-sweep", EXIT_USAGE, 4),
+            ("bound", EXIT_USAGE, None),
+            ("radius-sweep", EXIT_USAGE, None),
             ("robustness-sweep", EXIT_USAGE, 2),
             ("active", EXIT_USAGE, None),
             ("oracle-check", EXIT_NUMERICAL, 2),
@@ -597,6 +598,84 @@ class TestBoundExperiment:
         assert main(["bound", "--config", config]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "command, keys, message",
+        [
+            (
+                "bound",
+                {"synthetic_n": 13, "n_labeled_grid": (10,), "trials": 3},
+                "n_labeled_grid = 10 on a table of 13 rows with unlabeled_mode = "
+                "remainder leaves 3 unlabeled rows; certify needs at least 4",
+            ),
+            (
+                "bound",
+                {"synthetic_n": 13, "n_labeled_grid": (4, 14), "trials": 3},
+                "n_labeled_grid must not exceed the table size 13, got 14",
+            ),
+            (
+                "radius-sweep",
+                {
+                    "synthetic_n": 13,
+                    "n_labeled": 10,
+                    "eps_grid": (2.0, 3.0),
+                    "trials": 2,
+                },
+                "n_labeled = 10 on a table of 13 rows with unlabeled_mode = "
+                "remainder leaves 3 unlabeled rows; certify needs at least 4",
+            ),
+            (
+                "train-dru",
+                {"synthetic_n": 13, "n_labeled": 12, "z_score": 0.0},
+                "n_labeled = 12 on a table of 13 rows with unlabeled_mode = "
+                "remainder leaves 1 unlabeled rows; certify needs at least 2",
+            ),
+            (
+                "train-dru",
+                {"synthetic_n": 3, "n_labeled": 2, "unlabeled_mode": "full"},
+                "n_labeled = 2 on a table of 3 rows with unlabeled_mode = "
+                "full leaves 3 unlabeled rows; certify needs at least 4",
+            ),
+        ],
+        ids=[
+            "bound-grid",
+            "bound-grid-above-table",
+            "radius-sweep",
+            "train-dru-z0",
+            "full",
+        ],
+    )
+    def test_a_sample_too_small_to_certify_fails_once_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, command, keys, message
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "_build_instance", no_trial)
+        out = tmp_path / "small.csv"
+        keys = {"eps": 2.0, "unlabeled_mode": "remainder", **keys}
+        config = write_config(tmp_path, output=str(out), **keys)
+        assert main([command, "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        meta = read_meta(out)
+        assert not [key for key in meta if key.startswith("error_trial_")]
+
+    def test_a_sample_of_the_rows_certify_needs_is_certified(self, tmp_path):
+        # two remainder rows suffice at z_score 0, four otherwise
+        for index, (n_labeled, z_score) in enumerate(((11, 0.0), (9, 1.96))):
+            out = tmp_path / f"edge{index}.csv"
+            config = write_config(
+                tmp_path,
+                output=str(out),
+                eps=2.0,
+                synthetic_n=13,
+                n_labeled=n_labeled,
+                z_score=z_score,
+                unlabeled_mode="remainder",
+            )
+            assert main(["train-dru", "--config", config]) == EXIT_OK
+            assert len(read_rows(out)) == 1
+
     def test_mismatched_kind_is_a_usage_error(self, tmp_path):
         # `kind` is no longer a config key: the subcommand alone decides what
         # a run reports, so a config that still sets it exits 1
@@ -718,15 +797,52 @@ class TestSweeps:
             theta = baseline_train(data, eps, cost).theta
             for delta in delta_grid:
                 _, worst = worst_case_price(theta, data, eps + delta, cost)
-                expected.append([repr(eps), repr(delta), repr(float(np.exp(-worst)))])
+                expected.append(
+                    [
+                        repr(eps),
+                        repr(delta),
+                        repr(float(np.exp(-worst))),
+                        repr(float(-worst / math.log(10))),
+                    ]
+                )
         rows = read_rows(out)
         assert [
-            [row["eps"], row["delta"], row["worst_case_likelihood"]] for row in rows
+            [
+                row["eps"],
+                row["delta"],
+                row["worst_case_likelihood"],
+                row["log10_worst_case_likelihood"],
+            ]
+            for row in rows
         ] == expected
+
+    @pytest.mark.filterwarnings("error")
+    def test_robustness_sweep_gives_a_finite_log10_where_the_likelihood_underflows(
+        self, tmp_path, capsys
+    ):
+        # a worst case past about 745 nats underflows exp(-worst) to 0, whose
+        # log10 was -inf with a RuntimeWarning; the column is -worst / ln 10
+        out = tmp_path / "rob.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            synthetic_n=40,
+            synthetic_separation=3.0,
+            eps_grid=(0.0, 0.01),
+            delta_grid=(0.0, 100.0, 1000.0),
+        )
+        assert main(["robustness-sweep", "--config", config]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert "inf" not in out.read_text()
+        rows = read_rows(out)
+        assert len(rows) == 6
+        likelihoods = [float(row["worst_case_likelihood"]) for row in rows]
+        assert likelihoods.count(0.0) == 3
         for row in rows:
-            likelihood = float(row["worst_case_likelihood"])
-            assert row["log10_worst_case_likelihood"] == repr(
-                float(np.log10(likelihood))
+            log10 = float(row["log10_worst_case_likelihood"])
+            assert math.isfinite(log10)
+            assert math.exp(log10 * math.log(10)) == pytest.approx(
+                float(row["worst_case_likelihood"]), rel=1e-9, abs=0.0
             )
 
     @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from drulearn.dual import (
     SolverConfig,
     cutset_solve,
     dual_objective,
-    max_cell_values,
     sgd_solve,
 )
 from drulearn.model import (
@@ -41,7 +40,7 @@ from drulearn.oracle import (
     min_feasible_radius,
     solve_worst_case_lp,
 )
-from reference import stacked, transport_cost
+from reference import sample_layout, stacked, transport_cost
 
 COST = TransportCost()
 LOG2 = 0.6931471805599453
@@ -134,8 +133,14 @@ def brute_force_max_cells(state, data, features):
 def cells_at(state, data, x):
     """The (n_labeled, 2) cell values at one point, through `CellLayout.cells`."""
     x = np.asarray(x, dtype=float)[None, :]
-    layout = CellLayout(both_class_losses(state.theta, x), pair_costs(x, data, COST))
+    layout = sample_layout(state.theta, data, x)
     return layout.cells(state.multipliers).reshape(data.n, 2)
+
+
+def max_cells(state, data, features):
+    """Per-point inner maxima over the cells of an (n, d) feature matrix."""
+    layout = sample_layout(state.theta, data, features)
+    return layout.cells(state.multipliers).max(axis=1)
 
 
 class TestCellValue:
@@ -152,7 +157,7 @@ class TestCellValue:
                     logistic_loss(theta, x, k), abs=1e-14
                 )
         # the maximum is then the larger of the two labels' losses
-        assert max_cell_values(state, data, x, COST)[0] == pytest.approx(
+        assert max_cells(state, data, x[None])[0] == pytest.approx(
             max(logistic_loss(theta, x, 0), logistic_loss(theta, x, 1)), abs=1e-14
         )
 
@@ -167,7 +172,7 @@ class TestCellValue:
         assert value == pytest.approx(LOG2 - 5.0, abs=1e-12)
         assert value == pytest.approx(-4.306853, abs=1e-6)
         # the flipped cell also pays the flip cost, so this cell is the max
-        assert max_cell_values(state, data, x, COST)[0] == value
+        assert max_cells(state, data, x[None])[0] == value
 
     def test_atom_potential_is_a_flat_charge(self):
         data = LabeledDataset(np.array([[0.0, 0.0]]), np.array([1]))
@@ -176,7 +181,7 @@ class TestCellValue:
         )
         cells = cells_at(state, data, np.array([0.0, 0.0]))
         np.testing.assert_allclose(cells, [[LOG2 - 10.0, LOG2 - 10.0]], atol=1e-12)
-        assert max_cell_values(state, data, np.zeros(2), COST)[0] == pytest.approx(
+        assert max_cells(state, data, np.zeros((1, 2)))[0] == pytest.approx(
             LOG2 - 10.0, abs=1e-12
         )
 
@@ -218,7 +223,7 @@ class TestMaxCell:
         for _ in range(50):
             data, unlabeled, _ = random_instance(rng)
             state = random_state(rng, 3, data.n)
-            values = max_cell_values(state, data, unlabeled, COST)
+            values = max_cells(state, data, unlabeled)
             # matrix/vector dot products may differ in the last ulp
             np.testing.assert_allclose(
                 values,
@@ -253,7 +258,7 @@ class TestCellSubgradients:
 
             def phi(theta, alpha):
                 bumped = DualState(theta, stacked(alpha, potentials, upper, lower))
-                return max_cell_values(bumped, data, x, COST)[0]
+                return max_cells(bumped, data, x[None])[0]
 
             for axis in range(3):
                 bump = np.zeros(3)
@@ -278,7 +283,9 @@ class TestDualObjective:
             theta, stacked(0.0, np.zeros(data.n), np.zeros(2), np.zeros(2))
         )
         expected = both_class_losses(theta, unlabeled).max(axis=1).mean()
-        value = dual_objective(state, data, unlabeled, prior, 0.7, COST)
+        value = dual_objective(
+            state.multipliers, sample_layout(state.theta, data, unlabeled), prior, 0.7
+        )
         assert value == pytest.approx(expected, abs=1e-14)
 
     def test_singleton_equals_the_primal_point_loss(self):
@@ -290,7 +297,9 @@ class TestDualObjective:
         prior = LabelPrior.point([0.0, 1.0])
         theta = np.array([-0.5, 1.0, -0.2])
         state = DualState(theta, stacked(0.0, np.zeros(1), np.zeros(2), np.zeros(2)))
-        value = dual_objective(state, data, unlabeled, prior, 0.0, COST)
+        value = dual_objective(
+            state.multipliers, sample_layout(state.theta, data, unlabeled), prior, 0.0
+        )
         assert value == pytest.approx(logistic_loss(theta, x0, 1), abs=1e-12)
         primal = solve_worst_case_lp(theta, x0[None], data, prior, 0.0, COST)
         assert value == pytest.approx(primal.value, abs=1e-9)
@@ -299,7 +308,9 @@ class TestDualObjective:
         state2 = DualState(
             flipped, stacked(0.0, np.zeros(1), np.zeros(2), np.zeros(2))
         )
-        value2 = dual_objective(state2, data, unlabeled, prior, 0.0, COST)
+        value2 = dual_objective(
+            state2.multipliers, sample_layout(flipped, data, unlabeled), prior, 0.0
+        )
         primal2 = solve_worst_case_lp(flipped, x0[None], data, prior, 0.0, COST)
         assert value2 >= primal2.value - 1e-12
 
@@ -307,13 +318,14 @@ class TestDualObjective:
         rng = make_rng(6)
         data, unlabeled, prior = random_instance(rng)
         state = random_state(rng, 3, data.n)
-        base = dual_objective(state, data, unlabeled, prior, 0.5, COST)
+        layout = sample_layout(state.theta, data, unlabeled)
+        base = dual_objective(state.multipliers, layout, prior, 0.5)
         for shift in (2.0, -7.5, 0.125):
             alpha, potentials, upper, lower = multiplier_parts(state.multipliers)
             shifted = DualState(
                 state.theta, stacked(alpha, potentials + shift, upper, lower)
             )
-            value = dual_objective(shifted, data, unlabeled, prior, 0.5, COST)
+            value = dual_objective(shifted.multipliers, layout, prior, 0.5)
             assert value == pytest.approx(base, abs=1e-12)
 
     def test_midpoint_convexity_in_the_multipliers(self):
@@ -327,9 +339,10 @@ class TestDualObjective:
                 states.append(DualState(theta, random_state(rng, 2, 2).multipliers))
             s1, s2 = states
             mid = DualState(theta, 0.5 * (s1.multipliers + s2.multipliers))
-            g1 = dual_objective(s1, data, unlabeled, prior, eps, COST)
-            g2 = dual_objective(s2, data, unlabeled, prior, eps, COST)
-            gm = dual_objective(mid, data, unlabeled, prior, eps, COST)
+            layout = sample_layout(theta, data, unlabeled)
+            g1 = dual_objective(s1.multipliers, layout, prior, eps)
+            g2 = dual_objective(s2.multipliers, layout, prior, eps)
+            gm = dual_objective(mid.multipliers, layout, prior, eps)
             assert gm <= 0.5 * (g1 + g2) + 1e-10
 
     def test_upper_bounds_every_feasible_distribution(self):
@@ -346,7 +359,9 @@ class TestDualObjective:
         )
         for _ in range(20):
             state = DualState(theta, random_state(rng, 2, 2).multipliers)
-            bound = dual_objective(state, data, unlabeled, prior, eps, COST)
+            bound = dual_objective(
+                state.multipliers, sample_layout(theta, data, unlabeled), prior, eps
+            )
             for mu in candidates:
                 risk = float(
                     mu.weights
@@ -542,7 +557,12 @@ class TestCutsetSolve:
         data, unlabeled, prior = random_instance(rng, 4, 12, 3)
         eps = min_feasible_radius(data, unlabeled, prior, COST) + 0.1
         result = cutset_solve(data, unlabeled, prior, COST, eps)
-        objective = dual_objective(result.state, data, unlabeled, prior, eps, COST)
+        objective = dual_objective(
+            result.state.multipliers,
+            sample_layout(result.theta, data, unlabeled),
+            prior,
+            eps,
+        )
         slack = result.state.multipliers[0] * BUDGET_SLACK
         assert objective == pytest.approx(result.upper - slack, abs=1e-9)
         assert np.all(np.abs(result.theta) <= THETA_BOX)

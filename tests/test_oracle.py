@@ -39,6 +39,7 @@ from reference import (
     full_row_entering,
     min_feasible_radius_bisect,
     payoff_solve_bits,
+    sample_layout,
     transport_cost,
     weighted_wasserstein,
 )
@@ -359,7 +360,9 @@ class TestColumnGeneration:
                 theta, unlabeled, data, prior, eps, COST
             )
             state = DualState(theta, result.multipliers)
-            dual = dual_objective(state, data, unlabeled, prior, eps, COST)
+            dual = dual_objective(
+                state.multipliers, sample_layout(theta, data, unlabeled), prior, eps
+            )
             slack = state.multipliers[0] * BUDGET_SLACK
             assert dual == pytest.approx(result.value - slack, abs=1e-9)
 
@@ -772,7 +775,10 @@ class TestDualityGap:
                 eps = eps_min + delta
                 report = duality_gap_check(theta, data, unlabeled, prior, eps, COST)
                 at_budget = dual_objective(
-                    report.state, data, unlabeled, prior, eps + BUDGET_SLACK, COST
+                    report.state.multipliers,
+                    sample_layout(theta, data, unlabeled),
+                    prior,
+                    eps + BUDGET_SLACK,
                 )
                 assert abs(at_budget - report.primal) <= 1e-9
 
