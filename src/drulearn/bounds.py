@@ -14,7 +14,9 @@ The multiplier search (`search_multipliers`) moves the multiplier vector
 itself (`model.multiplier_parts`): L-BFGS-B's iterate, the smoothed kernel's
 gradient and each stage's result share its layout.  It reads every
 evaluation, smoothed or exact, from the one layout of its sample that
-`certify` builds.  Its smoothed kernel sends the scaled cells at or below
+`certify` builds.  It starts at the origin, never at a solver's
+multipliers, so a certificate depends on the classifier and the data alone.
+Its smoothed kernel sends the scaled cells at or below
 `EXP_ZERO` to -inf before the exponential; `np.exp` is exactly +0.0 there
 either way, so the floor changes no bit, only the cost of numpy's slow path
 below about -708.
@@ -27,16 +29,6 @@ setup and its `ScalarFunction` and `MemoizeJac` wrappers, which copy and
 compare x several times per evaluation: on the `bound_strong` benchmark
 config (one core) the search's time outside the kernel fell from about 72
 to about 21 us per evaluation.
-
-The search starts at whichever of the given point and the origin the first
-stage prices lower.  At the minimal feasible radius the worst-case LP's
-optimal duals form an unbounded face, and the solver may return a point far
-out on it: on `bound_strong` trial 0 a transport price of 136.6 offset by a
-label multiplier of 136.3, from which the first stage took 200 evaluations
-to walk the price back to 0.60.  From the origin that config takes 201
-evaluations in all, 4 of them the comparison, against 366 from the LP's
-multipliers alone (one BLAS thread; 369 at two, where the solver reaches
-another point of the face; `BENCH_search_start.json`).
 
 The search stops after three temperatures, 1e-1 to 1e-2.  Three finer
 stages would go on lowering the search half's certificate, the objective
@@ -110,12 +102,10 @@ class PerformanceBound:
 
     @staticmethod
     def from_terms(neg_log_bound, correction) -> "PerformanceBound":
-        """The bound whose likelihood is exp(-(neg_log_bound + correction))."""
-        likelihood = float(
-            np.clip(
-                math.exp(-(neg_log_bound + correction)), np.finfo(float).tiny, 1.0
-            )
-        )
+        """The bound whose likelihood is exp(-(neg_log_bound + correction)),
+        1 where that sum is negative (an empty decision set)."""
+        exponent = max(neg_log_bound + correction, 0.0)
+        likelihood = float(max(math.exp(-exponent), np.finfo(float).tiny))
         return PerformanceBound(
             neg_log_bound=neg_log_bound,
             correction=correction,
@@ -211,7 +201,6 @@ def _smoothed_bound(multipliers, layout, prior, eps, z_score, tau):
 
 
 def search_multipliers(
-    multipliers,
     layout: CellLayout,
     prior: LabelPrior,
     eps: float,
@@ -223,45 +212,38 @@ def search_multipliers(
     Every dual point gives a valid certificate, dual objective plus
     correction, so this minimizes that sum over the multipliers: L-BFGS-B
     on its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
-    turn.  The first stage starts at `multipliers` or at the origin (zero
-    transport price, potentials and label multipliers, a dual point that
-    depends on no solver), whichever its smoothing prices lower,
-    `multipliers` on a tie; each later stage starts where the one before
-    stopped, and L-BFGS-B keeps every iterate's price and label multipliers
-    nonnegative.  `multipliers` and the point returned at each tau are
-    priced by `performance_bound` on `layout`, the one layout every
-    evaluation, smoothed or exact, reads, and the best is returned, so the
-    result is never worse than `multipliers` there.  The multipliers are
-    fitted to the layout's sample, so its correction there is optimistic;
-    `certify` evaluates them on other points.
+    turn.  The first stage starts at the origin (zero transport price,
+    potentials and label multipliers), a dual point that depends on no
+    solver, so the result depends on its arguments alone; each later stage
+    starts where the one before stopped, and L-BFGS-B keeps every iterate's
+    price and label multipliers nonnegative.  The origin and the point
+    returned at each tau are priced by `performance_bound` on `layout`, the
+    one layout every evaluation, smoothed or exact, reads, and the best is
+    returned.  The multipliers are fitted to the layout's sample, so its
+    correction there is optimistic; `certify` evaluates them on other
+    points.
 
-    The schedule stops at tau = 1e-2, so a search can end up to
-    1e-2 * log(2 * n_labeled) above the best certificate where the
-    smoothing cannot resolve a tie, as at the zero model theta = 0 (about
-    0.037 at 20 atoms).  The worst-case LP's multipliers, which `certify`
-    is given, certify theta = 0 exactly and are kept as a candidate.
+    Where the smoothing cannot resolve a tie the search may stop up to
+    1e-2 * log(2 * n_labeled) above the best certificate.  At the zero model
+    theta = 0, where every cell ties, the origin itself prices exactly
+    log 2, the best certificate there, and stays a candidate.
     """
+    origin = np.zeros(1 + layout.n_labeled + 2 * N_CLASSES)
     # the price and the label multipliers are nonnegative, the potentials free
-    lower = np.zeros_like(multipliers)
+    lower = origin.copy()
     _, potentials, _, _ = multiplier_parts(lower)
     potentials[:] = -np.inf
-    # the origin is a dual point too; start at it when the first stage
-    # prices it strictly lower than `multipliers`
-    origin = np.zeros_like(multipliers)
-    first = (layout, prior, eps, z_score, SMOOTHING_SCHEDULE[0])
-    points = [multipliers]
-    if _smoothed_bound(origin, *first)[0] < _smoothed_bound(multipliers, *first)[0]:
-        multipliers = origin
+    point, points = origin, [origin]
     for tau in SMOOTHING_SCHEDULE:
         # each run returns a new array that no later run writes to
-        multipliers, _ = lbfgsb(
+        point, _ = lbfgsb(
             _smoothed_bound,
-            multipliers,
+            point,
             lower,
             (layout, prior, eps, z_score, tau),
             **SEARCH_OPTIONS,
         )
-        points.append(multipliers)
+        points.append(point)
     priced = [performance_bound(point, layout, prior, eps, z_score) for point in points]
     return points[int(np.argmin([p.neg_log_bound + p.correction for p in priced]))]
 
@@ -288,13 +270,14 @@ def certify(
     The sample's losses at `state.theta` and its transport costs are built
     once; the search and held-out layouts are their `held_out_halves` rows,
     bit for bit the arrays built on each half.  `search_multipliers` picks
-    the multipliers on the search half, starting at `state`'s, and
+    the multipliers on the search half, from the origin, and
     `performance_bound` evaluates them on the held-out half, which played
     no part in the choice.  `DualState` checks that the chosen point's price
     and label multipliers are nonnegative, as L-BFGS-B's bounds keep them.
-    `neg_log_bound` is the dual objective at `state` over the whole sample:
-    the exact worst case when `state` carries the worst-case LP's
-    multipliers, as `cutset_solve` returns it.  The likelihood bound is
+    `neg_log_bound` is the dual objective at `state` over the whole sample,
+    the one place `state`'s multipliers are read: a valid upper bound at
+    any feasible point, and the exact worst case at the worst-case LP's
+    optimum, as `cutset_solve` returns it.  The likelihood bound is
     exp(-max(neg_log_bound, held-out certificate)), so it never claims more
     than the sample's own worst case, and `correction` is the excess.
     Needs two points in each half, one without a correction.
@@ -313,7 +296,7 @@ def certify(
     # minimal radius instead
     search_features, _ = held_out_halves(unlabeled)
     search_eps = max(eps, min_feasible_radius(data, search_features, prior, cost))
-    point = search_multipliers(state.multipliers, search, prior, search_eps, z_score)
+    point = search_multipliers(search, prior, search_eps, z_score)
     DualState(state.theta, point)  # checks the price and label multipliers
     check = performance_bound(point, held_out, prior, eps, z_score)
     excess = max(check.neg_log_bound + check.correction - neg_log, 0.0)

@@ -64,7 +64,12 @@ try:
         make_rng,
         median,
     )
-    from .oracle import InfeasibleRadiusError, discrete_wasserstein, min_feasible_radius
+    from .oracle import (
+        BUDGET_SLACK,
+        InfeasibleRadiusError,
+        discrete_wasserstein,
+        min_feasible_radius,
+    )
 finally:
     # Move the imported objects straight to the oldest generation: left young,
     # all of them would be scanned by the first collection after this.  A
@@ -311,7 +316,8 @@ def _run_wasserstein(config: ExperimentConfig):
 def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     """Train at `eps` and certify the trained classifier by the multiplier
     search; returns the `CutSetResult` and the certificate's `BOUND_FIELDS`
-    columns."""
+    columns.  Warns on stderr when `eps` is within `oracle.BUDGET_SLACK` of
+    the minimal feasible radius, where the decision set has no interior."""
     unlabeled = _require_unlabeled(instance)
     result = cutset_solve(
         instance.labeled, unlabeled, instance.prior, instance.cost, eps
@@ -325,6 +331,15 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
         instance.cost,
         z_score=config.z_score,
     )
+    eps_min = min_feasible_radius(
+        instance.labeled, unlabeled, instance.prior, instance.cost
+    )
+    if eps - eps_min <= BUDGET_SLACK:
+        print(
+            f"warning: radius {eps} is on the minimal feasible radius "
+            f"{eps_min}; the certificate is for the smallest decision set",
+            file=sys.stderr,
+        )
     report = {
         "eps": float(eps),
         "neg_log_bound": bound.neg_log_bound,

@@ -2,7 +2,8 @@
 checked against: the ground transport cost of one pair of labeled points,
 the worst-case LP assembled in full for `linprog` (over the decision set, or
 over the plain transport ball with `prior=None`), the minimal radius by
-bisection on that full LP's feasibility, vertices of the decision set from the
+bisection on that full LP's feasibility and as the full transport LP with
+its duals, vertices of the decision set from the
 full mass LP by `linprog` (weighted samples, with their transport distance
 to the labeled atoms), the certificate kernel before
 `model.CellLayout`, which the layout kernel matches bit for bit, and the
@@ -70,6 +71,27 @@ def full_lp_reference(theta, support, data, prior, eps, cost):
     oracle's own feasibility tolerance; `prior=None` gives the plain
     transport ball within the support.  Returns linprog's status and the
     value when it is optimal."""
+    move, (atoms, points, by_label), (j, k) = _full_columns(support, data, cost)
+    m, n_l = points.shape[0], atoms.shape[0]
+    a_eq = [atoms]
+    b_eq = [np.full(n_l, 1.0 / n_l)]
+    a_ub = [sparse.csr_array(move[None, :])]
+    b_ub = [[eps + BUDGET_SLACK]]
+    if prior is not None:
+        a_eq.append(points)
+        b_eq.append(np.full(m, 1.0 / m))
+        a_ub += [by_label, -by_label]
+        b_ub += [prior.upper, -prior.lower]
+    gain = both_class_losses(theta, support)[j, k]
+    res = _full_linprog(-gain, a_eq, b_eq, a_ub, b_ub)
+    return res.status, (-res.fun if res.status == 0 else None)
+
+
+def _full_columns(support, data, cost):
+    """Every (support point, label, atom) column of the full mass LP: its
+    transport cost, its rows in the atom marginal, the support marginal and
+    the label mass (three sparse matrices), and each column's support point
+    and label."""
     m, n_l = support.shape[0], data.n
     dist = np.linalg.norm(support[:, None, :] - data.features[None, :, :], axis=-1)
     flip = cost.label_flip_cost * (np.arange(2)[:, None] != data.labels[None, :])
@@ -77,19 +99,18 @@ def full_lp_reference(theta, support, data, prior, eps, cost):
     j, k, i = np.unravel_index(np.arange(move.size), (m, 2, n_l))
     cols = np.arange(move.size)
     ones = np.ones(move.size)
-    a_eq = [sparse.csr_array((ones, (i, cols)), (n_l, move.size))]
-    b_eq = [np.full(n_l, 1.0 / n_l)]
-    a_ub = [sparse.csr_array(move[None, :])]
-    b_ub = [[eps + BUDGET_SLACK]]
-    if prior is not None:
-        a_eq.append(sparse.csr_array((ones, (j, cols)), (m, move.size)))
-        b_eq.append(np.full(m, 1.0 / m))
-        by_label = sparse.csr_array((ones, (k, cols)), (2, move.size))
-        a_ub += [by_label, -by_label]
-        b_ub += [prior.upper, -prior.lower]
-    gain = both_class_losses(theta, support)[j, k]
-    res = linprog(
-        -gain,
+    rows = [
+        sparse.csr_array((ones, (index, cols)), (size, move.size))
+        for index, size in ((i, n_l), (j, m), (k, 2))
+    ]
+    return move, rows, (j, k)
+
+
+def _full_linprog(objective, a_eq, b_eq, a_ub, b_ub):
+    """One cold `linprog` (HiGHS) minimization of the full mass LP at the
+    oracle's own feasibility tolerance."""
+    return linprog(
+        objective,
         A_eq=sparse.vstack(a_eq),
         b_eq=np.concatenate(b_eq),
         A_ub=sparse.vstack(a_ub),
@@ -101,7 +122,30 @@ def full_lp_reference(theta, support, data, prior, eps, cost):
             "dual_feasibility_tolerance": 1e-10,
         },
     )
-    return res.status, (-res.fun if res.status == 0 else None)
+
+
+def min_radius_duals(data, support, prior, cost):
+    """The minimal radius as the full transport LP over every column, cold
+    by `linprog`: the least total cost of a mass plan with uniform support
+    and atom marginals and label masses in the prior box.  Returns its value
+    and its duals: u per support point, v per atom, and beta >= 0 and
+    gamma >= 0 per label for the box's upper and lower rows, so that every
+    column's cost is at least u_j + v_i - beta_k + gamma_k and the value is
+    mean(u) + mean(v) - beta @ prior.upper + gamma @ prior.lower."""
+    move, (atoms, points, by_label), _ = _full_columns(support, data, cost)
+    m, n_l = points.shape[0], atoms.shape[0]
+    res = _full_linprog(
+        move,
+        [atoms, points],
+        [np.full(n_l, 1.0 / n_l), np.full(m, 1.0 / m)],
+        [by_label, -by_label],
+        [prior.upper, -prior.lower],
+    )
+    if res.status != 0:
+        raise RuntimeError(f"linprog stopped with status {res.status}")
+    v, u = res.eqlin.marginals[:n_l], res.eqlin.marginals[n_l:]
+    beta, gamma = np.split(-res.ineqlin.marginals, 2)
+    return res.fun, u, v, beta, gamma
 
 
 def min_feasible_radius_bisect(data, support, prior, cost, tol=1e-7):

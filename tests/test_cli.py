@@ -598,6 +598,47 @@ class TestBoundExperiment:
         assert main(["bound", "--config", config]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_a_certificate_on_the_minimal_radius_warns_once_per_row(
+        self, tmp_path, capsys
+    ):
+        # the strong-prior distance-fraction radius is the minimal feasible
+        # one on both `bound_strong` rows, so each says so on stderr; the
+        # default weak-prior `bound_weak` rows sit 0.24 and 0.35 above it
+        out = tmp_path / "strong.csv"
+        config = write_config(
+            tmp_path,
+            output=str(out),
+            prior_mode="strong",
+            eps_policy="fraction-of-true-distance",
+            n_labeled_grid=(20,),
+            trials=2,
+        )
+        assert main(["bound", "--config", config]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        rows = read_rows(out)
+        assert len(rows) == len(lines) == 2
+        for row, line in zip(rows, lines):
+            _, instance = cli_instance(config, int(row["seed"]), 20)
+            eps_min = min_feasible_radius(
+                instance.labeled, instance.unlabeled, instance.prior, instance.cost
+            )
+            assert float(row["eps"]) - eps_min <= BUDGET_SLACK
+            assert line == (
+                f"warning: radius {row['eps']} is on the minimal feasible radius "
+                f"{eps_min}; the certificate is for the smallest decision set"
+            )
+        assert "warning" not in Path(str(out) + ".meta").read_text()
+        weak = write_config(
+            tmp_path,
+            name="weak.cfg",
+            output=str(tmp_path / "weak.csv"),
+            synthetic_n=60,
+            n_labeled_grid=(10, 20),
+        )
+        assert main(["bound", "--config", weak]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len(read_rows(tmp_path / "weak.csv")) == 2
+
     @pytest.mark.parametrize(
         "command, keys, message",
         [
