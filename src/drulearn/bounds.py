@@ -255,6 +255,12 @@ def held_out_halves(unlabeled):
     return unlabeled[0::2], unlabeled[1::2]
 
 
+def certify_sample_size(z_score: float) -> int:
+    """The fewest unlabeled points `certify` takes: two per half, where
+    each half estimates a spread, and one per half at z_score 0."""
+    return 4 if z_score > 0.0 else 2
+
+
 def certify(
     state: DualState,
     data: LabeledDataset,
@@ -280,9 +286,9 @@ def certify(
     optimum, as `cutset_solve` returns it.  The likelihood bound is
     exp(-max(neg_log_bound, held-out certificate)), so it never claims more
     than the sample's own worst case, and `correction` is the excess.
-    Needs two points in each half, one without a correction.
+    Needs `certify_sample_size(z_score)` points.
     """
-    if len(unlabeled) < (4 if z_score > 0.0 else 2):
+    if len(unlabeled) < certify_sample_size(z_score):
         raise ValueError(
             "certify needs two unlabeled points per half (one at z_score 0)"
         )

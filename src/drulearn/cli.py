@@ -37,6 +37,7 @@ try:
     from .baseline import baseline_train, worst_case_price
     from .bounds import (
         certify,
+        certify_sample_size,
         configured_prior,
         prior_feasible_radius,
         select_radius,
@@ -148,9 +149,9 @@ def _build_instance(
 def _require_certifiable(config: ExperimentConfig, table: LabeledDataset, grid=()):
     """Reject, before any trial, a labeled size in force (`n_labeled`, or
     each `grid` entry) above the table size or leaving `bounds.certify`
-    fewer unlabeled rows than it needs: 4, or 2 at z_score 0."""
+    fewer unlabeled rows than `bounds.certify_sample_size` asks."""
     key = "n_labeled_grid" if grid else "n_labeled"
-    needed = 4 if config.z_score > 0.0 else 2
+    needed = certify_sample_size(config.z_score)
     full = config.unlabeled_mode == UNLABELED_FULL
     for n_labeled in grid or (config.n_labeled,):
         if n_labeled > table.n:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import SparseRows, expit, slsqp
+from .kernels import expit, slsqp
 from .model import (
     N_CLASSES,
     CellLayout,
@@ -370,19 +370,24 @@ def _solve_master(cuts, features, theta_start):
     a weight vector laid out as `both_class_losses(theta, features).ravel()`.
 
     One SLSQP solve with analytic Jacobians, theta confined to the
-    `THETA_BOX`; returns the minimizing theta and the master value.
+    `THETA_BOX`; returns the minimizing theta and the master value.  Each
+    cut's sums run left to right over its cells, as `csr_array @` runs them.
     """
     dim = theta_start.size
-    rows = SparseRows(np.stack(cuts))
+    rows = np.stack(cuts)
     repeated = np.repeat(features, N_CLASSES, axis=0)
 
+    # `np.cumsum` adds in order and calls no BLAS routine, so the products
+    # do not depend on the BLAS thread count
     def slack(z):
-        return z[dim] - rows @ both_class_losses(z[:dim], features).ravel()
+        losses = both_class_losses(z[:dim], features).ravel()
+        return z[dim] - np.cumsum(rows * losses, axis=1)[:, -1]
 
     def slack_jacobian(z):
         residual = (expit(features @ z[:dim])[:, None] - np.arange(N_CLASSES)).ravel()
+        terms = rows[:, :, None] * (residual[:, None] * repeated)
         jac = np.ones((len(cuts), dim + 1))
-        jac[:, :dim] = -(rows @ (residual[:, None] * repeated))
+        jac[:, :dim] = -np.cumsum(terms, axis=1)[:, -1]
         return jac
 
     start = np.append(theta_start, 0.0)

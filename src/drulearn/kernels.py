@@ -1,25 +1,23 @@
 """scipy's compiled modules, loaded without their packages, and the two
 optimizer loops the package runs around scipy.optimize's kernels.
 
-The package reaches scipy through six compiled modules:
+The package reaches scipy through five compiled modules:
 - `scipy.special._ufuncs`, for the `expit` and `betaincinv` ufuncs, the
   very objects `scipy.special` exports;
-- `scipy.sparse._sparsetools`, for `csr_matvec` and `csr_matvecs`, the
-  routines `csr_array @` calls (`SparseRows`);
 - four of scipy.optimize's: the HiGHS build (`_highspy._core`), L-BFGS-B's
   `setulb` (`_lbfgsb`), the assignment solver (`_lsap`) and SLSQP's kernel
   (`_slsqplib`; Kraft, "A software package for sequential quadratic
   programming", DFVLR-FB 88-28, 1988).
 
 `scipy_extension` loads each from its file, so no run executes the
-`__init__.py` of `scipy.special`, `scipy.sparse` or `scipy.optimize`.
-Each of those imports `scipy._lib._util`, whose `scipy._lib._array_api`
-imports `array_api_compat.numpy` and with it `numpy.f2py`,
-`numpy.testing`, `numpy.ma` and `numpy.fft`; `scipy.optimize` adds
-`linprog`, `shgo`, `scipy.linalg` and `scipy.fft`.  On one core,
-`scipy.special` and `scipy.sparse` cost about 0.19 s of CPU and 22 MB at
-every start, and `scipy.optimize` about 0.15-0.2 s and 18 MB more.  `_ufuncs` imports a sibling module
-relative to `scipy.special`, so while it loads, a bare stand-in package
+`__init__.py` of `scipy.special` or `scipy.optimize`.  Each of those
+imports `scipy._lib._util`, whose `scipy._lib._array_api` imports
+`array_api_compat.numpy` and with it `numpy.f2py`, `numpy.testing`,
+`numpy.ma` and `numpy.fft`; `scipy.optimize` adds `linprog`, `shgo`,
+`scipy.linalg` and `scipy.fft`.  On one core, `scipy.special` costs about
+0.15 s of CPU and 24 MB at every start, and `scipy.optimize` about 0.15 s
+and 22 MB more.  `_ufuncs` imports a sibling module relative to
+`scipy.special`, so while it loads, a bare stand-in package
 with `scipy/special` as its path takes the package's place in
 `sys.modules`; without it Python would run `scipy/special/__init__.py`,
 which imports the half-loaded `_ufuncs` and fails.  The one other scipy
@@ -32,15 +30,13 @@ command-line path calls.
 
 This module holds every tie the package has to scipy's internals: a scipy
 release that moves one of these files, makes a package's stand-in
-insufficient, or changes a kernel's arguments, the loop `minimize` runs
-around it or the layout and routines behind `csr_array @`, breaks this
-module alone.  These tests then fail: `tests/test_imports.py`, which loads
-every module, runs every subcommand without the three packages and
-compares the loaded objects with the packages'; and
-`tests/test_bounds.py::TestLbfgsbDriver`, `TestSlsqpDriver` and
-`TestCutProduct`, which compare the drivers with `minimize` and the cut
-products with `csr_array`, bit for bit.  scipy 1.17.1 is the tested
-release.
+insufficient, or changes a kernel's arguments or the loop `minimize` runs
+around it, breaks this module alone.  These tests then fail:
+`tests/test_imports.py`, which loads every module, runs every subcommand
+without the packages and compares the loaded objects with the packages';
+and `tests/test_bounds.py::TestLbfgsbDriver` and `TestSlsqpDriver`, which
+compare the drivers with `minimize` bit for bit.  scipy 1.17.1 is the
+tested release.
 """
 
 from __future__ import annotations
@@ -127,42 +123,10 @@ def scipy_extension(package, name):
 _ufuncs = scipy_extension("special", "_ufuncs")
 expit = _ufuncs.expit
 betaincinv = _ufuncs.betaincinv
-_sparsetools = scipy_extension("sparse", "_sparsetools")
 highs = scipy_extension("optimize", "_highspy._core")
 linear_sum_assignment = scipy_extension("optimize", "_lsap").linear_sum_assignment
 setulb = scipy_extension("optimize", "_lbfgsb").setulb
 _slsqp_kernel = scipy_extension("optimize", "_slsqplib").slsqp
-
-
-class SparseRows:
-    """The nonzeros of a dense float matrix, row by row, laid out as
-    `scipy.sparse.csr_array(dense)` lays them out: row-major order and
-    int32 indices.  `rows @ x` calls the `_sparsetools` routine that
-    `csr_array @ x` calls, `csr_matvec` for a vector and `csr_matvecs` for
-    a matrix, so each row's sum runs over the same terms in the same order
-    and gives the same bits."""
-
-    def __init__(self, dense):
-        dense = np.asarray(dense, dtype=float)
-        nonzero = dense != 0
-        self.shape = dense.shape
-        self.indptr = np.zeros(dense.shape[0] + 1, np.int32)
-        np.cumsum(nonzero.sum(axis=1), out=self.indptr[1:])
-        self.indices = np.nonzero(nonzero)[1].astype(np.int32)
-        self.data = dense[nonzero]
-
-    def __matmul__(self, other):
-        m, n = self.shape
-        parts = self.indptr, self.indices, self.data
-        if other.ndim == 1:
-            result = np.zeros(m)
-            _sparsetools.csr_matvec(m, n, *parts, other, result)
-            return result
-        result = np.zeros((m, other.shape[1]))
-        _sparsetools.csr_matvecs(
-            m, n, other.shape[1], *parts, other.ravel(), result.ravel()
-        )
-        return result
 
 
 def lbfgsb(fun, x0, lower, args, maxiter, ftol, gtol):

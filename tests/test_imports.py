@@ -1,8 +1,8 @@
 """How the package reaches scipy's compiled modules: `kernels` loads the
-six it uses (`scipy.special._ufuncs`, `scipy.sparse._sparsetools` and four
-of scipy.optimize's) from their files, so no command-line run imports the
-`scipy.special`, `scipy.sparse` or `scipy.optimize` package, and a later
-import of those packages still works and hands back the same objects."""
+five it uses (`scipy.special._ufuncs` and four of scipy.optimize's) from
+their files, so no command-line run imports the `scipy.special`,
+`scipy.sparse` or `scipy.optimize` package, and a later import of those
+packages still works and hands back the same objects."""
 
 import ast
 import json
@@ -68,10 +68,6 @@ RUN_EVERY_SUBCOMMAND = textwrap.dedent(
     same = {
         "expit": scipy.special.expit is kernels.expit,
         "betaincinv": scipy.special.betaincinv is kernels.betaincinv,
-        "csr_matvec": scipy.sparse._sparsetools.csr_matvec
-        is kernels._sparsetools.csr_matvec,
-        "csr_matvecs": scipy.sparse._sparsetools.csr_matvecs
-        is kernels._sparsetools.csr_matvecs,
         "_highspy._core": optimize._highspy._core._Highs is kernels.highs._Highs,
         "_lbfgsb": optimize._lbfgsb.setulb is kernels.setulb,
         "_lsap": optimize._lsap.linear_sum_assignment
@@ -129,8 +125,6 @@ LOAD_AFTER_THE_PACKAGES = textwrap.dedent(
     print(json.dumps({
         "reused": {
             "_ufuncs": kernels._ufuncs is modules["scipy.special._ufuncs"],
-            "_sparsetools": kernels._sparsetools
-            is modules["scipy.sparse._sparsetools"],
             "_highspy._core": kernels.highs
             is modules["scipy.optimize._highspy._core"],
             "_lbfgsb": kernels.setulb is scipy.optimize._lbfgsb.setulb,
@@ -226,7 +220,6 @@ def test_only_kernels_names_scipy_optimize_at_module_level():
     assert extensions == {
         "kernels.py": [
             ("special", "_ufuncs"),
-            ("sparse", "_sparsetools"),
             ("optimize", "_highspy._core"),
             ("optimize", "_lsap"),
             ("optimize", "_lbfgsb"),
@@ -269,8 +262,8 @@ def test_no_subcommand_imports_scipy_optimize_and_a_later_import_works(tmp_path)
     # the packages imported afterwards expose the compiled modules as their
     # attributes, and they hold the objects the package drives
     assert report["same"] == {
-        "expit": True, "betaincinv": True, "csr_matvec": True, "csr_matvecs": True,
-        "_highspy._core": True, "_lbfgsb": True, "_lsap": True, "_slsqplib": True,
+        "expit": True, "betaincinv": True, "_highspy._core": True, "_lbfgsb": True,
+        "_lsap": True, "_slsqplib": True,
     }
     assert report["slsqp"] == [0, 1.0, 0.0]
     assert report["linprog"] == [0, 1.0]
@@ -281,8 +274,8 @@ def test_no_subcommand_imports_scipy_optimize_and_a_later_import_works(tmp_path)
 def test_loading_kernels_after_the_packages_reuses_their_modules(tmp_path):
     report = run_script(LOAD_AFTER_THE_PACKAGES, tmp_path)
     assert report["reused"] == {
-        "_ufuncs": True, "_sparsetools": True, "_highspy._core": True,
-        "_lbfgsb": True, "_lsap": True, "_slsqplib": True, "again": True,
+        "_ufuncs": True, "_highspy._core": True, "_lbfgsb": True, "_lsap": True,
+        "_slsqplib": True, "again": True,
     }
     assert report["entries_kept"] is True
     assert report["loaded"] == []
