@@ -15,7 +15,9 @@ g_lo = min(p, 1 - p) * |x|: `min_mc` with ``mc_include_norm``, whose curves
 A run starts from `data.sample_split`: its labeled draw is the starting
 labeled set and its remainder the pool, so every strategy run from one seed
 starts from the same labeled rows, the rows `bound` draws at that seed and
-size.  `select_next` and `run_active_loop` read a checked
+size.  `run_active_loop` keeps the labeled set, the pool and the fit as
+locals and returns the likelihood curve; `select_next` takes the labeled
+set, the pool and the fit it scores.  Both read a checked
 `config.ExperimentConfig`.
 The robust strategies build their prior with `bounds.configured_prior`, strong
 or weak as the strategy says (``prior_mode`` is not read), and take its
@@ -24,7 +26,6 @@ minimal feasible radius plus ``delta_margin`` (``eps`` is not read).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -54,28 +55,6 @@ GRADIENT_TOL = 1e-6
 NEWTON_MAX_ITER = 100
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ActiveState:
-    """Labeled set, the remaining pool with its held-back labels (``None``
-    once empty), and history."""
-
-    labeled: LabeledDataset
-    pool: LabeledDataset | None
-    theta: np.ndarray | None = None
-    history: tuple = ()
-
-    def __post_init__(self):
-        if self.pool is not None and self.pool.dim != self.labeled.dim:
-            raise ValueError("pool and labeled feature dimensions differ")
-        counts = [n for n, _ in self.history]
-        if any(b <= a for a, b in zip(counts, counts[1:])):
-            raise ValueError("history must be strictly increasing in n_labeled")
-
-    @property
-    def pool_size(self) -> int:
-        return 0 if self.pool is None else self.pool.n
-
-
 def erm_train_l2(data: LabeledDataset, ridge_gamma: float) -> np.ndarray:
     """Ridge-regularized logistic fit by damped Newton to tight stationarity.
 
@@ -95,12 +74,14 @@ def erm_train_l2(data: LabeledDataset, ridge_gamma: float) -> np.ndarray:
         )
 
     value = objective(theta)
-    for _ in range(NEWTON_MAX_ITER):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         gradient = loss_grad_theta(theta, features, data.labels).mean(
             axis=0
         ) + 2.0 * ridge_gamma * theta
         if np.linalg.norm(gradient) <= GRADIENT_TOL:
             return theta
+        if iteration == NEWTON_MAX_ITER:
+            break
         p = logistic_predict(theta, features)
         weights = p * (1.0 - p)
         hessian = (features.T * weights) @ features / n + 2.0 * ridge_gamma * np.eye(
@@ -123,11 +104,6 @@ def erm_train_l2(data: LabeledDataset, ridge_gamma: float) -> np.ndarray:
             step *= 0.5
         theta = theta + step * direction
         value = objective(theta)
-    gradient = loss_grad_theta(theta, features, data.labels).mean(
-        axis=0
-    ) + 2.0 * ridge_gamma * theta
-    if np.linalg.norm(gradient) <= GRADIENT_TOL:
-        return theta
     raise RuntimeError(
         "ridge logistic fit did not reach the gradient tolerance "
         f"(|grad| = {np.linalg.norm(gradient):.3e})"
@@ -186,7 +162,9 @@ def score_dr(model: PayoffLp, pool_features, target: int, theta) -> float:
 
 
 def select_next(
-    state: ActiveState,
+    labeled: LabeledDataset,
+    pool: LabeledDataset | None,
+    theta,
     config: ExperimentConfig,
     rng,
     cost: TransportCost,
@@ -194,20 +172,18 @@ def select_next(
 ) -> int:
     """Pick the pool index to label next under ``config.strategy``.
 
-    Score-based strategies break exact ties toward the lowest pool index; the
-    robust ones score a random candidate subsample instead of the whole pool.
+    ``theta`` is the current fit on ``labeled``, and ``pool`` the unlabeled
+    rows with their held-back labels, ``None`` once empty.  Score-based
+    strategies break exact ties toward the lowest pool index; the robust
+    ones score a random candidate subsample instead of the whole pool.
     ``class_share``, the share of positives among everything the run can
     see, is the strong prior's share when ``prior_positive_share`` is empty.
     """
-    pool = state.pool
     if pool is None:
         raise ValueError("pool is empty")
     kind = config.strategy
     if kind == RANDOM:
         return int(rng.integers(0, pool.n))
-    theta = state.theta
-    if theta is None:
-        raise ValueError("state has no trained parameters to score with")
     if kind in (EMC, MIN_MC, MAX_MC):
         scores = posterior_scores(theta, pool.features, kind, config.mc_include_norm)
         return int(np.argmax(scores))
@@ -216,12 +192,12 @@ def select_next(
     size = min(config.candidate_subsample, pool.n)
     candidates = np.sort(rng.choice(pool.n, size=size, replace=False))
     mode = PRIOR_STRONG if kind == DR_STRONG else PRIOR_WEAK
-    prior = configured_prior(config, state.labeled, mode, class_share)
-    eps = prior_feasible_radius(state.labeled, pool.features, prior, cost)
+    prior = configured_prior(config, labeled, mode, class_share)
+    eps = prior_feasible_radius(labeled, pool.features, prior, cost)
     eps += config.delta_margin
     # one model prices every candidate's `score_dr` payoff: only the costs
     # change between candidates, so each solve starts from the last basis
-    model = PayoffLp(pool.features, state.labeled, prior, eps, cost)
+    model = PayoffLp(pool.features, labeled, prior, eps, cost)
     scores = [score_dr(model, pool.features, j, theta) for j in candidates]
     return int(candidates[int(np.argmax(scores))])
 
@@ -232,52 +208,48 @@ def evaluation_likelihood(theta, data: LabeledDataset) -> float:
 
 
 def run_active_loop(
-    initial: ActiveState,
+    labeled: LabeledDataset,
+    pool: LabeledDataset | None,
     config: ExperimentConfig,
     eval_data: LabeledDataset,
     seed: int,
     cost: TransportCost,
-) -> ActiveState:
+) -> list:
     """Acquire labels one at a time until the labeled set reaches stop_at.
 
+    ``labeled`` and ``pool`` are one `data.sample_split`: the starting
+    labeled set and the rest of the table with its held-back labels.
     ``stop_at`` is ``config.stop_at``, or ``n_labeled`` when that is 0, and
     the picks draw from a generator seeded with `seed`.  Each round fits the
     ridge model, records the evaluation likelihood, selects a pool point,
     and moves it (with its held-back label) into the labeled set; one final
-    fit is recorded at stop_at. Returns the finished state with the full
-    likelihood curve in its history.
+    fit is recorded at stop_at.  Returns the likelihood curve, one
+    ``(labeled size, likelihood)`` pair per round.
     """
     stop_at = config.stop_at or config.n_labeled
-    if stop_at <= initial.labeled.n:
+    if stop_at <= labeled.n:
         raise ValueError("stop_at must exceed the initial labeled size")
-    if stop_at > initial.labeled.n + initial.pool_size:
+    if pool is None or stop_at > labeled.n + pool.n:
         raise ValueError("pool too small to reach stop_at")
     rng = make_rng(seed)
-    state = initial
-    class_share = float(
-        np.mean(np.concatenate([initial.labeled.labels, initial.pool.labels]))
-    )
+    class_share = float(np.mean(np.concatenate([labeled.labels, pool.labels])))
+    curve = []
     while True:
-        theta = erm_train_l2(state.labeled, config.ridge_gamma)
-        history = state.history + (
-            (state.labeled.n, evaluation_likelihood(theta, eval_data)),
-        )
-        state = dataclasses.replace(state, theta=theta, history=history)
-        if state.labeled.n >= stop_at:
-            return state
-        chosen = select_next(state, config, rng, cost, class_share)
-        pool = state.pool
+        theta = erm_train_l2(labeled, config.ridge_gamma)
+        curve.append((labeled.n, evaluation_likelihood(theta, eval_data)))
+        if labeled.n >= stop_at:
+            return curve
+        chosen = select_next(labeled, pool, theta, config, rng, cost, class_share)
         keep = np.arange(pool.n) != chosen
         labeled = LabeledDataset(
-            np.vstack([state.labeled.features, pool.features[chosen]]),
-            np.append(state.labeled.labels, pool.labels[chosen]),
+            np.vstack([labeled.features, pool.features[chosen]]),
+            np.append(labeled.labels, pool.labels[chosen]),
         )
-        rest = (
+        pool = (
             LabeledDataset(pool.features[keep], pool.labels[keep])
             if keep.any()
             else None
         )
-        state = dataclasses.replace(state, labeled=labeled, pool=rest)
 
 
 def aulc(curve) -> float:

@@ -33,7 +33,7 @@ gc.disable()
 try:
     import numpy as np
 
-    from .active import ActiveState, aulc, run_active_loop
+    from .active import aulc, run_active_loop
     from .baseline import baseline_train, worst_case_price
     from .bounds import (
         certify,
@@ -465,14 +465,14 @@ def _run_active(config: ExperimentConfig):
     for trial in range(config.trials):
         trial_seed = config.seed + trial
         try:
-            state = run_active_loop(
-                ActiveState(*sample_split(table, config.n_initial, trial_seed)),
+            curve = run_active_loop(
+                *sample_split(table, config.n_initial, trial_seed),
                 config,
                 eval_data=table,
                 seed=trial_seed,
                 cost=cost,
             )
-            aulc_values.append(aulc(state.history))
+            aulc_values.append(aulc(curve))
         except Exception as error:  # noqa: BLE001 - recorded, run continues
             errors.append((str(trial), error))
             continue
@@ -484,7 +484,7 @@ def _run_active(config: ExperimentConfig):
                 "n_labeled": int(n),
                 "likelihood": float(value),
             }
-            for n, value in state.history
+            for n, value in curve
         )
     extra = {}
     if aulc_values:

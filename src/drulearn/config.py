@@ -107,6 +107,8 @@ class ExperimentConfig:
                 )
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not self.output:
+            raise ConfigError("output must name a file")
         if self.prior_mode not in (PRIOR_STRONG, PRIOR_WEAK):
             raise ConfigError(f"unknown prior_mode {self.prior_mode!r}")
         if self.unlabeled_mode not in (UNLABELED_FULL, UNLABELED_REMAINDER):

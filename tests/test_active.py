@@ -1,14 +1,13 @@
 """Tests for active-learning strategies, the acquisition loop, and AULC."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from drulearn import active
 from drulearn.active import (
-    ActiveState,
     aulc,
     erm_train_l2,
     evaluation_likelihood,
@@ -248,27 +247,28 @@ class TestScoreDr:
 
 class TestSelectNext:
     def _state(self, pool_features, pool_labels=None, theta=None):
+        # the labeled set, the pool and the fit, in `select_next`'s order
         labeled = LabeledDataset(
             np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1, 0])
         )
         if pool_labels is None:
             pool_labels = np.zeros(len(pool_features), dtype=int)
         pool = LabeledDataset(pool_features, pool_labels) if len(pool_labels) else None
-        return ActiveState(labeled=labeled, pool=pool, theta=theta)
+        return labeled, pool, theta
 
     def test_singleton_pool_is_chosen_by_every_strategy(self):
         pool = np.array([[0.5, 0.5]])
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK, DR_STRONG):
             state = self._state(pool, pool_labels=np.array([1]), theta=np.zeros(2))
             config = ExperimentConfig(strategy=kind, candidate_subsample=3)
-            chosen = select_next(state, config, make_rng(0), COST, 0.5)
+            chosen = select_next(*state, config, make_rng(0), COST, 0.5)
             assert chosen == 0
 
     def test_zero_model_emc_takes_the_largest_feature_norm(self):
         pool = np.array([[1.0, 0.0], [3.0, 0.5], [0.2, 0.1]])
         state = self._state(pool, theta=np.zeros(2))
         chosen = select_next(
-            state, ExperimentConfig(strategy=EMC), make_rng(0), COST, 0.5
+            *state, ExperimentConfig(strategy=EMC), make_rng(0), COST, 0.5
         )
         assert chosen == 1
 
@@ -277,7 +277,7 @@ class TestSelectNext:
         state = self._state(pool, theta=np.array([0.3, -0.2]))
         for kind in (EMC, MIN_MC, MAX_MC):
             chosen = select_next(
-                state, ExperimentConfig(strategy=kind), make_rng(0), COST, 0.5
+                *state, ExperimentConfig(strategy=kind), make_rng(0), COST, 0.5
             )
             assert chosen == 0
 
@@ -287,10 +287,10 @@ class TestSelectNext:
         theta = rng.normal(size=2)
         state = self._state(pool, theta=theta)
         config = ExperimentConfig(strategy=EMC)
-        chosen = select_next(state, config, make_rng(0), COST, 0.5)
+        chosen = select_next(*state, config, make_rng(0), COST, 0.5)
         perm = rng.permutation(6)
         permuted = self._state(pool[perm], theta=theta)
-        chosen_perm = select_next(permuted, config, make_rng(0), COST, 0.5)
+        chosen_perm = select_next(*permuted, config, make_rng(0), COST, 0.5)
         assert posterior_scores(theta, pool[chosen], EMC)[0] == pytest.approx(
             posterior_scores(theta, pool[perm][chosen_perm], EMC)[0], rel=1e-12
         )
@@ -305,7 +305,7 @@ class TestSelectNext:
             for kind in (EMC, MIN_MC, MAX_MC):
                 for norm in (False, True):
                     config = ExperimentConfig(strategy=kind, mc_include_norm=norm)
-                    chosen = select_next(state, config, make_rng(0), COST, 0.5)
+                    chosen = select_next(*state, config, make_rng(0), COST, 0.5)
                     scores = [posterior_scores(theta, x, kind, norm)[0] for x in pool]
                     assert chosen == int(np.argmax(scores))
 
@@ -314,26 +314,27 @@ class TestSelectNext:
         # each with its own one-shot score_dr must pick the same point
         rng = make_rng(9)
         for seed in range(4):
-            initial = ActiveState(
-                *sample_split(two_cluster_data(rng, 30, noise=1.2), 6, seed)
+            labeled, rest = sample_split(
+                two_cluster_data(rng, 30, noise=1.2), 6, seed
             )
-            theta = erm_train_l2(initial.labeled, 1e-3)
-            state = dataclasses.replace(initial, theta=theta)
-            pool = state.pool.features
+            theta = erm_train_l2(labeled, 1e-3)
+            pool = rest.features
             for kind in (DR_WEAK, DR_STRONG):
                 config = ExperimentConfig(
-                    strategy=kind, candidate_subsample=state.pool_size
+                    strategy=kind, candidate_subsample=rest.n
                 )
-                chosen = select_next(state, config, make_rng(0), COST, 0.5)
+                chosen = select_next(
+                    labeled, rest, theta, config, make_rng(0), COST, 0.5
+                )
                 if kind == DR_WEAK:
-                    prior = weak_prior(state.labeled)
+                    prior = weak_prior(labeled)
                 else:
                     prior = LabelPrior.point((0.5, 0.5))
-                eps = prior_feasible_radius(state.labeled, pool, prior, COST)
+                eps = prior_feasible_radius(labeled, pool, prior, COST)
                 eps += config.delta_margin
                 scores = [
                     score_dr(
-                        PayoffLp(pool, state.labeled, prior, eps, COST),
+                        PayoffLp(pool, labeled, prior, eps, COST),
                         pool, j, theta,
                     )
                     for j in range(len(pool))
@@ -344,129 +345,122 @@ class TestSelectNext:
         # the step's radius and its model share one pool-to-atoms transport
         rng = make_rng(10)
         data = two_cluster_data(rng, 40, noise=1.2)
-        initial = ActiveState(*sample_split(data, 12, 0))
-        state = dataclasses.replace(
-            initial, theta=erm_train_l2(initial.labeled, 1e-3)
-        )
+        labeled, pool = sample_split(data, 12, 0)
+        theta = erm_train_l2(labeled, 1e-3)
         config = ExperimentConfig(strategy=DR_WEAK, candidate_subsample=8)
-        select_next(state, config, make_rng(0), COST, 0.5)
-        assert transport_solves == [(state.pool_size, state.labeled.n)]
+        select_next(labeled, pool, theta, config, make_rng(0), COST, 0.5)
+        assert transport_solves == [(pool.n, labeled.n)]
 
     def test_random_strategy_is_seed_deterministic(self):
         pool = np.arange(20, dtype=float).reshape(10, 2)
         state = self._state(pool)
         config = ExperimentConfig(strategy=RANDOM)
-        first = select_next(state, config, make_rng(7), COST, 0.5)
-        second = select_next(state, config, make_rng(7), COST, 0.5)
+        first = select_next(*state, config, make_rng(7), COST, 0.5)
+        second = select_next(*state, config, make_rng(7), COST, 0.5)
         assert first == second
 
     def test_empty_pool_and_missing_model_are_rejected(self):
         state = self._state(np.empty((0, 2)))
         with pytest.raises(ValueError):
             select_next(
-                state, ExperimentConfig(strategy=RANDOM), make_rng(0), COST, 0.5
-            )
-        unscored = self._state(np.array([[1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            select_next(
-                unscored, ExperimentConfig(strategy=EMC), make_rng(0), COST, 0.5
+                *state, ExperimentConfig(strategy=RANDOM), make_rng(0), COST, 0.5
             )
 
 
-class TestActiveStateAndInit:
+class TestInitialSplit:
     def test_initial_split_partitions_the_data_deterministically(self):
         # a run starts from `sample_split`: the draw `bound` takes at that
         # seed and size, with the rest of the table as the pool
         rng = make_rng(5)
         data = two_cluster_data(rng, 30)
-        first = ActiveState(*sample_split(data, 8, seed=3))
-        second = ActiveState(*sample_split(data, 8, seed=3))
-        assert np.array_equal(first.labeled.features, second.labeled.features)
-        assert np.array_equal(first.pool.features, second.pool.features)
-        assert first.labeled.n == 8
-        assert first.pool_size == 22
-        combined = np.vstack([first.labeled.features, first.pool.features])
+        first_labeled, first_pool = sample_split(data, 8, seed=3)
+        second_labeled, second_pool = sample_split(data, 8, seed=3)
+        assert np.array_equal(first_labeled.features, second_labeled.features)
+        assert np.array_equal(first_pool.features, second_pool.features)
+        assert first_labeled.n == 8
+        assert first_pool.n == 22
+        combined = np.vstack([first_labeled.features, first_pool.features])
         assert sorted(map(tuple, combined)) == sorted(map(tuple, data.features))
-
-    def test_history_must_be_strictly_increasing(self):
-        labeled = LabeledDataset(np.zeros((1, 2)), np.array([1]))
-        with pytest.raises(ValueError):
-            ActiveState(
-                labeled=labeled,
-                pool=LabeledDataset(np.ones((1, 2)), np.array([0])),
-                history=((5, 0.5), (5, 0.6)),
-            )
-
-    def test_pool_and_labeled_dimensions_must_agree(self):
-        labeled = LabeledDataset(np.zeros((1, 2)), np.array([1]))
-        with pytest.raises(ValueError, match="dimensions differ"):
-            ActiveState(labeled, LabeledDataset(np.ones((1, 3)), np.array([0])))
 
     def test_initial_size_bounds_are_enforced(self):
         # the error names the requested size and the table's
         data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match=r"\[1, 3\], got 0"):
-            ActiveState(*sample_split(data, 0, seed=0))
+            sample_split(data, 0, seed=0)
         with pytest.raises(ValueError, match=r"\[1, 3\], got 4"):
-            ActiveState(*sample_split(data, 4, seed=0))
+            sample_split(data, 4, seed=0)
 
     def test_an_empty_pool_is_none(self):
         data = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 0]))
-        state = ActiveState(*sample_split(data, 3, seed=0))
-        assert state.pool is None
-        assert state.pool_size == 0
+        _, pool = sample_split(data, 3, seed=0)
+        assert pool is None
 
 
 class TestRunActiveLoop:
     def _setup(self, n=24, n_initial=6, seed=9):
         rng = make_rng(5)
         data = two_cluster_data(rng, n)
-        return data, ActiveState(*sample_split(data, n_initial, seed=seed))
+        return data, sample_split(data, n_initial, seed=seed)
+
+    def _fitted_sets(self, monkeypatch):
+        # the loop keeps its labeled set as a local; the labeled set each
+        # round's fit is handed shows it, the last one the final set
+        fitted = []
+        fit = active.erm_train_l2
+
+        def recording(data, ridge_gamma):
+            fitted.append(data)
+            return fit(data, ridge_gamma)
+
+        monkeypatch.setattr(active, "erm_train_l2", recording)
+        return fitted
 
     def test_random_curve_is_bitwise_reproducible(self):
         data, init = self._setup()
         config = ExperimentConfig(strategy=RANDOM, stop_at=12)
-        first = run_active_loop(init, config, data, 21, COST)
-        second = run_active_loop(init, config, data, 21, COST)
-        assert first.history == second.history
+        first = run_active_loop(*init, config, data, 21, COST)
+        second = run_active_loop(*init, config, data, 21, COST)
+        assert first == second
 
-    def test_curve_has_one_entry_per_labeled_count(self):
-        data, init = self._setup()
+    def test_curve_has_one_entry_per_labeled_count(self, monkeypatch):
+        data, (labeled, pool) = self._setup()
+        fitted = self._fitted_sets(monkeypatch)
         config = ExperimentConfig(strategy=EMC, stop_at=13)
-        done = run_active_loop(init, config, data, 1, COST)
-        counts = [n for n, _ in done.history]
+        curve = run_active_loop(labeled, pool, config, data, 1, COST)
+        counts = [n for n, _ in curve]
         assert counts == list(range(6, 14))
-        assert done.labeled.n == 13
-        assert done.pool_size == init.pool_size - 7
+        assert fitted[-1].n == 13
+        assert data.n - fitted[-1].n == pool.n - 7
 
     def test_learning_improves_every_strategy_on_overlapping_clusters(self):
         # a weak 4-point start on noisy clusters leaves room for every
         # strategy, including the easy-point-seeking optimistic one, to gain
         rng = make_rng(6)
         data = two_cluster_data(rng, 28, spread=1.2, noise=0.8)
-        init = ActiveState(*sample_split(data, 4, seed=9))
+        init = sample_split(data, 4, seed=9)
         for kind in (RANDOM, EMC, MIN_MC, MAX_MC, DR_WEAK):
             config = ExperimentConfig(
                 strategy=kind, candidate_subsample=4, stop_at=16
             )
-            done = run_active_loop(init, config, data, 9, COST)
-            assert done.history[-1][1] >= done.history[0][1] - 1e-9
+            curve = run_active_loop(*init, config, data, 9, COST)
+            assert curve[-1][1] >= curve[0][1] - 1e-9
 
-    def test_the_pool_can_run_dry(self):
+    def test_the_pool_can_run_dry(self, monkeypatch):
         data, init = self._setup()
+        fitted = self._fitted_sets(monkeypatch)
         config = ExperimentConfig(strategy=EMC, stop_at=24)
-        done = run_active_loop(init, config, data, 1, COST)
-        assert done.pool is None
-        assert sorted(map(tuple, done.labeled.features)) == sorted(
+        run_active_loop(*init, config, data, 1, COST)
+        assert fitted[-1].n == data.n
+        assert sorted(map(tuple, fitted[-1].features)) == sorted(
             map(tuple, data.features)
         )
 
     def test_stopping_bounds_are_validated(self):
         data, init = self._setup()
         with pytest.raises(ValueError):
-            run_active_loop(init, ExperimentConfig(stop_at=6), data, 0, COST)
+            run_active_loop(*init, ExperimentConfig(stop_at=6), data, 0, COST)
         with pytest.raises(ValueError):
-            run_active_loop(init, ExperimentConfig(stop_at=25), data, 0, COST)
+            run_active_loop(*init, ExperimentConfig(stop_at=25), data, 0, COST)
 
     def test_evaluation_likelihood_is_the_geometric_mean(self):
         data = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 0]))

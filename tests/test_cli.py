@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 from drulearn import active, baseline, cli, oracle
-from drulearn.active import ActiveState, aulc, run_active_loop
+from drulearn.active import aulc, run_active_loop
 from drulearn.baseline import baseline_train, worst_case_price
 from drulearn.bounds import certify, prior_feasible_radius, weak_prior
 from drulearn.cli import (
@@ -25,7 +25,12 @@ from drulearn.cli import (
     _oracle_instance,
     main,
 )
-from drulearn.config import ExperimentConfig, load_config, render_value
+from drulearn.config import (
+    STRATEGY_KINDS,
+    ExperimentConfig,
+    load_config,
+    render_value,
+)
 from drulearn.data import sample_split
 from drulearn.dual import cutset_solve, duality_gap_check
 from drulearn.kernels import SlsqpResult
@@ -165,6 +170,16 @@ class TestUsageErrors:
         config = write_config(tmp_path, output=str(out), **SMALL_DATA)
         assert main(["train-dru", "--config", config, "--eps", "nan"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: eps must be finite, got nan\n"
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
+    def test_empty_output_override_exits_one_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an empty output would name a hidden `.meta` in the working directory
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **SMALL_DATA)
+        assert main(["min-radius", "--config", config, "--output", ""]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: output must name a file\n"
         assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_min_radius_with_a_negative_delta_margin_exits_one(
@@ -1101,44 +1116,47 @@ class TestActiveExperiment:
     def test_curve_and_aulc_rows_pin_the_headers_and_match_the_library(
         self, tmp_path
     ):
-        out = tmp_path / "act.csv"
-        config = write_config(
-            tmp_path,
-            output=str(out),
-            synthetic_n=20,
-            n_initial=3,
-            stop_at=6,
-            trials=3,
-            strategy="emc",
-            seed=2,
-        )
-        assert main(["active", "--config", config]) == EXIT_OK
-        assert read_header(out) == "seed,strategy,trial,n_labeled,likelihood"
-        aulc_path = tmp_path / "act_aulc.csv"
-        assert read_header(aulc_path) == "strategy,median_aulc"
-        settings = load_config(config)
-        table = _load_table(settings)
-        pool = LabeledDataset(table.features, table.labels)
-        expected, areas = [], []
-        for trial in range(3):
-            state = run_active_loop(
-                ActiveState(*sample_split(pool, 3, 2 + trial)),
-                settings,
-                eval_data=pool,
-                seed=2 + trial,
-                cost=TransportCost(),
+        for strategy in STRATEGY_KINDS:
+            directory = tmp_path / strategy
+            directory.mkdir()
+            out = directory / "act.csv"
+            config = write_config(
+                directory,
+                output=str(out),
+                synthetic_n=20,
+                n_initial=3,
+                stop_at=6,
+                trials=3,
+                strategy=strategy,
+                seed=2,
             )
-            expected += [
-                [str(2 + trial), "emc", str(trial), str(n), repr(float(value))]
-                for n, value in state.history
-            ]
-            areas.append(aulc(state.history))
-        assert [list(row.values()) for row in read_rows(out)] == expected
-        (aulc_row,) = read_rows(aulc_path)
-        assert aulc_row == {
-            "strategy": "emc",
-            "median_aulc": repr(float(np.median(areas))),
-        }
+            assert main(["active", "--config", config]) == EXIT_OK
+            assert read_header(out) == "seed,strategy,trial,n_labeled,likelihood"
+            aulc_path = directory / "act_aulc.csv"
+            assert read_header(aulc_path) == "strategy,median_aulc"
+            settings = load_config(config)
+            table = _load_table(settings)
+            pool = LabeledDataset(table.features, table.labels)
+            expected, areas = [], []
+            for trial in range(3):
+                curve = run_active_loop(
+                    *sample_split(pool, 3, 2 + trial),
+                    settings,
+                    eval_data=pool,
+                    seed=2 + trial,
+                    cost=TransportCost(),
+                )
+                expected += [
+                    [str(2 + trial), strategy, str(trial), str(n), repr(float(value))]
+                    for n, value in curve
+                ]
+                areas.append(aulc(curve))
+            assert [list(row.values()) for row in read_rows(out)] == expected
+            (aulc_row,) = read_rows(aulc_path)
+            assert aulc_row == {
+                "strategy": strategy,
+                "median_aulc": repr(float(np.median(areas))),
+            }
 
     def test_active_starts_from_the_rows_bound_labels(self, tmp_path, monkeypatch):
         # one seeded draw serves both: at the same seed and size, an active

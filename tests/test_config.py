@@ -206,6 +206,7 @@ class TestValidation:
             ("stop_at", "-3", "stop_at must be nonnegative"),
             ("stop_at", "1", "stop_at must exceed n_initial"),
             ("stop_at", "2", "stop_at must exceed n_initial"),
+            ("output", "", "output must name a file"),
         ],
     )
     def test_out_of_range_keys_stop_at_parse_time(self, key, raw, message):
