@@ -148,15 +148,14 @@ def baseline_train(
     lower = np.full(dim + 1 + n, -np.inf)
     lower[dim] = 0.0
     solution = slsqp(
-        lambda z: gradient @ z,
-        lambda z: gradient,
+        lambda z: (gradient @ z, gradient),
         start,
         lower,
         np.full(dim + 1 + n, np.inf),
-        constraints=constraints,
-        jacobian=jacobian,
         ftol=FIT_TOL,
         maxiter=FIT_MAX_ITER,
+        constraints=constraints,
+        jacobian=jacobian,
     )
     if not solution.success:
         raise RuntimeError(

@@ -11,7 +11,7 @@ evaluated on the other (`certify`), builds the label prior a config sets
 checks a key again.
 
 The multiplier search (`search_multipliers`) moves the multiplier vector
-itself (`model.multiplier_parts`): L-BFGS-B's iterate, the smoothed kernel's
+itself (`model.multiplier_parts`): SLSQP's iterate, the smoothed kernel's
 gradient and each stage's result share its layout.  It reads every
 evaluation, smoothed or exact, from the one layout of its sample that
 `certify` builds.  It starts at the origin, never at a solver's
@@ -21,14 +21,10 @@ Its smoothed kernel sends the scaled cells at or below
 either way, so the floor changes no bit, only the cost of numpy's slow path
 below about -708.
 
-The search runs L-BFGS-B through `kernels.lbfgsb`, the loop that scipy
-1.17's `minimize(method="L-BFGS-B")` runs around L-BFGS-B's compiled
-reverse-communication routine `setulb`, so its iterates and evaluation
-counts are `minimize`'s bit for bit.  It leaves out `minimize`'s per-call
-setup and its `ScalarFunction` and `MemoizeJac` wrappers, which copy and
-compare x several times per evaluation: on the `bound_strong` benchmark
-config (one core) the search's time outside the kernel fell from about 72
-to about 21 us per evaluation.
+The search runs SLSQP through `kernels.slsqp`, the one optimizer loop the
+package runs, which the cut-set master and the baseline fit run too; its
+iterates are scipy 1.17's `minimize(method="SLSQP", jac=True)`'s bit for
+bit.
 
 The search stops after three temperatures, 1e-1 to 1e-2.  Three finer
 stages would go on lowering the search half's certificate, the objective
@@ -53,7 +49,7 @@ from .config import (
     ExperimentConfig,
 )
 from .dual import DualState, cutset_solve, dual_objective, linear_part
-from .kernels import betaincinv, lbfgsb
+from .kernels import betaincinv, slsqp
 from .model import (
     N_CLASSES,
     CellLayout,
@@ -72,10 +68,10 @@ DEFAULT_Z_SCORE = 1.96
 VACUOUS_THRESHOLD = 0.5
 
 # certificate search (see `certify`): the logsumexp temperatures, coarse to
-# fine, and the L-BFGS-B settings for each.  Finer stages would fit the search
+# fine, and the SLSQP settings for each.  Finer stages would fit the search
 # half's noise, not tighten the reported certificate (see the module docstring)
 SMOOTHING_SCHEDULE = (1e-1, 3e-2, 1e-2)
-SEARCH_OPTIONS = {"maxiter": 2000, "ftol": 1e-12, "gtol": 1e-8}
+SEARCH_OPTIONS = {"maxiter": 2000, "ftol": 1e-12}
 # np.exp returns exactly +0.0 at and below this argument (its last positive
 # value, the smallest subnormal, is at about -745.133)
 EXP_ZERO = -745.2
@@ -210,13 +206,14 @@ def search_multipliers(
     among those the search visits.
 
     Every dual point gives a valid certificate, dual objective plus
-    correction, so this minimizes that sum over the multipliers: L-BFGS-B
-    on its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
+    correction, so this minimizes that sum over the multipliers: SLSQP on
+    its tau-logsumexp smoothing, for each tau of `SMOOTHING_SCHEDULE` in
     turn.  The first stage starts at the origin (zero transport price,
     potentials and label multipliers), a dual point that depends on no
     solver, so the result depends on its arguments alone; each later stage
-    starts where the one before stopped, and L-BFGS-B keeps every iterate's
-    price and label multipliers nonnegative.  The origin and the point
+    starts where the one before stopped.  SLSQP's bounds keep the price and
+    label multipliers nonnegative up to an ulp or two (scipy gh-11403), so
+    each stage's result is clipped into them.  The origin and the point
     returned at each tau are priced by `performance_bound` on `layout`, the
     one layout every evaluation, smoothed or exact, reads, and the best is
     returned.  The multipliers are fitted to the layout's sample, so its
@@ -224,25 +221,22 @@ def search_multipliers(
     points.
 
     Where the smoothing cannot resolve a tie the search may stop up to
-    1e-2 * log(2 * n_labeled) above the best certificate.  At the zero model
-    theta = 0, where every cell ties, the origin itself prices exactly
-    log 2, the best certificate there, and stays a candidate.
+    1e-2 * log(2 * n_labeled) above the best certificate.
     """
     origin = np.zeros(1 + layout.n_labeled + 2 * N_CLASSES)
     # the price and the label multipliers are nonnegative, the potentials free
     lower = origin.copy()
     _, potentials, _, _ = multiplier_parts(lower)
     potentials[:] = -np.inf
+    upper = np.full(origin.size, np.inf)
     point, points = origin, [origin]
     for tau in SMOOTHING_SCHEDULE:
-        # each run returns a new array that no later run writes to
-        point, _ = lbfgsb(
-            _smoothed_bound,
-            point,
-            lower,
-            (layout, prior, eps, z_score, tau),
-            **SEARCH_OPTIONS,
+        args = (layout, prior, eps, z_score, tau)
+        run = slsqp(
+            lambda z: _smoothed_bound(z, *args), point, lower, upper, **SEARCH_OPTIONS
         )
+        # the clip returns a new array that no later run writes to
+        point = np.clip(run.x, lower, upper)
         points.append(point)
     priced = [performance_bound(point, layout, prior, eps, z_score) for point in points]
     return points[int(np.argmin([p.neg_log_bound + p.correction for p in priced]))]
@@ -279,7 +273,7 @@ def certify(
     the multipliers on the search half, from the origin, and
     `performance_bound` evaluates them on the held-out half, which played
     no part in the choice.  `DualState` checks that the chosen point's price
-    and label multipliers are nonnegative, as L-BFGS-B's bounds keep them.
+    and label multipliers are nonnegative, as the search's clip keeps them.
     `neg_log_bound` is the dual objective at `state` over the whole sample,
     the one place `state`'s multipliers are read: a valid upper bound at
     any feasible point, and the exact worst case at the worst-case LP's
@@ -287,11 +281,18 @@ def certify(
     exp(-max(neg_log_bound, held-out certificate)), so it never claims more
     than the sample's own worst case, and `correction` is the excess.
     Needs `certify_sample_size(z_score)` points.
+
+    At the zero model theta = 0 both labels lose exactly log 2 at every
+    point, so every distribution in the decision set has expected loss
+    log 2; that exact worst case is returned with no correction and no
+    search.
     """
     if len(unlabeled) < certify_sample_size(z_score):
         raise ValueError(
             "certify needs two unlabeled points per half (one at z_score 0)"
         )
+    if not np.any(state.theta):
+        return PerformanceBound.from_terms(math.log(2.0), 0.0)
     losses = both_class_losses(state.theta, unlabeled)
     costs = pair_costs(unlabeled, data, cost)
     # the whole sample is priced first, so its layout is freed before the search

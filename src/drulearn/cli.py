@@ -607,6 +607,10 @@ def main(argv=None) -> int:
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
         config = _apply_overrides(load_config(args.config), args)
+        if os.path.isdir(config.output):
+            raise ConfigError(
+                f"output must name a file, got the directory {config.output}"
+            )
         _write_metadata(config, args.command)
         fieldnames, rows, errors, extra = _SUBCOMMANDS[args.command](config)
         _write_csv(config.output, fieldnames, rows)

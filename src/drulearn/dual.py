@@ -396,15 +396,14 @@ def _solve_master(cuts, features, theta_start):
     unit[dim] = 1.0
     box = np.append(np.full(dim, THETA_BOX), np.inf)
     solution = slsqp(
-        lambda z: z[dim],
-        lambda z: unit,
+        lambda z: (z[dim], unit),
         start,
         -box,
         box,
-        constraints=slack,
-        jacobian=slack_jacobian,
         ftol=MASTER_TOL,
         maxiter=MASTER_MAX_ITER,
+        constraints=slack,
+        jacobian=slack_jacobian,
     )
     if not solution.success:
         raise RuntimeError(

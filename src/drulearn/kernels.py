@@ -1,13 +1,13 @@
-"""scipy's compiled modules, loaded without their packages, and the two
-optimizer loops the package runs around scipy.optimize's kernels.
+"""scipy's compiled modules, loaded without their packages, and the one
+optimizer loop the package runs around scipy.optimize's SLSQP kernel.
 
-The package reaches scipy through five compiled modules:
+The package reaches scipy through four compiled modules:
 - `scipy.special._ufuncs`, for the `expit` and `betaincinv` ufuncs, the
   very objects `scipy.special` exports;
-- four of scipy.optimize's: the HiGHS build (`_highspy._core`), L-BFGS-B's
-  `setulb` (`_lbfgsb`), the assignment solver (`_lsap`) and SLSQP's kernel
-  (`_slsqplib`; Kraft, "A software package for sequential quadratic
-  programming", DFVLR-FB 88-28, 1988).
+- three of scipy.optimize's: the HiGHS build (`_highspy._core`), the
+  assignment solver (`_lsap`) and SLSQP's kernel (`_slsqplib`; Kraft, "A
+  software package for sequential quadratic programming", DFVLR-FB 88-28,
+  1988).
 
 `scipy_extension` loads each from its file, so no run executes the
 `__init__.py` of `scipy.special` or `scipy.optimize`.  Each of those
@@ -24,9 +24,11 @@ which imports the half-loaded `_ufuncs` and fails.  The one other scipy
 import in the package is `linprog`, inside `simplex.solve_lp`, which no
 command-line path calls.
 
-`lbfgsb` and `slsqp` run the loops scipy 1.17's `minimize` runs around
-`setulb` and `_slsqplib.slsqp`, without its per-call setup and its
-`ScalarFunction` wrappers, so their iterates are `minimize`'s bit for bit.
+`slsqp` runs the loop scipy 1.17's `minimize` runs around
+`_slsqplib.slsqp`, without its per-call setup and its `ScalarFunction`
+wrappers, so its iterates are `minimize`'s bit for bit.  It drives every
+smooth solve: the cut-set master, the baseline fit and the certificate
+search.
 
 This module holds every tie the package has to scipy's internals: a scipy
 release that moves one of these files, makes a package's stand-in
@@ -34,9 +36,8 @@ insufficient, or changes a kernel's arguments or the loop `minimize` runs
 around it, breaks this module alone.  These tests then fail:
 `tests/test_imports.py`, which loads every module, runs every subcommand
 without the packages and compares the loaded objects with the packages';
-and `tests/test_bounds.py::TestLbfgsbDriver` and `TestSlsqpDriver`, which
-compare the drivers with `minimize` bit for bit.  scipy 1.17.1 is the
-tested release.
+and `tests/test_bounds.py::TestSlsqpDriver`, which compares the driver with
+`minimize` bit for bit.  scipy 1.17.1 is the tested release.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-
-# the rest of scipy's L-BFGS-B defaults: stored correction pairs, line-search
-# steps per iteration, and the evaluation count past which it stops
-LBFGSB_MEMORY = 10
-LBFGSB_LINE_SEARCH_STEPS = 20
-LBFGSB_MAX_EVALUATIONS = 15000
 
 # scipy's text for each SLSQP exit mode that ends a run
 SLSQP_EXIT_MODES = {
@@ -125,54 +120,7 @@ expit = _ufuncs.expit
 betaincinv = _ufuncs.betaincinv
 highs = scipy_extension("optimize", "_highspy._core")
 linear_sum_assignment = scipy_extension("optimize", "_lsap").linear_sum_assignment
-setulb = scipy_extension("optimize", "_lbfgsb").setulb
 _slsqp_kernel = scipy_extension("optimize", "_slsqplib").slsqp
-
-
-def lbfgsb(fun, x0, lower, args, maxiter, ftol, gtol):
-    """L-BFGS-B on `fun(x, *args)`, which returns (value, gradient), over
-    x >= `lower` (-inf leaves a variable free), from `x0` clipped into the
-    bounds.  Returns the final x and the evaluation count, bit for bit
-    `minimize`'s `.x` and `.nfev` under the same options.
-
-    Runs scipy 1.17's loop around `setulb`: `fun` is evaluated at the start
-    and whenever `setulb` asks for it (task 3) at an x other than the last
-    one evaluated; after each iteration (task 1) the run stops at `maxiter`
-    iterations or past `LBFGSB_MAX_EVALUATIONS` evaluations."""
-    n = x0.size
-    bounded = np.isfinite(lower)
-    # L-BFGS-B's bound type per variable: 0 free, 1 bounded below only
-    nbd = bounded.astype(np.int32)
-    low, high = np.where(bounded, lower, 0.0), np.zeros(n)
-    x = np.clip(x0, lower, np.inf)
-    evaluated = x.copy()
-    f, g = fun(evaluated, *args)
-    evaluations, iterations = 1, 0
-    factr = ftol / np.finfo(float).eps
-    # setulb's workspace and saved state, sized as scipy sizes them
-    m = LBFGSB_MEMORY
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    while True:
-        setulb(
-            m, x, low, high, nbd, f, g, factr, gtol, wa, iwa,
-            task, lsave, isave, dsave, LBFGSB_LINE_SEARCH_STEPS, ln_task,
-        )
-        if task[0] == 3:
-            if not np.array_equal(x, evaluated):
-                evaluated = x.copy()
-                f, g = fun(evaluated, *args)
-                evaluations += 1
-        elif task[0] == 1:
-            iterations += 1
-            if iterations >= maxiter:
-                task[:] = 5, 504
-            elif evaluations > LBFGSB_MAX_EVALUATIONS:
-                task[:] = 5, 502
-        else:
-            return x, evaluations
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,25 +141,35 @@ class SlsqpResult:
         return SLSQP_EXIT_MODES[self.status]
 
 
-def slsqp(fun, grad, x0, lower, upper, constraints, jacobian, ftol, maxiter):
-    """SLSQP on `fun`, with gradient `grad`, over `lower <= x <= upper`
-    (an infinite bound leaves that side free) and `constraints(x) >= 0`,
-    a vector whose Jacobian is `jacobian(x)`, from `x0` clipped into the
-    bounds.  Bit for bit `minimize(method="SLSQP")` with the same options
-    and one block of inequality constraints.
+def slsqp(fun, x0, lower, upper, ftol, maxiter, constraints=None, jacobian=None):
+    """SLSQP on `fun`, which returns (value, gradient), over
+    `lower <= x <= upper` (an infinite bound leaves that side free) and,
+    when given, `constraints(x) >= 0`, a vector whose Jacobian is
+    `jacobian(x)`, from `x0` clipped into the bounds.  Bit for bit
+    `minimize(method="SLSQP", jac=True)` with the same options and either
+    no constraints or one block of inequality constraints.
 
     Runs scipy 1.17's loop around the kernel, with its state, workspace
     sizes and NaN for an infinite bound: the kernel asks for f and the
     constraints (mode 1) or for their gradients (mode -1) at its x, and
-    any other mode ends the run.  The callables get that x itself, which
-    the kernel overwrites, so they must not keep it."""
+    any other mode ends the run.  `fun` is evaluated once per point, on a
+    copy of that x, and its gradient is handed over when the kernel asks
+    for one at the same point, as `minimize(jac=True)` memoizes it.  The
+    constraint callables get the kernel's x itself, which the kernel
+    overwrites, so they must not keep it.  The final x can lie outside a
+    bound by an ulp or two (scipy gh-11403)."""
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     n = x.size
-    f, g = fun(x), grad(x)
-    d = np.array(constraints(x), dtype=float)
-    m = d.size
-    C = np.zeros((m, n), order="F")
-    C[:] = jacobian(x)
+    at = x.copy()
+    f, g = value, gradient = fun(at)
+    if constraints is None:
+        # one zero row stands for the empty block
+        m, C, d = 0, np.zeros((1, n), order="F"), np.zeros(1)
+    else:
+        d = np.array(constraints(x), dtype=float)
+        m = d.size
+        C = np.zeros((m, n), order="F")
+        C[:] = jacobian(x)
     xl = np.where(np.isfinite(lower), lower, np.nan)
     xu = np.where(np.isfinite(upper), upper, np.nan)
     state = {
@@ -220,17 +178,25 @@ def slsqp(fun, grad, x0, lower, upper, constraints, jacobian, ftol, maxiter):
         "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0,
         "itermax": int(maxiter), "line": 0, "m": m, "meq": 0, "mode": 0, "n": n,
     }
-    # the kernel's workspace, sized as scipy sizes it with no equality rows
+    # the kernel's workspace, sized as scipy sizes it with no equality rows,
+    # topped up where there are no inequality rows either
     mult = np.zeros(m + 2 * n + 2)
     indices = np.zeros(m + 2 * n + 2, np.int32)
-    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28)
+    size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28
+    buffer = np.zeros(size + (2 * n * (n + 1) if m == 0 else 0))
     while True:
         _slsqp_kernel(state, f, g, C, d, x, mult, xl, xu, buffer, indices)
-        if state["mode"] == 1:
-            f = fun(x)
-            d[:] = constraints(x)
-        elif state["mode"] == -1:
-            g = grad(x)
-            C[:] = jacobian(x)
+        mode = state["mode"]
+        if abs(mode) != 1:
+            return SlsqpResult(x, mode, state["iter"])
+        if not np.array_equal(x, at):
+            at = x.copy()
+            value, gradient = fun(at)
+        if mode == 1:
+            f = value
+            if constraints is not None:
+                d[:] = constraints(x)
         else:
-            return SlsqpResult(x, state["mode"], state["iter"])
+            g = gradient
+            if constraints is not None:
+                C[:] = jacobian(x)

@@ -127,7 +127,7 @@ def _central_differences(fun, point, step=1e-6):
 
 
 def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypatch):
-    # Part one: the certificate search's smoothed bound hands L-BFGS-B a
+    # Part one: the certificate search's smoothed bound hands SLSQP a
     # gradient in (alpha, potentials, upper, lower) that agrees with central
     # finite differences in every coordinate, with and without the sampling
     # correction, at the three coarsest temperatures of its schedule, on 100
@@ -165,7 +165,7 @@ def test_subgradients_match_finite_differences_and_support_the_maximum(monkeypat
     # weight vector on the (support point, label) grid with some zeros.
     constraints = {}
 
-    def recording_slsqp(fun, grad, x0, lower, upper, **options):
+    def recording_slsqp(fun, x0, lower, upper, **options):
         constraints.update(fun=options["constraints"], jac=options["jacobian"])
         return SlsqpResult(x=np.asarray(x0), status=0, nit=0)
 

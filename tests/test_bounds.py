@@ -44,7 +44,8 @@ from drulearn.dual import (
     dual_objective,
     linear_part,
 )
-from drulearn.kernels import lbfgsb, slsqp
+from drulearn import kernels
+from drulearn.kernels import SlsqpResult, slsqp
 from drulearn.model import (
     N_CLASSES,
     CellLayout,
@@ -53,6 +54,7 @@ from drulearn.model import (
     both_class_losses,
     logistic_loss,
     make_rng,
+    multiplier_parts,
     pair_costs,
 )
 from drulearn.oracle import (
@@ -660,7 +662,8 @@ class TestCertify:
         # at theta = 0 every cell ties: the origin prices every point at
         # log 2 with zero spread, the best certificate there, and the search
         # keeps it as a candidate, so the smoothing's floor of the last
-        # temperature times log(2 * n_labeled) never shows
+        # temperature times log(2 * n_labeled) never shows; `certify`
+        # returns that exact worst case without a search
         data, unlabeled, prior, eps, result = trained_instance(4)
         np.testing.assert_array_equal(result.theta, np.zeros(data.dim))
         layout = sample_layout(result.theta, data, unlabeled)
@@ -670,7 +673,7 @@ class TestCertify:
         value = corrected(performance_bound(point, layout, prior, eps))
         assert value == pytest.approx(LOG2, abs=1e-12)
         bound = certify(result.state, data, unlabeled, prior, eps, COST)
-        assert corrected(bound) == pytest.approx(LOG2, abs=1e-12)
+        assert bound == PerformanceBound(LOG2, 0.0, 0.5)
 
     def test_search_never_raises_the_certificate_on_its_own_sample(self):
         for seed in (1, 2, 3):
@@ -751,7 +754,7 @@ class TestCertify:
             ), f"seed {seed}"
 
     def test_search_is_bitwise_the_flat_reference_kernel_search(self, monkeypatch):
-        # the layout kernel hands L-BFGS-B the flat kernel's doubles, so the
+        # the layout kernel hands SLSQP the flat kernel's doubles, so the
         # search takes the same path under both and returns the same point
         for seed in (1, 2, 3, 4):
             data, unlabeled, prior, eps, result = trained_instance(seed)
@@ -841,117 +844,31 @@ def search_lower(n_labeled):
     return np.concatenate([[0.0], np.full(n_labeled, -np.inf), np.zeros(2 * N_CLASSES)])
 
 
+def search_stage(params, lower, args, maxiter=SEARCH_OPTIONS["maxiter"]):
+    """One search stage through the driver: its result and the number of
+    times it evaluated the smoothed bound."""
+    evaluations = []
+
+    def smoothed(z):
+        evaluations.append(None)
+        return bounds._smoothed_bound(z, *args)
+
+    upper = np.full(lower.size, np.inf)
+    options = {**SEARCH_OPTIONS, "maxiter": maxiter}
+    return slsqp(smoothed, params, lower, upper, **options), len(evaluations)
+
+
 def minimize_search(params, lower, args, maxiter=SEARCH_OPTIONS["maxiter"]):
-    """One search stage through `scipy.optimize.minimize`'s L-BFGS-B."""
+    """One search stage through `scipy.optimize.minimize`'s SLSQP."""
     return minimize(
         bounds._smoothed_bound,
         params,
         args=args,
         jac=True,
-        method="L-BFGS-B",
+        method="SLSQP",
         bounds=Bounds(lower, np.inf),
         options={**SEARCH_OPTIONS, "maxiter": maxiter},
     )
-
-
-class TestLbfgsbDriver:
-    # the search drives scipy's private `setulb` in the loop `minimize`
-    # runs around it; a scipy release that changes that routine or that
-    # loop fails these comparisons rather than moving certificates silently
-
-    def test_every_search_stage_is_bitwise_minimize(self):
-        for seed in (1, 2, 3, 4):
-            data, unlabeled, prior, eps, result = trained_instance(seed)
-            search, _ = held_out_halves(unlabeled)
-            layout = sample_layout(result.theta, data, search)
-            lower = search_lower(data.n)
-            for start in (
-                result.state,
-                random_start(make_rng(seed), result.theta, data.n),
-            ):
-                params = start.multipliers
-                for tau in SMOOTHING_SCHEDULE:
-                    args = (layout, prior, eps, DEFAULT_Z_SCORE, tau)
-                    x, evaluations = lbfgsb(
-                        bounds._smoothed_bound, params, lower, args, **SEARCH_OPTIONS
-                    )
-                    reference = minimize_search(params, lower, args)
-                    where = f"seed {seed}, tau {tau}"
-                    assert reference.success, where
-                    assert bits(x) == bits(reference.x), where
-                    assert evaluations == reference.nfev, where
-                    params = x
-
-    def test_start_outside_the_bounds_is_clipped_as_minimize_clips_it(self):
-        for seed in (1, 3):
-            data, unlabeled, prior, eps, result = trained_instance(seed)
-            search, _ = held_out_halves(unlabeled)
-            lower = search_lower(data.n)
-            params = random_start(make_rng(seed), result.theta, data.n).multipliers
-            params[0] = -1.0
-            params[-2 * N_CLASSES :] *= -1.0
-            assert np.any(params < lower)
-            args = (sample_layout(result.theta, data, search), prior, eps, 0.0, 1e-2)
-            x, evaluations = lbfgsb(
-                bounds._smoothed_bound, params, lower, args, **SEARCH_OPTIONS
-            )
-            reference = minimize_search(params, lower, args)
-            assert np.all(x >= lower)
-            assert bits(x) == bits(reference.x), f"seed {seed}"
-            assert evaluations == reference.nfev, f"seed {seed}"
-
-    def test_iteration_limit_stops_where_minimize_stops(self):
-        data, unlabeled, prior, eps, result = trained_instance(2)
-        search, _ = held_out_halves(unlabeled)
-        lower = search_lower(data.n)
-        params = random_start(make_rng(2), result.theta, data.n).multipliers
-        args = (
-            sample_layout(result.theta, data, search),
-            prior, eps, DEFAULT_Z_SCORE, SMOOTHING_SCHEDULE[-1],
-        )
-        for maxiter in (1, 2, 5, 12):
-            x, evaluations = lbfgsb(
-                bounds._smoothed_bound,
-                params,
-                lower,
-                args,
-                **{**SEARCH_OPTIONS, "maxiter": maxiter},
-            )
-            reference = minimize_search(params, lower, args, maxiter=maxiter)
-            # the limit, not convergence, ended the run
-            assert reference.nit == maxiter and reference.status == 1, maxiter
-            assert bits(x) == bits(reference.x), maxiter
-            assert evaluations == reference.nfev, maxiter
-
-    def test_search_writes_neither_its_start_nor_its_result(self):
-        # the search returns its start, the origin, or a stage's L-BFGS-B
-        # result, and `certify` keeps it in a `DualState` as given, so no
-        # later stage or search may write to one; at the zero model
-        # (seed 4) the search returns the origin itself
-        for seed in (1, 2, 4):
-            data, unlabeled, prior, eps, result = trained_instance(seed)
-            search, _ = held_out_halves(unlabeled)
-            layout = sample_layout(result.theta, data, search)
-            point = search_multipliers(layout, prior, eps)
-            found = bits(point)
-            search_multipliers(layout, prior, eps)
-            certify(result.state, data, unlabeled, prior, eps, COST)
-            assert bits(point) == found, f"seed {seed}"
-            assert np.any(point) == (seed != 4), f"seed {seed}"
-
-    def test_search_never_calls_minimize(self, monkeypatch):
-        data, unlabeled, prior, eps, result = trained_instance(1)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the certificate search called scipy's minimize")
-
-        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
-        monkeypatch.setattr(scipy.optimize._lbfgsb_py, "_minimize_lbfgsb", refuse)
-        point = search_multipliers(
-            sample_layout(result.theta, data, unlabeled), prior, eps
-        )
-        assert point.shape == result.state.multipliers.shape
-        certify(result.state, data, unlabeled, prior, eps, COST)
 
 
 def master_calls(seed, monkeypatch):
@@ -988,11 +905,11 @@ def driver_runs(module, run, monkeypatch):
 def minimize_slsqp(args, kwargs, bounds, maxiter):
     """The driver's problem through `scipy.optimize.minimize`'s SLSQP, with
     the bounds and options the master and the baseline fit gave it."""
-    fun, grad, x0 = args[:3]
+    fun, x0 = args[:2]
     return minimize(
         fun,
         x0,
-        jac=grad,
+        jac=True,
         method="SLSQP",
         bounds=bounds,
         constraints={
@@ -1026,10 +943,55 @@ def assert_same_run(result, reference, where):
     assert result.message == reference.message, where
 
 
+def kernel_arguments(module, name, run, monkeypatch):
+    """What `module.<name>`, SLSQP's compiled kernel, is handed at its
+    first call in `run()`: the state it starts from, and the shape, dtype
+    and memory order of every array after f."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def recording(state, *arrays):
+        if not calls:
+            calls.append(
+                (
+                    dict(state),
+                    [(a.shape, a.dtype, a.flags.f_contiguous) for a in arrays[1:]],
+                )
+            )
+        return kernel(state, *arrays)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, recording)
+        run()
+    return calls[0]
+
+
+def perturbed_stages(monkeypatch):
+    """Patch the search's driver so that every stage's result has one of
+    each class's label multipliers one ulp below its bound, 0.
+
+    At a point prior only each class's upper minus lower label multiplier
+    enters the objective, so moving both down by the smaller of the two
+    leaves the stage's certificate where it was, up to rounding."""
+    below = np.nextafter(0.0, -1.0)
+
+    def leaving(fun, x0, lower, upper, **options):
+        result = slsqp(fun, x0, lower, upper, **options)
+        x = result.x.copy()
+        _, _, up, low = multiplier_parts(x)
+        shift = np.minimum(up, low)
+        for part in (up, low):
+            part -= shift
+            np.putmask(part, part == 0.0, below)
+        return SlsqpResult(x, result.status, result.nit)
+
+    monkeypatch.setattr(bounds, "slsqp", leaving)
+
+
 class TestSlsqpDriver:
-    # the cut-set master and the baseline fit drive SLSQP's compiled kernel
-    # in the loop `minimize` runs around it; a scipy release that changes
-    # that kernel or that loop fails these comparisons
+    # the cut-set master, the baseline fit and the certificate search drive
+    # SLSQP's compiled kernel in the loop `minimize` runs around it; a scipy
+    # release that changes that kernel or that loop fails these comparisons
 
     def test_every_master_solve_is_bitwise_minimize(self, monkeypatch):
         for seed in (1, 2, 3, 4):
@@ -1106,6 +1068,156 @@ class TestSlsqpDriver:
         assert result.status == "converged"
         for eps in SWEEP_RADII:
             baseline.baseline_train(SWEEP_DATA, eps, COST)
+
+    def test_every_search_stage_is_bitwise_minimize(self):
+        for seed in (1, 2, 3, 4):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            layout = sample_layout(result.theta, data, search)
+            lower = search_lower(data.n)
+            for start in (
+                result.state,
+                random_start(make_rng(seed), result.theta, data.n),
+            ):
+                params = start.multipliers
+                for tau in SMOOTHING_SCHEDULE:
+                    args = (layout, prior, eps, DEFAULT_Z_SCORE, tau)
+                    run, evaluations = search_stage(params, lower, args)
+                    reference = minimize_search(params, lower, args)
+                    where = f"seed {seed}, tau {tau}"
+                    assert reference.success, where
+                    assert_same_run(run, reference, where)
+                    # one evaluation per point, as `minimize(jac=True)` makes
+                    assert evaluations == reference.nfev, where
+                    params = run.x
+
+    def test_search_start_outside_the_bounds_is_clipped_as_minimize_clips_it(self):
+        for seed in (1, 3):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            lower = search_lower(data.n)
+            params = random_start(make_rng(seed), result.theta, data.n).multipliers
+            params[0] = -1.0
+            params[-2 * N_CLASSES :] *= -1.0
+            assert np.any(params < lower)
+            args = (sample_layout(result.theta, data, search), prior, eps, 0.0, 1e-2)
+            run, evaluations = search_stage(params, lower, args)
+            reference = minimize_search(params, lower, args)
+            assert np.all(run.x >= lower)
+            assert_same_run(run, reference, f"seed {seed}")
+            assert evaluations == reference.nfev, f"seed {seed}"
+
+    def test_search_iteration_limit_stops_where_minimize_stops(self):
+        data, unlabeled, prior, eps, result = trained_instance(2)
+        search, _ = held_out_halves(unlabeled)
+        lower = search_lower(data.n)
+        params = random_start(make_rng(2), result.theta, data.n).multipliers
+        args = (
+            sample_layout(result.theta, data, search),
+            prior, eps, DEFAULT_Z_SCORE, SMOOTHING_SCHEDULE[-1],
+        )
+        for maxiter in (1, 2, 5, 12):
+            run, evaluations = search_stage(params, lower, args, maxiter)
+            reference = minimize_search(params, lower, args, maxiter=maxiter)
+            # the limit, not convergence, ended the run
+            assert run.status == 9 and run.nit == maxiter, maxiter
+            assert_same_run(run, reference, f"maxiter {maxiter}")
+            assert evaluations == reference.nfev, maxiter
+
+    def test_kernel_workspace_is_sized_as_minimize_sizes_it(self, monkeypatch):
+        # with bounds alone (the search) scipy hands the kernel a one-row
+        # constraint block and tops its buffer up by 2n(n + 1); with a block
+        # of inequality rows (the master) it does not
+        data, unlabeled, prior, eps, result = trained_instance(1)
+        lower = search_lower(data.n)
+        args = (sample_layout(result.theta, data, unlabeled), prior, eps, 0.0, 1e-1)
+        params = result.state.multipliers
+        cuts, features, theta_start = master_calls(2, monkeypatch)[1]
+        [(master_args, master_kwargs, _)] = driver_runs(
+            dual, lambda: dual._solve_master(cuts, features, theta_start), monkeypatch
+        )
+        runs = {
+            "search": (
+                lambda: search_stage(params, lower, args),
+                lambda: minimize_search(params, lower, args),
+            ),
+            "master": (
+                lambda: slsqp(*master_args, **master_kwargs),
+                lambda: minimize_slsqp(
+                    master_args,
+                    master_kwargs,
+                    master_bounds(theta_start.size),
+                    MASTER_MAX_ITER,
+                ),
+            ),
+        }
+        for name, (mine, theirs) in runs.items():
+            ours = kernel_arguments(kernels, "_slsqp_kernel", mine, monkeypatch)
+            reference = kernel_arguments(
+                scipy.optimize._slsqp_py, "slsqp", theirs, monkeypatch
+            )
+            assert ours == reference, name
+        n = lower.size
+        state, arrays = kernel_arguments(
+            kernels, "_slsqp_kernel", runs["search"][0], monkeypatch
+        )
+        assert state["m"] == 0
+        # g, C, d, x, mult, xl, xu, buffer, indices
+        assert [shape for shape, _, _ in arrays] == [
+            (n,), (1, n), (1,), (n,), (2 * n + 2,), (n,), (n,),
+            (n * (n + 1) // 2 + 8 * n * n + 35 * n + 28 + 2 * n * (n + 1),),
+            (2 * n + 2,),
+        ]
+
+    def test_stage_result_below_a_bound_is_clipped_and_certifies(self, monkeypatch):
+        # SLSQP can leave a bound by an ulp or two (scipy gh-11403); a
+        # negative price or label multiplier would make `certify`'s
+        # `DualState` check raise, so the search clips each stage's result
+        data, unlabeled, prior, eps, result = trained_instance(1)
+        search, _ = held_out_halves(unlabeled)
+        layout = sample_layout(result.theta, data, search)
+        lower = search_lower(data.n)
+        perturbed_stages(monkeypatch)
+        point = search_multipliers(layout, prior, eps)
+        # a stage's result, not the origin, won, and one of each class's
+        # label multipliers is the bound itself, +0.0
+        assert np.any(point)
+        _, _, up, low = multiplier_parts(point)
+        assert bits(np.minimum(up, low)) == bits(np.zeros(N_CLASSES))
+        assert np.all(point >= lower)
+        bound = certify(result.state, data, unlabeled, prior, eps, COST)
+        assert 0.0 < bound.likelihood_bound <= 1.0
+
+    def test_search_writes_neither_its_start_nor_its_result(self):
+        # the search returns its start, the origin, or a stage's clipped
+        # SLSQP result, and `certify` keeps it in a `DualState` as given, so
+        # no later stage or search may write to one; at the zero model
+        # (seed 4) the search returns the origin itself
+        for seed in (1, 2, 4):
+            data, unlabeled, prior, eps, result = trained_instance(seed)
+            search, _ = held_out_halves(unlabeled)
+            layout = sample_layout(result.theta, data, search)
+            point = search_multipliers(layout, prior, eps)
+            found = bits(point)
+            search_multipliers(layout, prior, eps)
+            certify(result.state, data, unlabeled, prior, eps, COST)
+            assert bits(point) == found, f"seed {seed}"
+            assert np.any(point) == (seed != 4), f"seed {seed}"
+
+    def test_search_never_calls_minimize(self, monkeypatch):
+        data, unlabeled, prior, eps, result = trained_instance(1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate search called scipy's minimize")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        monkeypatch.setattr(scipy.optimize._slsqp_py, "_minimize_slsqp", refuse)
+        monkeypatch.setattr(scipy.optimize._minimize, "_minimize_slsqp", refuse)
+        point = search_multipliers(
+            sample_layout(result.theta, data, unlabeled), prior, eps
+        )
+        assert point.shape == result.state.multipliers.shape
+        certify(result.state, data, unlabeled, prior, eps, COST)
 
 
 

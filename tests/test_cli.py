@@ -182,6 +182,18 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: output must name a file\n"
         assert list(tmp_path.iterdir()) == [Path(config)]
 
+    def test_directory_output_override_exits_one_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # `.` would name the sidecar `..meta` and fail only at the CSV write
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **SMALL_DATA)
+        assert main(["min-radius", "--config", config, "--output", "."]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: output must name a file, got the directory .\n"
+        )
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
     def test_min_radius_with_a_negative_delta_margin_exits_one(
         self, tmp_path, capsys
     ):
@@ -444,7 +456,7 @@ class TestExitCodes:
     def test_failed_baseline_fit_exits_three_and_keeps_its_meta(
         self, tmp_path, monkeypatch, capsys
     ):
-        def failed_solve(fun, grad, x0, lower, upper, **options):
+        def failed_solve(fun, x0, lower, upper, **options):
             return SlsqpResult(x=np.asarray(x0), status=9, nit=1000)
 
         monkeypatch.setattr(baseline, "slsqp", failed_solve)
@@ -792,6 +804,26 @@ class TestSweeps:
         for row in rows:
             _, certificate = library_certificate(config, 1, float(row["eps"]))
             assert {key: row[key] for key in certificate} == certificate
+
+    def test_radius_sweep_certifies_the_zero_model_at_exactly_log_2(self, tmp_path):
+        # on its default instance, trial 0 trains the zero model at its two
+        # wider radii and trial 1 at all three; each such row reads the
+        # exact worst case there, log 2, with no correction, and is flagged
+        # vacuous (trial 1's rows once read one ulp below log 2)
+        out = tmp_path / "rs.csv"
+        config = write_config(
+            tmp_path, output=str(out), eps_grid=(0.6, 1.0, 2.0), trials=2
+        )
+        assert main(["radius-sweep", "--config", config]) == EXIT_OK
+        rows = [row for row in read_rows(out) if row["median_confidence"] == "0.5"]
+        assert [(row["trial"], row["eps"]) for row in rows] == [
+            ("0", "1.0"), ("0", "2.0"), ("1", "0.6"), ("1", "1.0"), ("1", "2.0"),
+        ]
+        for row in rows:
+            assert (
+                row["neg_log_bound"], row["correction"], row["likelihood_bound"],
+                row["vacuous_flag"],
+            ) == (repr(math.log(2.0)), "0.0", "0.5", "1"), row["eps"]
 
     def test_radius_sweep_solves_each_trial_coupling_once(
         self, tmp_path, transport_solves

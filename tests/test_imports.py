@@ -1,5 +1,5 @@
 """How the package reaches scipy's compiled modules: `kernels` loads the
-five it uses (`scipy.special._ufuncs` and four of scipy.optimize's) from
+four it uses (`scipy.special._ufuncs` and three of scipy.optimize's) from
 their files, so no command-line run imports the `scipy.special`,
 `scipy.sparse` or `scipy.optimize` package, and a later import of those
 packages still works and hands back the same objects."""
@@ -69,7 +69,6 @@ RUN_EVERY_SUBCOMMAND = textwrap.dedent(
         "expit": scipy.special.expit is kernels.expit,
         "betaincinv": scipy.special.betaincinv is kernels.betaincinv,
         "_highspy._core": optimize._highspy._core._Highs is kernels.highs._Highs,
-        "_lbfgsb": optimize._lbfgsb.setulb is kernels.setulb,
         "_lsap": optimize._lsap.linear_sum_assignment
         is kernels.linear_sum_assignment
         is optimize.linear_sum_assignment,
@@ -127,7 +126,6 @@ LOAD_AFTER_THE_PACKAGES = textwrap.dedent(
             "_ufuncs": kernels._ufuncs is modules["scipy.special._ufuncs"],
             "_highspy._core": kernels.highs
             is modules["scipy.optimize._highspy._core"],
-            "_lbfgsb": kernels.setulb is scipy.optimize._lbfgsb.setulb,
             "_lsap": kernels.linear_sum_assignment
             is scipy.optimize._lsap.linear_sum_assignment,
             "_slsqplib": kernels._slsqp_kernel is scipy.optimize._slsqplib.slsqp,
@@ -222,7 +220,6 @@ def test_only_kernels_names_scipy_optimize_at_module_level():
             ("special", "_ufuncs"),
             ("optimize", "_highspy._core"),
             ("optimize", "_lsap"),
-            ("optimize", "_lbfgsb"),
             ("optimize", "_slsqplib"),
         ]
     }
@@ -262,8 +259,8 @@ def test_no_subcommand_imports_scipy_optimize_and_a_later_import_works(tmp_path)
     # the packages imported afterwards expose the compiled modules as their
     # attributes, and they hold the objects the package drives
     assert report["same"] == {
-        "expit": True, "betaincinv": True, "_highspy._core": True, "_lbfgsb": True,
-        "_lsap": True, "_slsqplib": True,
+        "expit": True, "betaincinv": True, "_highspy._core": True, "_lsap": True,
+        "_slsqplib": True,
     }
     assert report["slsqp"] == [0, 1.0, 0.0]
     assert report["linprog"] == [0, 1.0]
@@ -274,8 +271,8 @@ def test_no_subcommand_imports_scipy_optimize_and_a_later_import_works(tmp_path)
 def test_loading_kernels_after_the_packages_reuses_their_modules(tmp_path):
     report = run_script(LOAD_AFTER_THE_PACKAGES, tmp_path)
     assert report["reused"] == {
-        "_ufuncs": True, "_highspy._core": True, "_lbfgsb": True, "_lsap": True,
-        "_slsqplib": True, "again": True,
+        "_ufuncs": True, "_highspy._core": True, "_lsap": True, "_slsqplib": True,
+        "again": True,
     }
     assert report["entries_kept"] is True
     assert report["loaded"] == []
