@@ -218,7 +218,7 @@ def _render_cell(value) -> str:
 
 
 def _write_csv(path: str, fieldnames, rows):
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(fieldnames))
         for row in rows:
@@ -231,7 +231,7 @@ def _write_metadata(config: ExperimentConfig, command: str, errors=()):
     for trial, error in errors:
         items.append((f"error_trial_{trial}", str(error).replace("\n", " ")))
     items.sort(key=lambda pair: pair[0])
-    with open(config.output + ".meta", "w", newline="") as handle:
+    with open(config.output + ".meta", "w", newline="", encoding="utf-8") as handle:
         for key, value in items:
             handle.write(f"{key}={value}\n")
 

@@ -107,6 +107,8 @@ class ExperimentConfig:
                 )
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not self.output:
             raise ConfigError("output must name a file")
         if self.prior_mode not in (PRIOR_STRONG, PRIOR_WEAK):
@@ -235,7 +237,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and parse a config file."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_config_text(handle.read())
 
 

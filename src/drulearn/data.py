@@ -46,7 +46,7 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
     hold exactly two distinct tokens, one of them the positive token, mapped
     to 1, and some other column must exist.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -328,7 +328,7 @@ def sgd_solve(
     result = SolveResult(status, state, values[best], trace)
 
     if config.trace_path is not None:
-        with open(config.trace_path, "w", newline="") as handle:
+        with open(config.trace_path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(TRACE_FIELDS)
             writer.writerows(trace)

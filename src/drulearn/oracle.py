@@ -19,9 +19,10 @@ reduced costs are the dual's cells, `model.CellLayout.cells`, less the
 support points' duals.  A re-solve pays for what changed: pricing sorts
 only the support points that have a column to enter, and HiGHS is sent
 only the costs that changed.  Transport problems go to
-`simplex.solve_transportation`: one `linear_sum_assignment` call when both
-marginals are uniform and the larger size is a multiple of the smaller, one
-cold `HighsModel` solve otherwise.  The transport from the
+`simplex.solve_transportation`, which takes only their cost matrix: every
+one is between two uniform samples, so the shape alone decides between one
+`linear_sum_assignment` call, when the larger size is a multiple of the
+smaller, and one cold `HighsModel` solve.  The transport from the
 uniform support to the uniform labeled atoms (`UniformCoupling`) depends on
 the two point sets alone, so `uniform_coupling` solves it once per pair and
 keeps the last `COUPLINGS_KEPT`; the minimal radius reads its distance and
@@ -97,11 +98,7 @@ def _solve_coupling(support_key, atoms_key) -> UniformCoupling:
     support, atoms = (
         np.frombuffer(raw).reshape(shape) for shape, raw in (support_key, atoms_key)
     )
-    distances = feature_distances(support, atoms)
-    m, n_l = distances.shape
-    distance, plan = solve_transportation(
-        distances, np.full(m, 1.0 / m), np.full(n_l, 1.0 / n_l)
-    )
+    distance, plan = solve_transportation(feature_distances(support, atoms))
     cells = np.nonzero(plan > 0.0)
     for index in cells:
         index.flags.writeable = False
@@ -140,9 +137,7 @@ def discrete_wasserstein(mu: LabeledDataset, nu: LabeledDataset, cost: Transport
     each sum to 1/mu.n and whose columns each sum to 1/nu.n.
     """
     pair = pair_costs(mu.features, nu, cost)[np.arange(mu.n), :, mu.labels]
-    return solve_transportation(
-        pair, np.full(mu.n, 1.0 / mu.n), np.full(nu.n, 1.0 / nu.n)
-    )
+    return solve_transportation(pair)
 
 
 def _row_bounds(m, n_l, prior: LabelPrior, eps: float):

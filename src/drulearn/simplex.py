@@ -37,8 +37,9 @@ serial dual and primal simplex are both deterministic, so repeated solves
 of the same LP, or of the same sequence of changes to one model, return
 the same vertex bit for bit.
 
-A transport problem whose marginals are both uniform, with the larger size
-a multiple of the smaller, is an assignment problem, and
+Every transport problem in the package is between two uniform samples, so
+`solve_transportation` takes only the cost matrix.  When the larger size is
+a multiple of the smaller it is an assignment problem, and
 `solve_transportation` gives it to scipy.optimize's `linear_sum_assignment`
 (from `kernels`) instead of an LP.  The support-to-atoms couplings of
 `oracle` are of this kind whenever the atom count divides the support size
@@ -246,94 +247,83 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
     )
 
 
-def solve_transportation(cost, supply, demand):
-    """Exact minimum-cost transport plan between two finite distributions.
+def solve_transportation(cost):
+    """Exact minimum-cost transport plan between two uniform samples.
 
-    Two exact solvers, chosen from the input alone.  When both marginals
-    are uniform (every entry equal) and the larger size is a multiple of
+    The (m, n) cost matrix is all the input: the transport is from the
+    uniform distribution on its m rows to the uniform distribution on its
+    n columns, as between the package's empirical samples.  The shape alone
+    picks one of two exact solvers.  When the larger size is a multiple of
     the smaller, repeating each point of the smaller side max/min times
     gives a square problem between uniform marginals, whose polytope has
     the permutations as vertices (Birkhoff-von Neumann; Peyre & Cuturi,
     "Computational Optimal Transport", 2019, section 3.1), so scipy's
     `linear_sum_assignment` (Crouse, IEEE TAES 2016) solves it.  Its plan
-    gives each assigned cell the larger side's unit mass, so that side's
-    marginals are met exactly.  Every other input is one cold solve on a
-    `HighsModel`, whose plan is the optimal vertex the dual simplex
-    reaches.  Both solvers are deterministic, so repeated calls return the
-    same plan bit for bit.
+    gives each assigned cell the larger side's unit mass, 1/m or 1/n, so
+    that side's marginals are met exactly.  Every other shape is one cold
+    solve on a `HighsModel`, whose plan is the optimal vertex the dual
+    simplex reaches.  Both solvers are deterministic, so repeated calls
+    return the same plan bit for bit.
 
     Parameters
     ----------
     cost : (m, n) array
         Finite per-unit transport costs.
-    supply, demand : (m,) and (n,) arrays
-        Finite nonnegative marginals with equal totals.
 
     Returns
     -------
     value : float
         Optimal total transport cost.
     plan : (m, n) ndarray
-        Optimal plan; row sums equal ``supply`` and column sums ``demand``
-        up to rounding and the 1e-9 relative tolerance on the totals.
+        Optimal plan; its rows each sum to 1/m and its columns to 1/n, up
+        to rounding.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or 0 in cost.shape:
         raise ValueError("cost must be a nonempty 2-d array")
+    # distances between unstandardized cells near the float limit overflow
+    if not np.isfinite(cost).all():
+        raise ValueError("costs must be finite")
     m, n = cost.shape
-    supply = np.asarray(supply, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    if supply.shape != (m,) or demand.shape != (n,):
-        raise ValueError("marginal shapes do not match the cost matrix")
-    if not all(np.isfinite(array).all() for array in (cost, supply, demand)):
-        raise ValueError("costs and marginals must be finite")
-    if np.any(supply < 0.0) or np.any(demand < 0.0):
-        raise ValueError("marginals must be nonnegative")
-    total = supply.sum()
-    if abs(total - demand.sum()) > 1e-9 * max(1.0, abs(total)):
-        raise ValueError("total supply and total demand must balance")
-    uniform = np.all(supply == supply[0]) and np.all(demand == demand[0])
-    if uniform and max(m, n) % min(m, n) == 0:
-        plan = _assignment_plan(cost, supply, demand)
+    if max(m, n) % min(m, n) == 0:
+        plan = _assignment_plan(cost)
     else:
-        plan = _simplex_plan(cost, supply, demand)
+        plan = _simplex_plan(cost)
     return float((cost * plan).sum()), plan
 
 
-def _assignment_plan(cost, supply, demand):
-    """Optimal plan between uniform marginals whose larger size is a multiple
-    of the smaller: the larger side goes on the assignment's rows and each
-    point of the smaller side is repeated as `copies` columns."""
+def _assignment_plan(cost):
+    """Optimal plan when the larger size is a multiple of the smaller: the
+    larger side goes on the assignment's rows and each point of the smaller
+    side is repeated as `copies` columns."""
     m, n = cost.shape
     plan = np.zeros((m, n))
     if m >= n:
         copies = m // n
         rows, slots = linear_sum_assignment(np.repeat(cost, copies, axis=1))
-        plan[rows, slots // copies] = supply
+        plan[rows, slots // copies] = 1.0 / m
     else:
         copies = n // m
         columns, slots = linear_sum_assignment(np.repeat(cost.T, copies, axis=1))
-        plan[slots // copies, columns] = demand
+        plan[slots // copies, columns] = 1.0 / n
     return plan
 
 
-def _simplex_plan(cost, supply, demand):
+def _simplex_plan(cost):
     """Optimal vertex of the transport LP from one cold `HighsModel` solve."""
     m, n = cost.shape
     # plan cell (r, c) is column r * n + c, with a unit entry in supply row r
-    # and, unless c is the last largest demand, in the demand row of c.  That
-    # demand's row is implied by the others and is left out, so totals that
-    # balance only to `solve_transportation`'s tolerance still give a
-    # feasible LP: its column absorbs the imbalance.
-    kept = np.arange(n) != n - 1 - np.argmax(demand[::-1])
-    demand_row = np.full(n, -1)
-    demand_row[kept] = m + np.arange(n - 1)
+    # and, unless c is the last column, in the demand row of c.  The last
+    # column's row is implied by the others and is left out, so marginals
+    # whose totals differ by rounding (7 * (1/7) is 1 - 2.2e-16) still give
+    # a feasible LP: its column absorbs the difference.
+    demand_row = np.append(m + np.arange(n - 1), -1)
     entries = np.stack(
         [np.repeat(np.arange(m), n), np.tile(demand_row, m)], axis=1
     ).ravel()
     entries = entries[entries >= 0]
-    counts = np.tile(1 + kept, m)
-    marginals = np.concatenate([supply, demand[kept]])
+    counts = np.tile(1 + (demand_row >= 0), m)
+    marginals = np.concatenate([np.full(m, 1.0 / m), np.full(n - 1, 1.0 / n)])
     model = HighsModel(marginals, marginals)
     model.add_columns(
         cost.ravel(), np.cumsum(counts) - counts, entries, np.ones(entries.size)

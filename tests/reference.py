@@ -5,7 +5,8 @@ over the plain transport ball with `prior=None`), the minimal radius by
 bisection on that full LP's feasibility and as the full transport LP with
 its duals, vertices of the decision set from the
 full mass LP by `linprog` (weighted samples, with their transport distance
-to the labeled atoms), the certificate kernel before
+to the labeled atoms, also by `linprog`, on the transportation equalities
+of `transport_equalities`), the certificate kernel before
 `model.CellLayout`, which the layout kernel matches bit for bit, and the
 worst-case LP's pricing and cost updates as they were before they skipped
 what cannot change: every row sorted, every cost sent to HiGHS, and the
@@ -30,7 +31,7 @@ from drulearn.model import (
     pair_costs,
 )
 from drulearn.oracle import BUDGET_SLACK
-from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp, solve_transportation
+from drulearn.simplex import INFEASIBLE, HighsModel, solve_lp
 
 # `bounds.SMOOTHING_SCHEDULE` before its three fine stages were dropped: they
 # lower the search half's certificate further, but not the held-out half's
@@ -221,13 +222,29 @@ class WeightedSample:
     weights: np.ndarray
 
 
+def transport_equalities(m, n, mu, nu):
+    """Dense equality system of the transportation polytope between the
+    marginals `mu` on m rows and `nu` on n columns, its cell (i, j) being
+    variable i * n + j."""
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    return a_eq, np.r_[mu, nu]
+
+
 def weighted_wasserstein(sample, data, cost):
     """Transport distance from a `WeightedSample` to the uniform labeled
-    sample `data`, and an optimal coupling: one `solve_transportation` call
-    on the sample's weights and data's 1/n."""
+    sample `data`, and an optimal coupling: one `solve_lp` call on the
+    transportation equalities between the sample's weights and data's 1/n."""
     pair = pair_costs(sample.features, data, cost)
     pair = pair[np.arange(sample.labels.size), :, sample.labels]
-    return solve_transportation(pair, sample.weights, np.full(data.n, 1.0 / data.n))
+    uniform = np.full(data.n, 1.0 / data.n)
+    result = solve_lp(
+        pair.ravel(), *transport_equalities(*pair.shape, sample.weights, uniform)
+    )
+    return result.value, result.x.reshape(pair.shape)
 
 
 def feasible_distributions(data, support, prior, eps, cost, count=10, seed=0):

@@ -182,6 +182,17 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: output must name a file\n"
         assert list(tmp_path.iterdir()) == [Path(config)]
 
+    def test_negative_seed_override_exits_one_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # numpy would refuse a negative seed only when a trial draws its
+        # sample, after the `.meta` is written and other trials have run
+        out = tmp_path / "seed.csv"
+        config = write_config(tmp_path, output=str(out), **SMALL_DATA)
+        assert main(["bound", "--config", config, "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
     def test_directory_output_override_exits_one_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -1376,11 +1387,12 @@ class TestDeterminism:
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def run_python(args, **options):
+def run_python(args, environment=(), **options):
     """Run `python <args>` in a fresh interpreter that imports this tree's
-    drulearn, with stdout and stderr buffered as they are by default;
-    returns the `CompletedProcess` with text output."""
-    env = dict(os.environ, COLUMNS="80")
+    drulearn, with stdout and stderr buffered as they are by default and
+    the variables of `environment` set; returns the `CompletedProcess` with
+    text output."""
+    env = dict(os.environ, COLUMNS="80", **dict(environment))
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -1438,6 +1450,41 @@ class TestModuleEntryPoint:
         assert result.returncode == EXIT_OK, result.stderr
         assert (result.stdout, result.stderr) == ("", "")
         assert [path.read_bytes() for path in paths] == in_process
+
+    def test_utf8_inputs_with_a_byte_order_mark_give_the_same_bytes_in_any_locale(
+        self, tmp_path
+    ):
+        # files are read and written as UTF-8; under the C locale without
+        # UTF-8 mode the locale's own encoding is ASCII
+        rows = ["0.5,1.0,oui", "1.5,2.0,non", "-0.3,0.1,oui", "2.2,-1.0,non",
+                "0.9,0.4,oui", "1.1,2.5,non", "-1.2,0.0,oui", "0.0,1.7,non"]
+        table = "\n".join(["\ufeffa,b,\u00e9tiquette", *rows, ""])
+        (tmp_path / "table.csv").write_bytes(table.encode("utf-8"))
+        keys = ["dataset = ../table.csv", "label_column = \u00e9tiquette",
+                "positive_label = oui", "n_labeled = 4", "output = result.csv"]
+        config = "\n".join(["\ufeff" + keys[0], *keys[1:], ""])
+        (tmp_path / "run.cfg").write_bytes(config.encode("utf-8"))
+        outputs = []
+        for name, environment in (
+            ("c", {"LC_ALL": "C", "PYTHONUTF8": "0"}),
+            ("utf8", {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "0"}),
+        ):
+            (tmp_path / name).mkdir()
+            result = run_python(
+                ["-m", "drulearn.cli", "wasserstein", "--config", "../run.cfg"],
+                environment,
+                capture_output=True,
+                cwd=tmp_path / name,
+            )
+            assert result.returncode == EXIT_OK, result.stderr
+            outputs.append(
+                [
+                    (tmp_path / name / file).read_bytes()
+                    for file in ("result.csv", "result.csv.meta")
+                ]
+            )
+        assert outputs[0] == outputs[1]
+        assert "label_column=\u00e9tiquette\n".encode("utf-8") in outputs[0][1]
 
     def test_usage_error_exits_one_with_its_message(self):
         result = run_module(["fit"])

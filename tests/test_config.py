@@ -116,6 +116,15 @@ class TestParsing:
         config = load_config(str(path))
         assert (config.seed, config.trials) == (5, 3)
 
+    def test_load_config_drops_a_byte_order_mark(self, tmp_path):
+        # an editor that saves "UTF-8 with BOM" puts U+FEFF before the first key
+        path = tmp_path / "run.cfg"
+        path.write_bytes(
+            "\ufeffsynthetic_n = 30\nlabel_column = \u00e9tiquette\n".encode("utf-8")
+        )
+        config = load_config(str(path))
+        assert (config.synthetic_n, config.label_column) == (30, "\u00e9tiquette")
+
 
 class TestValidation:
     def test_trials_must_be_positive(self):
@@ -207,6 +216,7 @@ class TestValidation:
             ("stop_at", "1", "stop_at must exceed n_initial"),
             ("stop_at", "2", "stop_at must exceed n_initial"),
             ("output", "", "output must name a file"),
+            ("seed", "-1", "seed must be nonnegative"),
         ],
     )
     def test_out_of_range_keys_stop_at_parse_time(self, key, raw, message):

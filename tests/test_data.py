@@ -31,6 +31,17 @@ class TestLoadCsv:
         )
         np.testing.assert_array_equal(table.labels, [1, 0, 1])
 
+    def test_byte_order_mark_and_non_ascii_header_load(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with a byte-order mark, which
+        # must not become part of the first column's name
+        path = tmp_path / "t.csv"
+        path.write_bytes(
+            "\ufeff\u00e9tiquette,a\noui,1.5\nnon,-0.5\noui,3.0\n".encode("utf-8")
+        )
+        table = load_csv(str(path), "\u00e9tiquette", "oui")
+        np.testing.assert_array_equal(table.features, [[1.5], [-0.5], [3.0]])
+        np.testing.assert_array_equal(table.labels, [1, 0, 1])
+
     def test_categorical_one_hot_alphabetical(self, tmp_path):
         path = write_csv(
             tmp_path / "t.csv",

@@ -24,7 +24,7 @@ from drulearn.simplex import (
     solve_lp,
     solve_transportation,
 )
-from reference import AllCostsModel, model_solve_bits
+from reference import AllCostsModel, model_solve_bits, transport_equalities
 
 
 def scipy_reference(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -377,19 +377,19 @@ class TestSetCosts:
 
 class TestTransportation:
     def test_singleton_pair(self):
-        value, plan = solve_transportation([[3.5]], [1.0], [1.0])
+        value, plan = solve_transportation([[3.5]])
         assert value == 3.5
         np.testing.assert_array_equal(plan, [[1.0]])
 
     def test_single_row_ships_everything(self):
-        value, plan = solve_transportation([[2.0, 1.0, 4.0]], [1.0], [0.5, 0.25, 0.25])
-        assert value == pytest.approx(2.0 * 0.5 + 1.0 * 0.25 + 4.0 * 0.25)
-        np.testing.assert_allclose(plan, [[0.5, 0.25, 0.25]])
+        value, plan = solve_transportation([[2.0, 1.0, 4.0]])
+        assert value == pytest.approx((2.0 + 1.0 + 4.0) / 3.0)
+        np.testing.assert_allclose(plan, np.full((1, 3), 1.0 / 3.0))
 
     def test_identity_costs_prefer_diagonal(self):
         # zero-cost diagonal: the optimal plan keeps all mass in place
         cost = 1.0 - np.eye(4)
-        value, plan = solve_transportation(cost, np.full(4, 0.25), np.full(4, 0.25))
+        value, plan = solve_transportation(cost)
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(plan, np.eye(4) * 0.25, atol=1e-12)
 
@@ -398,17 +398,8 @@ class TestTransportation:
         for _ in range(25):
             m, n = rng.integers(2, 6, size=2)
             cost = rng.uniform(0.0, 3.0, size=(m, n))
-            mu = rng.uniform(0.2, 1.0, size=m)
-            mu /= mu.sum()
-            nu = rng.uniform(0.2, 1.0, size=n)
-            nu /= nu.sum()
-            a_eq = np.zeros((m + n, m * n))
-            for i in range(m):
-                a_eq[i, i * n:(i + 1) * n] = 1.0
-            for j in range(n):
-                a_eq[m + j, j::n] = 1.0
-            dense = solve_lp(cost.ravel(), a_eq=a_eq, b_eq=np.r_[mu, nu])
-            value, plan = solve_transportation(cost, mu, nu)
+            dense = solve_lp(cost.ravel(), *uniform_equalities(m, n))
+            value, plan = solve_transportation(cost)
             assert dense.status == OPTIMAL
             assert value == pytest.approx(dense.value, abs=1e-9)
 
@@ -418,18 +409,14 @@ class TestTransportation:
             m, n = rng.integers(2, 10, size=2)
             # integer costs create many ties and degenerate pivots
             cost = rng.integers(0, 4, size=(m, n)).astype(float)
-            mu = rng.integers(1, 5, size=m).astype(float)
-            mu /= mu.sum()
-            nu = rng.integers(1, 5, size=n).astype(float)
-            nu /= nu.sum()
             ref_status, ref_value = scipy_reference(
-                cost.ravel(), *transport_equalities(m, n, mu, nu)
+                cost.ravel(), *uniform_equalities(m, n)
             )
-            value, plan = solve_transportation(cost, mu, nu)
+            value, plan = solve_transportation(cost)
             assert ref_status == OPTIMAL
             assert value == pytest.approx(ref_value, abs=1e-9)
-            np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-12)
-            np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=1), 1.0 / m, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=0), 1.0 / n, atol=1e-12)
             assert plan.min() >= 0.0
 
     def test_large_instance_is_fast_and_exact(self):
@@ -437,53 +424,60 @@ class TestTransportation:
         a = rng.normal(size=(15, 3))
         b = rng.normal(size=(200, 3))
         cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-        mu = np.full(15, 1.0 / 15)
-        nu = np.full(200, 1.0 / 200)
-        value, plan = solve_transportation(cost, mu, nu)
+        value, plan = solve_transportation(cost)
         ref_status, ref_value = scipy_reference(
-            cost.ravel(), *transport_equalities(15, 200, mu, nu)
+            cost.ravel(), *uniform_equalities(15, 200)
         )
         assert value == pytest.approx(ref_value, abs=1e-9)
-        np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-12)
-        np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=1), 1.0 / 15, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), 1.0 / 200, atol=1e-12)
 
-    def test_matches_the_dense_reference_across_shapes_marginals_and_costs(self):
+    def test_matches_the_dense_reference_across_shapes_marginals_and_costs(
+        self, monkeypatch
+    ):
         # 240 instances: every combination of four shapes (1 x n, m x 1,
-        # m < n, m > n), three marginal kinds (uniform, nonuniform, with
-        # zero-mass entries) and three cost kinds (distances between distinct
+        # m < n, m > n) and three cost kinds (distances between distinct
         # points, integer costs full of ties, distances between duplicated
-        # points); then 72 uniform instances whose larger size is a multiple
-        # of the smaller (k*a x a and a x k*a), which take the assignment,
-        # with the same three cost kinds.  All against the general LP on the
-        # full equality system.
+        # points), 20 of each, of which 139 take the assignment and 101 the
+        # simplex; then 72 whose larger size is a multiple of the smaller
+        # (k*a x a and a x k*a), which take the assignment, with the same
+        # three cost kinds.  All between uniform marginals, against the
+        # general LP on the full equality system.
+        assignments = []
+        assign = simplex.linear_sum_assignment
+
+        def counted(cost):
+            assignments.append(np.shape(cost))
+            return assign(cost)
+
+        monkeypatch.setattr(simplex, "linear_sum_assignment", counted)
         rng = np.random.default_rng(15)
         instances = []
         for trial in range(240):
-            shape, kind, costs = trial % 4, trial // 4 % 3, trial // 12 % 3
+            shape, costs = trial % 4, trial // 4 % 3
             low, high = sorted(rng.choice(np.arange(2, 12), size=2, replace=False))
             m, n = [(1, high), (high, 1), (low, high), (high, low)][shape]
-            mu, nu = (transport_marginal(rng, size, kind) for size in (m, n))
-            instances.append((transport_cost(rng, m, n, costs), mu, nu))
+            instances.append(transport_cost(rng, m, n, costs))
         for trial in range(72):
             tall, costs = trial % 2, trial // 2 % 3
             a, k = rng.integers(1, 7), rng.integers(1, 6)
             m, n = (k * a, a) if tall else (a, k * a)
-            mu, nu = (transport_marginal(rng, size, 0) for size in (m, n))
-            instances.append((transport_cost(rng, m, n, costs), mu, nu))
-        for cost, mu, nu in instances:
-            dense = solve_lp(cost.ravel(), *transport_equalities(*cost.shape, mu, nu))
-            value, plan = solve_transportation(cost, mu, nu)
+            instances.append(transport_cost(rng, m, n, costs))
+        for cost in instances:
+            m, n = cost.shape
+            dense = solve_lp(cost.ravel(), *uniform_equalities(m, n))
+            value, plan = solve_transportation(cost)
             assert dense.status == OPTIMAL
             assert abs(value - dense.value) <= 1e-12
-            np.testing.assert_allclose(plan.sum(axis=1), mu, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(plan.sum(axis=0), nu, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=1), 1.0 / m, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=0), 1.0 / n, rtol=0.0, atol=1e-12)
             assert plan.min() >= 0.0
+        assert len(assignments) == 139 + 72
 
     def test_uniform_divisible_marginals_take_the_assignment(self, monkeypatch):
-        # the assignment runs exactly when both marginals are uniform and the
-        # larger size is a multiple of the smaller; it meets the larger
-        # side's marginals exactly, matches the general LP's value and
-        # returns the same plan on every call
+        # the assignment runs exactly when the larger size is a multiple of
+        # the smaller; it meets the larger side's marginals exactly, matches
+        # the general LP's value and returns the same plan on every call
         calls = []
         assign = simplex.linear_sum_assignment
 
@@ -494,90 +488,63 @@ class TestTransportation:
         monkeypatch.setattr(simplex, "linear_sum_assignment", counted)
         rng = np.random.default_rng(16)
         for m, n in [(1, 7), (9, 1), (6, 6), (200, 20), (20, 200)]:
-            mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
             cost = transport_cost(rng, m, n, 2)
             calls.clear()
-            value, plan = solve_transportation(cost, mu, nu)
+            value, plan = solve_transportation(cost)
             assert calls == [(max(m, n), max(m, n))]
-            dense = solve_lp(cost.ravel(), *transport_equalities(m, n, mu, nu))
+            dense = solve_lp(cost.ravel(), *uniform_equalities(m, n))
             assert abs(value - dense.value) <= 1e-12
             if m >= n:
-                np.testing.assert_array_equal(plan.sum(axis=1), mu)
+                np.testing.assert_array_equal(plan.sum(axis=1), np.full(m, 1.0 / m))
             else:
-                np.testing.assert_array_equal(plan.sum(axis=0), nu)
-            again = solve_transportation(cost, mu, nu)
+                np.testing.assert_array_equal(plan.sum(axis=0), np.full(n, 1.0 / n))
+            again = solve_transportation(cost)
             assert again[0] == value
             np.testing.assert_array_equal(again[1], plan)
         calls.clear()
-        for m, n, kind in [(200, 20, 1), (20, 200, 2), (30, 20, 0), (4, 6, 0)]:
-            mu, nu = transport_marginal(rng, m, kind), np.full(n, 1.0 / n)
-            solve_transportation(transport_cost(rng, m, n, 0), mu, nu)
+        for m, n in [(30, 20), (4, 6), (7, 3)]:
+            solve_transportation(transport_cost(rng, m, n, 0))
         assert calls == []
 
-    def test_rejects_unbalanced_marginals(self):
-        with pytest.raises(ValueError):
-            solve_transportation([[1.0, 2.0]], [1.0], [0.4, 0.4])
+    def test_accepts_totals_that_balance_within_tolerance(self, monkeypatch):
+        # 7 * (1/7) sums to 1 - 2.2e-16 and 3 * (1/3) to 1, so the two
+        # marginals' totals differ by rounding; the simplex must still solve
+        cost = np.arange(21.0).reshape(7, 3) % 5
+        assert np.full(7, 1.0 / 7).sum() != np.full(3, 1.0 / 3).sum()
 
-    def test_accepts_totals_that_balance_within_tolerance(self):
-        # totals 5e-10 apart pass validation, so the solve must not fail,
-        # whichever side is short and wherever the demand sits
-        cost = [[1.0, 2.0], [3.0, 1.0]]
-        value, plan = solve_transportation(cost, [0.5, 0.5], [0.5, 0.5 + 5e-10])
-        assert value == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5], atol=1e-12)
-        value, plan = solve_transportation(cost, [0.5, 0.5 - 5e-10], [1.0, 0.0])
-        assert value == pytest.approx(2.0, abs=1e-8)
-        np.testing.assert_allclose(plan.sum(axis=1), [0.5, 0.5 - 5e-10], atol=1e-12)
+        def refused(cost):
+            raise AssertionError("7 x 3 must not take the assignment")
 
-    def test_rejects_negative_marginals(self):
-        with pytest.raises(ValueError):
-            solve_transportation([[1.0], [1.0]], [1.5, -0.5], [1.0])
+        monkeypatch.setattr(simplex, "linear_sum_assignment", refused)
+        value, plan = solve_transportation(cost)
+        dense = solve_lp(cost.ravel(), *uniform_equalities(7, 3))
+        assert value == pytest.approx(dense.value, abs=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=1), 1.0 / 7, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), 1.0 / 3, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "cost, supply, demand",
-        [
-            ([[np.nan, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
-            ([[np.inf, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
-            ([[1.0, 2.0], [3.0, 1.0]], [np.inf, 0.5], [0.5, 0.5]),
-            ([[1.0, 2.0], [3.0, 1.0]], [0.5, 0.5], [np.nan, 0.5]),
-            (np.zeros((0, 2)), [], [0.0, 0.0]),
-        ],
+        "cost",
+        [[[np.nan, 1.0], [1.0, 0.0]], [[np.inf, 1.0], [1.0, 0.0]], np.zeros((0, 2))],
+        # the ids these cases had while the solver also took marginals
+        ids=["cost0-supply0-demand0", "cost1-supply1-demand1", "cost4-supply4-demand4"],
     )
-    def test_rejects_nonfinite_or_empty_inputs(self, cost, supply, demand):
+    def test_rejects_nonfinite_or_empty_inputs(self, cost):
         with pytest.raises(ValueError):
-            solve_transportation(cost, supply, demand)
+            solve_transportation(cost)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(14)
         cost = rng.integers(0, 3, size=(6, 9)).astype(float)
-        mu = np.full(6, 1.0 / 6)
-        nu = np.full(9, 1.0 / 9)
-        first = solve_transportation(cost, mu, nu)
-        second = solve_transportation(cost, mu, nu)
+        first = solve_transportation(cost)
+        second = solve_transportation(cost)
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1], second[1])
 
 
-def transport_equalities(m, n, mu, nu):
-    """Dense equality system of the transportation polytope."""
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    return a_eq, np.r_[mu, nu]
-
-
-def transport_marginal(rng, size, kind):
-    """A probability vector: uniform (kind 0), nonuniform (1), or nonuniform
-    with about a third of its entries at zero mass (2)."""
-    if kind == 0:
-        return np.full(size, 1.0 / size)
-    weights = rng.uniform(0.2, 1.0, size=size)
-    if kind == 2:
-        weights[rng.random(size) < 0.35] = 0.0
-        weights[rng.integers(0, size)] = 1.0
-    return weights / weights.sum()
+def uniform_equalities(m, n):
+    """`transport_equalities` between the uniform marginals on m rows and
+    on n columns."""
+    return transport_equalities(m, n, np.full(m, 1.0 / m), np.full(n, 1.0 / n))
 
 
 def transport_cost(rng, m, n, kind):
