@@ -1,15 +1,17 @@
 """Command-line surface: one subcommand per training routine or experiment.
 
 Every subcommand reads a flat config file, applies the targeted overrides
-and runs deterministically from the configured seed.  Its ``_run_*``
-returns a CSV header, rows, failed trials and any extra CSV files, and
-`main` alone writes what a run leaves: the ``<output>.meta`` sidecar (the
-resolved configuration) before the run, the CSV after it, the extra files
-after that (`active`'s ``_aulc.csv``, only when some trial succeeded), and
-one ``error_trial_*`` line in ``.meta`` per failed trial.  If no row
-succeeded, the first failure sets the exit code; a failed one-shot run
-writes no CSV.  The CSV layout is decided here: the library returns
-numbers, and each subcommand builds its rows next to its header.
+and runs deterministically from the configured seed.  Its ``_run_*`` takes
+the table `_checked_table` read and checked and returns a CSV header, rows,
+failed trials and any extra CSV files, and `main` alone writes what a run
+leaves: the ``<output>.meta`` sidecar (the resolved configuration) once
+every input is read and checked, so a usage error writes nothing, the CSV
+after the run, the extra files after that (`active`'s ``_aulc.csv``, only
+when some trial succeeded), and one ``error_trial_*`` line in ``.meta`` per
+failed trial.  If no row succeeded, the first failure sets the exit code; a
+failed one-shot run writes no CSV.  The CSV layout is decided here: the
+library returns numbers, and each subcommand builds its rows next to its
+header.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 infeasible
 instance, 3 numerical failure.
@@ -52,6 +54,7 @@ try:
     from .data import (
         append_intercept,
         load_csv,
+        overflowing_column,
         sample_split,
         standardize,
         synthetic_two_gaussians,
@@ -116,8 +119,11 @@ class Instance:
 
 
 def _load_table(config: ExperimentConfig) -> LabeledDataset:
+    raw = not config.standardize
     if config.dataset:
-        table = load_csv(config.dataset, config.label_column, config.positive_label)
+        table = load_csv(
+            config.dataset, config.label_column, config.positive_label, raw=raw
+        )
     else:
         table = synthetic_two_gaussians(
             config.synthetic_n,
@@ -125,6 +131,13 @@ def _load_table(config: ExperimentConfig) -> LabeledDataset:
             separation=config.synthetic_separation,
             noise=config.synthetic_noise,
         )
+        if raw and overflowing_column(table.features) is not None:
+            raise ConfigError(
+                f"synthetic_separation = {config.synthetic_separation!r} with "
+                f"synthetic_noise = {config.synthetic_noise!r} spreads the "
+                "features so far that their distances overflow; set "
+                "standardize = true"
+            )
     if config.standardize:
         table = standardize(table)
     return append_intercept(table)
@@ -146,34 +159,56 @@ def _build_instance(
     return Instance(labeled, unlabeled, table, prior, cost)
 
 
-def _require_certifiable(config: ExperimentConfig, table: LabeledDataset, grid=()):
-    """Reject, before any trial, a labeled size in force (`n_labeled`, or
-    each `grid` entry) above the table size or leaving `bounds.certify`
-    fewer unlabeled rows than `bounds.certify_sample_size` asks."""
-    key = "n_labeled_grid" if grid else "n_labeled"
-    needed = certify_sample_size(config.z_score)
+def _checked_table(command: str, config: ExperimentConfig):
+    """Make every check that depends on the subcommand or the table, those
+    that read only the config first, and return the table (``None`` for
+    `oracle-check`).  Each labeled size in force must fit the table and leave
+    the unlabeled rows the subcommand reads: `bounds.certify_sample_size`
+    where it certifies, one where it scores or prices them, else none."""
+    if command == "radius-sweep" and not config.eps_grid:
+        raise ConfigError("a radius sweep requires a nonempty eps_grid")
+    if command == "robustness-sweep" and not (config.eps_grid and config.delta_grid):
+        raise ConfigError("a robustness sweep requires nonempty eps_grid and delta_grid")
+    # not a parse-time check: other subcommands accept n_labeled <= n_initial
+    if command == "active" and config.stop_at == 0:
+        if config.n_labeled <= config.n_initial:
+            raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
+    if command == "oracle-check":
+        return None
+    table = _load_table(config)
+    if command == "active":
+        # the stop size always exceeds n_initial, so an oversized n_initial
+        # is the one named
+        stop_key = "stop_at" if config.stop_at else "n_labeled"
+        stop_size = config.stop_at or config.n_labeled
+        sizes = [("n_initial", config.n_initial), (stop_key, stop_size)]
+    elif command == "bound" and config.n_labeled_grid:
+        sizes = [("n_labeled_grid", size) for size in config.n_labeled_grid]
+    else:
+        sizes = [("n_labeled", config.n_labeled)]
+    certifies = command in ("train-dru", "bound", "radius-sweep")
+    needed = int(command in ("train-baseline", "min-radius"))
+    if certifies:
+        needed = certify_sample_size(config.z_score)
     full = config.unlabeled_mode == UNLABELED_FULL
-    for n_labeled in grid or (config.n_labeled,):
-        if n_labeled > table.n:
+    for key, size in sizes:
+        if size > table.n:
             raise ConfigError(
-                f"{key} must not exceed the table size {table.n}, got {n_labeled}"
+                f"{key} must not exceed the table size {table.n}, got {size}"
             )
-        rows = table.n if full else table.n - n_labeled
-        if rows < needed:
+        rows = table.n if full else table.n - size
+        if rows < needed and certifies:
             raise ConfigError(
-                f"{key} = {n_labeled} on a table of {table.n} rows with "
+                f"{key} = {size} on a table of {table.n} rows with "
                 f"unlabeled_mode = {config.unlabeled_mode} leaves {rows} "
                 f"unlabeled rows; certify needs at least {needed}"
             )
-
-
-def _require_unlabeled(instance: Instance):
-    if instance.unlabeled is None:
-        raise ValueError(
-            "the unlabeled remainder is empty; use unlabeled_mode=full or a "
-            "smaller n_labeled"
-        )
-    return instance.unlabeled
+        if rows < needed:
+            raise ConfigError(
+                "the unlabeled remainder is empty; use unlabeled_mode=full or a "
+                "smaller n_labeled"
+            )
+    return table
 
 
 def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
@@ -184,7 +219,7 @@ def _resolve_eps(config: ExperimentConfig, instance: Instance) -> float:
     eps, fell_back = select_radius(
         config,
         instance.labeled,
-        _require_unlabeled(instance),
+        instance.unlabeled,
         instance.prior,
         instance.cost,
         full=instance.full,
@@ -249,9 +284,7 @@ def _theta_columns(theta):
     return {f"theta_{j}": float(value) for j, value in enumerate(theta)}
 
 
-def _run_train_dru(config: ExperimentConfig):
-    table = _load_table(config)
-    _require_certifiable(config, table)
+def _run_train_dru(config: ExperimentConfig, table: LabeledDataset):
     instance = _build_instance(config, table, config.seed)
     eps = _resolve_eps(config, instance)
     result, report = _certify_instance(config, instance, eps)
@@ -266,9 +299,8 @@ def _run_train_dru(config: ExperimentConfig):
     return row, [row], [], {}
 
 
-def _run_train_baseline(config: ExperimentConfig):
-    instance = _build_instance(config, _load_table(config), config.seed)
-    unlabeled = _require_unlabeled(instance)
+def _run_train_baseline(config: ExperimentConfig, table: LabeledDataset):
+    instance = _build_instance(config, table, config.seed)
     eps = _resolve_eps(config, instance)
     result = baseline_train(instance.labeled, eps, instance.cost)
     row = {
@@ -278,17 +310,16 @@ def _run_train_baseline(config: ExperimentConfig):
         "alpha": float(result.alpha),
         "worst_case_value": float(result.worst_case_value),
         "worst_case_likelihood": float(np.exp(-result.worst_case_value)),
-        "median_confidence": _median_confidence(result.theta, unlabeled),
+        "median_confidence": _median_confidence(result.theta, instance.unlabeled),
         **_theta_columns(result.theta),
     }
     return row, [row], [], {}
 
 
-def _run_min_radius(config: ExperimentConfig):
-    instance = _build_instance(config, _load_table(config), config.seed)
-    unlabeled = _require_unlabeled(instance)
+def _run_min_radius(config: ExperimentConfig, table: LabeledDataset):
+    instance = _build_instance(config, table, config.seed)
     eps_min = prior_feasible_radius(
-        instance.labeled, unlabeled, instance.prior, instance.cost
+        instance.labeled, instance.unlabeled, instance.prior, instance.cost
     )
     row = {
         "seed": config.seed,
@@ -299,8 +330,8 @@ def _run_min_radius(config: ExperimentConfig):
     return row, [row], [], {}
 
 
-def _run_wasserstein(config: ExperimentConfig):
-    instance = _build_instance(config, _load_table(config), config.seed)
+def _run_wasserstein(config: ExperimentConfig, table: LabeledDataset):
+    instance = _build_instance(config, table, config.seed)
     distance, _ = discrete_wasserstein(instance.labeled, instance.full, instance.cost)
     row = {
         "seed": config.seed,
@@ -319,7 +350,7 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     search; returns the `CutSetResult` and the certificate's `BOUND_FIELDS`
     columns.  Warns on stderr when `eps` is within `oracle.BUDGET_SLACK` of
     the minimal feasible radius, where the decision set has no interior."""
-    unlabeled = _require_unlabeled(instance)
+    unlabeled = instance.unlabeled
     result = cutset_solve(
         instance.labeled, unlabeled, instance.prior, instance.cost, eps
     )
@@ -352,9 +383,7 @@ def _certify_instance(config: ExperimentConfig, instance: Instance, eps: float):
     return result, report
 
 
-def _run_bound_experiment(config: ExperimentConfig):
-    table = _load_table(config)
-    _require_certifiable(config, table, config.n_labeled_grid)
+def _run_bound_experiment(config: ExperimentConfig, table: LabeledDataset):
     grid = config.n_labeled_grid or (config.n_labeled,)
     rows, errors = [], []
     for n_labeled in grid:
@@ -380,11 +409,7 @@ def _run_bound_experiment(config: ExperimentConfig):
     return ["n_labeled", "trial", "seed", *BOUND_FIELDS], rows, errors, {}
 
 
-def _run_radius_sweep(config: ExperimentConfig):
-    table = _load_table(config)
-    if not config.eps_grid:
-        raise ConfigError("a radius sweep requires a nonempty eps_grid")
-    _require_certifiable(config, table)
+def _run_radius_sweep(config: ExperimentConfig, table: LabeledDataset):
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
@@ -399,12 +424,7 @@ def _run_radius_sweep(config: ExperimentConfig):
     return ["trial", "seed", *BOUND_FIELDS], rows, errors, {}
 
 
-def _run_robustness_sweep(config: ExperimentConfig):
-    table = _load_table(config)
-    if not config.eps_grid or not config.delta_grid:
-        raise ConfigError(
-            "a robustness sweep requires nonempty eps_grid and delta_grid"
-        )
+def _run_robustness_sweep(config: ExperimentConfig, table: LabeledDataset):
     rows, errors = [], []
     for trial in range(config.trials):
         split_seed = config.seed + trial
@@ -445,20 +465,7 @@ def _run_robustness_sweep(config: ExperimentConfig):
     return fieldnames, rows, errors, {}
 
 
-def _run_active(config: ExperimentConfig):
-    # not a parse-time check: other subcommands accept n_labeled <= n_initial
-    if config.stop_at == 0 and config.n_labeled <= config.n_initial:
-        raise ConfigError("with stop_at = 0, n_labeled must exceed n_initial")
-    table = _load_table(config)
-    # the stop size always exceeds n_initial, so an oversized n_initial is
-    # the one named
-    stop_key = "stop_at" if config.stop_at else "n_labeled"
-    stop = (stop_key, config.stop_at or config.n_labeled)
-    for key, size in (("n_initial", config.n_initial), stop):
-        if size > table.n:
-            raise ConfigError(
-                f"{key} must not exceed the table size {table.n}, got {size}"
-            )
+def _run_active(config: ExperimentConfig, table: LabeledDataset):
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     aulc_values = []
@@ -518,7 +525,7 @@ def _oracle_instance(seed: int):
     return labeled, unlabeled_features, prior, theta
 
 
-def _run_oracle_check(config: ExperimentConfig):
+def _run_oracle_check(config: ExperimentConfig, table: None):
     cost = TransportCost(label_flip_cost=config.label_flip_cost)
     rows, errors = [], []
     for index in range(config.trials):
@@ -547,9 +554,9 @@ def _run_oracle_check(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
-# each runner returns its CSV header, its rows, its failed trials as
-# (label, error) pairs and any extra CSV files as {path: (header, rows)};
-# `main` writes them
+# each runner takes the config and the table `_checked_table` returned, and
+# returns its CSV header, its rows, its failed trials as (label, error) pairs
+# and any extra CSV files as {path: (header, rows)}; `main` writes them
 _SUBCOMMANDS = {
     "train-dru": _run_train_dru,
     "train-baseline": _run_train_baseline,
@@ -611,8 +618,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"output must name a file, got the directory {config.output}"
             )
+        table = _checked_table(args.command, config)
         _write_metadata(config, args.command)
-        fieldnames, rows, errors, extra = _SUBCOMMANDS[args.command](config)
+        fieldnames, rows, errors, extra = _SUBCOMMANDS[args.command](config, table)
         _write_csv(config.output, fieldnames, rows)
         for path, (extra_fieldnames, extra_rows) in extra.items():
             _write_csv(path, extra_fieldnames, extra_rows)

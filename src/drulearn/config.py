@@ -6,11 +6,14 @@ invalidate a sweep.  `ExperimentConfig` is the one settings record and the
 one place each key's range is checked; the library reads the checked
 values.  The names a key can take (unlabeled modes, prior modes, radius
 policies, strategies) are defined here too, so this module imports no other
-part of the package and no numpy.
+part of the package and no numpy.  `open_utf8` opens every text input, the
+config and the CSV table, so both name the file and line of a byte that is
+not UTF-8.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
@@ -235,9 +238,29 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+@contextlib.contextmanager
+def open_utf8(path, error=ConfigError, newline=None):
+    """Open `path` as UTF-8 text, dropping a leading byte-order mark; a byte
+    sequence that is not UTF-8 raises `error` naming the file and the line."""
+    try:
+        with open(path, newline=newline, encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        # the decoder's offset counts from the start of a read chunk, not of
+        # the file: find the first line that does not decode
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        number = next(
+            number
+            for number, line in enumerate(lines, start=1)
+            if line.decode("utf-8", "replace").encode("utf-8") != line
+        )
+        raise error(f"{path}: line {number} is not UTF-8 text") from None
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read and parse a config file."""
-    with open(path, encoding="utf-8-sig") as handle:
+    with open_utf8(path) as handle:
         return parse_config_text(handle.read())
 
 

@@ -1,16 +1,17 @@
 """Dataset ingestion, preprocessing, and sampling.
 
 Every step takes and returns a `model.LabeledDataset`.  CSV tables come in
-with a header naming each column once and a binary label column; the feature
-columns keep the header's order, a categorical column becoming one indicator
-column per category in alphabetical order, and every cell must be a finite
-number or a category: a numeric column may hold no blank cell, and a table
-needs a feature column besides the label.  Preprocessing z-scores each
-feature and then rescales the whole matrix by its largest absolute entry;
-`append_intercept` adds the constant feature last.  `sample_split` draws the
-labeled rows, seeded and uniform without replacement, and returns the rows
-left over with them; every subcommand that needs a labeled subsample takes
-it from there.
+as UTF-8 text with a header naming each column once and a binary label
+column; the feature columns keep the header's order, a categorical column
+becoming one indicator column per category in alphabetical order, and every
+cell must be a finite number or a category: a numeric column may hold no
+blank cell, and a table needs a feature column besides the label.  A table
+used unstandardized must keep the distances between its rows finite.
+Preprocessing z-scores each feature and then rescales the whole matrix by
+its largest absolute entry; `append_intercept` adds the constant feature
+last.  `sample_split` draws the labeled rows, seeded and uniform without
+replacement, and returns the rows left over with them; every subcommand
+that needs a labeled subsample takes it from there.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 
 import numpy as np
 
+from .config import open_utf8
 from .model import LabeledDataset, make_rng
 
 
@@ -37,16 +39,31 @@ def _is_numeric_column(values) -> bool:
     return True
 
 
-def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDataset:
+def overflowing_column(features):
+    """The index of the widest column of `features` if the distances between
+    its rows could overflow, else ``None``: the sum over columns of each
+    column's squared range, taken by the float operations of
+    `model.feature_distances` with the overflow warning off, bounds them."""
+    with np.errstate(over="ignore"):
+        spans = np.ptp(features, axis=0)
+        reach = np.sum(spans * spans)
+    return None if np.isfinite(reach) else int(np.argmax(spans))
+
+
+def load_csv(
+    path, label_column: str, positive_class_token: str, raw: bool = False
+) -> LabeledDataset:
     """Ingest a headed CSV into a labeled dataset with a binary label.
 
-    The header must name each column once.  Numeric columns parse as reals
-    and must be finite, with no blank cell; any other column is one-hot
-    encoded with its categories in alphabetical order.  The label column must
-    hold exactly two distinct tokens, one of them the positive token, mapped
-    to 1, and some other column must exist.
+    The file must be UTF-8 text.  The header must name each column once.
+    Numeric columns parse as reals and must be finite, with no blank cell;
+    any other column is one-hot encoded with its categories in alphabetical
+    order.  The label column must hold exactly two distinct tokens, one of
+    them the positive token, mapped to 1, and some other column must exist.
+    A `raw` table, one whose features are used unstandardized, must not
+    spread so far that the distances between its rows overflow.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with open_utf8(path, TableError, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -90,7 +107,7 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
         [1 if token == positive_class_token else 0 for token in label_tokens]
     )
 
-    columns = []
+    columns, names = [], []
     for index, name in enumerate(header):
         if index == label_index:
             continue
@@ -106,12 +123,21 @@ def load_csv(path, label_column: str, positive_class_token: str) -> LabeledDatas
                     f"(line {bad[0] + 2}): {cell!r} {problem}"
                 )
             columns.append(column)
+            names.append(name)
         else:
             for category in sorted(set(values)):
                 columns.append(
                     np.array([1.0 if v == category else 0.0 for v in values])
                 )
-    return LabeledDataset(np.column_stack(columns), labels)
+                names.append(name)
+    features = np.column_stack(columns)
+    widest = overflowing_column(features) if raw else None
+    if widest is not None:
+        raise TableError(
+            f"{path}: column {names[widest]!r} spreads the features so far "
+            "that their distances overflow; set standardize = true"
+        )
+    return LabeledDataset(features, labels)
 
 
 def standardize(table: LabeledDataset) -> LabeledDataset:

@@ -218,6 +218,100 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: delta_margin must be positive\n"
         assert list(tmp_path.iterdir()) == [Path(config)]
 
+    @pytest.mark.parametrize("command", sorted(set(cli._SUBCOMMANDS) - {"oracle-check"}))
+    def test_a_labeled_sample_larger_than_the_table_exits_one_and_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        config = write_config(
+            tmp_path, output=str(tmp_path / "big.csv"), synthetic_n=24, n_labeled=30
+        )
+        assert main([command, "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: n_labeled must not exceed the table size 24, got 30\n"
+        )
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
+    def test_a_missing_dataset_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        config = write_config(
+            tmp_path, output=str(tmp_path / "out.csv"), dataset=str(absent)
+        )
+        assert main(["wasserstein", "--config", config]) == EXIT_USAGE
+        assert str(absent) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_latin_1_csv_names_the_file_and_line_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # the bad byte lies past the first read chunk of the text layer
+        data = tmp_path / "latin.csv"
+        rows = [f"{index % 7}.5,{index % 2}" for index in range(2000)]
+        text = "\n".join(["a,label", *rows, "caf\xe9,1", *rows]) + "\n"
+        data.write_bytes(text.encode("latin-1"))
+        config = write_config(
+            tmp_path, output=str(tmp_path / "out.csv"), dataset=str(data)
+        )
+        assert main(["wasserstein", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 2002 is not UTF-8 text\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([data, Path(config)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_latin_1_config_names_the_file_and_line_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(
+            f"output = {tmp_path / 'out.csv'}\nlabel_column = \xe9tiquette\n".encode(
+                "latin-1"
+            )
+        )
+        assert main(["wasserstein", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {config}: line 2 is not UTF-8 text\n"
+        )
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.filterwarnings("error")
+    def test_unstandardized_cells_near_the_float_limit_name_the_column(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "big.csv"
+        data.write_text("a,b,label\n1e308,2.0,1\n-1e308,0.5,0\n0.3,1.5,1\n2.0,0.1,0\n")
+        config = write_config(
+            tmp_path,
+            output=str(tmp_path / "out.csv"),
+            dataset=str(data),
+            n_labeled=2,
+            standardize=False,
+        )
+        assert main(["wasserstein", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {data}: column 'a' spreads the features so far that their "
+            "distances overflow; set standardize = true\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([data, Path(config)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_unstandardized_synthetic_table_too_wide_names_the_key(
+        self, tmp_path, capsys
+    ):
+        config = write_config(
+            tmp_path,
+            output=str(tmp_path / "out.csv"),
+            synthetic_separation=1e200,
+            standardize=False,
+        )
+        assert main(["wasserstein", "--config", config]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: synthetic_separation = 1e+200 with synthetic_noise = 0.5 "
+            "spreads the features so far that their distances overflow; set "
+            "standardize = true\n"
+        )
+        assert list(tmp_path.iterdir()) == [Path(config)]
+
 
 class TestOneShotCommands:
     def test_min_radius_writes_row_and_metadata(self, tmp_path):
@@ -290,7 +384,7 @@ class TestOneShotCommands:
         )
         assert main(["train-baseline", "--config", config]) == EXIT_USAGE
         assert "the unlabeled remainder is empty" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_weight_columns_follow_the_index_order(self, tmp_path):
         # 10 features plus the intercept: 11 weights, so a string sort of
@@ -480,10 +574,10 @@ class TestExitCodes:
         assert not out.exists()
         assert read_meta(out)["command"] == "train-baseline"
 
-    # every subcommand on a config it cannot run: a labeled sample larger
-    # than the data, a stop_at beyond the pool, or a failing oracle; the
-    # last entry is the number of failed trials, None for a run that fails
-    # once (a one-shot run, or a size check before any trial)
+    # every subcommand on a config that passes its checks, failing at run
+    # time where it draws its labeled sample or, in `oracle-check`, at the
+    # oracle; the last entry is the number of failed trials, None for a
+    # one-shot run, which fails once
     @pytest.mark.parametrize(
         "command, code, failed",
         [
@@ -491,28 +585,32 @@ class TestExitCodes:
             ("train-baseline", EXIT_USAGE, None),
             ("min-radius", EXIT_USAGE, None),
             ("wasserstein", EXIT_USAGE, None),
-            ("bound", EXIT_USAGE, None),
-            ("radius-sweep", EXIT_USAGE, None),
+            ("bound", EXIT_USAGE, 2),
+            ("radius-sweep", EXIT_USAGE, 4),
             ("robustness-sweep", EXIT_USAGE, 2),
-            ("active", EXIT_USAGE, None),
+            ("active", EXIT_USAGE, 2),
             ("oracle-check", EXIT_NUMERICAL, 2),
         ],
     )
     def test_a_failed_run_leaves_its_meta(
         self, tmp_path, monkeypatch, command, code, failed
     ):
+        def failing_split(*args):
+            raise ValueError("split failed")
+
         def failing_oracle(*args):
             raise RuntimeError("oracle failed")
 
+        monkeypatch.setattr(cli, "sample_split", failing_split)
         monkeypatch.setattr(cli, "min_feasible_radius", failing_oracle)
         out = tmp_path / "fail.csv"
         config = write_config(
             tmp_path,
             output=str(out),
             synthetic_n=24,
-            n_labeled=30,
+            n_labeled=6,
             trials=2,
-            stop_at=40,
+            stop_at=8,
             eps_grid=(0.3, 0.8),
             delta_grid=(0.0, 0.3),
         )
@@ -541,10 +639,7 @@ class TestExitCodes:
             f"error: {data}: column 'a', data row 2 (line 3): "
             "'nan' is not a finite number\n"
         )
-        assert not out.exists()
-        meta = read_meta(out)
-        assert meta["command"] == "bound"
-        assert not [key for key in meta if key.startswith("error_trial_")]
+        assert sorted(tmp_path.iterdir()) == sorted([data, Path(config)])
 
     @pytest.mark.filterwarnings("error")
     def test_cells_near_the_float_limit_standardize_without_overflow(
@@ -735,9 +830,7 @@ class TestBoundExperiment:
         config = write_config(tmp_path, output=str(out), **keys)
         assert main([command, "--config", config]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-        meta = read_meta(out)
-        assert not [key for key in meta if key.startswith("error_trial_")]
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_a_sample_of_the_rows_certify_needs_is_certified(self, tmp_path):
         # two remainder rows suffice at z_score 0, four otherwise
@@ -968,10 +1061,7 @@ class TestSweeps:
         config = write_config(tmp_path, output=str(out), **{grid: ()}, **SMALL_DATA)
         assert main([command, "--config", config]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-        meta = read_meta(out)
-        assert meta["command"] == command and meta[grid] == ""
-        assert not [key for key in meta if key.startswith("error_trial_")]
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_robustness_sweep_is_monotone_in_the_extra_radius(self, tmp_path):
         out = tmp_path / "rob.csv"
@@ -1018,11 +1108,7 @@ class TestActiveExperiment:
         assert capsys.readouterr().err == (
             "error: with stop_at = 0, n_labeled must exceed n_initial\n"
         )
-        assert not out.exists()
-        assert not (tmp_path / "act_aulc.csv").exists()
-        meta = read_meta(out)
-        assert meta["command"] == "active"
-        assert not [key for key in meta if key.startswith("error_trial_")]
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_initial_set_larger_than_the_table_fails_once_before_any_trial(
         self, tmp_path, capsys, monkeypatch
@@ -1039,10 +1125,7 @@ class TestActiveExperiment:
         assert capsys.readouterr().err == (
             "error: n_initial must not exceed the table size 10, got 12\n"
         )
-        assert not out.exists()
-        assert not (tmp_path / "act_aulc.csv").exists()
-        meta = read_meta(out)
-        assert not [key for key in meta if key.startswith("error_trial_")]
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_failed_trials_leave_a_header_only_csv_and_one_key_each(
         self, tmp_path, monkeypatch
@@ -1089,10 +1172,7 @@ class TestActiveExperiment:
         )
         assert main(["active", "--config", config]) == EXIT_USAGE
         assert capsys.readouterr().err == message
-        assert not out.exists()
-        assert not (tmp_path / "act_aulc.csv").exists()
-        meta = read_meta(out)
-        assert not [key for key in meta if key.startswith("error_trial_")]
+        assert list(tmp_path.iterdir()) == [Path(config)]
 
     def test_stop_size_equal_to_the_table_size_labels_every_row(self, tmp_path):
         out = tmp_path / "act.csv"

@@ -7,11 +7,12 @@ from drulearn.data import (
     TableError,
     append_intercept,
     load_csv,
+    overflowing_column,
     sample_split,
     standardize,
     synthetic_two_gaussians,
 )
-from drulearn.model import LabeledDataset, make_rng
+from drulearn.model import LabeledDataset, feature_distances, make_rng
 
 
 def write_csv(path, text):
@@ -188,6 +189,30 @@ class TestRawTable:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="disagree"):
             LabeledDataset([[1.0], [2.0]], [0, 1, 1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_check_bounds_every_feature_distance(self):
+        # each column's squared range, 1.44e308, is finite; their sum is not
+        wide = np.array([[1.2e154, 1.2e154], [0.0, 0.0], [-3.0, 5.0]])
+        assert overflowing_column(wide) == 0
+        assert overflowing_column(wide[:, 1:]) is None
+        assert np.all(np.isfinite(feature_distances(wide[:, 1:], wide[:, 1:])))
+        assert overflowing_column(np.array([[1e308], [-1e308]])) == 0
+        assert overflowing_column(np.array([[1.0, 4.0], [2.0, 3.0]])) is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_raw_table_names_the_widest_column_whose_distances_overflow(
+        self, tmp_path
+    ):
+        path = write_csv(
+            tmp_path / "t.csv",
+            "a,color,b,y\n1.0,red,1e300,1\n2.0,blue,-1e300,0\n3.0,red,0.5,1\n",
+        )
+        with pytest.raises(
+            TableError, match=r"t\.csv: column 'b' spreads the features"
+        ):
+            load_csv(path, "y", "1", raw=True)
+        assert load_csv(path, "y", "1").features.shape == (3, 4)
 
 
 class TestStandardize:

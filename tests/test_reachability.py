@@ -4,10 +4,11 @@ A fixed set of small configs goes through `cli.main` in process, under
 `sys.setprofile`, which records each Python function entered.  The set
 covers every subcommand, both priors, all three radius policies, all six
 acquisition strategies (with ``mc_include_norm``) and a CSV with a
-categorical column.  A package function that none of them enters is dead
-code or code the CLI cannot reach, so the test fails on it unless
-`EXEMPT` names it with the reason; it fails too on an `EXEMPT` entry that
-runs after all or names no function, so the list cannot go stale.
+categorical column, standardized and not.  A package function that none of
+them enters is dead code or code the CLI cannot reach, so the test fails on
+it unless `EXEMPT` names it with the reason; it fails too on an `EXEMPT`
+entry that runs after all or names no function, so the list cannot go
+stale.
 """
 
 import inspect
@@ -76,6 +77,16 @@ RUNS = (
     ),
     ("min-radius", SMALL),
     ("wasserstein", SMALL),
+    (
+        "wasserstein",
+        {
+            "dataset": "table.csv",
+            "label_column": "y",
+            "positive_label": "yes",
+            "n_labeled": 4,
+            "standardize": False,
+        },
+    ),
     ("radius-sweep", {**SMALL, "eps_grid": (1.0,)}),
     ("robustness-sweep", {**SMALL, "eps_grid": (0.5,), "delta_grid": (0.0, 0.1)}),
     ("oracle-check", {"trials": 2}),
